@@ -9,22 +9,24 @@ energy      source-free energy-decay runs with per-step dissipation records
 theta-scan  positivity scan of the companion-sign gap function
 
 Every run is deterministic: identical flags produce byte-identical CSVs
-(fixed 17-significant-digit formatting, fixed summation order).  Exit code 0
-means all hard assertions of the subcommand held; otherwise a JSON failure
-summary goes to stderr and the exit code is nonzero.  The environment
-variable COLECOLE_THREADS caps the worker pool used to fan out independent
-runs of a sweep.
+(fixed 17-significant-digit formatting, fixed summation order).  The runs of
+a sweep execute one after another in the calling thread.  Exit codes:
+
+0  every hard assertion of the subcommand held
+1  a hard assertion failed (JSON failure records on stderr)
+2  invalid input, rejected before or during the run (JSON error on stderr)
+3  the linear solver did not converge (JSON error on stderr)
+4  out of memory (JSON error on stderr)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -70,14 +72,6 @@ def _write_csv(path: Path, header: str, rows: Iterable[str]) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")
-
-
-def _pool_map(fn: Callable, items: Sequence) -> list:
-    workers = int(os.environ.get("COLECOLE_THREADS", "1"))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _sweep_path(base: Path, alpha: float, theta: float, scheme: str) -> Path:
@@ -148,8 +142,8 @@ def _parse_taus(spec: str) -> list[float]:
             taus.append(float(num) / float(den))
         else:
             taus.append(float(tok))
-    if any(t <= 0 for t in taus):
-        raise ValueError(f"nonpositive step size in {spec!r}")
+    if not all(math.isfinite(t) and t > 0 for t in taus):
+        raise ValueError(f"non-finite or nonpositive step size in {spec!r}")
     return taus
 
 
@@ -177,14 +171,12 @@ def cmd_converge(args: argparse.Namespace) -> None:
     for alpha, theta in combos:
         SchemeParams(alpha, theta)  # reject invalid pairs before running
 
-    def one(combo: tuple[float, float]) -> tuple[tuple[float, float], list[ConvergenceRow]]:
-        alpha, theta = combo
-        rows = convergence_table(ManufacturedCase(alpha), theta, taus, grid, quadrature)
-        return combo, rows
-
-    results = _pool_map(one, combos)
+    tables = [
+        convergence_table(ManufacturedCase(alpha), theta, taus, grid, quadrature)
+        for alpha, theta in combos
+    ]
     base = Path(args.out)
-    for (alpha, theta), rows in results:
+    for (alpha, theta), rows in zip(combos, tables):
         path = base if len(combos) == 1 else _sweep_path(base, alpha, theta, args.scheme)
         _write_csv(path, "tau,errE,rateE,errH,rateH,errP,rateP", _converge_rows_csv(rows))
         last = rows[-1]
@@ -215,22 +207,17 @@ def cmd_energy(args: argparse.Namespace) -> None:
     for alpha, theta, _ in runs:
         SchemeParams(alpha, theta)
 
-    def one(run_spec: tuple[float, float, str]):
-        alpha, theta, scheme = run_spec
-        state, trace, report = run_decay_experiment(
-            alpha, theta, grid, args.tau, args.steps, Quadrature(scheme)
-        )
-        return run_spec, state, trace, report
-
-    results = _pool_map(one, runs)
+    results = [
+        run_decay_experiment(alpha, theta, grid, args.tau, args.steps, Quadrature(scheme))
+        for alpha, theta, scheme in runs
+    ]
     if args.dump_fields is not None:
         if len(runs) != 1:
             raise ValueError("--dump-fields is only available for single runs, not sweeps")
-        _dump_fields(results[0][1], Path(args.dump_fields))
-    results = [(spec, trace, report) for spec, _, trace, report in results]
+        _dump_fields(results[0][0], Path(args.dump_fields))
     base = Path(args.out)
     failures = []
-    for (alpha, theta, scheme), trace, report in results:
+    for (alpha, theta, scheme), (_, trace, report) in zip(runs, results):
         path = base if len(runs) == 1 else _sweep_path(base, alpha, theta, scheme)
         rows = (
             f"{n},{_fmt(t)},{_fmt(en)},{_fmt(d)},{_fmt(v)}"
@@ -353,12 +340,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return 1
     except (ValueError, ArithmeticError) as exc:
-        print(
-            json.dumps({"status": "error", "command": args.command, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
+        return _report_error(args.command, exc, 2)
+    except SolverError as exc:
+        return _report_error(args.command, exc, 3)
+    except MemoryError as exc:
+        return _report_error(args.command, exc, 4)
     return 0
+
+
+def _report_error(command: str, exc: BaseException, code: int) -> int:
+    """Write one JSON error record to stderr and return the exit code."""
+    message = str(exc) or type(exc).__name__
+    print(
+        json.dumps({"status": "error", "command": command, "message": message}),
+        file=sys.stderr,
+    )
+    return code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ monotonicity violations of a recorded trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,8 @@ class EnergyTrace:
     violations: list[float] = field(default_factory=list)
 
     def append(self, n: int, t: float, energy: float, dissipation: float) -> None:
+        if not (math.isfinite(energy) and math.isfinite(dissipation)):
+            raise ValueError(f"non-finite energy record at step {n}: {energy}, {dissipation}")
         if energy < 0.0:
             raise ValueError(f"discrete energy must be nonnegative, got {energy}")
         violation = 0.0

@@ -213,8 +213,3 @@ def norm_h(p: ScalarField, grid: GridSpec) -> float:
 def combine_theta(u_new, u_old, theta: float):
     """Theta average (1-theta)*u_new + theta*u_old of two like fields."""
     return (1.0 - theta) * u_new + theta * u_old
-
-
-def axpy(a: float, x, y):
-    """a*x + y for like fields."""
-    return a * x + y

@@ -23,6 +23,7 @@ of the three equations is the linear-solver residual alone.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -60,8 +61,9 @@ class MaterialParams:
 
     def __post_init__(self) -> None:
         for name in ("c_e", "c_m", "c_p", "tau0"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha={self.alpha} outside (0, 1)")
 
@@ -78,8 +80,8 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.theta <= 0.5:
             raise ValueError(f"theta={self.theta} outside (0, 1/2]")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
 
@@ -153,10 +155,12 @@ class SimState:
 def build_kernel(material: MaterialParams, config: SchemeConfig) -> tuple[np.ndarray, WeightSequence]:
     """Convolution kernel for the full run plus the base weight sequence.
 
-    SFTR: the kernel is omega_0..omega_{n_steps-1} applied to history
-    differences u^k - u^0, k = 1..n.  FBDF2: the kernel is the theta-combined
-    sequence g_j = (1-theta) w~_j + theta w~_{j-1} applied to u^0..u^n, so it
-    carries one extra entry for the k = 0 term at the final step.
+    Both are applied as sum_{k=1..n} K_{n-k} P^k (:func:`kernel_sum`), which
+    presumes P^0 = 0.  SFTR: K = omega_0..omega_{n_steps-1}, the rule being
+    sum omega_{n-k} (P^k - P^0).  FBDF2: K is the theta-combined sequence
+    g_j = (1-theta) w~_j + theta w~_{j-1}, the rule being sum_{k=0..n}
+    g_{n-k} P^k; its last entry g_{n_steps} only ever multiplies P^0, so it
+    is kept but never read.
     """
     if config.quadrature is Quadrature.SFTR:
         ws = sftr_weights(SchemeParams(material.alpha, config.theta), config.n_steps - 1)
@@ -194,44 +198,39 @@ def init_state(
     )
 
 
-def frac_deriv_current(state: SimState, p_new: VecField) -> VecField:
-    """Quadrature value of the Caputo derivative of P at t_{n-theta}, where
-    n = state.n + 1 and p_new is the candidate P^n.
+def kernel_sum(kernel: np.ndarray, history: Sequence, p_new):
+    """Convolution sum_{k=1..n} K_{n-k} P^k with P^n = p_new, P^k = history[k].
 
-    SFTR:  tau^-alpha sum_{k=1..n} omega_{n-k} (P^k - P^0)
-    FBDF2: tau^-alpha sum_{k=0..n} g_{n-k} P^k
+    n = len(history).  history[0] is P^0, which must be zero (as
+    :func:`init_state` and :meth:`UniformStepper.init` fix it); it is skipped,
+    which is what makes one sum serve both kernels of :func:`build_kernel`.
+    Operands are arrays or floats; the P^n term is taken first, then
+    P^1 .. P^{n-1} in order.
+    """
+    n = len(history)
+    acc = kernel[0] * p_new
+    for k in range(1, n):
+        acc += kernel[n - k] * history[k]
+    return acc
+
+
+def frac_deriv_current(state: SimState, p_new: VecField) -> VecField:
+    """Quadrature value tau^-alpha sum_{k=1..n} K_{n-k} P^k of the Caputo
+    derivative of P at t_{n-theta}, where n = state.n + 1, p_new is the
+    candidate P^n and K is the run's kernel (see :func:`build_kernel`).
+
+    Precondition: P^0 = state.p_history[0] is zero.  With p_new = 0 the value
+    is the history part alone, so D(p_new) = D(0) + tau^-alpha K_0 p_new.
     """
     hist = state.p_history
     n = state.n + 1
     if len(hist) != n:
         raise ValueError(f"history length {len(hist)} does not match step index {n}")
-    kern = state.kernel
-    acc = VecField.zeros(state.grid)
-    if state.config.quadrature is Quadrature.SFTR:
-        p0 = hist[0]
-        acc.ex += kern[0] * (p_new.ex - p0.ex)
-        acc.ey += kern[0] * (p_new.ey - p0.ey)
-        for k in range(1, n):
-            w = kern[n - k]
-            acc.ex += w * (hist[k].ex - p0.ex)
-            acc.ey += w * (hist[k].ey - p0.ey)
-    else:
-        acc.ex += kern[0] * p_new.ex
-        acc.ey += kern[0] * p_new.ey
-        for k in range(0, n):
-            w = kern[n - k]
-            acc.ex += w * hist[k].ex
-            acc.ey += w * hist[k].ey
-    return state.config.tau ** (-state.material.alpha) * acc
-
-
-def _history_term(state: SimState) -> VecField:
-    """The part of the quadrature not involving P^n.
-
-    Evaluating the quadrature at p_new = 0 isolates it exactly:
-    D(p_new) = tau^-alpha w0 p_new + D(0) for both kernels.
-    """
-    return frac_deriv_current(state, VecField.zeros(state.grid))
+    scale = state.config.tau ** (-state.material.alpha)
+    return VecField(
+        scale * kernel_sum(state.kernel, [q.ex for q in hist], p_new.ex),
+        scale * kernel_sum(state.kernel, [q.ey for q in hist], p_new.ey),
+    )
 
 
 def elimination_coefficients(
@@ -317,7 +316,7 @@ def step(state: SimState, sources: SourceSet | None = None) -> SimState:
         f2 = sample_scalar(sources.f2, grid, t_mid)
         f3 = sample_vec(sources.f3, grid, t_mid)
 
-    hist_d = _history_term(state)
+    hist_d = frac_deriv_current(state, VecField.zeros(grid))
     kappa, denom, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
 
     # Elimination of P^n from the dof-local polarization equation.
@@ -349,7 +348,8 @@ def step(state: SimState, sources: SourceSet | None = None) -> SimState:
         - (tau / mat.c_m) * curl_e(combine_theta(e_new, state.e, theta), grid)
         + (tau / mat.c_m) * f2
     )
-    d_new = frac_deriv_current(state, p_new)
+    # D(P^n) = D(0) + tau^-alpha K_0 P^n, so the history sum is not run again.
+    d_new = hist_d + (tau ** (-mat.alpha) * state.kernel[0]) * p_new
     s_new = inner_e(d_new, d_new, grid)
 
     return replace(
@@ -429,8 +429,9 @@ class UniformState:
 class UniformStepper:
     """Zero-dimensional reduction: the same per-step algebra with curls dropped.
 
-    Shares the kernel construction and elimination coefficients with the field
-    integrator, so it exercises the identical update formulas on scalars.
+    Shares the kernel construction, the kernel sum and the elimination
+    coefficients with the field integrator, so it exercises the identical
+    update formulas on scalars.
     """
 
     def __init__(self, material: MaterialParams, config: SchemeConfig):
@@ -442,19 +443,9 @@ class UniformStepper:
         return UniformState(0, e0, h0, 0.0, (0.0,))
 
     def frac_deriv(self, state: UniformState, p_new: float) -> float:
-        cfg, mat = self.config, self.material
-        n = state.n + 1
-        kern = self.kernel
-        if cfg.quadrature is Quadrature.SFTR:
-            p0 = state.p_history[0]
-            acc = kern[0] * (p_new - p0)
-            for k in range(1, n):
-                acc += kern[n - k] * (state.p_history[k] - p0)
-        else:
-            acc = kern[0] * p_new
-            for k in range(0, n):
-                acc += kern[n - k] * state.p_history[k]
-        return cfg.tau ** (-mat.alpha) * acc
+        return self.config.tau ** (-self.material.alpha) * kernel_sum(
+            self.kernel, state.p_history, p_new
+        )
 
     def step(self, state: UniformState, f1: float = 0.0, f2: float = 0.0, f3: float = 0.0) -> UniformState:
         cfg, mat = self.config, self.material

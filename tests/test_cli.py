@@ -1,12 +1,12 @@
 """Command-line drivers: CSV contracts, exit codes, determinism, sweeps."""
 
 import json
-import os
 
 import numpy as np
 import pytest
 
 from colecole.cli import main
+from colecole.stepper import SolverError
 
 
 def read_csv(path):
@@ -50,6 +50,31 @@ def test_invalid_parameters_exit_code(tmp_path, capsys):
     code = main(["energy", "--theta", "0.9", "--nx", "8", "--ny", "8",
                  "--steps", "2", "--out", str(tmp_path / "y.csv")])
     assert code == 2
+    capsys.readouterr()
+    # non-finite values are rejected before any work starts and no CSV is written
+    for flags in (["energy", "--tau", "nan"], ["energy", "--tau", "inf"],
+                  ["converge", "--alpha", "0.5", "--theta", "0.5", "--taus", "nan"]):
+        out = tmp_path / "z.csv"
+        assert main(flags + ["--nx", "8", "--ny", "8", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["status"] == "error" and "finite" in err["message"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("exc, code", [
+    (SolverError("conjugate gradients stalled", residual=1e-3, iterations=7), 3),
+    (MemoryError("cannot hold the history"), 4),
+])
+def test_run_failures_on_json_channel(tmp_path, capsys, monkeypatch, exc, code):
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("colecole.cli.run_decay_experiment", failing)
+    out = tmp_path / "e.csv"
+    assert main(["energy", "--nx", "8", "--ny", "8", "--steps", "2", "--out", str(out)]) == code
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"status": "error", "command": "energy", "message": str(exc)}
+    assert not out.exists()
 
 
 def test_converge_single_row_empty_rates(tmp_path):
@@ -109,7 +134,7 @@ def test_energy_fbdf2_report_only(tmp_path):
     assert max(float(r[4]) for r in rows) > 0.0  # oscillations present
 
 
-def test_energy_sweep_files_and_thread_cap(tmp_path, monkeypatch):
+def test_energy_sweep_files_and_thread_cap(tmp_path):
     base = tmp_path / "sweep.csv"
     code = main(["energy", "--sweep", "theta", "--tau", "0.05", "--steps", "4",
                  "--nx", "8", "--ny", "8", "--out", str(base)])
@@ -120,13 +145,6 @@ def test_energy_sweep_files_and_thread_cap(tmp_path, monkeypatch):
         "sweep_a0.5_t0.4_sftr.csv",
         "sweep_a0.5_t0.5_sftr.csv",
     ]
-    ref = (tmp_path / "sweep_a0.5_t0.4_sftr.csv").read_bytes()
-    for p in tmp_path.glob("sweep_*"):
-        p.unlink()
-    monkeypatch.setenv("COLECOLE_THREADS", "3")
-    assert main(["energy", "--sweep", "theta", "--tau", "0.05", "--steps", "4",
-                 "--nx", "8", "--ny", "8", "--out", str(base)]) == 0
-    assert (tmp_path / "sweep_a0.5_t0.4_sftr.csv").read_bytes() == ref
 
 
 def test_weights_single_kind_dump(tmp_path):

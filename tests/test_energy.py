@@ -169,6 +169,11 @@ def test_trace_and_decay_report():
         decay_report(EnergyTrace())
     with pytest.raises(ValueError):
         trace.append(3, 0.3, -1.0, 0.0)
+    # a NaN or infinite record is a hard failure, never "0 violations"
+    for energy, dissipation in ((np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan), (0.5, -np.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            trace.append(3, 0.3, energy, dissipation)
+    assert len(trace) == 3
 
 
 def test_run_decay_experiment_sftr_monotone():

@@ -7,7 +7,6 @@ from colecole.mesh import (
     GridSpec,
     ScalarField,
     VecField,
-    axpy,
     combine_theta,
     curl_e,
     curl_h,
@@ -147,8 +146,6 @@ def test_field_algebra():
     w = combine_theta(u, v, 0.5)
     np.testing.assert_allclose(w.ey, 0.5 * (u.ey + v.ey), rtol=1e-15)
     assert w.pec
-    z = axpy(2.0, u, v)
-    np.testing.assert_allclose(z.ex, 2.0 * u.ex + v.ex, rtol=1e-15)
     d = u - v
     np.testing.assert_allclose(d.ey, u.ey - v.ey, atol=0)
     s = ScalarField(np.ones((6, 6)))

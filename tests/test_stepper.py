@@ -46,6 +46,12 @@ def test_material_and_config_validation():
         SchemeConfig(theta=0.6, tau=0.1, n_steps=4)
     with pytest.raises(ValueError):
         SchemeConfig(theta=0.5, tau=0.0, n_steps=4)
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("c_e", "c_m", "c_p", "tau0"):
+            with pytest.raises(ValueError, match=name):
+                MaterialParams(**{name: bad})
+        with pytest.raises(ValueError, match="tau"):
+            SchemeConfig(theta=0.5, tau=bad, n_steps=4)
 
 
 def test_init_state():
@@ -94,6 +100,27 @@ def test_frac_deriv_cubic_history_brute_force(quadrature):
         brute = sum(kern[n - k] * vals[k] for k in range(0, n + 1))
     brute *= tau ** (-alpha)
     np.testing.assert_allclose(d.ex, brute, rtol=1e-13)
+
+
+@pytest.mark.parametrize("quadrature", [Quadrature.SFTR, Quadrature.FBDF2])
+def test_one_history_sum_per_step(quadrature, monkeypatch):
+    calls = []
+
+    def counting(state, p_new):
+        calls.append(state.n)
+        return frac_deriv_current(state, p_new)
+
+    monkeypatch.setattr("colecole.stepper.frac_deriv_current", counting)
+    case = ManufacturedCase(alpha=0.6)
+    grid = GridSpec(6, 6)
+    config = SchemeConfig(theta=0.4, tau=0.1, n_steps=5, quadrature=quadrature)
+    pairs = []
+    run(case.initial_state(grid, config), case.sources(), lambda a, b: pairs.append((a, b)))
+    assert calls == [0, 1, 2, 3, 4]
+    # the recorded s^n = ||D^alpha P||^2 equals the full quadrature at P^n
+    for prev, new in pairs:
+        d = frac_deriv_current(prev, new.p)
+        assert new.s_norm_sq[-1] == pytest.approx(inner_e(d, d, grid), rel=1e-13)
 
 
 def test_step_zero_state_stays_zero():
