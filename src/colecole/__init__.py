@@ -46,7 +46,6 @@ from .stepper import (
     SimState,
     SolverError,
     SourceSet,
-    UniformStepper,
     frac_deriv_current,
     init_state,
     run,
@@ -85,7 +84,6 @@ __all__ = [
     "SolverError",
     "SourceSet",
     "SymbolKind",
-    "UniformStepper",
     "VecField",
     "WeightKind",
     "WeightSequence",

@@ -110,8 +110,9 @@ def cmd_weights(args: argparse.Namespace) -> None:
 
     params = SchemeParams(args.alpha, args.theta)
     omega = sftr_weights(params, n).values
-    varpi = varpi_weights(params, n).values
-    a = cumulative_weights(varpi_weights(params, n)).values
+    varpi_seq = varpi_weights(params, n)
+    varpi = varpi_seq.values
+    a = cumulative_weights(varpi_seq).values
     conv = np.convolve(omega, varpi)[: n + 1]
     expected = np.zeros(n + 1)
     expected[0] = 1.0

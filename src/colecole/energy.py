@@ -102,10 +102,12 @@ def discrete_energy(state: SimState, a_seq: WeightSequence) -> float:
 def dissipation_residual(
     state_prev: SimState,
     state_new: SimState,
-    a_seq: WeightSequence,
+    e_prev: float,
+    e_new: float,
     varpi0: float,
 ) -> float:
-    """Left side of the per-step dissipation bound between consecutive states.
+    """Left side of the per-step dissipation bound between consecutive states,
+    given their energies e_prev and e_new (:func:`discrete_energy`).
 
     Nonpositive (within :func:`energy_tolerance`) for source-free
     shifted-trapezoidal runs with theta in [alpha/2, 1/2]; recorded without a
@@ -115,8 +117,6 @@ def dissipation_residual(
         raise ValueError("states are not consecutive")
     mat, cfg, grid = state_new.material, state_new.config, state_new.grid
     tau = cfg.tau
-    e_prev = discrete_energy(state_prev, a_seq)
-    e_new = discrete_energy(state_new, a_seq)
     dp = (1.0 / tau) * (state_new.p - state_prev.p)
     return (e_new - e_prev) / tau + (
         mat.tau0**mat.alpha * tau ** (1.0 - mat.alpha) / varpi0
@@ -147,7 +147,6 @@ def run_decay_experiment(
     tau: float,
     n_steps: int,
     quadrature: Quadrature = Quadrature.SFTR,
-    cg_tol: float = 1e-12,
 ) -> tuple[SimState, EnergyTrace, DecayReport]:
     """Source-free decay run with unit material coefficients.
 
@@ -160,17 +159,18 @@ def run_decay_experiment(
     from .manufactured import decay_initial_data
 
     material = MaterialParams(alpha=alpha)
-    config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature, cg_tol=cg_tol)
+    config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
     e0, h0 = decay_initial_data(grid)
     state = init_state(grid, material, config, e0, h0)
-    params = SchemeParams(alpha, theta)
-    a_seq = cumulative_weights(varpi_weights(params, n_steps))
-    varpi0 = float(varpi_weights(params, 0).values[0])
+    a_seq = cumulative_weights(varpi_weights(SchemeParams(alpha, theta), n_steps))
+    varpi0 = float(a_seq.values[0])  # a_0 = varpi_0
+    energy = discrete_energy(state, a_seq)
     trace = EnergyTrace()
-    trace.append(0, 0.0, discrete_energy(state, a_seq), 0.0)
+    trace.append(0, 0.0, energy, 0.0)
     while state.n < n_steps:
         new = step(state)
-        r = dissipation_residual(state, new, a_seq, varpi0)
-        trace.append(new.n, new.time, discrete_energy(new, a_seq), r)
-        state = new
+        new_energy = discrete_energy(new, a_seq)
+        r = dissipation_residual(state, new, energy, new_energy, varpi0)
+        trace.append(new.n, new.time, new_energy, r)
+        state, energy = new, new_energy
     return state, trace, decay_report(trace)

@@ -142,14 +142,12 @@ def run_case(
     theta: float,
     tau: float,
     quadrature: Quadrature = Quadrature.SFTR,
-    final_time: float = 1.0,
-    cg_tol: float = 1e-12,
 ) -> tuple[float, float, float]:
-    """Integrate to final_time and return global (max over steps) errors."""
-    n_steps = round(final_time / tau)
-    if abs(n_steps * tau - final_time) > 1e-12 * final_time:
-        raise ValueError(f"tau={tau} does not divide final time {final_time}")
-    config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature, cg_tol=cg_tol)
+    """Integrate to t = 1 and return global (max over steps) errors."""
+    n_steps = round(1.0 / tau)
+    if abs(n_steps * tau - 1.0) > 1e-12:
+        raise ValueError(f"tau={tau} does not divide the final time 1")
+    config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
     state = case.initial_state(grid, config)
     sources = case.sources()
     err_e = err_h = err_p = 0.0
@@ -166,13 +164,12 @@ def convergence_table(
     taus: list[float],
     grid: GridSpec,
     quadrature: Quadrature = Quadrature.SFTR,
-    final_time: float = 1.0,
 ) -> list[ConvergenceRow]:
     """Global errors and successive log2 rates over a halving tau sequence."""
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None
     for tau in taus:
-        err_e, err_h, err_p = run_case(case, grid, theta, tau, quadrature, final_time)
+        err_e, err_h, err_p = run_case(case, grid, theta, tau, quadrature)
         if prev is None:
             rows.append(ConvergenceRow(tau, err_e, err_h, err_p))
         else:

@@ -16,7 +16,7 @@ discrete system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,11 +67,10 @@ class GridSpec:
 
 @dataclass
 class VecField:
-    """Edge-component pair (ex, ey); ``pec`` marks tangential-zero boundaries."""
+    """Edge-component pair (ex, ey)."""
 
     ex: np.ndarray
     ey: np.ndarray
-    pec: bool = False
 
     def __post_init__(self) -> None:
         self.ex = np.asarray(self.ex, dtype=float)
@@ -80,19 +79,18 @@ class VecField:
             raise ValueError("ex and ey must be 2-D arrays")
 
     @classmethod
-    def zeros(cls, grid: GridSpec, pec: bool = False) -> "VecField":
-        return cls(np.zeros((grid.nx, grid.ny + 1)), np.zeros((grid.nx + 1, grid.ny)), pec)
+    def zeros(cls, grid: GridSpec) -> "VecField":
+        return cls(np.zeros((grid.nx, grid.ny + 1)), np.zeros((grid.nx + 1, grid.ny)))
 
     def copy(self) -> "VecField":
-        return VecField(self.ex.copy(), self.ey.copy(), self.pec)
+        return VecField(self.ex.copy(), self.ey.copy())
 
     def enforce_pec(self) -> "VecField":
-        """Zero the tangential boundary dofs in place and set the flag."""
+        """Zero the tangential boundary dofs in place."""
         self.ex[:, 0] = 0.0
         self.ex[:, -1] = 0.0
         self.ey[0, :] = 0.0
         self.ey[-1, :] = 0.0
-        self.pec = True
         return self
 
     def is_pec_compliant(self) -> bool:
@@ -112,14 +110,14 @@ class VecField:
 
     def __add__(self, other: "VecField") -> "VecField":
         self._check_like(other)
-        return VecField(self.ex + other.ex, self.ey + other.ey, self.pec and other.pec)
+        return VecField(self.ex + other.ex, self.ey + other.ey)
 
     def __sub__(self, other: "VecField") -> "VecField":
         self._check_like(other)
-        return VecField(self.ex - other.ex, self.ey - other.ey, self.pec and other.pec)
+        return VecField(self.ex - other.ex, self.ey - other.ey)
 
     def __mul__(self, c: float) -> "VecField":
-        return VecField(c * self.ex, c * self.ey, self.pec)
+        return VecField(c * self.ex, c * self.ey)
 
     __rmul__ = __mul__
 
@@ -176,7 +174,7 @@ def _check_scalar(s: ScalarField, grid: GridSpec) -> None:
 def curl_h(s: ScalarField, grid: GridSpec) -> VecField:
     """Discrete (dH/dy, -dH/dx) on edge dofs; boundary rows/columns are zero."""
     _check_scalar(s, grid)
-    out = VecField.zeros(grid, pec=True)
+    out = VecField.zeros(grid)
     out.ex[:, 1:-1] = (s.h[:, 1:] - s.h[:, :-1]) / grid.dy
     out.ey[1:-1, :] = -(s.h[1:, :] - s.h[:-1, :]) / grid.dx
     return out

@@ -40,7 +40,7 @@ from .mesh import (
     norm_e,
     norm_h,
 )
-from .weights import SchemeParams, WeightSequence, fbdf2_weights, sftr_weights, shift_combine
+from .weights import SchemeParams, fbdf2_weights, sftr_weights, shift_combine
 
 
 class Quadrature(enum.Enum):
@@ -84,10 +84,6 @@ class SchemeConfig:
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-
-    @property
-    def final_time(self) -> float:
-        return self.tau * self.n_steps
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,6 @@ class SimState:
     p_history: tuple[VecField, ...]
     s_norm_sq: tuple[float, ...]
     kernel: np.ndarray
-    weights: WeightSequence
     grid: GridSpec
     material: MaterialParams
     config: SchemeConfig
@@ -152,10 +147,10 @@ class SimState:
         return 10 * (self.grid.nx + self.grid.ny)
 
 
-def build_kernel(material: MaterialParams, config: SchemeConfig) -> tuple[np.ndarray, WeightSequence]:
-    """Convolution kernel for the full run plus the base weight sequence.
+def build_kernel(material: MaterialParams, config: SchemeConfig) -> np.ndarray:
+    """Convolution kernel K for the full run.
 
-    Both are applied as sum_{k=1..n} K_{n-k} P^k (:func:`kernel_sum`), which
+    It is applied as sum_{k=1..n} K_{n-k} P^k (:func:`kernel_sum`), which
     presumes P^0 = 0.  SFTR: K = omega_0..omega_{n_steps-1}, the rule being
     sum omega_{n-k} (P^k - P^0).  FBDF2: K is the theta-combined sequence
     g_j = (1-theta) w~_j + theta w~_{j-1}, the rule being sum_{k=0..n}
@@ -163,10 +158,8 @@ def build_kernel(material: MaterialParams, config: SchemeConfig) -> tuple[np.nda
     is kept but never read.
     """
     if config.quadrature is Quadrature.SFTR:
-        ws = sftr_weights(SchemeParams(material.alpha, config.theta), config.n_steps - 1)
-        return ws.values, ws
-    ws = fbdf2_weights(material.alpha, config.n_steps - 1)
-    return shift_combine(ws, config.theta), ws
+        return sftr_weights(SchemeParams(material.alpha, config.theta), config.n_steps - 1).values
+    return shift_combine(fbdf2_weights(material.alpha, config.n_steps - 1), config.theta)
 
 
 def init_state(
@@ -181,7 +174,6 @@ def init_state(
         raise ValueError("initial data shapes do not match the grid")
     if not e0.is_pec_compliant():
         raise ValueError("initial electric field violates the tangential-zero boundary")
-    kernel, ws = build_kernel(material, config)
     p0 = VecField.zeros(grid)
     return SimState(
         n=0,
@@ -190,22 +182,20 @@ def init_state(
         h=h0.copy(),
         p_history=(p0,),
         s_norm_sq=(0.0,),
-        kernel=kernel,
-        weights=ws,
+        kernel=build_kernel(material, config),
         grid=grid,
         material=material,
         config=config,
     )
 
 
-def kernel_sum(kernel: np.ndarray, history: Sequence, p_new):
+def kernel_sum(kernel: np.ndarray, history: Sequence[np.ndarray], p_new: np.ndarray) -> np.ndarray:
     """Convolution sum_{k=1..n} K_{n-k} P^k with P^n = p_new, P^k = history[k].
 
     n = len(history).  history[0] is P^0, which must be zero (as
-    :func:`init_state` and :meth:`UniformStepper.init` fix it); it is skipped,
-    which is what makes one sum serve both kernels of :func:`build_kernel`.
-    Operands are arrays or floats; the P^n term is taken first, then
-    P^1 .. P^{n-1} in order.
+    :func:`init_state` fixes it); it is skipped, which is what makes one sum
+    serve both kernels of :func:`build_kernel`.  The P^n term is taken first,
+    then P^1 .. P^{n-1} are added in order, in place.
     """
     n = len(history)
     acc = kernel[0] * p_new
@@ -270,8 +260,8 @@ def solve_spd(
     """
     rhs_norm = norm_e(rhs, grid)
     if rhs_norm == 0.0:
-        return VecField.zeros(grid, pec=True), 0
-    x = VecField.zeros(grid, pec=True) if x0 is None else x0.copy()
+        return VecField.zeros(grid), 0
+    x = VecField.zeros(grid) if x0 is None else x0.copy()
     r = rhs - apply_op(x)
     d = r.copy()
     rho = inner_e(r, r, grid)
@@ -296,8 +286,17 @@ def solve_spd(
     )
 
 
-def _zero_sources(grid: GridSpec) -> tuple[VecField, ScalarField, VecField]:
-    return VecField.zeros(grid), ScalarField.zeros(grid), VecField.zeros(grid)
+def _sample_sources(
+    sources: SourceSet | None, grid: GridSpec, t: float
+) -> tuple[VecField, ScalarField, VecField]:
+    """(f1, f2, f3) at the dofs at time t; all zero when there are no sources."""
+    if sources is None:
+        return VecField.zeros(grid), ScalarField.zeros(grid), VecField.zeros(grid)
+    return (
+        sample_vec(sources.f1, grid, t),
+        sample_scalar(sources.f2, grid, t),
+        sample_vec(sources.f3, grid, t),
+    )
 
 
 def step(state: SimState, sources: SourceSet | None = None) -> SimState:
@@ -307,14 +306,7 @@ def step(state: SimState, sources: SourceSet | None = None) -> SimState:
     if n > cfg.n_steps:
         raise ValueError(f"run is configured for {cfg.n_steps} steps, cannot advance to {n}")
     tau, theta = cfg.tau, cfg.theta
-    t_mid = (n - theta) * tau
-
-    if sources is None:
-        f1, f2, f3 = _zero_sources(grid)
-    else:
-        f1 = sample_vec(sources.f1, grid, t_mid)
-        f2 = sample_scalar(sources.f2, grid, t_mid)
-        f3 = sample_vec(sources.f3, grid, t_mid)
+    f1, f2, f3 = _sample_sources(sources, grid, (n - theta) * tau)
 
     hist_d = frac_deriv_current(state, VecField.zeros(grid))
     kappa, denom, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
@@ -376,13 +368,7 @@ def scheme_residual(
         raise ValueError("states are not consecutive")
     cfg, mat, grid = state_new.config, state_new.material, state_new.grid
     tau, theta = cfg.tau, cfg.theta
-    t_mid = (state_new.n - theta) * tau
-    if sources is None:
-        f1, f2, f3 = _zero_sources(grid)
-    else:
-        f1 = sample_vec(sources.f1, grid, t_mid)
-        f2 = sample_scalar(sources.f2, grid, t_mid)
-        f3 = sample_vec(sources.f3, grid, t_mid)
+    f1, f2, f3 = _sample_sources(sources, grid, (state_new.n - theta) * tau)
 
     e_bar = combine_theta(state_new.e, state_prev.e, theta)
     h_bar = combine_theta(state_new.h, state_prev.h, theta)
@@ -413,47 +399,3 @@ def run(
             observer(state, new)
         state = new
     return state
-
-
-@dataclass
-class UniformState:
-    """Scalar (E, H, P) state of the spatially uniform reduction."""
-
-    n: int
-    e: float
-    h: float
-    p: float
-    p_history: tuple[float, ...]
-
-
-class UniformStepper:
-    """Zero-dimensional reduction: the same per-step algebra with curls dropped.
-
-    Shares the kernel construction, the kernel sum and the elimination
-    coefficients with the field integrator, so it exercises the identical
-    update formulas on scalars.
-    """
-
-    def __init__(self, material: MaterialParams, config: SchemeConfig):
-        self.material = material
-        self.config = config
-        self.kernel, self.weights = build_kernel(material, config)
-
-    def init(self, e0: float, h0: float) -> UniformState:
-        return UniformState(0, e0, h0, 0.0, (0.0,))
-
-    def frac_deriv(self, state: UniformState, p_new: float) -> float:
-        return self.config.tau ** (-self.material.alpha) * kernel_sum(
-            self.kernel, state.p_history, p_new
-        )
-
-    def step(self, state: UniformState, f1: float = 0.0, f2: float = 0.0, f3: float = 0.0) -> UniformState:
-        cfg, mat = self.config, self.material
-        tau, theta = cfg.tau, cfg.theta
-        hist_d = self.frac_deriv(state, 0.0)
-        kappa, denom, a_coef = elimination_coefficients(mat, theta, tau, self.kernel[0])
-        g = (mat.c_p * theta * state.e - theta * state.p - mat.tau0**mat.alpha * hist_d + f3) / denom
-        e_new = ((mat.c_e / tau) * state.e + (state.p - g) / tau + f1) / ((mat.c_e + a_coef) / tau)
-        p_new = a_coef * e_new + g
-        h_new = state.h + (tau / mat.c_m) * f2
-        return UniformState(state.n + 1, e_new, h_new, p_new, state.p_history + (p_new,))

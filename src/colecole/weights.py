@@ -151,15 +151,6 @@ def varpi_weights(params: SchemeParams, n: int) -> WeightSequence:
     return WeightSequence(WeightKind.VARPI, a, params.theta, vals)
 
 
-def varpi_weights_by_series(params: SchemeParams, n: int) -> np.ndarray:
-    """varpi coefficients by direct binomial-series convolution (cross-check path)."""
-    a = params.alpha
-    d0, d1 = _denominator_coeffs(params)
-    num = binomial_series(1.0 - a, -1.0, n)
-    den = binomial_series(a, d1 / d0, n)
-    return d0**a * np.convolve(num, den)[: n + 1]
-
-
 def cumulative_weights(varpi: WeightSequence) -> WeightSequence:
     """Cumulative sums a_j = sum_{k<=j} varpi_k.
 
@@ -258,7 +249,7 @@ def symbol_residual(
     return abs(prefactor * float(np.dot(seq, damping)) - 1.0)
 
 
-def _rho(alpha: float, theta: float, k: float) -> float:
+def _rho(alpha: float, theta: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:
     r = theta / alpha
     return (
         (r - 0.5)
@@ -269,7 +260,7 @@ def _rho(alpha: float, theta: float, k: float) -> float:
     )
 
 
-def _rho_tilde(alpha: float, theta: float, m: float) -> float:
+def _rho_tilde(alpha: float, theta: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:
     r = theta / alpha
     return (
         (r * (2.0 * m - 3.0) + alpha - 0.5)
@@ -314,18 +305,5 @@ def min_theta_gap_grid(
     grid = np.empty((x_points, alpha_points))
     for j, a in enumerate(alphas):
         thetas = np.linspace(0.5 * a, 0.5, theta_samples)[None, :]
-        r = thetas / a
-        rho = (
-            (r - 0.5)
-            * (m - 2.0)
-            / (r * (2.0 * m - 1.0) + a - 0.5)
-            * (4.0 * thetas / (2.0 * thetas + a))
-            * (1.0 + 1.0 / m)
-        )
-        rho_t = (
-            (r * (2.0 * m - 3.0) + a - 0.5)
-            / ((r + 0.5) * m)
-            * (1.0 + (2.0 * thetas + a) / (4.0 * thetas) * (m - 1.0) / m)
-        )
-        grid[:, j] = np.min(rho_t - rho, axis=1)
+        grid[:, j] = np.min(_rho_tilde(a, thetas, m) - _rho(a, thetas, m), axis=1)
     return xs, alphas, grid

@@ -1,12 +1,14 @@
 """Independent reference computations used by the test suite.
 
 Everything here deliberately avoids the code paths under test: series powers
-go through the Miller recurrence instead of binomial factoring, and the
-one-step solves assemble the raw coupled equations densely instead of using
-the integrator's elimination + conjugate gradients.  The semi-discrete
-manufactured case reuses the library's discrete curls on purpose: it forces
-the space-discrete system so that its exact solution is the sampled closed
-form, leaving only the time-discretization error to measure.
+go through the Miller recurrence instead of binomial factoring, the companion
+weights varpi through a binomial-series product instead of their two-term
+recurrence, and the one-step solve assembles the raw coupled equations
+densely instead of using the integrator's elimination + conjugate gradients.
+The semi-discrete manufactured case reuses the library's discrete curls on
+purpose: it forces the space-discrete system so that its exact solution is
+the sampled closed form, leaving only the time-discretization error to
+measure.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from colecole.manufactured import ManufacturedCase
 from colecole.mesh import GridSpec, ScalarField, VecField, curl_e, curl_h
 from colecole.stepper import Quadrature, SimState, SourceSet, sample_scalar, sample_vec
+from colecole.weights import SchemeParams, binomial_series
 
 
 def series_power(f: np.ndarray, alpha: float, n: int) -> np.ndarray:
@@ -31,6 +34,16 @@ def series_power(f: np.ndarray, alpha: float, n: int) -> np.ndarray:
             s += ((alpha + 1.0) * j - k) * f[j] * g[k - j]
         g[k] = s / (k * f[0])
     return g
+
+
+def varpi_weights_by_series(params: SchemeParams, n: int) -> np.ndarray:
+    """varpi_0..varpi_n as the coefficients of (1-z)^(1-alpha) (d0 + d1 z)^alpha,
+    d0 = 1/2 + theta/alpha, d1 = 1/2 - theta/alpha, by binomial-series convolution."""
+    a = params.alpha
+    d0, d1 = 0.5 + params.shift_ratio, 0.5 - params.shift_ratio
+    num = binomial_series(1.0 - a, -1.0, n)
+    den = binomial_series(a, d1 / d0, n)
+    return d0**a * np.convolve(num, den)[: n + 1]
 
 
 @dataclass(frozen=True)
@@ -172,39 +185,3 @@ def dense_step_solution(
         basis[j] = 0.0
     x = np.linalg.solve(a_mat, b)
     return _unflatten(x, grid)
-
-
-def uniform_dense_step(
-    material, theta: float, tau: float, kernel: np.ndarray, quadrature: Quadrature,
-    e: float, h: float, p: float, p_history: list[float],
-    f1: float, f2: float, f3: float,
-) -> tuple[float, float, float]:
-    """One step of the spatially uniform reduction by a direct 3x3 solve."""
-    n = len(p_history)
-    if quadrature is Quadrature.SFTR:
-        hist = -kernel[0] * p_history[0]
-        for k in range(1, n):
-            hist += kernel[n - k] * (p_history[k] - p_history[0])
-    else:
-        hist = 0.0
-        for k in range(0, n):
-            hist += kernel[n - k] * p_history[k]
-    hist *= tau ** (-material.alpha)
-    kappa = material.tau0**material.alpha * tau ** (-material.alpha) * kernel[0]
-    one_m = 1.0 - theta
-    a_mat = np.array(
-        [
-            [material.c_e / tau, 0.0, 1.0 / tau],
-            [0.0, material.c_m / tau, 0.0],
-            [-material.c_p * one_m, 0.0, kappa + one_m],
-        ]
-    )
-    b = np.array(
-        [
-            material.c_e / tau * e + p / tau + f1,
-            material.c_m / tau * h + f2,
-            -(material.tau0**material.alpha) * hist - theta * p + material.c_p * theta * e + f3,
-        ]
-    )
-    e_new, h_new, p_new = np.linalg.solve(a_mat, b)
-    return float(e_new), float(h_new), float(p_new)

@@ -217,10 +217,15 @@ def test_theta_scan_default_resolution_row(tmp_path):
 
 
 def test_console_entry_point():
-    import subprocess, sys
+    import os, subprocess, sys
 
+    import colecole
+
+    # the child imports the same colecole as this test, however it was found
+    src = os.path.dirname(os.path.dirname(os.path.abspath(colecole.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-m", "colecole.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "colecole.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "theta-scan" in proc.stdout

@@ -190,7 +190,7 @@ def test_semi_discrete_case_leaves_only_temporal_error():
 def test_decay_initial_data_profile():
     grid = GridSpec(12, 12)
     e0, h0 = decay_initial_data(grid)
-    assert e0.pec and e0.is_pec_compliant()
+    assert e0.is_pec_compliant()
     case = ManufacturedCase(alpha=0.5)
     xs, ys = grid.h_coords()
     np.testing.assert_allclose(h0.h, (xs**3 + 1) * (ys**3 + 1), rtol=1e-15)

@@ -52,7 +52,7 @@ def test_curl_h_of_constant_is_zero():
     g = GridSpec(5, 7)
     out = curl_h(ScalarField(3.14 * np.ones((5, 7))), g)
     assert not np.any(out.ex) and not np.any(out.ey)
-    assert out.pec
+    assert out.is_pec_compliant()
 
 
 def test_curl_h_linear_fields_exact():
@@ -114,11 +114,11 @@ def test_pec_preservation():
     g = GridSpec(9, 5)
     rng = np.random.default_rng(1)
     out = curl_h(ScalarField(rng.standard_normal((9, 5))), g)
-    assert out.is_pec_compliant() and out.pec
+    assert out.is_pec_compliant()
     e, _ = random_fields(g, rng)
-    assert (2.0 * e).pec and (e + e).pec
-    p = VecField.zeros(g)  # unconstrained field
-    assert not (e + p).pec
+    assert (2.0 * e).is_pec_compliant() and (e + e).is_pec_compliant()
+    p, _ = random_fields(g, rng, pec=False)  # unconstrained field
+    assert not (e + p).is_pec_compliant()
 
 
 def test_inner_products():
@@ -145,7 +145,7 @@ def test_field_algebra():
     np.testing.assert_allclose(w.ex, u.ex, atol=0)
     w = combine_theta(u, v, 0.5)
     np.testing.assert_allclose(w.ey, 0.5 * (u.ey + v.ey), rtol=1e-15)
-    assert w.pec
+    assert w.is_pec_compliant()
     d = u - v
     np.testing.assert_allclose(d.ey, u.ey - v.ey, atol=0)
     s = ScalarField(np.ones((6, 6)))

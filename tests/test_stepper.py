@@ -16,7 +16,6 @@ from colecole.stepper import (
     SimState,
     SolverError,
     SourceSet,
-    UniformStepper,
     elimination_coefficients,
     frac_deriv_current,
     init_state,
@@ -27,14 +26,14 @@ from colecole.stepper import (
 )
 from colecole.weights import SchemeParams, fbdf2_weights, sftr_weights, varpi_weights
 
-from oracles import dense_step_solution, uniform_dense_step
+from oracles import dense_step_solution
 
 
 def zero_state(grid=None, alpha=0.5, theta=0.5, tau=0.1, n_steps=4, quadrature=Quadrature.SFTR):
     grid = grid or GridSpec(4, 4)
     material = MaterialParams(alpha=alpha)
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
-    return init_state(grid, material, config, VecField.zeros(grid, pec=True), ScalarField.zeros(grid))
+    return init_state(grid, material, config, VecField.zeros(grid), ScalarField.zeros(grid))
 
 
 def test_material_and_config_validation():
@@ -138,46 +137,36 @@ def poly_sources():
     )
 
 
-@pytest.mark.parametrize("quadrature", [Quadrature.SFTR, Quadrature.FBDF2])
-def test_step_matches_dense_solve(quadrature):
-    # three consecutive steps on a 2x2 grid against the raw coupled system
+# (material, theta, tau, n_steps): three steps of a generic medium, and
+# twenty steps that take the Caputo history well past its first terms.
+DENSE_CASES = {
+    "": (MaterialParams(c_e=2.0, c_m=3.0, c_p=1.5, tau0=0.8, alpha=0.3), 0.4, 0.2, 3),
+    "-20steps": (MaterialParams(c_e=1.3, c_m=0.7, c_p=2.1, tau0=1.4, alpha=0.45), 0.35, 0.1, 20),
+}
+
+
+@pytest.mark.parametrize(
+    "quadrature, case",
+    [pytest.param(q, c, id=f"{q}{c}") for c in DENSE_CASES for q in Quadrature],
+)
+def test_step_matches_dense_solve(quadrature, case):
+    # consecutive steps on a 2x2 grid against the raw coupled system
+    material, theta, tau, n_steps = DENSE_CASES[case]
     grid = GridSpec(2, 2)
     rng = np.random.default_rng(42)
-    material = MaterialParams(c_e=2.0, c_m=3.0, c_p=1.5, tau0=0.8, alpha=0.3)
-    config = SchemeConfig(theta=0.4, tau=0.2, n_steps=3, quadrature=quadrature, cg_tol=1e-14)
+    config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature, cg_tol=1e-14)
     e0 = VecField(rng.standard_normal((2, 3)), rng.standard_normal((3, 2))).enforce_pec()
     h0 = ScalarField(rng.standard_normal((2, 2)))
     state = init_state(grid, material, config, e0, h0)
     sources = poly_sources()
-    for _ in range(3):
+    for _ in range(n_steps):
         e_ref, h_ref, p_ref = dense_step_solution(state, sources)
         state = step(state, sources)
-        np.testing.assert_allclose(state.e.ex, e_ref.ex, atol=1e-10)
-        np.testing.assert_allclose(state.e.ey, e_ref.ey, atol=1e-10)
-        np.testing.assert_allclose(state.h.h, h_ref.h, atol=1e-10)
-        np.testing.assert_allclose(state.p.ex, p_ref.ex, atol=1e-10)
-        np.testing.assert_allclose(state.p.ey, p_ref.ey, atol=1e-10)
-
-
-@pytest.mark.parametrize("quadrature", [Quadrature.SFTR, Quadrature.FBDF2])
-def test_uniform_stepper_matches_three_by_three(quadrature):
-    material = MaterialParams(c_e=1.3, c_m=0.7, c_p=2.1, tau0=1.4, alpha=0.45)
-    config = SchemeConfig(theta=0.35, tau=0.1, n_steps=20, quadrature=quadrature)
-    us = UniformStepper(material, config)
-    state = us.init(e0=0.8, h0=-0.4)
-    e, h, p = 0.8, -0.4, 0.0
-    hist = [0.0]
-    for n in range(1, 21):
-        t = (n - config.theta) * config.tau
-        f1, f2, f3 = math.sin(t), math.cos(t), t * math.exp(-t)
-        state = us.step(state, f1, f2, f3)
-        e, h, p = uniform_dense_step(
-            material, config.theta, config.tau, us.kernel, quadrature, e, h, p, hist, f1, f2, f3
-        )
-        hist.append(p)
-        assert state.e == pytest.approx(e, abs=1e-12)
-        assert state.h == pytest.approx(h, abs=1e-12)
-        assert state.p == pytest.approx(p, abs=1e-12)
+        np.testing.assert_allclose(state.e.ex, e_ref.ex, atol=1e-12)
+        np.testing.assert_allclose(state.e.ey, e_ref.ey, atol=1e-12)
+        np.testing.assert_allclose(state.h.h, h_ref.h, atol=1e-12)
+        np.testing.assert_allclose(state.p.ex, p_ref.ex, atol=1e-12)
+        np.testing.assert_allclose(state.p.ey, p_ref.ey, atol=1e-12)
 
 
 def test_scheme_residual_zero_dynamics():

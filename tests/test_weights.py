@@ -18,10 +18,9 @@ from colecole.weights import (
     symbol_residual,
     theta_gap,
     varpi_weights,
-    varpi_weights_by_series,
 )
 
-from oracles import series_power
+from oracles import series_power, varpi_weights_by_series
 
 # (alpha, theta) pairs exercised by the sequence-level property tests
 PARAM_GRID = [
