@@ -18,6 +18,13 @@ symmetric positive definite system
 solved matrix-free by conjugate gradients on the tangential-zero subspace.
 H^n and P^n are recovered exactly afterwards, so the recorded per-step defect
 of the three equations is the linear-solver residual alone.
+
+The history P^0..P^N of a run lives in one (N+1, dofs) array that
+:func:`init_state` allocates, and the quadrature's history part is one
+contraction of it with the reversed kernel.  That contraction runs on one
+thread on purpose: through BLAS it would start threads that keep spinning
+during the conjugate-gradient solve that follows and cost more CPU than
+they save.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -121,6 +128,31 @@ def sample_scalar(
     return ScalarField(np.broadcast_to(f(xs, ys, t), xs.shape).astype(float).copy())
 
 
+@dataclass(eq=False)
+class PHistory:
+    """P^0..P^N of one run as the rows of one preallocated (N+1, dofs) array.
+
+    Row k holds P^k: ex raveled, then ey raveled.  Row 0 is P^0 = 0.  Rows
+    [0, filled) have been written; the states of a run share the holder, and
+    the state at step n reads rows 0..n.  A later row is written only by
+    stepping the state at the tip (n = filled - 1); :func:`step` copies the
+    rows of any other state into a new holder first.
+    """
+
+    rows: np.ndarray
+    filled: int = 1
+
+
+def _split(flat: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(ex, ey) views of dof vectors laid out as history rows (last axis)."""
+    lead = flat.shape[:-1]
+    n_ex = grid.nx * (grid.ny + 1)
+    return (
+        flat[..., :n_ex].reshape(lead + (grid.nx, grid.ny + 1)),
+        flat[..., n_ex:].reshape(lead + (grid.nx + 1, grid.ny)),
+    )
+
+
 @dataclass
 class SimState:
     """Integrator state after step n; advanced functionally by :func:`step`."""
@@ -129,9 +161,9 @@ class SimState:
     e: VecField
     p: VecField
     h: ScalarField
-    p_history: tuple[VecField, ...]
+    history: PHistory
     s_norm_sq: tuple[float, ...]
-    kernel: np.ndarray
+    kernel_rev: np.ndarray
     grid: GridSpec
     material: MaterialParams
     config: SchemeConfig
@@ -139,6 +171,18 @@ class SimState:
     @property
     def time(self) -> float:
         return self.n * self.config.tau
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """The run's kernel K_0, K_1, ... (a view of ``kernel_rev``)."""
+        return self.kernel_rev[::-1]
+
+    @property
+    def p_history(self) -> tuple[VecField, ...]:
+        """P^0..P^n as read-only views of the history rows."""
+        rows = self.history.rows[: self.n + 1].view()
+        rows.flags.writeable = False
+        return tuple(map(VecField, *_split(rows, self.grid)))
 
     @property
     def cg_maxit(self) -> int:
@@ -150,12 +194,14 @@ class SimState:
 def build_kernel(material: MaterialParams, config: SchemeConfig) -> np.ndarray:
     """Convolution kernel K for the full run.
 
-    It is applied as sum_{k=1..n} K_{n-k} P^k (:func:`kernel_sum`), which
-    presumes P^0 = 0.  SFTR: K = omega_0..omega_{n_steps-1}, the rule being
-    sum omega_{n-k} (P^k - P^0).  FBDF2: K is the theta-combined sequence
-    g_j = (1-theta) w~_j + theta w~_{j-1}, the rule being sum_{k=0..n}
-    g_{n-k} P^k; its last entry g_{n_steps} only ever multiplies P^0, so it
-    is kept but never read.
+    It is applied as sum_{k=1..n} K_{n-k} P^k (:func:`frac_deriv_current`),
+    which presumes P^0 = 0.  SFTR: K = omega_0..omega_{n_steps-1}, the rule
+    being sum omega_{n-k} (P^k - P^0).  FBDF2: K is the theta-combined
+    sequence g_j = (1-theta) w~_j + theta w~_{j-1}, the rule being
+    sum_{k=0..n} g_{n-k} P^k; its last entry g_{n_steps} only ever multiplies
+    P^0, so it is kept but never read.  The state keeps K reversed and
+    contiguous (``SimState.kernel_rev``), so that the history part is one
+    single-threaded contraction with the preallocated history rows.
     """
     if config.quadrature is Quadrature.SFTR:
         return sftr_weights(SchemeParams(material.alpha, config.theta), config.n_steps - 1).values
@@ -169,39 +215,28 @@ def init_state(
     e0: VecField,
     h0: ScalarField,
 ) -> SimState:
-    """State at n = 0 with P^0 = 0 and weights precomputed for the whole run."""
+    """State at n = 0 with P^0 = 0 and weights precomputed for the whole run.
+
+    Allocates the history rows of the whole run, (n_steps + 1) * dofs * 8
+    bytes; pages are committed as the steps write them.
+    """
     if e0.ex.shape != (grid.nx, grid.ny + 1) or h0.h.shape != (grid.nx, grid.ny):
         raise ValueError("initial data shapes do not match the grid")
     if not e0.is_pec_compliant():
         raise ValueError("initial electric field violates the tangential-zero boundary")
-    p0 = VecField.zeros(grid)
+    dofs = e0.ex.size + e0.ey.size
     return SimState(
         n=0,
         e=e0.copy().enforce_pec(),
-        p=p0,
+        p=VecField.zeros(grid),
         h=h0.copy(),
-        p_history=(p0,),
+        history=PHistory(np.zeros((config.n_steps + 1, dofs))),
         s_norm_sq=(0.0,),
-        kernel=build_kernel(material, config),
+        kernel_rev=np.ascontiguousarray(build_kernel(material, config)[::-1]),
         grid=grid,
         material=material,
         config=config,
     )
-
-
-def kernel_sum(kernel: np.ndarray, history: Sequence[np.ndarray], p_new: np.ndarray) -> np.ndarray:
-    """Convolution sum_{k=1..n} K_{n-k} P^k with P^n = p_new, P^k = history[k].
-
-    n = len(history).  history[0] is P^0, which must be zero (as
-    :func:`init_state` fixes it); it is skipped, which is what makes one sum
-    serve both kernels of :func:`build_kernel`.  The P^n term is taken first,
-    then P^1 .. P^{n-1} are added in order, in place.
-    """
-    n = len(history)
-    acc = kernel[0] * p_new
-    for k in range(1, n):
-        acc += kernel[n - k] * history[k]
-    return acc
 
 
 def frac_deriv_current(state: SimState, p_new: VecField) -> VecField:
@@ -209,18 +244,27 @@ def frac_deriv_current(state: SimState, p_new: VecField) -> VecField:
     derivative of P at t_{n-theta}, where n = state.n + 1, p_new is the
     candidate P^n and K is the run's kernel (see :func:`build_kernel`).
 
-    Precondition: P^0 = state.p_history[0] is zero.  With p_new = 0 the value
-    is the history part alone, so D(p_new) = D(0) + tau^-alpha K_0 p_new.
+    Precondition: P^0 is zero (as :func:`init_state` fixes it), so row 0 is
+    skipped and one sum serves both kernels.  The history part, P^1..P^{n-1},
+    is one contraction of the reversed kernel with the history rows.  It is
+    an einsum, which runs on the calling thread; ``@`` would go through BLAS,
+    whose threads then spin through the solve that follows.  With p_new = 0
+    the value is the history part alone, so D(p_new) = D(0) + tau^-alpha
+    K_0 p_new.
     """
-    hist = state.p_history
     n = state.n + 1
-    if len(hist) != n:
-        raise ValueError(f"history length {len(hist)} does not match step index {n}")
+    if n > state.history.filled:
+        raise ValueError(
+            f"state at step {state.n} needs {n} history rows, {state.history.filled} are filled"
+        )
+    krev = state.kernel_rev
+    size = len(krev)
     scale = state.config.tau ** (-state.material.alpha)
-    return VecField(
-        scale * kernel_sum(state.kernel, [q.ex for q in hist], p_new.ex),
-        scale * kernel_sum(state.kernel, [q.ey for q in hist], p_new.ey),
-    )
+    hist = np.einsum("i,ij->j", krev[size - n : size - 1], state.history.rows[1:n])
+    hist *= scale
+    hist_ex, hist_ey = _split(hist, state.grid)
+    lead = scale * krev[-1]
+    return VecField(hist_ex + lead * p_new.ex, hist_ey + lead * p_new.ey)
 
 
 def elimination_coefficients(
@@ -309,7 +353,7 @@ def step(state: SimState, sources: SourceSet | None = None) -> SimState:
     f1, f2, f3 = _sample_sources(sources, grid, (n - theta) * tau)
 
     hist_d = frac_deriv_current(state, VecField.zeros(grid))
-    kappa, denom, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
+    _, denom, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
 
     # Elimination of P^n from the dof-local polarization equation.
     g = (1.0 / denom) * (
@@ -344,13 +388,22 @@ def step(state: SimState, sources: SourceSet | None = None) -> SimState:
     d_new = hist_d + (tau ** (-mat.alpha) * state.kernel[0]) * p_new
     s_new = inner_e(d_new, d_new, grid)
 
+    history = state.history
+    if history.filled != n:
+        # Another state has already advanced from this one: branch off a copy.
+        rows = np.zeros(history.rows.shape)
+        rows[:n] = history.rows[:n]
+        history = PHistory(rows)
+    np.concatenate((p_new.ex, p_new.ey), axis=None, out=history.rows[n])
+    history.filled = n + 1
+
     return replace(
         state,
         n=n,
         e=e_new,
         p=p_new,
         h=h_new,
-        p_history=state.p_history + (p_new,),
+        history=history,
         s_norm_sq=state.s_norm_sq + (s_new,),
     )
 

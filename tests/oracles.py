@@ -13,7 +13,7 @@ measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,15 @@ from colecole.manufactured import ManufacturedCase
 from colecole.mesh import GridSpec, ScalarField, VecField, curl_e, curl_h
 from colecole.stepper import Quadrature, SimState, SourceSet, sample_scalar, sample_vec
 from colecole.weights import SchemeParams, binomial_series
+
+
+def with_p_history(state: SimState, history: tuple[VecField, ...], **changes) -> SimState:
+    """A state fresh from ``init_state`` moved to n = len(history) - 1, with
+    P^k = history[k] written into its history rows (history[0] must be zero)."""
+    for k, q in enumerate(history):
+        np.concatenate((q.ex, q.ey), axis=None, out=state.history.rows[k])
+    state.history.filled = len(history)
+    return replace(state, n=len(history) - 1, **changes)
 
 
 def series_power(f: np.ndarray, alpha: float, n: int) -> np.ndarray:

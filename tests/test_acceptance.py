@@ -27,7 +27,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from colecole.energy import energy_tolerance, run_decay_experiment
 from colecole.manufactured import convergence_table

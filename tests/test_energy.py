@@ -25,6 +25,8 @@ from colecole.stepper import (
 )
 from colecole.weights import SchemeParams, cumulative_weights, sftr_weights, varpi_weights
 
+from oracles import with_p_history
+
 
 def a_sequence(alpha, theta, n):
     return cumulative_weights(varpi_weights(SchemeParams(alpha, theta), n))
@@ -80,12 +82,8 @@ def test_energy_synthetic_history_direct_formula():
     rng = np.random.default_rng(9)
     p2 = VecField(rng.standard_normal((4, 5)), rng.standard_normal((5, 4)))
     s_vals = (0.0, 0.7, 1.3)
-    state = replace(
-        state,
-        n=2,
-        p=p2,
-        p_history=state.p_history + (VecField.zeros(grid), p2),
-        s_norm_sq=s_vals,
+    state = with_p_history(
+        state, state.p_history + (VecField.zeros(grid), p2), p=p2, s_norm_sq=s_vals
     )
     a_seq = a_sequence(alpha, theta, 4)
     direct = sum(a_seq.values[k] * s_vals[2 - k] for k in range(3))

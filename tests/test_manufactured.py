@@ -8,7 +8,6 @@ import pytest
 from scipy.integrate import quad
 
 from colecole.manufactured import (
-    ConvergenceRow,
     ManufacturedCase,
     caputo_cubic_factor,
     convergence_table,
@@ -16,7 +15,7 @@ from colecole.manufactured import (
     error_norms,
     run_case,
 )
-from colecole.mesh import GridSpec, VecField, norm_e
+from colecole.mesh import GridSpec, VecField
 from colecole.stepper import Quadrature, SchemeConfig, sample_vec
 
 from oracles import SemiDiscreteCase

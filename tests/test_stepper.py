@@ -13,7 +13,6 @@ from colecole.stepper import (
     MaterialParams,
     Quadrature,
     SchemeConfig,
-    SimState,
     SolverError,
     SourceSet,
     elimination_coefficients,
@@ -26,7 +25,7 @@ from colecole.stepper import (
 )
 from colecole.weights import SchemeParams, fbdf2_weights, sftr_weights, varpi_weights
 
-from oracles import dense_step_solution
+from oracles import dense_step_solution, with_p_history
 
 
 def zero_state(grid=None, alpha=0.5, theta=0.5, tau=0.1, n_steps=4, quadrature=Quadrature.SFTR):
@@ -89,7 +88,7 @@ def test_frac_deriv_cubic_history_brute_force(quadrature):
     hist = tuple(
         VecField(v * np.ones((4, 5)), v * np.ones((5, 4))) for v in vals[:n_steps]
     )
-    state = replace(state, n=n_steps - 1, p_history=hist, s_norm_sq=(0.0,) * n_steps)
+    state = with_p_history(state, hist, s_norm_sq=(0.0,) * n_steps)
     d = frac_deriv_current(state, VecField(vals[-1] * np.ones((4, 5)), vals[-1] * np.ones((5, 4))))
     kern = state.kernel
     n = n_steps
@@ -120,6 +119,32 @@ def test_one_history_sum_per_step(quadrature, monkeypatch):
     for prev, new in pairs:
         d = frac_deriv_current(prev, new.p)
         assert new.s_norm_sq[-1] == pytest.approx(inner_e(d, d, grid), rel=1e-13)
+
+
+@pytest.mark.parametrize("quadrature", [Quadrature.SFTR, Quadrature.FBDF2])
+def test_straight_run_fills_one_buffer(quadrature):
+    # a straight run writes every P^k into the rows init_state allocated,
+    # and the contraction matches a per-row loop over the history
+    case = ManufacturedCase(alpha=0.7)
+    grid = GridSpec(6, 6)
+    config = SchemeConfig(theta=0.4, tau=1.0 / 60, n_steps=60, quadrature=quadrature)
+    start = case.initial_state(grid, config)
+    pairs = []
+    final = run(start, case.sources(), lambda a, b: pairs.append((a, b)))
+    dofs = start.p.ex.size + start.p.ey.size
+    assert final.history is start.history and final.history.filled == 61
+    assert final.history.rows.nbytes == (config.n_steps + 1) * dofs * 8
+    assert len(final.p_history) == 61 and not final.p_history[-1].ex.flags.writeable
+    scale = config.tau ** (-0.7)
+    for prev, new in pairs:
+        n, hist = new.n, prev.p_history
+        loop = prev.kernel[0] * new.p
+        for k in range(1, n):
+            loop.ex += prev.kernel[n - k] * hist[k].ex
+            loop.ey += prev.kernel[n - k] * hist[k].ey
+        d = frac_deriv_current(prev, new.p)
+        np.testing.assert_allclose(d.ex, scale * loop.ex, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(d.ey, scale * loop.ey, rtol=1e-13, atol=0)
 
 
 def test_step_zero_state_stays_zero():
@@ -320,6 +345,36 @@ def test_step_linear_in_sources():
     np.testing.assert_allclose(outs[0].e.ex + outs[1].e.ex, outs[2].e.ex, atol=1e-9)
     np.testing.assert_allclose(outs[0].h.h + outs[1].h.h, outs[2].h.h, atol=1e-9)
     np.testing.assert_allclose(outs[0].p.ey + outs[1].p.ey, outs[2].p.ey, atol=1e-9)
+
+
+def test_stepping_a_past_state_branches_its_history():
+    # A -> B -> C, then A again (B'), C on to D and B again (C'): a branch
+    # copies the rows its state owns and leaves the run it came from untouched
+    case = ManufacturedCase(alpha=0.6)
+    grid = GridSpec(8, 8)
+    config = SchemeConfig(theta=0.4, tau=0.1, n_steps=4)
+    sources = case.sources()
+    a = case.initial_state(grid, config)
+    b = step(a, sources)
+    c = step(b, sources)
+    c_rows = c.history.rows[: c.n + 1].copy()
+    b2 = step(a, sources)
+    d = step(c, sources)
+    c2 = step(b, sources)
+    straight = case.initial_state(grid, config)
+    for _ in range(3):
+        straight = step(straight, sources)
+    assert b2.history is not a.history and c2.history is not a.history
+    assert d.history is a.history
+    for x, y in ((b2, b), (d, straight), (c2, c)):
+        assert x.n == y.n
+        for name in ("e", "p"):
+            assert np.array_equal(getattr(x, name).ex, getattr(y, name).ex)
+            assert np.array_equal(getattr(x, name).ey, getattr(y, name).ey)
+        assert np.array_equal(x.h.h, y.h.h)
+        assert x.s_norm_sq == y.s_norm_sq
+        assert np.array_equal(x.history.rows[: x.n + 1], y.history.rows[: y.n + 1])
+    assert np.array_equal(c.history.rows[: c.n + 1], c_rows)
 
 
 def test_step_beyond_configured_run_fails():
