@@ -205,6 +205,8 @@ def cmd_energy(args: argparse.Namespace) -> None:
         runs = ENERGY_SWEEPS[args.sweep]
     else:
         runs = ((args.alpha, args.theta, args.scheme),)
+    if args.dump_fields is not None and len(runs) != 1:
+        raise ValueError("--dump-fields is only available for single runs, not sweeps")
     for alpha, theta, _ in runs:
         SchemeParams(alpha, theta)
 
@@ -213,8 +215,6 @@ def cmd_energy(args: argparse.Namespace) -> None:
         for alpha, theta, scheme in runs
     ]
     if args.dump_fields is not None:
-        if len(runs) != 1:
-            raise ValueError("--dump-fields is only available for single runs, not sweeps")
         _dump_fields(results[0][0], Path(args.dump_fields))
     base = Path(args.out)
     failures = []

@@ -1,5 +1,5 @@
-"""Manufactured exact solution, analytic source terms, and the temporal
-convergence harness.
+"""Manufactured exact solution, its sources, and the temporal convergence
+harness.
 
 The prescribed fields on (0,1)^2 with unit material coefficients are
 
@@ -12,27 +12,34 @@ is admissible initial-boundary data.  Substituting into the forced system
 yields closed-form sources; the only fractional ingredient is the Caputo
 derivative of the cubic time factor,
 d^alpha/dt^alpha t^3 = 6 t^(3-alpha) / Gamma(4-alpha).
+
+Every field and source is separable: scalar time factors times five spatial
+profiles, phi_E, phi_P, phi_H, phi_cH = curl phi_H (on the edges) and
+phi_cE = curl phi_E (at the cell centres):
+
+    f1 = c_e dE/dt + dP/dt - curl H          = 3t^2 phi_P - e^-t (phi_E + phi_cH)
+    f2 = c_m dH/dt + curl E                  = e^-t (phi_cE - phi_H)
+    f3 = tau0^alpha D^alpha P + P - c_p E    = (D^alpha t^3 + t^3) phi_P - e^-t phi_E
+
+:meth:`ManufacturedCase.sample` evaluates the profiles once on the dofs of a
+grid, each vector component on its own dof set.  The :class:`SampledCase` it
+returns gives the exact fields and the sources at any t as time factors
+times those arrays, so a run evaluates no formula of the coordinates per
+step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .mesh import GridSpec, ScalarField, VecField, norm_e, norm_h
-from .stepper import (
-    MaterialParams,
-    Quadrature,
-    SchemeConfig,
-    SimState,
-    SourceSet,
-    init_state,
-    sample_scalar,
-    sample_vec,
-    step,
-)
+from .stepper import MaterialParams, Quadrature, SchemeConfig, SimState, init_state, step
+
+Profile = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def caputo_cubic_factor(t: float | np.ndarray, alpha: float) -> float | np.ndarray:
@@ -46,78 +53,87 @@ def _sin_pi(v):
     return np.where(v == np.floor(v), 0.0, np.sin(np.pi * v))
 
 
+# The spatial profiles as functions of (x, y): an (x, y) component pair for
+# the edge fields E, P and curl H, one function for the cell fields H and curl E.
+PROFILES = {
+    "e": (lambda x, y: (x * x + 1.0) * _sin_pi(y), lambda x, y: _sin_pi(x) * (y - 0.5)),
+    "p": (lambda x, y: (x * x + 1.0) * y * (y - 1.0), lambda x, y: x * (x - 1.0) * (y - 0.5)),
+    "h": lambda x, y: (x**3 + 1.0) * (y**3 + 1.0),
+    "curl_h": (lambda x, y: (x**3 + 1.0) * 3.0 * y * y, lambda x, y: -3.0 * x * x * (y**3 + 1.0)),
+    "curl_e": lambda x, y: np.pi * (
+        np.cos(np.pi * x) * (y - 0.5) - (x * x + 1.0) * np.cos(np.pi * y)
+    ),
+}
+
+
+def sample_vec(f: tuple[Profile, Profile], grid: GridSpec) -> VecField:
+    """The x component of f at the ex dofs and the y component at the ey dofs."""
+    return VecField(f[0](*grid.ex_coords()), f[1](*grid.ey_coords()))
+
+
+def sample_scalar(f: Profile, grid: GridSpec) -> ScalarField:
+    """f at the cell centres."""
+    return ScalarField(f(*grid.h_coords()))
+
+
+@dataclass(frozen=True, eq=False)
+class SampledCase:
+    """A manufactured case on the dofs of one grid: the five spatial profiles
+    (see the module docstring), each sampled once."""
+
+    material: MaterialParams
+    grid: GridSpec
+    e: VecField
+    p: VecField
+    h: ScalarField
+    curl_h: VecField
+    curl_e: ScalarField
+
+    def exact(self, t: float) -> tuple[VecField, VecField, ScalarField]:
+        """(E, P, H) on the dofs at time t."""
+        decay = math.exp(-t)
+        return decay * self.e, t**3 * self.p, decay * self.h
+
+    def sources(self, t: float) -> tuple[VecField, ScalarField, VecField]:
+        """(f1, f2, f3) on the dofs at time t: the ``sources`` callable of
+        :func:`colecole.stepper.step`."""
+        decay = math.exp(-t)
+        frac = caputo_cubic_factor(t, self.material.alpha)
+        return (
+            (3.0 * t * t) * self.p - decay * (self.e + self.curl_h),
+            decay * (self.curl_e - self.h),
+            (frac + t**3) * self.p - decay * self.e,
+        )
+
+    def initial_state(self, config: SchemeConfig) -> SimState:
+        e0, _, h0 = self.exact(0.0)
+        return init_state(self.grid, self.material, config, e0.enforce_pec(), h0)
+
+
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Exact solution, derivatives, and sources for one fractional order."""
+    """The manufactured solution for one fractional order."""
 
     alpha: float
 
-    @property
-    def material(self) -> MaterialParams:
-        return MaterialParams(c_e=1.0, c_m=1.0, c_p=1.0, tau0=1.0, alpha=self.alpha)
+    def curl_profiles(
+        self, grid: GridSpec, e: VecField, h: ScalarField
+    ) -> tuple[VecField, ScalarField]:
+        """Profiles of curl H on the edges and of curl E at the cell centres,
+        given the sampled E and H profiles: here the analytic curls."""
+        return sample_vec(PROFILES["curl_h"], grid), sample_scalar(PROFILES["curl_e"], grid)
 
-    # -- exact fields -------------------------------------------------------
-
-    def e_exact(self, x, y, t):
-        decay = np.exp(-t)
-        return decay * (x * x + 1.0) * _sin_pi(y), decay * _sin_pi(x) * (y - 0.5)
-
-    def p_exact(self, x, y, t):
-        t3 = t**3
-        return t3 * (x * x + 1.0) * y * (y - 1.0), t3 * x * (x - 1.0) * (y - 0.5)
-
-    def h_exact(self, x, y, t):
-        return np.exp(-t) * (x**3 + 1.0) * (y**3 + 1.0)
-
-    # -- analytic derivatives entering the sources --------------------------
-
-    def _curl_h(self, x, y, t):
-        decay = np.exp(-t)
-        return decay * (x**3 + 1.0) * 3.0 * y * y, -decay * 3.0 * x * x * (y**3 + 1.0)
-
-    def _curl_e(self, x, y, t):
-        return np.exp(-t) * np.pi * (
-            np.cos(np.pi * x) * (y - 0.5) - (x * x + 1.0) * np.cos(np.pi * y)
-        )
-
-    # -- sources -------------------------------------------------------------
-
-    def f1(self, x, y, t):
-        dex, dey = self.e_exact(x, y, t)  # dE/dt = -E for the e^-t factor
-        dpx = 3.0 * t * t * (x * x + 1.0) * y * (y - 1.0)
-        dpy = 3.0 * t * t * x * (x - 1.0) * (y - 0.5)
-        cx, cy = self._curl_h(x, y, t)
-        return -dex + dpx - cx, -dey + dpy - cy
-
-    def f2(self, x, y, t):
-        return -self.h_exact(x, y, t) + self._curl_e(x, y, t)
-
-    def f3(self, x, y, t):
-        frac = caputo_cubic_factor(t, self.alpha)
-        sx, sy = (x * x + 1.0) * y * (y - 1.0), x * (x - 1.0) * (y - 0.5)
-        px, py = self.p_exact(x, y, t)
-        ex, ey = self.e_exact(x, y, t)
-        return frac * sx + px - ex, frac * sy + py - ey
-
-    def sources(self) -> SourceSet:
-        return SourceSet(f1=self.f1, f2=self.f2, f3=self.f3)
-
-    # -- sampling ------------------------------------------------------------
-
-    def sample_exact(self, grid: GridSpec, t: float) -> tuple[VecField, VecField, ScalarField]:
-        e = sample_vec(lambda x, y, tt: self.e_exact(x, y, tt), grid, t)
-        p = sample_vec(lambda x, y, tt: self.p_exact(x, y, tt), grid, t)
-        h = sample_scalar(lambda x, y, tt: self.h_exact(x, y, tt), grid, t)
-        return e, p, h
-
-    def initial_state(self, grid: GridSpec, config: SchemeConfig) -> SimState:
-        e0, _, h0 = self.sample_exact(grid, 0.0)
-        return init_state(grid, self.material, config, e0.enforce_pec(), h0)
+    def sample(self, grid: GridSpec) -> SampledCase:
+        """The case's profiles on the dofs of grid."""
+        e, h = sample_vec(PROFILES["e"], grid), sample_scalar(PROFILES["h"], grid)
+        p = sample_vec(PROFILES["p"], grid)
+        material = MaterialParams(c_e=1.0, c_m=1.0, c_p=1.0, tau0=1.0, alpha=self.alpha)
+        return SampledCase(material, grid, e, p, h, *self.curl_profiles(grid, e, h))
 
 
-def error_norms(state: SimState, t: float, case: ManufacturedCase) -> tuple[float, float, float]:
-    """Discrete L2 norms of (E, H, P) errors against the dof-sampled exact fields."""
-    e_ex, p_ex, h_ex = case.sample_exact(state.grid, t)
+def error_norms(state: SimState, case: SampledCase) -> tuple[float, float, float]:
+    """Discrete L2 norms of the (E, H, P) errors at the state's time."""
+    e_ex, p_ex, h_ex = case.exact(state.time)
     return (
         norm_e(state.e - e_ex, state.grid),
         norm_h(state.h - h_ex, state.grid),
@@ -137,8 +153,7 @@ class ConvergenceRow:
 
 
 def run_case(
-    case: ManufacturedCase,
-    grid: GridSpec,
+    case: SampledCase,
     theta: float,
     tau: float,
     quadrature: Quadrature = Quadrature.SFTR,
@@ -148,12 +163,11 @@ def run_case(
     if abs(n_steps * tau - 1.0) > 1e-12:
         raise ValueError(f"tau={tau} does not divide the final time 1")
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
-    state = case.initial_state(grid, config)
-    sources = case.sources()
+    state = case.initial_state(config)
     err_e = err_h = err_p = 0.0
     while state.n < n_steps:
-        state = step(state, sources)
-        ee, eh, ep = error_norms(state, state.time, case)
+        state = step(state, case.sources)
+        ee, eh, ep = error_norms(state, case)
         err_e, err_h, err_p = max(err_e, ee), max(err_h, eh), max(err_p, ep)
     return err_e, err_h, err_p
 
@@ -166,10 +180,11 @@ def convergence_table(
     quadrature: Quadrature = Quadrature.SFTR,
 ) -> list[ConvergenceRow]:
     """Global errors and successive log2 rates over a halving tau sequence."""
+    sampled = case.sample(grid)
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None
     for tau in taus:
-        err_e, err_h, err_p = run_case(case, grid, theta, tau, quadrature)
+        err_e, err_h, err_p = run_case(sampled, theta, tau, quadrature)
         if prev is None:
             rows.append(ConvergenceRow(tau, err_e, err_h, err_p))
         else:
@@ -191,6 +206,4 @@ def convergence_table(
 
 def decay_initial_data(grid: GridSpec) -> tuple[VecField, ScalarField]:
     """Source-free experiment initial data: the manufactured E and H at t = 0."""
-    case = ManufacturedCase(alpha=0.5)
-    e0, _, h0 = case.sample_exact(grid, 0.0)
-    return e0.enforce_pec(), h0
+    return sample_vec(PROFILES["e"], grid).enforce_pec(), sample_scalar(PROFILES["h"], grid)

@@ -16,6 +16,7 @@ discrete system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid must be at least 2x2, got {self.nx}x{self.ny}")
-        if self.lx <= 0.0 or self.ly <= 0.0:
-            raise ValueError("domain edge lengths must be positive")
+        for name in ("lx", "ly"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @property
     def dx(self) -> float:

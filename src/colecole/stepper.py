@@ -19,6 +19,13 @@ solved matrix-free by conjugate gradients on the tangential-zero subspace.
 H^n and P^n are recovered exactly afterwards, so the recorded per-step defect
 of the three equations is the linear-solver residual alone.
 
+The stepper works on dof arrays only.  Sources are passed as a callable
+``sources(t) -> (f1, f2, f3)`` (:data:`Sources`) that returns the right-hand
+sides already on the dofs: f1 and f3 as edge fields, f2 as a cell field.
+:func:`step` calls it once per step, at t = t_{n-theta}; ``None`` means no
+sources.  Turning formulas into dof values is the caller's business (see
+:meth:`colecole.manufactured.ManufacturedCase.sample`).
+
 The history P^0..P^N of a run lives in one (N+1, dofs) array that
 :func:`init_state` allocates, and the quadrature's history part is one
 contraction of it with the reversed kernel.  That contraction runs on one
@@ -48,6 +55,10 @@ from .mesh import (
     norm_h,
 )
 from .weights import SchemeParams, fbdf2_weights, sftr_weights, shift_combine
+
+
+# sources(t) -> (f1, f2, f3) on the dofs at time t; see the module docstring.
+Sources = Callable[[float], tuple[VecField, ScalarField, VecField]]
 
 
 class Quadrature(enum.Enum):
@@ -91,41 +102,6 @@ class SchemeConfig:
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-
-
-@dataclass(frozen=True)
-class SourceSet:
-    """Vectorized evaluators; each takes coordinate arrays (x, y) and a time.
-
-    f1(x, y, t) -> (f1x, f1y), f2(x, y, t) -> scalar array,
-    f3(x, y, t) -> (f3x, f3y).  Components are sampled at the matching dof
-    locations at t_{n-theta}.
-    """
-
-    f1: Callable[[np.ndarray, np.ndarray, float], tuple[np.ndarray, np.ndarray]]
-    f2: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    f3: Callable[[np.ndarray, np.ndarray, float], tuple[np.ndarray, np.ndarray]]
-
-
-def sample_vec(
-    f: Callable[[np.ndarray, np.ndarray, float], tuple[np.ndarray, np.ndarray]],
-    grid: GridSpec,
-    t: float,
-) -> VecField:
-    """Sample a 2-vector function at the edge dofs."""
-    xs, ys = grid.ex_coords()
-    fx = np.broadcast_to(f(xs, ys, t)[0], xs.shape).astype(float)
-    xs, ys = grid.ey_coords()
-    fy = np.broadcast_to(f(xs, ys, t)[1], xs.shape).astype(float)
-    return VecField(fx.copy(), fy.copy())
-
-
-def sample_scalar(
-    f: Callable[[np.ndarray, np.ndarray, float], np.ndarray], grid: GridSpec, t: float
-) -> ScalarField:
-    """Sample a scalar function at the cell centers."""
-    xs, ys = grid.h_coords()
-    return ScalarField(np.broadcast_to(f(xs, ys, t), xs.shape).astype(float).copy())
 
 
 @dataclass(eq=False)
@@ -330,27 +306,24 @@ def solve_spd(
     )
 
 
-def _sample_sources(
-    sources: SourceSet | None, grid: GridSpec, t: float
+def _sources_at(
+    sources: Sources | None, grid: GridSpec, t: float
 ) -> tuple[VecField, ScalarField, VecField]:
-    """(f1, f2, f3) at the dofs at time t; all zero when there are no sources."""
+    """(f1, f2, f3) on the dofs at time t; all zero when there are no sources."""
     if sources is None:
         return VecField.zeros(grid), ScalarField.zeros(grid), VecField.zeros(grid)
-    return (
-        sample_vec(sources.f1, grid, t),
-        sample_scalar(sources.f2, grid, t),
-        sample_vec(sources.f3, grid, t),
-    )
+    return sources(t)
 
 
-def step(state: SimState, sources: SourceSet | None = None) -> SimState:
-    """Advance one step; returns the new state (the input is left untouched)."""
+def step(state: SimState, sources: Sources | None = None) -> SimState:
+    """Advance one step, forced by ``sources`` (see :data:`Sources`) at
+    t_{n-theta}; returns the new state (the input is left untouched)."""
     cfg, mat, grid = state.config, state.material, state.grid
     n = state.n + 1
     if n > cfg.n_steps:
         raise ValueError(f"run is configured for {cfg.n_steps} steps, cannot advance to {n}")
     tau, theta = cfg.tau, cfg.theta
-    f1, f2, f3 = _sample_sources(sources, grid, (n - theta) * tau)
+    f1, f2, f3 = _sources_at(sources, grid, (n - theta) * tau)
 
     hist_d = frac_deriv_current(state, VecField.zeros(grid))
     _, denom, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
@@ -409,7 +382,7 @@ def step(state: SimState, sources: SourceSet | None = None) -> SimState:
 
 
 def scheme_residual(
-    state_prev: SimState, state_new: SimState, sources: SourceSet | None = None
+    state_prev: SimState, state_new: SimState, sources: Sources | None = None
 ) -> tuple[float, float, float]:
     """Discrete L2 defects of the three scheme equations between two states.
 
@@ -421,7 +394,7 @@ def scheme_residual(
         raise ValueError("states are not consecutive")
     cfg, mat, grid = state_new.config, state_new.material, state_new.grid
     tau, theta = cfg.tau, cfg.theta
-    f1, f2, f3 = _sample_sources(sources, grid, (state_new.n - theta) * tau)
+    f1, f2, f3 = _sources_at(sources, grid, (state_new.n - theta) * tau)
 
     e_bar = combine_theta(state_new.e, state_prev.e, theta)
     h_bar = combine_theta(state_new.h, state_prev.h, theta)
@@ -442,7 +415,7 @@ def scheme_residual(
 
 def run(
     state: SimState,
-    sources: SourceSet | None = None,
+    sources: Sources | None = None,
     observer: Callable[[SimState, SimState], None] | None = None,
 ) -> SimState:
     """Advance to the configured final step, optionally observing each pair."""

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the code paths under test: series powers
 go through the Miller recurrence instead of binomial factoring, the companion
 weights varpi through a binomial-series product instead of their two-term
-recurrence, and the one-step solve assembles the raw coupled equations
-densely instead of using the integrator's elimination + conjugate gradients.
+recurrence, the one-step solve assembles the raw coupled equations densely
+instead of using the integrator's elimination + conjugate gradients, and the
+manufactured fields and sources are written out as pointwise closed forms of
+(x, y, t) instead of time factors times sampled profiles.
 The semi-discrete manufactured case reuses the library's discrete curls on
 purpose: it forces the space-discrete system so that its exact solution is
 the sampled closed form, leaving only the time-discretization error to
@@ -13,13 +15,14 @@ measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from colecole.manufactured import ManufacturedCase
+from colecole.manufactured import ManufacturedCase, _sin_pi, caputo_cubic_factor
 from colecole.mesh import GridSpec, ScalarField, VecField, curl_e, curl_h
-from colecole.stepper import Quadrature, SimState, SourceSet, sample_scalar, sample_vec
+from colecole.stepper import Quadrature, SimState, Sources
 from colecole.weights import SchemeParams, binomial_series
 
 
@@ -56,36 +59,85 @@ def varpi_weights_by_series(params: SchemeParams, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class ClosedForm:
+    """The manufactured fields and sources of ``ManufacturedCase(alpha)`` as
+    pointwise closed forms of (x, y, t), unit material coefficients."""
+
+    alpha: float
+
+    def e(self, x, y, t):
+        decay = np.exp(-t)
+        return decay * (x * x + 1.0) * _sin_pi(y), decay * _sin_pi(x) * (y - 0.5)
+
+    def p(self, x, y, t):
+        t3 = t**3
+        return t3 * (x * x + 1.0) * y * (y - 1.0), t3 * x * (x - 1.0) * (y - 0.5)
+
+    def h(self, x, y, t):
+        return np.exp(-t) * (x**3 + 1.0) * (y**3 + 1.0)
+
+    def f1(self, x, y, t):
+        # c_e dE/dt + dP/dt - curl H; dE/dt = -E for the e^-t factor
+        ex, ey = self.e(x, y, t)
+        decay = np.exp(-t)
+        return (
+            -ex + 3.0 * t * t * (x * x + 1.0) * y * (y - 1.0) - decay * (x**3 + 1.0) * 3.0 * y * y,
+            -ey + 3.0 * t * t * x * (x - 1.0) * (y - 0.5) + decay * 3.0 * x * x * (y**3 + 1.0),
+        )
+
+    def f2(self, x, y, t):
+        # c_m dH/dt + curl E
+        curl = np.exp(-t) * np.pi * (
+            np.cos(np.pi * x) * (y - 0.5) - (x * x + 1.0) * np.cos(np.pi * y)
+        )
+        return -self.h(x, y, t) + curl
+
+    def f3(self, x, y, t):
+        # tau0^alpha D^alpha P + P - c_p E
+        frac = caputo_cubic_factor(t, self.alpha)
+        (px, py), (ex, ey) = self.p(x, y, t), self.e(x, y, t)
+        return (
+            frac * (x * x + 1.0) * y * (y - 1.0) + px - ex,
+            frac * x * (x - 1.0) * (y - 0.5) + py - ey,
+        )
+
+
+def poly_sources(grid: GridSpec) -> Sources:
+    """Smooth sources with distinct space and time dependence in every
+    component, sampled on the dofs of grid."""
+    xe, ye = grid.ex_coords()
+    xn, yn = grid.ey_coords()
+    xc, yc = grid.h_coords()
+
+    def sources(t: float) -> tuple[VecField, ScalarField, VecField]:
+        return (
+            VecField(np.sin(t) * (1.0 + xe * ye), math.cos(t) * (xn - yn)),
+            ScalarField(np.cos(2 * t) * (xc + 0.3 * yc * yc)),
+            VecField(t * xe * xe, (1.0 - t) * yn),
+        )
+
+    return sources
+
+
+@dataclass(frozen=True)
 class SemiDiscreteCase(ManufacturedCase):
     """The manufactured case forced so that it solves the space-discrete system.
 
-    The curls in f1 and f2 are the library's ``curl_h``/``curl_e`` applied to
-    the sampled exact H and E instead of the analytic curls, so the sampled
-    closed-form fields satisfy the semi-discrete equations exactly and
+    Its curl profiles are the library's ``curl_h``/``curl_e`` of the sampled
+    H and E profiles instead of the analytic curls.  E and H share the time
+    factor e^-t, so at every t the sources hold the discrete curls of the
+    sampled exact fields, the sampled closed-form fields satisfy the
+    semi-discrete equations exactly, and
     ``convergence_table(SemiDiscreteCase(alpha, grid), theta, taus, grid)``
     measures the time-discretization error alone.
-
-    ``sample_vec`` evaluates f1 on the ex dofs and keeps component 0, then on
-    the ey dofs and keeps component 1; the discrete curl is returned in the
-    component being kept and NaN in the one being discarded.
     """
 
     grid: GridSpec
 
-    def _curl_h(self, x, y, t):
-        ch = curl_h(sample_scalar(self.h_exact, self.grid, t), self.grid)
-        nan = np.full(np.shape(x), np.nan)
-        if np.shape(x) == ch.ex.shape:
-            return ch.ex, nan
-        if np.shape(x) == ch.ey.shape:
-            return nan, ch.ey
-        raise ValueError(f"coordinates of shape {np.shape(x)} are not edge dofs of {self.grid}")
-
-    def _curl_e(self, x, y, t):
-        ce = curl_e(sample_vec(self.e_exact, self.grid, t), self.grid)
-        if np.shape(x) != ce.h.shape:
-            raise ValueError(f"coordinates of shape {np.shape(x)} are not cell centers of {self.grid}")
-        return ce.h
+    def curl_profiles(self, grid, e, h):
+        if grid != self.grid:
+            raise ValueError(f"case built for {self.grid}, sampled on {grid}")
+        return curl_h(h, grid), curl_e(e, grid)
 
 
 def _flatten(e: VecField, h: ScalarField, p: VecField) -> np.ndarray:
@@ -113,7 +165,7 @@ def _pec_mask(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dense_step_solution(
-    state: SimState, sources: SourceSet | None = None
+    state: SimState, sources: Sources | None = None
 ) -> tuple[VecField, ScalarField, VecField]:
     """One step of the coupled scheme by direct dense solve of the raw equations.
 
@@ -130,9 +182,7 @@ def dense_step_solution(
         f2 = ScalarField.zeros(grid)
         f3 = VecField.zeros(grid)
     else:
-        f1 = sample_vec(sources.f1, grid, t_mid)
-        f2 = sample_scalar(sources.f2, grid, t_mid)
-        f3 = sample_vec(sources.f3, grid, t_mid)
+        f1, f2, f3 = sources(t_mid)
 
     # History part of the fractional quadrature, straight from its definition.
     kern = state.kernel

@@ -57,7 +57,7 @@ from colecole.weights import (
     varpi_weights,
 )
 
-from oracles import SemiDiscreteCase, dense_step_solution
+from oracles import SemiDiscreteCase, dense_step_solution, poly_sources
 
 PARAM_GRID = [
     (a, th)
@@ -251,13 +251,7 @@ def test_c09_oracle_equivalence():
     e0 = VecField(rng.standard_normal((2, 3)), rng.standard_normal((3, 2))).enforce_pec()
     h0 = ScalarField(rng.standard_normal((2, 2)))
     state = init_state(grid, material, config, e0, h0)
-    from colecole.stepper import SourceSet
-
-    sources = SourceSet(
-        f1=lambda x, y, t: (np.sin(t) * (1.0 + x * y), math.cos(t) * (x - y)),
-        f2=lambda x, y, t: np.cos(2 * t) * (x + 0.3 * y * y),
-        f3=lambda x, y, t: (t * x * x, (1.0 - t) * y),
-    )
+    sources = poly_sources(grid)
     ref = dense_step_solution(state, sources)
     dense_defect = _dense_defect(step(state, sources), ref)
     assert dense_defect <= 1e-10

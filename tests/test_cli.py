@@ -1,4 +1,5 @@
-"""Command-line drivers: CSV contracts, exit codes, determinism, sweeps."""
+"""Command-line drivers: CSV contracts, exit codes, determinism, sweeps;
+the package's exported names."""
 
 import json
 
@@ -182,6 +183,17 @@ def test_energy_dump_fields(tmp_path):
     assert first[0] == "0" and first[1] == "0" and float(first[2]) == 0.0
 
 
+def test_energy_sweep_rejects_dump_fields_before_any_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("colecole.cli.run_decay_experiment", lambda *a, **k: calls.append(a))
+    code = main(["energy", "--sweep", "alpha", "--steps", "2", "--nx", "6", "--ny", "6",
+                 "--out", str(tmp_path / "e.csv"), "--dump-fields", str(tmp_path / "P")])
+    assert code == 2
+    assert "--dump-fields" in json.loads(capsys.readouterr().err.strip())["message"]
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_converge_first_order_band_small_alpha(tmp_path):
     # floor-safe first-order configuration reaches its band on a modest grid
     out = tmp_path / "c48.csv"
@@ -229,3 +241,12 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "theta-scan" in proc.stdout
+
+
+def test_exported_names_resolve():
+    import colecole
+
+    for name in colecole.__all__:
+        assert hasattr(colecole, name), name
+    # deleted: sources are a callable of t that returns dof fields
+    assert "SourceSet" not in colecole.__all__ and not hasattr(colecole, "SourceSet")

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from colecole.manufactured import (
+    PROFILES,
     ManufacturedCase,
     caputo_cubic_factor,
     convergence_table,
@@ -16,9 +17,9 @@ from colecole.manufactured import (
     run_case,
 )
 from colecole.mesh import GridSpec, VecField
-from colecole.stepper import Quadrature, SchemeConfig, sample_vec
+from colecole.stepper import Quadrature, SchemeConfig
 
-from oracles import SemiDiscreteCase
+from oracles import ClosedForm, SemiDiscreteCase
 
 
 def caputo_cubic_numeric(t: float, alpha: float) -> float:
@@ -29,12 +30,12 @@ def caputo_cubic_numeric(t: float, alpha: float) -> float:
 
 
 def test_exact_field_examples():
-    case = ManufacturedCase(alpha=0.5)
-    px, py = case.p_exact(0.3, 0.8, 0.0)
-    assert px == 0.0 and py == 0.0
-    assert case.h_exact(1.0, 1.0, 0.0) == pytest.approx(4.0, rel=1e-15)
-    e1, _ = case.e_exact(0.0, 0.5, 0.0)
-    assert e1 == pytest.approx(1.0, rel=1e-15)
+    e_profile, p_profile = PROFILES["e"], PROFILES["p"]
+    assert p_profile[0](0.3, 0.8) != 0.0 and p_profile[1](0.3, 0.8) != 0.0
+    _, p, _ = ManufacturedCase(alpha=0.5).sample(GridSpec(6, 6)).exact(0.0)
+    assert not np.any(p.ex) and not np.any(p.ey)
+    assert PROFILES["h"](1.0, 1.0) == pytest.approx(4.0, rel=1e-15)
+    assert e_profile[0](0.0, 0.5) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_caputo_factor_against_quadrature():
@@ -46,96 +47,111 @@ def test_caputo_factor_against_quadrature():
     assert caputo_cubic_factor(0.0, 0.3) == 0.0
 
 
+@pytest.mark.parametrize("grid", [GridSpec(7, 11), GridSpec(16, 16)], ids=["7x11", "16x16"])
+def test_sampled_case_matches_closed_forms(grid):
+    # exact(t) and sources(t), time factors times sampled profiles, against the
+    # pointwise closed forms at the dofs; the atol covers round-off where a
+    # source crosses zero (worst 1.5e-13 relative to the dof value there)
+    coords = {"ex": grid.ex_coords(), "ey": grid.ey_coords(), "h": grid.h_coords()}
+
+    def check(field, closed, t):
+        if isinstance(field, VecField):
+            pairs = ((field.ex, closed(*coords["ex"], t)[0]), (field.ey, closed(*coords["ey"], t)[1]))
+        else:
+            pairs = ((field.h, closed(*coords["h"], t)),)
+        for got, want in pairs:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    for alpha in (0.1, 0.5, 0.9):
+        sampled, ref = ManufacturedCase(alpha).sample(grid), ClosedForm(alpha)
+        for t in (0.0, 0.3, 0.55, 1.0):
+            for field, closed in zip(sampled.exact(t), (ref.e, ref.p, ref.h)):
+                check(field, closed, t)
+            for field, closed in zip(sampled.sources(t), (ref.f1, ref.f2, ref.f3)):
+                check(field, closed, t)
+
+
 def test_source_f3_at_time_zero_is_minus_field():
-    case = ManufacturedCase(alpha=0.7)
-    x = np.array([0.2, 0.6])
-    y = np.array([0.3, 0.9])
-    f3x, f3y = case.f3(x, y, 0.0)
-    ex, ey = case.e_exact(x, y, 0.0)
-    np.testing.assert_allclose(f3x, -case.material.c_p * ex, atol=0)
-    np.testing.assert_allclose(f3y, -case.material.c_p * ey, atol=0)
+    sampled = ManufacturedCase(alpha=0.7).sample(GridSpec(6, 9))
+    _, _, f3 = sampled.sources(0.0)
+    e, _, _ = sampled.exact(0.0)
+    np.testing.assert_allclose(f3.ex, -sampled.material.c_p * e.ex, atol=0)
+    np.testing.assert_allclose(f3.ey, -sampled.material.c_p * e.ey, atol=0)
 
 
 def test_source_f2_corner_value():
-    # c_m dH/dt + curl E at the origin: -(1 + 3 pi/2) e^-t
-    case = ManufacturedCase(alpha=0.5)
+    # c_m dH/dt + curl E at the origin: -(1 + 3 pi/2) e^-t, the profile
+    # phi_cE - phi_H there times the time factor of f2
+    profile = PROFILES["curl_e"](0.0, 0.0) - PROFILES["h"](0.0, 0.0)
+    assert profile == pytest.approx(-(1.0 + 1.5 * math.pi), rel=1e-14)
+    sampled = ManufacturedCase(alpha=0.5).sample(GridSpec(4, 4))
     for t in (0.0, 0.4, 1.0):
-        expected = -(1.0 + 1.5 * math.pi) * math.exp(-t)
-        assert case.f2(0.0, 0.0, t) == pytest.approx(expected, rel=1e-14)
+        _, f2, _ = sampled.sources(t)
+        np.testing.assert_allclose(
+            f2.h, math.exp(-t) * (sampled.curl_e.h - sampled.h.h), rtol=1e-15, atol=0
+        )
 
 
 def test_source_f1_consistency_by_finite_differences():
     # f1 = c_e dE/dt + dP/dt - curl H with all pieces analytic; check the
-    # time derivatives against central differences
-    case = ManufacturedCase(alpha=0.5)
-    x, y, t, eps = 0.37, 0.61, 0.53, 1e-6
-    f1x, f1y = case.f1(x, y, t)
-    de = tuple(
-        (a - b) / (2 * eps)
-        for a, b in zip(case.e_exact(x, y, t + eps), case.e_exact(x, y, t - eps))
-    )
-    dp = tuple(
-        (a - b) / (2 * eps)
-        for a, b in zip(case.p_exact(x, y, t + eps), case.p_exact(x, y, t - eps))
-    )
-    cx, cy = case._curl_h(x, y, t)
-    assert f1x == pytest.approx(de[0] + dp[0] - cx, abs=1e-8)
-    assert f1y == pytest.approx(de[1] + dp[1] - cy, abs=1e-8)
+    # time derivatives of exact(t) against central differences at every dof
+    sampled = ManufacturedCase(alpha=0.5).sample(GridSpec(5, 7))
+    t, eps = 0.53, 1e-6
+    f1, _, _ = sampled.sources(t)
+    (e_hi, p_hi, _), (e_lo, p_lo, _) = sampled.exact(t + eps), sampled.exact(t - eps)
+    expected = (1.0 / (2 * eps)) * (e_hi - e_lo + p_hi - p_lo) - math.exp(-t) * sampled.curl_h
+    np.testing.assert_allclose(f1.ex, expected.ex, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(f1.ey, expected.ey, rtol=0, atol=1e-8)
 
 
 def test_curl_formulas_by_finite_differences():
-    case = ManufacturedCase(alpha=0.5)
-    x, y, t, eps = 0.41, 0.27, 0.8, 1e-6
-    dh_dy = (case.h_exact(x, y + eps, t) - case.h_exact(x, y - eps, t)) / (2 * eps)
-    dh_dx = (case.h_exact(x + eps, y, t) - case.h_exact(x - eps, y, t)) / (2 * eps)
-    cx, cy = case._curl_h(x, y, t)
-    assert cx == pytest.approx(dh_dy, abs=1e-8)
-    assert cy == pytest.approx(-dh_dx, abs=1e-8)
-    de2_dx = (case.e_exact(x + eps, y, t)[1] - case.e_exact(x - eps, y, t)[1]) / (2 * eps)
-    de1_dy = (case.e_exact(x, y + eps, t)[0] - case.e_exact(x, y - eps, t)[0]) / (2 * eps)
-    assert case._curl_e(x, y, t) == pytest.approx(de2_dx - de1_dy, abs=1e-7)
+    x, y, eps = 0.41, 0.27, 1e-6
+    (e1, e2), h = PROFILES["e"], PROFILES["h"]
+    cx, cy = (f(x, y) for f in PROFILES["curl_h"])
+    assert cx == pytest.approx((h(x, y + eps) - h(x, y - eps)) / (2 * eps), abs=1e-8)
+    assert cy == pytest.approx(-(h(x + eps, y) - h(x - eps, y)) / (2 * eps), abs=1e-8)
+    de2_dx = (e2(x + eps, y) - e2(x - eps, y)) / (2 * eps)
+    de1_dy = (e1(x, y + eps) - e1(x, y - eps)) / (2 * eps)
+    assert PROFILES["curl_e"](x, y) == pytest.approx(de2_dx - de1_dy, abs=1e-7)
 
 
 def test_sampled_exact_field_is_exactly_pec():
     case = ManufacturedCase(alpha=0.5)
     for grid in (GridSpec(6, 6), GridSpec(60, 60), GridSpec(7, 11)):
-        e = sample_vec(case.e_exact, grid, 0.33)
+        e, _, _ = case.sample(grid).exact(0.33)
         assert e.is_pec_compliant()
 
 
 def test_error_norms_zero_at_exact_initialization():
-    case = ManufacturedCase(alpha=0.5)
-    grid = GridSpec(10, 10)
-    state = case.initial_state(grid, SchemeConfig(theta=0.5, tau=0.1, n_steps=1))
-    ee, eh, ep = error_norms(state, 0.0, case)
+    sampled = ManufacturedCase(alpha=0.5).sample(GridSpec(10, 10))
+    state = sampled.initial_state(SchemeConfig(theta=0.5, tau=0.1, n_steps=1))
+    ee, eh, ep = error_norms(state, sampled)
     assert ee <= 1e-15 and eh == 0.0 and ep == 0.0
 
 
 def test_error_norm_homogeneity():
-    case = ManufacturedCase(alpha=0.5)
-    grid = GridSpec(8, 8)
-    state = case.initial_state(grid, SchemeConfig(theta=0.5, tau=0.1, n_steps=1))
+    sampled = ManufacturedCase(alpha=0.5).sample(GridSpec(8, 8))
+    state = sampled.initial_state(SchemeConfig(theta=0.5, tau=0.1, n_steps=1))
     rng = np.random.default_rng(4)
     delta = VecField(rng.standard_normal((8, 9)), rng.standard_normal((9, 8)))
     from dataclasses import replace
 
-    e1 = error_norms(replace(state, e=state.e + delta), 0.0, case)[0]
-    e2 = error_norms(replace(state, e=state.e + 2.0 * delta), 0.0, case)[0]
+    e1 = error_norms(replace(state, e=state.e + delta), sampled)[0]
+    e2 = error_norms(replace(state, e=state.e + 2.0 * delta), sampled)[0]
     assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
 
 
 def test_finer_tau_has_smaller_error():
-    case = ManufacturedCase(alpha=0.5)
-    grid = GridSpec(24, 24)
-    coarse = run_case(case, grid, 0.5, 0.2)[0]
-    fine = run_case(case, grid, 0.5, 0.1)[0]
+    sampled = ManufacturedCase(alpha=0.5).sample(GridSpec(24, 24))
+    coarse = run_case(sampled, 0.5, 0.2)[0]
+    fine = run_case(sampled, 0.5, 0.1)[0]
     assert fine < coarse
 
 
 def test_run_case_rejects_nondivisible_tau():
-    case = ManufacturedCase(alpha=0.5)
+    sampled = ManufacturedCase(alpha=0.5).sample(GridSpec(8, 8))
     with pytest.raises(ValueError):
-        run_case(case, GridSpec(8, 8), 0.5, 0.3)
+        run_case(sampled, 0.5, 0.3)
 
 
 def test_convergence_table_structure():

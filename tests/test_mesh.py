@@ -1,5 +1,7 @@
 """Staggered grid, curls, adjointness, inner products, field algebra."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,10 @@ def test_grid_validation():
         GridSpec(1, 4)
     with pytest.raises(ValueError):
         GridSpec(4, 4, lx=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("lx", "ly"):
+            with pytest.raises(ValueError, match=name):
+                GridSpec(4, 4, **{name: bad})
     g = GridSpec(8, 10, 2.0, 1.0)
     assert g.dx == 0.25 and g.dy == 0.1
 

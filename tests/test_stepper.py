@@ -14,7 +14,6 @@ from colecole.stepper import (
     Quadrature,
     SchemeConfig,
     SolverError,
-    SourceSet,
     elimination_coefficients,
     frac_deriv_current,
     init_state,
@@ -25,7 +24,7 @@ from colecole.stepper import (
 )
 from colecole.weights import SchemeParams, fbdf2_weights, sftr_weights, varpi_weights
 
-from oracles import dense_step_solution, with_p_history
+from oracles import dense_step_solution, poly_sources, with_p_history
 
 
 def zero_state(grid=None, alpha=0.5, theta=0.5, tau=0.1, n_steps=4, quadrature=Quadrature.SFTR):
@@ -109,11 +108,11 @@ def test_one_history_sum_per_step(quadrature, monkeypatch):
         return frac_deriv_current(state, p_new)
 
     monkeypatch.setattr("colecole.stepper.frac_deriv_current", counting)
-    case = ManufacturedCase(alpha=0.6)
     grid = GridSpec(6, 6)
+    case = ManufacturedCase(alpha=0.6).sample(grid)
     config = SchemeConfig(theta=0.4, tau=0.1, n_steps=5, quadrature=quadrature)
     pairs = []
-    run(case.initial_state(grid, config), case.sources(), lambda a, b: pairs.append((a, b)))
+    run(case.initial_state(config), case.sources, lambda a, b: pairs.append((a, b)))
     assert calls == [0, 1, 2, 3, 4]
     # the recorded s^n = ||D^alpha P||^2 equals the full quadrature at P^n
     for prev, new in pairs:
@@ -125,12 +124,11 @@ def test_one_history_sum_per_step(quadrature, monkeypatch):
 def test_straight_run_fills_one_buffer(quadrature):
     # a straight run writes every P^k into the rows init_state allocated,
     # and the contraction matches a per-row loop over the history
-    case = ManufacturedCase(alpha=0.7)
-    grid = GridSpec(6, 6)
+    case = ManufacturedCase(alpha=0.7).sample(GridSpec(6, 6))
     config = SchemeConfig(theta=0.4, tau=1.0 / 60, n_steps=60, quadrature=quadrature)
-    start = case.initial_state(grid, config)
+    start = case.initial_state(config)
     pairs = []
-    final = run(start, case.sources(), lambda a, b: pairs.append((a, b)))
+    final = run(start, case.sources, lambda a, b: pairs.append((a, b)))
     dofs = start.p.ex.size + start.p.ey.size
     assert final.history is start.history and final.history.filled == 61
     assert final.history.rows.nbytes == (config.n_steps + 1) * dofs * 8
@@ -154,14 +152,6 @@ def test_step_zero_state_stays_zero():
     assert new.s_norm_sq[-1] == 0.0
 
 
-def poly_sources():
-    return SourceSet(
-        f1=lambda x, y, t: (np.sin(t) * (1.0 + x * y), math.cos(t) * (x - y)),
-        f2=lambda x, y, t: np.cos(2 * t) * (x + 0.3 * y * y),
-        f3=lambda x, y, t: (t * x * x, (1.0 - t) * y),
-    )
-
-
 # (material, theta, tau, n_steps): three steps of a generic medium, and
 # twenty steps that take the Caputo history well past its first terms.
 DENSE_CASES = {
@@ -183,7 +173,7 @@ def test_step_matches_dense_solve(quadrature, case):
     e0 = VecField(rng.standard_normal((2, 3)), rng.standard_normal((3, 2))).enforce_pec()
     h0 = ScalarField(rng.standard_normal((2, 2)))
     state = init_state(grid, material, config, e0, h0)
-    sources = poly_sources()
+    sources = poly_sources(grid)
     for _ in range(n_steps):
         e_ref, h_ref, p_ref = dense_step_solution(state, sources)
         state = step(state, sources)
@@ -201,11 +191,11 @@ def test_scheme_residual_zero_dynamics():
 
 
 def test_scheme_residual_below_solver_tolerance():
-    case = ManufacturedCase(alpha=0.5)
     grid = GridSpec(12, 12)
+    case = ManufacturedCase(alpha=0.5).sample(grid)
     config = SchemeConfig(theta=0.5, tau=0.05, n_steps=4, cg_tol=1e-12)
-    state = case.initial_state(grid, config)
-    sources = case.sources()
+    state = case.initial_state(config)
+    sources = case.sources
     kappa, denom, a_coef = elimination_coefficients(
         state.material, config.theta, config.tau, state.kernel[0]
     )
@@ -220,11 +210,11 @@ def test_scheme_residual_below_solver_tolerance():
 def test_scheme_residual_linearity_in_perturbation():
     # a consistent (E, P) perturbation moves only the first equation's defect,
     # by ((c_e + a)/tau) per unit of field
-    case = ManufacturedCase(alpha=0.5)
     grid = GridSpec(8, 8)
+    case = ManufacturedCase(alpha=0.5).sample(grid)
     config = SchemeConfig(theta=0.4, tau=0.1, n_steps=1)
-    state = case.initial_state(grid, config)
-    sources = case.sources()
+    state = case.initial_state(config)
+    sources = case.sources
     new = step(state, sources)
     mat = state.material
     _, _, a_coef = elimination_coefficients(mat, config.theta, config.tau, state.kernel[0])
@@ -277,21 +267,20 @@ def test_solve_spd_against_dense_factorization():
 
 
 def test_solve_spd_maxit_error():
-    case = ManufacturedCase(alpha=0.5)
-    grid = GridSpec(16, 16)
+    case = ManufacturedCase(alpha=0.5).sample(GridSpec(16, 16))
     config = SchemeConfig(theta=0.5, tau=0.05, n_steps=1, cg_maxit=1, cg_tol=1e-14)
-    state = case.initial_state(grid, config)
+    state = case.initial_state(config)
     with pytest.raises(SolverError) as err:
-        step(state, case.sources())
+        step(state, case.sources)
     assert err.value.residual > 0.0 and err.value.iterations == 1
 
 
 def test_difference_identity_from_companion_weights():
     # (P^n - P^{n-1})/tau = tau^(alpha-1) sum_k varpi_{n-k} D^alpha P^{k-theta}
-    case = ManufacturedCase(alpha=0.6)
     grid = GridSpec(10, 10)
+    case = ManufacturedCase(alpha=0.6).sample(grid)
     config = SchemeConfig(theta=0.3, tau=0.1, n_steps=8)
-    state = run(case.initial_state(grid, config), case.sources())
+    state = run(case.initial_state(config), case.sources)
     tau, alpha = config.tau, 0.6
     omega = state.kernel
     varpi = varpi_weights(SchemeParams(alpha, config.theta), config.n_steps).values
@@ -314,11 +303,10 @@ def test_difference_identity_from_companion_weights():
 
 
 def test_determinism_bitwise():
-    case = ManufacturedCase(alpha=0.5)
-    grid = GridSpec(10, 10)
+    case = ManufacturedCase(alpha=0.5).sample(GridSpec(10, 10))
     config = SchemeConfig(theta=0.5, tau=0.1, n_steps=5)
-    a = run(case.initial_state(grid, config), case.sources())
-    b = run(case.initial_state(grid, config), case.sources())
+    a = run(case.initial_state(config), case.sources)
+    b = run(case.initial_state(config), case.sources)
     assert np.array_equal(a.e.ex, b.e.ex)
     assert np.array_equal(a.h.h, b.h.h)
     assert np.array_equal(a.p.ey, b.p.ey)
@@ -327,17 +315,21 @@ def test_determinism_bitwise():
 
 def test_step_linear_in_sources():
     grid = GridSpec(8, 8)
-    s1 = poly_sources()
-    s2 = SourceSet(
-        f1=lambda x, y, t: (np.cos(t) * y, 0.2 * x * t),
-        f2=lambda x, y, t: np.sin(t) * x * y,
-        f3=lambda x, y, t: (0.5 * t * t * y, x * np.exp(-t)),
-    )
-    s_sum = SourceSet(
-        f1=lambda x, y, t: tuple(a + b for a, b in zip(s1.f1(x, y, t), s2.f1(x, y, t))),
-        f2=lambda x, y, t: s1.f2(x, y, t) + s2.f2(x, y, t),
-        f3=lambda x, y, t: tuple(a + b for a, b in zip(s1.f3(x, y, t), s2.f3(x, y, t))),
-    )
+    xe, ye = grid.ex_coords()
+    xn, yn = grid.ey_coords()
+    xc, yc = grid.h_coords()
+    s1 = poly_sources(grid)
+
+    def s2(t):
+        return (
+            VecField(np.cos(t) * ye, 0.2 * xn * t),
+            ScalarField(np.sin(t) * xc * yc),
+            VecField(0.5 * t * t * ye, xn * np.exp(-t)),
+        )
+
+    def s_sum(t):
+        return tuple(a + b for a, b in zip(s1(t), s2(t)))
+
     outs = []
     for src in (s1, s2, s_sum):
         state = zero_state(grid=grid, theta=0.4, tau=0.1, n_steps=6)
@@ -350,18 +342,17 @@ def test_step_linear_in_sources():
 def test_stepping_a_past_state_branches_its_history():
     # A -> B -> C, then A again (B'), C on to D and B again (C'): a branch
     # copies the rows its state owns and leaves the run it came from untouched
-    case = ManufacturedCase(alpha=0.6)
-    grid = GridSpec(8, 8)
+    case = ManufacturedCase(alpha=0.6).sample(GridSpec(8, 8))
     config = SchemeConfig(theta=0.4, tau=0.1, n_steps=4)
-    sources = case.sources()
-    a = case.initial_state(grid, config)
+    sources = case.sources
+    a = case.initial_state(config)
     b = step(a, sources)
     c = step(b, sources)
     c_rows = c.history.rows[: c.n + 1].copy()
     b2 = step(a, sources)
     d = step(c, sources)
     c2 = step(b, sources)
-    straight = case.initial_state(grid, config)
+    straight = case.initial_state(config)
     for _ in range(3):
         straight = step(straight, sources)
     assert b2.history is not a.history and c2.history is not a.history
