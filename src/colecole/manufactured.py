@@ -32,14 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .mesh import GridSpec, ScalarField, VecField, norm_e, norm_h
+from . import stepper
+from .mesh import GridSpec, ScalarField, VecField, norm_e, norm_h, sample_scalar, sample_vec
 from .stepper import MaterialParams, Quadrature, SchemeConfig, SimState, init_state, step
-
-Profile = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def caputo_cubic_factor(t: float | np.ndarray, alpha: float) -> float | np.ndarray:
@@ -64,16 +62,6 @@ PROFILES = {
         np.cos(np.pi * x) * (y - 0.5) - (x * x + 1.0) * np.cos(np.pi * y)
     ),
 }
-
-
-def sample_vec(f: tuple[Profile, Profile], grid: GridSpec) -> VecField:
-    """The x component of f at the ex dofs and the y component at the ey dofs."""
-    return VecField(f[0](*grid.ex_coords()), f[1](*grid.ey_coords()))
-
-
-def sample_scalar(f: Profile, grid: GridSpec) -> ScalarField:
-    """f at the cell centres."""
-    return ScalarField(f(*grid.h_coords()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,19 +104,15 @@ class ManufacturedCase:
 
     alpha: float
 
-    def curl_profiles(
-        self, grid: GridSpec, e: VecField, h: ScalarField
-    ) -> tuple[VecField, ScalarField]:
-        """Profiles of curl H on the edges and of curl E at the cell centres,
-        given the sampled E and H profiles: here the analytic curls."""
-        return sample_vec(PROFILES["curl_h"], grid), sample_scalar(PROFILES["curl_e"], grid)
-
     def sample(self, grid: GridSpec) -> SampledCase:
-        """The case's profiles on the dofs of grid."""
-        e, h = sample_vec(PROFILES["e"], grid), sample_scalar(PROFILES["h"], grid)
-        p = sample_vec(PROFILES["p"], grid)
+        """The case's profiles on the dofs of grid, sampled through
+        :mod:`colecole.stepper`, where the benchmark's ``manufactured.sample``
+        spans wrap the samplers."""
+        vec, scalar = stepper.sample_vec, stepper.sample_scalar
         material = MaterialParams(c_e=1.0, c_m=1.0, c_p=1.0, tau0=1.0, alpha=self.alpha)
-        return SampledCase(material, grid, e, p, h, *self.curl_profiles(grid, e, h))
+        e, p, curl_h = (vec(PROFILES[k], grid) for k in ("e", "p", "curl_h"))
+        h, curl_e = (scalar(PROFILES[k], grid) for k in ("h", "curl_e"))
+        return SampledCase(material, grid, e, p, h, curl_h, curl_e)
 
 
 def error_norms(state: SimState, case: SampledCase) -> tuple[float, float, float]:
@@ -205,5 +189,8 @@ def convergence_table(
 
 
 def decay_initial_data(grid: GridSpec) -> tuple[VecField, ScalarField]:
-    """Source-free experiment initial data: the manufactured E and H at t = 0."""
+    """Source-free experiment initial data: the manufactured E and H at t = 0.
+
+    Sampled through :mod:`colecole.mesh`, outside the benchmark's
+    ``manufactured.sample`` spans, which time the forced harness only."""
     return sample_vec(PROFILES["e"], grid).enforce_pec(), sample_scalar(PROFILES["h"], grid)

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+
+Profile = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -159,6 +162,16 @@ class ScalarField:
         return ScalarField(c * self.h)
 
     __rmul__ = __mul__
+
+
+def sample_vec(f: tuple[Profile, Profile], grid: GridSpec) -> VecField:
+    """The x component of f at the ex dofs and the y component at the ey dofs."""
+    return VecField(f[0](*grid.ex_coords()), f[1](*grid.ey_coords()))
+
+
+def sample_scalar(f: Profile, grid: GridSpec) -> ScalarField:
+    """f at the cell centres."""
+    return ScalarField(f(*grid.h_coords()))
 
 
 def _check_vec(e: VecField, grid: GridSpec) -> None:
