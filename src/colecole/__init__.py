@@ -57,8 +57,6 @@ from .stepper import (
 from .weights import (
     SchemeParams,
     SymbolKind,
-    WeightKind,
-    WeightSequence,
     binomial_series,
     cumulative_weights,
     fbdf2_weights,
@@ -87,8 +85,6 @@ __all__ = [
     "Sources",
     "SymbolKind",
     "VecField",
-    "WeightKind",
-    "WeightSequence",
     "binomial_series",
     "combine_theta",
     "convergence_table",

@@ -95,24 +95,23 @@ def cmd_weights(args: argparse.Namespace) -> None:
     if args.kind != "all":
         # single-family dump: one value column
         if args.kind == "fbdf2":
-            values = fbdf2_weights(args.alpha, n).values
+            values = fbdf2_weights(args.alpha, n)
         else:
             params = SchemeParams(args.alpha, args.theta)
             if args.kind == "omega":
-                values = sftr_weights(params, n).values
+                values = sftr_weights(params, n)
             elif args.kind == "varpi":
-                values = varpi_weights(params, n).values
+                values = varpi_weights(params, n)
             else:
-                values = cumulative_weights(varpi_weights(params, n)).values
+                values = cumulative_weights(params, n)
         _write_csv(out, "k,value", (f"{k},{_fmt(values[k])}" for k in range(n + 1)))
         print(f"weights kind={args.kind} alpha={args.alpha:g} n={n} -> {out}")
         return
 
     params = SchemeParams(args.alpha, args.theta)
-    omega = sftr_weights(params, n).values
-    varpi_seq = varpi_weights(params, n)
-    varpi = varpi_seq.values
-    a = cumulative_weights(varpi_seq).values
+    omega = sftr_weights(params, n)
+    varpi = varpi_weights(params, n)
+    a = cumulative_weights(params, n)
     conv = np.convolve(omega, varpi)[: n + 1]
     expected = np.zeros(n + 1)
     expected[0] = 1.0

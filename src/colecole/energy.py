@@ -6,14 +6,14 @@ The energy after step n is
            + ||P^n||^2 + c_p (c_e ||E^n||^2 + c_m ||H^n||^2)
 
 with s_j = ||D^alpha P at t_{j-theta}||^2 (s_0 = 0) and a_k the cumulative
-companion weights.  For the shifted-trapezoidal scheme with
-theta in [alpha/2, 1/2] the sequence E~^n is non-increasing, with the
-per-step bound
+companion weights of the run's (alpha, theta), ``SimState.a_weights``.  For
+the shifted-trapezoidal scheme with theta in [alpha/2, 1/2] the sequence
+E~^n is non-increasing, with the per-step bound
 
-    (E~^n - E~^{n-1})/tau + tau0^alpha tau^(1-alpha)/varpi_0 ||d_tau P||^2 <= 0.
+    (E~^n - E~^{n-1})/tau + tau0^alpha tau^(1-alpha)/varpi_0 ||d_tau P||^2 <= 0,
 
-``dissipation_residual`` evaluates the left side; ``decay_report`` summarizes
-monotonicity violations of a recorded trace.
+where varpi_0 = a_0.  ``dissipation_residual`` evaluates the left side;
+``decay_report`` summarizes monotonicity violations of a recorded trace.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from .mesh import GridSpec, inner_e, inner_h
 from .stepper import MaterialParams, Quadrature, SchemeConfig, SimState, init_state, step
-from .weights import SchemeParams, WeightKind, WeightSequence, cumulative_weights, varpi_weights
 
 
 @dataclass
@@ -70,26 +69,13 @@ def energy_tolerance(initial_energy: float) -> float:
     return 1e-10 * (1.0 + initial_energy)
 
 
-def discrete_energy(state: SimState, a_seq: WeightSequence) -> float:
-    """Energy functional E~^n for the given state.
-
-    a_seq must be the cumulative companion sequence generated from the same
-    (alpha, theta) as the run, with at least n+1 entries.
-    """
-    if a_seq.kind is not WeightKind.CUMULATIVE_A:
-        raise ValueError(f"expected CUMULATIVE_A weights, got {a_seq.kind}")
+def discrete_energy(state: SimState) -> float:
+    """Energy functional E~^n for the given state, with the state's own
+    weights a_0..a_n."""
     mat, cfg, grid = state.material, state.config, state.grid
-    if a_seq.alpha != mat.alpha or a_seq.theta != cfg.theta:
-        raise ValueError(
-            f"weight parameters (alpha={a_seq.alpha}, theta={a_seq.theta}) do not "
-            f"match the run (alpha={mat.alpha}, theta={cfg.theta})"
-        )
-    n = state.n
-    if len(a_seq) < n + 1:
-        raise ValueError(f"a_seq has {len(a_seq)} entries, need {n + 1}")
     s = np.asarray(state.s_norm_sq)
     memory = mat.tau0**mat.alpha * cfg.tau**mat.alpha * float(
-        np.dot(a_seq.values[: n + 1], s[::-1])
+        np.dot(state.a_weights[: state.n + 1], s[::-1])
     )
     return (
         memory
@@ -100,14 +86,11 @@ def discrete_energy(state: SimState, a_seq: WeightSequence) -> float:
 
 
 def dissipation_residual(
-    state_prev: SimState,
-    state_new: SimState,
-    e_prev: float,
-    e_new: float,
-    varpi0: float,
+    state_prev: SimState, state_new: SimState, e_prev: float, e_new: float
 ) -> float:
     """Left side of the per-step dissipation bound between consecutive states,
-    given their energies e_prev and e_new (:func:`discrete_energy`).
+    given their energies e_prev and e_new (:func:`discrete_energy`); varpi_0
+    is read from the state as a_0.
 
     Nonpositive (within :func:`energy_tolerance`) for source-free
     shifted-trapezoidal runs with theta in [alpha/2, 1/2]; recorded without a
@@ -119,7 +102,7 @@ def dissipation_residual(
     tau = cfg.tau
     dp = (1.0 / tau) * (state_new.p - state_prev.p)
     return (e_new - e_prev) / tau + (
-        mat.tau0**mat.alpha * tau ** (1.0 - mat.alpha) / varpi0
+        mat.tau0**mat.alpha * tau ** (1.0 - mat.alpha) / state_new.a_weights[0]
     ) * inner_e(dp, dp, grid)
 
 
@@ -153,8 +136,8 @@ def run_decay_experiment(
     Initial data is the standard experiment profile (polynomial-times-sine
     electric field, cubic-product magnetic field, zero polarization); the
     returned trace holds the energy and dissipation residual of every step.
-    The BDF-2 kernel is monitored with the same functional, built from the
-    trapezoidal companion weights at the run's (alpha, theta).
+    The BDF-2 kernel is monitored with the same functional: its state
+    carries the trapezoidal companion weights at the run's (alpha, theta).
     """
     from .manufactured import decay_initial_data
 
@@ -162,15 +145,13 @@ def run_decay_experiment(
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
     e0, h0 = decay_initial_data(grid)
     state = init_state(grid, material, config, e0, h0)
-    a_seq = cumulative_weights(varpi_weights(SchemeParams(alpha, theta), n_steps))
-    varpi0 = float(a_seq.values[0])  # a_0 = varpi_0
-    energy = discrete_energy(state, a_seq)
+    energy = discrete_energy(state)
     trace = EnergyTrace()
     trace.append(0, 0.0, energy, 0.0)
     while state.n < n_steps:
         new = step(state)
-        new_energy = discrete_energy(new, a_seq)
-        r = dissipation_residual(state, new, energy, new_energy, varpi0)
+        new_energy = discrete_energy(new)
+        r = dissipation_residual(state, new, energy, new_energy)
         trace.append(new.n, new.time, new_energy, r)
         state, energy = new, new_energy
     return state, trace, decay_report(trace)

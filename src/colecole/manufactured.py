@@ -136,6 +136,14 @@ class ConvergenceRow:
     rate_p: float | None = None
 
 
+def _step_count(tau: float) -> int:
+    """Number of steps of size tau to the final time 1, which tau must divide."""
+    n_steps = round(1.0 / tau)
+    if abs(n_steps * tau - 1.0) > 1e-12:
+        raise ValueError(f"tau={tau} does not divide the final time 1")
+    return n_steps
+
+
 def run_case(
     case: SampledCase,
     theta: float,
@@ -143,9 +151,7 @@ def run_case(
     quadrature: Quadrature = Quadrature.SFTR,
 ) -> tuple[float, float, float]:
     """Integrate to t = 1 and return global (max over steps) errors."""
-    n_steps = round(1.0 / tau)
-    if abs(n_steps * tau - 1.0) > 1e-12:
-        raise ValueError(f"tau={tau} does not divide the final time 1")
+    n_steps = _step_count(tau)
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
     state = case.initial_state(config)
     err_e = err_h = err_p = 0.0
@@ -163,7 +169,12 @@ def convergence_table(
     grid: GridSpec,
     quadrature: Quadrature = Quadrature.SFTR,
 ) -> list[ConvergenceRow]:
-    """Global errors and successive log2 rates over a halving tau sequence."""
+    """Global errors and successive log2 rates over a halving tau sequence,
+    all of which is checked before the first run."""
+    counts = [_step_count(tau) for tau in taus]
+    for k in range(1, len(taus)):
+        if counts[k] == counts[k - 1]:
+            raise ValueError(f"tau={taus[k]:g} (entry {k + 1}) repeats the step before it")
     sampled = case.sample(grid)
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None

@@ -32,6 +32,9 @@ contraction of it with the reversed kernel.  That contraction runs on one
 thread on purpose: through BLAS it would start threads that keep spinning
 during the conjugate-gradient solve that follows and cost more CPU than
 they save.
+
+The state also carries the energy weights a_0..a_N of the run's (alpha,
+theta), ``SimState.a_weights``; FBDF2 runs carry the trapezoidal ones too.
 """
 
 from __future__ import annotations
@@ -57,7 +60,11 @@ from .mesh import (
 # Not used here: perfbench's manufactured.sample spans wrap these two names
 # in this module, and ManufacturedCase.sample calls them through it.
 from .mesh import sample_scalar, sample_vec  # noqa: F401
-from .weights import SchemeParams, fbdf2_weights, sftr_weights, shift_combine
+from .weights import SchemeParams, cumulative_weights, fbdf2_weights, sftr_weights, shift_combine
+
+# CG stops at relative residual CG_TOL; SolverError after CG_MAXIT_PER_SIDE * (nx + ny) iterations.
+CG_TOL = 1e-12
+CG_MAXIT_PER_SIDE = 10
 
 
 # sources(t) -> (f1, f2, f3) on the dofs at time t; see the module docstring.
@@ -95,8 +102,6 @@ class SchemeConfig:
     tau: float
     n_steps: int
     quadrature: Quadrature = Quadrature.SFTR
-    cg_tol: float = 1e-12
-    cg_maxit: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.theta <= 0.5:
@@ -143,6 +148,7 @@ class SimState:
     history: PHistory
     s_norm_sq: tuple[float, ...]
     kernel_rev: np.ndarray
+    a_weights: np.ndarray
     grid: GridSpec
     material: MaterialParams
     config: SchemeConfig
@@ -163,12 +169,6 @@ class SimState:
         rows.flags.writeable = False
         return tuple(map(VecField, *_split(rows, self.grid)))
 
-    @property
-    def cg_maxit(self) -> int:
-        if self.config.cg_maxit is not None:
-            return self.config.cg_maxit
-        return 10 * (self.grid.nx + self.grid.ny)
-
 
 def build_kernel(material: MaterialParams, config: SchemeConfig) -> np.ndarray:
     """Convolution kernel K for the full run.
@@ -183,7 +183,7 @@ def build_kernel(material: MaterialParams, config: SchemeConfig) -> np.ndarray:
     single-threaded contraction with the preallocated history rows.
     """
     if config.quadrature is Quadrature.SFTR:
-        return sftr_weights(SchemeParams(material.alpha, config.theta), config.n_steps - 1).values
+        return sftr_weights(SchemeParams(material.alpha, config.theta), config.n_steps - 1)
     return shift_combine(fbdf2_weights(material.alpha, config.n_steps - 1), config.theta)
 
 
@@ -194,7 +194,7 @@ def init_state(
     e0: VecField,
     h0: ScalarField,
 ) -> SimState:
-    """State at n = 0 with P^0 = 0 and weights precomputed for the whole run.
+    """State at n = 0 with P^0 = 0, and the kernel and energy weights of the whole run.
 
     Allocates the history rows of the whole run, (n_steps + 1) * dofs * 8
     bytes; pages are committed as the steps write them.
@@ -212,6 +212,7 @@ def init_state(
         history=PHistory(np.zeros((config.n_steps + 1, dofs))),
         s_norm_sq=(0.0,),
         kernel_rev=np.ascontiguousarray(build_kernel(material, config)[::-1]),
+        a_weights=cumulative_weights(SchemeParams(material.alpha, config.theta), config.n_steps),
         grid=grid,
         material=material,
         config=config,
@@ -248,15 +249,15 @@ def frac_deriv_current(state: SimState, p_new: VecField) -> VecField:
 
 def elimination_coefficients(
     material: MaterialParams, theta: float, tau: float, lead_weight: float
-) -> tuple[float, float, float]:
-    """(kappa, denom, a) of the dof-local elimination P^n = a E^n + g.
+) -> tuple[float, float]:
+    """(denom, a) of the dof-local elimination P^n = a E^n + g.
 
-    kappa = tau0^alpha tau^-alpha w0 is the implicit coefficient of the
-    quadrature's leading weight; denom = kappa + 1 - theta; a = c_p (1-theta)/denom.
+    denom = kappa + 1 - theta, where kappa = tau0^alpha tau^-alpha w0 is the
+    implicit coefficient of the quadrature's leading weight; a = c_p (1-theta)/denom.
     """
     kappa = material.tau0**material.alpha * tau ** (-material.alpha) * lead_weight
     denom = kappa + (1.0 - theta)
-    return kappa, denom, material.c_p * (1.0 - theta) / denom
+    return denom, material.c_p * (1.0 - theta) / denom
 
 
 class SolverError(RuntimeError):
@@ -329,7 +330,7 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     f1, f2, f3 = _sources_at(sources, grid, (n - theta) * tau)
 
     hist_d = frac_deriv_current(state, VecField.zeros(grid))
-    _, denom, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
+    denom, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
 
     # Elimination of P^n from the dof-local polarization equation.
     g = (1.0 / denom) * (
@@ -353,7 +354,8 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     def apply_op(v: VecField) -> VecField:
         return diag * v + curl_scale * curl_h(curl_e(v, grid), grid)
 
-    e_new, _ = solve_spd(apply_op, rhs, grid, cfg.cg_tol, state.cg_maxit, x0=state.e)
+    maxit = CG_MAXIT_PER_SIDE * (grid.nx + grid.ny)
+    e_new, _ = solve_spd(apply_op, rhs, grid, CG_TOL, maxit, x0=state.e)
     p_new = a_coef * e_new + g
     h_new = (
         state.h

@@ -1,14 +1,16 @@
 """Convolution-quadrature weight sequences for Caputo derivatives of order alpha.
 
 Four families are generated here, all as Taylor coefficients of a generating
-function evaluated by factored binomial series:
+function evaluated by factored binomial series.  Each function returns the
+first n+1 coefficients as a read-only float64 array, values[k] being the k-th:
 
 * ``sftr_weights`` -- omega_k of the shifted fractional trapezoidal rule,
   generated by  omega(z) = [(1-z) / (1/2 (1+z) + (theta/alpha)(1-z))]^alpha.
 * ``varpi_weights`` -- the companion sequence varpi_k with
   varpi(z) * omega(z) = 1 - z, computed by a two-term recurrence.
 * ``cumulative_weights`` -- partial sums a_j = sum_{k<=j} varpi_k, the kernel
-  of the discrete fractional integral entering the discrete energy.
+  of the discrete fractional integral entering the discrete energy
+  (:func:`colecole.stepper.init_state` keeps them on the run's state).
 * ``fbdf2_weights`` -- weights of the fractional BDF-2 rule, generated by
   (3/2 - 2z + z^2/2)^alpha.
 
@@ -23,16 +25,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-
-class WeightKind(enum.Enum):
-    SFTR_OMEGA = "sftr_omega"
-    VARPI = "varpi"
-    CUMULATIVE_A = "cumulative_a"
-    FBDF2 = "fbdf2"
 
 
 @dataclass(frozen=True)
@@ -64,28 +59,6 @@ class SchemeParams:
         return self.theta / self.alpha
 
 
-@dataclass(frozen=True)
-class WeightSequence:
-    """A finite prefix of one weight family; values[k] is the k-th coefficient."""
-
-    kind: WeightKind
-    alpha: float
-    theta: float | None
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("values must be a non-empty 1-D array")
-        if vals[0] <= 0.0:
-            raise ValueError(f"leading weight must be positive, got {vals[0]}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def binomial_series(gamma: float, scale: float, n: int) -> np.ndarray:
     """First n+1 Taylor coefficients of (1 + scale*z)**gamma.
 
@@ -101,13 +74,18 @@ def binomial_series(gamma: float, scale: float, n: int) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod(ratios)))
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
 def _denominator_coeffs(params: SchemeParams) -> tuple[float, float]:
     # 1/2 (1+z) + (theta/alpha)(1-z) = d0 + d1 z, with d0 > 0 always.
     r = params.shift_ratio
     return 0.5 + r, 0.5 - r
 
 
-def sftr_weights(params: SchemeParams, n: int) -> WeightSequence:
+def sftr_weights(params: SchemeParams, n: int) -> np.ndarray:
     """Shifted-fractional-trapezoidal weights omega_0..omega_n.
 
     omega(z) = [(1-z)/(d0 + d1 z)]^alpha with d0 = 1/2 + theta/alpha and
@@ -118,11 +96,10 @@ def sftr_weights(params: SchemeParams, n: int) -> WeightSequence:
     d0, d1 = _denominator_coeffs(params)
     num = binomial_series(a, -1.0, n)
     den = binomial_series(-a, d1 / d0, n)
-    vals = d0 ** (-a) * np.convolve(num, den)[: n + 1]
-    return WeightSequence(WeightKind.SFTR_OMEGA, a, params.theta, vals)
+    return _read_only(d0 ** (-a) * np.convolve(num, den)[: n + 1])
 
 
-def varpi_weights(params: SchemeParams, n: int) -> WeightSequence:
+def varpi_weights(params: SchemeParams, n: int) -> np.ndarray:
     """Companion weights varpi_0..varpi_n with varpi(z) * omega(z) = 1 - z.
 
     Computed by the two-term recurrence obtained from the first-order ODE the
@@ -136,6 +113,8 @@ def varpi_weights(params: SchemeParams, n: int) -> WeightSequence:
 
     where r = theta/alpha and d0 = r + 1/2.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     a = params.alpha
     r = params.shift_ratio
     d0 = r + 0.5
@@ -148,25 +127,21 @@ def varpi_weights(params: SchemeParams, n: int) -> WeightSequence:
             (r * (2 * k - 3) + a - 0.5) * vals[k - 1]
             + (r - 0.5) * (3 - k) * vals[k - 2]
         ) / (d0 * k)
-    return WeightSequence(WeightKind.VARPI, a, params.theta, vals)
+    return _read_only(vals)
 
 
-def cumulative_weights(varpi: WeightSequence) -> WeightSequence:
-    """Cumulative sums a_j = sum_{k<=j} varpi_k.
+def cumulative_weights(params: SchemeParams, n: int) -> np.ndarray:
+    """Cumulative sums a_j = sum_{k<=j} varpi_k for j = 0..n.
 
     The same numbers are the Taylor coefficients of
     (1-z)^(-alpha) (d0 + d1 z)^alpha = varpi(z)/(1-z); both evaluations are
     computed and must agree to 1e-12, which guards the recurrence path.
     """
-    if varpi.kind is not WeightKind.VARPI:
-        raise ValueError(f"expected a VARPI sequence, got {varpi.kind}")
-    vals = np.cumsum(varpi.values)
-    params = SchemeParams(varpi.alpha, varpi.theta)
+    vals = np.cumsum(varpi_weights(params, n))
+    a = params.alpha
     d0, d1 = _denominator_coeffs(params)
-    n = len(varpi) - 1
-    direct = d0**varpi.alpha * np.convolve(
-        binomial_series(-varpi.alpha, -1.0, n),
-        binomial_series(varpi.alpha, d1 / d0, n),
+    direct = d0**a * np.convolve(
+        binomial_series(-a, -1.0, n), binomial_series(a, d1 / d0, n)
     )[: n + 1]
     defect = float(np.max(np.abs(vals - direct)))
     if defect > 1e-12:
@@ -174,10 +149,10 @@ def cumulative_weights(varpi: WeightSequence) -> WeightSequence:
             f"cumulative-weight cross-check failed: partial sums and series "
             f"expansion disagree by {defect:.3e}"
         )
-    return WeightSequence(WeightKind.CUMULATIVE_A, varpi.alpha, varpi.theta, vals)
+    return _read_only(vals)
 
 
-def fbdf2_weights(alpha: float, n: int) -> WeightSequence:
+def fbdf2_weights(alpha: float, n: int) -> np.ndarray:
     """Fractional BDF-2 weights: coefficients of (3/2 - 2z + z^2/2)^alpha.
 
     The quadratic factors as (3/2)(1-z)(1-z/3), so the coefficients are the
@@ -188,10 +163,10 @@ def fbdf2_weights(alpha: float, n: int) -> WeightSequence:
     vals = (1.5**alpha) * np.convolve(
         binomial_series(alpha, -1.0, n), binomial_series(alpha, -1.0 / 3.0, n)
     )[: n + 1]
-    return WeightSequence(WeightKind.FBDF2, alpha, None, vals)
+    return _read_only(vals)
 
 
-def shift_combine(weights: WeightSequence | np.ndarray, theta: float) -> np.ndarray:
+def shift_combine(w: np.ndarray, theta: float) -> np.ndarray:
     """Combined kernel g_j = (1-theta) w_j + theta w_{j-1}, with w_{-1} = 0.
 
     Output has one extra entry (index len(w), equal to theta * w_{-1+len}),
@@ -199,7 +174,6 @@ def shift_combine(weights: WeightSequence | np.ndarray, theta: float) -> np.ndar
     """
     if not 0.0 <= theta <= 0.5:
         raise ValueError(f"theta={theta} outside [0, 1/2]")
-    w = weights.values if isinstance(weights, WeightSequence) else np.asarray(weights, float)
     out = np.zeros(len(w) + 1)
     out[:-1] = (1.0 - theta) * w
     out[1:] += theta * w
@@ -227,12 +201,11 @@ def symbol_residual(
         raise ValueError("tau must be positive")
     if K is None:
         K = math.ceil(60.0 / tau)
-    varpi = varpi_weights(params, K - 1)
     if kind is SymbolKind.VARPI_SYMBOL:
-        seq = varpi.values
+        seq = varpi_weights(params, K - 1)
         prefactor = tau ** (params.alpha - 1.0) * math.exp((0.5 - params.theta) * tau)
     elif kind is SymbolKind.A_SYMBOL:
-        seq = cumulative_weights(varpi).values
+        seq = cumulative_weights(params, K - 1)
         prefactor = tau**params.alpha * math.exp(-params.theta * tau)
     else:
         raise ValueError(f"unknown symbol kind {kind!r}")

@@ -60,6 +60,36 @@ def test_invalid_parameters_exit_code(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip())
         assert err["status"] == "error" and "finite" in err["message"]
         assert not out.exists()
+    # a negative largest index is bad input for every family, not a crash
+    for kind in ("varpi", "a"):
+        out = tmp_path / f"w_{kind}.csv"
+        assert main(["weights", "--kind", kind, "--alpha", "0.5", "--theta", "0.25",
+                     "--n", "-1", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["status"] == "error" and "n must be >= 0" in err["message"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("taus, bad", [
+    ("1/5,1/10,1/20,1/40,1/40", "tau=0.025 (entry 5)"),
+    ("1/5,0.3", "tau=0.3 does not divide"),
+])
+def test_converge_rejects_step_list_before_any_run(tmp_path, capsys, monkeypatch, taus, bad):
+    import colecole.manufactured
+
+    calls = []
+    real = colecole.manufactured.run_case
+    monkeypatch.setattr(
+        colecole.manufactured, "run_case", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    out = tmp_path / "c.csv"
+    code = main(["converge", "--sweep", "paper", "--taus", taus,
+                 "--nx", "8", "--ny", "8", "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["status"] == "error" and bad in err["message"]
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("exc, code", [
@@ -250,3 +280,10 @@ def test_exported_names_resolve():
         assert hasattr(colecole, name), name
     # deleted: sources are a callable of t that returns dof fields
     assert "SourceSet" not in colecole.__all__ and not hasattr(colecole, "SourceSet")
+    # deleted: weight families are plain read-only arrays, the energy weights
+    # live on the state
+    import colecole.weights
+
+    for name in ("WeightSequence", "WeightKind"):
+        assert name not in colecole.__all__ and not hasattr(colecole, name)
+        assert not hasattr(colecole.weights, name)

@@ -1,7 +1,5 @@
 """Discrete energy functional, dissipation bound, decay reporting."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -23,13 +21,9 @@ from colecole.stepper import (
     init_state,
     step,
 )
-from colecole.weights import SchemeParams, cumulative_weights, sftr_weights, varpi_weights
+from colecole.weights import SchemeParams
 
-from oracles import with_p_history
-
-
-def a_sequence(alpha, theta, n):
-    return cumulative_weights(varpi_weights(SchemeParams(alpha, theta), n))
+from oracles import varpi_weights_by_series, with_p_history
 
 
 def fresh_state(grid, alpha=0.5, theta=0.5, tau=0.05, n_steps=8, quadrature=Quadrature.SFTR,
@@ -51,26 +45,25 @@ def test_energy_at_step_zero_is_field_energy():
     expected = mat.c_p * (
         mat.c_e * inner_e(e0, e0, grid) + mat.c_m * inner_h(h0, h0, grid)
     )
-    a_seq = a_sequence(0.5, 0.5, 8)
-    assert discrete_energy(state, a_seq) == pytest.approx(expected, rel=1e-14)
+    assert discrete_energy(state) == pytest.approx(expected, rel=1e-14)
 
 
 def test_energy_zero_state():
     state = fresh_state(GridSpec(4, 4))
-    assert discrete_energy(state, a_sequence(0.5, 0.5, 8)) == 0.0
+    assert discrete_energy(state) == 0.0
 
 
-def test_energy_parameter_mismatch():
-    state = fresh_state(GridSpec(4, 4))
-    with pytest.raises(ValueError):
-        discrete_energy(state, a_sequence(0.3, 0.5, 8))
-    with pytest.raises(ValueError):
-        discrete_energy(state, a_sequence(0.5, 0.4, 8))
-    with pytest.raises(ValueError):
-        discrete_energy(state, sftr_weights(SchemeParams(0.5, 0.5), 8))
-    with pytest.raises(ValueError):
-        # too short for the step index
-        discrete_energy(replace(state, n=9), a_sequence(0.5, 0.5, 8))
+@pytest.mark.parametrize("quadrature", list(Quadrature), ids=lambda q: q.value)
+@pytest.mark.parametrize("alpha,theta,n_steps", [(0.5, 0.5, 8), (0.3, 0.15, 1), (0.9, 0.4, 40)])
+def test_state_carries_cumulative_companion_weights(quadrature, alpha, theta, n_steps):
+    # a_0..a_N of the run's own (alpha, theta), for both kernels: the FBDF2
+    # energy is monitored with the trapezoidal companion weights
+    state = fresh_state(GridSpec(4, 4), alpha=alpha, theta=theta, tau=1.0 / n_steps,
+                        n_steps=n_steps, quadrature=quadrature)
+    assert len(state.a_weights) == n_steps + 1
+    expected = np.cumsum(varpi_weights_by_series(SchemeParams(alpha, theta), n_steps))
+    np.testing.assert_allclose(state.a_weights, expected, rtol=1e-13, atol=0)
+    assert step(state).a_weights is state.a_weights
 
 
 def test_energy_synthetic_history_direct_formula():
@@ -85,25 +78,23 @@ def test_energy_synthetic_history_direct_formula():
     state = with_p_history(
         state, state.p_history + (VecField.zeros(grid), p2), p=p2, s_norm_sq=s_vals
     )
-    a_seq = a_sequence(alpha, theta, 4)
-    direct = sum(a_seq.values[k] * s_vals[2 - k] for k in range(3))
+    direct = sum(state.a_weights[k] * s_vals[2 - k] for k in range(3))
     direct *= state.material.tau0**alpha * tau**alpha
     direct += inner_e(p2, p2, grid)
-    assert discrete_energy(state, a_seq) == pytest.approx(direct, rel=1e-14)
+    assert discrete_energy(state) == pytest.approx(direct, rel=1e-14)
 
 
 def test_memory_term_matches_brute_force_during_run():
     grid = GridSpec(10, 10)
     e0, h0 = decay_initial_data(grid)
     state = fresh_state(grid, alpha=0.7, theta=0.4, tau=0.1, n_steps=6, e0=e0, h0=h0)
-    a_seq = a_sequence(0.7, 0.4, 6)
     mat = state.material
     while state.n < 6:
         state = step(state)
-        total = discrete_energy(state, a_seq)
+        total = discrete_energy(state)
         brute = 0.0
         for k in range(state.n + 1):
-            brute += a_seq.values[k] * state.s_norm_sq[state.n - k]
+            brute += state.a_weights[k] * state.s_norm_sq[state.n - k]
         brute *= mat.tau0**0.7 * 0.1**0.7
         brute += inner_e(state.p, state.p, grid) + mat.c_p * (
             mat.c_e * inner_e(state.e, state.e, grid)
@@ -116,10 +107,8 @@ def test_memory_term_matches_brute_force_during_run():
 def test_dissipation_zero_dynamics():
     state = fresh_state(GridSpec(4, 4))
     new = step(state)
-    a_seq = a_sequence(0.5, 0.5, 8)
-    varpi0 = varpi_weights(SchemeParams(0.5, 0.5), 0).values[0]
-    energies = discrete_energy(state, a_seq), discrete_energy(new, a_seq)
-    assert dissipation_residual(state, new, *energies, varpi0) == 0.0
+    energies = discrete_energy(state), discrete_energy(new)
+    assert dissipation_residual(state, new, *energies) == 0.0
 
 
 @pytest.mark.parametrize("alpha,theta", [(0.5, 0.25), (0.5, 0.5), (0.2, 0.3)])
@@ -127,14 +116,12 @@ def test_dissipation_nonpositive_for_sftr_step(alpha, theta):
     grid = GridSpec(16, 16)
     e0, h0 = decay_initial_data(grid)
     state = fresh_state(grid, alpha=alpha, theta=theta, tau=0.02, n_steps=3, e0=e0, h0=h0)
-    a_seq = a_sequence(alpha, theta, 3)
-    varpi0 = varpi_weights(SchemeParams(alpha, theta), 0).values[0]
-    energy = discrete_energy(state, a_seq)
+    energy = discrete_energy(state)
     tol = energy_tolerance(energy)
     for _ in range(3):
         new = step(state)
-        new_energy = discrete_energy(new, a_seq)
-        assert dissipation_residual(state, new, energy, new_energy, varpi0) <= tol
+        new_energy = discrete_energy(new)
+        assert dissipation_residual(state, new, energy, new_energy) <= tol
         state, energy = new, new_energy
 
 
@@ -145,12 +132,8 @@ def test_dissipation_recorded_for_fbdf2():
         grid, alpha=0.8, theta=0.5, tau=0.05, n_steps=2, quadrature=Quadrature.FBDF2,
         e0=e0, h0=h0,
     )
-    a_seq = a_sequence(0.8, 0.5, 2)
-    varpi0 = varpi_weights(SchemeParams(0.8, 0.5), 0).values[0]
     new = step(state)
-    r = dissipation_residual(
-        state, new, discrete_energy(state, a_seq), discrete_energy(new, a_seq), varpi0
-    )
+    r = dissipation_residual(state, new, discrete_energy(state), discrete_energy(new))
     assert np.isfinite(r)  # report-only: no sign contract
 
 

@@ -8,7 +8,6 @@ import pytest
 from colecole.weights import (
     SchemeParams,
     SymbolKind,
-    WeightKind,
     binomial_series,
     cumulative_weights,
     fbdf2_weights,
@@ -51,38 +50,38 @@ def test_binomial_series_examples():
 def test_sftr_reduces_to_grunwald_letnikov_at_half_alpha():
     # theta = alpha/2 collapses the denominator to 1, so omega(z) = (1-z)^alpha
     w = sftr_weights(SchemeParams(0.5, 0.25), 1)
-    np.testing.assert_allclose(w.values, [1.0, -0.5], atol=0)
+    np.testing.assert_allclose(w, [1.0, -0.5], atol=0)
     for alpha in (0.1, 0.3, 0.7, 0.9):
         w = sftr_weights(SchemeParams(alpha, 0.5 * alpha), 256)
         gl = binomial_series(alpha, -1.0, 256)
-        assert w.values[0] == 1.0
-        np.testing.assert_allclose(w.values, gl, atol=1e-14)
+        assert w[0] == 1.0
+        np.testing.assert_allclose(w, gl, atol=1e-14)
 
 
 def test_sftr_leading_weight_at_half_shift():
     w = sftr_weights(SchemeParams(0.5, 0.5), 0)
-    np.testing.assert_allclose(w.values[0], 1.5**-0.5, rtol=1e-15)
+    np.testing.assert_allclose(w[0], 1.5**-0.5, rtol=1e-15)
 
 
 def test_varpi_first_values():
     w = varpi_weights(SchemeParams(0.5, 0.25), 2)
-    assert w.values[0] == 1.0
+    assert w[0] == 1.0
     # (alpha - theta/alpha - 1/2) / (theta/alpha + 1/2) * varpi_0
-    assert w.values[1] == pytest.approx(-0.5, rel=1e-15)
+    assert w[1] == pytest.approx(-0.5, rel=1e-15)
     # alpha (alpha-1) / (2 (theta/alpha + 1/2)^2) * varpi_0
-    assert w.values[2] == pytest.approx(-0.125, rel=1e-15)
+    assert w[2] == pytest.approx(-0.125, rel=1e-15)
 
 
 def test_varpi_leading_value_formula():
     for alpha, theta in PARAM_GRID:
         w = varpi_weights(SchemeParams(alpha, theta), 0)
-        assert w.values[0] == pytest.approx((0.5 + theta / alpha) ** alpha, rel=1e-15)
+        assert w[0] == pytest.approx((0.5 + theta / alpha) ** alpha, rel=1e-15)
 
 
 def test_varpi_recursion_matches_series_expansion():
     for alpha, theta in PARAM_GRID:
         params = SchemeParams(alpha, theta)
-        rec = varpi_weights(params, 512).values
+        rec = varpi_weights(params, 512)
         ser = varpi_weights_by_series(params, 512)
         np.testing.assert_allclose(rec, ser, atol=1e-13)
 
@@ -91,29 +90,33 @@ def test_convolution_identity():
     # varpi(z) * omega(z) = 1 - z
     for alpha, theta in PARAM_GRID:
         params = SchemeParams(alpha, theta)
-        conv = np.convolve(sftr_weights(params, 512).values, varpi_weights(params, 512).values)
+        conv = np.convolve(sftr_weights(params, 512), varpi_weights(params, 512))
         assert abs(conv[0] - 1.0) <= 1e-12
         assert abs(conv[1] + 1.0) <= 1e-12
         assert np.max(np.abs(conv[2:513])) <= 1e-12
 
 
 def test_cumulative_examples_and_kind_check():
-    varpi = varpi_weights(SchemeParams(0.5, 0.25), 2)
-    a = cumulative_weights(varpi)
-    assert a.values[0] == varpi.values[0]
-    assert a.values[1] == pytest.approx(0.5, rel=1e-15)
-    assert a.values[2] == pytest.approx(0.375, rel=1e-15)
-    with pytest.raises(ValueError):
-        cumulative_weights(sftr_weights(SchemeParams(0.5, 0.25), 2))
+    params = SchemeParams(0.5, 0.25)
+    varpi = varpi_weights(params, 2)
+    a = cumulative_weights(params, 2)
+    assert a[0] == varpi[0]
+    assert a[1] == pytest.approx(0.5, rel=1e-15)
+    assert a[2] == pytest.approx(0.375, rel=1e-15)
+    # a plain array carries no family tag; what is left to reject is a bad length
+    for family in (varpi_weights, cumulative_weights):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            family(params, -1)
 
 
 def test_sign_pattern_and_monotone_cumulative():
     # varpi_0 > 0 and varpi_k <= 0 for k >= 1; partial sums positive non-increasing
     for alpha, theta in PARAM_GRID:
-        varpi = varpi_weights(SchemeParams(alpha, theta), 2000)
-        assert varpi.values[0] > 0.0
-        assert np.all(varpi.values[1:] <= 0.0)
-        a = cumulative_weights(varpi).values
+        params = SchemeParams(alpha, theta)
+        varpi = varpi_weights(params, 2000)
+        assert varpi[0] > 0.0
+        assert np.all(varpi[1:] <= 0.0)
+        a = cumulative_weights(params, 2000)
         assert np.all(a > 0.0)
         assert np.all(np.diff(a) <= 0.0)
 
@@ -122,9 +125,10 @@ def test_tail_decay_rates_slowly_varying():
     # |varpi_k| k^(2-alpha) and a_k k^(1-alpha) flatten out over dyadic k
     ks = np.array([500, 1000, 2000])
     for alpha, theta in PARAM_GRID:
-        varpi = varpi_weights(SchemeParams(alpha, theta), 2000)
-        a = cumulative_weights(varpi).values
-        scaled_v = np.abs(varpi.values[ks]) * ks ** (2.0 - alpha)
+        params = SchemeParams(alpha, theta)
+        varpi = varpi_weights(params, 2000)
+        a = cumulative_weights(params, 2000)
+        scaled_v = np.abs(varpi[ks]) * ks ** (2.0 - alpha)
         scaled_a = a[ks] * ks ** (1.0 - alpha)
         for scaled in (scaled_v, scaled_a):
             ratios = scaled[1:] / scaled[:-1]
@@ -133,9 +137,9 @@ def test_tail_decay_rates_slowly_varying():
 
 def test_fbdf2_leading_values():
     w = fbdf2_weights(0.5, 1)
-    assert w.values[0] == pytest.approx(1.5**0.5, rel=1e-15)
+    assert w[0] == pytest.approx(1.5**0.5, rel=1e-15)
     # first derivative of the generating function at 0: -2 alpha (3/2)^(alpha-1)
-    assert w.values[1] == pytest.approx(-2 * 0.5 * 1.5 ** (0.5 - 1.0), rel=1e-15)
+    assert w[1] == pytest.approx(-2 * 0.5 * 1.5 ** (0.5 - 1.0), rel=1e-15)
     with pytest.raises(ValueError):
         fbdf2_weights(1.5, 4)
 
@@ -143,7 +147,7 @@ def test_fbdf2_leading_values():
 def test_fbdf2_series_division_oracle():
     # (1-z)^-alpha * w~(z) = 2^-alpha (3-z)^alpha = (3/2)^alpha (1 - z/3)^alpha
     for alpha in (0.2, 0.5, 0.8):
-        w = fbdf2_weights(alpha, 16).values
+        w = fbdf2_weights(alpha, 16)
         lhs = np.convolve(binomial_series(-alpha, -1.0, 16), w)[:17]
         rhs = 1.5**alpha * binomial_series(alpha, -1.0 / 3.0, 16)
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
@@ -152,7 +156,7 @@ def test_fbdf2_series_division_oracle():
 def test_fbdf2_against_power_series_power():
     for alpha in (0.1, 0.5, 0.9):
         direct = series_power(np.array([1.5, -2.0, 0.5]), alpha, 31)
-        np.testing.assert_allclose(fbdf2_weights(alpha, 31).values, direct, rtol=1e-12)
+        np.testing.assert_allclose(fbdf2_weights(alpha, 31), direct, rtol=1e-12)
 
 
 def test_shift_combine():
@@ -164,7 +168,7 @@ def test_shift_combine():
     fb = fbdf2_weights(0.5, 1)
     out = shift_combine(fb, 0.25)
     assert out[0] == pytest.approx(0.75 * 1.5**0.5, rel=1e-15)
-    assert out[1] == pytest.approx(0.75 * fb.values[1] + 0.25 * fb.values[0], rel=1e-15)
+    assert out[1] == pytest.approx(0.75 * fb[1] + 0.25 * fb[0], rel=1e-15)
     with pytest.raises(ValueError):
         shift_combine(w, 0.7)
 
@@ -248,8 +252,8 @@ def test_seq_inequality_random_sequences():
         theta = rng.uniform(0.5 * alpha, 0.5)
         n = int(rng.integers(1, 65))
         params = SchemeParams(alpha, theta)
-        varpi = varpi_weights(params, n).values
-        a = cumulative_weights(varpi_weights(params, n)).values
+        varpi = varpi_weights(params, n)
+        a = cumulative_weights(params, n)
         v = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, n)])
         s = float(np.dot(varpi[:n][::-1], v[1:]))
         lhs = v[n] * s
@@ -258,11 +262,14 @@ def test_seq_inequality_random_sequences():
 
 
 def test_weight_sequence_invariants():
-    with pytest.raises(ValueError):
-        # fabricated sequence with nonpositive leading weight
-        from colecole.weights import WeightSequence
-
-        WeightSequence(WeightKind.VARPI, 0.5, 0.25, np.array([-1.0, 0.5]))
-    w = sftr_weights(SchemeParams(0.5, 0.25), 4)
-    with pytest.raises(ValueError):
-        w.values[0] = 2.0  # frozen storage
+    # every family comes back as read-only float64 storage of n+1 entries
+    params = SchemeParams(0.5, 0.25)
+    for w in (
+        sftr_weights(params, 4),
+        varpi_weights(params, 4),
+        cumulative_weights(params, 4),
+        fbdf2_weights(0.5, 4),
+    ):
+        assert w.dtype == np.float64 and w.shape == (5,)
+        with pytest.raises(ValueError):
+            w[0] = 2.0  # frozen storage
