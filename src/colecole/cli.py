@@ -9,12 +9,13 @@ energy      source-free energy-decay runs with per-step dissipation records
 theta-scan  positivity scan of the companion-sign gap function
 
 Every run is deterministic: identical flags produce byte-identical CSVs
-(fixed 17-significant-digit formatting, fixed summation order).  The runs of
-a sweep execute one after another in the calling thread.  Exit codes:
+(fixed 17-significant-digit formatting, fixed summation order).  Each entry of
+a sweep is written and its state released before the next entry starts, so a
+failure in entry k leaves the complete CSVs of entries 1..k-1.  Exit codes:
 
 0  every hard assertion of the subcommand held
 1  a hard assertion failed (JSON failure records on stderr)
-2  invalid input, rejected before or during the run (JSON error on stderr)
+2  invalid input or an unwritable output path (JSON error on stderr)
 3  the linear solver did not converge (JSON error on stderr)
 4  out of memory (JSON error on stderr)
 """
@@ -137,13 +138,14 @@ def _parse_taus(spec: str) -> list[float]:
     taus = []
     for tok in spec.split(","):
         tok = tok.strip()
-        if "/" in tok:
-            num, den = tok.split("/")
-            taus.append(float(num) / float(den))
-        else:
-            taus.append(float(tok))
-    if not all(math.isfinite(t) and t > 0 for t in taus):
-        raise ValueError(f"non-finite or nonpositive step size in {spec!r}")
+        try:
+            num, den = tok.split("/") if "/" in tok else (tok, "1")
+            tau = float(num) / float(den)
+        except (ValueError, ArithmeticError):
+            tau = math.nan
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError(f"--taus entry {tok!r} is not a finite positive number or fraction")
+        taus.append(tau)
     return taus
 
 
@@ -171,12 +173,9 @@ def cmd_converge(args: argparse.Namespace) -> None:
     for alpha, theta in combos:
         SchemeParams(alpha, theta)  # reject invalid pairs before running
 
-    tables = [
-        convergence_table(ManufacturedCase(alpha), theta, taus, grid, quadrature)
-        for alpha, theta in combos
-    ]
     base = Path(args.out)
-    for (alpha, theta), rows in zip(combos, tables):
+    for alpha, theta in combos:
+        rows = convergence_table(ManufacturedCase(alpha), theta, taus, grid, quadrature)
         path = base if len(combos) == 1 else _sweep_path(base, alpha, theta, args.scheme)
         _write_csv(path, "tau,errE,rateE,errH,rateH,errP,rateP", _converge_rows_csv(rows))
         last = rows[-1]
@@ -206,18 +205,17 @@ def cmd_energy(args: argparse.Namespace) -> None:
         runs = ((args.alpha, args.theta, args.scheme),)
     if args.dump_fields is not None and len(runs) != 1:
         raise ValueError("--dump-fields is only available for single runs, not sweeps")
-    for alpha, theta, _ in runs:
-        SchemeParams(alpha, theta)
+    checked = [SchemeParams(alpha, theta) for alpha, theta, _ in runs]
 
-    results = [
-        run_decay_experiment(alpha, theta, grid, args.tau, args.steps, Quadrature(scheme))
-        for alpha, theta, scheme in runs
-    ]
-    if args.dump_fields is not None:
-        _dump_fields(results[0][0], Path(args.dump_fields))
     base = Path(args.out)
     failures = []
-    for (alpha, theta, scheme), (_, trace, report) in zip(runs, results):
+    for params, (alpha, theta, scheme) in zip(checked, runs):
+        state, trace, report = run_decay_experiment(
+            alpha, theta, grid, args.tau, args.steps, Quadrature(scheme)
+        )
+        if args.dump_fields is not None:
+            _dump_fields(state, Path(args.dump_fields))
+        del state  # release the run's P history before the next run starts
         path = base if len(runs) == 1 else _sweep_path(base, alpha, theta, scheme)
         rows = (
             f"{n},{_fmt(t)},{_fmt(en)},{_fmt(d)},{_fmt(v)}"
@@ -234,7 +232,7 @@ def cmd_energy(args: argparse.Namespace) -> None:
         )
         # Monotone decay is a hard contract for the shifted-trapezoidal scheme
         # (theta >= alpha/2); the BDF-2 comparison is report-only.
-        if scheme == "sftr" and theta >= 0.5 * alpha and report.violation_count > 0:
+        if scheme == "sftr" and params.decay_guaranteed and report.violation_count > 0:
             failures.append(
                 {
                     "check": "energy_decay",
@@ -339,7 +337,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         return _report_error(args.command, exc, 2)
     except SolverError as exc:
         return _report_error(args.command, exc, 3)

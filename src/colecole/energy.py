@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .manufactured import decay_initial_data
 from .mesh import GridSpec, inner_e, inner_h
 from .stepper import MaterialParams, Quadrature, SchemeConfig, SimState, init_state, step
 
@@ -106,11 +107,11 @@ def dissipation_residual(
     ) * inner_e(dp, dp, grid)
 
 
-def decay_report(trace: EnergyTrace, tolerance: float | None = None) -> DecayReport:
-    """Count energy increases beyond the tolerance in a completed trace."""
+def decay_report(trace: EnergyTrace) -> DecayReport:
+    """Count energy increases beyond :func:`energy_tolerance` of E~^0 in a trace."""
     if not trace.energies:
         raise ValueError("empty trace")
-    tol = energy_tolerance(trace.energies[0]) if tolerance is None else tolerance
+    tol = energy_tolerance(trace.energies[0])
     count = 0
     max_violation = 0.0
     first: int | None = None
@@ -139,8 +140,6 @@ def run_decay_experiment(
     The BDF-2 kernel is monitored with the same functional: its state
     carries the trapezoidal companion weights at the run's (alpha, theta).
     """
-    from .manufactured import decay_initial_data
-
     material = MaterialParams(alpha=alpha)
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
     e0, h0 = decay_initial_data(grid)

@@ -1,7 +1,10 @@
 """Command-line drivers: CSV contracts, exit codes, determinism, sweeps;
 the package's exported names."""
 
+import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -73,6 +76,12 @@ def test_invalid_parameters_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("taus, bad", [
     ("1/5,1/10,1/20,1/40,1/40", "tau=0.025 (entry 5)"),
     ("1/5,0.3", "tau=0.3 does not divide"),
+    # malformed entries are named with the flag, not with Python internals
+    ("1/0", "--taus entry '1/0'"),
+    ("1/2/3", "--taus entry '1/2/3'"),
+    ("1/5,1/x", "--taus entry '1/x'"),
+    ("abc", "--taus entry 'abc'"),
+    ("1/5,,1/10", "--taus entry ''"),
 ])
 def test_converge_rejects_step_list_before_any_run(tmp_path, capsys, monkeypatch, taus, bad):
     import colecole.manufactured
@@ -165,17 +174,108 @@ def test_energy_fbdf2_report_only(tmp_path):
     assert max(float(r[4]) for r in rows) > 0.0  # oscillations present
 
 
-def test_energy_sweep_files_and_thread_cap(tmp_path):
+def test_energy_sweep_streams_each_run(tmp_path, monkeypatch, capsys):
+    import colecole.cli
+
     base = tmp_path / "sweep.csv"
+    names = ["sweep_a0.5_t0.3_sftr.csv", "sweep_a0.5_t0.4_sftr.csv", "sweep_a0.5_t0.5_sftr.csv"]
+    histories = []
+    real = colecole.cli.run_decay_experiment
+
+    def checked_run(*args, **kwargs):
+        # the previous entry is on disk and its state is gone before this run
+        gc.collect()
+        if histories:
+            assert (tmp_path / names[len(histories) - 1]).exists()
+            assert histories[-1]() is None
+        result = real(*args, **kwargs)
+        histories.append(weakref.ref(result[0].history.rows))
+        return result
+
+    monkeypatch.setattr(colecole.cli, "run_decay_experiment", checked_run)
     code = main(["energy", "--sweep", "theta", "--tau", "0.05", "--steps", "4",
                  "--nx", "8", "--ny", "8", "--out", str(base)])
     assert code == 0
-    singles = sorted(p.name for p in tmp_path.glob("sweep_*.csv"))
-    assert singles == [
-        "sweep_a0.5_t0.3_sftr.csv",
-        "sweep_a0.5_t0.4_sftr.csv",
-        "sweep_a0.5_t0.5_sftr.csv",
-    ]
+    assert len(histories) == 3
+    assert sorted(p.name for p in tmp_path.glob("sweep_*.csv")) == names
+
+    # a decay failure in the first entry is raised only after the last CSV
+    def violating_first(*args, **kwargs):
+        state, trace, report = real(*args, **kwargs)
+        if args[1] == 0.3:
+            report = dataclasses.replace(report, violation_count=1)
+        return state, trace, report
+
+    for p in tmp_path.iterdir():
+        p.unlink()
+    monkeypatch.setattr(colecole.cli, "run_decay_experiment", violating_first)
+    code = main(["energy", "--sweep", "theta", "--tau", "0.05", "--steps", "4",
+                 "--nx", "8", "--ny", "8", "--out", str(base)])
+    assert code == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    (failure,) = json.loads(capsys.readouterr().err.strip())["failures"]
+    assert failure["theta"] == 0.3 and failure["violations"] == 1
+
+
+def test_converge_sweep_streams_each_table(tmp_path, monkeypatch, capsys):
+    import colecole.cli
+
+    from colecole.cli import PAPER_CONVERGENCE_GRID, _sweep_path
+
+    base = tmp_path / "conv.csv"
+    paths = [_sweep_path(base, a, t, "sftr") for a, t in PAPER_CONVERGENCE_GRID]
+    calls = []
+    fail_at = None
+    real = colecole.cli.convergence_table
+
+    def checked_table(*args, **kwargs):
+        # every earlier table is on disk before the next one starts
+        assert all(p.exists() for p in paths[: len(calls)])
+        calls.append(args)
+        if fail_at == len(calls):
+            raise ValueError("table failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(colecole.cli, "convergence_table", checked_table)
+    flags = ["converge", "--sweep", "paper", "--taus", "1/2,1/4",
+             "--nx", "6", "--ny", "6", "--out", str(base)]
+    assert main(flags) == 0
+    assert len(calls) == 6 and all(p.exists() for p in paths)
+    # a failure in entry 3 leaves the complete CSVs of entries 1 and 2
+    for p in paths:
+        p.unlink()
+    calls.clear()
+    capsys.readouterr()
+    fail_at = 3
+    assert main(flags) == 2
+    assert json.loads(capsys.readouterr().err.strip())["message"] == "table failed"
+    for p in paths[:2]:
+        header, rows = read_csv(p)
+        assert header[0] == "tau" and len(rows) == 2
+    assert sorted(tmp_path.iterdir()) == sorted(paths[:2])
+
+
+def test_unwritable_out_on_json_channel(tmp_path, capsys):
+    # an existing directory where a CSV should go is bad input, not a crash
+    out = tmp_path / "w.csv"
+    out.mkdir()
+    assert main(["weights", "--alpha", "0.5", "--theta", "0.25", "--n", "4",
+                 "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    err = json.loads(line)
+    assert err["status"] == "error" and str(out) in err["message"]
+    # in a sweep the entries before the unwritable one are already on disk
+    base = tmp_path / "sweep.csv"
+    blocked = tmp_path / "sweep_a0.5_t0.4_sftr.csv"
+    blocked.mkdir()
+    assert main(["energy", "--sweep", "theta", "--tau", "0.05", "--steps", "4",
+                 "--nx", "8", "--ny", "8", "--out", str(base)]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    err = json.loads(line)
+    assert err["status"] == "error" and str(blocked) in err["message"]
+    _, rows = read_csv(tmp_path / "sweep_a0.5_t0.3_sftr.csv")
+    assert len(rows) == 5
+    assert not (tmp_path / "sweep_a0.5_t0.5_sftr.csv").exists()
 
 
 def test_weights_single_kind_dump(tmp_path):
