@@ -16,7 +16,8 @@ failure in entry k leaves the complete CSVs of entries 1..k-1.  Exit codes:
 0  every hard assertion of the subcommand held
 1  a hard assertion failed (JSON failure records on stderr)
 2  invalid input or an unwritable output path (JSON error on stderr)
-3  the linear solver did not converge (JSON error on stderr)
+3  the linear solver did not converge or met a non-finite residual (JSON
+   error on stderr)
 4  out of memory (JSON error on stderr)
 """
 

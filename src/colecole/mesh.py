@@ -12,6 +12,11 @@ perfect-electric-conductor rows/columns of ``curl_h`` output forced to zero
 the pair is an exact adjoint under the uniform dof inner products, which is
 what carries the semi-discrete energy-decay argument over to the fully
 discrete system.
+
+The stencils and the inner product live once, in private kernels that write
+into arrays the caller passes; ``curl_h``, ``curl_e`` and ``inner_e`` allocate
+and call them, and the conjugate-gradient solve of :mod:`colecole.stepper`
+calls them on its work arrays.
 """
 
 from __future__ import annotations
@@ -187,27 +192,66 @@ def _check_scalar(s: ScalarField, grid: GridSpec) -> None:
         raise ValueError(f"scalar field shape {s.h.shape} does not match {grid.nx}x{grid.ny} grid")
 
 
+def _curl_h_into(h: np.ndarray, dx: float, dy: float, ex: np.ndarray, ey: np.ndarray) -> None:
+    """Write the discrete (dH/dy, -dH/dx) of cell values h into the edge arrays
+    (ex, ey), boundary rows/columns included (zero)."""
+    inner = ex[:, 1:-1]
+    np.subtract(h[:, 1:], h[:, :-1], out=inner)
+    inner /= dy
+    ex[:, 0] = 0.0
+    ex[:, -1] = 0.0
+    inner = ey[1:-1, :]
+    np.subtract(h[1:, :], h[:-1, :], out=inner)
+    np.negative(inner, out=inner)
+    inner /= dx
+    ey[0, :] = 0.0
+    ey[-1, :] = 0.0
+
+
+def _curl_e_into(
+    ex: np.ndarray, ey: np.ndarray, dx: float, dy: float, out: np.ndarray, work: np.ndarray
+) -> None:
+    """Write the discrete dE2/dx - dE1/dy of edge arrays (ex, ey) into the cell
+    array ``out``; ``work`` is a cell-sized scratch array."""
+    np.subtract(ey[1:, :], ey[:-1, :], out=out)
+    out /= dx
+    np.subtract(ex[:, 1:], ex[:, :-1], out=work)
+    work /= dy
+    out -= work
+
+
+def _inner_into(u: tuple, v: tuple, cell_area: float, prod: tuple) -> float:
+    """cell_area * (sum u_x v_x + sum u_y v_y) of (ex, ey) array pairs, the
+    products formed in the pair ``prod`` and each sum a pairwise reduction."""
+    for uc, vc, pc in zip(u, v, prod):
+        np.multiply(uc, vc, out=pc)
+    return cell_area * (
+        float(np.add.reduce(prod[0], axis=None)) + float(np.add.reduce(prod[1], axis=None))
+    )
+
+
 def curl_h(s: ScalarField, grid: GridSpec) -> VecField:
     """Discrete (dH/dy, -dH/dx) on edge dofs; boundary rows/columns are zero."""
     _check_scalar(s, grid)
-    out = VecField.zeros(grid)
-    out.ex[:, 1:-1] = (s.h[:, 1:] - s.h[:, :-1]) / grid.dy
-    out.ey[1:-1, :] = -(s.h[1:, :] - s.h[:-1, :]) / grid.dx
+    out = VecField(np.empty((grid.nx, grid.ny + 1)), np.empty((grid.nx + 1, grid.ny)))
+    _curl_h_into(s.h, grid.dx, grid.dy, out.ex, out.ey)
     return out
 
 
 def curl_e(e: VecField, grid: GridSpec) -> ScalarField:
     """Discrete dE2/dx - dE1/dy at cell centers."""
     _check_vec(e, grid)
-    h = (e.ey[1:, :] - e.ey[:-1, :]) / grid.dx - (e.ex[:, 1:] - e.ex[:, :-1]) / grid.dy
-    return ScalarField(h)
+    out = np.empty((grid.nx, grid.ny))
+    _curl_e_into(e.ex, e.ey, grid.dx, grid.dy, out, np.empty_like(out))
+    return ScalarField(out)
 
 
 def inner_e(u: VecField, v: VecField, grid: GridSpec) -> float:
     """Uniformly weighted dof inner product dx*dy*(sum ex ex' + sum ey ey')."""
     _check_vec(u, grid)
     u._check_like(v)
-    return grid.dx * grid.dy * (float(np.sum(u.ex * v.ex)) + float(np.sum(u.ey * v.ey)))
+    prod = (np.empty_like(u.ex), np.empty_like(u.ey))
+    return _inner_into((u.ex, u.ey), (v.ex, v.ey), grid.dx * grid.dy, prod)
 
 
 def inner_h(p: ScalarField, q: ScalarField, grid: GridSpec) -> float:

@@ -16,8 +16,13 @@ symmetric positive definite system
     [(c_e + a)/tau I + (1-theta)^2 (tau/c_m) curl_h curl_e] E^n = rhs
 
 solved matrix-free by conjugate gradients on the tangential-zero subspace.
-H^n and P^n are recovered exactly afterwards, so the recorded per-step defect
-of the three equations is the linear-solver residual alone.
+:func:`solve_spd` is specialised to this operator, d I + c curl_h curl_e: it
+applies the curl stencils of :mod:`colecole.mesh` into work arrays allocated
+once per solve and updates its iterates in place.  It raises
+:class:`SolverError` when the residual does not converge, and as soon as the
+right-hand side or the residual is not finite.  H^n and P^n are recovered
+exactly afterwards, so the recorded per-step defect of the three equations is
+the linear-solver residual alone.
 
 The stepper works on dof arrays only.  Sources are passed as a callable
 ``sources(t) -> (f1, f2, f3)`` (:data:`Sources`) that returns the right-hand
@@ -50,6 +55,10 @@ from .mesh import (
     GridSpec,
     ScalarField,
     VecField,
+    _check_vec,
+    _curl_e_into,
+    _curl_h_into,
+    _inner_into,
     combine_theta,
     curl_e,
     curl_h,
@@ -261,7 +270,8 @@ def elimination_coefficients(
 
 
 class SolverError(RuntimeError):
-    """Conjugate gradient failed to reach the requested tolerance."""
+    """Conjugate gradients failed to reach the requested tolerance, or met a
+    non-finite right-hand side or residual."""
 
     def __init__(self, message: str, residual: float, iterations: int) -> None:
         super().__init__(message)
@@ -270,37 +280,80 @@ class SolverError(RuntimeError):
 
 
 def solve_spd(
-    apply_op: Callable[[VecField], VecField],
+    diag: float,
+    curl_scale: float,
     rhs: VecField,
     grid: GridSpec,
     tol: float,
     maxit: int,
     x0: VecField | None = None,
 ) -> tuple[VecField, int]:
-    """Conjugate gradients for an SPD operator on the tangential-zero subspace.
+    """Conjugate gradients for ``diag I + curl_scale curl_h curl_e``, the
+    step's SPD operator on the tangential-zero subspace.
 
-    Returns (solution, iterations); raises :class:`SolverError` if the
-    relative residual does not fall below tol within maxit iterations.
+    Returns (solution, iterations).  Raises :class:`SolverError` if the
+    relative residual does not fall below tol within maxit iterations, or
+    as soon as the norm of rhs or a squared residual norm is not finite.
+
+    The iterates are (ex, ey) pairs of work arrays allocated once per call,
+    updated in place: the loop builds no field objects.
     """
-    rhs_norm = norm_e(rhs, grid)
+    _check_vec(rhs, grid)
+    if x0 is not None:
+        _check_vec(x0, grid)
+    dx, dy = grid.dx, grid.dy
+    area = dx * dy
+    prod = (np.empty_like(rhs.ex), np.empty_like(rhs.ey))
+    rhs_norm = np.sqrt(_inner_into((rhs.ex, rhs.ey), (rhs.ex, rhs.ey), area, prod))
+    if not math.isfinite(rhs_norm):
+        raise SolverError(
+            f"conjugate gradients: right-hand side norm is {rhs_norm}",
+            residual=math.nan,
+            iterations=0,
+        )
     if rhs_norm == 0.0:
         return VecField.zeros(grid), 0
-    x = VecField.zeros(grid) if x0 is None else x0.copy()
-    r = rhs - apply_op(x)
-    d = r.copy()
-    rho = inner_e(r, r, grid)
+    cell, cell_work = np.empty((grid.nx, grid.ny)), np.empty((grid.nx, grid.ny))
+
+    def apply_op(v: tuple, out: tuple) -> None:
+        _curl_e_into(*v, dx, dy, cell, cell_work)
+        _curl_h_into(cell, dx, dy, *out)
+        for vc, oc, pc in zip(v, out, prod):
+            oc *= curl_scale
+            oc += np.multiply(vc, diag, out=pc)
+
+    def finite(rho: float, it: int) -> float:
+        if not math.isfinite(rho):
+            raise SolverError(
+                f"conjugate gradients: squared residual norm is {rho} at iteration {it}",
+                residual=float(np.sqrt(rho) / rhs_norm),
+                iterations=it,
+            )
+        return rho
+
+    sol = VecField.zeros(grid) if x0 is None else x0.copy()
+    x = (sol.ex, sol.ey)
+    ad = (np.empty_like(sol.ex), np.empty_like(sol.ey))
+    apply_op(x, ad)
+    r = (rhs.ex - ad[0], rhs.ey - ad[1])
+    d = (r[0].copy(), r[1].copy())
+    rho = finite(_inner_into(r, r, area, prod), 0)
     threshold = (tol * rhs_norm) ** 2
     if rho <= threshold:
-        return x, 0
+        return sol, 0
     for it in range(1, maxit + 1):
-        ad = apply_op(d)
-        alpha = rho / inner_e(d, ad, grid)
-        x = x + alpha * d
-        r = r - alpha * ad
-        rho_new = inner_e(r, r, grid)
+        apply_op(d, ad)
+        alpha = rho / _inner_into(d, ad, area, prod)
+        for xc, rc, dc, adc, pc in zip(x, r, d, ad, prod):
+            xc += np.multiply(dc, alpha, out=pc)
+            rc -= np.multiply(adc, alpha, out=pc)
+        rho_new = finite(_inner_into(r, r, area, prod), it)
         if rho_new <= threshold:
-            return x, it
-        d = r + (rho_new / rho) * d
+            return sol, it
+        beta = rho_new / rho
+        for rc, dc in zip(r, d):
+            dc *= beta
+            dc += rc
         rho = rho_new
     raise SolverError(
         f"conjugate gradients: relative residual {np.sqrt(rho) / rhs_norm:.3e} "
@@ -350,12 +403,8 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
 
     diag = (mat.c_e + a_coef) / tau
     curl_scale = one_m * one_m * tau / mat.c_m
-
-    def apply_op(v: VecField) -> VecField:
-        return diag * v + curl_scale * curl_h(curl_e(v, grid), grid)
-
     maxit = CG_MAXIT_PER_SIDE * (grid.nx + grid.ny)
-    e_new, _ = solve_spd(apply_op, rhs, grid, CG_TOL, maxit, x0=state.e)
+    e_new, _ = solve_spd(diag, curl_scale, rhs, grid, CG_TOL, maxit, x0=state.e)
     p_new = a_coef * e_new + g
     h_new = (
         state.h

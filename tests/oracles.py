@@ -6,7 +6,9 @@ weights varpi through a binomial-series product instead of their two-term
 recurrence, the one-step solve assembles the raw coupled equations densely
 instead of using the integrator's elimination + conjugate gradients, and the
 manufactured fields and sources are written out as pointwise closed forms of
-(x, y, t) instead of time factors times sampled profiles.
+(x, y, t) instead of time factors times sampled profiles, and the conjugate
+gradients take any operator on ``VecField`` values and build a new field for
+every vector operation instead of updating work arrays in place.
 The semi-discrete manufactured case reuses the library's discrete curls on
 purpose: it forces the space-discrete system so that its exact solution is
 the sampled closed form, leaving only the time-discretization error to
@@ -17,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from colecole.manufactured import ManufacturedCase, _sin_pi, caputo_cubic_factor
-from colecole.mesh import GridSpec, ScalarField, VecField, curl_e, curl_h
-from colecole.stepper import Quadrature, SimState, Sources
+from colecole.mesh import GridSpec, ScalarField, VecField, curl_e, curl_h, inner_e, norm_e
+from colecole.stepper import Quadrature, SimState, SolverError, Sources
 from colecole.weights import SchemeParams, binomial_series
 
 
@@ -245,3 +248,44 @@ def dense_step_solution(
         basis[j] = 0.0
     x = np.linalg.solve(a_mat, b)
     return _unflatten(x, grid)
+
+
+def textbook_cg(
+    apply_op: Callable[[VecField], VecField],
+    rhs: VecField,
+    grid: GridSpec,
+    tol: float,
+    maxit: int,
+    x0: VecField | None = None,
+) -> tuple[VecField, int]:
+    """Conjugate gradients for an SPD operator on the tangential-zero subspace.
+
+    Returns (solution, iterations); raises :class:`SolverError` if the
+    relative residual does not fall below tol within maxit iterations.
+    """
+    rhs_norm = norm_e(rhs, grid)
+    if rhs_norm == 0.0:
+        return VecField.zeros(grid), 0
+    x = VecField.zeros(grid) if x0 is None else x0.copy()
+    r = rhs - apply_op(x)
+    d = r.copy()
+    rho = inner_e(r, r, grid)
+    threshold = (tol * rhs_norm) ** 2
+    if rho <= threshold:
+        return x, 0
+    for it in range(1, maxit + 1):
+        ad = apply_op(d)
+        alpha = rho / inner_e(d, ad, grid)
+        x = x + alpha * d
+        r = r - alpha * ad
+        rho_new = inner_e(r, r, grid)
+        if rho_new <= threshold:
+            return x, it
+        d = r + (rho_new / rho) * d
+        rho = rho_new
+    raise SolverError(
+        f"conjugate gradients: relative residual {np.sqrt(rho) / rhs_norm:.3e} "
+        f"after {maxit} iterations (tol {tol:.1e})",
+        residual=float(np.sqrt(rho) / rhs_norm),
+        iterations=maxit,
+    )

@@ -104,6 +104,25 @@ def test_summation_by_parts_adjointness(nx, ny):
         assert abs(lhs - rhs) <= 1e-12 * scale
 
 
+def test_kernels_give_the_bits_of_the_expression_forms():
+    # curl_h, curl_e and inner_e run on in-place kernels that the CG solve
+    # shares; each must equal, bit for bit, its plain whole-array expression.
+    grid = GridSpec(64, 48, lx=1.3, ly=0.7)
+    rng = np.random.default_rng(11)
+    e, h = random_fields(grid, rng, pec=False)
+    u, _ = random_fields(grid, rng, pec=False)
+    want_ex = np.zeros((64, 49))
+    want_ex[:, 1:-1] = (h.h[:, 1:] - h.h[:, :-1]) / grid.dy
+    want_ey = np.zeros((65, 48))
+    want_ey[1:-1, :] = -(h.h[1:, :] - h.h[:-1, :]) / grid.dx
+    got = curl_h(h, grid)
+    assert np.array_equal(got.ex, want_ex) and np.array_equal(got.ey, want_ey)
+    want = (e.ey[1:, :] - e.ey[:-1, :]) / grid.dx - (e.ex[:, 1:] - e.ex[:, :-1]) / grid.dy
+    assert np.array_equal(curl_e(e, grid).h, want)
+    want = grid.dx * grid.dy * (float(np.sum(e.ex * u.ex)) + float(np.sum(e.ey * u.ey)))
+    assert inner_e(e, u, grid) == want
+
+
 def test_curl_composition_spsd():
     g = GridSpec(10, 6)
     rng = np.random.default_rng(7)

@@ -7,9 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from colecole import stepper
 from colecole.manufactured import ManufacturedCase
 from colecole.mesh import GridSpec, ScalarField, VecField, curl_e, curl_h, inner_e, norm_e
 from colecole.stepper import (
+    CG_MAXIT_PER_SIDE,
     CG_TOL,
     MaterialParams,
     Quadrature,
@@ -25,7 +27,7 @@ from colecole.stepper import (
 )
 from colecole.weights import SchemeParams, fbdf2_weights, sftr_weights, varpi_weights
 
-from oracles import dense_step_solution, poly_sources, with_p_history
+from oracles import dense_step_solution, poly_sources, textbook_cg, with_p_history
 
 
 def zero_state(grid=None, alpha=0.5, theta=0.5, tau=0.1, n_steps=4, quadrature=Quadrature.SFTR):
@@ -234,12 +236,12 @@ def test_solve_spd_basics():
     grid = GridSpec(4, 4)
     rng = np.random.default_rng(2)
     rhs = VecField(rng.standard_normal((4, 5)), rng.standard_normal((5, 4))).enforce_pec()
-    x, its = solve_spd(lambda v: v, rhs, grid, 1e-12, 50)
+    x, its = solve_spd(1.0, 0.0, rhs, grid, 1e-12, 50)
     np.testing.assert_allclose(x.ex, rhs.ex, atol=1e-13)
     assert its <= 1
-    x, _ = solve_spd(lambda v: 2.0 * v, rhs, grid, 1e-12, 50)
+    x, _ = solve_spd(2.0, 0.0, rhs, grid, 1e-12, 50)
     np.testing.assert_allclose(x.ey, 0.5 * rhs.ey, atol=1e-13)
-    x, its = solve_spd(lambda v: v, VecField.zeros(grid), grid, 1e-12, 50)
+    x, its = solve_spd(1.0, 0.0, VecField.zeros(grid), grid, 1e-12, 50)
     assert its == 0 and not np.any(x.ex)
 
 
@@ -263,24 +265,93 @@ def test_solve_spd_against_dense_factorization():
         mat[:, j] = flatten(op(unflatten(basis)))
         basis[j] = 0.0
     ref = np.linalg.solve(mat, flatten(rhs))
-    x, _ = solve_spd(op, rhs, grid, 1e-13, 200)
+    x, _ = solve_spd(1.0, 1.0, rhs, grid, 1e-13, 200)
     np.testing.assert_allclose(flatten(x), ref, atol=1e-11)
+
+
+def step_operator(state):
+    """(diag, curl_scale) of the operator diag I + curl_scale curl_h curl_e
+    that a step from state solves."""
+    mat, tau, theta = state.material, state.config.tau, state.config.theta
+    _, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
+    return (mat.c_e + a_coef) / tau, (1.0 - theta) ** 2 * tau / mat.c_m
 
 
 def test_solve_spd_maxit_error():
     # the operator of a first step, d I + c curl_h curl_e, cut off after one iteration
     grid = GridSpec(16, 16)
     state = zero_state(grid, theta=0.5, tau=0.05, n_steps=1)
-    mat, tau, theta = state.material, state.config.tau, state.config.theta
-    _, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
-    diag = (mat.c_e + a_coef) / tau
-    curl_scale = (1.0 - theta) ** 2 * tau / mat.c_m
-    op = lambda v: diag * v + curl_scale * curl_h(curl_e(v, grid), grid)
+    diag, curl_scale = step_operator(state)
     rng = np.random.default_rng(5)
     rhs = VecField(rng.standard_normal((16, 17)), rng.standard_normal((17, 16))).enforce_pec()
     with pytest.raises(SolverError) as err:
-        solve_spd(op, rhs, grid, CG_TOL, maxit=1)
+        solve_spd(diag, curl_scale, rhs, grid, CG_TOL, maxit=1)
     assert err.value.residual > 0.0 and err.value.iterations == 1
+
+
+@pytest.mark.parametrize("where, bad", [("rhs", np.nan), ("rhs", np.inf), ("x0", np.nan)])
+def test_solve_spd_non_finite_fails_before_iterating(where, bad):
+    # Checked before iterating: a NaN would otherwise run to maxit, and an inf
+    # rhs norm makes the threshold inf, so the warm start would pass as converged.
+    grid = GridSpec(64, 64)
+    state = zero_state(grid, theta=0.5, tau=0.05, n_steps=1)
+    diag, curl_scale = step_operator(state)
+    rng = np.random.default_rng(6)
+    fields = {
+        name: VecField(rng.standard_normal((64, 65)), rng.standard_normal((65, 64))).enforce_pec()
+        for name in ("rhs", "x0")
+    }
+    fields[where].ey[10, 20] = bad
+    with pytest.raises(SolverError) as err:
+        solve_spd(diag, curl_scale, fields["rhs"], grid, CG_TOL, 1280, x0=fields["x0"])
+    assert err.value.iterations == 0
+    assert not math.isfinite(err.value.residual)
+
+
+def recorded_solves(monkeypatch, state, sources, n_steps):
+    """(diag, curl_scale, rhs, x0) of every solve that n_steps real steps from
+    state make, with rhs and x0 copied."""
+    calls = []
+    real = stepper.solve_spd
+
+    def record(diag, curl_scale, rhs, grid, tol, maxit, x0=None):
+        calls.append((diag, curl_scale, rhs.copy(), x0.copy()))
+        return real(diag, curl_scale, rhs, grid, tol, maxit, x0)
+
+    monkeypatch.setattr(stepper, "solve_spd", record)
+    for _ in range(n_steps):
+        state = step(state, sources)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize(
+    "grid, quadrature, tau, min_iterations",
+    [
+        (GridSpec(2, 2), Quadrature.SFTR, 0.1, 1),
+        (GridSpec(3, 5), Quadrature.SFTR, 0.1, 1),
+        (GridSpec(17, 9, lx=1.3, ly=0.7), Quadrature.FBDF2, 0.1, 1),
+        # ill-conditioned: the operator of the paper sweep's FBDF2 (0.9, 0.45) row at tau = 1/5
+        (GridSpec(64, 64), Quadrature.FBDF2, 0.2, 180),
+    ],
+)
+def test_solve_spd_bitwise_matches_textbook_cg(monkeypatch, grid, quadrature, tau, min_iterations):
+    config = SchemeConfig(theta=0.45, tau=tau, n_steps=3, quadrature=quadrature)
+    state = init_state(
+        grid, MaterialParams(alpha=0.9), config, VecField.zeros(grid), ScalarField.zeros(grid)
+    )
+    calls = recorded_solves(monkeypatch, state, poly_sources(grid), 2)
+    maxit = CG_MAXIT_PER_SIDE * (grid.nx + grid.ny)
+    most = 0
+    for diag, curl_scale, rhs, x0 in calls:
+        op = lambda v: diag * v + curl_scale * curl_h(curl_e(v, grid), grid)
+        for start in (None, x0):
+            want, want_its = textbook_cg(op, rhs, grid, CG_TOL, maxit, x0=start)
+            got, got_its = solve_spd(diag, curl_scale, rhs, grid, CG_TOL, maxit, x0=start)
+            assert got_its == want_its
+            assert np.array_equal(got.ex, want.ex) and np.array_equal(got.ey, want.ey)
+            most = max(most, got_its)
+    assert most >= min_iterations
 
 
 def test_difference_identity_from_companion_weights():
