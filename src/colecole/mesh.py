@@ -17,6 +17,10 @@ The stencils and the inner product live once, in private kernels that write
 into arrays the caller passes; ``curl_h``, ``curl_e`` and ``inner_e`` allocate
 and call them, and the conjugate-gradient solve of :mod:`colecole.stepper`
 calls them on its work arrays.
+
+:class:`CurlCurlBasis` is the orthonormal eigenbasis of ``curl_h curl_e`` on
+the tangential-zero edge fields, with numpy.fft transforms to and from it;
+the solve finishes its long iterations there.
 """
 
 from __future__ import annotations
@@ -228,6 +232,140 @@ def _inner_into(u: tuple, v: tuple, cell_area: float, prod: tuple) -> float:
     return cell_area * (
         float(np.add.reduce(prod[0], axis=None)) + float(np.add.reduce(prod[1], axis=None))
     )
+
+
+def _along(axis: int, start: int, stop: int) -> tuple[slice, slice]:
+    """Index of entries start..stop-1 along ``axis`` of a 2-D array."""
+    return (slice(start, stop), slice(None)) if axis == 0 else (slice(None), slice(start, stop))
+
+
+def _dct(u: np.ndarray, axis: int, phase: np.ndarray, out: np.ndarray) -> None:
+    """Orthonormal DCT-II of u along ``axis`` (n entries) into ``out``:
+    C_k = Re(F_k phase_k), F the rfft of u zero-padded to 2n and
+    phase_k = s_k e^{-i pi k/2n} with s_k the orthonormal scale."""
+    n = u.shape[axis]
+    f = np.fft.rfft(u, 2 * n, axis=axis)[_along(axis, 0, n)]
+    f *= phase
+    np.copyto(out, f.real)
+
+
+def _idct(c: np.ndarray, axis: int, phase: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_dct` along ``axis``: the first n entries (a view) of
+    the irfft of length 2n of the coefficients times ``phase``."""
+    n = c.shape[axis]
+    shape = list(c.shape)
+    shape[axis] = n + 1
+    z = np.zeros(shape, dtype=complex)
+    np.multiply(c, phase, out=z[_along(axis, 0, n)])
+    return np.fft.irfft(z, 2 * n, axis=axis)[_along(axis, 0, n)]
+
+
+def _dst(u: np.ndarray, axis: int, phase: np.ndarray, out: np.ndarray) -> None:
+    """Orthonormal DST-I of u along ``axis`` into ``out``; its own inverse.
+
+    u holds the m - 1 interior nodes of m cells, node j at entry j - 1.  With
+    F the rfft of u zero-padded to 2m, S_k = Re(F_k phase_k) for k = 1..m-1,
+    phase_k = sqrt(2/m) i e^{-i pi k/m}.
+    """
+    m = u.shape[axis] + 1
+    f = np.fft.rfft(u, 2 * m, axis=axis)[_along(axis, 1, m)]
+    f *= phase
+    np.copyto(out, f.real)
+
+
+def _axis_factors(n: int, h: float) -> tuple[np.ndarray, ...]:
+    """1-D factors of an axis with n cells of width h: s(k) = (2/h) sin(pi k/2n)
+    and the phases of :func:`_dct`, :func:`_idct` and :func:`_dst`."""
+    half = np.pi * np.arange(n) / (2 * n)
+    turn = np.exp(-1j * half)
+    scale = np.full(n, math.sqrt(2.0 / n))
+    scale[0] = math.sqrt(1.0 / n)
+    # irfft halves the k = 0 entry and divides by 2n
+    inv_scale = n * scale
+    inv_scale[0] *= 2.0
+    return (
+        (2.0 / h) * np.sin(half),
+        scale * turn,
+        inv_scale * turn.conj(),
+        (1j * math.sqrt(2.0 / n)) * (turn * turn)[1:],
+    )
+
+
+class CurlCurlBasis:
+    """Orthonormal eigenbasis of ``curl_h curl_e`` on the tangential-zero edge fields.
+
+    The interior of ``ex`` is expanded in DCT-II modes in x times DST-I modes
+    in y, and the interior of ``ey`` in DST-I in x times DCT-II in y.  Both
+    are zero-padded to (nx, ny) coefficient arrays (a, b): ``ex`` has no
+    l = 0 mode and ``ey`` no k = 0 mode.  On mode (k, l), ``curl_h curl_e``
+    is the rank-one matrix v v^T with v = (-s_y(l), s_x(k)),
+    s_x(k) = (2/dx) sin(pi k / 2nx) and s_y(l) = (2/dy) sin(pi l / 2ny).
+    Each mode is then reflected onto its component along the normal
+    (s_x, s_y) / |v| and its component along -v / |v|, stacked as a
+    (2, nx, ny) array: ``diag I + curl_scale curl_h curl_e`` multiplies the
+    first by diag and the second by diag + curl_scale |v|^2
+    (:meth:`eigenvalues`).  The transforms are orthogonal: sums of squares of
+    the interior dofs and of the coefficients agree, so the dof inner product
+    is the coefficients' times dx dy.
+
+    All transforms are numpy.fft rffts of zero-padded data.  The object holds
+    O(nx + ny) 1-D factors; the 2-D reflection factor is built in each call.
+    """
+
+    def __init__(self, grid: GridSpec) -> None:
+        fx, fy = _axis_factors(grid.nx, grid.dx), _axis_factors(grid.ny, grid.dy)
+        self.shape = (grid.nx, grid.ny)
+        self.s_x, self._dct_x, self._idct_x, self._dst_x = (f[:, None] for f in fx)
+        self.s_y, self._dct_y, self._idct_y, self._dst_y = (f[None, :] for f in fy)
+
+    def eigenvalues(self, diag: float, curl_scale: float) -> np.ndarray:
+        """The (2, nx, ny) eigenvalues of ``diag I + curl_scale curl_h curl_e``
+        on the coefficients: diag, and diag + curl_scale |v|^2."""
+        lam = np.empty((2,) + self.shape)
+        lam[0] = diag
+        np.add(diag + curl_scale * self.s_x**2, curl_scale * self.s_y**2, out=lam[1])
+        return lam
+
+    def _reflect(self, coef: np.ndarray) -> None:
+        """Map each mode's (a, b) to ((s_x a + s_y b), (s_y a - s_x b)) / |v| in
+        place.  The map is its own inverse.  Mode (0, 0), where v = 0, holds
+        zeros and keeps them."""
+        a, b = coef
+        sy_a = a * self.s_y
+        a *= self.s_x
+        a += b * self.s_y
+        b *= self.s_x
+        np.subtract(sy_a, b, out=b)
+        norm = self.s_x**2 + self.s_y**2
+        norm[0, 0] = 1.0
+        coef /= np.sqrt(norm, out=norm)
+
+    def forward(self, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+        """(2, nx, ny) coefficients of the interior of the edge arrays (ex, ey);
+        the boundary rows and columns are not read."""
+        nx, ny = self.shape
+        coef = np.zeros((2, nx, ny))
+        work = np.empty((nx, ny - 1))
+        _dst(ex[:, 1:-1], 1, self._dst_y, out=work)
+        _dct(work, 0, self._dct_x, out=coef[0, :, 1:])
+        work = np.empty((nx - 1, ny))
+        _dct(ey[1:-1, :], 1, self._dct_y, out=work)
+        _dst(work, 0, self._dst_x, out=coef[1, 1:, :])
+        self._reflect(coef)
+        return coef
+
+    def inverse(self, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Edge arrays (ex, ey) with coefficients ``coef`` and zero boundary rows
+        and columns; ``coef`` is overwritten."""
+        nx, ny = self.shape
+        self._reflect(coef)
+        ex = np.zeros((nx, ny + 1))
+        _dst(_idct(coef[0, :, 1:], 0, self._idct_x), 1, self._dst_y, out=ex[:, 1:-1])
+        work = np.empty((nx - 1, ny))
+        _dst(coef[1, 1:, :], 0, self._dst_x, out=work)
+        ey = np.zeros((nx + 1, ny))
+        ey[1:-1, :] = _idct(work, 1, self._idct_y)
+        return ex, ey
 
 
 def curl_h(s: ScalarField, grid: GridSpec) -> VecField:

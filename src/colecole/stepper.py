@@ -16,13 +16,23 @@ symmetric positive definite system
     [(c_e + a)/tau I + (1-theta)^2 (tau/c_m) curl_h curl_e] E^n = rhs
 
 solved matrix-free by conjugate gradients on the tangential-zero subspace.
-:func:`solve_spd` is specialised to this operator, d I + c curl_h curl_e: it
-applies the curl stencils of :mod:`colecole.mesh` into work arrays allocated
-once per solve and updates its iterates in place.  It raises
-:class:`SolverError` when the residual does not converge, and as soon as the
-right-hand side or the residual is not finite.  H^n and P^n are recovered
-exactly afterwards, so the recorded per-step defect of the three equations is
-the linear-solver residual alone.
+:func:`solve_spd` is specialised to this operator, d I + c curl_h curl_e.  Its
+first :data:`CG_STENCIL_ITERATIONS` iterations apply the curl stencils of
+:mod:`colecole.mesh` into work arrays allocated once per solve and update the
+iterates in place; a 64x64 decay run at tau = 0.002 needs 4 per step.  A
+solve that needs more moves its residual and search direction into the
+operator's eigenbasis (:class:`~colecole.mesh.CurlCurlBasis`, DCT-II/DST-I
+products computed with numpy.fft), where the operator is diagonal, and
+finishes the same recurrence there, each iteration one elementwise product
+instead of two stencils.  CG is kept in that basis, although one division per
+mode would solve exactly, so that every solution stays the stencil CG's to
+round-off: the exact solve moves the errors of the FBDF2 convergence sweep by
+up to 2.7e-9 relative, past the 1e-11 tolerance of the benchmark's recorded
+values.  :func:`solve_spd` raises :class:`SolverError` when the
+residual does not converge, and as soon as the right-hand side or the
+residual is not finite.  H^n and P^n are recovered exactly afterwards, so the
+recorded per-step defect of the three equations is the linear-solver
+residual alone.
 
 The stepper works on dof arrays only.  Sources are passed as a callable
 ``sources(t) -> (f1, f2, f3)`` (:data:`Sources`) that returns the right-hand
@@ -52,6 +62,7 @@ from typing import Callable
 import numpy as np
 
 from .mesh import (
+    CurlCurlBasis,
     GridSpec,
     ScalarField,
     VecField,
@@ -74,6 +85,18 @@ from .weights import SchemeParams, cumulative_weights, fbdf2_weights, sftr_weigh
 # CG stops at relative residual CG_TOL; SolverError after CG_MAXIT_PER_SIDE * (nx + ny) iterations.
 CG_TOL = 1e-12
 CG_MAXIT_PER_SIDE = 10
+
+CG_STENCIL_ITERATIONS = 6
+"""Iterations :func:`solve_spd` runs on the curl stencils before it moves the
+iteration to the operator's eigenbasis.  The move costs one forward transform
+of the residual and one of the search direction, and at the end one inverse
+transform of the correction: measured on a shared 2-vCPU x86 host (numpy 2.4,
+medians of interleaved runs), about 7.5 stencil iterations at 48x48, 10 at
+64x64 and 13 at 256x256.  An iteration there costs a third (48x48) to a half
+(256x256) of a stencil iteration.  A solve that converges within this many
+iterations never pays for the move.  Every step of a 64x64 decay run at
+tau = 0.002 takes 4; moving from the first iteration on made that run about
+25 % slower."""
 
 
 # sources(t) -> (f1, f2, f3) on the dofs at time t; see the module docstring.
@@ -279,6 +302,32 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
+def _cg_iterations(apply, dot, x, r, d, ad, tmp, rho, threshold, first, last, finite):
+    """Conjugate-gradient iterations first..last on (x, r, d) with squared
+    residual norm rho, all updated in place.  ``apply(v, out)`` writes A v
+    into ``out``, ``dot`` is the inner product, ``tmp`` holds products (it may
+    be ``ad`` itself) and ``finite(rho, it)`` vets each new rho.
+
+    Returns (iteration, rho): rho <= threshold means converged at that
+    iteration, otherwise d is ready for iteration last + 1.
+    """
+    for it in range(first, last + 1):
+        apply(d, ad)
+        alpha = rho / dot(d, ad)
+        for xc, rc, dc, adc, tc in zip(x, r, d, ad, tmp):
+            rc -= np.multiply(adc, alpha, out=tc)
+            xc += np.multiply(dc, alpha, out=tc)
+        rho_new = finite(dot(r, r), it)
+        if rho_new <= threshold:
+            return it, rho_new
+        beta = rho_new / rho
+        for rc, dc in zip(r, d):
+            dc *= beta
+            dc += rc
+        rho = rho_new
+    return last, rho
+
+
 def solve_spd(
     diag: float,
     curl_scale: float,
@@ -291,13 +340,30 @@ def solve_spd(
     """Conjugate gradients for ``diag I + curl_scale curl_h curl_e``, the
     step's SPD operator on the tangential-zero subspace.
 
-    Returns (solution, iterations).  Raises :class:`SolverError` if the
-    relative residual does not fall below tol within maxit iterations, or
-    as soon as the norm of rhs or a squared residual norm is not finite.
+    Returns (solution, iterations).  Raises :class:`ValueError` before any
+    work unless diag is finite and positive and curl_scale finite and not
+    negative, and before iterating if rhs - A x0 is not zero on the
+    tangential boundary.  Raises :class:`SolverError` if the relative
+    residual does not fall below tol within maxit iterations, or as soon as
+    the norm of rhs or a squared residual norm is not finite.
 
-    The iterates are (ex, ey) pairs of work arrays allocated once per call,
-    updated in place: the loop builds no field objects.
+    The first :data:`CG_STENCIL_ITERATIONS` iterations apply the curl
+    stencils to (ex, ey) work arrays allocated once per call and updated in
+    place.  A solve that needs more hands r and d over to the eigenbasis of
+    :class:`~colecole.mesh.CurlCurlBasis`, where the operator is diagonal,
+    and continues the same recurrence there with the same rho, threshold,
+    iteration count and maxit; at convergence the inverse transform of the
+    accumulated correction is added to x.  CG is invariant under that
+    orthogonal change of basis, so the iterates and iteration counts are
+    those of the stencil iteration up to round-off.
     """
+    if not (
+        math.isfinite(diag) and diag > 0.0 and math.isfinite(curl_scale) and curl_scale >= 0.0
+    ):
+        raise ValueError(
+            "solve_spd needs a finite diag > 0 and a finite curl_scale >= 0, "
+            f"got diag={diag}, curl_scale={curl_scale}"
+        )
     _check_vec(rhs, grid)
     if x0 is not None:
         _check_vec(x0, grid)
@@ -315,7 +381,7 @@ def solve_spd(
         return VecField.zeros(grid), 0
     cell, cell_work = np.empty((grid.nx, grid.ny)), np.empty((grid.nx, grid.ny))
 
-    def apply_op(v: tuple, out: tuple) -> None:
+    def apply_stencils(v: tuple, out: tuple) -> None:
         _curl_e_into(*v, dx, dy, cell, cell_work)
         _curl_h_into(cell, dx, dy, *out)
         for vc, oc, pc in zip(v, out, prod):
@@ -334,27 +400,55 @@ def solve_spd(
     sol = VecField.zeros(grid) if x0 is None else x0.copy()
     x = (sol.ex, sol.ey)
     ad = (np.empty_like(sol.ex), np.empty_like(sol.ey))
-    apply_op(x, ad)
+    apply_stencils(x, ad)
     r = (rhs.ex - ad[0], rhs.ey - ad[1])
+    # A acts as diag I on the boundary dofs (columns 0 and ny of ex, rows 0 and
+    # nx of ey), which the eigenbasis lacks: their residual must start at zero.
+    if r[0][:, :: grid.ny].any() or r[1][:: grid.nx].any():
+        raise ValueError(
+            "solve_spd: rhs - A x0 is not zero on the tangential boundary; "
+            "rhs and x0 must be tangential-zero"
+        )
     d = (r[0].copy(), r[1].copy())
     rho = finite(_inner_into(r, r, area, prod), 0)
     threshold = (tol * rhs_norm) ** 2
     if rho <= threshold:
         return sol, 0
-    for it in range(1, maxit + 1):
-        apply_op(d, ad)
-        alpha = rho / _inner_into(d, ad, area, prod)
-        for xc, rc, dc, adc, pc in zip(x, r, d, ad, prod):
-            xc += np.multiply(dc, alpha, out=pc)
-            rc -= np.multiply(adc, alpha, out=pc)
-        rho_new = finite(_inner_into(r, r, area, prod), it)
-        if rho_new <= threshold:
-            return sol, it
-        beta = rho_new / rho
-        for rc, dc in zip(r, d):
-            dc *= beta
-            dc += rc
-        rho = rho_new
+    def inner(u: tuple, v: tuple) -> float:
+        return _inner_into(u, v, area, prod)
+
+    last = min(maxit, CG_STENCIL_ITERATIONS)
+    it, rho = _cg_iterations(
+        apply_stencils, inner, x, r, d, ad, prod, rho, threshold, 1, last, finite
+    )
+    if rho > threshold and it < maxit:
+        # Release the stencil work arrays, then move r and d one at a time.
+        del apply_stencils, inner, ad, prod, cell, cell_work
+        basis = CurlCurlBasis(grid)
+        # One stacked coefficient array per vector, as 1-tuples for _cg_iterations.
+        r = (basis.forward(*r),)
+        d = (basis.forward(*d),)
+        lam = basis.eigenvalues(diag, curl_scale)
+        ad = (np.empty_like(r[0]),)
+        correction = (np.zeros_like(r[0]),)
+
+        def apply_eigen(v: tuple, out: tuple) -> None:
+            np.multiply(v[0], lam, out=out[0])
+
+        def dot(u: tuple, v: tuple) -> float:
+            # einsum, not BLAS: no threads on the step path.
+            return area * float(np.einsum("kij,kij->", u[0], v[0]))
+
+        it, rho = _cg_iterations(
+            apply_eigen, dot, correction, r, d, ad, ad, rho, threshold, it + 1, maxit, finite
+        )
+        if rho <= threshold:
+            del apply_eigen, r, d, ad, lam
+            ex, ey = basis.inverse(correction[0])
+            sol.ex += ex
+            sol.ey += ey
+    if rho <= threshold:
+        return sol, it
     raise SolverError(
         f"conjugate gradients: relative residual {np.sqrt(rho) / rhs_norm:.3e} "
         f"after {maxit} iterations (tol {tol:.1e})",

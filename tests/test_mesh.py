@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from colecole.mesh import (
+    CurlCurlBasis,
     GridSpec,
     ScalarField,
     VecField,
@@ -121,6 +122,40 @@ def test_kernels_give_the_bits_of_the_expression_forms():
     assert np.array_equal(curl_e(e, grid).h, want)
     want = grid.dx * grid.dy * (float(np.sum(e.ex * u.ex)) + float(np.sum(e.ey * u.ey)))
     assert inner_e(e, u, grid) == want
+
+
+TRANSFORM_GRIDS = [GridSpec(2, 2), GridSpec(3, 5), GridSpec(17, 9, 1.3, 0.7), GridSpec(64, 40)]
+
+
+@pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_curl_curl_basis_round_trip_and_parseval(grid):
+    basis = CurlCurlBasis(grid)
+    u, _ = random_fields(grid, np.random.default_rng(grid.nx), pec=True)
+    coef = basis.forward(u.ex, u.ey)
+    assert coef.shape == (2, grid.nx, grid.ny)
+    assert grid.dx * grid.dy * float(np.sum(coef * coef)) == pytest.approx(
+        inner_e(u, u, grid), rel=1e-14
+    )
+    back = VecField(*basis.inverse(coef))
+    assert norm_e(back - u, grid) <= 1e-14 * norm_e(u, grid)
+    # forward reads the interior only
+    noisy, _ = random_fields(grid, np.random.default_rng(grid.ny), pec=False)
+    noisy.ex[:, 1:-1], noisy.ey[1:-1, :] = u.ex[:, 1:-1], u.ey[1:-1, :]
+    assert np.array_equal(basis.forward(noisy.ex, noisy.ey), basis.forward(u.ex, u.ey))
+
+
+@pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_curl_curl_basis_diagonalises_the_step_operator(grid):
+    basis = CurlCurlBasis(grid)
+    diag, curl_scale = 3.7, 0.02
+    for seed in range(3):
+        u, _ = random_fields(grid, np.random.default_rng(seed), pec=True)
+        want = diag * u + curl_scale * curl_h(curl_e(u, grid), grid)
+        coef = basis.forward(u.ex, u.ey) * basis.eigenvalues(diag, curl_scale)
+        got = VecField(*basis.inverse(coef))
+        assert norm_e(got - want, grid) <= 1e-13 * norm_e(want, grid)
+        # the inverse writes exact zeros on the tangential boundary
+        assert got.is_pec_compliant()
 
 
 def test_curl_composition_spsd():
