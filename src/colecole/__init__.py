@@ -2,9 +2,11 @@
 Cole-Cole dispersive medium.
 
 The package provides the fractional convolution-quadrature weight machinery
-(:mod:`colecole.weights`), a staggered transverse-electric grid with adjoint
-discrete curls (:mod:`colecole.mesh`), the implicit shifted-trapezoidal
-theta integrator and a fractional BDF-2 variant (:mod:`colecole.stepper`),
+(:mod:`colecole.weights`), a staggered transverse-electric grid and the
+eigenbasis in which its adjoint discrete curls are diagonal
+(:mod:`colecole.mesh`), the implicit shifted-trapezoidal theta integrator,
+which steps in that basis, and a fractional BDF-2 variant
+(:mod:`colecole.stepper`),
 the discrete energy functional and decay diagnostics (:mod:`colecole.energy`),
 a manufactured-solution convergence harness (:mod:`colecole.manufactured`),
 and a CSV-emitting experiment CLI (:mod:`colecole.cli`).
@@ -28,18 +30,7 @@ from .manufactured import (
     error_norms,
     run_case,
 )
-from .mesh import (
-    GridSpec,
-    ScalarField,
-    VecField,
-    combine_theta,
-    curl_e,
-    curl_h,
-    inner_e,
-    inner_h,
-    norm_e,
-    norm_h,
-)
+from .mesh import CurlCurlBasis, GridSpec, ScalarField, VecField, norm_sq
 from .stepper import (
     MaterialParams,
     Quadrature,
@@ -50,7 +41,6 @@ from .stepper import (
     frac_deriv_current,
     init_state,
     run,
-    scheme_residual,
     solve_spd,
     step,
 )
@@ -70,6 +60,7 @@ from .weights import (
 
 __all__ = [
     "ConvergenceRow",
+    "CurlCurlBasis",
     "DecayReport",
     "EnergyTrace",
     "GridSpec",
@@ -86,11 +77,8 @@ __all__ = [
     "SymbolKind",
     "VecField",
     "binomial_series",
-    "combine_theta",
     "convergence_table",
     "cumulative_weights",
-    "curl_e",
-    "curl_h",
     "decay_initial_data",
     "decay_report",
     "discrete_energy",
@@ -100,15 +88,11 @@ __all__ = [
     "fbdf2_weights",
     "frac_deriv_current",
     "init_state",
-    "inner_e",
-    "inner_h",
     "min_theta_gap_grid",
-    "norm_e",
-    "norm_h",
+    "norm_sq",
     "run",
     "run_case",
     "run_decay_experiment",
-    "scheme_residual",
     "sftr_weights",
     "shift_combine",
     "solve_spd",

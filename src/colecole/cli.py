@@ -16,9 +16,10 @@ failure in entry k leaves the complete CSVs of entries 1..k-1.  Exit codes:
 0  every hard assertion of the subcommand held
 1  a hard assertion failed (JSON failure records on stderr)
 2  invalid input or an unwritable output path (JSON error on stderr)
-3  the linear solver did not converge or met a non-finite residual (JSON
-   error on stderr)
-4  out of memory (JSON error on stderr)
+3  the conjugate-gradient E-solve did not converge, or its right-hand side
+   or residual was not finite (JSON error on stderr)
+4  out of memory, or a run that would not fit in physical memory, refused
+   before it allocates (JSON error on stderr)
 """
 
 from __future__ import annotations
@@ -186,9 +187,9 @@ def cmd_converge(args: argparse.Namespace) -> None:
 
 
 def _dump_fields(state, prefix: Path) -> None:
-    """Debug snapshot of the final fields, one i,j,value CSV per component."""
-    for tag, arr in (("ex", state.e.ex), ("ey", state.e.ey), ("h", state.h.h),
-                     ("px", state.p.ex), ("py", state.p.ey)):
+    """Debug snapshot of the final fields on the dofs, one i,j,value CSV per component."""
+    e, p, h = state.fields()
+    for tag, arr in (("ex", e.ex), ("ey", e.ey), ("h", h.h), ("px", p.ex), ("py", p.ey)):
         path = prefix.with_name(f"{prefix.name}_{tag}.csv")
         rows = (
             f"{i},{j},{_fmt(arr[i, j])}"

@@ -5,9 +5,12 @@ The energy after step n is
     E~^n = tau0^alpha * tau^alpha * sum_{k=0..n} a_k s_{n-k}
            + ||P^n||^2 + c_p (c_e ||E^n||^2 + c_m ||H^n||^2)
 
-with s_j = ||D^alpha P at t_{j-theta}||^2 (s_0 = 0) and a_k the cumulative
-companion weights of the run's (alpha, theta), ``SimState.a_weights``.  For
-the shifted-trapezoidal scheme with theta in [alpha/2, 1/2] the sequence
+with s_j = ||D^alpha P at t_{j-theta}||^2 (s_0 = 0; ``PHistory.s``) and a_k
+the cumulative companion weights of the run's (alpha, theta),
+``SimState.a_weights``.  The norms are sums of squares of the state's
+coefficients times dx dy (Parseval), so the functional is a sum of per-mode
+energies, the memory term included, since each s_j is a sum over modes too.
+For the shifted-trapezoidal scheme with theta in [alpha/2, 1/2] the sequence
 E~^n is non-increasing, with the per-step bound
 
     (E~^n - E~^{n-1})/tau + tau0^alpha tau^(1-alpha)/varpi_0 ||d_tau P||^2 <= 0,
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .manufactured import decay_initial_data
-from .mesh import GridSpec, inner_e, inner_h
+from .mesh import GridSpec, norm_sq
 from .stepper import MaterialParams, Quadrature, SchemeConfig, SimState, init_state, step
 
 
@@ -73,16 +76,15 @@ def energy_tolerance(initial_energy: float) -> float:
 def discrete_energy(state: SimState) -> float:
     """Energy functional E~^n for the given state, with the state's own
     weights a_0..a_n."""
-    mat, cfg, grid = state.material, state.config, state.grid
-    s = np.asarray(state.s_norm_sq)
+    mat, cfg, grid, n = state.material, state.config, state.grid, state.n
+    # einsum, not np.dot: no BLAS threads on the step path.
     memory = mat.tau0**mat.alpha * cfg.tau**mat.alpha * float(
-        np.dot(state.a_weights[: state.n + 1], s[::-1])
+        np.einsum("i,i->", state.a_weights[: n + 1], state.history.s[n::-1])
     )
     return (
         memory
-        + inner_e(state.p, state.p, grid)
-        + mat.c_p
-        * (mat.c_e * inner_e(state.e, state.e, grid) + mat.c_m * inner_h(state.h, state.h, grid))
+        + norm_sq(state.p, grid)
+        + mat.c_p * (mat.c_e * norm_sq(state.e, grid) + mat.c_m * norm_sq(state.h, grid))
     )
 
 
@@ -104,7 +106,7 @@ def dissipation_residual(
     dp = (1.0 / tau) * (state_new.p - state_prev.p)
     return (e_new - e_prev) / tau + (
         mat.tau0**mat.alpha * tau ** (1.0 - mat.alpha) / state_new.a_weights[0]
-    ) * inner_e(dp, dp, grid)
+    ) * norm_sq(dp, grid)
 
 
 def decay_report(trace: EnergyTrace) -> DecayReport:

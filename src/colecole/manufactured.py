@@ -22,10 +22,14 @@ phi_cE = curl phi_E (at the cell centres):
     f3 = tau0^alpha D^alpha P + P - c_p E    = (D^alpha t^3 + t^3) phi_P - e^-t phi_E
 
 :meth:`ManufacturedCase.sample` evaluates the profiles once on the dofs of a
-grid, each vector component on its own dof set.  The :class:`SampledCase` it
-returns gives the exact fields and the sources at any t as time factors
-times those arrays, so a run evaluates no formula of the coordinates per
-step.
+grid, each vector component on its own dof set, and transforms them once to
+the coefficients of :class:`~colecole.mesh.CurlCurlBasis`, in which a run
+keeps its fields.  The :class:`SampledCase` it returns gives the exact fields
+and the sources at any t as time factors times those arrays, so a run
+evaluates no formula of the coordinates and computes no transform per step.
+Coefficients hold no boundary values: phi_E and phi_P must vanish on the
+tangential boundary, as they do, and phi_cH's boundary values only enter f1,
+whose boundary values the scheme does not use.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stepper
-from .mesh import GridSpec, ScalarField, VecField, norm_e, norm_h, sample_scalar, sample_vec
-from .stepper import MaterialParams, Quadrature, SchemeConfig, SimState, init_state, step
+from .mesh import CurlCurlBasis, GridSpec, ScalarField, VecField, norm_sq, sample_scalar, sample_vec
+from .stepper import MaterialParams, Quadrature, SchemeConfig, SimState, _initial_state, step
 
 
 def caputo_cubic_factor(t: float | np.ndarray, alpha: float) -> float | np.ndarray:
@@ -66,25 +70,27 @@ PROFILES = {
 
 @dataclass(frozen=True, eq=False)
 class SampledCase:
-    """A manufactured case on the dofs of one grid: the five spatial profiles
-    (see the module docstring), each sampled once."""
+    """A manufactured case on one grid: the five spatial profiles (see the
+    module docstring), each sampled once and held as coefficients, e, p and
+    curl_h as (2, nx, ny) edge coefficients, h and curl_e as (nx, ny) cell
+    coefficients."""
 
     material: MaterialParams
     grid: GridSpec
-    e: VecField
-    p: VecField
-    h: ScalarField
-    curl_h: VecField
-    curl_e: ScalarField
+    e: np.ndarray
+    p: np.ndarray
+    h: np.ndarray
+    curl_h: np.ndarray
+    curl_e: np.ndarray
 
-    def exact(self, t: float) -> tuple[VecField, VecField, ScalarField]:
-        """(E, P, H) on the dofs at time t."""
+    def exact(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(E, P, H) at time t, as coefficients."""
         decay = math.exp(-t)
         return decay * self.e, t**3 * self.p, decay * self.h
 
-    def sources(self, t: float) -> tuple[VecField, ScalarField, VecField]:
-        """(f1, f2, f3) on the dofs at time t: the ``sources`` callable of
-        :func:`colecole.stepper.step`."""
+    def sources(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(f1, f2, f3) at time t, as coefficients: the ``sources`` callable
+        of :func:`colecole.stepper.step`."""
         decay = math.exp(-t)
         frac = caputo_cubic_factor(t, self.material.alpha)
         return (
@@ -95,7 +101,7 @@ class SampledCase:
 
     def initial_state(self, config: SchemeConfig) -> SimState:
         e0, _, h0 = self.exact(0.0)
-        return init_state(self.grid, self.material, config, e0.enforce_pec(), h0)
+        return _initial_state(self.grid, self.material, config, e0, h0)
 
 
 @dataclass(frozen=True)
@@ -105,23 +111,36 @@ class ManufacturedCase:
     alpha: float
 
     def sample(self, grid: GridSpec) -> SampledCase:
-        """The case's profiles on the dofs of grid, sampled through
-        :mod:`colecole.stepper`, where the benchmark's ``manufactured.sample``
-        spans wrap the samplers."""
+        """The case's profiles on the dofs of grid as coefficients, sampled
+        through :mod:`colecole.stepper`, where the benchmark's
+        ``manufactured.sample`` spans wrap the samplers.
+
+        Raises :class:`ValueError` if phi_E or phi_P, and so E, P and f3, are
+        not zero on the tangential boundary of grid: coefficients cannot
+        hold those values.
+        """
         vec, scalar = stepper.sample_vec, stepper.sample_scalar
         material = MaterialParams(c_e=1.0, c_m=1.0, c_p=1.0, tau0=1.0, alpha=self.alpha)
         e, p, curl_h = (vec(PROFILES[k], grid) for k in ("e", "p", "curl_h"))
         h, curl_e = (scalar(PROFILES[k], grid) for k in ("h", "curl_e"))
+        for name, field in (("phi_E", e), ("phi_P", p)):
+            if not field.is_pec_compliant():
+                raise ValueError(f"{name} is not zero on the tangential boundary of {grid}")
+        basis = CurlCurlBasis(grid)
+        e, p, curl_h = (basis.forward(f.ex, f.ey) for f in (e, p, curl_h))
+        h, curl_e = (basis.forward_cell(f.h) for f in (h, curl_e))
         return SampledCase(material, grid, e, p, h, curl_h, curl_e)
 
 
 def error_norms(state: SimState, case: SampledCase) -> tuple[float, float, float]:
-    """Discrete L2 norms of the (E, H, P) errors at the state's time."""
+    """Discrete L2 norms of the (E, H, P) errors at the state's time, from
+    the coefficients by Parseval."""
     e_ex, p_ex, h_ex = case.exact(state.time)
+    grid = state.grid
     return (
-        norm_e(state.e - e_ex, state.grid),
-        norm_h(state.h - h_ex, state.grid),
-        norm_e(state.p - p_ex, state.grid),
+        math.sqrt(norm_sq(state.e - e_ex, grid)),
+        math.sqrt(norm_sq(state.h - h_ex, grid)),
+        math.sqrt(norm_sq(state.p - p_ex, grid)),
     )
 
 

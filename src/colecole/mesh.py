@@ -1,4 +1,4 @@
-"""Staggered transverse-electric grid with adjoint discrete curl operators.
+"""Staggered transverse-electric grid and the eigenbasis of its curl pair.
 
 Layout on an nx-by-ny cell grid over (0, lx) x (0, ly):
 
@@ -6,21 +6,20 @@ Layout on an nx-by-ny cell grid over (0, lx) x (0, ly):
 * ``ey``  shape (nx+1, ny), dof at (x_i, y_{j+1/2})    -- E2/P2 component
 * ``h``   shape (nx, ny),   dof at cell centers        -- H
 
-``curl_h`` maps cell values to edge components ((dH/dy, -dH/dx)) and
-``curl_e`` maps edge components to cell values (dE2/dx - dE1/dy).  With the
-perfect-electric-conductor rows/columns of ``curl_h`` output forced to zero
-the pair is an exact adjoint under the uniform dof inner products, which is
-what carries the semi-discrete energy-decay argument over to the fully
-discrete system.
+The discrete curls are ``curl_h`` (cell values to edge components,
+(dH/dy, -dH/dx), with the perfect-electric-conductor rows and columns zero)
+and ``curl_e`` (edge components to cell values, dE2/dx - dE1/dy).  Under the
+uniform dof inner products they are exact adjoints, which is what carries the
+semi-discrete energy-decay argument over to the fully discrete system.
 
-The stencils and the inner product live once, in private kernels that write
-into arrays the caller passes; ``curl_h``, ``curl_e`` and ``inner_e`` allocate
-and call them, and the conjugate-gradient solve of :mod:`colecole.stepper`
-calls them on its work arrays.
-
-:class:`CurlCurlBasis` is the orthonormal eigenbasis of ``curl_h curl_e`` on
-the tangential-zero edge fields, with numpy.fft transforms to and from it;
-the solve finishes its long iterations there.
+The integrator never applies them as stencils.  :class:`CurlCurlBasis` is an
+orthonormal basis of the tangential-zero edge fields and of the cell fields in
+which both curls are diagonal: on mode (k, l), ``curl_e`` maps the edge
+coefficients (a, b) to the cell coefficient -|v| b, and ``curl_h`` maps the
+cell coefficient c to the edge coefficients (0, -|v| c).  A run keeps E, P and
+H as these coefficients (see :mod:`colecole.stepper`); :class:`VecField` and
+:class:`ScalarField` are the dof arrays that go in and come out.  The stencils
+themselves live in the test suite, as the independent physical-space check.
 """
 
 from __future__ import annotations
@@ -97,9 +96,6 @@ class VecField:
     def zeros(cls, grid: GridSpec) -> "VecField":
         return cls(np.zeros((grid.nx, grid.ny + 1)), np.zeros((grid.nx + 1, grid.ny)))
 
-    def copy(self) -> "VecField":
-        return VecField(self.ex.copy(), self.ey.copy())
-
     def enforce_pec(self) -> "VecField":
         """Zero the tangential boundary dofs in place."""
         self.ex[:, 0] = 0.0
@@ -115,26 +111,6 @@ class VecField:
             and not np.any(self.ey[0, :])
             and not np.any(self.ey[-1, :])
         )
-
-    def _check_like(self, other: "VecField") -> None:
-        if self.ex.shape != other.ex.shape or self.ey.shape != other.ey.shape:
-            raise ValueError(
-                f"field shape mismatch: {self.ex.shape}/{self.ey.shape} vs "
-                f"{other.ex.shape}/{other.ey.shape}"
-            )
-
-    def __add__(self, other: "VecField") -> "VecField":
-        self._check_like(other)
-        return VecField(self.ex + other.ex, self.ey + other.ey)
-
-    def __sub__(self, other: "VecField") -> "VecField":
-        self._check_like(other)
-        return VecField(self.ex - other.ex, self.ey - other.ey)
-
-    def __mul__(self, c: float) -> "VecField":
-        return VecField(c * self.ex, c * self.ey)
-
-    __rmul__ = __mul__
 
 
 @dataclass
@@ -152,26 +128,6 @@ class ScalarField:
     def zeros(cls, grid: GridSpec) -> "ScalarField":
         return cls(np.zeros((grid.nx, grid.ny)))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.h.copy())
-
-    def _check_like(self, other: "ScalarField") -> None:
-        if self.h.shape != other.h.shape:
-            raise ValueError(f"field shape mismatch: {self.h.shape} vs {other.h.shape}")
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        self._check_like(other)
-        return ScalarField(self.h + other.h)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        self._check_like(other)
-        return ScalarField(self.h - other.h)
-
-    def __mul__(self, c: float) -> "ScalarField":
-        return ScalarField(c * self.h)
-
-    __rmul__ = __mul__
-
 
 def sample_vec(f: tuple[Profile, Profile], grid: GridSpec) -> VecField:
     """The x component of f at the ex dofs and the y component at the ey dofs."""
@@ -181,57 +137,6 @@ def sample_vec(f: tuple[Profile, Profile], grid: GridSpec) -> VecField:
 def sample_scalar(f: Profile, grid: GridSpec) -> ScalarField:
     """f at the cell centres."""
     return ScalarField(f(*grid.h_coords()))
-
-
-def _check_vec(e: VecField, grid: GridSpec) -> None:
-    if e.ex.shape != (grid.nx, grid.ny + 1) or e.ey.shape != (grid.nx + 1, grid.ny):
-        raise ValueError(
-            f"vector field shapes {e.ex.shape}/{e.ey.shape} do not match "
-            f"{grid.nx}x{grid.ny} grid"
-        )
-
-
-def _check_scalar(s: ScalarField, grid: GridSpec) -> None:
-    if s.h.shape != (grid.nx, grid.ny):
-        raise ValueError(f"scalar field shape {s.h.shape} does not match {grid.nx}x{grid.ny} grid")
-
-
-def _curl_h_into(h: np.ndarray, dx: float, dy: float, ex: np.ndarray, ey: np.ndarray) -> None:
-    """Write the discrete (dH/dy, -dH/dx) of cell values h into the edge arrays
-    (ex, ey), boundary rows/columns included (zero)."""
-    inner = ex[:, 1:-1]
-    np.subtract(h[:, 1:], h[:, :-1], out=inner)
-    inner /= dy
-    ex[:, 0] = 0.0
-    ex[:, -1] = 0.0
-    inner = ey[1:-1, :]
-    np.subtract(h[1:, :], h[:-1, :], out=inner)
-    np.negative(inner, out=inner)
-    inner /= dx
-    ey[0, :] = 0.0
-    ey[-1, :] = 0.0
-
-
-def _curl_e_into(
-    ex: np.ndarray, ey: np.ndarray, dx: float, dy: float, out: np.ndarray, work: np.ndarray
-) -> None:
-    """Write the discrete dE2/dx - dE1/dy of edge arrays (ex, ey) into the cell
-    array ``out``; ``work`` is a cell-sized scratch array."""
-    np.subtract(ey[1:, :], ey[:-1, :], out=out)
-    out /= dx
-    np.subtract(ex[:, 1:], ex[:, :-1], out=work)
-    work /= dy
-    out -= work
-
-
-def _inner_into(u: tuple, v: tuple, cell_area: float, prod: tuple) -> float:
-    """cell_area * (sum u_x v_x + sum u_y v_y) of (ex, ey) array pairs, the
-    products formed in the pair ``prod`` and each sum a pairwise reduction."""
-    for uc, vc, pc in zip(u, v, prod):
-        np.multiply(uc, vc, out=pc)
-    return cell_area * (
-        float(np.add.reduce(prod[0], axis=None)) + float(np.add.reduce(prod[1], axis=None))
-    )
 
 
 def _along(axis: int, start: int, stop: int) -> tuple[slice, slice]:
@@ -292,7 +197,8 @@ def _axis_factors(n: int, h: float) -> tuple[np.ndarray, ...]:
 
 
 class CurlCurlBasis:
-    """Orthonormal eigenbasis of ``curl_h curl_e`` on the tangential-zero edge fields.
+    """Orthonormal eigenbasis of ``curl_h curl_e`` on the tangential-zero edge
+    fields, and the cell basis in which ``curl_e`` and ``curl_h`` are diagonal.
 
     The interior of ``ex`` is expanded in DCT-II modes in x times DST-I modes
     in y, and the interior of ``ey`` in DST-I in x times DCT-II in y.  Both
@@ -304,12 +210,19 @@ class CurlCurlBasis:
     (s_x, s_y) / |v| and its component along -v / |v|, stacked as a
     (2, nx, ny) array: ``diag I + curl_scale curl_h curl_e`` multiplies the
     first by diag and the second by diag + curl_scale |v|^2
-    (:meth:`eigenvalues`).  The transforms are orthogonal: sums of squares of
-    the interior dofs and of the coefficients agree, so the dof inner product
-    is the coefficients' times dx dy.
+    (:meth:`eigenvalues`).  Mode (0, 0) and the normal component of the modes
+    with k = 0 or l = 0 are always zero.
 
-    All transforms are numpy.fft rffts of zero-padded data.  The object holds
-    O(nx + ny) 1-D factors; the 2-D reflection factor is built in each call.
+    Cell fields are expanded in DCT-II modes in both directions
+    (:meth:`forward_cell`).  With c the cell coefficients, ``curl_e`` of the
+    edge coefficients (a, b) is -|v| b and ``curl_h`` of c is (0, -|v| c),
+    mode by mode (:meth:`curl_modulus`).
+
+    The transforms are orthogonal: sums of squares of the interior dofs and
+    of the coefficients agree, so a dof inner product is the coefficients'
+    times dx dy (:func:`norm_sq`).  All transforms are numpy.fft rffts of
+    zero-padded data.  The object holds O(nx + ny) 1-D factors; the 2-D
+    factors are built in each call.
     """
 
     def __init__(self, grid: GridSpec) -> None:
@@ -325,6 +238,11 @@ class CurlCurlBasis:
         lam[0] = diag
         np.add(diag + curl_scale * self.s_x**2, curl_scale * self.s_y**2, out=lam[1])
         return lam
+
+    def curl_modulus(self) -> np.ndarray:
+        """|v| of every mode, an (nx, ny) array: the factor by which the curls
+        scale a mode (see the class docstring); 0 at mode (0, 0)."""
+        return np.sqrt(self.s_x**2 + self.s_y**2)
 
     def _reflect(self, coef: np.ndarray) -> None:
         """Map each mode's (a, b) to ((s_x a + s_y b), (s_y a - s_x b)) / |v| in
@@ -367,45 +285,22 @@ class CurlCurlBasis:
         ey[1:-1, :] = _idct(work, 1, self._idct_y)
         return ex, ey
 
+    def forward_cell(self, h: np.ndarray) -> np.ndarray:
+        """(nx, ny) orthonormal DCT-II x DCT-II coefficients of the cell array h."""
+        work, coef = np.empty(self.shape), np.empty(self.shape)
+        _dct(h, 1, self._dct_y, out=work)
+        _dct(work, 0, self._dct_x, out=coef)
+        return coef
 
-def curl_h(s: ScalarField, grid: GridSpec) -> VecField:
-    """Discrete (dH/dy, -dH/dx) on edge dofs; boundary rows/columns are zero."""
-    _check_scalar(s, grid)
-    out = VecField(np.empty((grid.nx, grid.ny + 1)), np.empty((grid.nx + 1, grid.ny)))
-    _curl_h_into(s.h, grid.dx, grid.dy, out.ex, out.ey)
-    return out
-
-
-def curl_e(e: VecField, grid: GridSpec) -> ScalarField:
-    """Discrete dE2/dx - dE1/dy at cell centers."""
-    _check_vec(e, grid)
-    out = np.empty((grid.nx, grid.ny))
-    _curl_e_into(e.ex, e.ey, grid.dx, grid.dy, out, np.empty_like(out))
-    return ScalarField(out)
+    def inverse_cell(self, coef: np.ndarray) -> np.ndarray:
+        """The cell array with coefficients ``coef``; inverse of :meth:`forward_cell`."""
+        return np.ascontiguousarray(_idct(_idct(coef, 0, self._idct_x), 1, self._idct_y))
 
 
-def inner_e(u: VecField, v: VecField, grid: GridSpec) -> float:
-    """Uniformly weighted dof inner product dx*dy*(sum ex ex' + sum ey ey')."""
-    _check_vec(u, grid)
-    u._check_like(v)
-    prod = (np.empty_like(u.ex), np.empty_like(u.ey))
-    return _inner_into((u.ex, u.ey), (v.ex, v.ey), grid.dx * grid.dy, prod)
-
-
-def inner_h(p: ScalarField, q: ScalarField, grid: GridSpec) -> float:
-    _check_scalar(p, grid)
-    p._check_like(q)
-    return grid.dx * grid.dy * float(np.sum(p.h * q.h))
-
-
-def norm_e(u: VecField, grid: GridSpec) -> float:
-    return np.sqrt(inner_e(u, u, grid))
-
-
-def norm_h(p: ScalarField, grid: GridSpec) -> float:
-    return np.sqrt(inner_h(p, p, grid))
-
-
-def combine_theta(u_new, u_old, theta: float):
-    """Theta average (1-theta)*u_new + theta*u_old of two like fields."""
-    return (1.0 - theta) * u_new + theta * u_old
+def norm_sq(coef: np.ndarray, grid: GridSpec) -> float:
+    """dx dy times the sum of squares of a coefficient array: the squared
+    discrete L2 norm of the field it holds.  An einsum, which runs on the
+    calling thread; ``@`` or ``np.dot`` would start BLAS threads that keep
+    spinning through the rest of the step."""
+    flat = coef.reshape(-1)
+    return grid.dx * grid.dy * float(np.einsum("i,i->", flat, flat))

@@ -15,38 +15,44 @@ symmetric positive definite system
 
     [(c_e + a)/tau I + (1-theta)^2 (tau/c_m) curl_h curl_e] E^n = rhs
 
-solved matrix-free by conjugate gradients on the tangential-zero subspace.
-:func:`solve_spd` is specialised to this operator, d I + c curl_h curl_e.  Its
-first :data:`CG_STENCIL_ITERATIONS` iterations apply the curl stencils of
-:mod:`colecole.mesh` into work arrays allocated once per solve and update the
-iterates in place; a 64x64 decay run at tau = 0.002 needs 4 per step.  A
-solve that needs more moves its residual and search direction into the
-operator's eigenbasis (:class:`~colecole.mesh.CurlCurlBasis`, DCT-II/DST-I
-products computed with numpy.fft), where the operator is diagonal, and
-finishes the same recurrence there, each iteration one elementwise product
-instead of two stencils.  CG is kept in that basis, although one division per
-mode would solve exactly, so that every solution stays the stencil CG's to
-round-off: the exact solve moves the errors of the FBDF2 convergence sweep by
-up to 2.7e-9 relative, past the 1e-11 tolerance of the benchmark's recorded
-values.  :func:`solve_spd` raises :class:`SolverError` when the
-residual does not converge, and as soon as the right-hand side or the
-residual is not finite.  H^n and P^n are recovered exactly afterwards, so the
-recorded per-step defect of the three equations is the linear-solver
-residual alone.
+on the tangential-zero edge fields.
 
-The stepper works on dof arrays only.  Sources are passed as a callable
-``sources(t) -> (f1, f2, f3)`` (:data:`Sources`) that returns the right-hand
-sides already on the dofs: f1 and f3 as edge fields, f2 as a cell field.
-:func:`step` calls it once per step, at t = t_{n-theta}; ``None`` means no
-sources.  Turning formulas into dof values is the caller's business (see
-:meth:`colecole.manufactured.ManufacturedCase.sample`).
+A run keeps its fields as coefficients in the eigenbasis of
+:class:`~colecole.mesh.CurlCurlBasis`: E and P as (2, nx, ny) edge
+coefficients and H as (nx, ny) cell coefficients.  Both curls multiply each
+mode by |v| there, the elimination is dof-local, and the energies are sums of
+squares (Parseval), so a step is per-mode arithmetic: it applies no stencil
+and computes no transform.  :func:`init_state` transforms the initial data
+once, and :meth:`SimState.fields` transforms a state back to dof arrays.
 
-The history P^0..P^N of a run lives in one (N+1, dofs) array that
-:func:`init_state` allocates, and the quadrature's history part is one
-contraction of it with the reversed kernel.  That contraction runs on one
-thread on purpose: through BLAS it would start threads that keep spinning
-during the conjugate-gradient solve that follows and cost more CPU than
-they save.
+The operator above is diagonal in that basis, and :func:`solve_spd` runs
+conjugate gradients on the diagonal, warm-started from E^{n-1}.  One division
+per mode would solve exactly; CG is kept so that every solution stays, to
+round-off, the one the same CG gives on the curl stencils, where the
+benchmark's recorded values come from.  The exact solve moves the errors of
+the FBDF2 convergence sweep by up to 2.7e-9 relative, past their 1e-11
+tolerance.  :func:`solve_spd` raises :class:`SolverError` when the residual
+does not converge, and as soon as the right-hand side or the residual is not
+finite.  H^n and P^n are recovered exactly afterwards, so the per-step defect
+of the three equations is the linear-solver residual alone.
+
+Sources are passed as a callable ``sources(t) -> (f1, f2, f3)``
+(:data:`Sources`) that returns the right-hand sides as coefficients: f1 and
+f3 as edge coefficients (``CurlCurlBasis.forward``), f2 as cell coefficients
+(``CurlCurlBasis.forward_cell``).  :func:`step` calls it once per step, at
+t = t_{n-theta}; ``None`` means no sources.  Coefficients hold no boundary
+values.  Those of f1 are not used by the scheme, whose boundary rows carry
+E = 0; f3 must vanish on the tangential boundary, as
+:meth:`colecole.manufactured.ManufacturedCase.sample` checks.
+
+The history P^0..P^N of a run lives in one (N+1, 2 nx ny) array of
+coefficients that :func:`init_state` allocates, with s_0..s_N beside it
+(:class:`PHistory`), and the quadrature's history part is one contraction of
+it with the reversed kernel.  That contraction runs on one thread on purpose:
+through BLAS it would start threads that keep spinning through the rest of
+the step and cost more CPU than they save.  Before it allocates,
+:func:`init_state` estimates the bytes a run needs and raises
+:class:`MemoryError` if they exceed the machine's physical memory.
 
 The state also carries the energy weights a_0..a_N of the run's (alpha,
 theta), ``SimState.a_weights``; FBDF2 runs carry the trapezoidal ones too.
@@ -56,27 +62,13 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .mesh import (
-    CurlCurlBasis,
-    GridSpec,
-    ScalarField,
-    VecField,
-    _check_vec,
-    _curl_e_into,
-    _curl_h_into,
-    _inner_into,
-    combine_theta,
-    curl_e,
-    curl_h,
-    inner_e,
-    norm_e,
-    norm_h,
-)
+from .mesh import CurlCurlBasis, GridSpec, ScalarField, VecField, norm_sq
 # Not used here: perfbench's manufactured.sample spans wrap these two names
 # in this module, and ManufacturedCase.sample calls them through it.
 from .mesh import sample_scalar, sample_vec  # noqa: F401
@@ -86,21 +78,9 @@ from .weights import SchemeParams, cumulative_weights, fbdf2_weights, sftr_weigh
 CG_TOL = 1e-12
 CG_MAXIT_PER_SIDE = 10
 
-CG_STENCIL_ITERATIONS = 6
-"""Iterations :func:`solve_spd` runs on the curl stencils before it moves the
-iteration to the operator's eigenbasis.  The move costs one forward transform
-of the residual and one of the search direction, and at the end one inverse
-transform of the correction: measured on a shared 2-vCPU x86 host (numpy 2.4,
-medians of interleaved runs), about 7.5 stencil iterations at 48x48, 10 at
-64x64 and 13 at 256x256.  An iteration there costs a third (48x48) to a half
-(256x256) of a stencil iteration.  A solve that converges within this many
-iterations never pays for the move.  Every step of a 64x64 decay run at
-tau = 0.002 takes 4; moving from the first iteration on made that run about
-25 % slower."""
 
-
-# sources(t) -> (f1, f2, f3) on the dofs at time t; see the module docstring.
-Sources = Callable[[float], tuple[VecField, ScalarField, VecField]]
+# sources(t) -> (f1, f2, f3) as coefficients at time t; see the module docstring.
+Sources = Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 class Quadrature(enum.Enum):
@@ -146,39 +126,36 @@ class SchemeConfig:
 
 @dataclass(eq=False)
 class PHistory:
-    """P^0..P^N of one run as the rows of one preallocated (N+1, dofs) array.
+    """P^0..P^N of one run as the rows of one preallocated (N+1, 2 nx ny)
+    array, and s_0..s_N (see :func:`step`) in an (N+1,) array beside it.
 
-    Row k holds P^k: ex raveled, then ey raveled.  Row 0 is P^0 = 0.  Rows
-    [0, filled) have been written; the states of a run share the holder, and
-    the state at step n reads rows 0..n.  A later row is written only by
-    stepping the state at the tip (n = filled - 1); :func:`step` copies the
-    rows of any other state into a new holder first.
+    Row k holds the coefficients of P^k, raveled.  Row 0 is P^0 = 0 and
+    s_0 = 0.  Entries [0, filled) have been written; the states of a run share
+    the holder, and the state at step n reads entries 0..n.  A later entry is
+    written only by stepping the state at the tip (n = filled - 1);
+    :func:`step` copies the entries of any other state into a new holder
+    first.
     """
 
     rows: np.ndarray
+    s: np.ndarray
     filled: int = 1
-
-
-def _split(flat: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(ex, ey) views of dof vectors laid out as history rows (last axis)."""
-    lead = flat.shape[:-1]
-    n_ex = grid.nx * (grid.ny + 1)
-    return (
-        flat[..., :n_ex].reshape(lead + (grid.nx, grid.ny + 1)),
-        flat[..., n_ex:].reshape(lead + (grid.nx + 1, grid.ny)),
-    )
 
 
 @dataclass
 class SimState:
-    """Integrator state after step n; advanced functionally by :func:`step`."""
+    """Integrator state after step n; advanced functionally by :func:`step`.
+
+    ``e`` and ``p`` are the (2, nx, ny) edge coefficients of E^n and P^n,
+    ``h`` the (nx, ny) cell coefficients of H^n (see
+    :class:`~colecole.mesh.CurlCurlBasis`); :meth:`fields` gives the dof arrays.
+    """
 
     n: int
-    e: VecField
-    p: VecField
-    h: ScalarField
+    e: np.ndarray
+    p: np.ndarray
+    h: np.ndarray
     history: PHistory
-    s_norm_sq: tuple[float, ...]
     kernel_rev: np.ndarray
     a_weights: np.ndarray
     grid: GridSpec
@@ -194,12 +171,14 @@ class SimState:
         """The run's kernel K_0, K_1, ... (a view of ``kernel_rev``)."""
         return self.kernel_rev[::-1]
 
-    @property
-    def p_history(self) -> tuple[VecField, ...]:
-        """P^0..P^n as read-only views of the history rows."""
-        rows = self.history.rows[: self.n + 1].view()
-        rows.flags.writeable = False
-        return tuple(map(VecField, *_split(rows, self.grid)))
+    def fields(self) -> tuple[VecField, VecField, ScalarField]:
+        """(E^n, P^n, H^n) on the dofs, transformed back from the coefficients."""
+        basis = CurlCurlBasis(self.grid)
+        return (
+            VecField(*basis.inverse(self.e.copy())),
+            VecField(*basis.inverse(self.p.copy())),
+            ScalarField(basis.inverse_cell(self.h)),
+        )
 
 
 def build_kernel(material: MaterialParams, config: SchemeConfig) -> np.ndarray:
@@ -219,6 +198,11 @@ def build_kernel(material: MaterialParams, config: SchemeConfig) -> np.ndarray:
     return shift_combine(fbdf2_weights(material.alpha, config.n_steps - 1), config.theta)
 
 
+def physical_memory_bytes() -> int:
+    """Physical memory of this machine in bytes."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def init_state(
     grid: GridSpec,
     material: MaterialParams,
@@ -228,21 +212,49 @@ def init_state(
 ) -> SimState:
     """State at n = 0 with P^0 = 0, and the kernel and energy weights of the whole run.
 
-    Allocates the history rows of the whole run, (n_steps + 1) * dofs * 8
-    bytes; pages are committed as the steps write them.
+    e0 must be zero on the tangential boundary.  The initial data is
+    transformed to coefficients once.  Allocates the history of the whole
+    run, (n_steps + 1) * 2 nx ny * 8 bytes; pages are committed as the steps
+    write them.  Raises :class:`MemoryError` before that allocation if the
+    run would not fit in physical memory.
     """
-    if e0.ex.shape != (grid.nx, grid.ny + 1) or h0.h.shape != (grid.nx, grid.ny):
+    if (
+        e0.ex.shape != (grid.nx, grid.ny + 1)
+        or e0.ey.shape != (grid.nx + 1, grid.ny)
+        or h0.h.shape != (grid.nx, grid.ny)
+    ):
         raise ValueError("initial data shapes do not match the grid")
     if not e0.is_pec_compliant():
         raise ValueError("initial electric field violates the tangential-zero boundary")
-    dofs = e0.ex.size + e0.ey.size
+    basis = CurlCurlBasis(grid)
+    return _initial_state(
+        grid, material, config, basis.forward(e0.ex, e0.ey), basis.forward_cell(h0.h)
+    )
+
+
+def _initial_state(
+    grid: GridSpec, material: MaterialParams, config: SchemeConfig, e: np.ndarray, h: np.ndarray
+) -> SimState:
+    """:func:`init_state` for initial data given as coefficients, which the
+    state takes over."""
+    rows = config.n_steps + 1
+    dofs = 2 * grid.nx * grid.ny
+    # The history rows, and four (N+1,) arrays: s, the kernel, the energy
+    # weights and one temporary of their build; a step's temporaries and the
+    # states it holds take well under 32 coefficient arrays.
+    need = 8 * (rows * (dofs + 4) + 32 * dofs)
+    have = physical_memory_bytes()
+    if need > have:
+        raise MemoryError(
+            f"a run of {config.n_steps} steps on {grid.nx}x{grid.ny} needs about "
+            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
+        )
     return SimState(
         n=0,
-        e=e0.copy().enforce_pec(),
-        p=VecField.zeros(grid),
-        h=h0.copy(),
-        history=PHistory(np.zeros((config.n_steps + 1, dofs))),
-        s_norm_sq=(0.0,),
+        e=e,
+        p=np.zeros_like(e),
+        h=h,
+        history=PHistory(np.zeros((rows, dofs)), np.zeros(rows)),
         kernel_rev=np.ascontiguousarray(build_kernel(material, config)[::-1]),
         a_weights=cumulative_weights(SchemeParams(material.alpha, config.theta), config.n_steps),
         grid=grid,
@@ -251,16 +263,17 @@ def init_state(
     )
 
 
-def frac_deriv_current(state: SimState, p_new: VecField) -> VecField:
+def frac_deriv_current(state: SimState, p_new: np.ndarray | float) -> np.ndarray:
     """Quadrature value tau^-alpha sum_{k=1..n} K_{n-k} P^k of the Caputo
-    derivative of P at t_{n-theta}, where n = state.n + 1, p_new is the
-    candidate P^n and K is the run's kernel (see :func:`build_kernel`).
+    derivative of P at t_{n-theta}, as coefficients, where n = state.n + 1,
+    p_new is the candidate P^n and K is the run's kernel (see
+    :func:`build_kernel`).
 
     Precondition: P^0 is zero (as :func:`init_state` fixes it), so row 0 is
     skipped and one sum serves both kernels.  The history part, P^1..P^{n-1},
     is one contraction of the reversed kernel with the history rows.  It is
     an einsum, which runs on the calling thread; ``@`` would go through BLAS,
-    whose threads then spin through the solve that follows.  With p_new = 0
+    whose threads then spin through the rest of the step.  With p_new = 0
     the value is the history part alone, so D(p_new) = D(0) + tau^-alpha
     K_0 p_new.
     """
@@ -273,10 +286,10 @@ def frac_deriv_current(state: SimState, p_new: VecField) -> VecField:
     size = len(krev)
     scale = state.config.tau ** (-state.material.alpha)
     hist = np.einsum("i,ij->j", krev[size - n : size - 1], state.history.rows[1:n])
+    hist = hist.reshape(state.p.shape)
     hist *= scale
-    hist_ex, hist_ey = _split(hist, state.grid)
-    lead = scale * krev[-1]
-    return VecField(hist_ex + lead * p_new.ex, hist_ey + lead * p_new.ey)
+    hist += (scale * krev[-1]) * p_new
+    return hist
 
 
 def elimination_coefficients(
@@ -302,75 +315,38 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
-def _cg_iterations(apply, dot, x, r, d, ad, tmp, rho, threshold, first, last, finite):
-    """Conjugate-gradient iterations first..last on (x, r, d) with squared
-    residual norm rho, all updated in place.  ``apply(v, out)`` writes A v
-    into ``out``, ``dot`` is the inner product, ``tmp`` holds products (it may
-    be ``ad`` itself) and ``finite(rho, it)`` vets each new rho.
-
-    Returns (iteration, rho): rho <= threshold means converged at that
-    iteration, otherwise d is ready for iteration last + 1.
-    """
-    for it in range(first, last + 1):
-        apply(d, ad)
-        alpha = rho / dot(d, ad)
-        for xc, rc, dc, adc, tc in zip(x, r, d, ad, tmp):
-            rc -= np.multiply(adc, alpha, out=tc)
-            xc += np.multiply(dc, alpha, out=tc)
-        rho_new = finite(dot(r, r), it)
-        if rho_new <= threshold:
-            return it, rho_new
-        beta = rho_new / rho
-        for rc, dc in zip(r, d):
-            dc *= beta
-            dc += rc
-        rho = rho_new
-    return last, rho
-
-
 def solve_spd(
-    diag: float,
-    curl_scale: float,
-    rhs: VecField,
-    grid: GridSpec,
-    tol: float,
-    maxit: int,
-    x0: VecField | None = None,
-) -> tuple[VecField, int]:
-    """Conjugate gradients for ``diag I + curl_scale curl_h curl_e``, the
-    step's SPD operator on the tangential-zero subspace.
+    lam: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, maxit: int
+) -> tuple[np.ndarray, int]:
+    """Conjugate gradients for the diagonal operator with entries ``lam``,
+    started from x0 (which is not modified).
+
+    In a step, lam is ``CurlCurlBasis.eigenvalues(diag, curl_scale)``, the
+    step's operator ``diag I + curl_scale curl_h curl_e`` on the coefficients.
+    The basis is orthonormal, so the iterates and iteration counts are those
+    of the same recurrence run with the curl stencils on the dofs, up to
+    round-off.  Each iteration updates the iterate, the residual and the
+    search direction in place.
 
     Returns (solution, iterations).  Raises :class:`ValueError` before any
-    work unless diag is finite and positive and curl_scale finite and not
-    negative, and before iterating if rhs - A x0 is not zero on the
-    tangential boundary.  Raises :class:`SolverError` if the relative
-    residual does not fall below tol within maxit iterations, or as soon as
-    the norm of rhs or a squared residual norm is not finite.
-
-    The first :data:`CG_STENCIL_ITERATIONS` iterations apply the curl
-    stencils to (ex, ey) work arrays allocated once per call and updated in
-    place.  A solve that needs more hands r and d over to the eigenbasis of
-    :class:`~colecole.mesh.CurlCurlBasis`, where the operator is diagonal,
-    and continues the same recurrence there with the same rho, threshold,
-    iteration count and maxit; at convergence the inverse transform of the
-    accumulated correction is added to x.  CG is invariant under that
-    orthogonal change of basis, so the iterates and iteration counts are
-    those of the stencil iteration up to round-off.
+    work unless the shapes agree and every entry of lam is finite and
+    positive.  Raises :class:`SolverError` if the relative residual does not
+    fall below tol within maxit iterations, or as soon as the norm of rhs or a
+    squared residual norm is not finite.
     """
-    if not (
-        math.isfinite(diag) and diag > 0.0 and math.isfinite(curl_scale) and curl_scale >= 0.0
-    ):
+    if rhs.shape != lam.shape or x0.shape != lam.shape:
+        raise ValueError(f"solve_spd: shapes {lam.shape}, {rhs.shape}, {x0.shape} differ")
+    if not (lam.min() > 0.0 and lam.max() < math.inf):
         raise ValueError(
-            "solve_spd needs a finite diag > 0 and a finite curl_scale >= 0, "
-            f"got diag={diag}, curl_scale={curl_scale}"
+            "solve_spd needs finite, positive eigenvalues (diag > 0, curl_scale >= 0), "
+            f"got entries in [{lam.min()}, {lam.max()}]"
         )
-    _check_vec(rhs, grid)
-    if x0 is not None:
-        _check_vec(x0, grid)
-    dx, dy = grid.dx, grid.dy
-    area = dx * dy
-    prod = (np.empty_like(rhs.ex), np.empty_like(rhs.ey))
-    rhs_norm = np.sqrt(_inner_into((rhs.ex, rhs.ey), (rhs.ex, rhs.ey), area, prod))
+
+    def dot(u: np.ndarray, v: np.ndarray) -> float:
+        # einsum, not BLAS: no threads on the step path.
+        return float(np.einsum("i,i->", u.reshape(-1), v.reshape(-1)))
+
+    rhs_norm = math.sqrt(dot(rhs, rhs))
     if not math.isfinite(rhs_norm):
         raise SolverError(
             f"conjugate gradients: right-hand side norm is {rhs_norm}",
@@ -378,92 +354,42 @@ def solve_spd(
             iterations=0,
         )
     if rhs_norm == 0.0:
-        return VecField.zeros(grid), 0
-    cell, cell_work = np.empty((grid.nx, grid.ny)), np.empty((grid.nx, grid.ny))
-
-    def apply_stencils(v: tuple, out: tuple) -> None:
-        _curl_e_into(*v, dx, dy, cell, cell_work)
-        _curl_h_into(cell, dx, dy, *out)
-        for vc, oc, pc in zip(v, out, prod):
-            oc *= curl_scale
-            oc += np.multiply(vc, diag, out=pc)
+        return np.zeros_like(rhs), 0
 
     def finite(rho: float, it: int) -> float:
         if not math.isfinite(rho):
             raise SolverError(
                 f"conjugate gradients: squared residual norm is {rho} at iteration {it}",
-                residual=float(np.sqrt(rho) / rhs_norm),
+                residual=math.sqrt(rho) / rhs_norm,
                 iterations=it,
             )
         return rho
 
-    sol = VecField.zeros(grid) if x0 is None else x0.copy()
-    x = (sol.ex, sol.ey)
-    ad = (np.empty_like(sol.ex), np.empty_like(sol.ey))
-    apply_stencils(x, ad)
-    r = (rhs.ex - ad[0], rhs.ey - ad[1])
-    # A acts as diag I on the boundary dofs (columns 0 and ny of ex, rows 0 and
-    # nx of ey), which the eigenbasis lacks: their residual must start at zero.
-    if r[0][:, :: grid.ny].any() or r[1][:: grid.nx].any():
-        raise ValueError(
-            "solve_spd: rhs - A x0 is not zero on the tangential boundary; "
-            "rhs and x0 must be tangential-zero"
-        )
-    d = (r[0].copy(), r[1].copy())
-    rho = finite(_inner_into(r, r, area, prod), 0)
+    x = x0.copy()
+    ad = lam * x
+    r = rhs - ad
+    rho = finite(dot(r, r), 0)
     threshold = (tol * rhs_norm) ** 2
     if rho <= threshold:
-        return sol, 0
-    def inner(u: tuple, v: tuple) -> float:
-        return _inner_into(u, v, area, prod)
-
-    last = min(maxit, CG_STENCIL_ITERATIONS)
-    it, rho = _cg_iterations(
-        apply_stencils, inner, x, r, d, ad, prod, rho, threshold, 1, last, finite
-    )
-    if rho > threshold and it < maxit:
-        # Release the stencil work arrays, then move r and d one at a time.
-        del apply_stencils, inner, ad, prod, cell, cell_work
-        basis = CurlCurlBasis(grid)
-        # One stacked coefficient array per vector, as 1-tuples for _cg_iterations.
-        r = (basis.forward(*r),)
-        d = (basis.forward(*d),)
-        lam = basis.eigenvalues(diag, curl_scale)
-        ad = (np.empty_like(r[0]),)
-        correction = (np.zeros_like(r[0]),)
-
-        def apply_eigen(v: tuple, out: tuple) -> None:
-            np.multiply(v[0], lam, out=out[0])
-
-        def dot(u: tuple, v: tuple) -> float:
-            # einsum, not BLAS: no threads on the step path.
-            return area * float(np.einsum("kij,kij->", u[0], v[0]))
-
-        it, rho = _cg_iterations(
-            apply_eigen, dot, correction, r, d, ad, ad, rho, threshold, it + 1, maxit, finite
-        )
-        if rho <= threshold:
-            del apply_eigen, r, d, ad, lam
-            ex, ey = basis.inverse(correction[0])
-            sol.ex += ex
-            sol.ey += ey
-    if rho <= threshold:
-        return sol, it
+        return x, 0
+    d = r.copy()
+    for it in range(1, maxit + 1):
+        np.multiply(lam, d, out=ad)
+        alpha = rho / dot(d, ad)
+        r -= np.multiply(ad, alpha, out=ad)
+        x += np.multiply(d, alpha, out=ad)
+        rho_new = finite(dot(r, r), it)
+        if rho_new <= threshold:
+            return x, it
+        d *= rho_new / rho
+        d += r
+        rho = rho_new
     raise SolverError(
-        f"conjugate gradients: relative residual {np.sqrt(rho) / rhs_norm:.3e} "
+        f"conjugate gradients: relative residual {math.sqrt(rho) / rhs_norm:.3e} "
         f"after {maxit} iterations (tol {tol:.1e})",
-        residual=float(np.sqrt(rho) / rhs_norm),
+        residual=math.sqrt(rho) / rhs_norm,
         iterations=maxit,
     )
-
-
-def _sources_at(
-    sources: Sources | None, grid: GridSpec, t: float
-) -> tuple[VecField, ScalarField, VecField]:
-    """(f1, f2, f3) on the dofs at time t; all zero when there are no sources."""
-    if sources is None:
-        return VecField.zeros(grid), ScalarField.zeros(grid), VecField.zeros(grid)
-    return sources(t)
 
 
 def step(state: SimState, sources: Sources | None = None) -> SimState:
@@ -474,91 +400,46 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     if n > cfg.n_steps:
         raise ValueError(f"run is configured for {cfg.n_steps} steps, cannot advance to {n}")
     tau, theta = cfg.tau, cfg.theta
-    f1, f2, f3 = _sources_at(sources, grid, (n - theta) * tau)
+    one_m = 1.0 - theta
+    f1, f2, f3 = (0.0, 0.0, 0.0) if sources is None else sources((n - theta) * tau)
+    e, p, h = state.e, state.p, state.h
 
-    hist_d = frac_deriv_current(state, VecField.zeros(grid))
+    hist_d = frac_deriv_current(state, 0.0)
     denom, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
 
     # Elimination of P^n from the dof-local polarization equation.
-    g = (1.0 / denom) * (
-        (mat.c_p * theta) * state.e - theta * state.p - (mat.tau0**mat.alpha) * hist_d + f3
-    )
+    g = (1.0 / denom) * ((mat.c_p * theta) * e - theta * p - (mat.tau0**mat.alpha) * hist_d + f3)
 
-    one_m = 1.0 - theta
-    curl_e_prev = curl_e(state.e, grid)
-    rhs = (
-        (mat.c_e / tau) * state.e
-        + (1.0 / tau) * (state.p - g)
-        + curl_h(state.h + (one_m * tau / mat.c_m) * f2, grid)
-        - (one_m * theta * tau / mat.c_m) * curl_h(curl_e_prev, grid)
-        + f1
-    )
-    rhs.enforce_pec()
+    # rhs = (c_e/tau) E + (P - g)/tau + curl_h(H + (1-theta) tau/c_m f2)
+    #       - (1-theta) theta tau/c_m curl_h curl_e E + f1,
+    # where curl_e E = -|v| b and curl_h c = (0, -|v| c) on each mode.
+    basis = CurlCurlBasis(grid)
+    v = basis.curl_modulus()
+    rhs = (mat.c_e / tau) * e + (1.0 / tau) * (p - g) + f1
+    rhs[1] -= v * (h + (one_m * tau / mat.c_m) * f2 + (one_m * theta * tau / mat.c_m) * v * e[1])
 
     diag = (mat.c_e + a_coef) / tau
     curl_scale = one_m * one_m * tau / mat.c_m
     maxit = CG_MAXIT_PER_SIDE * (grid.nx + grid.ny)
-    e_new, _ = solve_spd(diag, curl_scale, rhs, grid, CG_TOL, maxit, x0=state.e)
+    e_new, _ = solve_spd(basis.eigenvalues(diag, curl_scale), rhs, e, CG_TOL, maxit)
     p_new = a_coef * e_new + g
-    h_new = (
-        state.h
-        - (tau / mat.c_m) * curl_e(combine_theta(e_new, state.e, theta), grid)
-        + (tau / mat.c_m) * f2
-    )
+    # H^n = H^{n-1} - tau/c_m curl_e(theta average of E) + tau/c_m f2
+    h_new = h + (tau / mat.c_m) * (v * (one_m * e_new[1] + theta * e[1]) + f2)
     # D(P^n) = D(0) + tau^-alpha K_0 P^n, so the history sum is not run again.
     d_new = hist_d + (tau ** (-mat.alpha) * state.kernel[0]) * p_new
-    s_new = inner_e(d_new, d_new, grid)
+    s_new = norm_sq(d_new, grid)
 
     history = state.history
     if history.filled != n:
         # Another state has already advanced from this one: branch off a copy.
-        rows = np.zeros(history.rows.shape)
-        rows[:n] = history.rows[:n]
-        history = PHistory(rows)
-    np.concatenate((p_new.ex, p_new.ey), axis=None, out=history.rows[n])
+        rows, s = np.zeros(history.rows.shape), np.zeros(history.s.shape)
+        rows[:n], s[:n] = history.rows[:n], history.s[:n]
+        history = PHistory(rows, s)
+    history.rows[n] = p_new.reshape(-1)
+    history.s[n] = s_new
     history.filled = n + 1
 
-    return replace(
-        state,
-        n=n,
-        e=e_new,
-        p=p_new,
-        h=h_new,
-        history=history,
-        s_norm_sq=state.s_norm_sq + (s_new,),
-    )
-
-
-def scheme_residual(
-    state_prev: SimState, state_new: SimState, sources: Sources | None = None
-) -> tuple[float, float, float]:
-    """Discrete L2 defects of the three scheme equations between two states.
-
-    The electric-field defect is measured on the tangential-zero subspace,
-    where the discrete equation lives (the boundary dofs carry the boundary
-    condition instead).
-    """
-    if state_new.n != state_prev.n + 1:
-        raise ValueError("states are not consecutive")
-    cfg, mat, grid = state_new.config, state_new.material, state_new.grid
-    tau, theta = cfg.tau, cfg.theta
-    f1, f2, f3 = _sources_at(sources, grid, (state_new.n - theta) * tau)
-
-    e_bar = combine_theta(state_new.e, state_prev.e, theta)
-    h_bar = combine_theta(state_new.h, state_prev.h, theta)
-    p_bar = combine_theta(state_new.p, state_prev.p, theta)
-    d_alpha = frac_deriv_current(state_prev, state_new.p)
-
-    r1 = (
-        (mat.c_e / tau) * (state_new.e - state_prev.e)
-        + (1.0 / tau) * (state_new.p - state_prev.p)
-        - curl_h(h_bar, grid)
-        - f1
-    )
-    r1.enforce_pec()
-    r2 = (mat.c_m / tau) * (state_new.h - state_prev.h) + curl_e(e_bar, grid) - f2
-    r3 = (mat.tau0**mat.alpha) * d_alpha + p_bar - mat.c_p * e_bar - f3
-    return norm_e(r1, grid), norm_h(r2, grid), norm_e(r3, grid)
+    return replace(state, n=n, e=e_new, p=p_new, h=h_new, history=history)
 
 
 def run(

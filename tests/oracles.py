@@ -4,15 +4,23 @@ Everything here deliberately avoids the code paths under test: series powers
 go through the Miller recurrence instead of binomial factoring, the companion
 weights varpi through a binomial-series product instead of their two-term
 recurrence, the one-step solve assembles the raw coupled equations densely
-instead of using the integrator's elimination + conjugate gradients, and the
-manufactured fields and sources are written out as pointwise closed forms of
-(x, y, t) instead of time factors times sampled profiles, and the conjugate
-gradients take any operator on ``VecField`` values and build a new field for
-every vector operation instead of updating work arrays in place.
-The semi-discrete manufactured case reuses the library's discrete curls on
-purpose: it forces the space-discrete system so that its exact solution is
-the sampled closed form, leaving only the time-discretization error to
-measure.
+on the dofs instead of stepping the integrator's mode coefficients with its
+elimination and conjugate gradients, the manufactured fields and sources are
+written out as pointwise closed forms of (x, y, t) instead of time factors
+times sampled, transformed profiles, and the conjugate gradients take any
+operator on ``VecField`` values and build a new field for every vector
+operation.
+
+The discrete curls live here as stencils on the dof arrays: the library
+never applies them, since its state is held in the basis where they are
+diagonal (``colecole.mesh.CurlCurlBasis``).  They are the physical-space
+check of that basis, of the dense step oracle and of the scheme residual.
+The semi-discrete manufactured case uses them on purpose: it forces the
+space-discrete system so that its exact solution is the sampled closed form,
+leaving only the time-discretization error to measure.
+
+The oracles take and return dof fields.  :func:`in_modes` turns sources on
+the dofs into the coefficient sources that ``colecole.stepper.step`` takes.
 """
 
 from __future__ import annotations
@@ -23,17 +31,142 @@ from typing import Callable
 
 import numpy as np
 
-from colecole.manufactured import ManufacturedCase, _sin_pi, caputo_cubic_factor
-from colecole.mesh import GridSpec, ScalarField, VecField, curl_e, curl_h, inner_e, norm_e
-from colecole.stepper import Quadrature, SimState, SolverError, Sources
+from colecole.manufactured import PROFILES, ManufacturedCase, _sin_pi, caputo_cubic_factor
+from colecole.mesh import CurlCurlBasis, GridSpec, ScalarField, VecField, sample_scalar, sample_vec
+from colecole.stepper import Quadrature, SimState, SolverError, Sources, frac_deriv_current
 from colecole.weights import SchemeParams, binomial_series
 
+# sources(t) -> (f1, f2, f3) on the dofs: the physical form of ``Sources``.
+DofSources = Callable[[float], tuple[VecField, ScalarField, VecField]]
 
-def with_p_history(state: SimState, history: tuple[VecField, ...], **changes) -> SimState:
+
+def _check_vec(e: VecField, grid: GridSpec) -> None:
+    if e.ex.shape != (grid.nx, grid.ny + 1) or e.ey.shape != (grid.nx + 1, grid.ny):
+        raise ValueError(
+            f"vector field shapes {e.ex.shape}/{e.ey.shape} do not match "
+            f"{grid.nx}x{grid.ny} grid"
+        )
+
+
+def _check_scalar(s: ScalarField, grid: GridSpec) -> None:
+    if s.h.shape != (grid.nx, grid.ny):
+        raise ValueError(f"scalar field shape {s.h.shape} does not match {grid.nx}x{grid.ny} grid")
+
+
+def _curl_h_into(h: np.ndarray, dx: float, dy: float, ex: np.ndarray, ey: np.ndarray) -> None:
+    """Write the discrete (dH/dy, -dH/dx) of cell values h into the edge arrays
+    (ex, ey), boundary rows/columns included (zero)."""
+    inner = ex[:, 1:-1]
+    np.subtract(h[:, 1:], h[:, :-1], out=inner)
+    inner /= dy
+    ex[:, 0] = 0.0
+    ex[:, -1] = 0.0
+    inner = ey[1:-1, :]
+    np.subtract(h[1:, :], h[:-1, :], out=inner)
+    np.negative(inner, out=inner)
+    inner /= dx
+    ey[0, :] = 0.0
+    ey[-1, :] = 0.0
+
+
+def _curl_e_into(
+    ex: np.ndarray, ey: np.ndarray, dx: float, dy: float, out: np.ndarray, work: np.ndarray
+) -> None:
+    """Write the discrete dE2/dx - dE1/dy of edge arrays (ex, ey) into the cell
+    array ``out``; ``work`` is a cell-sized scratch array."""
+    np.subtract(ey[1:, :], ey[:-1, :], out=out)
+    out /= dx
+    np.subtract(ex[:, 1:], ex[:, :-1], out=work)
+    work /= dy
+    out -= work
+
+
+def _inner_into(u: tuple, v: tuple, cell_area: float, prod: tuple) -> float:
+    """cell_area * (sum u_x v_x + sum u_y v_y) of (ex, ey) array pairs, the
+    products formed in the pair ``prod`` and each sum a pairwise reduction."""
+    for uc, vc, pc in zip(u, v, prod):
+        np.multiply(uc, vc, out=pc)
+    return cell_area * (
+        float(np.add.reduce(prod[0], axis=None)) + float(np.add.reduce(prod[1], axis=None))
+    )
+
+
+def curl_h(s: ScalarField, grid: GridSpec) -> VecField:
+    """Discrete (dH/dy, -dH/dx) on edge dofs; boundary rows/columns are zero."""
+    _check_scalar(s, grid)
+    out = VecField(np.empty((grid.nx, grid.ny + 1)), np.empty((grid.nx + 1, grid.ny)))
+    _curl_h_into(s.h, grid.dx, grid.dy, out.ex, out.ey)
+    return out
+
+
+def curl_e(e: VecField, grid: GridSpec) -> ScalarField:
+    """Discrete dE2/dx - dE1/dy at cell centers."""
+    _check_vec(e, grid)
+    out = np.empty((grid.nx, grid.ny))
+    _curl_e_into(e.ex, e.ey, grid.dx, grid.dy, out, np.empty_like(out))
+    return ScalarField(out)
+
+
+def inner_e(u: VecField, v: VecField, grid: GridSpec) -> float:
+    """Uniformly weighted dof inner product dx*dy*(sum ex ex' + sum ey ey')."""
+    _check_vec(u, grid)
+    _check_vec(v, grid)
+    prod = (np.empty_like(u.ex), np.empty_like(u.ey))
+    return _inner_into((u.ex, u.ey), (v.ex, v.ey), grid.dx * grid.dy, prod)
+
+
+def inner_h(p: ScalarField, q: ScalarField, grid: GridSpec) -> float:
+    _check_scalar(p, grid)
+    _check_scalar(q, grid)
+    return grid.dx * grid.dy * float(np.sum(p.h * q.h))
+
+
+def norm_e(u: VecField, grid: GridSpec) -> float:
+    return np.sqrt(inner_e(u, u, grid))
+
+
+def norm_h(p: ScalarField, grid: GridSpec) -> float:
+    return np.sqrt(inner_h(p, p, grid))
+
+
+def fmap(f: Callable[..., np.ndarray], *fields):
+    """f applied to the components of like fields: the VecField of f over
+    their ex arrays and over their ey arrays, or the ScalarField of f over
+    their h arrays."""
+    if isinstance(fields[0], VecField):
+        return VecField(f(*(u.ex for u in fields)), f(*(u.ey for u in fields)))
+    return ScalarField(f(*(u.h for u in fields)))
+
+
+def combine_theta(u_new, u_old, theta: float):
+    """Theta average (1-theta)*u_new + theta*u_old of two like fields."""
+    return fmap(lambda a, b: (1.0 - theta) * a + theta * b, u_new, u_old)
+
+
+def edge_field(coef: np.ndarray, grid: GridSpec) -> VecField:
+    """The edge field on the dofs with coefficients ``coef`` (left unchanged)."""
+    return VecField(*CurlCurlBasis(grid).inverse(coef.copy()))
+
+
+def in_modes(sources: DofSources, grid: GridSpec) -> Sources:
+    """The sources of ``step``: sources on the dofs, transformed each call."""
+    basis = CurlCurlBasis(grid)
+
+    def modal(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        f1, f2, f3 = sources(t)
+        return basis.forward(f1.ex, f1.ey), basis.forward_cell(f2.h), basis.forward(f3.ex, f3.ey)
+
+    return modal
+
+
+def with_p_history(state: SimState, history: tuple[np.ndarray, ...], s=None, **changes) -> SimState:
     """A state fresh from ``init_state`` moved to n = len(history) - 1, with
-    P^k = history[k] written into its history rows (history[0] must be zero)."""
+    P^k = history[k] (coefficients) written into its history rows (history[0]
+    must be zero), and s_k = s[k] beside them if given."""
     for k, q in enumerate(history):
-        np.concatenate((q.ex, q.ey), axis=None, out=state.history.rows[k])
+        state.history.rows[k] = q.reshape(-1)
+    if s is not None:
+        state.history.s[: len(s)] = s
     state.history.filled = len(history)
     return replace(state, n=len(history) - 1, **changes)
 
@@ -105,9 +238,11 @@ class ClosedForm:
         )
 
 
-def poly_sources(grid: GridSpec) -> Sources:
-    """Smooth sources with distinct space and time dependence in every
-    component, sampled on the dofs of grid."""
+def poly_sources(grid: GridSpec) -> DofSources:
+    """Smooth sources on the dofs of grid with distinct space and time
+    dependence in every component.  f3 vanishes on the tangential boundary,
+    as sources in coefficients must; f1 does not, and its boundary values are
+    not used."""
     xe, ye = grid.ex_coords()
     xn, yn = grid.ey_coords()
     xc, yc = grid.h_coords()
@@ -116,7 +251,22 @@ def poly_sources(grid: GridSpec) -> Sources:
         return (
             VecField(np.sin(t) * (1.0 + xe * ye), math.cos(t) * (xn - yn)),
             ScalarField(np.cos(2 * t) * (xc + 0.3 * yc * yc)),
-            VecField(t * xe * xe, (1.0 - t) * yn),
+            VecField(t * xe * xe * ye * (1.0 - ye), (1.0 - t) * yn * xn * (1.0 - xn)),
+        )
+
+    return sources
+
+
+def closed_form_sources(alpha: float, grid: GridSpec) -> DofSources:
+    """The sources of ``ManufacturedCase(alpha)``, from the closed forms at the dofs."""
+    form = ClosedForm(alpha)
+    ex, ey, cells = grid.ex_coords(), grid.ey_coords(), grid.h_coords()
+
+    def sources(t: float) -> tuple[VecField, ScalarField, VecField]:
+        return (
+            VecField(form.f1(*ex, t)[0], form.f1(*ey, t)[1]),
+            ScalarField(form.f2(*cells, t)),
+            VecField(form.f3(*ex, t)[0], form.f3(*ey, t)[1]),
         )
 
     return sources
@@ -126,11 +276,11 @@ def poly_sources(grid: GridSpec) -> Sources:
 class SemiDiscreteCase(ManufacturedCase):
     """The manufactured case forced so that it solves the space-discrete system.
 
-    Its curl profiles are the library's ``curl_h``/``curl_e`` of the sampled
-    H and E profiles instead of the analytic curls.  E and H share the time
-    factor e^-t, so at every t the sources hold the discrete curls of the
-    sampled exact fields, the sampled closed-form fields satisfy the
-    semi-discrete equations exactly, and
+    Its curl profiles are the stencil ``curl_h``/``curl_e`` of the sampled H
+    and E profiles, transformed like the others, instead of the analytic
+    curls.  E and H share the time factor e^-t, so at every t the sources hold
+    the discrete curls of the sampled exact fields, the sampled closed-form
+    fields satisfy the semi-discrete equations exactly, and
     ``convergence_table(SemiDiscreteCase(alpha, grid), theta, taus, grid)``
     measures the time-discretization error alone.
     """
@@ -140,8 +290,14 @@ class SemiDiscreteCase(ManufacturedCase):
     def sample(self, grid):
         if grid != self.grid:
             raise ValueError(f"case built for {self.grid}, sampled on {grid}")
-        s = super().sample(grid)
-        return replace(s, curl_h=curl_h(s.h, grid), curl_e=curl_e(s.e, grid))
+        basis = CurlCurlBasis(grid)
+        ch = curl_h(sample_scalar(PROFILES["h"], grid), grid)
+        ce = curl_e(sample_vec(PROFILES["e"], grid), grid)
+        return replace(
+            super().sample(grid),
+            curl_h=basis.forward(ch.ex, ch.ey),
+            curl_e=basis.forward_cell(ce.h),
+        )
 
 
 def _flatten(e: VecField, h: ScalarField, p: VecField) -> np.ndarray:
@@ -168,41 +324,48 @@ def _pec_mask(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return mask_ex, mask_ey
 
 
+def _dof_sources(sources: DofSources | None, grid: GridSpec, t: float):
+    if sources is None:
+        return VecField.zeros(grid), ScalarField.zeros(grid), VecField.zeros(grid)
+    return sources(t)
+
+
 def dense_step_solution(
-    state: SimState, sources: Sources | None = None
+    state: SimState, sources: DofSources | None = None
 ) -> tuple[VecField, ScalarField, VecField]:
     """One step of the coupled scheme by direct dense solve of the raw equations.
 
-    Unknowns are (E^n, H^n, P^n) stacked; the matrix is probed column by
-    column from the equation set itself (no elimination, no iterative solve).
+    Unknowns are (E^n, H^n, P^n) on the dofs, stacked; the matrix is probed
+    column by column from the equation set itself, with the curl stencils (no
+    elimination, no eigenbasis, no iterative solve).  The state and its P
+    history are transformed to the dofs first.
     """
     grid, mat, cfg = state.grid, state.material, state.config
     n = state.n + 1
     tau, theta = cfg.tau, cfg.theta
     one_m = 1.0 - theta
     t_mid = (n - theta) * tau
-    if sources is None:
-        f1 = VecField.zeros(grid)
-        f2 = ScalarField.zeros(grid)
-        f3 = VecField.zeros(grid)
-    else:
-        f1, f2, f3 = sources(t_mid)
+    f1, f2, f3 = _dof_sources(sources, grid, t_mid)
+    e_prev, p_prev, h_prev = state.fields()
+    p_history = [
+        edge_field(state.history.rows[k].reshape(state.p.shape), grid) for k in range(n)
+    ]
 
     # History part of the fractional quadrature, straight from its definition.
     kern = state.kernel
     hist = VecField.zeros(grid)
     if cfg.quadrature is Quadrature.SFTR:
-        p0 = state.p_history[0]
+        p0 = p_history[0]
         for k in range(1, n):
-            hist.ex += kern[n - k] * (state.p_history[k].ex - p0.ex)
-            hist.ey += kern[n - k] * (state.p_history[k].ey - p0.ey)
+            hist.ex += kern[n - k] * (p_history[k].ex - p0.ex)
+            hist.ey += kern[n - k] * (p_history[k].ey - p0.ey)
         hist.ex -= kern[0] * p0.ex
         hist.ey -= kern[0] * p0.ey
     else:
         for k in range(0, n):
-            hist.ex += kern[n - k] * state.p_history[k].ex
-            hist.ey += kern[n - k] * state.p_history[k].ey
-    hist = tau ** (-mat.alpha) * hist
+            hist.ex += kern[n - k] * p_history[k].ex
+            hist.ey += kern[n - k] * p_history[k].ey
+    hist = fmap(lambda c: tau ** (-mat.alpha) * c, hist)
     kappa = mat.tau0**mat.alpha * tau ** (-mat.alpha) * kern[0]
 
     mask_ex, mask_ey = _pec_mask(grid)
@@ -223,19 +386,19 @@ def dense_step_solution(
         )
         return _flatten(row_e, row_h, row_p)
 
-    ch_prev = curl_h(state.h, grid)
+    ch_prev = curl_h(h_prev, grid)
     rhs_e = VecField(
-        (mat.c_e / tau) * state.e.ex + state.p.ex / tau + theta * ch_prev.ex + f1.ex,
-        (mat.c_e / tau) * state.e.ey + state.p.ey / tau + theta * ch_prev.ey + f1.ey,
+        (mat.c_e / tau) * e_prev.ex + p_prev.ex / tau + theta * ch_prev.ex + f1.ex,
+        (mat.c_e / tau) * e_prev.ey + p_prev.ey / tau + theta * ch_prev.ey + f1.ey,
     )
     rhs_e.ex[mask_ex] = 0.0
     rhs_e.ey[mask_ey] = 0.0
     rhs_h = ScalarField(
-        (mat.c_m / tau) * state.h.h - theta * curl_e(state.e, grid).h + f2.h
+        (mat.c_m / tau) * h_prev.h - theta * curl_e(e_prev, grid).h + f2.h
     )
     rhs_p = VecField(
-        -(mat.tau0**mat.alpha) * hist.ex - theta * state.p.ex + mat.c_p * theta * state.e.ex + f3.ex,
-        -(mat.tau0**mat.alpha) * hist.ey - theta * state.p.ey + mat.c_p * theta * state.e.ey + f3.ey,
+        -(mat.tau0**mat.alpha) * hist.ex - theta * p_prev.ex + mat.c_p * theta * e_prev.ex + f3.ex,
+        -(mat.tau0**mat.alpha) * hist.ey - theta * p_prev.ey + mat.c_p * theta * e_prev.ey + f3.ey,
     )
     b = _flatten(rhs_e, rhs_h, rhs_p)
 
@@ -266,9 +429,9 @@ def textbook_cg(
     rhs_norm = norm_e(rhs, grid)
     if rhs_norm == 0.0:
         return VecField.zeros(grid), 0
-    x = VecField.zeros(grid) if x0 is None else x0.copy()
-    r = rhs - apply_op(x)
-    d = r.copy()
+    x = VecField.zeros(grid) if x0 is None else fmap(np.copy, x0)
+    r = fmap(np.subtract, rhs, apply_op(x))
+    d = fmap(np.copy, r)
     rho = inner_e(r, r, grid)
     threshold = (tol * rhs_norm) ** 2
     if rho <= threshold:
@@ -276,12 +439,13 @@ def textbook_cg(
     for it in range(1, maxit + 1):
         ad = apply_op(d)
         alpha = rho / inner_e(d, ad, grid)
-        x = x + alpha * d
-        r = r - alpha * ad
+        x = fmap(lambda xc, dc: xc + alpha * dc, x, d)
+        r = fmap(lambda rc, ac: rc - alpha * ac, r, ad)
         rho_new = inner_e(r, r, grid)
         if rho_new <= threshold:
             return x, it
-        d = r + (rho_new / rho) * d
+        beta = rho_new / rho
+        d = fmap(lambda rc, dc: rc + beta * dc, r, d)
         rho = rho_new
     raise SolverError(
         f"conjugate gradients: relative residual {np.sqrt(rho) / rhs_norm:.3e} "
@@ -289,3 +453,42 @@ def textbook_cg(
         residual=float(np.sqrt(rho) / rhs_norm),
         iterations=maxit,
     )
+
+
+def scheme_residual(
+    state_prev: SimState, state_new: SimState, sources: DofSources | None = None
+) -> tuple[float, float, float]:
+    """Discrete L2 defects of the three scheme equations between two states,
+    on the dofs with the curl stencils.
+
+    The electric-field defect is measured on the tangential-zero subspace,
+    where the discrete equation lives (the boundary dofs carry the boundary
+    condition instead).
+    """
+    if state_new.n != state_prev.n + 1:
+        raise ValueError("states are not consecutive")
+    cfg, mat, grid = state_new.config, state_new.material, state_new.grid
+    tau, theta = cfg.tau, cfg.theta
+    f1, f2, f3 = _dof_sources(sources, grid, (state_new.n - theta) * tau)
+    e_old, p_old, h_old = state_prev.fields()
+    e_new, p_new, h_new = state_new.fields()
+
+    e_bar = combine_theta(e_new, e_old, theta)
+    h_bar = combine_theta(h_new, h_old, theta)
+    p_bar = combine_theta(p_new, p_old, theta)
+    d_alpha = edge_field(frac_deriv_current(state_prev, state_new.p), grid)
+
+    r1 = fmap(
+        lambda en, eo, pn, po, ch, f: (mat.c_e / tau) * (en - eo) + (pn - po) / tau - ch - f,
+        e_new, e_old, p_new, p_old, curl_h(h_bar, grid), f1,
+    )
+    r1.enforce_pec()
+    r2 = fmap(
+        lambda hn, ho, ce, f: (mat.c_m / tau) * (hn - ho) + ce - f,
+        h_new, h_old, curl_e(e_bar, grid), f2,
+    )
+    r3 = fmap(
+        lambda d, pb, eb, f: (mat.tau0**mat.alpha) * d + pb - mat.c_p * eb - f,
+        d_alpha, p_bar, e_bar, f3,
+    )
+    return norm_e(r1, grid), norm_h(r2, grid), norm_e(r3, grid)

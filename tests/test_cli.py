@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from colecole.cli import main
+from colecole.energy import run_decay_experiment
+from colecole.mesh import GridSpec
 from colecole.stepper import SolverError
 
 
@@ -99,6 +101,22 @@ def test_converge_rejects_step_list_before_any_run(tmp_path, capsys, monkeypatch
     assert err["status"] == "error" and bad in err["message"]
     assert calls == []
     assert list(tmp_path.iterdir()) == []
+
+
+def test_memory_preflight_on_json_channel(tmp_path, capsys, monkeypatch):
+    # a run that would not fit in physical memory exits 4 before it allocates
+    import colecole.stepper
+
+    monkeypatch.setattr(colecole.stepper, "physical_memory_bytes", lambda: 2 * 10**5)
+    out = tmp_path / "e.csv"
+    assert main(["energy", "--nx", "8", "--ny", "8", "--steps", "400", "--out", str(out)]) == 4
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    err = json.loads(line)
+    assert err["status"] == "error" and "physical memory" in err["message"]
+    assert not out.exists()
+    # the same run fits in ten times the memory
+    monkeypatch.setattr(colecole.stepper, "physical_memory_bytes", lambda: 2 * 10**6)
+    assert main(["energy", "--nx", "8", "--ny", "8", "--steps", "400", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("exc, code", [
@@ -311,6 +329,12 @@ def test_energy_dump_fields(tmp_path):
     _, rows = read_csv(tmp_path / "snap_ex.csv")
     first = rows[0]
     assert first[0] == "0" and first[1] == "0" and float(first[2]) == 0.0
+    # the snapshot is the run's final state, transformed back to the dofs
+    state, _, _ = run_decay_experiment(0.5, 0.5, GridSpec(6, 6), 0.05, 2)
+    e, p, h = state.fields()
+    for tag, arr in (("ex", e.ex), ("ey", e.ey), ("h", h.h), ("px", p.ex), ("py", p.ey)):
+        _, rows = read_csv(tmp_path / f"snap_{tag}.csv")
+        assert [float(r[2]) for r in rows] == arr.ravel().tolist()
 
 
 def test_energy_sweep_rejects_dump_fields_before_any_run(tmp_path, capsys, monkeypatch):

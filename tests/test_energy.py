@@ -13,7 +13,7 @@ from colecole.energy import (
     run_decay_experiment,
 )
 from colecole.manufactured import decay_initial_data
-from colecole.mesh import GridSpec, ScalarField, VecField, inner_e, inner_h
+from colecole.mesh import CurlCurlBasis, GridSpec, ScalarField, VecField
 from colecole.stepper import (
     MaterialParams,
     Quadrature,
@@ -23,7 +23,7 @@ from colecole.stepper import (
 )
 from colecole.weights import SchemeParams
 
-from oracles import varpi_weights_by_series, with_p_history
+from oracles import inner_e, inner_h, varpi_weights_by_series, with_p_history
 
 
 def fresh_state(grid, alpha=0.5, theta=0.5, tau=0.05, n_steps=8, quadrature=Quadrature.SFTR,
@@ -73,11 +73,11 @@ def test_energy_synthetic_history_direct_formula():
     tau, alpha, theta = 0.25, 0.4, 0.3
     state = fresh_state(grid, alpha=alpha, theta=theta, tau=tau, n_steps=4)
     rng = np.random.default_rng(9)
-    p2 = VecField(rng.standard_normal((4, 5)), rng.standard_normal((5, 4)))
+    p2 = VecField(rng.standard_normal((4, 5)), rng.standard_normal((5, 4))).enforce_pec()
+    p2_modes = CurlCurlBasis(grid).forward(p2.ex, p2.ey)
     s_vals = (0.0, 0.7, 1.3)
-    state = with_p_history(
-        state, state.p_history + (VecField.zeros(grid), p2), p=p2, s_norm_sq=s_vals
-    )
+    zero = np.zeros_like(p2_modes)
+    state = with_p_history(state, (zero, zero, p2_modes), s=s_vals, p=p2_modes)
     direct = sum(state.a_weights[k] * s_vals[2 - k] for k in range(3))
     direct *= state.material.tau0**alpha * tau**alpha
     direct += inner_e(p2, p2, grid)
@@ -94,14 +94,52 @@ def test_memory_term_matches_brute_force_during_run():
         total = discrete_energy(state)
         brute = 0.0
         for k in range(state.n + 1):
-            brute += state.a_weights[k] * state.s_norm_sq[state.n - k]
+            brute += state.a_weights[k] * state.history.s[state.n - k]
         brute *= mat.tau0**0.7 * 0.1**0.7
-        brute += inner_e(state.p, state.p, grid) + mat.c_p * (
-            mat.c_e * inner_e(state.e, state.e, grid)
-            + mat.c_m * inner_h(state.h, state.h, grid)
+        e, p, h = state.fields()  # the norms on the dofs
+        brute += inner_e(p, p, grid) + mat.c_p * (
+            mat.c_e * inner_e(e, e, grid) + mat.c_m * inner_h(h, h, grid)
         )
         assert total == pytest.approx(brute, rel=1e-12)
         assert total >= 0.0
+
+
+@pytest.mark.parametrize("alpha,theta", [(0.5, 0.25), (0.9, 0.45), (0.3, 0.5)])
+def test_energy_decays_mode_by_mode(alpha, theta):
+    # Each (k, l) mode is a decoupled copy of the scheme with the curls
+    # replaced by |v|, so the energy law should hold for each one.  The mode
+    # energies, their memory terms rebuilt from the history rows, must sum
+    # to the discrete energy and each must be non-increasing.
+    grid = GridSpec(12, 10, lx=1.3)
+    n_steps, tau = 200, 0.01
+    rng = np.random.default_rng(12)
+    e0 = VecField(rng.standard_normal((12, 11)), rng.standard_normal((13, 10))).enforce_pec()
+    h0 = ScalarField(rng.standard_normal((12, 10)))
+    state = fresh_state(grid, alpha=alpha, theta=theta, tau=tau, n_steps=n_steps, e0=e0, h0=h0)
+    states = [state]
+    while state.n < n_steps:
+        state = step(state)
+        states.append(state)
+    mat, area = state.material, grid.dx * grid.dy
+    # s_j per mode: D^alpha P at t_{j-theta} = tau^-alpha sum_k K_{j-k} P^k
+    rows = state.history.rows.reshape(n_steps + 1, 2, 12, 10)
+    kern = state.kernel
+    s = np.zeros((n_steps + 1, 12, 10))
+    for j in range(1, n_steps + 1):
+        d = tau ** (-alpha) * np.einsum("k,kcij->cij", kern[j - 1 :: -1], rows[1 : j + 1])
+        s[j] = area * (d * d).sum(axis=0)
+    scale = mat.tau0**alpha * tau**alpha
+    energies = []
+    for st in states:
+        memory = scale * np.einsum("k,kij->ij", st.a_weights[: st.n + 1], s[st.n :: -1])
+        fields = (st.p**2).sum(axis=0) + mat.c_p * (
+            mat.c_e * (st.e**2).sum(axis=0) + mat.c_m * st.h**2
+        )
+        modes = memory + area * fields
+        assert modes.sum() == pytest.approx(discrete_energy(st), rel=1e-12)
+        energies.append(modes)
+    rises = np.diff(np.array(energies), axis=0)
+    assert rises.max() <= energy_tolerance(discrete_energy(states[0]))
 
 
 def test_dissipation_zero_dynamics():

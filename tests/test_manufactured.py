@@ -16,10 +16,11 @@ from colecole.manufactured import (
     error_norms,
     run_case,
 )
-from colecole.mesh import GridSpec, VecField
+from colecole import manufactured
+from colecole.mesh import CurlCurlBasis, GridSpec, VecField, sample_vec
 from colecole.stepper import Quadrature, SchemeConfig
 
-from oracles import ClosedForm, SemiDiscreteCase
+from oracles import ClosedForm, SemiDiscreteCase, edge_field
 
 
 def caputo_cubic_numeric(t: float, alpha: float) -> float:
@@ -33,7 +34,7 @@ def test_exact_field_examples():
     e_profile, p_profile = PROFILES["e"], PROFILES["p"]
     assert p_profile[0](0.3, 0.8) != 0.0 and p_profile[1](0.3, 0.8) != 0.0
     _, p, _ = ManufacturedCase(alpha=0.5).sample(GridSpec(6, 6)).exact(0.0)
-    assert not np.any(p.ex) and not np.any(p.ey)
+    assert not np.any(p)
     assert PROFILES["h"](1.0, 1.0) == pytest.approx(4.0, rel=1e-15)
     assert e_profile[0](0.0, 0.5) == pytest.approx(1.0, rel=1e-15)
 
@@ -49,16 +50,22 @@ def test_caputo_factor_against_quadrature():
 
 @pytest.mark.parametrize("grid", [GridSpec(7, 11), GridSpec(16, 16)], ids=["7x11", "16x16"])
 def test_sampled_case_matches_closed_forms(grid):
-    # exact(t) and sources(t), time factors times sampled profiles, against the
-    # pointwise closed forms at the dofs; the atol covers round-off where a
-    # source crosses zero (worst 1.5e-13 relative to the dof value there)
+    # exact(t) and sources(t), time factors times sampled, transformed
+    # profiles, transformed back to the dofs against the pointwise closed
+    # forms there; the atol covers round-off where a source crosses zero
+    # (worst 1.5e-13 relative to the dof value there).  Coefficients hold no
+    # boundary values, so the closed-form f1 is compared with its tangential
+    # boundary values set to zero.
     coords = {"ex": grid.ex_coords(), "ey": grid.ey_coords(), "h": grid.h_coords()}
+    basis = CurlCurlBasis(grid)
 
-    def check(field, closed, t):
-        if isinstance(field, VecField):
-            pairs = ((field.ex, closed(*coords["ex"], t)[0]), (field.ey, closed(*coords["ey"], t)[1]))
+    def check(coef, closed, t):
+        if coef.ndim == 3:
+            field = edge_field(coef, grid)
+            want = VecField(closed(*coords["ex"], t)[0], closed(*coords["ey"], t)[1]).enforce_pec()
+            pairs = ((field.ex, want.ex), (field.ey, want.ey))
         else:
-            pairs = ((field.h, closed(*coords["h"], t)),)
+            pairs = ((basis.inverse_cell(coef), closed(*coords["h"], t)),)
         for got, want in pairs:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
@@ -75,8 +82,7 @@ def test_source_f3_at_time_zero_is_minus_field():
     sampled = ManufacturedCase(alpha=0.7).sample(GridSpec(6, 9))
     _, _, f3 = sampled.sources(0.0)
     e, _, _ = sampled.exact(0.0)
-    np.testing.assert_allclose(f3.ex, -sampled.material.c_p * e.ex, atol=0)
-    np.testing.assert_allclose(f3.ey, -sampled.material.c_p * e.ey, atol=0)
+    np.testing.assert_allclose(f3, -sampled.material.c_p * e, atol=0)
 
 
 def test_source_f2_corner_value():
@@ -88,7 +94,7 @@ def test_source_f2_corner_value():
     for t in (0.0, 0.4, 1.0):
         _, f2, _ = sampled.sources(t)
         np.testing.assert_allclose(
-            f2.h, math.exp(-t) * (sampled.curl_e.h - sampled.h.h), rtol=1e-15, atol=0
+            f2, math.exp(-t) * (sampled.curl_e - sampled.h), rtol=1e-15, atol=0
         )
 
 
@@ -100,8 +106,7 @@ def test_source_f1_consistency_by_finite_differences():
     f1, _, _ = sampled.sources(t)
     (e_hi, p_hi, _), (e_lo, p_lo, _) = sampled.exact(t + eps), sampled.exact(t - eps)
     expected = (1.0 / (2 * eps)) * (e_hi - e_lo + p_hi - p_lo) - math.exp(-t) * sampled.curl_h
-    np.testing.assert_allclose(f1.ex, expected.ex, rtol=0, atol=1e-8)
-    np.testing.assert_allclose(f1.ey, expected.ey, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(f1, expected, rtol=0, atol=1e-8)
 
 
 def test_curl_formulas_by_finite_differences():
@@ -116,10 +121,25 @@ def test_curl_formulas_by_finite_differences():
 
 
 def test_sampled_exact_field_is_exactly_pec():
-    case = ManufacturedCase(alpha=0.5)
+    # sample requires it: E, P and f3 go to coefficients, which hold no
+    # tangential boundary values
     for grid in (GridSpec(6, 6), GridSpec(60, 60), GridSpec(7, 11)):
-        e, _, _ = case.sample(grid).exact(0.33)
-        assert e.is_pec_compliant()
+        for name in ("e", "p"):
+            assert sample_vec(PROFILES[name], grid).is_pec_compliant()
+
+
+@pytest.mark.parametrize("name, component", [("e", 1), ("p", 0)])
+def test_non_tangential_f3_is_rejected_before_any_step(monkeypatch, name, component):
+    # f3 = (D^alpha t^3 + t^3) phi_P - e^-t phi_E: a phi_E or phi_P that is not
+    # zero on the tangential boundary is refused once per grid, before a run
+    profiles = list(PROFILES[name])
+    profiles[component] = lambda x, y: np.ones_like(x)
+    monkeypatch.setitem(manufactured.PROFILES, name, tuple(profiles))
+    calls = []
+    monkeypatch.setattr(manufactured, "step", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match=f"phi_{name.upper()}"):
+        convergence_table(ManufacturedCase(0.5), 0.5, [1 / 4, 1 / 8], GridSpec(8, 8))
+    assert calls == []
 
 
 def test_error_norms_zero_at_exact_initialization():
@@ -133,7 +153,7 @@ def test_error_norm_homogeneity():
     sampled = ManufacturedCase(alpha=0.5).sample(GridSpec(8, 8))
     state = sampled.initial_state(SchemeConfig(theta=0.5, tau=0.1, n_steps=1))
     rng = np.random.default_rng(4)
-    delta = VecField(rng.standard_normal((8, 9)), rng.standard_normal((9, 8)))
+    delta = rng.standard_normal((2, 8, 8))
     from dataclasses import replace
 
     e1 = error_norms(replace(state, e=state.e + delta), sampled)[0]

@@ -1,22 +1,15 @@
-"""Staggered grid, curls, adjointness, inner products, field algebra."""
+"""Staggered grid, the curl stencils of the test oracles (adjointness, inner
+products, field algebra), and the eigenbasis in which the library applies
+the curls."""
 
 import math
 
 import numpy as np
 import pytest
 
-from colecole.mesh import (
-    CurlCurlBasis,
-    GridSpec,
-    ScalarField,
-    VecField,
-    combine_theta,
-    curl_e,
-    curl_h,
-    inner_e,
-    inner_h,
-    norm_e,
-)
+from colecole.mesh import CurlCurlBasis, GridSpec, ScalarField, VecField, norm_sq
+
+from oracles import combine_theta, curl_e, curl_h, fmap, inner_e, inner_h, norm_e
 
 
 def random_fields(grid, rng, pec=True):
@@ -106,8 +99,8 @@ def test_summation_by_parts_adjointness(nx, ny):
 
 
 def test_kernels_give_the_bits_of_the_expression_forms():
-    # curl_h, curl_e and inner_e run on in-place kernels that the CG solve
-    # shares; each must equal, bit for bit, its plain whole-array expression.
+    # curl_h, curl_e and inner_e run on in-place kernels; each must equal,
+    # bit for bit, its plain whole-array expression.
     grid = GridSpec(64, 48, lx=1.3, ly=0.7)
     rng = np.random.default_rng(11)
     e, h = random_fields(grid, rng, pec=False)
@@ -133,11 +126,9 @@ def test_curl_curl_basis_round_trip_and_parseval(grid):
     u, _ = random_fields(grid, np.random.default_rng(grid.nx), pec=True)
     coef = basis.forward(u.ex, u.ey)
     assert coef.shape == (2, grid.nx, grid.ny)
-    assert grid.dx * grid.dy * float(np.sum(coef * coef)) == pytest.approx(
-        inner_e(u, u, grid), rel=1e-14
-    )
+    assert norm_sq(coef, grid) == pytest.approx(inner_e(u, u, grid), rel=1e-14)
     back = VecField(*basis.inverse(coef))
-    assert norm_e(back - u, grid) <= 1e-14 * norm_e(u, grid)
+    assert norm_e(fmap(np.subtract, back, u), grid) <= 1e-14 * norm_e(u, grid)
     # forward reads the interior only
     noisy, _ = random_fields(grid, np.random.default_rng(grid.ny), pec=False)
     noisy.ex[:, 1:-1], noisy.ey[1:-1, :] = u.ex[:, 1:-1], u.ey[1:-1, :]
@@ -150,12 +141,48 @@ def test_curl_curl_basis_diagonalises_the_step_operator(grid):
     diag, curl_scale = 3.7, 0.02
     for seed in range(3):
         u, _ = random_fields(grid, np.random.default_rng(seed), pec=True)
-        want = diag * u + curl_scale * curl_h(curl_e(u, grid), grid)
+        want = fmap(lambda a, b: diag * a + curl_scale * b, u, curl_h(curl_e(u, grid), grid))
         coef = basis.forward(u.ex, u.ey) * basis.eigenvalues(diag, curl_scale)
         got = VecField(*basis.inverse(coef))
-        assert norm_e(got - want, grid) <= 1e-13 * norm_e(want, grid)
+        assert norm_e(fmap(np.subtract, got, want), grid) <= 1e-13 * norm_e(want, grid)
         # the inverse writes exact zeros on the tangential boundary
         assert got.is_pec_compliant()
+
+
+@pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_cell_basis_round_trip_and_parseval(grid):
+    basis = CurlCurlBasis(grid)
+    h = np.random.default_rng(grid.nx).standard_normal((grid.nx, grid.ny))
+    coef = basis.forward_cell(h)
+    assert coef.shape == (grid.nx, grid.ny)
+    assert norm_sq(coef, grid) == pytest.approx(inner_h(ScalarField(h), ScalarField(h), grid),
+                                                rel=1e-14)
+    back = basis.inverse_cell(coef)
+    assert np.abs(back - h).max() <= 1e-14 * np.abs(h).max()
+    # the constant field is mode (0, 0) alone
+    ones = basis.forward_cell(np.ones((grid.nx, grid.ny)))
+    assert ones[0, 0] == pytest.approx(math.sqrt(grid.nx * grid.ny), rel=1e-14)
+    assert np.abs(ones).sum() - ones[0, 0] <= 1e-13 * ones[0, 0]
+
+
+@pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_curls_are_diagonal_in_the_basis(grid):
+    # the stencils against the per-mode factors the step uses: curl_e (a, b)
+    # = -|v| b and curl_h c = (0, -|v| c), to 1e-13 of the largest coefficient
+    basis = CurlCurlBasis(grid)
+    v = basis.curl_modulus()
+    assert v[0, 0] == 0.0 and np.all(v.ravel()[1:] > 0.0)
+    rng = np.random.default_rng(grid.nx * 31 + grid.ny)
+    for _ in range(3):
+        e, h = random_fields(grid, rng)
+        coef, cell = basis.forward(e.ex, e.ey), basis.forward_cell(h.h)
+        got = basis.forward_cell(curl_e(e, grid).h)
+        assert np.abs(got + v * coef[1]).max() <= 1e-13 * np.abs(got).max()
+        ch = curl_h(h, grid)
+        got = basis.forward(ch.ex, ch.ey)
+        scale = np.abs(got).max()
+        assert np.abs(got[0]).max() <= 1e-13 * scale
+        assert np.abs(got[1] + v * cell).max() <= 1e-13 * scale
 
 
 def test_curl_composition_spsd():
@@ -176,9 +203,12 @@ def test_pec_preservation():
     out = curl_h(ScalarField(rng.standard_normal((9, 5))), g)
     assert out.is_pec_compliant()
     e, _ = random_fields(g, rng)
-    assert (2.0 * e).is_pec_compliant() and (e + e).is_pec_compliant()
+    assert fmap(lambda a: 2.0 * a, e).is_pec_compliant() and fmap(np.add, e, e).is_pec_compliant()
     p, _ = random_fields(g, rng, pec=False)  # unconstrained field
-    assert not (e + p).is_pec_compliant()
+    assert not fmap(np.add, e, p).is_pec_compliant()
+    # the inverse transform writes exact zeros on the tangential boundary
+    basis = CurlCurlBasis(g)
+    assert VecField(*basis.inverse(basis.forward(p.ex, p.ey))).is_pec_compliant()
 
 
 def test_inner_products():
@@ -206,7 +236,8 @@ def test_field_algebra():
     w = combine_theta(u, v, 0.5)
     np.testing.assert_allclose(w.ey, 0.5 * (u.ey + v.ey), rtol=1e-15)
     assert w.is_pec_compliant()
-    d = u - v
+    d = fmap(np.subtract, u, v)
     np.testing.assert_allclose(d.ey, u.ey - v.ey, atol=0)
     s = ScalarField(np.ones((6, 6)))
-    np.testing.assert_allclose(combine_theta(s, 3.0 * s, 0.25).h, 1.5 * np.ones((6, 6)), rtol=1e-15)
+    s3 = ScalarField(3.0 * s.h)
+    np.testing.assert_allclose(combine_theta(s, s3, 0.25).h, 1.5 * np.ones((6, 6)), rtol=1e-15)
