@@ -38,6 +38,7 @@ from .stepper import (
     SimState,
     SolverError,
     Sources,
+    Spectrum,
     frac_deriv_current,
     init_state,
     run,
@@ -74,6 +75,7 @@ __all__ = [
     "SimState",
     "SolverError",
     "Sources",
+    "Spectrum",
     "SymbolKind",
     "VecField",
     "binomial_series",

@@ -25,16 +25,22 @@ squares (Parseval), so a step is per-mode arithmetic: it applies no stencil
 and computes no transform.  :func:`init_state` transforms the initial data
 once, and :meth:`SimState.fields` transforms a state back to dof arrays.
 
-The operator above is diagonal in that basis, and :func:`solve_spd` runs
-conjugate gradients on the diagonal, warm-started from E^{n-1}.  One division
-per mode would solve exactly; CG is kept so that every solution stays, to
-round-off, the one the same CG gives on the curl stencils, where the
-benchmark's recorded values come from.  The exact solve moves the errors of
-the FBDF2 convergence sweep by up to 2.7e-9 relative, past their 1e-11
-tolerance.  :func:`solve_spd` raises :class:`SolverError` when the residual
-does not converge, and as soon as the right-hand side or the residual is not
-finite.  H^n and P^n are recovered exactly afterwards, so the per-step defect
-of the three equations is the linear-solver residual alone.
+The operator above is diagonal in that basis, with the same eigenvalues on
+every step of a run.  :func:`init_state` groups them by exact value once
+(:class:`Spectrum`), and :func:`solve_spd` runs conjugate gradients on the
+groups, warm-started from E^{n-1}.  On a diagonal operator CG gives equal
+eigenvalues the same polynomial factor, so it can carry one value per
+distinct eigenvalue and weigh it by that group's share of the initial
+residual: the iterates are CG's, and each iteration costs the number of
+groups, not of coefficients.  One division per mode would solve exactly; CG
+is kept so that every solution stays, to round-off, the one the same CG
+gives on the curl stencils, where the benchmark's recorded values come from.
+The exact solve moves the errors of the FBDF2 convergence sweep by up to
+2.7e-9 relative, past their 1e-11 tolerance.  :func:`solve_spd` raises
+:class:`SolverError` when the residual does not converge, and as soon as the
+right-hand side or the residual is not finite.  H^n and P^n are recovered
+exactly afterwards, so the per-step defect of the three equations is the
+linear-solver residual alone.
 
 Sources are passed as a callable ``sources(t) -> (f1, f2, f3)``
 (:data:`Sources`) that returns the right-hand sides as coefficients: f1 and
@@ -56,6 +62,9 @@ the step and cost more CPU than they save.  Before it allocates,
 
 The state also carries the energy weights a_0..a_N of the run's (alpha,
 theta), ``SimState.a_weights``; FBDF2 runs carry the trapezoidal ones too.
+It carries the constants of the run's steps as well, which :func:`init_state`
+builds once: |v| of every mode, the grouped :class:`Spectrum` of the E-solve
+and CG's iteration limit.
 """
 
 from __future__ import annotations
@@ -142,6 +151,26 @@ class PHistory:
     filled: int = 1
 
 
+class Spectrum:
+    """The eigenvalues ``lam`` of a diagonal operator grouped by exact value:
+    ``values`` holds the distinct ones in ascending order, and ``values[index]``
+    is lam, bit for bit, with ``index`` of lam's shape.
+
+    Raises :class:`ValueError` unless every eigenvalue is finite and positive,
+    so that a :func:`solve_spd` on it is well posed.
+    """
+
+    def __init__(self, lam: np.ndarray) -> None:
+        values, index = np.unique(lam, return_inverse=True)
+        if not (values[0] > 0.0 and values[-1] < math.inf):
+            raise ValueError(
+                "the E-solve needs finite, positive eigenvalues (diag > 0, curl_scale >= 0), "
+                f"got entries in [{values[0]}, {values[-1]}]"
+            )
+        self.values = values
+        self.index = index.reshape(lam.shape)
+
+
 @dataclass
 class SimState:
     """Integrator state after step n; advanced functionally by :func:`step`.
@@ -149,6 +178,9 @@ class SimState:
     ``e`` and ``p`` are the (2, nx, ny) edge coefficients of E^n and P^n,
     ``h`` the (nx, ny) cell coefficients of H^n (see
     :class:`~colecole.mesh.CurlCurlBasis`); :meth:`fields` gives the dof arrays.
+    ``curl_modulus`` (|v| of every mode), ``spectrum`` (the eigenvalues of the
+    E-solve's operator) and ``maxit`` (CG's iteration limit) are constant over
+    the run.
     """
 
     n: int
@@ -161,6 +193,9 @@ class SimState:
     grid: GridSpec
     material: MaterialParams
     config: SchemeConfig
+    curl_modulus: np.ndarray
+    spectrum: Spectrum
+    maxit: int
 
     @property
     def time(self) -> float:
@@ -210,7 +245,8 @@ def init_state(
     e0: VecField,
     h0: ScalarField,
 ) -> SimState:
-    """State at n = 0 with P^0 = 0, and the kernel and energy weights of the whole run.
+    """State at n = 0 with P^0 = 0, and the kernel, energy weights and step
+    constants of the whole run.
 
     e0 must be zero on the tangential boundary.  The initial data is
     transformed to coefficients once.  Allocates the history of the whole
@@ -240,8 +276,11 @@ def _initial_state(
     rows = config.n_steps + 1
     dofs = 2 * grid.nx * grid.ny
     # The history rows, and four (N+1,) arrays: s, the kernel, the energy
-    # weights and one temporary of their build; a step's temporaries and the
-    # states it holds take well under 32 coefficient arrays.
+    # weights and one temporary of their build.  The step constants (|v|, the
+    # spectrum's index and at most dofs values) take under three coefficient
+    # arrays and their build under seven more, freed before the first step;
+    # with a step's temporaries and the states it holds, that stays well
+    # under 32 coefficient arrays.
     need = 8 * (rows * (dofs + 4) + 32 * dofs)
     have = physical_memory_bytes()
     if need > have:
@@ -249,17 +288,25 @@ def _initial_state(
             f"a run of {config.n_steps} steps on {grid.nx}x{grid.ny} needs about "
             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
         )
+    kernel_rev = np.ascontiguousarray(build_kernel(material, config)[::-1])
+    tau, one_m = config.tau, 1.0 - config.theta
+    _, a_coef = elimination_coefficients(material, config.theta, tau, kernel_rev[-1])
+    basis = CurlCurlBasis(grid)
+    lam = basis.eigenvalues((material.c_e + a_coef) / tau, one_m * one_m * tau / material.c_m)
     return SimState(
         n=0,
         e=e,
         p=np.zeros_like(e),
         h=h,
         history=PHistory(np.zeros((rows, dofs)), np.zeros(rows)),
-        kernel_rev=np.ascontiguousarray(build_kernel(material, config)[::-1]),
+        kernel_rev=kernel_rev,
         a_weights=cumulative_weights(SchemeParams(material.alpha, config.theta), config.n_steps),
         grid=grid,
         material=material,
         config=config,
+        curl_modulus=basis.curl_modulus(),
+        spectrum=Spectrum(lam),
+        maxit=CG_MAXIT_PER_SIDE * (grid.nx + grid.ny),
     )
 
 
@@ -316,31 +363,37 @@ class SolverError(RuntimeError):
 
 
 def solve_spd(
-    lam: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, maxit: int
+    spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray, tol: float, maxit: int
 ) -> tuple[np.ndarray, int]:
-    """Conjugate gradients for the diagonal operator with entries ``lam``,
-    started from x0 (which is not modified).
+    """Conjugate gradients for the diagonal operator with eigenvalues
+    ``spectrum``, started from x0 (which is not modified).
 
-    In a step, lam is ``CurlCurlBasis.eigenvalues(diag, curl_scale)``, the
-    step's operator ``diag I + curl_scale curl_h curl_e`` on the coefficients.
-    The basis is orthonormal, so the iterates and iteration counts are those
-    of the same recurrence run with the curl stencils on the dofs, up to
-    round-off.  Each iteration updates the iterate, the residual and the
-    search direction in place.
+    In a step, the spectrum is that of ``CurlCurlBasis.eigenvalues(diag,
+    curl_scale)``, the step's operator ``diag I + curl_scale curl_h curl_e``
+    on the coefficients.  The basis is orthonormal, so the iterates and
+    iteration counts are those of the same recurrence run with the curl
+    stencils on the dofs, up to round-off.
 
-    Returns (solution, iterations).  Raises :class:`ValueError` before any
-    work unless the shapes agree and every entry of lam is finite and
-    positive.  Raises :class:`SolverError` if the relative residual does not
-    fall below tol within maxit iterations, or as soon as the norm of rhs or a
-    squared residual norm is not finite.
+    On a diagonal operator, CG's k-th iterate is x0 + X_k(lam) r0 and its
+    residual R_k(lam) r0, for polynomials X_k and R_k fixed by the scalars
+    alpha and beta, with r0 = rhs - lam x0.  Those scalars depend on lam and
+    r0 only through the weights w_g = sum of r0_i^2 over the coefficients
+    with lam_i = values[g] (Gauss quadrature with the spectral measure of
+    r0).  So the recurrence runs on the values X, R and the search direction
+    D at the distinct eigenvalues, with ||r||^2 = sum w R^2 and
+    d.Ad = sum w lam D^2, and x is assembled once at the end.  Each
+    iteration costs the number of distinct eigenvalues, and only the
+    summation order differs from CG over every coefficient.
+
+    Returns (solution, iterations).  Raises :class:`ValueError` unless rhs
+    and x0 have the spectrum's shape; the eigenvalues were checked when the
+    spectrum was built.  Raises :class:`SolverError` if the relative
+    residual does not fall below tol within maxit iterations, or as soon as
+    the norm of rhs or a squared residual norm is not finite.
     """
-    if rhs.shape != lam.shape or x0.shape != lam.shape:
-        raise ValueError(f"solve_spd: shapes {lam.shape}, {rhs.shape}, {x0.shape} differ")
-    if not (lam.min() > 0.0 and lam.max() < math.inf):
-        raise ValueError(
-            "solve_spd needs finite, positive eigenvalues (diag > 0, curl_scale >= 0), "
-            f"got entries in [{lam.min()}, {lam.max()}]"
-        )
+    index = spectrum.index
+    if rhs.shape != index.shape or x0.shape != index.shape:
+        raise ValueError(f"solve_spd: shapes {index.shape}, {rhs.shape}, {x0.shape} differ")
 
     def dot(u: np.ndarray, v: np.ndarray) -> float:
         # einsum, not BLAS: no threads on the step path.
@@ -365,21 +418,26 @@ def solve_spd(
             )
         return rho
 
-    x = x0.copy()
-    ad = lam * x
-    r = rhs - ad
-    rho = finite(dot(r, r), 0)
+    lam = spectrum.values
+    r0 = rhs - np.take(lam, index) * x0
+    w = np.bincount(index.reshape(-1), weights=np.square(r0).reshape(-1))
+    rho = finite(float(w.sum()), 0)
     threshold = (tol * rhs_norm) ** 2
     if rho <= threshold:
-        return x, 0
-    d = r.copy()
+        return x0.copy(), 0
+    w_lam = w * lam
+    # R, D and X at the distinct eigenvalues
+    r, d, x = np.ones_like(lam), np.ones_like(lam), np.zeros_like(lam)
+    work = np.empty_like(lam)
     for it in range(1, maxit + 1):
-        np.multiply(lam, d, out=ad)
-        alpha = rho / dot(d, ad)
-        r -= np.multiply(ad, alpha, out=ad)
-        x += np.multiply(d, alpha, out=ad)
-        rho_new = finite(dot(r, r), it)
+        alpha = rho / dot(w_lam, np.square(d, out=work))
+        r -= np.multiply(np.multiply(lam, d, out=work), alpha, out=work)
+        x += np.multiply(d, alpha, out=work)
+        rho_new = finite(dot(w, np.square(r, out=work)), it)
         if rho_new <= threshold:
+            x = np.take(x, index)
+            x *= r0
+            x += x0
             return x, it
         d *= rho_new / rho
         d += r
@@ -413,15 +471,11 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     # rhs = (c_e/tau) E + (P - g)/tau + curl_h(H + (1-theta) tau/c_m f2)
     #       - (1-theta) theta tau/c_m curl_h curl_e E + f1,
     # where curl_e E = -|v| b and curl_h c = (0, -|v| c) on each mode.
-    basis = CurlCurlBasis(grid)
-    v = basis.curl_modulus()
+    v = state.curl_modulus
     rhs = (mat.c_e / tau) * e + (1.0 / tau) * (p - g) + f1
     rhs[1] -= v * (h + (one_m * tau / mat.c_m) * f2 + (one_m * theta * tau / mat.c_m) * v * e[1])
 
-    diag = (mat.c_e + a_coef) / tau
-    curl_scale = one_m * one_m * tau / mat.c_m
-    maxit = CG_MAXIT_PER_SIDE * (grid.nx + grid.ny)
-    e_new, _ = solve_spd(basis.eigenvalues(diag, curl_scale), rhs, e, CG_TOL, maxit)
+    e_new, _ = solve_spd(state.spectrum, rhs, e, CG_TOL, state.maxit)
     p_new = a_coef * e_new + g
     # H^n = H^{n-1} - tau/c_m curl_e(theta average of E) + tau/c_m f2
     h_new = h + (tau / mat.c_m) * (v * (one_m * e_new[1] + theta * e[1]) + f2)

@@ -7,9 +7,10 @@ recurrence, the one-step solve assembles the raw coupled equations densely
 on the dofs instead of stepping the integrator's mode coefficients with its
 elimination and conjugate gradients, the manufactured fields and sources are
 written out as pointwise closed forms of (x, y, t) instead of time factors
-times sampled, transformed profiles, and the conjugate gradients take any
+times sampled, transformed profiles, the conjugate gradients take any
 operator on ``VecField`` values and build a new field for every vector
-operation.
+operation, and the diagonal conjugate gradients run over every coefficient
+instead of once per distinct eigenvalue.
 
 The discrete curls live here as stencils on the dof arrays: the library
 never applies them, since its state is held in the basis where they are
@@ -451,6 +452,49 @@ def textbook_cg(
         f"conjugate gradients: relative residual {np.sqrt(rho) / rhs_norm:.3e} "
         f"after {maxit} iterations (tol {tol:.1e})",
         residual=float(np.sqrt(rho) / rhs_norm),
+        iterations=maxit,
+    )
+
+
+def diagonal_cg(
+    lam: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, maxit: int
+) -> tuple[np.ndarray, int]:
+    """Conjugate gradients for the diagonal operator with entries ``lam``,
+    started from x0, with every vector as long as lam: the recurrence that
+    ``colecole.stepper.solve_spd`` runs once per distinct eigenvalue.
+
+    Returns (solution, iterations); raises :class:`SolverError` if the
+    relative residual does not fall below tol within maxit iterations.
+    """
+
+    def dot(u: np.ndarray, v: np.ndarray) -> float:
+        return float(np.einsum("i,i->", u.reshape(-1), v.reshape(-1)))
+
+    rhs_norm = math.sqrt(dot(rhs, rhs))
+    if rhs_norm == 0.0:
+        return np.zeros_like(rhs), 0
+    x = x0.copy()
+    r = rhs - lam * x
+    rho = dot(r, r)
+    threshold = (tol * rhs_norm) ** 2
+    if rho <= threshold:
+        return x, 0
+    d = r.copy()
+    for it in range(1, maxit + 1):
+        ad = lam * d
+        alpha = rho / dot(d, ad)
+        r -= alpha * ad
+        x += alpha * d
+        rho_new = dot(r, r)
+        if rho_new <= threshold:
+            return x, it
+        d *= rho_new / rho
+        d += r
+        rho = rho_new
+    raise SolverError(
+        f"conjugate gradients: relative residual {math.sqrt(rho) / rhs_norm:.3e} "
+        f"after {maxit} iterations (tol {tol:.1e})",
+        residual=math.sqrt(rho) / rhs_norm,
         iterations=maxit,
     )
 

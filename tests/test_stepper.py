@@ -19,6 +19,7 @@ from colecole.stepper import (
     Quadrature,
     SchemeConfig,
     SolverError,
+    Spectrum,
     elimination_coefficients,
     frac_deriv_current,
     init_state,
@@ -33,6 +34,7 @@ from oracles import (
     curl_e,
     curl_h,
     dense_step_solution,
+    diagonal_cg,
     edge_field,
     fmap,
     in_modes,
@@ -261,15 +263,18 @@ def test_solve_spd_basics():
     grid = GridSpec(4, 4)
     rhs = random_modes(grid, np.random.default_rng(2))
     zero = np.zeros_like(rhs)
-    x, its = solve_spd(np.ones_like(rhs), rhs, zero, 1e-12, 50)
+    ones = Spectrum(np.ones_like(rhs))
+    # all eigenvalues equal: one group, solved in one iteration
+    x, its = solve_spd(ones, rhs, zero, 1e-12, 50)
     np.testing.assert_allclose(x, rhs, atol=1e-13)
-    assert its <= 1
-    x, _ = solve_spd(np.full_like(rhs, 2.0), rhs, zero, 1e-12, 50)
+    assert its == 1 and len(ones.values) == 1
+    x, its = solve_spd(Spectrum(np.full_like(rhs, 2.0)), rhs, zero, 1e-12, 50)
     np.testing.assert_allclose(x, 0.5 * rhs, atol=1e-13)
-    x, its = solve_spd(np.ones_like(rhs), zero, rhs, 1e-12, 50)
+    assert its == 1
+    x, its = solve_spd(ones, zero, rhs, 1e-12, 50)
     assert its == 0 and not np.any(x)
     with pytest.raises(ValueError, match="shapes"):
-        solve_spd(np.ones_like(rhs), rhs, np.zeros((2, 4, 5)), 1e-12, 50)
+        solve_spd(ones, rhs, np.zeros((2, 4, 5)), 1e-12, 50)
 
 
 def test_solve_spd_against_dense_factorization():
@@ -295,7 +300,7 @@ def test_solve_spd_against_dense_factorization():
     ref = np.linalg.solve(mat, flatten(rhs))
     basis = CurlCurlBasis(grid)
     coef = basis.forward(rhs.ex, rhs.ey)
-    x, _ = solve_spd(basis.eigenvalues(1.0, 1.0), coef, np.zeros_like(coef), 1e-13, 200)
+    x, _ = solve_spd(Spectrum(basis.eigenvalues(1.0, 1.0)), coef, np.zeros_like(coef), 1e-13, 200)
     np.testing.assert_allclose(flatten(edge_field(x, grid)), ref, atol=1e-11)
 
 
@@ -311,7 +316,7 @@ def test_solve_spd_maxit_error():
     # the operator of a first step, d I + c curl_h curl_e, cut off after one iteration
     grid = GridSpec(16, 16)
     state = zero_state(grid, theta=0.5, tau=0.05, n_steps=1)
-    lam = CurlCurlBasis(grid).eigenvalues(*step_operator(state))
+    lam = Spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)))
     rhs = random_modes(grid, np.random.default_rng(5))
     with pytest.raises(SolverError) as err:
         solve_spd(lam, rhs, np.zeros_like(rhs), CG_TOL, maxit=1)
@@ -322,13 +327,13 @@ def test_solve_spd_maxit_error():
     "diag, curl_scale", [(0.0, 0.0), (0.0, 1.0), (math.nan, 1.0), (1.0, -1.0), (1.0, math.inf)]
 )
 def test_solve_spd_rejects_an_impossible_operator(diag, curl_scale):
-    # (0, 0) used to divide by zero and (0, 1) ran maxit iterations on a singular operator
+    # (0, 0) used to divide by zero and (0, 1) ran maxit iterations on a
+    # singular operator; the spectrum a solve needs refuses both
     grid = GridSpec(8, 8)
-    rhs = random_modes(grid, np.random.default_rng(4))
     with np.errstate(invalid="ignore"):  # inf * 0 on mode (0, 0)
         lam = CurlCurlBasis(grid).eigenvalues(diag, curl_scale)
     with pytest.raises(ValueError, match="eigenvalues"):
-        solve_spd(lam, rhs, np.zeros_like(rhs), CG_TOL, 160)
+        Spectrum(lam)
 
 
 def test_runs_import_numpy_only():
@@ -357,7 +362,8 @@ def test_runs_import_numpy_only():
 
 
 def test_step_runs_without_transforms_or_stencils(monkeypatch):
-    # a step is per-mode arithmetic: after init_state it needs no FFT and no curl stencil
+    # a step is per-mode arithmetic: after init_state it needs no FFT and no
+    # curl stencil, and it builds none of the run's constants again
     grid = GridSpec(8, 6, lx=1.3)
     e0 = VecField(*CurlCurlBasis(grid).inverse(random_modes(grid, np.random.default_rng(3))))
     config = SchemeConfig(theta=0.45, tau=0.05, n_steps=3, quadrature=Quadrature.FBDF2)
@@ -372,6 +378,10 @@ def test_step_runs_without_transforms_or_stencils(monkeypatch):
         monkeypatch.setattr(np.fft, name, forbidden)
     for name in ("curl_h", "curl_e", "_curl_h_into", "_curl_e_into", "_inner_into"):
         monkeypatch.setattr(oracles, name, forbidden)
+    monkeypatch.setattr(stepper, "CurlCurlBasis", forbidden)
+    for name in ("eigenvalues", "curl_modulus"):
+        monkeypatch.setattr(CurlCurlBasis, name, forbidden)
+    monkeypatch.setattr(np, "unique", forbidden)
     for f in forcing:
         state = step(state, lambda t, f=f: f)
     assert state.n == 3 and np.all(np.isfinite(state.e)) and np.any(state.e)
@@ -403,7 +413,7 @@ def test_solve_spd_non_finite_fails_before_iterating(where, bad):
     # rhs norm makes the threshold inf, so the warm start would pass as converged.
     grid = GridSpec(64, 64)
     state = zero_state(grid, theta=0.5, tau=0.05, n_steps=1)
-    lam = CurlCurlBasis(grid).eigenvalues(*step_operator(state))
+    lam = Spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)))
     rng = np.random.default_rng(6)
     fields = {name: random_modes(grid, rng) for name in ("rhs", "x0")}
     fields[where][1, 10, 20] = bad
@@ -414,14 +424,14 @@ def test_solve_spd_non_finite_fails_before_iterating(where, bad):
 
 
 def recorded_solves(monkeypatch, state, sources, n_steps):
-    """(lam, rhs, x0) of every solve that n_steps real steps from state make,
-    copied."""
+    """(spectrum, rhs, x0) of every solve that n_steps real steps from state
+    make, rhs and x0 copied."""
     calls = []
     real = stepper.solve_spd
 
-    def record(lam, rhs, x0, tol, maxit):
-        calls.append((lam.copy(), rhs.copy(), x0.copy()))
-        return real(lam, rhs, x0, tol, maxit)
+    def record(spectrum, rhs, x0, tol, maxit):
+        calls.append((spectrum, rhs.copy(), x0.copy()))
+        return real(spectrum, rhs, x0, tol, maxit)
 
     monkeypatch.setattr(stepper, "solve_spd", record)
     for _ in range(n_steps):
@@ -430,38 +440,79 @@ def recorded_solves(monkeypatch, state, sources, n_steps):
     return calls
 
 
-@pytest.mark.parametrize(
+SOLVE_CASES = pytest.mark.parametrize(
     "grid, quadrature, tau, min_iterations",
     [
         (GridSpec(2, 2), Quadrature.SFTR, 0.1, 1),
         (GridSpec(3, 5), Quadrature.SFTR, 0.1, 1),
+        # almost every eigenvalue distinct: lx/nx != ly/ny and nx != ny
         (GridSpec(17, 9, lx=1.3, ly=0.7), Quadrature.FBDF2, 0.1, 1),
         # ill-conditioned: the operator of the paper sweep's FBDF2 (0.9, 0.45) row at tau = 1/5
         (GridSpec(64, 64), Quadrature.FBDF2, 0.2, 180),
     ],
 )
-def test_solve_spd_bitwise_matches_textbook_cg(monkeypatch, grid, quadrature, tau, min_iterations):
+
+
+def solve_case(monkeypatch, grid, quadrature, tau):
+    """The state of a 3-step FBDF2/SFTR run and the solves of its first two steps."""
     config = SchemeConfig(theta=0.45, tau=tau, n_steps=3, quadrature=quadrature)
     state = init_state(
         grid, MaterialParams(alpha=0.9), config, VecField.zeros(grid), ScalarField.zeros(grid)
     )
+    return state, recorded_solves(monkeypatch, state, in_modes(poly_sources(grid), grid), 2)
+
+
+@SOLVE_CASES
+def test_spectrum_groups_the_eigenvalues_exactly(monkeypatch, grid, quadrature, tau, min_iterations):
+    state, calls = solve_case(monkeypatch, grid, quadrature, tau)
+    lam = CurlCurlBasis(grid).eigenvalues(*step_operator(state))
+    for spectrum, _, _ in calls:
+        assert spectrum is state.spectrum
+        assert spectrum.values[spectrum.index].tobytes() == lam.tobytes()
+        assert np.all(np.diff(spectrum.values) > 0.0)
+        # lam[0] is diag throughout: one group
+        assert len(np.unique(spectrum.index[0])) == 1
+
+
+@SOLVE_CASES
+def test_solve_spd_matches_cg_over_every_coefficient(
+    monkeypatch, grid, quadrature, tau, min_iterations
+):
+    # the recurrence once per distinct eigenvalue against the same recurrence
+    # over every coefficient: only the summation order differs
+    state, calls = solve_case(monkeypatch, grid, quadrature, tau)
+    lam = CurlCurlBasis(grid).eigenvalues(*step_operator(state))
+    most = 0
+    for spectrum, rhs, x0 in calls:
+        for start in (np.zeros_like(x0), x0):
+            want, want_its = diagonal_cg(lam, rhs, start, CG_TOL, state.maxit)
+            got, got_its = solve_spd(spectrum, rhs, start, CG_TOL, state.maxit)
+            assert got_its == want_its
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            most = max(most, got_its)
+    assert most >= min_iterations
+
+
+@SOLVE_CASES
+def test_solve_spd_bitwise_matches_textbook_cg(monkeypatch, grid, quadrature, tau, min_iterations):
+    state, calls = solve_case(monkeypatch, grid, quadrature, tau)
     # the stencil CG on the dofs against solve_spd on the coefficients: the
     # same recurrence in another orthonormal basis, so the same iteration
     # counts and the same solutions up to round-off
-    calls = recorded_solves(monkeypatch, state, in_modes(poly_sources(grid), grid), 2)
     maxit = CG_MAXIT_PER_SIDE * (grid.nx + grid.ny)
     diag, curl_scale = step_operator(state)
     op = lambda v: fmap(
         lambda a, b: diag * a + curl_scale * b, v, curl_h(curl_e(v, grid), grid)
     )
     most = 0
-    for lam, rhs, x0 in calls:
+    for spectrum, rhs, x0 in calls:
+        lam = spectrum.values[spectrum.index]
         assert np.array_equal(lam, CurlCurlBasis(grid).eigenvalues(diag, curl_scale))
         for start in (np.zeros_like(x0), x0):
             want, want_its = textbook_cg(
                 op, edge_field(rhs, grid), grid, CG_TOL, maxit, x0=edge_field(start, grid)
             )
-            got, got_its = solve_spd(lam, rhs, start, CG_TOL, maxit)
+            got, got_its = solve_spd(spectrum, rhs, start, CG_TOL, maxit)
             assert got_its == want_its
             diff = fmap(np.subtract, edge_field(got, grid), want)
             assert norm_e(diff, grid) <= 1e-13 * norm_e(want, grid)
