@@ -233,10 +233,12 @@ class CurlCurlBasis:
 
     def eigenvalues(self, diag: float, curl_scale: float) -> np.ndarray:
         """The (2, nx, ny) eigenvalues of ``diag I + curl_scale curl_h curl_e``
-        on the coefficients: diag, and diag + curl_scale |v|^2."""
+        on the coefficients: diag, and diag + curl_scale |v|^2, with |v|^2
+        summed first so that mirrored modes (k, l) and (l, k) of a square grid
+        get bit-identical eigenvalues."""
         lam = np.empty((2,) + self.shape)
         lam[0] = diag
-        np.add(diag + curl_scale * self.s_x**2, curl_scale * self.s_y**2, out=lam[1])
+        lam[1] = diag + curl_scale * (self.s_x**2 + self.s_y**2)
         return lam
 
     def curl_modulus(self) -> np.ndarray:

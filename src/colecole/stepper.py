@@ -27,20 +27,15 @@ once, and :meth:`SimState.fields` transforms a state back to dof arrays.
 
 The operator above is diagonal in that basis, with the same eigenvalues on
 every step of a run.  :func:`init_state` groups them by exact value once
-(:class:`Spectrum`), and :func:`solve_spd` runs conjugate gradients on the
-groups, warm-started from E^{n-1}.  On a diagonal operator CG gives equal
-eigenvalues the same polynomial factor, so it can carry one value per
-distinct eigenvalue and weigh it by that group's share of the initial
-residual: the iterates are CG's, and each iteration costs the number of
-groups, not of coefficients.  One division per mode would solve exactly; CG
-is kept so that every solution stays, to round-off, the one the same CG
-gives on the curl stencils, where the benchmark's recorded values come from.
-The exact solve moves the errors of the FBDF2 convergence sweep by up to
-2.7e-9 relative, past their 1e-11 tolerance.  :func:`solve_spd` raises
-:class:`SolverError` when the residual does not converge, and as soon as the
-right-hand side or the residual is not finite.  H^n and P^n are recovered
-exactly afterwards, so the per-step defect of the three equations is the
-linear-solver residual alone.
+(:class:`Spectrum`), and :func:`solve_spd` runs conjugate gradients once per
+group, warm-started from E^{n-1}: the iterates are CG's, and an iteration
+costs the number of groups, not of coefficients.  One division per mode
+would solve exactly; CG is kept so that every solution stays, to round-off,
+the one the same CG gives on the curl stencils, where the benchmark's
+recorded values come from (the division moves the FBDF2 convergence errors
+by up to 2.7e-9 relative, past their 1e-11 tolerance).  H^n and P^n are
+recovered exactly afterwards, so the per-step defect of the three equations
+is the linear-solver residual alone.
 
 Sources are passed as a callable ``sources(t) -> (f1, f2, f3)``
 (:data:`Sources`) that returns the right-hand sides as coefficients: f1 and
@@ -152,23 +147,30 @@ class PHistory:
 
 
 class Spectrum:
-    """The eigenvalues ``lam`` of a diagonal operator grouped by exact value:
-    ``values`` holds the distinct ones in ascending order, and ``values[index]``
-    is lam, bit for bit, with ``index`` of lam's shape.
+    """The (2, nx, ny) eigenvalues ``lam`` of a step's E-solve
+    (``CurlCurlBasis.eigenvalues``) grouped by exact value: ``values`` holds
+    the distinct ones in ascending order, and ``values[index]`` is lam, bit for
+    bit.  Only component 1 is sorted: component 0 is diag on every mode, the
+    value of component 1 at mode (0, 0), so all of it maps to that group.
 
     Raises :class:`ValueError` unless every eigenvalue is finite and positive,
-    so that a :func:`solve_spd` on it is well posed.
+    so that a :func:`solve_spd` on it is well posed, or if component 0 is not
+    one value of component 1.
     """
 
     def __init__(self, lam: np.ndarray) -> None:
-        values, index = np.unique(lam, return_inverse=True)
-        if not (values[0] > 0.0 and values[-1] < math.inf):
+        low, high = lam.min(), lam.max()
+        if not (low > 0.0 and high < math.inf):
             raise ValueError(
                 "the E-solve needs finite, positive eigenvalues (diag > 0, curl_scale >= 0), "
-                f"got entries in [{values[0]}, {values[-1]}]"
+                f"got entries in [{low}, {high}]"
             )
-        self.values = values
-        self.index = index.reshape(lam.shape)
+        self.values, inverse = np.unique(lam[1], return_inverse=True)
+        group = min(np.searchsorted(self.values, lam[0, 0, 0]), len(self.values) - 1)
+        if np.any(lam[0] != self.values[group]):
+            raise ValueError("component 0 of the eigenvalues must be one value of component 1")
+        self.index = np.full(lam.shape, group, dtype=inverse.dtype)
+        self.index[1] = inverse.reshape(lam.shape[1:])
 
 
 @dataclass
@@ -277,10 +279,10 @@ def _initial_state(
     dofs = 2 * grid.nx * grid.ny
     # The history rows, and four (N+1,) arrays: s, the kernel, the energy
     # weights and one temporary of their build.  The step constants (|v|, the
-    # spectrum's index and at most dofs values) take under three coefficient
-    # arrays and their build under seven more, freed before the first step;
-    # with a step's temporaries and the states it holds, that stays well
-    # under 32 coefficient arrays.
+    # spectrum's index and its at most dofs/2 values) take two coefficient
+    # arrays, and their build, which sorts dofs/2 eigenvalues, under five more,
+    # freed before the first step; with a step's temporaries and the states it
+    # holds, that stays well under 32 coefficient arrays.
     need = 8 * (rows * (dofs + 4) + 32 * dofs)
     have = physical_memory_bytes()
     if need > have:
@@ -366,40 +368,30 @@ def solve_spd(
     spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray, tol: float, maxit: int
 ) -> tuple[np.ndarray, int]:
     """Conjugate gradients for the diagonal operator with eigenvalues
-    ``spectrum``, started from x0 (which is not modified).
+    ``spectrum``, started from x0 (which is not modified).  The basis is
+    orthonormal, so the iterates and iteration counts are, up to round-off,
+    those of CG on the step's operator with the curl stencils on the dofs.
 
-    In a step, the spectrum is that of ``CurlCurlBasis.eigenvalues(diag,
-    curl_scale)``, the step's operator ``diag I + curl_scale curl_h curl_e``
-    on the coefficients.  The basis is orthonormal, so the iterates and
-    iteration counts are those of the same recurrence run with the curl
-    stencils on the dofs, up to round-off.
-
-    On a diagonal operator, CG's k-th iterate is x0 + X_k(lam) r0 and its
-    residual R_k(lam) r0, for polynomials X_k and R_k fixed by the scalars
-    alpha and beta, with r0 = rhs - lam x0.  Those scalars depend on lam and
-    r0 only through the weights w_g = sum of r0_i^2 over the coefficients
-    with lam_i = values[g] (Gauss quadrature with the spectral measure of
-    r0).  So the recurrence runs on the values X, R and the search direction
-    D at the distinct eigenvalues, with ||r||^2 = sum w R^2 and
-    d.Ad = sum w lam D^2, and x is assembled once at the end.  Each
-    iteration costs the number of distinct eigenvalues, and only the
-    summation order differs from CG over every coefficient.
+    On a diagonal operator, CG's k-th residual is R_k(lam) r0, r0 = rhs -
+    lam x0, and its iterate x0 + (1 - R_k(lam))/lam r0, for a polynomial R_k
+    fixed by the scalars alpha and beta.  Those depend on lam and r0 only
+    through the weights w_g = sum of r0_i^2 over the coefficients with lam_i
+    = values[g] (Gauss quadrature with the spectral measure of r0).  So the
+    recurrence runs on sqrt(w) R and sqrt(w) D, D the search direction, at
+    the distinct eigenvalues, where ||r||^2 and d.Ad are einsum dot products
+    (on the calling thread; BLAS would start threads), and x is assembled
+    once, at convergence.  An iteration costs the number of distinct
+    eigenvalues.
 
     Returns (solution, iterations).  Raises :class:`ValueError` unless rhs
-    and x0 have the spectrum's shape; the eigenvalues were checked when the
-    spectrum was built.  Raises :class:`SolverError` if the relative
-    residual does not fall below tol within maxit iterations, or as soon as
-    the norm of rhs or a squared residual norm is not finite.
+    and x0 have the spectrum's shape, and :class:`SolverError` if the
+    relative residual does not fall below tol within maxit iterations, or as
+    soon as the norm of rhs or a squared residual norm is not finite.
     """
     index = spectrum.index
     if rhs.shape != index.shape or x0.shape != index.shape:
         raise ValueError(f"solve_spd: shapes {index.shape}, {rhs.shape}, {x0.shape} differ")
-
-    def dot(u: np.ndarray, v: np.ndarray) -> float:
-        # einsum, not BLAS: no threads on the step path.
-        return float(np.einsum("i,i->", u.reshape(-1), v.reshape(-1)))
-
-    rhs_norm = math.sqrt(dot(rhs, rhs))
+    rhs_norm = math.sqrt(np.einsum("ijk,ijk->", rhs, rhs))
     if not math.isfinite(rhs_norm):
         raise SolverError(
             f"conjugate gradients: right-hand side norm is {rhs_norm}",
@@ -408,45 +400,43 @@ def solve_spd(
         )
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0
-
-    def finite(rho: float, it: int) -> float:
-        if not math.isfinite(rho):
-            raise SolverError(
-                f"conjugate gradients: squared residual norm is {rho} at iteration {it}",
-                residual=math.sqrt(rho) / rhs_norm,
-                iterations=it,
-            )
-        return rho
-
-    lam = spectrum.values
-    r0 = rhs - np.take(lam, index) * x0
-    w = np.bincount(index.reshape(-1), weights=np.square(r0).reshape(-1))
-    rho = finite(float(w.sum()), 0)
-    threshold = (tol * rhs_norm) ** 2
-    if rho <= threshold:
-        return x0.copy(), 0
-    w_lam = w * lam
-    # R, D and X at the distinct eigenvalues
-    r, d, x = np.ones_like(lam), np.ones_like(lam), np.zeros_like(lam)
+    # Component 0 is one group: summed apart, it keeps bincount off one bin.
+    lam, group, index = spectrum.values, index[0, 0, 0], index[1]
+    r0 = np.empty_like(rhs)
+    r0[0] = lam[group]
+    np.take(lam, index, out=r0[1])
+    r0 *= x0
+    np.subtract(rhs, r0, out=r0)
+    w = np.bincount(index.reshape(-1), weights=np.square(r0[1]).reshape(-1))
+    w[group] += np.einsum("ij,ij->", r0[0], r0[0])
+    rho, threshold = w.sum(), (tol * rhs_norm) ** 2
+    sqrt_w = np.sqrt(w)
+    r, d = sqrt_w.copy(), sqrt_w.copy()  # sqrt(w) R and sqrt(w) D
     work = np.empty_like(lam)
-    for it in range(1, maxit + 1):
-        alpha = rho / dot(w_lam, np.square(d, out=work))
-        r -= np.multiply(np.multiply(lam, d, out=work), alpha, out=work)
-        x += np.multiply(d, alpha, out=work)
-        rho_new = finite(dot(w, np.square(r, out=work)), it)
-        if rho_new <= threshold:
-            x = np.take(x, index)
-            x *= r0
-            x += x0
-            return x, it
+    for it in range(maxit + 1):
+        if rho <= threshold:
+            # X = (1 - R)/lam; where w = 0, r0 is 0 in the whole group and r stays 0
+            np.subtract(sqrt_w, r, out=r)
+            np.divide(r, sqrt_w * lam, out=r, where=sqrt_w > 0.0)
+            r0[0] *= r[group]
+            r0[1] *= np.take(r, index)
+            r0 += x0
+            return r0, it
+        if it == maxit or not math.isfinite(rho):
+            break
+        np.multiply(lam, d, out=work)
+        alpha = rho / np.einsum("i,i->", d, work)
+        work *= alpha
+        r -= work
+        rho_new = np.einsum("i,i->", r, r)
         d *= rho_new / rho
         d += r
         rho = rho_new
     raise SolverError(
         f"conjugate gradients: relative residual {math.sqrt(rho) / rhs_norm:.3e} "
-        f"after {maxit} iterations (tol {tol:.1e})",
+        f"after {it} iterations (tol {tol:.1e})",
         residual=math.sqrt(rho) / rhs_norm,
-        iterations=maxit,
+        iterations=it,
     )
 
 

@@ -1,11 +1,12 @@
 """Convolution-quadrature weight sequences for Caputo derivatives of order alpha.
 
 Four families are generated here, all as Taylor coefficients of a generating
-function evaluated by factored binomial series.  Each function returns the
-first n+1 coefficients as a read-only float64 array, values[k] being the k-th:
+function, by recurrences or factored binomial series.  Each function returns
+the first n+1 coefficients as a read-only float64 array, values[k] the k-th:
 
 * ``sftr_weights`` -- omega_k of the shifted fractional trapezoidal rule,
-  generated by  omega(z) = [(1-z) / (1/2 (1+z) + (theta/alpha)(1-z))]^alpha.
+  generated by  omega(z) = [(1-z) / (1/2 (1+z) + (theta/alpha)(1-z))]^alpha
+  and computed by a two-term recurrence.
 * ``varpi_weights`` -- the companion sequence varpi_k with
   varpi(z) * omega(z) = 1 - z, computed by a two-term recurrence.
 * ``cumulative_weights`` -- partial sums a_j = sum_{k<=j} varpi_k, the kernel
@@ -88,15 +89,22 @@ def _denominator_coeffs(params: SchemeParams) -> tuple[float, float]:
 def sftr_weights(params: SchemeParams, n: int) -> np.ndarray:
     """Shifted-fractional-trapezoidal weights omega_0..omega_n.
 
-    omega(z) = [(1-z)/(d0 + d1 z)]^alpha with d0 = 1/2 + theta/alpha and
-    d1 = 1/2 - theta/alpha, expanded as the convolution of the binomial
-    series of (1-z)^alpha and (1 + (d1/d0) z)^(-alpha), scaled by d0^(-alpha).
+    omega(z) = [(1-z)/(d0 + d1 z)]^alpha, d0 = 1/2 + theta/alpha = 1 - d1,
+    solves (1-z)(d0 + d1 z) omega' = -alpha omega, whence omega_0 = d0^(-alpha)
+    and omega_{k+1} = [((d0 - d1) k - alpha) omega_k + d1 (k-1) omega_{k-1}]
+    / (d0 (k+1)).  The recurrence is forward-stable: its other solution
+    decays like (|d1|/d0)^k.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     a = params.alpha
     d0, d1 = _denominator_coeffs(params)
-    num = binomial_series(a, -1.0, n)
-    den = binomial_series(-a, d1 / d0, n)
-    return _read_only(d0 ** (-a) * np.convolve(num, den)[: n + 1])
+    vals = np.empty(n + 1)
+    prev, cur = 0.0, d0 ** (-a)
+    for k in range(n + 1):
+        vals[k] = cur
+        prev, cur = cur, (((d0 - d1) * k - a) * cur + d1 * (k - 1) * prev) / (d0 * (k + 1))
+    return _read_only(vals)
 
 
 def varpi_weights(params: SchemeParams, n: int) -> np.ndarray:

@@ -195,6 +195,17 @@ def varpi_weights_by_series(params: SchemeParams, n: int) -> np.ndarray:
     return d0**a * np.convolve(num, den)[: n + 1]
 
 
+def sftr_weights_by_series(params: SchemeParams, n: int) -> np.ndarray:
+    """omega_0..omega_n as the coefficients of [(1-z)/(d0 + d1 z)]^alpha,
+    d0 = 1/2 + theta/alpha, d1 = 1/2 - theta/alpha: d0^(-alpha) times the
+    convolution of the binomial series of (1-z)^alpha and (1 + (d1/d0) z)^(-alpha)."""
+    a = params.alpha
+    d0, d1 = 0.5 + params.shift_ratio, 0.5 - params.shift_ratio
+    num = binomial_series(a, -1.0, n)
+    den = binomial_series(-a, d1 / d0, n)
+    return d0 ** (-a) * np.convolve(num, den)[: n + 1]
+
+
 @dataclass(frozen=True)
 class ClosedForm:
     """The manufactured fields and sources of ``ManufacturedCase(alpha)`` as

@@ -336,6 +336,64 @@ def test_solve_spd_rejects_an_impossible_operator(diag, curl_scale):
         Spectrum(lam)
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_spectrum_merges_mirrored_modes_and_sorts_one_component(monkeypatch, n):
+    grid = GridSpec(n, n)
+    lam = CurlCurlBasis(grid).eigenvalues(*step_operator(zero_state(grid)))
+    sorted_sizes = []
+    real_unique = np.unique
+
+    def spy(values, *args, **kwargs):
+        sorted_sizes.append(np.size(values))
+        return real_unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    spectrum = Spectrum(lam)
+    monkeypatch.undo()
+    assert sorted_sizes == [n * n]
+    # (k, l) and (l, k) share one group on a square grid
+    assert np.array_equal(spectrum.index[1], spectrum.index[1].T)
+    assert spectrum.values[spectrum.index].tobytes() == lam.tobytes()
+    assert len(spectrum.values) < 0.6 * n * n
+
+
+def test_spectrum_rejects_a_component_0_of_several_values():
+    lam = CurlCurlBasis(GridSpec(8, 8)).eigenvalues(2.0, 0.5)
+    for bad in (lam[1, 3, 4], 3.0):  # a value of component 1, and one it lacks
+        other = lam.copy()
+        other[0, 1, 2] = bad
+        with pytest.raises(ValueError, match="component 0"):
+            Spectrum(other)
+    other = lam.copy()
+    other[0] = 3.0  # one value, but not one of component 1's
+    with pytest.raises(ValueError, match="component 0"):
+        Spectrum(other)
+
+
+# Contractions that numpy hands to BLAS, whose threads keep spinning through
+# the rest of a step; the step path uses einsum or ufuncs instead.
+BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "vecdot", "matvec", "tensordot"}
+
+
+@pytest.mark.parametrize("module", ["stepper", "energy", "mesh", "manufactured"])
+def test_step_path_calls_no_blas(module):
+    import ast, importlib
+
+    path = importlib.import_module(f"colecole.{module}").__file__
+    tree = ast.parse(open(path, encoding="utf-8").read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in BLAS_CALLS:
+                found.append(f"line {node.lineno}: {name}()")
+            elif name == "einsum" and any(k.arg == "optimize" for k in node.keywords):
+                found.append(f"line {node.lineno}: einsum(..., optimize=...)")
+    assert not found, f"{module}.py: {found}"
+
+
 def test_runs_import_numpy_only():
     import os, subprocess, sys
 

@@ -19,7 +19,7 @@ from colecole.weights import (
     varpi_weights,
 )
 
-from oracles import series_power, varpi_weights_by_series
+from oracles import series_power, sftr_weights_by_series, varpi_weights_by_series
 
 # (alpha, theta) pairs exercised by the sequence-level property tests
 PARAM_GRID = [
@@ -56,6 +56,20 @@ def test_sftr_reduces_to_grunwald_letnikov_at_half_alpha():
         gl = binomial_series(alpha, -1.0, 256)
         assert w[0] == 1.0
         np.testing.assert_allclose(w, gl, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "alpha, theta",
+    # the decay benchmark's pairs, and the ends of the admissible range
+    [(0.5, 0.5), (0.6, 0.5), (0.7, 0.5), (0.8, 0.5), (0.9, 0.5), (0.4, 0.45)]
+    + [(0.1, 0.05), (0.99, 0.495)],
+)
+def test_sftr_recurrence_matches_series_convolution(alpha, theta):
+    params = SchemeParams(alpha, theta)
+    rec = sftr_weights(params, 10_000)
+    ser = sftr_weights_by_series(params, 10_000)
+    assert len(rec) == 10_001
+    np.testing.assert_allclose(rec, ser, rtol=0, atol=1e-15)
 
 
 def test_sftr_leading_weight_at_half_shift():
