@@ -50,6 +50,7 @@ from .weights import (
     SymbolKind,
     binomial_series,
     cumulative_weights,
+    exponential_tail,
     fbdf2_weights,
     min_theta_gap_grid,
     sftr_weights,
@@ -87,6 +88,7 @@ __all__ = [
     "dissipation_residual",
     "energy_tolerance",
     "error_norms",
+    "exponential_tail",
     "fbdf2_weights",
     "frac_deriv_current",
     "init_state",

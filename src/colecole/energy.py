@@ -7,7 +7,9 @@ The energy after step n is
 
 with s_j = ||D^alpha P at t_{j-theta}||^2 (s_0 = 0; ``PHistory.s``) and a_k
 the cumulative companion weights of the run's (alpha, theta),
-``SimState.a_weights``.  The norms are sums of squares of the state's
+``SimState.a_weights``.  The history keeps every s_j, one scalar per step,
+while it folds the old P^k into its exponential tail, so the memory term is
+an exact sum over the whole run.  The norms are sums of squares of the state's
 coefficients times dx dy (Parseval), so the functional is a sum of per-mode
 energies, the memory term included, since each s_j is a sum over modes too.
 For the shifted-trapezoidal scheme with theta in [alpha/2, 1/2] the sequence

@@ -46,20 +46,30 @@ values.  Those of f1 are not used by the scheme, whose boundary rows carry
 E = 0; f3 must vanish on the tangential boundary, as
 :meth:`colecole.manufactured.ManufacturedCase.sample` checks.
 
-The history P^0..P^N of a run lives in one (N+1, 2 nx ny) array of
-coefficients that :func:`init_state` allocates, with s_0..s_N beside it
-(:class:`PHistory`), and the quadrature's history part is one contraction of
-it with the reversed kernel.  That contraction runs on one thread on purpose:
-through BLAS it would start threads that keep spinning through the rest of
-the step and cost more CPU than they save.  Before it allocates,
-:func:`init_state` estimates the bytes a run needs and raises
-:class:`MemoryError` if they exceed the machine's physical memory.
+The P history of a run takes bounded memory (:class:`PHistory`).  The
+quadrature sums the last HISTORY_EXACT = n0 = 20 lags exactly, from a window
+of n0 + 2B + 1 recent P^k (B = HISTORY_FOLD = 16).  When the window is full,
+:func:`step` folds its B oldest rows into M accumulators, one per real pole
+r_m of an exponential fit to the kernel's lags from n0 on
+(:func:`colecole.weights.exponential_tail`, within 1e-15 |K_0|), and the
+history part of a step is one contraction with the window plus one with the
+accumulators.  Runs of at most n0 + 2B steps never fold and sum every P^k
+exactly.  The contractions are einsums and run on one thread on purpose:
+through BLAS they would start threads that keep spinning through the rest of
+the step and cost more CPU than they save.  s_0..s_N sit beside the window.
+Before it allocates, :func:`init_state` estimates the bytes a run needs and
+raises :class:`MemoryError` if they exceed the machine's physical memory.
+
+Only the run's latest state advances its holder.  Stepping a past state
+copies its window and accumulators into a holder of its own, as long as no
+fold has taken rows that state still sums exactly; after that, stepping it
+or calling :func:`frac_deriv_current` on it raises :class:`ValueError`.
 
 The state also carries the energy weights a_0..a_N of the run's (alpha,
 theta), ``SimState.a_weights``; FBDF2 runs carry the trapezoidal ones too.
 It carries the constants of the run's steps as well, which :func:`init_state`
-builds once: |v| of every mode, the grouped :class:`Spectrum` of the E-solve
-and CG's iteration limit.
+builds once: |v| of every mode, (1-theta) theta tau/c_m |v|, the grouped
+:class:`Spectrum` of the E-solve and CG's iteration limit.
 """
 
 from __future__ import annotations
@@ -76,11 +86,26 @@ from .mesh import CurlCurlBasis, GridSpec, ScalarField, VecField, norm_sq
 # Not used here: perfbench's manufactured.sample spans wrap these two names
 # in this module, and ManufacturedCase.sample calls them through it.
 from .mesh import sample_scalar, sample_vec  # noqa: F401
-from .weights import SchemeParams, cumulative_weights, fbdf2_weights, sftr_weights, shift_combine
+from .weights import (
+    TAIL_FIT_ROWS,
+    TAIL_MAX_POLES,
+    SchemeParams,
+    cumulative_weights,
+    exponential_tail,
+    fbdf2_weights,
+    sftr_weights,
+    shift_combine,
+)
 
 # CG stops at relative residual CG_TOL; SolverError after CG_MAXIT_PER_SIDE * (nx + ny) iterations.
 CG_TOL = 1e-12
 CG_MAXIT_PER_SIDE = 10
+
+# The last HISTORY_EXACT lags of the Caputo sum are exact; the history folds
+# HISTORY_FOLD rows into its exponential tail at a time.
+HISTORY_EXACT = 20
+HISTORY_FOLD = 16
+WINDOW_ROWS = HISTORY_EXACT + 2 * HISTORY_FOLD + 1
 
 
 # sources(t) -> (f1, f2, f3) as coefficients at time t; see the module docstring.
@@ -130,19 +155,28 @@ class SchemeConfig:
 
 @dataclass(eq=False)
 class PHistory:
-    """P^0..P^N of one run as the rows of one preallocated (N+1, 2 nx ny)
-    array, and s_0..s_N (see :func:`step`) in an (N+1,) array beside it.
+    """The P history of one run in bounded memory, and s_0..s_N (see
+    :func:`step`) in an (N+1,) array beside it.
 
-    Row k holds the coefficients of P^k, raveled.  Row 0 is P^0 = 0 and
-    s_0 = 0.  Entries [0, filled) have been written; the states of a run share
-    the holder, and the state at step n reads entries 0..n.  A later entry is
-    written only by stepping the state at the tip (n = filled - 1);
-    :func:`step` copies the entries of any other state into a new holder
-    first.
+    ``window`` holds recent P^k as raveled coefficients: slot i holds
+    P^(folded + i).  P^0 .. P^(folded-1) are folded into the (M, 2 nx ny)
+    ``tail``: tail_m = sum_{k < folded} r_m^(folded-1-k) P^k, with the
+    ``poles`` r and ``weights`` c of :func:`colecole.weights.exponential_tail`;
+    ``work`` is the fold's scratch.  The four are None in a run of at most
+    WINDOW_ROWS - 1 steps, which never folds; its window has a row per step.
+    P^0 = 0 and s_0 = 0.  P^0..P^(filled-1) have been written; the states of a
+    run share the holder, and a state at step n reads P up to P^n.  Only
+    stepping the latest state (n = filled - 1) writes; :func:`step` copies
+    the window and tail of any other state into a new holder first.
     """
 
-    rows: np.ndarray
+    window: np.ndarray
     s: np.ndarray
+    poles: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    tail: np.ndarray | None = None
+    work: np.ndarray | None = None
+    folded: int = 0
     filled: int = 1
 
 
@@ -180,9 +214,9 @@ class SimState:
     ``e`` and ``p`` are the (2, nx, ny) edge coefficients of E^n and P^n,
     ``h`` the (nx, ny) cell coefficients of H^n (see
     :class:`~colecole.mesh.CurlCurlBasis`); :meth:`fields` gives the dof arrays.
-    ``curl_modulus`` (|v| of every mode), ``spectrum`` (the eigenvalues of the
-    E-solve's operator) and ``maxit`` (CG's iteration limit) are constant over
-    the run.
+    ``curl_modulus`` (|v| of every mode), ``coupling`` ((1-theta) theta
+    tau/c_m |v|), ``spectrum`` (the eigenvalues of the E-solve's operator) and
+    ``maxit`` (CG's iteration limit) are constant over the run.
     """
 
     n: int
@@ -196,6 +230,7 @@ class SimState:
     material: MaterialParams
     config: SchemeConfig
     curl_modulus: np.ndarray
+    coupling: np.ndarray
     spectrum: Spectrum
     maxit: int
 
@@ -227,8 +262,8 @@ def build_kernel(material: MaterialParams, config: SchemeConfig) -> np.ndarray:
     sequence g_j = (1-theta) w~_j + theta w~_{j-1}, the rule being
     sum_{k=0..n} g_{n-k} P^k; its last entry g_{n_steps} only ever multiplies
     P^0, so it is kept but never read.  The state keeps K reversed and
-    contiguous (``SimState.kernel_rev``), so that the history part is one
-    single-threaded contraction with the preallocated history rows.
+    contiguous (``SimState.kernel_rev``), so that the window's part of the
+    history is one single-threaded contraction with its rows.
     """
     if config.quadrature is Quadrature.SFTR:
         return sftr_weights(SchemeParams(material.alpha, config.theta), config.n_steps - 1)
@@ -251,10 +286,11 @@ def init_state(
     constants of the whole run.
 
     e0 must be zero on the tangential boundary.  The initial data is
-    transformed to coefficients once.  Allocates the history of the whole
-    run, (n_steps + 1) * 2 nx ny * 8 bytes; pages are committed as the steps
-    write them.  Raises :class:`MemoryError` before that allocation if the
-    run would not fit in physical memory.
+    transformed to coefficients once.  Allocates the P history: a window of
+    min(n_steps, 52) + 1 rows of 2 nx ny * 8 bytes, and, if the run folds,
+    the fitted tail and the fold's scratch, M such rows each.  Raises
+    :class:`MemoryError` before any of that if the run would not fit in
+    physical memory.
     """
     if (
         e0.ex.shape != (grid.nx, grid.ny + 1)
@@ -275,15 +311,22 @@ def _initial_state(
 ) -> SimState:
     """:func:`init_state` for initial data given as coefficients, which the
     state takes over."""
-    rows = config.n_steps + 1
+    steps = config.n_steps
+    rows = min(steps, WINDOW_ROWS - 1) + 1
     dofs = 2 * grid.nx * grid.ny
-    # The history rows, and four (N+1,) arrays: s, the kernel, the energy
-    # weights and one temporary of their build.  The step constants (|v|, the
-    # spectrum's index and its at most dofs/2 values) take two coefficient
-    # arrays, and their build, which sorts dofs/2 eigenvalues, under five more,
-    # freed before the first step; with a step's temporaries and the states it
-    # holds, that stays well under 32 coefficient arrays.
-    need = 8 * (rows * (dofs + 4) + 32 * dofs)
+    # The window rows.  A run that folds adds its tail and the fold's scratch,
+    # counted at the most poles the fit may take, and the fit's workspace,
+    # three arrays of its row blocks.  Twenty (N+1,) arrays: s, the kernel and
+    # the energy weights, the fit's lags and targets, and the build of the
+    # weights, whose FFT check holds three arrays of up to 4 (N+1) values.
+    # The step constants (|v|, the coupling, the spectrum's index and its at
+    # most dofs/2 values) take under three coefficient arrays, and their
+    # build, which sorts dofs/2 eigenvalues, under five more, freed before the
+    # first step; with a step's temporaries and the states it holds, that
+    # stays well under 32 coefficient arrays.
+    fit = 3 * (TAIL_FIT_ROWS + TAIL_MAX_POLES) * (TAIL_MAX_POLES + 1)
+    tail = 2 * TAIL_MAX_POLES * dofs + fit if steps >= WINDOW_ROWS else 0
+    need = 8 * (rows * dofs + tail + 20 * (steps + 1) + 32 * dofs)
     have = physical_memory_bytes()
     if need > have:
         raise MemoryError(
@@ -291,22 +334,31 @@ def _initial_state(
             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
         )
     kernel_rev = np.ascontiguousarray(build_kernel(material, config)[::-1])
-    tau, one_m = config.tau, 1.0 - config.theta
-    _, a_coef = elimination_coefficients(material, config.theta, tau, kernel_rev[-1])
+    history = PHistory(np.zeros((rows, dofs)), np.zeros(steps + 1))
+    if steps >= WINDOW_ROWS:
+        # the lags a tail is read at: HISTORY_EXACT..n_steps-1 (FBDF2's g_N is not)
+        history.poles, history.weights = exponential_tail(kernel_rev[::-1][:steps], HISTORY_EXACT)
+        history.tail = np.zeros((len(history.poles), dofs))
+        history.work = np.empty_like(history.tail)
+    tau, theta = config.tau, config.theta
+    one_m = 1.0 - theta
+    _, a_coef = elimination_coefficients(material, theta, tau, kernel_rev[-1])
     basis = CurlCurlBasis(grid)
     lam = basis.eigenvalues((material.c_e + a_coef) / tau, one_m * one_m * tau / material.c_m)
+    curl_modulus = basis.curl_modulus()
     return SimState(
         n=0,
         e=e,
         p=np.zeros_like(e),
         h=h,
-        history=PHistory(np.zeros((rows, dofs)), np.zeros(rows)),
+        history=history,
         kernel_rev=kernel_rev,
         a_weights=cumulative_weights(SchemeParams(material.alpha, config.theta), config.n_steps),
         grid=grid,
         material=material,
         config=config,
-        curl_modulus=basis.curl_modulus(),
+        curl_modulus=curl_modulus,
+        coupling=(one_m * theta * tau / material.c_m) * curl_modulus,
         spectrum=Spectrum(lam),
         maxit=CG_MAXIT_PER_SIDE * (grid.nx + grid.ny),
     )
@@ -318,27 +370,72 @@ def frac_deriv_current(state: SimState, p_new: np.ndarray | float) -> np.ndarray
     p_new is the candidate P^n and K is the run's kernel (see
     :func:`build_kernel`).
 
-    Precondition: P^0 is zero (as :func:`init_state` fixes it), so row 0 is
+    Precondition: P^0 is zero (as :func:`init_state` fixes it), so it is
     skipped and one sum serves both kernels.  The history part, P^1..P^{n-1},
-    is one contraction of the reversed kernel with the history rows.  It is
-    an einsum, which runs on the calling thread; ``@`` would go through BLAS,
-    whose threads then spin through the rest of the step.  With p_new = 0
-    the value is the history part alone, so D(p_new) = D(0) + tau^-alpha
-    K_0 p_new.
+    is one contraction of the reversed kernel with the window's rows, plus,
+    once rows are folded, one of the weights c_m r_m^(n + 1 - folded - n0)
+    with the tail.  Both are einsums, which run on the calling thread; ``@``
+    would go through BLAS, whose threads then spin through the rest of the
+    step.  With p_new = 0 the value is the history part alone, so D(p_new) =
+    D(0) + tau^-alpha K_0 p_new.
+
+    Raises :class:`ValueError` if the state is ahead of its history, or if
+    a fold has taken a row that the state sums exactly; that happens only to
+    a past state more than B + 3 steps behind its run's latest one.
     """
     n = state.n + 1
-    if n > state.history.filled:
+    history = state.history
+    folded = history.folded
+    if n > history.filled:
         raise ValueError(
-            f"state at step {state.n} needs {n} history rows, {state.history.filled} are filled"
+            f"state at step {state.n} needs P up to P^{state.n}, "
+            f"its history holds P up to P^{history.filled - 1}"
+        )
+    if folded and n + 1 - folded < HISTORY_EXACT:
+        raise ValueError(
+            f"state at step {state.n} is a past state whose run has folded P^0..P^{folded - 1} "
+            "into its history's tail; it can no longer be stepped"
         )
     krev = state.kernel_rev
-    size = len(krev)
-    scale = state.config.tau ** (-state.material.alpha)
-    hist = np.einsum("i,ij->j", krev[size - n : size - 1], state.history.rows[1:n])
+    first = 0 if folded else 1  # slot of P^1 or of P^folded, the first row summed
+    end = len(krev) - 1
+    hist = np.einsum(
+        "i,ij->j", krev[end - n + folded + first : end], history.window[first : n - folded]
+    )
+    if folded:
+        lead = history.poles ** (n + 1 - folded - HISTORY_EXACT)
+        lead *= history.weights
+        hist += np.einsum("m,mj->j", lead, history.tail)
     hist = hist.reshape(state.p.shape)
+    scale = state.config.tau ** (-state.material.alpha)
     hist *= scale
-    hist += (scale * krev[-1]) * p_new
+    if not (np.isscalar(p_new) and p_new == 0.0):
+        hist += (scale * krev[-1]) * p_new
     return hist
+
+
+def _fold(history: PHistory) -> None:
+    """Fold the HISTORY_FOLD oldest window rows into the tail, shift the rest
+    of the window down by as many slots and advance ``folded``."""
+    fold, window = HISTORY_FOLD, history.window
+    powers = np.power.outer(history.poles, np.arange(fold, -1, -1.0))  # r^B .. r^0
+    np.einsum("mb,bj->mj", powers[:, 1:], window[:fold], out=history.work)
+    history.tail *= powers[:, :1]
+    history.tail += history.work
+    for start in range(0, len(window) - fold, fold):  # chunks that do not overlap
+        end = min(start + 2 * fold, len(window))
+        window[start : end - fold] = window[start + fold : end]
+    history.folded += fold
+
+
+def _branch(history: PHistory, n: int) -> PHistory:
+    """A holder of its own for the state at step n, a past state of the run
+    that ``history`` holds: its window rows, tail and s_0..s_n copied."""
+    rows = n + 1 - history.folded
+    window, s = np.zeros(history.window.shape), np.zeros(history.s.shape)
+    window[:rows], s[: n + 1] = history.window[:rows], history.s[: n + 1]
+    tail = None if history.tail is None else history.tail.copy()
+    return replace(history, window=window, s=s, tail=tail, filled=n + 1)
 
 
 def elimination_coefficients(
@@ -449,26 +546,37 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
         raise ValueError(f"run is configured for {cfg.n_steps} steps, cannot advance to {n}")
     tau, theta = cfg.tau, cfg.theta
     one_m = 1.0 - theta
-    f1, f2, f3 = (0.0, 0.0, 0.0) if sources is None else sources((n - theta) * tau)
+    forced = sources is not None  # unforced steps skip the source terms
+    if forced:
+        f1, f2, f3 = sources((n - theta) * tau)
     e, p, h = state.e, state.p, state.h
 
     hist_d = frac_deriv_current(state, 0.0)
     denom, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
 
     # Elimination of P^n from the dof-local polarization equation.
-    g = (1.0 / denom) * ((mat.c_p * theta) * e - theta * p - (mat.tau0**mat.alpha) * hist_d + f3)
+    g = (mat.c_p * theta) * e - theta * p - (mat.tau0**mat.alpha) * hist_d
+    if forced:
+        g += f3
+    g = (1.0 / denom) * g
 
     # rhs = (c_e/tau) E + (P - g)/tau + curl_h(H + (1-theta) tau/c_m f2)
     #       - (1-theta) theta tau/c_m curl_h curl_e E + f1,
     # where curl_e E = -|v| b and curl_h c = (0, -|v| c) on each mode.
     v = state.curl_modulus
-    rhs = (mat.c_e / tau) * e + (1.0 / tau) * (p - g) + f1
-    rhs[1] -= v * (h + (one_m * tau / mat.c_m) * f2 + (one_m * theta * tau / mat.c_m) * v * e[1])
+    rhs = (mat.c_e / tau) * e + (1.0 / tau) * (p - g)
+    if forced:
+        rhs += f1
+    field = h + (one_m * tau / mat.c_m) * f2 if forced else h
+    rhs[1] -= v * (field + state.coupling * e[1])
 
     e_new, _ = solve_spd(state.spectrum, rhs, e, CG_TOL, state.maxit)
     p_new = a_coef * e_new + g
     # H^n = H^{n-1} - tau/c_m curl_e(theta average of E) + tau/c_m f2
-    h_new = h + (tau / mat.c_m) * (v * (one_m * e_new[1] + theta * e[1]) + f2)
+    curl = v * (one_m * e_new[1] + theta * e[1])
+    if forced:
+        curl += f2
+    h_new = h + (tau / mat.c_m) * curl
     # D(P^n) = D(0) + tau^-alpha K_0 P^n, so the history sum is not run again.
     d_new = hist_d + (tau ** (-mat.alpha) * state.kernel[0]) * p_new
     s_new = norm_sq(d_new, grid)
@@ -476,10 +584,12 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     history = state.history
     if history.filled != n:
         # Another state has already advanced from this one: branch off a copy.
-        rows, s = np.zeros(history.rows.shape), np.zeros(history.s.shape)
-        rows[:n], s[:n] = history.rows[:n], history.s[:n]
-        history = PHistory(rows, s)
-    history.rows[n] = p_new.reshape(-1)
+        history = _branch(history, state.n)
+    slot = n - history.folded
+    if slot == len(history.window):
+        _fold(history)
+        slot -= HISTORY_FOLD
+    history.window[slot] = p_new.reshape(-1)
     history.s[n] = s_new
     history.filled = n + 1
 

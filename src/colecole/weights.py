@@ -15,6 +15,13 @@ the first n+1 coefficients as a read-only float64 array, values[k] the k-th:
 * ``fbdf2_weights`` -- weights of the fractional BDF-2 rule, generated by
   (3/2 - 2z + z^2/2)^alpha.
 
+``exponential_tail`` fits a run's kernel from lag n0 on by a sum of real
+geometric sequences, c_m r_m^(j - n0), within 1e-15 |K_0| on every lag, so
+that :mod:`colecole.stepper` can fold old history rows into one accumulator
+per pole r_m.  It solves its least-squares problem with Householder
+reflections in einsum and ufuncs, so it calls no LAPACK and starts no BLAS
+threads.  The cross-check of ``cumulative_weights`` is an FFT convolution.
+
 For theta in [alpha/2, 1/2] the companion sequence has a sign pattern
 (varpi_0 > 0, varpi_k <= 0 for k >= 1) that makes a_j positive and
 non-increasing; that structure is what the energy-decay argument of the
@@ -143,14 +150,18 @@ def cumulative_weights(params: SchemeParams, n: int) -> np.ndarray:
 
     The same numbers are the Taylor coefficients of
     (1-z)^(-alpha) (d0 + d1 z)^alpha = varpi(z)/(1-z); both evaluations are
-    computed and must agree to 1e-12, which guards the recurrence path.
+    computed and must agree to 1e-12, which guards the recurrence path.  The
+    series product is an FFT convolution, so the check costs O(n log n).
     """
     vals = np.cumsum(varpi_weights(params, n))
     a = params.alpha
     d0, d1 = _denominator_coeffs(params)
-    direct = d0**a * np.convolve(
-        binomial_series(-a, -1.0, n), binomial_series(a, d1 / d0, n)
-    )[: n + 1]
+    # The product of the two series by real FFTs, O(n log n), zero-padded to a
+    # power of two past 2n + 1 so that the circular convolution is the linear one.
+    size = 1 << (2 * n + 1).bit_length()
+    spectrum = np.fft.rfft(binomial_series(-a, -1.0, n), size)
+    spectrum *= np.fft.rfft(binomial_series(a, d1 / d0, n), size)
+    direct = d0**a * np.fft.irfft(spectrum, size)[: n + 1]
     defect = float(np.max(np.abs(vals - direct)))
     if defect > 1e-12:
         raise ArithmeticError(
@@ -186,6 +197,87 @@ def shift_combine(w: np.ndarray, theta: float) -> np.ndarray:
     out[:-1] = (1.0 - theta) * w
     out[1:] += theta * w
     return out
+
+
+# exponential_tail: node counts M tried (32, 48, ..., TAIL_MAX_POLES), the
+# largest decay rate s_m, and the rows of the least-squares problem reduced at once.
+TAIL_MIN_POLES = 32
+TAIL_POLE_STEP = 16
+TAIL_MAX_POLES = 128
+TAIL_MAX_RATE = 6.0
+TAIL_FIT_ROWS = 256
+TAIL_TOLERANCE = 1e-15
+
+
+def _fit_block(rates: np.ndarray, target: np.ndarray, start: int) -> np.ndarray:
+    """Rows start.. (at most TAIL_FIT_ROWS) of the fit's least-squares
+    problem: [r_m^i | target_i] for i = start.., r_m = e^(-rates_m)."""
+    stop = min(start + TAIL_FIT_ROWS, len(target))
+    block = np.empty((stop - start, len(rates) + 1))
+    np.multiply.outer(np.arange(start, stop, dtype=float), -rates, out=block[:, :-1])
+    np.exp(block[:, :-1], out=block[:, :-1])
+    block[:, -1] = target[start:stop]
+    return block
+
+
+def _householder(stack: np.ndarray) -> None:
+    """Reduce the columns of stack but the last to upper triangular form in
+    place by Householder reflections, which act on the last column too."""
+    rows, cols = stack.shape
+    for k in range(min(rows, cols - 1)):
+        v = stack[k:, k].copy()
+        norm = math.sqrt(np.einsum("i,i->", v, v))
+        if norm == 0.0:
+            continue
+        v[0] += math.copysign(norm, v[0])
+        w = np.einsum("i,ij->j", v, stack[k:, k:])
+        w *= -2.0 / np.einsum("i,i->", v, v)
+        stack[k:, k:] += np.multiply.outer(v, w)
+
+
+def exponential_tail(kernel: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real poles r and weights c with sum_m c_m r_m^(j - n0) = K_j to within
+    1e-15 |K_0| on every lag j = n0..N-1 of kernel = K_0..K_{N-1}.
+
+    The decay rates s_m, r_m = e^(-s_m), are M geometrically spaced values in
+    [0.25/N, 6]; c is the least-squares fit to K_n0..K_{N-1}.  M starts at
+    32 and grows by 16 until the bound holds; :class:`ValueError` if it has
+    not by M = 128.  The least-squares problem is reduced by Householder
+    reflections, TAIL_FIT_ROWS rows at a time onto the triangle of the rows
+    before, and checked block by block, so the fit needs O(M^2) memory
+    whatever N is.  It is einsum and ufuncs throughout: no LAPACK, and so no
+    BLAS threads.
+    """
+    size = len(kernel)
+    if not 0 < n0 < size:
+        raise ValueError(f"n0={n0} must lie in (0, {size})")
+    bound = TAIL_TOLERANCE * abs(kernel[0])
+    target = np.asarray(kernel[n0:], dtype=float)
+    starts = range(0, len(target), TAIL_FIT_ROWS)
+    for poles in range(TAIL_MIN_POLES, TAIL_MAX_POLES + 1, TAIL_POLE_STEP):
+        rates = (0.25 / size) * (TAIL_MAX_RATE * size / 0.25) ** (np.arange(poles) / (poles - 1))
+        stack = np.zeros((poles + TAIL_FIT_ROWS, poles + 1))  # [R | Q^T K] over the new rows
+        for start in starts:
+            block = _fit_block(rates, target, start)
+            stack[poles:] = 0.0
+            stack[poles : poles + len(block)] = block
+            _householder(stack)
+        weights = np.zeros(poles)
+        for k in range(poles - 1, -1, -1):  # back substitution; a zero pivot keeps c_k = 0
+            if stack[k, k] != 0.0:
+                rest = np.einsum("i,i->", stack[k, k + 1 : poles], weights[k + 1 :])
+                weights[k] = (stack[k, poles] - rest) / stack[k, k]
+        worst = 0.0
+        for start in starts:
+            block = _fit_block(rates, target, start)
+            misfit = np.einsum("jm,m->j", block[:, :-1], weights) - block[:, -1]
+            worst = max(worst, float(np.max(np.abs(misfit))))
+        if worst <= bound:
+            return _read_only(np.exp(-rates)), _read_only(weights)
+    raise ValueError(
+        f"no exponential tail of at most {TAIL_MAX_POLES} poles fits the kernel's "
+        f"{len(target)} lags from {n0} within {TAIL_TOLERANCE:g} |K_0|: off by {worst:.3e}"
+    )
 
 
 class SymbolKind(enum.Enum):
@@ -227,7 +319,7 @@ def symbol_residual(
             f"K={K} too small: truncation tail bound {tail:.3e} exceeds "
             f"1e-3*tau^2 = {1e-3 * tau * tau:.3e}"
         )
-    return abs(prefactor * float(np.dot(seq, damping)) - 1.0)
+    return abs(prefactor * float(np.einsum("i,i->", seq, damping)) - 1.0)
 
 
 def _rho(alpha: float, theta: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:

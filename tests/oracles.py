@@ -162,14 +162,34 @@ def in_modes(sources: DofSources, grid: GridSpec) -> Sources:
 
 def with_p_history(state: SimState, history: tuple[np.ndarray, ...], s=None, **changes) -> SimState:
     """A state fresh from ``init_state`` moved to n = len(history) - 1, with
-    P^k = history[k] (coefficients) written into its history rows (history[0]
-    must be zero), and s_k = s[k] beside them if given."""
+    P^k = history[k] (coefficients) written into its history window (history[0]
+    must be zero, and history must fit in the window unfolded), and s_k = s[k]
+    beside them if given."""
     for k, q in enumerate(history):
-        state.history.rows[k] = q.reshape(-1)
+        state.history.window[k] = q.reshape(-1)
     if s is not None:
         state.history.s[: len(s)] = s
     state.history.filled = len(history)
     return replace(state, n=len(history) - 1, **changes)
+
+
+def exact_frac_deriv(
+    kernel: np.ndarray, p_history, p_new: np.ndarray, scale: float
+) -> np.ndarray:
+    """scale * sum_{k=1..n} K_{n-k} P^k with P^n = p_new, n = len(p_history),
+    from P^0..P^{n-1} = p_history, every lag exact.
+
+    Summed in the association of ``colecole.stepper.frac_deriv_current`` on a
+    run that has not folded: the rows from k = 1 on, then the scale, then
+    scale K_0 p_new, so the two agree bit for bit there.
+    """
+    n = len(p_history)
+    acc = np.zeros_like(p_new)
+    for k in range(1, n):
+        acc += kernel[n - k] * p_history[k]
+    acc *= scale
+    acc += (scale * kernel[0]) * p_new
+    return acc
 
 
 def series_power(f: np.ndarray, alpha: float, n: int) -> np.ndarray:
@@ -350,7 +370,8 @@ def dense_step_solution(
     Unknowns are (E^n, H^n, P^n) on the dofs, stacked; the matrix is probed
     column by column from the equation set itself, with the curl stencils (no
     elimination, no eigenbasis, no iterative solve).  The state and its P
-    history are transformed to the dofs first.
+    history are transformed to the dofs first; the history is read from the
+    state's window, so the run must not have folded.
     """
     grid, mat, cfg = state.grid, state.material, state.config
     n = state.n + 1
@@ -359,8 +380,10 @@ def dense_step_solution(
     t_mid = (n - theta) * tau
     f1, f2, f3 = _dof_sources(sources, grid, t_mid)
     e_prev, p_prev, h_prev = state.fields()
+    if state.history.folded:
+        raise ValueError("the dense step reads every P^k, and this run has folded some")
     p_history = [
-        edge_field(state.history.rows[k].reshape(state.p.shape), grid) for k in range(n)
+        edge_field(state.history.window[k].reshape(state.p.shape), grid) for k in range(n)
     ]
 
     # History part of the fractional quadrature, straight from its definition.

@@ -207,7 +207,7 @@ def test_energy_sweep_streams_each_run(tmp_path, monkeypatch, capsys):
             assert (tmp_path / names[len(histories) - 1]).exists()
             assert histories[-1]() is None
         result = real(*args, **kwargs)
-        histories.append(weakref.ref(result[0].history.rows))
+        histories.append(weakref.ref(result[0].history.window))
         return result
 
     monkeypatch.setattr(colecole.cli, "run_decay_experiment", checked_run)

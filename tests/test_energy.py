@@ -108,7 +108,7 @@ def test_memory_term_matches_brute_force_during_run():
 def test_energy_decays_mode_by_mode(alpha, theta):
     # Each (k, l) mode is a decoupled copy of the scheme with the curls
     # replaced by |v|, so the energy law should hold for each one.  The mode
-    # energies, their memory terms rebuilt from the history rows, must sum
+    # energies, their memory terms rebuilt from the states' P^k, must sum
     # to the discrete energy and each must be non-increasing.
     grid = GridSpec(12, 10, lx=1.3)
     n_steps, tau = 200, 0.01
@@ -122,7 +122,7 @@ def test_energy_decays_mode_by_mode(alpha, theta):
         states.append(state)
     mat, area = state.material, grid.dx * grid.dy
     # s_j per mode: D^alpha P at t_{j-theta} = tau^-alpha sum_k K_{j-k} P^k
-    rows = state.history.rows.reshape(n_steps + 1, 2, 12, 10)
+    rows = np.stack([st.p for st in states])
     kern = state.kernel
     s = np.zeros((n_steps + 1, 12, 10))
     for j in range(1, n_steps + 1):
@@ -205,6 +205,16 @@ def test_run_decay_experiment_sftr_monotone():
     assert rep.violation_count == 0
     assert all(r <= rep.tolerance for r in trace.dissipations)
     assert len(trace) == 26
+
+
+@pytest.mark.parametrize("alpha,theta", [(0.99, 0.495), (0.5, 0.25)])
+def test_long_sftr_run_with_a_folded_history_decays(alpha, theta):
+    # 2000 steps: all but the last 20 to 52 lags of every history sum come
+    # from the fitted tail, and the energy still never rises
+    state, trace, rep = run_decay_experiment(alpha, theta, GridSpec(16, 16), 0.002, 2000)
+    assert state.history.folded > 1900
+    assert rep.violation_count == 0 and len(trace) == 2001
+    assert all(r <= rep.tolerance for r in trace.dissipations)
 
 
 def test_smaller_alpha_decays_faster_initially():

@@ -27,7 +27,7 @@ from colecole.stepper import (
     solve_spd,
     step,
 )
-from colecole.weights import SchemeParams, fbdf2_weights, sftr_weights, varpi_weights
+from colecole.weights import TAIL_MAX_POLES, SchemeParams, fbdf2_weights, sftr_weights, varpi_weights
 
 from oracles import (
     closed_form_sources,
@@ -82,8 +82,9 @@ def test_init_state():
     assert state.n == 0
     assert state.e.shape == state.p.shape == (2, 4, 4) and state.h.shape == (4, 4)
     assert not np.any(state.p) and state.history.filled == 1
-    assert state.history.rows.shape == (5, 32) and state.history.s.shape == (5,)
-    assert not np.any(state.history.rows) and not np.any(state.history.s)
+    assert state.history.window.shape == (5, 32) and state.history.s.shape == (5,)
+    assert not np.any(state.history.window) and not np.any(state.history.s)
+    assert state.history.tail is None and state.history.folded == 0  # 4 steps never fold
     # kernel covers the whole run and starts at the generating sequence
     assert len(state.kernel) == state.config.n_steps
     assert state.kernel[0] == sftr_weights(SchemeParams(0.5, 0.5), 0)[0]
@@ -148,30 +149,39 @@ def test_one_history_sum_per_step(quadrature, monkeypatch):
 
 @pytest.mark.parametrize("quadrature", [Quadrature.SFTR, Quadrature.FBDF2])
 def test_straight_run_fills_one_buffer(quadrature):
-    # a straight run writes every P^k into the rows init_state allocated,
-    # and the contraction matches a per-row loop over the history
-    grid = GridSpec(6, 6)
+    # a straight run keeps one holder of bounded size; the history sum is the
+    # exact per-row sum bit for bit until the first fold, and within 1e-12
+    # normwise of it once the tail holds the older rows
+    grid = GridSpec(8, 8)
     case = ManufacturedCase(alpha=0.7).sample(grid)
-    config = SchemeConfig(theta=0.4, tau=1.0 / 60, n_steps=60, quadrature=quadrature)
+    n_steps = 2000
+    config = SchemeConfig(theta=0.4, tau=1.0 / n_steps, n_steps=n_steps, quadrature=quadrature)
     start = case.initial_state(config)
-    pairs = []
-    final = run(start, case.sources, lambda a, b: pairs.append((a, b)))
-    assert final.history is start.history and final.history.filled == 61
-    assert final.history.rows.nbytes == (config.n_steps + 1) * 2 * 6 * 6 * 8
-    assert final.history.s.shape == (config.n_steps + 1,)
-    assert np.array_equal(final.history.rows[60], final.p.reshape(-1))
     scale = config.tau ** (-0.7)
-    for prev, new in pairs:
-        n = new.n
-        hist = prev.history.rows[:n].reshape((n,) + new.p.shape)
-        loop = prev.kernel[0] * new.p
-        for k in range(1, n):
-            loop += prev.kernel[n - k] * hist[k]
-        # compared on the dofs, where the sums of the manufactured P do not cancel
-        d = edge_field(frac_deriv_current(prev, new.p), grid)
-        want = edge_field(scale * loop, grid)
-        np.testing.assert_allclose(d.ex, want.ex, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(d.ey, want.ey, rtol=1e-13, atol=0)
+    p_history = [start.p]
+    exact, worst = 0, 0.0
+
+    def check(prev, new):
+        nonlocal exact, worst
+        p_history.append(new.p)
+        if prev.history.folded and new.n % 7 and new.n != n_steps:
+            return  # the O(n) oracle at every seventh step, which meets every fold phase
+        d = frac_deriv_current(prev, new.p)
+        want = oracles.exact_frac_deriv(prev.kernel, p_history[: new.n], new.p, scale)
+        if prev.history.folded:
+            worst = max(worst, np.linalg.norm(d - want) / np.linalg.norm(want))
+        else:
+            assert d.tobytes() == want.tobytes(), new.n
+            exact += 1
+
+    final = run(start, case.sources, check)
+    history = final.history
+    assert history is start.history and history.filled == n_steps + 1
+    assert exact == stepper.WINDOW_ROWS - 1  # steps 1..52 read an unfolded history
+    assert 0.0 < worst <= 1e-12
+    assert history.window.shape == (stepper.WINDOW_ROWS, 2 * 8 * 8)
+    assert history.s.shape == (n_steps + 1,)
+    assert np.array_equal(history.window[n_steps - history.folded], final.p.reshape(-1))
 
 
 def test_step_zero_state_stays_zero():
@@ -375,7 +385,7 @@ def test_spectrum_rejects_a_component_0_of_several_values():
 BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "vecdot", "matvec", "tensordot"}
 
 
-@pytest.mark.parametrize("module", ["stepper", "energy", "mesh", "manufactured"])
+@pytest.mark.parametrize("module", ["stepper", "energy", "mesh", "manufactured", "weights"])
 def test_step_path_calls_no_blas(module):
     import ast, importlib
 
@@ -448,21 +458,73 @@ def test_step_runs_without_transforms_or_stencils(monkeypatch):
 def test_memory_preflight_refuses_before_allocating(monkeypatch):
     grid = GridSpec(8, 8)
     config = SchemeConfig(theta=0.5, tau=0.01, n_steps=1000)
-    history_bytes = (config.n_steps + 1) * 2 * 8 * 8 * 8
+    window_bytes = stepper.WINDOW_ROWS * 2 * 8 * 8 * 8
 
     def no_kernel(*args):
         raise AssertionError("the run allocated")
 
-    monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: history_bytes)
+    monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: window_bytes)
     monkeypatch.setattr(stepper, "build_kernel", no_kernel)
     with pytest.raises(MemoryError, match="physical memory"):
         init_state(grid, MaterialParams(), config, VecField.zeros(grid), ScalarField.zeros(grid))
     monkeypatch.undo()
-    monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: 2 * history_bytes)
+    assert stepper.physical_memory_bytes() > 100 * window_bytes
+
+
+def test_memory_preflight_counts_a_bounded_history(monkeypatch):
+    # a 5000-step run on 8x8 fits in less memory than its 5001 P rows take:
+    # the estimate that counted every row refused it
+    grid = GridSpec(8, 8)
+    config = SchemeConfig(theta=0.5, tau=0.002, n_steps=5000)
+    dofs = 2 * 8 * 8
+    every_row = 8 * ((config.n_steps + 1) * (dofs + 4) + 32 * dofs)
+    monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: every_row - 1)
     state = init_state(grid, MaterialParams(), config, VecField.zeros(grid), ScalarField.zeros(grid))
-    assert state.history.rows.nbytes == history_bytes
-    monkeypatch.undo()
-    assert stepper.physical_memory_bytes() > history_bytes
+    history = state.history
+    held = history.window.nbytes + history.tail.nbytes + history.work.nbytes
+    assert held == (stepper.WINDOW_ROWS + 2 * len(history.poles)) * dofs * 8
+    assert held < every_row / 10
+
+
+def test_history_bytes_do_not_grow_with_the_run():
+    # the holder of a 2000-step run is the window and 2 M rows, as for 200
+    # steps; only the fitted M may differ
+    grid, dofs = GridSpec(8, 8), 2 * 8 * 8
+    held = {}
+    for n_steps in (200, 2000):
+        history = zero_state(grid, tau=1.0 / n_steps, n_steps=n_steps).history
+        assert history.window.shape == (stepper.WINDOW_ROWS, dofs)
+        assert history.tail.shape == history.work.shape == (len(history.poles), dofs)
+        held[n_steps] = history.window.nbytes + history.tail.nbytes + history.work.nbytes
+        assert held[n_steps] <= (stepper.WINDOW_ROWS + 2 * TAIL_MAX_POLES) * dofs * 8
+    assert held[2000] < 2 * held[200] and held[2000] < (200 + 1) * dofs * 8
+
+
+def test_a_past_state_that_a_fold_overtook_cannot_be_stepped():
+    grid = GridSpec(8, 8)
+    case = ManufacturedCase(alpha=0.6).sample(grid)
+    config = SchemeConfig(theta=0.4, tau=0.01, n_steps=100)
+    states = [case.initial_state(config)]
+    run(states[0], case.sources, lambda a, b: states.append(b))
+    latest = states[-1]
+    assert latest.history.folded > 0
+    window, tail = latest.history.window.copy(), latest.history.tail.copy()
+    for past in (states[10], states[60]):
+        with pytest.raises(ValueError, match="past state"):
+            step(past, case.sources)
+        with pytest.raises(ValueError, match="past state"):
+            frac_deriv_current(past, 0.0)
+    assert latest.history.filled == 101
+    assert np.array_equal(latest.history.window, window)
+    assert np.array_equal(latest.history.tail, tail)
+    # a state close enough to the latest still branches: the same step,
+    # summed with more rows in the tail
+    near = states[-stepper.HISTORY_FOLD - 4]
+    branch = step(near, case.sources)
+    again = states[near.n + 1]
+    assert branch.history is not latest.history
+    assert np.linalg.norm(branch.p - again.p) <= 1e-12 * np.linalg.norm(again.p)
+    assert np.array_equal(latest.history.window, window)
 
 
 @pytest.mark.parametrize("where, bad", [("rhs", np.nan), ("rhs", np.inf), ("x0", np.nan)])
@@ -583,11 +645,12 @@ def test_difference_identity_from_companion_weights():
     grid = GridSpec(10, 10)
     case = ManufacturedCase(alpha=0.6).sample(grid)
     config = SchemeConfig(theta=0.3, tau=0.1, n_steps=8)
-    state = run(case.initial_state(config), case.sources)
+    start = case.initial_state(config)
+    hist = [start.p]
+    state = run(start, case.sources, lambda a, b: hist.append(b.p))
     tau, alpha = config.tau, 0.6
     omega = state.kernel
     varpi = varpi_weights(SchemeParams(alpha, config.theta), config.n_steps)
-    hist = state.history.rows[: config.n_steps + 1]
 
     def quadrature_at(k):
         acc = np.zeros_like(hist[0])
@@ -654,7 +717,7 @@ def test_stepping_a_past_state_branches_its_history():
     a = case.initial_state(config)
     b = step(a, sources)
     c = step(b, sources)
-    c_rows, c_s = c.history.rows[: c.n + 1].copy(), c.history.s[: c.n + 1].copy()
+    c_rows, c_s = c.history.window[: c.n + 1].copy(), c.history.s[: c.n + 1].copy()
     b2 = step(a, sources)
     d = step(c, sources)
     c2 = step(b, sources)
@@ -667,9 +730,9 @@ def test_stepping_a_past_state_branches_its_history():
         assert x.n == y.n
         for name in ("e", "p", "h"):
             assert np.array_equal(getattr(x, name), getattr(y, name))
-        assert np.array_equal(x.history.rows[: x.n + 1], y.history.rows[: y.n + 1])
+        assert np.array_equal(x.history.window[: x.n + 1], y.history.window[: y.n + 1])
         assert np.array_equal(x.history.s[: x.n + 1], y.history.s[: y.n + 1])
-    assert np.array_equal(c.history.rows[: c.n + 1], c_rows)
+    assert np.array_equal(c.history.window[: c.n + 1], c_rows)
     assert np.array_equal(c.history.s[: c.n + 1], c_s)
 
 

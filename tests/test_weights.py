@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from colecole.weights import (
+    TAIL_MAX_POLES,
     SchemeParams,
     SymbolKind,
     binomial_series,
     cumulative_weights,
+    exponential_tail,
     fbdf2_weights,
     min_theta_gap_grid,
     sftr_weights,
@@ -108,6 +110,59 @@ def test_convolution_identity():
         assert abs(conv[0] - 1.0) <= 1e-12
         assert abs(conv[1] + 1.0) <= 1e-12
         assert np.max(np.abs(conv[2:513])) <= 1e-12
+
+
+def test_cumulative_check_is_an_fft_convolution(monkeypatch):
+    # the 1e-12 cross-check over all N + 1 entries costs O(N log N): at
+    # N = 10^5 the quadratic convolution took seconds
+    def quadratic(*args, **kwargs):
+        raise AssertionError("np.convolve called")
+
+    monkeypatch.setattr(np, "convolve", quadratic)
+    for alpha, theta in ((0.5, 0.5), (0.1, 0.05), (0.9, 0.45)):
+        a = cumulative_weights(SchemeParams(alpha, theta), 10**5)
+        assert len(a) == 10**5 + 1 and np.all(np.diff(a) <= 0.0)
+    monkeypatch.undo()
+    params = SchemeParams(0.7, 0.5)
+    np.testing.assert_allclose(
+        cumulative_weights(params, 300), np.cumsum(varpi_weights_by_series(params, 300)),
+        rtol=0, atol=1e-13,
+    )
+
+
+KERNELS = {
+    "sftr-0.1-0.05": lambda n: sftr_weights(SchemeParams(0.1, 0.05), n - 1),
+    "sftr-0.5-0.5": lambda n: sftr_weights(SchemeParams(0.5, 0.5), n - 1),
+    "sftr-0.99-0.495": lambda n: sftr_weights(SchemeParams(0.99, 0.495), n - 1),
+    # the lags a run reads: g_0..g_{N-1}, not the last entry g_N
+    "fbdf2-0.5-0.5": lambda n: shift_combine(fbdf2_weights(0.5, n - 1), 0.5)[:n],
+}
+
+
+@pytest.mark.parametrize("n_steps", [100, 400, 4000])
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_exponential_tail_fits_every_read_lag(kernel, n_steps):
+    k = KERNELS[kernel](n_steps)
+    assert len(k) == n_steps
+    poles, weights = exponential_tail(k, 20)
+    m = len(poles)
+    assert m in range(32, TAIL_MAX_POLES + 1, 16) and weights.shape == (m,)
+    rates = -np.log(poles)
+    assert rates[0] == pytest.approx(0.25 / n_steps, rel=1e-12)
+    assert rates[-1] == pytest.approx(6.0, rel=1e-12)
+    np.testing.assert_allclose(rates[1:] / rates[:-1], rates[1] / rates[0], rtol=1e-9)
+    lags = np.arange(n_steps - 20)
+    fit = (weights * poles ** lags[:, None]).sum(axis=1)
+    assert np.max(np.abs(fit - k[20:])) <= 1e-15 * abs(k[0])
+
+
+def test_exponential_tail_refuses_what_it_cannot_fit():
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match="no exponential tail"):
+        exponential_tail(rng.standard_normal(300), 20)
+    for n0 in (0, 300):
+        with pytest.raises(ValueError, match="n0"):
+            exponential_tail(np.ones(300), n0)
 
 
 def test_cumulative_examples_and_kind_check():
