@@ -54,9 +54,11 @@ r_m of an exponential fit to the kernel's lags from n0 on
 (:func:`colecole.weights.exponential_tail`, within 1e-15 |K_0|), and the
 history part of a step is one contraction with the window plus one with the
 accumulators.  Runs of at most n0 + 2B steps never fold and sum every P^k
-exactly.  The contractions are einsums and run on one thread on purpose:
-through BLAS they would start threads that keep spinning through the rest of
-the step and cost more CPU than they save.  s_0..s_N sit beside the window.
+exactly; so do runs whose kernel the fit cannot follow (SFTR with theta well
+below alpha/2, whose kernel alternates in sign), which keep every P^k.  The
+contractions are einsums and run on one thread on purpose: through BLAS they
+would start threads that keep spinning through the rest of the step and cost
+more CPU than they save.  s_0..s_N sit beside the window.
 Before it allocates, :func:`init_state` estimates the bytes a run needs and
 raises :class:`MemoryError` if they exceed the machine's physical memory.
 
@@ -68,8 +70,8 @@ or calling :func:`frac_deriv_current` on it raises :class:`ValueError`.
 The state also carries the energy weights a_0..a_N of the run's (alpha,
 theta), ``SimState.a_weights``; FBDF2 runs carry the trapezoidal ones too.
 It carries the constants of the run's steps as well, which :func:`init_state`
-builds once: |v| of every mode, (1-theta) theta tau/c_m |v|, the grouped
-:class:`Spectrum` of the E-solve and CG's iteration limit.
+builds once: |v| of every mode, the grouped :class:`Spectrum` of the E-solve
+and CG's iteration limit.
 """
 
 from __future__ import annotations
@@ -161,13 +163,15 @@ class PHistory:
     ``window`` holds recent P^k as raveled coefficients: slot i holds
     P^(folded + i).  P^0 .. P^(folded-1) are folded into the (M, 2 nx ny)
     ``tail``: tail_m = sum_{k < folded} r_m^(folded-1-k) P^k, with the
-    ``poles`` r and ``weights`` c of :func:`colecole.weights.exponential_tail`;
-    ``work`` is the fold's scratch.  The four are None in a run of at most
-    WINDOW_ROWS - 1 steps, which never folds; its window has a row per step.
-    P^0 = 0 and s_0 = 0.  P^0..P^(filled-1) have been written; the states of a
-    run share the holder, and a state at step n reads P up to P^n.  Only
-    stepping the latest state (n = filled - 1) writes; :func:`step` copies
-    the window and tail of any other state into a new holder first.
+    ``poles`` r and ``weights`` c of :func:`colecole.weights.exponential_tail`.
+    The three are None in a run that never folds, whose window has a row per
+    step: a run of at most WINDOW_ROWS - 1 steps, or one whose kernel the
+    fit cannot follow (SFTR with theta well below alpha/2, whose kernel
+    alternates in sign).  P^0 = 0 and s_0 = 0.  P^0..P^(filled-1) have been
+    written; the states of a run share the holder, and a state at step n
+    reads P up to P^n.  Only stepping the latest state (n = filled - 1)
+    writes; :func:`step` copies the window and tail of any other state into
+    a new holder first.
     """
 
     window: np.ndarray
@@ -175,7 +179,6 @@ class PHistory:
     poles: np.ndarray | None = None
     weights: np.ndarray | None = None
     tail: np.ndarray | None = None
-    work: np.ndarray | None = None
     folded: int = 0
     filled: int = 1
 
@@ -214,9 +217,9 @@ class SimState:
     ``e`` and ``p`` are the (2, nx, ny) edge coefficients of E^n and P^n,
     ``h`` the (nx, ny) cell coefficients of H^n (see
     :class:`~colecole.mesh.CurlCurlBasis`); :meth:`fields` gives the dof arrays.
-    ``curl_modulus`` (|v| of every mode), ``coupling`` ((1-theta) theta
-    tau/c_m |v|), ``spectrum`` (the eigenvalues of the E-solve's operator) and
-    ``maxit`` (CG's iteration limit) are constant over the run.
+    ``curl_modulus`` (|v| of every mode), ``spectrum`` (the eigenvalues of the
+    E-solve's operator) and ``maxit`` (CG's iteration limit) are constant over
+    the run.
     """
 
     n: int
@@ -230,7 +233,6 @@ class SimState:
     material: MaterialParams
     config: SchemeConfig
     curl_modulus: np.ndarray
-    coupling: np.ndarray
     spectrum: Spectrum
     maxit: int
 
@@ -275,6 +277,30 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _require_memory(grid: GridSpec, config: SchemeConfig, rows: int, poles: int) -> None:
+    """Raise :class:`MemoryError` unless a run with a P window of ``rows``
+    rows and a tail of ``poles`` poles fits in physical memory."""
+    steps, dofs = config.n_steps, 2 * grid.nx * grid.ny
+    # The window rows.  A run that folds adds its tail and a fold's temporary,
+    # M rows each, and the fit's workspace, three arrays of its row blocks.
+    # Twenty (N+1,) arrays: s, the kernel and the energy weights, the fit's
+    # lags and targets, and the build of the weights, whose FFT check holds
+    # three arrays of up to 4 (N+1) values.  The step constants (|v|, the
+    # spectrum's index and its at most dofs/2 values) take under three
+    # coefficient arrays, and their build, which sorts dofs/2 eigenvalues,
+    # under five more, freed before the first step; with a step's
+    # temporaries and the states it holds, that stays well under 32
+    # coefficient arrays.
+    fit = 3 * (TAIL_FIT_ROWS + poles) * (poles + 1) if poles else 0
+    need = 8 * (rows * dofs + 2 * poles * dofs + fit + 20 * (steps + 1) + 32 * dofs)
+    have = physical_memory_bytes()
+    if need > have:
+        raise MemoryError(
+            f"a run of {steps} steps on {grid.nx}x{grid.ny} needs about "
+            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def init_state(
     grid: GridSpec,
     material: MaterialParams,
@@ -287,10 +313,12 @@ def init_state(
 
     e0 must be zero on the tangential boundary.  The initial data is
     transformed to coefficients once.  Allocates the P history: a window of
-    min(n_steps, 52) + 1 rows of 2 nx ny * 8 bytes, and, if the run folds,
-    the fitted tail and the fold's scratch, M such rows each.  Raises
-    :class:`MemoryError` before any of that if the run would not fit in
-    physical memory.
+    min(n_steps, 52) + 1 rows of 2 nx ny * 8 bytes and, if the run folds, the
+    fitted tail of M such rows.  A run of more than 52 steps whose kernel has
+    no exponential tail within the fit's bound keeps all n_steps + 1 rows
+    and sums them exactly.  Raises :class:`MemoryError` before the history
+    is allocated if the run would not fit in physical memory; the bounded
+    history is checked before anything is built.
     """
     if (
         e0.ex.shape != (grid.nx, grid.ny + 1)
@@ -313,33 +341,22 @@ def _initial_state(
     state takes over."""
     steps = config.n_steps
     rows = min(steps, WINDOW_ROWS - 1) + 1
-    dofs = 2 * grid.nx * grid.ny
-    # The window rows.  A run that folds adds its tail and the fold's scratch,
-    # counted at the most poles the fit may take, and the fit's workspace,
-    # three arrays of its row blocks.  Twenty (N+1,) arrays: s, the kernel and
-    # the energy weights, the fit's lags and targets, and the build of the
-    # weights, whose FFT check holds three arrays of up to 4 (N+1) values.
-    # The step constants (|v|, the coupling, the spectrum's index and its at
-    # most dofs/2 values) take under three coefficient arrays, and their
-    # build, which sorts dofs/2 eigenvalues, under five more, freed before the
-    # first step; with a step's temporaries and the states it holds, that
-    # stays well under 32 coefficient arrays.
-    fit = 3 * (TAIL_FIT_ROWS + TAIL_MAX_POLES) * (TAIL_MAX_POLES + 1)
-    tail = 2 * TAIL_MAX_POLES * dofs + fit if steps >= WINDOW_ROWS else 0
-    need = 8 * (rows * dofs + tail + 20 * (steps + 1) + 32 * dofs)
-    have = physical_memory_bytes()
-    if need > have:
-        raise MemoryError(
-            f"a run of {config.n_steps} steps on {grid.nx}x{grid.ny} needs about "
-            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
-        )
+    _require_memory(grid, config, rows, TAIL_MAX_POLES if steps >= WINDOW_ROWS else 0)
     kernel_rev = np.ascontiguousarray(build_kernel(material, config)[::-1])
-    history = PHistory(np.zeros((rows, dofs)), np.zeros(steps + 1))
+    poles = weights = tail = None
     if steps >= WINDOW_ROWS:
-        # the lags a tail is read at: HISTORY_EXACT..n_steps-1 (FBDF2's g_N is not)
-        history.poles, history.weights = exponential_tail(kernel_rev[::-1][:steps], HISTORY_EXACT)
-        history.tail = np.zeros((len(history.poles), dofs))
-        history.work = np.empty_like(history.tail)
+        try:
+            # the lags a tail is read at: HISTORY_EXACT..n_steps-1 (FBDF2's g_N is not)
+            poles, weights = exponential_tail(kernel_rev[::-1][:steps], HISTORY_EXACT)
+        except ValueError:
+            # No tail fits (an SFTR kernel with a slowly decaying alternating
+            # part): keep every row and sum the whole history exactly.
+            rows = steps + 1
+            _require_memory(grid, config, rows, 0)
+    dofs = 2 * grid.nx * grid.ny
+    if poles is not None:
+        tail = np.zeros((len(poles), dofs))
+    history = PHistory(np.zeros((rows, dofs)), np.zeros(steps + 1), poles, weights, tail)
     tau, theta = config.tau, config.theta
     one_m = 1.0 - theta
     _, a_coef = elimination_coefficients(material, theta, tau, kernel_rev[-1])
@@ -358,7 +375,6 @@ def _initial_state(
         material=material,
         config=config,
         curl_modulus=curl_modulus,
-        coupling=(one_m * theta * tau / material.c_m) * curl_modulus,
         spectrum=Spectrum(lam),
         maxit=CG_MAXIT_PER_SIDE * (grid.nx + grid.ny),
     )
@@ -409,8 +425,7 @@ def frac_deriv_current(state: SimState, p_new: np.ndarray | float) -> np.ndarray
     hist = hist.reshape(state.p.shape)
     scale = state.config.tau ** (-state.material.alpha)
     hist *= scale
-    if not (np.isscalar(p_new) and p_new == 0.0):
-        hist += (scale * krev[-1]) * p_new
+    hist += (scale * krev[-1]) * p_new
     return hist
 
 
@@ -419,9 +434,8 @@ def _fold(history: PHistory) -> None:
     of the window down by as many slots and advance ``folded``."""
     fold, window = HISTORY_FOLD, history.window
     powers = np.power.outer(history.poles, np.arange(fold, -1, -1.0))  # r^B .. r^0
-    np.einsum("mb,bj->mj", powers[:, 1:], window[:fold], out=history.work)
     history.tail *= powers[:, :1]
-    history.tail += history.work
+    history.tail += np.einsum("mb,bj->mj", powers[:, 1:], window[:fold])
     for start in range(0, len(window) - fold, fold):  # chunks that do not overlap
         end = min(start + 2 * fold, len(window))
         window[start : end - fold] = window[start + fold : end]
@@ -546,37 +560,26 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
         raise ValueError(f"run is configured for {cfg.n_steps} steps, cannot advance to {n}")
     tau, theta = cfg.tau, cfg.theta
     one_m = 1.0 - theta
-    forced = sources is not None  # unforced steps skip the source terms
-    if forced:
-        f1, f2, f3 = sources((n - theta) * tau)
+    f1, f2, f3 = (0.0, 0.0, 0.0) if sources is None else sources((n - theta) * tau)
     e, p, h = state.e, state.p, state.h
 
     hist_d = frac_deriv_current(state, 0.0)
     denom, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
 
     # Elimination of P^n from the dof-local polarization equation.
-    g = (mat.c_p * theta) * e - theta * p - (mat.tau0**mat.alpha) * hist_d
-    if forced:
-        g += f3
-    g = (1.0 / denom) * g
+    g = (1.0 / denom) * ((mat.c_p * theta) * e - theta * p - (mat.tau0**mat.alpha) * hist_d + f3)
 
     # rhs = (c_e/tau) E + (P - g)/tau + curl_h(H + (1-theta) tau/c_m f2)
     #       - (1-theta) theta tau/c_m curl_h curl_e E + f1,
     # where curl_e E = -|v| b and curl_h c = (0, -|v| c) on each mode.
     v = state.curl_modulus
-    rhs = (mat.c_e / tau) * e + (1.0 / tau) * (p - g)
-    if forced:
-        rhs += f1
-    field = h + (one_m * tau / mat.c_m) * f2 if forced else h
-    rhs[1] -= v * (field + state.coupling * e[1])
+    rhs = (mat.c_e / tau) * e + (1.0 / tau) * (p - g) + f1
+    rhs[1] -= v * (h + (one_m * tau / mat.c_m) * f2 + (one_m * theta * tau / mat.c_m) * v * e[1])
 
     e_new, _ = solve_spd(state.spectrum, rhs, e, CG_TOL, state.maxit)
     p_new = a_coef * e_new + g
     # H^n = H^{n-1} - tau/c_m curl_e(theta average of E) + tau/c_m f2
-    curl = v * (one_m * e_new[1] + theta * e[1])
-    if forced:
-        curl += f2
-    h_new = h + (tau / mat.c_m) * curl
+    h_new = h + (tau / mat.c_m) * (v * (one_m * e_new[1] + theta * e[1]) + f2)
     # D(P^n) = D(0) + tau^-alpha K_0 P^n, so the history sum is not run again.
     d_new = hist_d + (tau ** (-mat.alpha) * state.kernel[0]) * p_new
     s_new = norm_sq(d_new, grid)

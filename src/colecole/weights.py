@@ -20,7 +20,10 @@ geometric sequences, c_m r_m^(j - n0), within 1e-15 |K_0| on every lag, so
 that :mod:`colecole.stepper` can fold old history rows into one accumulator
 per pole r_m.  It solves its least-squares problem with Householder
 reflections in einsum and ufuncs, so it calls no LAPACK and starts no BLAS
-threads.  The cross-check of ``cumulative_weights`` is an FFT convolution.
+threads, which would keep spinning after the call.  Only kernels whose
+lags from n0 on are smooth have such a tail: the SFTR kernel for theta well
+below alpha/2 alternates in sign there, and the fit refuses it.  The
+cross-check of ``cumulative_weights`` is an FFT convolution.
 
 For theta in [alpha/2, 1/2] the companion sequence has a sign pattern
 (varpi_0 > 0, varpi_k <= 0 for k >= 1) that makes a_j positive and
@@ -242,7 +245,8 @@ def exponential_tail(kernel: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarra
     The decay rates s_m, r_m = e^(-s_m), are M geometrically spaced values in
     [0.25/N, 6]; c is the least-squares fit to K_n0..K_{N-1}.  M starts at
     32 and grows by 16 until the bound holds; :class:`ValueError` if it has
-    not by M = 128.  The least-squares problem is reduced by Householder
+    not by M = 128, or once a fit misses by no less than the one before,
+    since more poles then only add round-off.  The least-squares problem is reduced by Householder
     reflections, TAIL_FIT_ROWS rows at a time onto the triangle of the rows
     before, and checked block by block, so the fit needs O(M^2) memory
     whatever N is.  It is einsum and ufuncs throughout: no LAPACK, and so no
@@ -254,6 +258,7 @@ def exponential_tail(kernel: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarra
     bound = TAIL_TOLERANCE * abs(kernel[0])
     target = np.asarray(kernel[n0:], dtype=float)
     starts = range(0, len(target), TAIL_FIT_ROWS)
+    previous = math.inf
     for poles in range(TAIL_MIN_POLES, TAIL_MAX_POLES + 1, TAIL_POLE_STEP):
         rates = (0.25 / size) * (TAIL_MAX_RATE * size / 0.25) ** (np.arange(poles) / (poles - 1))
         stack = np.zeros((poles + TAIL_FIT_ROWS, poles + 1))  # [R | Q^T K] over the new rows
@@ -274,6 +279,9 @@ def exponential_tail(kernel: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarra
             worst = max(worst, float(np.max(np.abs(misfit))))
         if worst <= bound:
             return _read_only(np.exp(-rates)), _read_only(weights)
+        if worst >= previous:
+            break
+        previous = worst
     raise ValueError(
         f"no exponential tail of at most {TAIL_MAX_POLES} poles fits the kernel's "
         f"{len(target)} lags from {n0} within {TAIL_TOLERANCE:g} |K_0|: off by {worst:.3e}"

@@ -4,6 +4,7 @@ the package's exported names."""
 import dataclasses
 import gc
 import json
+import math
 import weakref
 
 import numpy as np
@@ -178,6 +179,19 @@ def test_energy_run_and_trace(tmp_path):
     energy = np.array([float(r[2]) for r in rows])
     assert np.all(np.diff(energy) <= 1e-10 * (1.0 + energy[0]))
     assert all(float(r[4]) == 0.0 for r in rows)
+
+
+def test_energy_long_run_below_half_alpha(tmp_path):
+    # theta < alpha/2 with a kernel no exponential tail follows: the run
+    # keeps its whole history and ends
+    out = tmp_path / "e.csv"
+    code = main([
+        "energy", "--alpha", "0.9", "--theta", "0.01", "--steps", "400",
+        "--nx", "8", "--ny", "8", "--out", str(out),
+    ])
+    assert code == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 401 and all(math.isfinite(float(r[2])) for r in rows)
 
 
 def test_energy_fbdf2_report_only(tmp_path):

@@ -184,6 +184,44 @@ def test_straight_run_fills_one_buffer(quadrature):
     assert np.array_equal(history.window[n_steps - history.folded], final.p.reshape(-1))
 
 
+@pytest.mark.parametrize("alpha, theta, folds", [(0.9, 0.01, False), (0.5, 0.2, True)])
+def test_theta_below_half_alpha_runs_long(alpha, theta, folds):
+    # for theta < alpha/2 the SFTR kernel has a part in (-d1/d0)^j, d1/d0 > 0,
+    # which no tail of positive poles follows.  At (0.9, 0.01), d1/d0 = 0.957
+    # and the fit fails, so the run keeps every row and sums them exactly,
+    # bit for bit; at (0.5, 0.2), d1/d0 = 0.11 and the fit holds from lag 20,
+    # so the run folds
+    grid = GridSpec(8, 8)
+    case = ManufacturedCase(alpha=alpha).sample(grid)
+    n_steps = 400
+    config = SchemeConfig(theta=theta, tau=1.0 / n_steps, n_steps=n_steps)
+    start = case.initial_state(config)
+    scale = config.tau ** (-alpha)
+    p_history = [start.p]
+    exact, worst = 0, 0.0
+
+    def check(prev, new):
+        nonlocal exact, worst
+        p_history.append(new.p)
+        d = frac_deriv_current(prev, new.p)
+        want = oracles.exact_frac_deriv(prev.kernel, p_history[: new.n], new.p, scale)
+        if prev.history.folded:
+            worst = max(worst, np.linalg.norm(d - want) / np.linalg.norm(want))
+        else:
+            assert d.tobytes() == want.tobytes(), new.n
+            exact += 1
+
+    final = run(start, case.sources, check)
+    history = final.history
+    assert final.n == n_steps and np.all(np.isfinite(final.e))
+    assert (history.poles is not None) == folds
+    if folds:
+        assert exact == stepper.WINDOW_ROWS - 1 and 0.0 < worst <= 1e-12
+    else:
+        assert exact == n_steps and history.folded == 0
+        assert history.window.shape == (n_steps + 1, 2 * 8 * 8)
+
+
 def test_step_zero_state_stays_zero():
     state = zero_state()
     new = step(state)
@@ -481,22 +519,37 @@ def test_memory_preflight_counts_a_bounded_history(monkeypatch):
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: every_row - 1)
     state = init_state(grid, MaterialParams(), config, VecField.zeros(grid), ScalarField.zeros(grid))
     history = state.history
-    held = history.window.nbytes + history.tail.nbytes + history.work.nbytes
-    assert held == (stepper.WINDOW_ROWS + 2 * len(history.poles)) * dofs * 8
+    held = history.window.nbytes + history.tail.nbytes
+    assert held == (stepper.WINDOW_ROWS + len(history.poles)) * dofs * 8
     assert held < every_row / 10
 
 
+def test_memory_preflight_counts_every_row_when_no_tail_fits(monkeypatch):
+    # the memory that holds a bounded 5000-step run on 8x8 does not hold the
+    # 5001 rows of a run whose kernel has no tail, and init_state says so
+    grid = GridSpec(8, 8)
+    dofs = 2 * 8 * 8
+    every_row = 8 * ((5000 + 1) * (dofs + 4) + 32 * dofs)
+    monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: every_row - 1)
+    material = MaterialParams(alpha=0.9)
+    zero = VecField.zeros(grid), ScalarField.zeros(grid)
+    bounded = init_state(grid, material, SchemeConfig(theta=0.45, tau=0.002, n_steps=5000), *zero)
+    assert bounded.history.poles is not None
+    with pytest.raises(MemoryError, match="physical memory"):
+        init_state(grid, material, SchemeConfig(theta=0.01, tau=0.002, n_steps=5000), *zero)
+
+
 def test_history_bytes_do_not_grow_with_the_run():
-    # the holder of a 2000-step run is the window and 2 M rows, as for 200
+    # the holder of a 2000-step run is the window and M rows, as for 200
     # steps; only the fitted M may differ
     grid, dofs = GridSpec(8, 8), 2 * 8 * 8
     held = {}
     for n_steps in (200, 2000):
         history = zero_state(grid, tau=1.0 / n_steps, n_steps=n_steps).history
         assert history.window.shape == (stepper.WINDOW_ROWS, dofs)
-        assert history.tail.shape == history.work.shape == (len(history.poles), dofs)
-        held[n_steps] = history.window.nbytes + history.tail.nbytes + history.work.nbytes
-        assert held[n_steps] <= (stepper.WINDOW_ROWS + 2 * TAIL_MAX_POLES) * dofs * 8
+        assert history.tail.shape == (len(history.poles), dofs)
+        held[n_steps] = history.window.nbytes + history.tail.nbytes
+        assert held[n_steps] <= (stepper.WINDOW_ROWS + TAIL_MAX_POLES) * dofs * 8
     assert held[2000] < 2 * held[200] and held[2000] < (200 + 1) * dofs * 8
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from colecole import weights
 from colecole.weights import (
     TAIL_MAX_POLES,
     SchemeParams,
@@ -156,10 +157,20 @@ def test_exponential_tail_fits_every_read_lag(kernel, n_steps):
     assert np.max(np.abs(fit - k[20:])) <= 1e-15 * abs(k[0])
 
 
-def test_exponential_tail_refuses_what_it_cannot_fit():
+def test_exponential_tail_refuses_what_it_cannot_fit(monkeypatch):
     rng = np.random.default_rng(4)
     with pytest.raises(ValueError, match="no exponential tail"):
         exponential_tail(rng.standard_normal(300), 20)
+    # theta < alpha/2: the kernel's part in (-d1/d0)^j, d1/d0 = 0.957, makes
+    # it change sign at every lag up to 313, which no sum of at most 128
+    # positive-pole exponentials can; the fits stop improving well before
+    # M = 128, and so does the search
+    tried = set()
+    block = weights._fit_block
+    monkeypatch.setattr(weights, "_fit_block", lambda r, *a: tried.add(len(r)) or block(r, *a))
+    with pytest.raises(ValueError, match="no exponential tail"):
+        exponential_tail(sftr_weights(SchemeParams(0.9, 0.01), 399), 20)
+    assert 32 in tried and max(tried) < TAIL_MAX_POLES
     for n0 in (0, 300):
         with pytest.raises(ValueError, match="n0"):
             exponential_tail(np.ones(300), n0)
