@@ -62,10 +62,8 @@ more CPU than they save.  s_0..s_N sit beside the window.
 Before it allocates, :func:`init_state` estimates the bytes a run needs and
 raises :class:`MemoryError` if they exceed the machine's physical memory.
 
-Only the run's latest state advances its holder.  Stepping a past state
-copies its window and accumulators into a holder of its own, as long as no
-fold has taken rows that state still sums exactly; after that, stepping it
-or calling :func:`frac_deriv_current` on it raises :class:`ValueError`.
+The states of a run share its holder, and only the latest one can be
+stepped: :func:`step` raises :class:`ValueError` on a past state.
 
 The state also carries the energy weights a_0..a_N of the run's (alpha,
 theta), ``SimState.a_weights``; FBDF2 runs carry the trapezoidal ones too.
@@ -169,9 +167,8 @@ class PHistory:
     fit cannot follow (SFTR with theta well below alpha/2, whose kernel
     alternates in sign).  P^0 = 0 and s_0 = 0.  P^0..P^(filled-1) have been
     written; the states of a run share the holder, and a state at step n
-    reads P up to P^n.  Only stepping the latest state (n = filled - 1)
-    writes; :func:`step` copies the window and tail of any other state into
-    a new holder first.
+    reads P up to P^n.  Only the latest state (n = filled - 1) can be
+    stepped, and stepping it writes.
     """
 
     window: np.ndarray
@@ -410,7 +407,7 @@ def frac_deriv_current(state: SimState, p_new: np.ndarray | float) -> np.ndarray
     if folded and n + 1 - folded < HISTORY_EXACT:
         raise ValueError(
             f"state at step {state.n} is a past state whose run has folded P^0..P^{folded - 1} "
-            "into its history's tail; it can no longer be stepped"
+            "into its history's tail, rows this state sums exactly"
         )
     krev = state.kernel_rev
     first = 0 if folded else 1  # slot of P^1 or of P^folded, the first row summed
@@ -440,16 +437,6 @@ def _fold(history: PHistory) -> None:
         end = min(start + 2 * fold, len(window))
         window[start : end - fold] = window[start + fold : end]
     history.folded += fold
-
-
-def _branch(history: PHistory, n: int) -> PHistory:
-    """A holder of its own for the state at step n, a past state of the run
-    that ``history`` holds: its window rows, tail and s_0..s_n copied."""
-    rows = n + 1 - history.folded
-    window, s = np.zeros(history.window.shape), np.zeros(history.s.shape)
-    window[:rows], s[: n + 1] = history.window[:rows], history.s[: n + 1]
-    tail = None if history.tail is None else history.tail.copy()
-    return replace(history, window=window, s=s, tail=tail, filled=n + 1)
 
 
 def elimination_coefficients(
@@ -553,11 +540,21 @@ def solve_spd(
 
 def step(state: SimState, sources: Sources | None = None) -> SimState:
     """Advance one step, forced by ``sources`` (see :data:`Sources`) at
-    t_{n-theta}; returns the new state (the input is left untouched)."""
+    t_{n-theta}; returns the new state (the input is left untouched).
+
+    Raises :class:`ValueError` past the configured run, or if ``state`` is
+    not its run's latest state.
+    """
     cfg, mat, grid = state.config, state.material, state.grid
     n = state.n + 1
     if n > cfg.n_steps:
         raise ValueError(f"run is configured for {cfg.n_steps} steps, cannot advance to {n}")
+    history = state.history
+    if history.filled != n:
+        raise ValueError(
+            f"state at step {state.n} is a past state: its run has reached step "
+            f"{history.filled - 1}, and only the latest state can be stepped"
+        )
     tau, theta = cfg.tau, cfg.theta
     one_m = 1.0 - theta
     f1, f2, f3 = (0.0, 0.0, 0.0) if sources is None else sources((n - theta) * tau)
@@ -584,10 +581,6 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     d_new = hist_d + (tau ** (-mat.alpha) * state.kernel[0]) * p_new
     s_new = norm_sq(d_new, grid)
 
-    history = state.history
-    if history.filled != n:
-        # Another state has already advanced from this one: branch off a copy.
-        history = _branch(history, state.n)
     slot = n - history.folded
     if slot == len(history.window):
         _fold(history)
@@ -596,7 +589,7 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     history.s[n] = s_new
     history.filled = n + 1
 
-    return replace(state, n=n, e=e_new, p=p_new, h=h_new, history=history)
+    return replace(state, n=n, e=e_new, p=p_new, h=h_new)
 
 
 def run(

@@ -1,19 +1,23 @@
 """Convolution-quadrature weight sequences for Caputo derivatives of order alpha.
 
-Four families are generated here, all as Taylor coefficients of a generating
-function, by recurrences or factored binomial series.  Each function returns
-the first n+1 coefficients as a read-only float64 array, values[k] the k-th:
+Four families are generated here.  Each function returns the first n+1
+coefficients as a read-only float64 array, values[k] the k-th:
 
 * ``sftr_weights`` -- omega_k of the shifted fractional trapezoidal rule,
-  generated by  omega(z) = [(1-z) / (1/2 (1+z) + (theta/alpha)(1-z))]^alpha
-  and computed by a two-term recurrence.
+  generated by  omega(z) = [(1-z) / (1/2 (1+z) + (theta/alpha)(1-z))]^alpha.
 * ``varpi_weights`` -- the companion sequence varpi_k with
-  varpi(z) * omega(z) = 1 - z, computed by a two-term recurrence.
+  varpi(z) * omega(z) = 1 - z.
 * ``cumulative_weights`` -- partial sums a_j = sum_{k<=j} varpi_k, the kernel
   of the discrete fractional integral entering the discrete energy
   (:func:`colecole.stepper.init_state` keeps them on the run's state).
 * ``fbdf2_weights`` -- weights of the fractional BDF-2 rule, generated by
   (3/2 - 2z + z^2/2)^alpha.
+
+omega, varpi and the FBDF2 weights are each c (1-z)^p (1+qz)^r with |q| < 1,
+and one three-term recurrence (``_series``) generates all three (Lubich,
+Discretized fractional calculus, SIAM J. Math. Anal. 1986).  The a_j are
+the cumulative sum of varpi, cross-checked against the product of two
+``binomial_series`` by an FFT convolution.
 
 ``exponential_tail`` fits a run's kernel from lag n0 on by a sum of real
 geometric sequences, c_m r_m^(j - n0), within 1e-15 |K_0| on every lag, so
@@ -22,8 +26,7 @@ per pole r_m.  It solves its least-squares problem with Householder
 reflections in einsum and ufuncs, so it calls no LAPACK and starts no BLAS
 threads, which would keep spinning after the call.  Only kernels whose
 lags from n0 on are smooth have such a tail: the SFTR kernel for theta well
-below alpha/2 alternates in sign there, and the fit refuses it.  The
-cross-check of ``cumulative_weights`` is an FFT convolution.
+below alpha/2 alternates in sign there, and the fit refuses it.
 
 For theta in [alpha/2, 1/2] the companion sequence has a sign pattern
 (varpi_0 > 0, varpi_k <= 0 for k >= 1) that makes a_j positive and
@@ -73,21 +76,39 @@ class SchemeParams:
 def binomial_series(gamma: float, scale: float, n: int) -> np.ndarray:
     """First n+1 Taylor coefficients of (1 + scale*z)**gamma.
 
-    Uses the ratio recurrence c_k = c_{k-1} * scale * (gamma - k + 1) / k,
-    with c_0 = 1.
+    The cumulative product of c_k / c_{k-1} = scale * ((gamma + 1)/k - 1),
+    with c_0 = 1.  The ratio is not formed as (gamma - k + 1)/k: rounding
+    gamma - k + 1 drops the low bits of gamma, always in the same direction,
+    and at gamma = -0.99 the product drifts 1.3e-12 by k = 10^5.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return np.ones(1)
     k = np.arange(1, n + 1, dtype=float)
-    ratios = scale * (gamma - k + 1.0) / k
+    ratios = scale * ((gamma + 1.0) / k - 1.0)
     return np.concatenate(([1.0], np.cumprod(ratios)))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
     values.flags.writeable = False
     return values
+
+
+def _series(scale: float, p: float, q: float, r: float, n: int) -> np.ndarray:
+    """First n+1 Taylor coefficients of scale (1-z)^p (1+qz)^r, |q| < 1.
+
+    f = (1-z)^p (1+qz)^r solves (1-z)(1+qz) f' = [(rq-p) - q(p+r) z] f, whence
+    f_{k+1} = [((rq-p) - (q-1)k) f_k + q((k-1) - (p+r)) f_{k-1}] / (k+1).
+    The recurrence is forward-stable: its other solution decays like (-q)^k.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    lead, order = r * q - p, p + r
+    vals = np.empty(n + 1)
+    prev, cur = 0.0, scale
+    for k in range(n + 1):
+        vals[k] = cur
+        prev, cur = cur, ((lead - (q - 1.0) * k) * cur + q * ((k - 1) - order) * prev) / (k + 1)
+    return _read_only(vals)
 
 
 def _denominator_coeffs(params: SchemeParams) -> tuple[float, float]:
@@ -97,55 +118,19 @@ def _denominator_coeffs(params: SchemeParams) -> tuple[float, float]:
 
 
 def sftr_weights(params: SchemeParams, n: int) -> np.ndarray:
-    """Shifted-fractional-trapezoidal weights omega_0..omega_n.
-
-    omega(z) = [(1-z)/(d0 + d1 z)]^alpha, d0 = 1/2 + theta/alpha = 1 - d1,
-    solves (1-z)(d0 + d1 z) omega' = -alpha omega, whence omega_0 = d0^(-alpha)
-    and omega_{k+1} = [((d0 - d1) k - alpha) omega_k + d1 (k-1) omega_{k-1}]
-    / (d0 (k+1)).  The recurrence is forward-stable: its other solution
-    decays like (|d1|/d0)^k.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """Shifted-fractional-trapezoidal weights omega_0..omega_n:
+    omega(z) = d0^(-alpha) (1-z)^alpha (1 + (d1/d0) z)^(-alpha)."""
     a = params.alpha
     d0, d1 = _denominator_coeffs(params)
-    vals = np.empty(n + 1)
-    prev, cur = 0.0, d0 ** (-a)
-    for k in range(n + 1):
-        vals[k] = cur
-        prev, cur = cur, (((d0 - d1) * k - a) * cur + d1 * (k - 1) * prev) / (d0 * (k + 1))
-    return _read_only(vals)
+    return _series(d0 ** (-a), a, d1 / d0, -a, n)
 
 
 def varpi_weights(params: SchemeParams, n: int) -> np.ndarray:
-    """Companion weights varpi_0..varpi_n with varpi(z) * omega(z) = 1 - z.
-
-    Computed by the two-term recurrence obtained from the first-order ODE the
-    generating function varpi(z) = (1-z)^(1-alpha) (d0 + d1 z)^alpha
-    satisfies:
-
-        varpi_0 = d0^alpha
-        varpi_1 = (alpha - r - 1/2) / d0 * varpi_0
-        varpi_k = [ (r (2k-3) + alpha - 1/2) varpi_{k-1}
-                    + (r - 1/2)(3 - k) varpi_{k-2} ] / (d0 k),   k >= 2
-
-    where r = theta/alpha and d0 = r + 1/2.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """Companion weights varpi_0..varpi_n with varpi(z) * omega(z) = 1 - z:
+    varpi(z) = d0^alpha (1-z)^(1-alpha) (1 + (d1/d0) z)^alpha."""
     a = params.alpha
-    r = params.shift_ratio
-    d0 = r + 0.5
-    vals = np.empty(n + 1)
-    vals[0] = d0**a
-    if n >= 1:
-        vals[1] = (a - r - 0.5) / d0 * vals[0]
-    for k in range(2, n + 1):
-        vals[k] = (
-            (r * (2 * k - 3) + a - 0.5) * vals[k - 1]
-            + (r - 0.5) * (3 - k) * vals[k - 2]
-        ) / (d0 * k)
-    return _read_only(vals)
+    d0, d1 = _denominator_coeffs(params)
+    return _series(d0**a, 1.0 - a, d1 / d0, a, n)
 
 
 def cumulative_weights(params: SchemeParams, n: int) -> np.ndarray:
@@ -175,17 +160,11 @@ def cumulative_weights(params: SchemeParams, n: int) -> np.ndarray:
 
 
 def fbdf2_weights(alpha: float, n: int) -> np.ndarray:
-    """Fractional BDF-2 weights: coefficients of (3/2 - 2z + z^2/2)^alpha.
-
-    The quadratic factors as (3/2)(1-z)(1-z/3), so the coefficients are the
-    convolution of two binomial series scaled by (3/2)^alpha.
-    """
+    """Fractional BDF-2 weights: coefficients of (3/2 - 2z + z^2/2)^alpha
+    = (3/2)^alpha (1-z)^alpha (1 - z/3)^alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1)")
-    vals = (1.5**alpha) * np.convolve(
-        binomial_series(alpha, -1.0, n), binomial_series(alpha, -1.0 / 3.0, n)
-    )[: n + 1]
-    return _read_only(vals)
+    return _series(1.5**alpha, alpha, -1.0 / 3.0, alpha, n)
 
 
 def shift_combine(w: np.ndarray, theta: float) -> np.ndarray:

@@ -226,6 +226,14 @@ def sftr_weights_by_series(params: SchemeParams, n: int) -> np.ndarray:
     return d0 ** (-a) * np.convolve(num, den)[: n + 1]
 
 
+def fbdf2_weights_by_series(alpha: float, n: int) -> np.ndarray:
+    """FBDF2 weights as the coefficients of (3/2)^alpha (1-z)^alpha (1-z/3)^alpha,
+    by binomial-series convolution."""
+    num = binomial_series(alpha, -1.0, n)
+    den = binomial_series(alpha, -1.0 / 3.0, n)
+    return 1.5**alpha * np.convolve(num, den)[: n + 1]
+
+
 @dataclass(frozen=True)
 class ClosedForm:
     """The manufactured fields and sources of ``ManufacturedCase(alpha)`` as

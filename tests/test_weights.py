@@ -22,7 +22,12 @@ from colecole.weights import (
     varpi_weights,
 )
 
-from oracles import series_power, sftr_weights_by_series, varpi_weights_by_series
+from oracles import (
+    fbdf2_weights_by_series,
+    series_power,
+    sftr_weights_by_series,
+    varpi_weights_by_series,
+)
 
 # (alpha, theta) pairs exercised by the sequence-level property tests
 PARAM_GRID = [
@@ -115,14 +120,20 @@ def test_convolution_identity():
 
 def test_cumulative_check_is_an_fft_convolution(monkeypatch):
     # the 1e-12 cross-check over all N + 1 entries costs O(N log N): at
-    # N = 10^5 the quadratic convolution took seconds
+    # N = 10^5 the quadratic convolution took seconds, and so did the FBDF2
+    # weights as a convolution of two binomial series
     def quadratic(*args, **kwargs):
         raise AssertionError("np.convolve called")
 
     monkeypatch.setattr(np, "convolve", quadratic)
-    for alpha, theta in ((0.5, 0.5), (0.1, 0.05), (0.9, 0.45)):
-        a = cumulative_weights(SchemeParams(alpha, theta), 10**5)
-        assert len(a) == 10**5 + 1 and np.all(np.diff(a) <= 0.0)
+    # alpha near 1 needs a drift-free binomial series for its reference
+    pairs = ((0.5, 0.5), (0.1, 0.05), (0.9, 0.45), (0.95, 0.5), (0.99, 0.495), (0.99, 0.01))
+    for alpha, theta in pairs:
+        params = SchemeParams(alpha, theta)
+        a = cumulative_weights(params, 10**5)
+        assert len(a) == 10**5 + 1
+        assert np.all(np.diff(a) <= 0.0) or not params.decay_guaranteed
+    assert len(fbdf2_weights(0.5, 10**5)) == 10**5 + 1
     monkeypatch.undo()
     params = SchemeParams(0.7, 0.5)
     np.testing.assert_allclose(
@@ -231,6 +242,13 @@ def test_fbdf2_series_division_oracle():
         lhs = np.convolve(binomial_series(-alpha, -1.0, 16), w)[:17]
         rhs = 1.5**alpha * binomial_series(alpha, -1.0 / 3.0, 16)
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
+
+
+def test_fbdf2_recurrence_matches_series_convolution():
+    for alpha in (0.1, 0.5, 0.9):
+        np.testing.assert_allclose(
+            fbdf2_weights(alpha, 2000), fbdf2_weights_by_series(alpha, 2000), rtol=0, atol=1e-15
+        )
 
 
 def test_fbdf2_against_power_series_power():
