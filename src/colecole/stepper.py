@@ -47,20 +47,18 @@ E = 0; f3 must vanish on the tangential boundary, as
 :meth:`colecole.manufactured.ManufacturedCase.sample` checks.
 
 The P history of a run takes bounded memory (:class:`PHistory`).  The
-quadrature sums the last HISTORY_EXACT = n0 = 20 lags exactly, from a window
-of n0 + 2B + 1 recent P^k (B = HISTORY_FOLD = 16).  When the window is full,
-:func:`step` folds its B oldest rows into M accumulators, one per real pole
-r_m of an exponential fit to the kernel's lags from n0 on
-(:func:`colecole.weights.exponential_tail`, within 1e-15 |K_0|), and the
-history part of a step is one contraction with the window plus one with the
-accumulators.  Runs of at most n0 + 2B steps never fold and sum every P^k
-exactly; so do runs whose kernel the fit cannot follow (SFTR with theta well
-below alpha/2, whose kernel alternates in sign), which keep every P^k.  The
-contractions are einsums and run on one thread on purpose: through BLAS they
-would start threads that keep spinning through the rest of the step and cost
-more CPU than they save.  s_0..s_N sit beside the window.
-Before it allocates, :func:`init_state` estimates the bytes a run needs and
-raises :class:`MemoryError` if they exceed the machine's physical memory.
+quadrature sums the last n0 lags exactly, from a window of n0 + 2B + 1
+recent P^k (B = HISTORY_FOLD = 16), and :func:`step` folds the B oldest rows
+of a full window into M accumulators, one per real pole r_m of an
+exponential fit to the kernel's lags from n0 on
+(:func:`colecole.weights.exponential_tail`, within 1e-15 |K_0|).  n0 is
+HISTORY_EXACT = 20, or for SFTR with theta < alpha/2 the lag from which the
+kernel's alternating part is below 1e-16 |K_0|
+(:func:`colecole.weights.alternating_lags`) if later.  Runs of at most
+n0 + 2B steps never fold and sum every P^k exactly.  A step's history part
+is two single-threaded contractions (:func:`frac_deriv_current`).  s_0..s_N
+sit beside the window.  Before it allocates, :func:`init_state` raises
+:class:`MemoryError` if the run would not fit in physical memory.
 
 The states of a run share its holder, and only the latest one can be
 stepped: :func:`step` raises :class:`ValueError` on a past state.
@@ -90,6 +88,7 @@ from .weights import (
     TAIL_FIT_ROWS,
     TAIL_MAX_POLES,
     SchemeParams,
+    alternating_lags,
     cumulative_weights,
     exponential_tail,
     fbdf2_weights,
@@ -101,11 +100,9 @@ from .weights import (
 CG_TOL = 1e-12
 CG_MAXIT_PER_SIDE = 10
 
-# The last HISTORY_EXACT lags of the Caputo sum are exact; the history folds
-# HISTORY_FOLD rows into its exponential tail at a time.
+# At least HISTORY_EXACT lags are exact (see PHistory); a fold takes HISTORY_FOLD rows.
 HISTORY_EXACT = 20
 HISTORY_FOLD = 16
-WINDOW_ROWS = HISTORY_EXACT + 2 * HISTORY_FOLD + 1
 
 
 # sources(t) -> (f1, f2, f3) as coefficients at time t; see the module docstring.
@@ -161,18 +158,17 @@ class PHistory:
     ``window`` holds recent P^k as raveled coefficients: slot i holds
     P^(folded + i).  P^0 .. P^(folded-1) are folded into the (M, 2 nx ny)
     ``tail``: tail_m = sum_{k < folded} r_m^(folded-1-k) P^k, with the
-    ``poles`` r and ``weights`` c of :func:`colecole.weights.exponential_tail`.
-    The three are None in a run that never folds, whose window has a row per
-    step: a run of at most WINDOW_ROWS - 1 steps, or one whose kernel the
-    fit cannot follow (SFTR with theta well below alpha/2, whose kernel
-    alternates in sign).  P^0 = 0 and s_0 = 0.  P^0..P^(filled-1) have been
-    written; the states of a run share the holder, and a state at step n
-    reads P up to P^n.  Only the latest state (n = filled - 1) can be
-    stepped, and stepping it writes.
+    ``poles`` r and ``weights`` c of :func:`colecole.weights.exponential_tail`,
+    fitted from lag ``exact`` = n0 (at most N) on; the three are None in a
+    run of at most n0 + 2B steps, which never folds.  P^0 = 0 and s_0 = 0.
+    P^0..P^(filled-1) have been written; the states of a run share the
+    holder, and a state at step n reads P up to P^n.  Only the latest state
+    (n = filled - 1) can be stepped, and stepping it writes.
     """
 
     window: np.ndarray
     s: np.ndarray
+    exact: int
     poles: np.ndarray | None = None
     weights: np.ndarray | None = None
     tail: np.ndarray | None = None
@@ -278,16 +274,12 @@ def _require_memory(grid: GridSpec, config: SchemeConfig, rows: int, poles: int)
     """Raise :class:`MemoryError` unless a run with a P window of ``rows``
     rows and a tail of ``poles`` poles fits in physical memory."""
     steps, dofs = config.n_steps, 2 * grid.nx * grid.ny
-    # The window rows.  A run that folds adds its tail and a fold's temporary,
-    # M rows each, and the fit's workspace, three arrays of its row blocks.
-    # Twenty (N+1,) arrays: s, the kernel and the energy weights, the fit's
-    # lags and targets, and the build of the weights, whose FFT check holds
-    # three arrays of up to 4 (N+1) values.  The step constants (|v|, the
-    # spectrum's index and its at most dofs/2 values) take under three
-    # coefficient arrays, and their build, which sorts dofs/2 eigenvalues,
-    # under five more, freed before the first step; with a step's
-    # temporaries and the states it holds, that stays well under 32
-    # coefficient arrays.
+    # The window; for a run that folds, its tail and a fold's temporary (M
+    # rows each) and the fit's workspace (three arrays of its row blocks).
+    # Twenty (N+1,) arrays: s, the kernel, the energy weights, the fit's lags
+    # and targets, and the weights' FFT check (three arrays of up to 4 (N+1)).
+    # Under 32 coefficient arrays: the step constants (three), their build
+    # (five), a step's temporaries and the states it holds.
     fit = 3 * (TAIL_FIT_ROWS + poles) * (poles + 1) if poles else 0
     need = 8 * (rows * dofs + 2 * poles * dofs + fit + 20 * (steps + 1) + 32 * dofs)
     have = physical_memory_bytes()
@@ -308,14 +300,11 @@ def init_state(
     """State at n = 0 with P^0 = 0, and the kernel, energy weights and step
     constants of the whole run.
 
-    e0 must be zero on the tangential boundary.  The initial data is
-    transformed to coefficients once.  Allocates the P history: a window of
-    min(n_steps, 52) + 1 rows of 2 nx ny * 8 bytes and, if the run folds, the
-    fitted tail of M such rows.  A run of more than 52 steps whose kernel has
-    no exponential tail within the fit's bound keeps all n_steps + 1 rows
-    and sums them exactly.  Raises :class:`MemoryError` before the history
-    is allocated if the run would not fit in physical memory; the bounded
-    history is checked before anything is built.
+    e0 must be zero on the tangential boundary; it is transformed to
+    coefficients once.  Allocates a P window of min(n_steps, n0 + 32) + 1
+    rows of 2 nx ny * 8 bytes (n0 as in :class:`PHistory`) and, if the run
+    folds, a tail of M such rows.  Before it builds anything it raises
+    :class:`MemoryError` if the run would not fit in physical memory.
     """
     if (
         e0.ex.shape != (grid.nx, grid.ny + 1)
@@ -337,23 +326,19 @@ def _initial_state(
     """:func:`init_state` for initial data given as coefficients, which the
     state takes over."""
     steps = config.n_steps
-    rows = min(steps, WINDOW_ROWS - 1) + 1
-    _require_memory(grid, config, rows, TAIL_MAX_POLES if steps >= WINDOW_ROWS else 0)
+    sftr = config.quadrature is Quadrature.SFTR
+    lags = alternating_lags(SchemeParams(material.alpha, config.theta)) if sftr else 0
+    exact = min(steps, max(HISTORY_EXACT, lags))  # every lag if lags is math.inf
+    rows = min(steps, exact + 2 * HISTORY_FOLD) + 1
+    _require_memory(grid, config, rows, TAIL_MAX_POLES if rows <= steps else 0)
     kernel_rev = np.ascontiguousarray(build_kernel(material, config)[::-1])
     poles = weights = tail = None
-    if steps >= WINDOW_ROWS:
-        try:
-            # the lags a tail is read at: HISTORY_EXACT..n_steps-1 (FBDF2's g_N is not)
-            poles, weights = exponential_tail(kernel_rev[::-1][:steps], HISTORY_EXACT)
-        except ValueError:
-            # No tail fits (an SFTR kernel with a slowly decaying alternating
-            # part): keep every row and sum the whole history exactly.
-            rows = steps + 1
-            _require_memory(grid, config, rows, 0)
     dofs = 2 * grid.nx * grid.ny
-    if poles is not None:
+    if rows <= steps:
+        # the lags a tail is read at: exact..n_steps-1 (FBDF2's g_N is not)
+        poles, weights = exponential_tail(kernel_rev[::-1][:steps], exact)
         tail = np.zeros((len(poles), dofs))
-    history = PHistory(np.zeros((rows, dofs)), np.zeros(steps + 1), poles, weights, tail)
+    history = PHistory(np.zeros((rows, dofs)), np.zeros(steps + 1), exact, poles, weights, tail)
     tau, theta = config.tau, config.theta
     one_m = 1.0 - theta
     _, a_coef = elimination_coefficients(material, theta, tau, kernel_rev[-1])
@@ -387,10 +372,10 @@ def frac_deriv_current(state: SimState, p_new: np.ndarray | float) -> np.ndarray
     skipped and one sum serves both kernels.  The history part, P^1..P^{n-1},
     is one contraction of the reversed kernel with the window's rows, plus,
     once rows are folded, one of the weights c_m r_m^(n + 1 - folded - n0)
-    with the tail.  Both are einsums, which run on the calling thread; ``@``
-    would go through BLAS, whose threads then spin through the rest of the
-    step.  With p_new = 0 the value is the history part alone, so D(p_new) =
-    D(0) + tau^-alpha K_0 p_new.
+    with the tail, both einsums on the calling thread: through BLAS (``@``)
+    they would start threads that spin through the rest of the step and cost
+    more CPU than they save.  With p_new = 0 the value is the history part alone, so
+    D(p_new) = D(0) + tau^-alpha K_0 p_new.
 
     Raises :class:`ValueError` if the state is ahead of its history, or if
     a fold has taken a row that the state sums exactly; that happens only to
@@ -404,7 +389,7 @@ def frac_deriv_current(state: SimState, p_new: np.ndarray | float) -> np.ndarray
             f"state at step {state.n} needs P up to P^{state.n}, "
             f"its history holds P up to P^{history.filled - 1}"
         )
-    if folded and n + 1 - folded < HISTORY_EXACT:
+    if folded and n + 1 - folded < history.exact:
         raise ValueError(
             f"state at step {state.n} is a past state whose run has folded P^0..P^{folded - 1} "
             "into its history's tail, rows this state sums exactly"
@@ -416,7 +401,7 @@ def frac_deriv_current(state: SimState, p_new: np.ndarray | float) -> np.ndarray
         "i,ij->j", krev[end - n + folded + first : end], history.window[first : n - folded]
     )
     if folded:
-        lead = history.poles ** (n + 1 - folded - HISTORY_EXACT)
+        lead = history.poles ** (n + 1 - folded - history.exact)
         lead *= history.weights
         hist += np.einsum("m,mj->j", lead, history.tail)
     hist = hist.reshape(state.p.shape)

@@ -22,11 +22,9 @@ the cumulative sum of varpi, cross-checked against the product of two
 ``exponential_tail`` fits a run's kernel from lag n0 on by a sum of real
 geometric sequences, c_m r_m^(j - n0), within 1e-15 |K_0| on every lag, so
 that :mod:`colecole.stepper` can fold old history rows into one accumulator
-per pole r_m.  It solves its least-squares problem with Householder
-reflections in einsum and ufuncs, so it calls no LAPACK and starts no BLAS
-threads, which would keep spinning after the call.  Only kernels whose
-lags from n0 on are smooth have such a tail: the SFTR kernel for theta well
-below alpha/2 alternates in sign there, and the fit refuses it.
+per pole r_m.  Only smooth lags have such a tail: for theta < alpha/2 the
+SFTR kernel has a part that alternates in sign, which ``alternating_lags``
+bounds, and a run's n0 lies past it.
 
 For theta in [alpha/2, 1/2] the companion sequence has a sign pattern
 (varpi_0 > 0, varpi_k <= 0 for k >= 1) that makes a_j positive and
@@ -115,6 +113,23 @@ def _denominator_coeffs(params: SchemeParams) -> tuple[float, float]:
     # 1/2 (1+z) + (theta/alpha)(1-z) = d0 + d1 z, with d0 > 0 always.
     r = params.shift_ratio
     return 0.5 + r, 0.5 - r
+
+
+def alternating_lags(params: SchemeParams) -> int | float:
+    """First lag j with (1+1/q)^alpha q^j / Gamma(alpha) <= 1e-16, q = d1/d0:
+    0 if q <= 0 (theta >= alpha/2), math.inf if q rounds to 1.
+
+    For q > 0 the cut of (1+qz)^(-alpha) at z = -1/q gives the SFTR kernel a
+    part of about (1+1/q)^alpha (-q)^j j^(alpha-1) / Gamma(alpha) |K_0|
+    (Lubich 1986); dropping j^(alpha-1) <= 1 keeps the bound.
+    """
+    d0, d1 = _denominator_coeffs(params)
+    q = d1 / d0
+    if not 0.0 < q < 1.0:
+        return 0 if q <= 0.0 else math.inf
+    a = params.alpha
+    excess = a * (math.log1p(q) - math.log(q)) - math.lgamma(a) - math.log(1e-16)
+    return max(0, math.ceil(excess / -math.log(q)))
 
 
 def sftr_weights(params: SchemeParams, n: int) -> np.ndarray:
@@ -225,11 +240,11 @@ def exponential_tail(kernel: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarra
     [0.25/N, 6]; c is the least-squares fit to K_n0..K_{N-1}.  M starts at
     32 and grows by 16 until the bound holds; :class:`ValueError` if it has
     not by M = 128, or once a fit misses by no less than the one before,
-    since more poles then only add round-off.  The least-squares problem is reduced by Householder
-    reflections, TAIL_FIT_ROWS rows at a time onto the triangle of the rows
-    before, and checked block by block, so the fit needs O(M^2) memory
-    whatever N is.  It is einsum and ufuncs throughout: no LAPACK, and so no
-    BLAS threads.
+    since more poles then only add round-off.  The least-squares problem is
+    reduced by Householder reflections, TAIL_FIT_ROWS rows at a time onto
+    the triangle of the rows before, and checked block by block, so the fit
+    needs O(M^2) memory whatever N is.  It is einsum and ufuncs throughout:
+    no LAPACK, whose BLAS threads would keep spinning after the call.
     """
     size = len(kernel)
     if not 0 < n0 < size:

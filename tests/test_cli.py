@@ -182,8 +182,8 @@ def test_energy_run_and_trace(tmp_path):
 
 
 def test_energy_long_run_below_half_alpha(tmp_path):
-    # theta < alpha/2 with a kernel no exponential tail follows: the run
-    # keeps its whole history and ends
+    # theta < alpha/2, with a kernel part in (-d1/d0)^j that is below
+    # 1e-16 |K_0| only from lag 842 on: the run keeps its whole history and ends
     out = tmp_path / "e.csv"
     code = main([
         "energy", "--alpha", "0.9", "--theta", "0.01", "--steps", "400",
@@ -192,6 +192,19 @@ def test_energy_long_run_below_half_alpha(tmp_path):
     assert code == 0
     _, rows = read_csv(out)
     assert len(rows) == 401 and all(math.isfinite(float(r[2])) for r in rows)
+
+
+def test_energy_theta_where_the_kernel_never_stops_alternating(tmp_path):
+    # at theta = 1e-18, d1/d0 rounds to 1: the alternating part never dies
+    # out, so the run keeps every row
+    out = tmp_path / "e.csv"
+    code = main([
+        "energy", "--alpha", "0.5", "--theta", "1e-18", "--steps", "60",
+        "--nx", "8", "--ny", "8", "--out", str(out),
+    ])
+    assert code == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 61 and all(math.isfinite(float(r[2])) for r in rows)
 
 
 def test_energy_fbdf2_report_only(tmp_path):

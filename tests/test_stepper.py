@@ -177,23 +177,28 @@ def test_straight_run_fills_one_buffer(quadrature):
     final = run(start, case.sources, check)
     history = final.history
     assert history is start.history and history.filled == n_steps + 1
-    assert exact == stepper.WINDOW_ROWS - 1  # steps 1..52 read an unfolded history
+    assert history.exact == stepper.HISTORY_EXACT
+    unfolded = history.exact + 2 * stepper.HISTORY_FOLD
+    assert exact == unfolded  # steps 1..52 read an unfolded history
     assert 0.0 < worst <= 1e-12
-    assert history.window.shape == (stepper.WINDOW_ROWS, 2 * 8 * 8)
+    assert history.window.shape == (unfolded + 1, 2 * 8 * 8)
     assert history.s.shape == (n_steps + 1,)
     assert np.array_equal(history.window[n_steps - history.folded], final.p.reshape(-1))
 
 
-@pytest.mark.parametrize("alpha, theta, folds", [(0.9, 0.01, False), (0.5, 0.2, True)])
+@pytest.mark.parametrize(
+    "alpha, theta, folds", [(0.9, 0.01, False), (0.5, 0.2, True), (0.9, 0.2, True), (0.9, 0.01, True)]
+)
 def test_theta_below_half_alpha_runs_long(alpha, theta, folds):
     # for theta < alpha/2 the SFTR kernel has a part in (-d1/d0)^j, d1/d0 > 0,
-    # which no tail of positive poles follows.  At (0.9, 0.01), d1/d0 = 0.957
-    # and the fit fails, so the run keeps every row and sums them exactly,
-    # bit for bit; at (0.5, 0.2), d1/d0 = 0.11 and the fit holds from lag 20,
-    # so the run folds
+    # which no tail of positive poles follows; the run sums the lags exactly
+    # up to n0, where that part is below 1e-16 |K_0| (d1/d0 = 0.957 at
+    # (0.9, 0.01), 0.385 at (0.9, 0.2), 0.11 at (0.5, 0.2)), and fits the tail
+    # from there.  A run of at most n0 + 2B steps never folds
+    n0 = {(0.9, 0.01): 842, (0.5, 0.2): 20, (0.9, 0.2): 40}[alpha, theta]
+    n_steps = 1000 if folds else 400
     grid = GridSpec(8, 8)
     case = ManufacturedCase(alpha=alpha).sample(grid)
-    n_steps = 400
     config = SchemeConfig(theta=theta, tau=1.0 / n_steps, n_steps=n_steps)
     start = case.initial_state(config)
     scale = config.tau ** (-alpha)
@@ -203,6 +208,8 @@ def test_theta_below_half_alpha_runs_long(alpha, theta, folds):
     def check(prev, new):
         nonlocal exact, worst
         p_history.append(new.p)
+        if prev.history.folded and new.n % 7 and new.n != n_steps:
+            return  # the O(n) oracle at every seventh step once folded
         d = frac_deriv_current(prev, new.p)
         want = oracles.exact_frac_deriv(prev.kernel, p_history[: new.n], new.p, scale)
         if prev.history.folded:
@@ -214,9 +221,12 @@ def test_theta_below_half_alpha_runs_long(alpha, theta, folds):
     final = run(start, case.sources, check)
     history = final.history
     assert final.n == n_steps and np.all(np.isfinite(final.e))
+    unfolded = n0 + 2 * stepper.HISTORY_FOLD
+    assert history.exact == min(n0, n_steps)
     assert (history.poles is not None) == folds
     if folds:
-        assert exact == stepper.WINDOW_ROWS - 1 and 0.0 < worst <= 1e-12
+        assert exact == unfolded and 0.0 < worst <= 1e-12
+        assert history.window.shape == (unfolded + 1, 2 * 8 * 8)
     else:
         assert exact == n_steps and history.folded == 0
         assert history.window.shape == (n_steps + 1, 2 * 8 * 8)
@@ -496,7 +506,7 @@ def test_step_runs_without_transforms_or_stencils(monkeypatch):
 def test_memory_preflight_refuses_before_allocating(monkeypatch):
     grid = GridSpec(8, 8)
     config = SchemeConfig(theta=0.5, tau=0.01, n_steps=1000)
-    window_bytes = stepper.WINDOW_ROWS * 2 * 8 * 8 * 8
+    window_bytes = 53 * 2 * 8 * 8 * 8
 
     def no_kernel(*args):
         raise AssertionError("the run allocated")
@@ -520,23 +530,31 @@ def test_memory_preflight_counts_a_bounded_history(monkeypatch):
     state = init_state(grid, MaterialParams(), config, VecField.zeros(grid), ScalarField.zeros(grid))
     history = state.history
     held = history.window.nbytes + history.tail.nbytes
-    assert held == (stepper.WINDOW_ROWS + len(history.poles)) * dofs * 8
+    assert held == (53 + len(history.poles)) * dofs * 8
     assert held < every_row / 10
 
 
-def test_memory_preflight_counts_every_row_when_no_tail_fits(monkeypatch):
-    # the memory that holds a bounded 5000-step run on 8x8 does not hold the
-    # 5001 rows of a run whose kernel has no tail, and init_state says so
+def test_memory_preflight_counts_the_window_of_an_alternating_kernel(monkeypatch):
+    # a 5000-step run at (0.9, 0.01) on 8x8 sums its first n0 = 842 lags
+    # exactly and folds the rest: it is preflighted once, and allocated, as
+    # n0 + 2B + 1 window rows plus M tail rows, in memory that cannot hold
+    # its 5001 rows
     grid = GridSpec(8, 8)
     dofs = 2 * 8 * 8
     every_row = 8 * ((5000 + 1) * (dofs + 4) + 32 * dofs)
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: every_row - 1)
-    material = MaterialParams(alpha=0.9)
+    checks = []
+    preflight = stepper._require_memory
+    monkeypatch.setattr(
+        stepper, "_require_memory", lambda *args: checks.append(args[2:]) or preflight(*args)
+    )
+    config = SchemeConfig(theta=0.01, tau=0.002, n_steps=5000)
     zero = VecField.zeros(grid), ScalarField.zeros(grid)
-    bounded = init_state(grid, material, SchemeConfig(theta=0.45, tau=0.002, n_steps=5000), *zero)
-    assert bounded.history.poles is not None
-    with pytest.raises(MemoryError, match="physical memory"):
-        init_state(grid, material, SchemeConfig(theta=0.01, tau=0.002, n_steps=5000), *zero)
+    history = init_state(grid, MaterialParams(alpha=0.9), config, *zero).history
+    rows = 842 + 2 * stepper.HISTORY_FOLD + 1
+    assert history.exact == 842 and checks == [(rows, TAIL_MAX_POLES)]
+    assert history.window.shape == (rows, dofs)
+    assert history.tail.shape == (len(history.poles), dofs)
 
 
 def test_history_bytes_do_not_grow_with_the_run():
@@ -546,10 +564,10 @@ def test_history_bytes_do_not_grow_with_the_run():
     held = {}
     for n_steps in (200, 2000):
         history = zero_state(grid, tau=1.0 / n_steps, n_steps=n_steps).history
-        assert history.window.shape == (stepper.WINDOW_ROWS, dofs)
+        assert history.window.shape == (53, dofs)
         assert history.tail.shape == (len(history.poles), dofs)
         held[n_steps] = history.window.nbytes + history.tail.nbytes
-        assert held[n_steps] <= (stepper.WINDOW_ROWS + TAIL_MAX_POLES) * dofs * 8
+        assert held[n_steps] <= (53 + TAIL_MAX_POLES) * dofs * 8
     assert held[2000] < 2 * held[200] and held[2000] < (200 + 1) * dofs * 8
 
 

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from colecole import weights
 from colecole.weights import (
     TAIL_MAX_POLES,
     SchemeParams,
     SymbolKind,
+    alternating_lags,
     binomial_series,
     cumulative_weights,
     exponential_tail,
@@ -185,6 +187,58 @@ def test_exponential_tail_refuses_what_it_cannot_fit(monkeypatch):
     for n0 in (0, 300):
         with pytest.raises(ValueError, match="n0"):
             exponential_tail(np.ones(300), n0)
+
+
+# the theta < alpha/2 pairs of the grid alpha x theta, theta in {0.001, 0.01,
+# 0.3, 0.45}, whose tail a 4000-step run fits
+ALTERNATING = [
+    (a, th)
+    for a in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
+    for th in (0.001, 0.01, 0.3, 0.45)
+    if th < 0.5 * a and alternating_lags(SchemeParams(a, th)) + 33 <= 4000
+]
+
+
+@pytest.mark.parametrize("alpha, theta", ALTERNATING)
+def test_exponential_tail_fits_from_where_the_kernel_stops_alternating(alpha, theta):
+    # the fit holds within 1e-15 |K_0| at its unrounded rates s_m; read from
+    # the poles r_m = e^(-s_m) rounded to doubles, as a run reads it, the
+    # tail is up to 7.1e-15 |K_0| off at (0.05, 0.001), whose weights cancel
+    k = sftr_weights(SchemeParams(alpha, theta), 3999)
+    n0 = max(20, alternating_lags(SchemeParams(alpha, theta)))
+    poles, weights = exponential_tail(k, n0)
+    fit = (weights * poles ** np.arange(4000 - n0)[:, None]).sum(axis=1)
+    assert np.max(np.abs(fit - k[n0:])) <= 1e-14 * abs(k[0])
+
+
+def _alternating_part(params, j):
+    """|part in (-q)^j| / |K_0| of omega_j, q = d1/d0 > 0, from the cut
+    x >= 1/q of (1 + qz)^(-alpha): sin(pi a)/pi times the integral of
+    (1+x)^a (qx-1)^(-a) x^(-j-1), with x = (1+u)/q."""
+    a = params.alpha
+    d0, d1 = weights._denominator_coeffs(params)
+    q = d1 / d0
+    g = lambda u: (1.0 + (1.0 + u) / q) ** a * (1.0 + u) ** (-j - 1.0)
+    near = quad(g, 0.0, 1.0, weight="alg", wvar=(-a, 0.0), limit=200)[0]
+    far = quad(lambda u: u ** (-a) * g(u), 1.0, np.inf)[0]
+    return math.sin(math.pi * a) / math.pi * q**j * (near + far)
+
+
+def test_alternating_lags_bound_the_alternating_part():
+    assert alternating_lags(SchemeParams(0.9, 0.45)) == 0
+    assert alternating_lags(SchemeParams(0.5, 1e-18)) == math.inf  # d1/d0 rounds to 1
+    for (alpha, theta), lag in {(0.9, 0.2): 40, (0.9, 0.01): 842, (0.5, 0.01): 458}.items():
+        params = SchemeParams(alpha, theta)
+        assert alternating_lags(params) == lag
+        assert _alternating_part(params, lag) <= 1e-16
+        # the oracle: omega_j / K_0 = (-1)^j part - the cut x >= 1 of (1-z)^alpha
+        c = math.sin(math.pi * alpha) / math.pi
+        d0, d1 = weights._denominator_coeffs(params)
+        f = lambda u: (1.0 + d1 / d0 * (1.0 + u)) ** (-alpha) * (1.0 + u) ** -6.0
+        smooth = quad(f, 0.0, 1.0, weight="alg", wvar=(alpha, 0.0))[0]
+        smooth += quad(lambda u: u**alpha * f(u), 1.0, np.inf)[0]
+        k = sftr_weights(params, 5) * d0**alpha
+        assert -_alternating_part(params, 5) - c * smooth == pytest.approx(k[5], rel=1e-12)
 
 
 def test_cumulative_examples_and_kind_check():
