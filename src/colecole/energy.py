@@ -17,8 +17,11 @@ E~^n is non-increasing, with the per-step bound
 
     (E~^n - E~^{n-1})/tau + tau0^alpha tau^(1-alpha)/varpi_0 ||d_tau P||^2 <= 0,
 
-where varpi_0 = a_0.  ``dissipation_residual`` evaluates the left side;
-``decay_report`` summarizes monotonicity violations of a recorded trace.
+where varpi_0 = a_0.  ``dissipation_residual`` evaluates the left side
+from the state after a step and the P^{n-1} array held before it, which
+stays valid because :func:`colecole.stepper.step` advances the run's one
+state in place by rebinding its arrays; ``decay_report`` summarizes
+monotonicity violations of a recorded trace.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .manufactured import decay_initial_data
 from .mesh import GridSpec, norm_sq
-from .stepper import MaterialParams, Quadrature, SchemeConfig, SimState, init_state, step
+from .stepper import MaterialParams, Quadrature, SchemeConfig, SimState, init_state, preflight, step
 
 
 @dataclass
@@ -90,24 +93,21 @@ def discrete_energy(state: SimState) -> float:
     )
 
 
-def dissipation_residual(
-    state_prev: SimState, state_new: SimState, e_prev: float, e_new: float
-) -> float:
-    """Left side of the per-step dissipation bound between consecutive states,
-    given their energies e_prev and e_new (:func:`discrete_energy`); varpi_0
-    is read from the state as a_0.
+def dissipation_residual(state: SimState, p_prev: np.ndarray, e_prev: float, e_new: float) -> float:
+    """Left side of the per-step dissipation bound of the step that took the
+    run to ``state``, given P^{n-1} (``state.p`` before the step) and the
+    energies e_prev and e_new before and after it (:func:`discrete_energy`);
+    varpi_0 is read from the state as a_0.
 
     Nonpositive (within :func:`energy_tolerance`) for source-free
     shifted-trapezoidal runs with theta in [alpha/2, 1/2]; recorded without a
     sign guarantee for the BDF-2 comparison kernel.
     """
-    if state_new.n != state_prev.n + 1:
-        raise ValueError("states are not consecutive")
-    mat, cfg, grid = state_new.material, state_new.config, state_new.grid
+    mat, cfg, grid = state.material, state.config, state.grid
     tau = cfg.tau
-    dp = (1.0 / tau) * (state_new.p - state_prev.p)
+    dp = (1.0 / tau) * (state.p - p_prev)
     return (e_new - e_prev) / tau + (
-        mat.tau0**mat.alpha * tau ** (1.0 - mat.alpha) / state_new.a_weights[0]
+        mat.tau0**mat.alpha * tau ** (1.0 - mat.alpha) / state.a_weights[0]
     ) * norm_sq(dp, grid)
 
 
@@ -143,18 +143,22 @@ def run_decay_experiment(
     returned trace holds the energy and dissipation residual of every step.
     The BDF-2 kernel is monitored with the same functional: its state
     carries the trapezoidal companion weights at the run's (alpha, theta).
+    :class:`MemoryError` if the run would not fit in physical memory, before
+    the initial data are sampled.
     """
     material = MaterialParams(alpha=alpha)
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
+    preflight(grid, material, config)
     e0, h0 = decay_initial_data(grid)
     state = init_state(grid, material, config, e0, h0)
     energy = discrete_energy(state)
     trace = EnergyTrace()
     trace.append(0, 0.0, energy, 0.0)
     while state.n < n_steps:
-        new = step(state)
-        new_energy = discrete_energy(new)
-        r = dissipation_residual(state, new, energy, new_energy)
-        trace.append(new.n, new.time, new_energy, r)
-        state, energy = new, new_energy
+        p_prev = state.p
+        step(state)
+        new_energy = discrete_energy(state)
+        r = dissipation_residual(state, p_prev, energy, new_energy)
+        trace.append(state.n, state.time, new_energy, r)
+        energy = new_energy
     return state, trace, decay_report(trace)

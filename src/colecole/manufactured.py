@@ -41,7 +41,9 @@ import numpy as np
 
 from . import stepper
 from .mesh import CurlCurlBasis, GridSpec, ScalarField, VecField, norm_sq, sample_scalar, sample_vec
-from .stepper import MaterialParams, Quadrature, SchemeConfig, SimState, _initial_state, step
+from .stepper import (
+    MaterialParams, Quadrature, SchemeConfig, SimState, _initial_state, preflight, step
+)
 
 
 def caputo_cubic_factor(t: float | np.ndarray, alpha: float) -> float | np.ndarray:
@@ -120,7 +122,7 @@ class ManufacturedCase:
         hold those values.
         """
         vec, scalar = stepper.sample_vec, stepper.sample_scalar
-        material = MaterialParams(c_e=1.0, c_m=1.0, c_p=1.0, tau0=1.0, alpha=self.alpha)
+        material = MaterialParams(alpha=self.alpha)
         e, p, curl_h = (vec(PROFILES[k], grid) for k in ("e", "p", "curl_h"))
         h, curl_e = (scalar(PROFILES[k], grid) for k in ("h", "curl_e"))
         for name, field in (("phi_E", e), ("phi_P", p)):
@@ -175,7 +177,7 @@ def run_case(
     state = case.initial_state(config)
     err_e = err_h = err_p = 0.0
     while state.n < n_steps:
-        state = step(state, case.sources)
+        step(state, case.sources)
         ee, eh, ep = error_norms(state, case)
         err_e, err_h, err_p = max(err_e, ee), max(err_h, eh), max(err_p, ep)
     return err_e, err_h, err_p
@@ -189,11 +191,15 @@ def convergence_table(
     quadrature: Quadrature = Quadrature.SFTR,
 ) -> list[ConvergenceRow]:
     """Global errors and successive log2 rates over a halving tau sequence,
-    all of which is checked before the first run."""
+    all of which is checked before the first run: :class:`MemoryError` if a
+    run would not fit in physical memory, before the case is sampled."""
     counts = [_step_count(tau) for tau in taus]
     for k in range(1, len(taus)):
         if counts[k] == counts[k - 1]:
             raise ValueError(f"tau={taus[k]:g} (entry {k + 1}) repeats the step before it")
+    material = MaterialParams(alpha=case.alpha)
+    for tau, n_steps in zip(taus, counts):
+        preflight(grid, material, SchemeConfig(theta, tau, n_steps, quadrature))
     sampled = case.sample(grid)
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None

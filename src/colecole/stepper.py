@@ -57,11 +57,13 @@ kernel's alternating part is below 1e-16 |K_0|
 (:func:`colecole.weights.alternating_lags`) if later.  Runs of at most
 n0 + 2B steps never fold and sum every P^k exactly.  A step's history part
 is two single-threaded contractions (:func:`frac_deriv_current`).  s_0..s_N
-sit beside the window.  Before it allocates, :func:`init_state` raises
-:class:`MemoryError` if the run would not fit in physical memory.
+sit beside the window.  :func:`preflight` raises :class:`MemoryError` if
+the run would not fit in physical memory; :func:`init_state` calls it before
+it allocates, and so do the experiment loops before they sample initial data.
 
-The states of a run share its holder, and only the latest one can be
-stepped: :func:`step` raises :class:`ValueError` on a past state.
+A run has one state: :func:`step` advances it in place.  The state owns its
+run's history; copies of it share the history, and only the stepped state
+matches it.
 
 The state also carries the energy weights a_0..a_N of the run's (alpha,
 theta), ``SimState.a_weights``; FBDF2 runs carry the trapezoidal ones too.
@@ -75,7 +77,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -161,9 +163,8 @@ class PHistory:
     ``poles`` r and ``weights`` c of :func:`colecole.weights.exponential_tail`,
     fitted from lag ``exact`` = n0 (at most N) on; the three are None in a
     run of at most n0 + 2B steps, which never folds.  P^0 = 0 and s_0 = 0.
-    P^0..P^(filled-1) have been written; the states of a run share the
-    holder, and a state at step n reads P up to P^n.  Only the latest state
-    (n = filled - 1) can be stepped, and stepping it writes.
+    The state of a run owns its history, and :func:`step` writes P^n and s_n
+    into it as it advances that state to step n.
     """
 
     window: np.ndarray
@@ -173,7 +174,6 @@ class PHistory:
     weights: np.ndarray | None = None
     tail: np.ndarray | None = None
     folded: int = 0
-    filled: int = 1
 
 
 class Spectrum:
@@ -205,14 +205,15 @@ class Spectrum:
 
 @dataclass
 class SimState:
-    """Integrator state after step n; advanced functionally by :func:`step`.
+    """Integrator state after step n; advanced in place by :func:`step`.
 
     ``e`` and ``p`` are the (2, nx, ny) edge coefficients of E^n and P^n,
     ``h`` the (nx, ny) cell coefficients of H^n (see
     :class:`~colecole.mesh.CurlCurlBasis`); :meth:`fields` gives the dof arrays.
     ``curl_modulus`` (|v| of every mode), ``spectrum`` (the eigenvalues of the
     E-solve's operator) and ``maxit`` (CG's iteration limit) are constant over
-    the run.
+    the run.  The state owns its run's ``history``; copies share it, and only
+    the stepped state matches it.
     """
 
     n: int
@@ -268,6 +269,20 @@ def build_kernel(material: MaterialParams, config: SchemeConfig) -> np.ndarray:
 def physical_memory_bytes() -> int:
     """Physical memory of this machine in bytes."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def preflight(grid: GridSpec, material: MaterialParams, config: SchemeConfig) -> tuple[int, int]:
+    """(n0, rows) of a run's P history (see :class:`PHistory`): the lags it
+    sums exactly and its window rows.  Raises :class:`MemoryError` unless
+    the run fits in physical memory; it allocates nothing grid-sized, so a
+    run calls it before its initial data."""
+    steps = config.n_steps
+    sftr = config.quadrature is Quadrature.SFTR
+    lags = alternating_lags(SchemeParams(material.alpha, config.theta)) if sftr else 0
+    exact = min(steps, max(HISTORY_EXACT, lags))  # every lag if lags is math.inf
+    rows = min(steps, exact + 2 * HISTORY_FOLD) + 1
+    _require_memory(grid, config, rows, TAIL_MAX_POLES if rows <= steps else 0)
+    return exact, rows
 
 
 def _require_memory(grid: GridSpec, config: SchemeConfig, rows: int, poles: int) -> None:
@@ -326,11 +341,7 @@ def _initial_state(
     """:func:`init_state` for initial data given as coefficients, which the
     state takes over."""
     steps = config.n_steps
-    sftr = config.quadrature is Quadrature.SFTR
-    lags = alternating_lags(SchemeParams(material.alpha, config.theta)) if sftr else 0
-    exact = min(steps, max(HISTORY_EXACT, lags))  # every lag if lags is math.inf
-    rows = min(steps, exact + 2 * HISTORY_FOLD) + 1
-    _require_memory(grid, config, rows, TAIL_MAX_POLES if rows <= steps else 0)
+    exact, rows = preflight(grid, material, config)
     kernel_rev = np.ascontiguousarray(build_kernel(material, config)[::-1])
     poles = weights = tail = None
     dofs = 2 * grid.nx * grid.ny
@@ -376,24 +387,10 @@ def frac_deriv_current(state: SimState, p_new: np.ndarray | float) -> np.ndarray
     they would start threads that spin through the rest of the step and cost
     more CPU than they save.  With p_new = 0 the value is the history part alone, so
     D(p_new) = D(0) + tau^-alpha K_0 p_new.
-
-    Raises :class:`ValueError` if the state is ahead of its history, or if
-    a fold has taken a row that the state sums exactly; that happens only to
-    a past state more than B + 3 steps behind its run's latest one.
     """
     n = state.n + 1
     history = state.history
     folded = history.folded
-    if n > history.filled:
-        raise ValueError(
-            f"state at step {state.n} needs P up to P^{state.n}, "
-            f"its history holds P up to P^{history.filled - 1}"
-        )
-    if folded and n + 1 - folded < history.exact:
-        raise ValueError(
-            f"state at step {state.n} is a past state whose run has folded P^0..P^{folded - 1} "
-            "into its history's tail, rows this state sums exactly"
-        )
     krev = state.kernel_rev
     first = 0 if folded else 1  # slot of P^1 or of P^folded, the first row summed
     end = len(krev) - 1
@@ -524,22 +521,19 @@ def solve_spd(
 
 
 def step(state: SimState, sources: Sources | None = None) -> SimState:
-    """Advance one step, forced by ``sources`` (see :data:`Sources`) at
-    t_{n-theta}; returns the new state (the input is left untouched).
+    """Advance ``state`` one step in place, forced by ``sources`` (see
+    :data:`Sources`) at t_{n-theta}, and return it.
 
-    Raises :class:`ValueError` past the configured run, or if ``state`` is
-    not its run's latest state.
+    It advances ``n`` and rebinds ``e``, ``p`` and ``h`` to new arrays,
+    never writing into the old ones, so arrays read from the state before
+    the step keep E^{n-1}, P^{n-1} and H^{n-1}.  Raises :class:`ValueError`
+    past the configured run.
     """
     cfg, mat, grid = state.config, state.material, state.grid
     n = state.n + 1
     if n > cfg.n_steps:
         raise ValueError(f"run is configured for {cfg.n_steps} steps, cannot advance to {n}")
     history = state.history
-    if history.filled != n:
-        raise ValueError(
-            f"state at step {state.n} is a past state: its run has reached step "
-            f"{history.filled - 1}, and only the latest state can be stepped"
-        )
     tau, theta = cfg.tau, cfg.theta
     one_m = 1.0 - theta
     f1, f2, f3 = (0.0, 0.0, 0.0) if sources is None else sources((n - theta) * tau)
@@ -572,20 +566,12 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
         slot -= HISTORY_FOLD
     history.window[slot] = p_new.reshape(-1)
     history.s[n] = s_new
-    history.filled = n + 1
+    state.n, state.e, state.p, state.h = n, e_new, p_new, h_new
+    return state
 
-    return replace(state, n=n, e=e_new, p=p_new, h=h_new)
 
-
-def run(
-    state: SimState,
-    sources: Sources | None = None,
-    observer: Callable[[SimState, SimState], None] | None = None,
-) -> SimState:
-    """Advance to the configured final step, optionally observing each pair."""
+def run(state: SimState, sources: Sources | None = None) -> SimState:
+    """Advance ``state`` in place to the configured final step and return it."""
     while state.n < state.config.n_steps:
-        new = step(state, sources)
-        if observer is not None:
-            observer(state, new)
-        state = new
+        step(state, sources)
     return state

@@ -22,10 +22,15 @@ leaving only the time-discretization error to measure.
 
 The oracles take and return dof fields.  :func:`in_modes` turns sources on
 the dofs into the coefficient sources that ``colecole.stepper.step`` takes.
+``step`` advances a run's one state in place; :func:`observed_step` keeps a
+copy of the state from before it and the history part of the step's
+fractional derivative, which :func:`caputo_after` and :func:`scheme_residual`
+read.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -34,7 +39,7 @@ import numpy as np
 
 from colecole.manufactured import PROFILES, ManufacturedCase, _sin_pi, caputo_cubic_factor
 from colecole.mesh import CurlCurlBasis, GridSpec, ScalarField, VecField, sample_scalar, sample_vec
-from colecole.stepper import Quadrature, SimState, SolverError, Sources, frac_deriv_current
+from colecole.stepper import Quadrature, SimState, SolverError, Sources, frac_deriv_current, step
 from colecole.weights import SchemeParams, binomial_series
 
 # sources(t) -> (f1, f2, f3) on the dofs: the physical form of ``Sources``.
@@ -169,8 +174,22 @@ def with_p_history(state: SimState, history: tuple[np.ndarray, ...], s=None, **c
         state.history.window[k] = q.reshape(-1)
     if s is not None:
         state.history.s[: len(s)] = s
-    state.history.filled = len(history)
     return replace(state, n=len(history) - 1, **changes)
+
+
+def observed_step(state: SimState, sources: Sources | None = None) -> tuple[SimState, np.ndarray]:
+    """Step ``state`` in place; return a copy of it from before the step
+    (its n, E, P and H; the history is shared) and the history part of the
+    step's D^alpha P, ``frac_deriv_current(state, 0.0)`` taken before it."""
+    before, history_part = copy.copy(state), frac_deriv_current(state, 0.0)
+    step(state, sources)
+    return before, history_part
+
+
+def caputo_after(state: SimState, history_part: np.ndarray) -> np.ndarray:
+    """D^alpha P at t_{n-theta} of the step that took the run to ``state``,
+    as ``step`` forms it: the history part plus tau^-alpha K_0 P^n."""
+    return history_part + (state.config.tau ** (-state.material.alpha) * state.kernel[0]) * state.p
 
 
 def exact_frac_deriv(
@@ -542,17 +561,20 @@ def diagonal_cg(
 
 
 def scheme_residual(
-    state_prev: SimState, state_new: SimState, sources: DofSources | None = None
+    state_prev: SimState,
+    state_new: SimState,
+    history_part: np.ndarray,
+    sources: DofSources | None = None,
 ) -> tuple[float, float, float]:
-    """Discrete L2 defects of the three scheme equations between two states,
-    on the dofs with the curl stencils.
+    """Discrete L2 defects of the three scheme equations of one step, from
+    the state before it to the state after it (see :func:`observed_step`),
+    on the dofs with the curl stencils; D^alpha P is
+    ``caputo_after(state_new, history_part)``.
 
     The electric-field defect is measured on the tangential-zero subspace,
     where the discrete equation lives (the boundary dofs carry the boundary
     condition instead).
     """
-    if state_new.n != state_prev.n + 1:
-        raise ValueError("states are not consecutive")
     cfg, mat, grid = state_new.config, state_new.material, state_new.grid
     tau, theta = cfg.tau, cfg.theta
     f1, f2, f3 = _dof_sources(sources, grid, (state_new.n - theta) * tau)
@@ -562,7 +584,7 @@ def scheme_residual(
     e_bar = combine_theta(e_new, e_old, theta)
     h_bar = combine_theta(h_new, h_old, theta)
     p_bar = combine_theta(p_new, p_old, theta)
-    d_alpha = edge_field(frac_deriv_current(state_prev, state_new.p), grid)
+    d_alpha = edge_field(caputo_after(state_new, history_part), grid)
 
     r1 = fmap(
         lambda en, eo, pn, po, ch, f: (mat.c_e / tau) * (en - eo) + (pn - po) / tau - ch - f,

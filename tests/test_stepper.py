@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import oracles
-from colecole import stepper
-from colecole.manufactured import ManufacturedCase
+from colecole import energy, stepper
+from colecole.manufactured import ManufacturedCase, convergence_table
 from colecole.mesh import CurlCurlBasis, GridSpec, ScalarField, VecField
 from colecole.stepper import (
     CG_MAXIT_PER_SIDE,
@@ -30,6 +30,7 @@ from colecole.stepper import (
 from colecole.weights import TAIL_MAX_POLES, SchemeParams, fbdf2_weights, sftr_weights, varpi_weights
 
 from oracles import (
+    caputo_after,
     closed_form_sources,
     curl_e,
     curl_h,
@@ -39,6 +40,7 @@ from oracles import (
     fmap,
     in_modes,
     norm_e,
+    observed_step,
     poly_sources,
     scheme_residual,
     textbook_cg,
@@ -81,7 +83,7 @@ def test_init_state():
     state = zero_state()
     assert state.n == 0
     assert state.e.shape == state.p.shape == (2, 4, 4) and state.h.shape == (4, 4)
-    assert not np.any(state.p) and state.history.filled == 1
+    assert not np.any(state.p)
     assert state.history.window.shape == (5, 32) and state.history.s.shape == (5,)
     assert not np.any(state.history.window) and not np.any(state.history.s)
     assert state.history.tail is None and state.history.folded == 0  # 4 steps never fold
@@ -137,14 +139,39 @@ def test_one_history_sum_per_step(quadrature, monkeypatch):
     grid = GridSpec(6, 6)
     case = ManufacturedCase(alpha=0.6).sample(grid)
     config = SchemeConfig(theta=0.4, tau=0.1, n_steps=5, quadrature=quadrature)
-    pairs = []
-    run(case.initial_state(config), case.sources, lambda a, b: pairs.append((a, b)))
+    state = case.initial_state(config)
+    while state.n < config.n_steps:
+        # the recorded s^n = ||D^alpha P||^2 equals the full quadrature at P^n,
+        # its norm taken on the dofs
+        _, history_part = observed_step(state, case.sources)
+        d = edge_field(caputo_after(state, history_part), grid)
+        assert state.history.s[state.n] == pytest.approx(norm_e(d, grid) ** 2, rel=1e-13)
     assert calls == [0, 1, 2, 3, 4]
-    # the recorded s^n = ||D^alpha P||^2 equals the full quadrature at P^n,
-    # its norm taken on the dofs
-    for prev, new in pairs:
-        d = edge_field(frac_deriv_current(prev, new.p), grid)
-        assert new.history.s[new.n] == pytest.approx(norm_e(d, grid) ** 2, rel=1e-13)
+
+
+def exact_sums_until_folded(state, sources):
+    """Run ``state`` to its last step, checking each step's D^alpha P against
+    the exact O(n) sum: bit for bit while the step reads an unfolded history
+    (returns the count of such steps), then at every seventh step, which
+    meets every fold phase, and at the last one (returns the worst relative
+    difference)."""
+    n_steps, scale = state.config.n_steps, state.config.tau ** (-state.material.alpha)
+    p_history = [state.p]
+    exact, worst = 0, 0.0
+    while state.n < n_steps:
+        folded = state.history.folded
+        _, history_part = observed_step(state, sources)
+        p_history.append(state.p)
+        if folded and state.n % 7 and state.n != n_steps:
+            continue
+        d = caputo_after(state, history_part)
+        want = oracles.exact_frac_deriv(state.kernel, p_history[: state.n], state.p, scale)
+        if folded:
+            worst = max(worst, np.linalg.norm(d - want) / np.linalg.norm(want))
+        else:
+            assert d.tobytes() == want.tobytes(), state.n
+            exact += 1
+    return exact, worst
 
 
 @pytest.mark.parametrize("quadrature", [Quadrature.SFTR, Quadrature.FBDF2])
@@ -156,30 +183,14 @@ def test_straight_run_fills_one_buffer(quadrature):
     case = ManufacturedCase(alpha=0.7).sample(grid)
     n_steps = 2000
     config = SchemeConfig(theta=0.4, tau=1.0 / n_steps, n_steps=n_steps, quadrature=quadrature)
-    start = case.initial_state(config)
-    scale = config.tau ** (-0.7)
-    p_history = [start.p]
-    exact, worst = 0, 0.0
-
-    def check(prev, new):
-        nonlocal exact, worst
-        p_history.append(new.p)
-        if prev.history.folded and new.n % 7 and new.n != n_steps:
-            return  # the O(n) oracle at every seventh step, which meets every fold phase
-        d = frac_deriv_current(prev, new.p)
-        want = oracles.exact_frac_deriv(prev.kernel, p_history[: new.n], new.p, scale)
-        if prev.history.folded:
-            worst = max(worst, np.linalg.norm(d - want) / np.linalg.norm(want))
-        else:
-            assert d.tobytes() == want.tobytes(), new.n
-            exact += 1
-
-    final = run(start, case.sources, check)
+    final = case.initial_state(config)
     history = final.history
-    assert history is start.history and history.filled == n_steps + 1
+    exact, worst = exact_sums_until_folded(final, case.sources)
+    assert final.history is history and final.n == n_steps
     assert history.exact == stepper.HISTORY_EXACT
     unfolded = history.exact + 2 * stepper.HISTORY_FOLD
-    assert exact == unfolded  # steps 1..52 read an unfolded history
+    # steps 1..53 read an unfolded history: step 53 sums before it folds
+    assert exact == unfolded + 1
     assert 0.0 < worst <= 1e-12
     assert history.window.shape == (unfolded + 1, 2 * 8 * 8)
     assert history.s.shape == (n_steps + 1,)
@@ -200,32 +211,15 @@ def test_theta_below_half_alpha_runs_long(alpha, theta, folds):
     grid = GridSpec(8, 8)
     case = ManufacturedCase(alpha=alpha).sample(grid)
     config = SchemeConfig(theta=theta, tau=1.0 / n_steps, n_steps=n_steps)
-    start = case.initial_state(config)
-    scale = config.tau ** (-alpha)
-    p_history = [start.p]
-    exact, worst = 0, 0.0
-
-    def check(prev, new):
-        nonlocal exact, worst
-        p_history.append(new.p)
-        if prev.history.folded and new.n % 7 and new.n != n_steps:
-            return  # the O(n) oracle at every seventh step once folded
-        d = frac_deriv_current(prev, new.p)
-        want = oracles.exact_frac_deriv(prev.kernel, p_history[: new.n], new.p, scale)
-        if prev.history.folded:
-            worst = max(worst, np.linalg.norm(d - want) / np.linalg.norm(want))
-        else:
-            assert d.tobytes() == want.tobytes(), new.n
-            exact += 1
-
-    final = run(start, case.sources, check)
+    final = case.initial_state(config)
+    exact, worst = exact_sums_until_folded(final, case.sources)
     history = final.history
     assert final.n == n_steps and np.all(np.isfinite(final.e))
     unfolded = n0 + 2 * stepper.HISTORY_FOLD
     assert history.exact == min(n0, n_steps)
     assert (history.poles is not None) == folds
     if folds:
-        assert exact == unfolded and 0.0 < worst <= 1e-12
+        assert exact == unfolded + 1 and 0.0 < worst <= 1e-12
         assert history.window.shape == (unfolded + 1, 2 * 8 * 8)
     else:
         assert exact == n_steps and history.folded == 0
@@ -274,8 +268,8 @@ def test_step_matches_dense_solve(quadrature, case):
 
 def test_scheme_residual_zero_dynamics():
     state = zero_state()
-    new = step(state)
-    assert scheme_residual(state, new) == (0.0, 0.0, 0.0)
+    before, history_part = observed_step(state)
+    assert scheme_residual(before, state, history_part) == (0.0, 0.0, 0.0)
 
 
 def test_scheme_residual_below_solver_tolerance():
@@ -288,11 +282,10 @@ def test_scheme_residual_below_solver_tolerance():
         state.material, config.theta, config.tau, state.kernel[0]
     )
     for _ in range(4):
-        new = step(state, case.sources)
-        r1, r2, r3 = scheme_residual(state, new, on_dofs)
-        scale = (state.material.c_e + a_coef) / config.tau * max(1.0, norm_e(new.fields()[0], grid))
+        before, history_part = observed_step(state, case.sources)
+        r1, r2, r3 = scheme_residual(before, state, history_part, on_dofs)
+        scale = (state.material.c_e + a_coef) / config.tau * max(1.0, norm_e(state.fields()[0], grid))
         assert max(r1, r2, r3) <= 10.0 * CG_TOL * scale
-        state = new
 
 
 def test_scheme_residual_linearity_in_perturbation():
@@ -302,7 +295,7 @@ def test_scheme_residual_linearity_in_perturbation():
     case = ManufacturedCase(alpha=0.5).sample(grid)
     config = SchemeConfig(theta=0.4, tau=0.1, n_steps=1)
     state = case.initial_state(config)
-    new = step(state, case.sources)
+    before, history_part = observed_step(state, case.sources)
     mat = state.material
     _, a_coef = elimination_coefficients(mat, config.theta, config.tau, state.kernel[0])
     rng = np.random.default_rng(11)
@@ -310,8 +303,8 @@ def test_scheme_residual_linearity_in_perturbation():
         1e-3 * rng.standard_normal((8, 9)), 1e-3 * rng.standard_normal((9, 8))
     ).enforce_pec()
     delta_modes = CurlCurlBasis(grid).forward(delta.ex, delta.ey)
-    perturbed = replace(new, e=new.e + delta_modes, p=new.p + a_coef * delta_modes)
-    r1, _, r3 = scheme_residual(state, perturbed, closed_form_sources(0.5, grid))
+    perturbed = replace(state, e=state.e + delta_modes, p=state.p + a_coef * delta_modes)
+    r1, _, r3 = scheme_residual(before, perturbed, history_part, closed_form_sources(0.5, grid))
     expected = (mat.c_e + a_coef) / config.tau * norm_e(delta, grid)
     assert r1 == pytest.approx(expected, rel=1e-3)
     assert r3 <= 1e-12  # the polarization equation is immune by construction
@@ -519,6 +512,22 @@ def test_memory_preflight_refuses_before_allocating(monkeypatch):
     assert stepper.physical_memory_bytes() > 100 * window_bytes
 
 
+def test_experiments_refuse_before_sampling_initial_data(monkeypatch):
+    # the preflight comes first, so a grid whose initial data alone exceed
+    # memory is refused before they are allocated
+    def no_sampling(*args):
+        raise AssertionError("initial data sampled before the preflight")
+
+    monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: 1)
+    monkeypatch.setattr(energy, "decay_initial_data", no_sampling)
+    monkeypatch.setattr(ManufacturedCase, "sample", no_sampling)
+    grid = GridSpec(8, 8)
+    with pytest.raises(MemoryError, match="physical memory"):
+        energy.run_decay_experiment(0.5, 0.5, grid, 0.01, 10)
+    with pytest.raises(MemoryError, match="physical memory"):
+        convergence_table(ManufacturedCase(alpha=0.5), 0.5, [0.5, 0.25], grid)
+
+
 def test_memory_preflight_counts_a_bounded_history(monkeypatch):
     # a 5000-step run on 8x8 fits in less memory than its 5001 P rows take:
     # the estimate that counted every row refused it
@@ -571,28 +580,17 @@ def test_history_bytes_do_not_grow_with_the_run():
     assert held[2000] < 2 * held[200] and held[2000] < (200 + 1) * dofs * 8
 
 
-def test_stepping_a_past_state_raises_and_keeps_the_latest():
+def test_step_advances_its_argument_and_keeps_the_arrays_held_before():
     grid = GridSpec(8, 8)
     case = ManufacturedCase(alpha=0.6).sample(grid)
-    config = SchemeConfig(theta=0.4, tau=0.01, n_steps=100)
-    states = [case.initial_state(config)]
-    for _ in range(99):
-        states.append(step(states[-1], case.sources))
-    latest = states[-1]
-    assert latest.history.folded > 0
-    for past in (states[10], states[60], states[-2]):
-        with pytest.raises(ValueError, match="past state"):
-            step(past, case.sources)
-    # rows a fold has taken cannot be summed exactly again
-    for past in (states[10], states[60]):
-        with pytest.raises(ValueError, match="past state"):
-            frac_deriv_current(past, 0.0)
-    # the refusals wrote nothing: the latest state goes on as a straight run does
-    last = step(latest, case.sources)
-    straight = run(case.initial_state(config), case.sources)
-    for name in ("e", "p", "h"):
-        assert np.array_equal(getattr(last, name), getattr(straight, name))
-    assert np.array_equal(last.history.s, straight.history.s)
+    state = case.initial_state(SchemeConfig(theta=0.4, tau=0.01, n_steps=3))
+    step(state, case.sources)
+    held = state.e, state.p, state.h
+    copies = [a.copy() for a in held]
+    assert step(state, case.sources) is state and state.n == 2
+    for new, old, copy in zip((state.e, state.p, state.h), held, copies):
+        assert new is not old and np.array_equal(old, copy)
+        assert not np.array_equal(new, old)
 
 
 @pytest.mark.parametrize("where, bad", [("rhs", np.nan), ("rhs", np.inf), ("x0", np.nan)])
@@ -713,9 +711,10 @@ def test_difference_identity_from_companion_weights():
     grid = GridSpec(10, 10)
     case = ManufacturedCase(alpha=0.6).sample(grid)
     config = SchemeConfig(theta=0.3, tau=0.1, n_steps=8)
-    start = case.initial_state(config)
-    hist = [start.p]
-    state = run(start, case.sources, lambda a, b: hist.append(b.p))
+    state = case.initial_state(config)
+    hist = [state.p]
+    while state.n < config.n_steps:
+        hist.append(step(state, case.sources).p)
     tau, alpha = config.tau, 0.6
     omega = state.kernel
     varpi = varpi_weights(SchemeParams(alpha, config.theta), config.n_steps)
