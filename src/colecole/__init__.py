@@ -13,8 +13,8 @@ and a CSV-emitting experiment CLI (:mod:`colecole.cli`).
 """
 
 from .energy import (
+    TRACE,
     DecayReport,
-    EnergyTrace,
     decay_report,
     discrete_energy,
     dissipation_residual,
@@ -64,7 +64,6 @@ __all__ = [
     "ConvergenceRow",
     "CurlCurlBasis",
     "DecayReport",
-    "EnergyTrace",
     "GridSpec",
     "ManufacturedCase",
     "MaterialParams",
@@ -78,6 +77,7 @@ __all__ = [
     "Sources",
     "Spectrum",
     "SymbolKind",
+    "TRACE",
     "VecField",
     "binomial_series",
     "convergence_table",

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .energy import run_decay_experiment
+from .energy import TRACE, run_decay_experiment
 from .manufactured import ConvergenceRow, ManufacturedCase, convergence_table
 from .mesh import GridSpec
 from .stepper import Quadrature, SolverError
@@ -219,13 +219,8 @@ def cmd_energy(args: argparse.Namespace) -> None:
             _dump_fields(state, Path(args.dump_fields))
         del state  # release the run's P history before the next run starts
         path = base if len(runs) == 1 else _sweep_path(base, alpha, theta, scheme)
-        rows = (
-            f"{n},{_fmt(t)},{_fmt(en)},{_fmt(d)},{_fmt(v)}"
-            for n, t, en, d, v in zip(
-                trace.steps, trace.times, trace.energies, trace.dissipations, trace.violations
-            )
-        )
-        _write_csv(path, "n,t,energy,dissipation,violation", rows)
+        rows = (",".join(map(_fmt, record.item())) for record in trace)
+        _write_csv(path, ",".join(TRACE.names), rows)
         first = "-" if report.first_violation_step is None else str(report.first_violation_step)
         print(
             f"energy {scheme} alpha={alpha:g} theta={theta:g} tau={args.tau:g} "

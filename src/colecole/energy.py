@@ -20,14 +20,15 @@ E~^n is non-increasing, with the per-step bound
 where varpi_0 = a_0.  ``dissipation_residual`` evaluates the left side
 from the state after a step and the P^{n-1} array held before it, which
 stays valid because :func:`colecole.stepper.step` advances the run's one
-state in place by rebinding its arrays; ``decay_report`` summarizes
-monotonicity violations of a recorded trace.
+state in place by rebinding its arrays.  ``run_decay_experiment`` records
+a run in one :data:`TRACE` record array, a row per step, and
+``decay_report`` summarizes its monotonicity violations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,32 +37,13 @@ from .mesh import GridSpec, norm_sq
 from .stepper import MaterialParams, Quadrature, SchemeConfig, SimState, init_state, preflight, step
 
 
-@dataclass
-class EnergyTrace:
-    """Per-step energy record of one run."""
-
-    steps: list[int] = field(default_factory=list)
-    times: list[float] = field(default_factory=list)
-    energies: list[float] = field(default_factory=list)
-    dissipations: list[float] = field(default_factory=list)
-    violations: list[float] = field(default_factory=list)
-
-    def append(self, n: int, t: float, energy: float, dissipation: float) -> None:
-        if not (math.isfinite(energy) and math.isfinite(dissipation)):
-            raise ValueError(f"non-finite energy record at step {n}: {energy}, {dissipation}")
-        if energy < 0.0:
-            raise ValueError(f"discrete energy must be nonnegative, got {energy}")
-        violation = 0.0
-        if self.energies:
-            violation = max(0.0, energy - self.energies[-1])
-        self.steps.append(n)
-        self.times.append(t)
-        self.energies.append(energy)
-        self.dissipations.append(dissipation)
-        self.violations.append(violation)
-
-    def __len__(self) -> int:
-        return len(self.steps)
+# A run's trace has one row per step, n = 0..N: the step, its time, the
+# energy E~^n, the dissipation residual of the step (0 at n = 0) and the
+# violation max(0, E~^n - E~^(n-1)).  The names are the columns of the
+# ``energy`` CSV.
+TRACE = np.dtype(
+    [("n", np.int64), ("t", float), ("energy", float), ("dissipation", float), ("violation", float)]
+)
 
 
 @dataclass(frozen=True)
@@ -111,21 +93,16 @@ def dissipation_residual(state: SimState, p_prev: np.ndarray, e_prev: float, e_n
     ) * norm_sq(dp, grid)
 
 
-def decay_report(trace: EnergyTrace) -> DecayReport:
-    """Count energy increases beyond :func:`energy_tolerance` of E~^0 in a trace."""
-    if not trace.energies:
+def decay_report(trace: np.ndarray) -> DecayReport:
+    """Count energy increases beyond :func:`energy_tolerance` of E~^0 in a
+    :data:`TRACE` record array."""
+    if len(trace) == 0:
         raise ValueError("empty trace")
-    tol = energy_tolerance(trace.energies[0])
-    count = 0
-    max_violation = 0.0
-    first: int | None = None
-    for n, v in zip(trace.steps, trace.violations):
-        if v > tol:
-            count += 1
-            if first is None:
-                first = n
-        max_violation = max(max_violation, v)
-    return DecayReport(count, max_violation, first, tol)
+    tol = energy_tolerance(float(trace["energy"][0]))
+    violation = trace["violation"]
+    over = np.flatnonzero(violation > tol)
+    first = int(trace["n"][over[0]]) if len(over) else None
+    return DecayReport(len(over), float(violation.max()), first, tol)
 
 
 def run_decay_experiment(
@@ -135,12 +112,14 @@ def run_decay_experiment(
     tau: float,
     n_steps: int,
     quadrature: Quadrature = Quadrature.SFTR,
-) -> tuple[SimState, EnergyTrace, DecayReport]:
+) -> tuple[SimState, np.ndarray, DecayReport]:
     """Source-free decay run with unit material coefficients.
 
     Initial data is the standard experiment profile (polynomial-times-sine
     electric field, cubic-product magnetic field, zero polarization); the
-    returned trace holds the energy and dissipation residual of every step.
+    returned :data:`TRACE` array holds the energy and dissipation residual of
+    every step; :class:`ValueError` at the first step whose energy is
+    negative or not finite, or whose dissipation residual is not finite.
     The BDF-2 kernel is monitored with the same functional: its state
     carries the trapezoidal companion weights at the run's (alpha, theta).
     :class:`MemoryError` if the run would not fit in physical memory, before
@@ -151,14 +130,19 @@ def run_decay_experiment(
     preflight(grid, material, config)
     e0, h0 = decay_initial_data(grid)
     state = init_state(grid, material, config, e0, h0)
-    energy = discrete_energy(state)
-    trace = EnergyTrace()
-    trace.append(0, 0.0, energy, 0.0)
-    while state.n < n_steps:
-        p_prev = state.p
+    trace = np.zeros(n_steps + 1, TRACE)
+    energy = previous = discrete_energy(state)
+    dissipation = 0.0
+    while True:
+        n = state.n
+        if not (math.isfinite(energy) and math.isfinite(dissipation)):
+            raise ValueError(f"non-finite energy record at step {n}: {energy}, {dissipation}")
+        if energy < 0.0:
+            raise ValueError(f"discrete energy must be nonnegative, got {energy} at step {n}")
+        trace[n] = n, state.time, energy, dissipation, max(0.0, energy - previous)
+        if n == n_steps:
+            return state, trace, decay_report(trace)
+        p_prev, previous = state.p, energy
         step(state)
-        new_energy = discrete_energy(state)
-        r = dissipation_residual(state, p_prev, energy, new_energy)
-        trace.append(state.n, state.time, new_energy, r)
-        energy = new_energy
-    return state, trace, decay_report(trace)
+        energy = discrete_energy(state)
+        dissipation = dissipation_residual(state, p_prev, previous, energy)

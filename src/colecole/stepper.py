@@ -68,8 +68,8 @@ matches it.
 The state also carries the energy weights a_0..a_N of the run's (alpha,
 theta), ``SimState.a_weights``; FBDF2 runs carry the trapezoidal ones too.
 It carries the constants of the run's steps as well, which :func:`init_state`
-builds once: |v| of every mode, the grouped :class:`Spectrum` of the E-solve
-and CG's iteration limit.
+builds once: |v| of every mode and the grouped :class:`Spectrum` of the
+E-solve.
 """
 
 from __future__ import annotations
@@ -210,10 +210,9 @@ class SimState:
     ``e`` and ``p`` are the (2, nx, ny) edge coefficients of E^n and P^n,
     ``h`` the (nx, ny) cell coefficients of H^n (see
     :class:`~colecole.mesh.CurlCurlBasis`); :meth:`fields` gives the dof arrays.
-    ``curl_modulus`` (|v| of every mode), ``spectrum`` (the eigenvalues of the
-    E-solve's operator) and ``maxit`` (CG's iteration limit) are constant over
-    the run.  The state owns its run's ``history``; copies share it, and only
-    the stepped state matches it.
+    ``curl_modulus`` (|v| of every mode) and ``spectrum`` (the eigenvalues of
+    the E-solve's operator) are constant over the run.  The state owns its
+    run's ``history``; copies share it, and only the stepped state matches it.
     """
 
     n: int
@@ -228,7 +227,6 @@ class SimState:
     config: SchemeConfig
     curl_modulus: np.ndarray
     spectrum: Spectrum
-    maxit: int
 
     @property
     def time(self) -> float:
@@ -250,20 +248,19 @@ class SimState:
 
 
 def build_kernel(material: MaterialParams, config: SchemeConfig) -> np.ndarray:
-    """Convolution kernel K for the full run.
+    """Convolution kernel K_0..K_{N-1} of a run of N steps.
 
     It is applied as sum_{k=1..n} K_{n-k} P^k (:func:`frac_deriv_current`),
-    which presumes P^0 = 0.  SFTR: K = omega_0..omega_{n_steps-1}, the rule
-    being sum omega_{n-k} (P^k - P^0).  FBDF2: K is the theta-combined
-    sequence g_j = (1-theta) w~_j + theta w~_{j-1}, the rule being
-    sum_{k=0..n} g_{n-k} P^k; its last entry g_{n_steps} only ever multiplies
-    P^0, so it is kept but never read.  The state keeps K reversed and
+    which presumes P^0 = 0.  SFTR: K = omega_0..omega_{N-1}, the rule being
+    sum omega_{n-k} (P^k - P^0).  FBDF2: K is the theta-combined sequence
+    g_j = (1-theta) w~_j + theta w~_{j-1}, the rule being
+    sum_{k=0..n} g_{n-k} P^k.  The state keeps K reversed and
     contiguous (``SimState.kernel_rev``), so that the window's part of the
     history is one single-threaded contraction with its rows.
     """
     if config.quadrature is Quadrature.SFTR:
         return sftr_weights(SchemeParams(material.alpha, config.theta), config.n_steps - 1)
-    return shift_combine(fbdf2_weights(material.alpha, config.n_steps - 1), config.theta)
+    return shift_combine(fbdf2_weights(material.alpha, config.n_steps - 1), config.theta)[:-1]
 
 
 def physical_memory_bytes() -> int:
@@ -291,12 +288,13 @@ def _require_memory(grid: GridSpec, config: SchemeConfig, rows: int, poles: int)
     steps, dofs = config.n_steps, 2 * grid.nx * grid.ny
     # The window; for a run that folds, its tail and a fold's temporary (M
     # rows each) and the fit's workspace (three arrays of its row blocks).
-    # Twenty (N+1,) arrays: s, the kernel, the energy weights, the fit's lags
-    # and targets, and the weights' FFT check (three arrays of up to 4 (N+1)).
+    # Twenty-five values per step: s, the kernel, the energy weights, the
+    # fit's lags and targets, the weights' FFT check (three arrays of up to
+    # 4 (N+1)) and the five columns of the energy trace.
     # Under 32 coefficient arrays: the step constants (three), their build
     # (five), a step's temporaries and the states it holds.
     fit = 3 * (TAIL_FIT_ROWS + poles) * (poles + 1) if poles else 0
-    need = 8 * (rows * dofs + 2 * poles * dofs + fit + 20 * (steps + 1) + 32 * dofs)
+    need = 8 * (rows * dofs + 2 * poles * dofs + fit + 25 * (steps + 1) + 32 * dofs)
     have = physical_memory_bytes()
     if need > have:
         raise MemoryError(
@@ -346,8 +344,7 @@ def _initial_state(
     poles = weights = tail = None
     dofs = 2 * grid.nx * grid.ny
     if rows <= steps:
-        # the lags a tail is read at: exact..n_steps-1 (FBDF2's g_N is not)
-        poles, weights = exponential_tail(kernel_rev[::-1][:steps], exact)
+        poles, weights = exponential_tail(kernel_rev[::-1], exact)
         tail = np.zeros((len(poles), dofs))
     history = PHistory(np.zeros((rows, dofs)), np.zeros(steps + 1), exact, poles, weights, tail)
     tau, theta = config.tau, config.theta
@@ -369,15 +366,14 @@ def _initial_state(
         config=config,
         curl_modulus=curl_modulus,
         spectrum=Spectrum(lam),
-        maxit=CG_MAXIT_PER_SIDE * (grid.nx + grid.ny),
     )
 
 
-def frac_deriv_current(state: SimState, p_new: np.ndarray | float) -> np.ndarray:
-    """Quadrature value tau^-alpha sum_{k=1..n} K_{n-k} P^k of the Caputo
-    derivative of P at t_{n-theta}, as coefficients, where n = state.n + 1,
-    p_new is the candidate P^n and K is the run's kernel (see
-    :func:`build_kernel`).
+def frac_deriv_current(state: SimState) -> np.ndarray:
+    """History part tau^-alpha sum_{k=1..n-1} K_{n-k} P^k of the quadrature
+    value of the Caputo derivative of P at t_{n-theta}, as coefficients,
+    where n = state.n + 1 and K is the run's kernel (see :func:`build_kernel`);
+    the step adds the part of P^n, tau^-alpha K_0 P^n.
 
     Precondition: P^0 is zero (as :func:`init_state` fixes it), so it is
     skipped and one sum serves both kernels.  The history part, P^1..P^{n-1},
@@ -385,8 +381,7 @@ def frac_deriv_current(state: SimState, p_new: np.ndarray | float) -> np.ndarray
     once rows are folded, one of the weights c_m r_m^(n + 1 - folded - n0)
     with the tail, both einsums on the calling thread: through BLAS (``@``)
     they would start threads that spin through the rest of the step and cost
-    more CPU than they save.  With p_new = 0 the value is the history part alone, so
-    D(p_new) = D(0) + tau^-alpha K_0 p_new.
+    more CPU than they save.
     """
     n = state.n + 1
     history = state.history
@@ -402,9 +397,7 @@ def frac_deriv_current(state: SimState, p_new: np.ndarray | float) -> np.ndarray
         lead *= history.weights
         hist += np.einsum("m,mj->j", lead, history.tail)
     hist = hist.reshape(state.p.shape)
-    scale = state.config.tau ** (-state.material.alpha)
-    hist *= scale
-    hist += (scale * krev[-1]) * p_new
+    hist *= state.config.tau ** (-state.material.alpha)
     return hist
 
 
@@ -539,7 +532,7 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     f1, f2, f3 = (0.0, 0.0, 0.0) if sources is None else sources((n - theta) * tau)
     e, p, h = state.e, state.p, state.h
 
-    hist_d = frac_deriv_current(state, 0.0)
+    hist_d = frac_deriv_current(state)
     denom, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
 
     # Elimination of P^n from the dof-local polarization equation.
@@ -552,11 +545,12 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     rhs = (mat.c_e / tau) * e + (1.0 / tau) * (p - g) + f1
     rhs[1] -= v * (h + (one_m * tau / mat.c_m) * f2 + (one_m * theta * tau / mat.c_m) * v * e[1])
 
-    e_new, _ = solve_spd(state.spectrum, rhs, e, CG_TOL, state.maxit)
+    maxit = CG_MAXIT_PER_SIDE * (grid.nx + grid.ny)
+    e_new, _ = solve_spd(state.spectrum, rhs, e, CG_TOL, maxit)
     p_new = a_coef * e_new + g
     # H^n = H^{n-1} - tau/c_m curl_e(theta average of E) + tau/c_m f2
     h_new = h + (tau / mat.c_m) * (v * (one_m * e_new[1] + theta * e[1]) + f2)
-    # D(P^n) = D(0) + tau^-alpha K_0 P^n, so the history sum is not run again.
+    # D(P^n) = history part + tau^-alpha K_0 P^n, so the history sum is not run again.
     d_new = hist_d + (tau ** (-mat.alpha) * state.kernel[0]) * p_new
     s_new = norm_sq(d_new, grid)
 

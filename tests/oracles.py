@@ -180,8 +180,8 @@ def with_p_history(state: SimState, history: tuple[np.ndarray, ...], s=None, **c
 def observed_step(state: SimState, sources: Sources | None = None) -> tuple[SimState, np.ndarray]:
     """Step ``state`` in place; return a copy of it from before the step
     (its n, E, P and H; the history is shared) and the history part of the
-    step's D^alpha P, ``frac_deriv_current(state, 0.0)`` taken before it."""
-    before, history_part = copy.copy(state), frac_deriv_current(state, 0.0)
+    step's D^alpha P, ``frac_deriv_current(state)`` taken before it."""
+    before, history_part = copy.copy(state), frac_deriv_current(state)
     step(state, sources)
     return before, history_part
 
@@ -198,9 +198,10 @@ def exact_frac_deriv(
     """scale * sum_{k=1..n} K_{n-k} P^k with P^n = p_new, n = len(p_history),
     from P^0..P^{n-1} = p_history, every lag exact.
 
-    Summed in the association of ``colecole.stepper.frac_deriv_current`` on a
-    run that has not folded: the rows from k = 1 on, then the scale, then
-    scale K_0 p_new, so the two agree bit for bit there.
+    Summed in the association of ``colecole.stepper.frac_deriv_current``
+    and then :func:`caputo_after` on a run that has not folded: the rows
+    from k = 1 on, then the scale, then scale K_0 p_new, so the two agree bit
+    for bit there.
     """
     n = len(p_history)
     acc = np.zeros_like(p_new)
@@ -424,7 +425,10 @@ def dense_step_solution(
         hist.ex -= kern[0] * p0.ex
         hist.ey -= kern[0] * p0.ey
     else:
-        for k in range(0, n):
+        # sum_{k=0..n-1} g_{n-k} P^k, whose k = 0 term is zero: the kernel
+        # stops at g_{N-1}, and g_N only ever multiplies P^0 = 0
+        assert not np.any(p_history[0].ex) and not np.any(p_history[0].ey)
+        for k in range(1, n):
             hist.ex += kern[n - k] * p_history[k].ex
             hist.ey += kern[n - k] * p_history[k].ey
     hist = fmap(lambda c: tau ** (-mat.alpha) * c, hist)

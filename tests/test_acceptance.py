@@ -187,8 +187,8 @@ def test_c07_energy_decay_at_scale():
     summary = []
     for alpha, theta in ((0.5, 0.3), (0.5, 0.4), (0.5, 0.5), (0.1, 0.5), (0.9, 0.5)):
         _, trace, report = run_decay_experiment(alpha, theta, grid, 0.01, 100)
-        tol = energy_tolerance(trace.energies[0])
-        worst_r = max(trace.dissipations)
+        tol = energy_tolerance(trace["energy"][0])
+        worst_r = trace["dissipation"].max()
         summary.append(f"({alpha},{theta}):v={report.violation_count},r={worst_r:.1e}")
         assert report.violation_count == 0, (alpha, theta, report)
         assert worst_r <= tol, (alpha, theta, worst_r, tol)

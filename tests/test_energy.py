@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from colecole import energy
 from colecole.energy import (
+    TRACE,
     DecayReport,
-    EnergyTrace,
     decay_report,
     discrete_energy,
     dissipation_residual,
@@ -177,35 +178,66 @@ def test_dissipation_recorded_for_fbdf2():
     assert np.isfinite(r)  # report-only: no sign contract
 
 
+def make_trace(energies, violations):
+    trace = np.zeros(len(energies), TRACE)
+    trace["n"] = np.arange(len(energies))
+    trace["energy"], trace["violation"] = energies, violations
+    return trace
+
+
 def test_trace_and_decay_report():
-    trace = EnergyTrace()
-    for n, e in enumerate([1.0, 0.9, 0.8]):
-        trace.append(n, 0.1 * n, e, 0.0)
-    rep = decay_report(trace)
+    rep = decay_report(make_trace([1.0, 0.9, 0.8], [0.0, 0.0, 0.0]))
     assert rep == DecayReport(0, 0.0, None, rep.tolerance)
 
-    trace = EnergyTrace()
-    for n, e in enumerate([1.0, 1.1, 0.9]):
-        trace.append(n, 0.1 * n, e, 0.0)
-    rep = decay_report(trace)
-    assert rep.violation_count == 1
-    assert rep.max_violation == pytest.approx(0.1, rel=1e-12)
+    rep = decay_report(make_trace([1.0, 1.1, 0.9, 1.3, 1.2], [0.0, 0.1, 0.0, 0.4, 0.0]))
+    assert rep.violation_count == 2
+    assert rep.max_violation == 0.4
     assert rep.first_violation_step == 1
-    with pytest.raises(ValueError):
-        decay_report(EnergyTrace())
-    with pytest.raises(ValueError):
-        trace.append(3, 0.3, -1.0, 0.0)
-    # a NaN or infinite record is a hard failure, never "0 violations"
-    for energy, dissipation in ((np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan), (0.5, -np.inf)):
-        with pytest.raises(ValueError, match="non-finite"):
-            trace.append(3, 0.3, energy, dissipation)
-    assert len(trace) == 3
+    # a rise within the tolerance of E~^0 is round-off, not a violation
+    rep = decay_report(make_trace([1.0, 1.0 + 1e-11], [0.0, 1e-11]))
+    assert rep == DecayReport(0, 1e-11, None, 2e-10)
+    with pytest.raises(ValueError, match="empty"):
+        decay_report(np.zeros(0, TRACE))
+
+
+def test_run_decay_experiment_records_each_step():
+    _, trace, rep = run_decay_experiment(0.5, 0.5, GridSpec(8, 8), 0.01, 4)
+    assert trace.dtype.names == ("n", "t", "energy", "dissipation", "violation")
+    assert trace["n"].tolist() == [0, 1, 2, 3, 4]
+    assert trace["t"].tolist() == [n * 0.01 for n in range(5)]
+    assert trace["dissipation"][0] == 0.0 and np.all(trace["dissipation"] <= rep.tolerance)
+    rises = np.maximum(0.0, np.diff(trace["energy"]))
+    assert trace["violation"].tolist() == [0.0, *rises.tolist()]
+    assert rep == decay_report(trace)
+
+
+@pytest.mark.parametrize("name,bad,message,at", [
+    # discrete_energy runs from step 0, dissipation_residual from step 1
+    ("discrete_energy", np.nan, "non-finite", 2),
+    ("discrete_energy", np.inf, "non-finite", 2),
+    ("discrete_energy", -1.0, "nonnegative", 2),
+    ("dissipation_residual", np.nan, "non-finite", 3),
+    ("dissipation_residual", -np.inf, "non-finite", 3),
+])
+def test_run_decay_experiment_rejects_a_bad_record_at_its_step(monkeypatch, name, bad, message, at):
+    # a NaN or infinite record is a hard failure, never "0 violations", and
+    # so is a negative energy; each is raised at the step that made it
+    real = getattr(energy, name)
+    calls = []
+
+    def third_goes_bad(*args):
+        calls.append(None)
+        return bad if len(calls) == 3 else real(*args)
+
+    monkeypatch.setattr(energy, name, third_goes_bad)
+    with pytest.raises(ValueError, match=f"{message}.* step {at}"):
+        energy.run_decay_experiment(0.5, 0.5, GridSpec(8, 8), 0.01, 4)
 
 
 def test_run_decay_experiment_sftr_monotone():
     _, trace, rep = run_decay_experiment(0.5, 0.4, GridSpec(16, 16), 0.02, 25)
     assert rep.violation_count == 0
-    assert all(r <= rep.tolerance for r in trace.dissipations)
+    assert np.all(trace["dissipation"] <= rep.tolerance)
     assert len(trace) == 26
 
 
@@ -216,7 +248,7 @@ def test_long_sftr_run_with_a_folded_history_decays(alpha, theta):
     state, trace, rep = run_decay_experiment(alpha, theta, GridSpec(16, 16), 0.002, 2000)
     assert state.history.folded > 1900
     assert rep.violation_count == 0 and len(trace) == 2001
-    assert all(r <= rep.tolerance for r in trace.dissipations)
+    assert np.all(trace["dissipation"] <= rep.tolerance)
 
 
 def test_smaller_alpha_decays_faster_initially():
@@ -225,5 +257,5 @@ def test_smaller_alpha_decays_faster_initially():
     drops = []
     for alpha in (0.1, 0.5, 0.9):
         _, trace, _ = run_decay_experiment(alpha, 0.5, grid, 0.01, 5)
-        drops.append(trace.energies[0] - trace.energies[-1])
+        drops.append(trace["energy"][0] - trace["energy"][-1])
     assert drops[0] > drops[1] > drops[2] > 0.0

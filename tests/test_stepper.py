@@ -27,7 +27,14 @@ from colecole.stepper import (
     solve_spd,
     step,
 )
-from colecole.weights import TAIL_MAX_POLES, SchemeParams, fbdf2_weights, sftr_weights, varpi_weights
+from colecole.weights import (
+    TAIL_MAX_POLES,
+    SchemeParams,
+    fbdf2_weights,
+    sftr_weights,
+    shift_combine,
+    varpi_weights,
+)
 
 from oracles import (
     caputo_after,
@@ -91,7 +98,7 @@ def test_init_state():
     assert len(state.kernel) == state.config.n_steps
     assert state.kernel[0] == sftr_weights(SchemeParams(0.5, 0.5), 0)[0]
     fb = zero_state(quadrature=Quadrature.FBDF2, theta=0.4)
-    assert len(fb.kernel) == fb.config.n_steps + 1
+    assert len(fb.kernel) == fb.config.n_steps
     assert fb.kernel[0] == pytest.approx(0.6 * fbdf2_weights(0.5, 0)[0], rel=1e-15)
     grid = GridSpec(4, 4)
     bad = VecField(np.ones((4, 5)), np.zeros((5, 4)))
@@ -101,11 +108,15 @@ def test_init_state():
 
 def test_frac_deriv_zero_and_single_term():
     state = zero_state(alpha=0.3, theta=0.4, tau=0.2)
-    assert not np.any(frac_deriv_current(state, np.zeros((2, 4, 4))))
+    # the first step has no history: only P^1 enters its quadrature
+    assert not np.any(frac_deriv_current(state))
     c = 1.7
-    d = frac_deriv_current(state, np.full((2, 4, 4), c))
-    expected = 0.2 ** (-0.3) * state.kernel[0] * c
-    np.testing.assert_allclose(d, expected, rtol=1e-14)
+    d = caputo_after(replace(state, p=np.full((2, 4, 4), c)), frac_deriv_current(state))
+    np.testing.assert_allclose(d, 0.2 ** (-0.3) * state.kernel[0] * c, rtol=1e-14)
+    # the second step's history is P^1 alone
+    state = with_p_history(state, (np.zeros((2, 4, 4)), np.full((2, 4, 4), c)))
+    expected = 0.2 ** (-0.3) * state.kernel[1] * c
+    np.testing.assert_allclose(frac_deriv_current(state), expected, rtol=1e-14)
 
 
 @pytest.mark.parametrize("quadrature", [Quadrature.SFTR, Quadrature.FBDF2])
@@ -116,13 +127,16 @@ def test_frac_deriv_cubic_history_brute_force(quadrature):
     vals = [(k * tau) ** 3 for k in range(n_steps + 1)]
     hist = tuple(np.full((2, 4, 4), v) for v in vals[:n_steps])
     state = with_p_history(state, hist)
-    d = frac_deriv_current(state, np.full((2, 4, 4), vals[-1]))
+    d = caputo_after(replace(state, p=np.full((2, 4, 4), vals[-1])), frac_deriv_current(state))
     kern = state.kernel
     n = n_steps
     if quadrature is Quadrature.SFTR:
         brute = sum(kern[n - k] * (vals[k] - vals[0]) for k in range(1, n + 1))
     else:
-        brute = sum(kern[n - k] * vals[k] for k in range(0, n + 1))
+        # the whole rule sum_{k=0..n} g_{n-k} P^k: the run's kernel stops at
+        # g_{n-1}, since g_n multiplies P^0 = 0
+        g = shift_combine(fbdf2_weights(alpha, n - 1), theta)
+        brute = sum(g[n - k] * vals[k] for k in range(0, n + 1))
     brute *= tau ** (-alpha)
     np.testing.assert_allclose(d, brute, rtol=1e-13)
 
@@ -131,9 +145,9 @@ def test_frac_deriv_cubic_history_brute_force(quadrature):
 def test_one_history_sum_per_step(quadrature, monkeypatch):
     calls = []
 
-    def counting(state, p_new):
+    def counting(state):
         calls.append(state.n)
-        return frac_deriv_current(state, p_new)
+        return frac_deriv_current(state)
 
     monkeypatch.setattr("colecole.stepper.frac_deriv_current", counting)
     grid = GridSpec(6, 6)
@@ -668,11 +682,12 @@ def test_solve_spd_matches_cg_over_every_coefficient(
     # over every coefficient: only the summation order differs
     state, calls = solve_case(monkeypatch, grid, quadrature, tau)
     lam = CurlCurlBasis(grid).eigenvalues(*step_operator(state))
+    maxit = CG_MAXIT_PER_SIDE * (grid.nx + grid.ny)
     most = 0
     for spectrum, rhs, x0 in calls:
         for start in (np.zeros_like(x0), x0):
-            want, want_its = diagonal_cg(lam, rhs, start, CG_TOL, state.maxit)
-            got, got_its = solve_spd(spectrum, rhs, start, CG_TOL, state.maxit)
+            want, want_its = diagonal_cg(lam, rhs, start, CG_TOL, maxit)
+            got, got_its = solve_spd(spectrum, rhs, start, CG_TOL, maxit)
             assert got_its == want_its
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
             most = max(most, got_its)
