@@ -81,6 +81,14 @@ def _sweep_path(base: Path, alpha: float, theta: float, scheme: str) -> Path:
     return base.with_name(f"{base.stem}_a{alpha:g}_t{theta:g}_{scheme}{base.suffix}")
 
 
+def _reject_fixed_by_sweep(args: argparse.Namespace, flags: tuple[str, ...]) -> None:
+    """Raise :class:`ValueError` naming the first of ``flags`` that was given
+    together with ``--sweep``, which fixes them."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--sweep {args.sweep} fixes --{flag}; drop it")
+
+
 class HardAssertionError(Exception):
     """A subcommand's hard contract was violated; carries the failure records."""
 
@@ -94,6 +102,8 @@ def cmd_weights(args: argparse.Namespace) -> None:
     out = Path(args.out)
     if args.kind != "fbdf2" and args.theta is None:
         raise ValueError(f"--theta is required for kind {args.kind!r}")
+    if args.kind == "fbdf2" and args.theta is not None:
+        raise ValueError("--theta is not read by kind 'fbdf2', whose weights do not depend on it")
 
     if args.kind != "all":
         # single-family dump: one value column
@@ -167,6 +177,7 @@ def cmd_converge(args: argparse.Namespace) -> None:
     grid = GridSpec(args.nx, args.ny)
     taus = _parse_taus(args.taus)
     if args.sweep == "paper":
+        _reject_fixed_by_sweep(args, ("alpha", "theta"))
         combos = PAPER_CONVERGENCE_GRID
     elif args.alpha is not None and args.theta is not None:
         combos = ((args.alpha, args.theta),)
@@ -202,9 +213,12 @@ def _dump_fields(state, prefix: Path) -> None:
 def cmd_energy(args: argparse.Namespace) -> None:
     grid = GridSpec(args.nx, args.ny)
     if args.sweep is not None:
+        _reject_fixed_by_sweep(args, ("alpha", "theta", "scheme"))
         runs = ENERGY_SWEEPS[args.sweep]
     else:
-        runs = ((args.alpha, args.theta, args.scheme),)
+        alpha = 0.5 if args.alpha is None else args.alpha
+        theta = 0.5 if args.theta is None else args.theta
+        runs = ((alpha, theta, args.scheme or "sftr"),)
     if args.dump_fields is not None and len(runs) != 1:
         raise ValueError("--dump-fields is only available for single runs, not sweeps")
     checked = [SchemeParams(alpha, theta) for alpha, theta, _ in runs]
@@ -287,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("converge", help="manufactured-solution temporal convergence study")
     c.add_argument("--scheme", choices=("sftr", "fbdf2"), default="sftr")
-    c.add_argument("--alpha", type=float)
-    c.add_argument("--theta", type=float)
+    c.add_argument("--alpha", type=float, help="fixed by --sweep")
+    c.add_argument("--theta", type=float, help="fixed by --sweep")
     c.add_argument("--sweep", choices=("paper",), help="run the published (alpha, theta) grid")
     c.add_argument("--taus", default="1/5,1/10,1/20,1/40", help="comma list, fractions allowed")
     c.add_argument("--nx", type=int, default=100)
@@ -297,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_converge)
 
     e = sub.add_parser("energy", help="source-free energy-decay runs")
-    e.add_argument("--scheme", choices=("sftr", "fbdf2"), default="sftr")
-    e.add_argument("--alpha", type=float, default=0.5)
-    e.add_argument("--theta", type=float, default=0.5)
+    e.add_argument("--scheme", choices=("sftr", "fbdf2"), help="default sftr; fixed by --sweep")
+    e.add_argument("--alpha", type=float, help="default 0.5; fixed by --sweep")
+    e.add_argument("--theta", type=float, help="default 0.5; fixed by --sweep")
     e.add_argument("--sweep", choices=tuple(ENERGY_SWEEPS), help="predefined parameter sweeps")
     e.add_argument("--tau", type=float, default=0.01)
     e.add_argument("--steps", type=int, default=100)

@@ -179,9 +179,11 @@ class PHistory:
 class Spectrum:
     """The (2, nx, ny) eigenvalues ``lam`` of a step's E-solve
     (``CurlCurlBasis.eigenvalues``) grouped by exact value: ``values`` holds
-    the distinct ones in ascending order, and ``values[index]`` is lam, bit for
-    bit.  Only component 1 is sorted: component 0 is diag on every mode, the
-    value of component 1 at mode (0, 0), so all of it maps to that group.
+    the distinct ones in ascending order, ``values[index]`` is lam[1] and
+    ``values[group]`` every entry of lam[0], bit for bit.  Only component 1
+    is sorted, into the (nx, ny) ``index``: component 0 is diag on every
+    mode, the value of component 1 at mode (0, 0), so all of it is the one
+    group ``group``.
 
     Raises :class:`ValueError` unless every eigenvalue is finite and positive,
     so that a :func:`solve_spd` on it is well posed, or if component 0 is not
@@ -196,11 +198,10 @@ class Spectrum:
                 f"got entries in [{low}, {high}]"
             )
         self.values, inverse = np.unique(lam[1], return_inverse=True)
-        group = min(np.searchsorted(self.values, lam[0, 0, 0]), len(self.values) - 1)
-        if np.any(lam[0] != self.values[group]):
+        self.group = int(min(np.searchsorted(self.values, lam[0, 0, 0]), len(self.values) - 1))
+        if np.any(lam[0] != self.values[self.group]):
             raise ValueError("component 0 of the eigenvalues must be one value of component 1")
-        self.index = np.full(lam.shape, group, dtype=inverse.dtype)
-        self.index[1] = inverse.reshape(lam.shape[1:])
+        self.index = inverse.reshape(lam.shape[1:])
 
 
 @dataclass
@@ -210,6 +211,7 @@ class SimState:
     ``e`` and ``p`` are the (2, nx, ny) edge coefficients of E^n and P^n,
     ``h`` the (nx, ny) cell coefficients of H^n (see
     :class:`~colecole.mesh.CurlCurlBasis`); :meth:`fields` gives the dof arrays.
+    ``kernel`` (K_0..K_{N-1} of :func:`build_kernel`, read-only), ``a_weights``,
     ``curl_modulus`` (|v| of every mode) and ``spectrum`` (the eigenvalues of
     the E-solve's operator) are constant over the run.  The state owns its
     run's ``history``; copies share it, and only the stepped state matches it.
@@ -220,7 +222,7 @@ class SimState:
     p: np.ndarray
     h: np.ndarray
     history: PHistory
-    kernel_rev: np.ndarray
+    kernel: np.ndarray
     a_weights: np.ndarray
     grid: GridSpec
     material: MaterialParams
@@ -231,11 +233,6 @@ class SimState:
     @property
     def time(self) -> float:
         return self.n * self.config.tau
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """The run's kernel K_0, K_1, ... (a view of ``kernel_rev``)."""
-        return self.kernel_rev[::-1]
 
     def fields(self) -> tuple[VecField, VecField, ScalarField]:
         """(E^n, P^n, H^n) on the dofs, transformed back from the coefficients."""
@@ -254,13 +251,12 @@ def build_kernel(material: MaterialParams, config: SchemeConfig) -> np.ndarray:
     which presumes P^0 = 0.  SFTR: K = omega_0..omega_{N-1}, the rule being
     sum omega_{n-k} (P^k - P^0).  FBDF2: K is the theta-combined sequence
     g_j = (1-theta) w~_j + theta w~_{j-1}, the rule being
-    sum_{k=0..n} g_{n-k} P^k.  The state keeps K reversed and
-    contiguous (``SimState.kernel_rev``), so that the window's part of the
-    history is one single-threaded contraction with its rows.
+    sum_{k=0..n} g_{n-k} P^k, whose term g_n P^0 is zero.  The state keeps
+    this array as ``SimState.kernel``.
     """
     if config.quadrature is Quadrature.SFTR:
         return sftr_weights(SchemeParams(material.alpha, config.theta), config.n_steps - 1)
-    return shift_combine(fbdf2_weights(material.alpha, config.n_steps - 1), config.theta)[:-1]
+    return shift_combine(fbdf2_weights(material.alpha, config.n_steps - 1), config.theta)
 
 
 def physical_memory_bytes() -> int:
@@ -340,16 +336,16 @@ def _initial_state(
     state takes over."""
     steps = config.n_steps
     exact, rows = preflight(grid, material, config)
-    kernel_rev = np.ascontiguousarray(build_kernel(material, config)[::-1])
+    kernel = build_kernel(material, config)
     poles = weights = tail = None
     dofs = 2 * grid.nx * grid.ny
     if rows <= steps:
-        poles, weights = exponential_tail(kernel_rev[::-1], exact)
+        poles, weights = exponential_tail(kernel, exact)
         tail = np.zeros((len(poles), dofs))
     history = PHistory(np.zeros((rows, dofs)), np.zeros(steps + 1), exact, poles, weights, tail)
     tau, theta = config.tau, config.theta
     one_m = 1.0 - theta
-    _, a_coef = elimination_coefficients(material, theta, tau, kernel_rev[-1])
+    _, a_coef = elimination_coefficients(material, theta, tau, kernel[0])
     basis = CurlCurlBasis(grid)
     lam = basis.eigenvalues((material.c_e + a_coef) / tau, one_m * one_m * tau / material.c_m)
     curl_modulus = basis.curl_modulus()
@@ -359,7 +355,7 @@ def _initial_state(
         p=np.zeros_like(e),
         h=h,
         history=history,
-        kernel_rev=kernel_rev,
+        kernel=kernel,
         a_weights=cumulative_weights(SchemeParams(material.alpha, config.theta), config.n_steps),
         grid=grid,
         material=material,
@@ -377,21 +373,18 @@ def frac_deriv_current(state: SimState) -> np.ndarray:
 
     Precondition: P^0 is zero (as :func:`init_state` fixes it), so it is
     skipped and one sum serves both kernels.  The history part, P^1..P^{n-1},
-    is one contraction of the reversed kernel with the window's rows, plus,
-    once rows are folded, one of the weights c_m r_m^(n + 1 - folded - n0)
-    with the tail, both einsums on the calling thread: through BLAS (``@``)
-    they would start threads that spin through the rest of the step and cost
-    more CPU than they save.
+    is one contraction of the window's rows P^k with their lags K_{n-k}, a
+    backward view of the kernel, plus, once rows are folded, one of the
+    weights c_m r_m^(n + 1 - folded - n0) with the tail, both einsums on the
+    calling thread: through BLAS (``@``) they would start threads that spin
+    through the rest of the step and cost more CPU than they save.
     """
     n = state.n + 1
     history = state.history
     folded = history.folded
-    krev = state.kernel_rev
     first = 0 if folded else 1  # slot of P^1 or of P^folded, the first row summed
-    end = len(krev) - 1
-    hist = np.einsum(
-        "i,ij->j", krev[end - n + folded + first : end], history.window[first : n - folded]
-    )
+    lags = state.kernel[n - folded - first : 0 : -1]  # K_{n-folded-first} .. K_1
+    hist = np.einsum("i,ij->j", lags, history.window[first : n - folded])
     if folded:
         lead = history.poles ** (n + 1 - folded - history.exact)
         lead *= history.weights
@@ -449,7 +442,9 @@ def solve_spd(
     lam x0, and its iterate x0 + (1 - R_k(lam))/lam r0, for a polynomial R_k
     fixed by the scalars alpha and beta.  Those depend on lam and r0 only
     through the weights w_g = sum of r0_i^2 over the coefficients with lam_i
-    = values[g] (Gauss quadrature with the spectral measure of r0).  So the
+    = values[g] (Gauss quadrature with the spectral measure of r0): a
+    bincount over ``spectrum.index`` for component 1, plus the sum of
+    component 0 added to the one group ``spectrum.group``.  So the
     recurrence runs on sqrt(w) R and sqrt(w) D, D the search direction, at
     the distinct eigenvalues, where ||r||^2 and d.Ad are einsum dot products
     (on the calling thread; BLAS would start threads), and x is assembled
@@ -457,13 +452,14 @@ def solve_spd(
     eigenvalues.
 
     Returns (solution, iterations).  Raises :class:`ValueError` unless rhs
-    and x0 have the spectrum's shape, and :class:`SolverError` if the
-    relative residual does not fall below tol within maxit iterations, or as
-    soon as the norm of rhs or a squared residual norm is not finite.
+    and x0 have the (2, nx, ny) shape of the spectrum's eigenvalues, and
+    :class:`SolverError` if the relative residual does not fall below tol
+    within maxit iterations, or as soon as the norm of rhs or a squared
+    residual norm is not finite.
     """
-    index = spectrum.index
-    if rhs.shape != index.shape or x0.shape != index.shape:
-        raise ValueError(f"solve_spd: shapes {index.shape}, {rhs.shape}, {x0.shape} differ")
+    shape = (2, *spectrum.index.shape)
+    if rhs.shape != shape or x0.shape != shape:
+        raise ValueError(f"solve_spd: shapes {shape}, {rhs.shape}, {x0.shape} differ")
     rhs_norm = math.sqrt(np.einsum("ijk,ijk->", rhs, rhs))
     if not math.isfinite(rhs_norm):
         raise SolverError(
@@ -474,7 +470,7 @@ def solve_spd(
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0
     # Component 0 is one group: summed apart, it keeps bincount off one bin.
-    lam, group, index = spectrum.values, index[0, 0, 0], index[1]
+    lam, group, index = spectrum.values, spectrum.group, spectrum.index
     r0 = np.empty_like(rhs)
     r0[0] = lam[group]
     np.take(lam, index, out=r0[1])

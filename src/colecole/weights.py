@@ -183,17 +183,14 @@ def fbdf2_weights(alpha: float, n: int) -> np.ndarray:
 
 
 def shift_combine(w: np.ndarray, theta: float) -> np.ndarray:
-    """Combined kernel g_j = (1-theta) w_j + theta w_{j-1}, with w_{-1} = 0.
-
-    Output has one extra entry (index len(w), equal to theta * w_{-1+len}),
-    so the full shifted kernel is retained.
-    """
+    """Combined kernel g_j = (1-theta) w_j + theta w_{j-1}, with w_{-1} = 0,
+    for j = 0..n: from w_0..w_n, the first n+1 coefficients of the combined
+    generating function (1 - theta + theta z) w(z), read-only like w."""
     if not 0.0 <= theta <= 0.5:
         raise ValueError(f"theta={theta} outside [0, 1/2]")
-    out = np.zeros(len(w) + 1)
-    out[:-1] = (1.0 - theta) * w
-    out[1:] += theta * w
-    return out
+    out = (1.0 - theta) * w
+    out[1:] += theta * w[:-1]
+    return _read_only(out)
 
 
 # exponential_tail: node counts M tried (32, 48, ..., TAIL_MAX_POLES), the

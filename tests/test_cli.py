@@ -375,6 +375,43 @@ def test_energy_sweep_rejects_dump_fields_before_any_run(tmp_path, capsys, monke
     assert list(tmp_path.iterdir()) == []
 
 
+SMALL = ["--nx", "6", "--ny", "6"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["energy", "--sweep", "theta", "--alpha", "0.9", "--theta", "0.1", "--scheme", "fbdf2",
+          "--steps", "2", *SMALL], "--alpha"),
+        (["energy", "--sweep", "alpha", "--theta", "0.4", "--steps", "2", *SMALL], "--theta"),
+        (["energy", "--sweep", "compare", "--scheme", "sftr", "--steps", "2", *SMALL], "--scheme"),
+        (["converge", "--sweep", "paper", "--alpha", "0.3", "--theta", "0.2",
+          "--taus", "1/2,1/4", *SMALL], "--alpha"),
+        (["converge", "--sweep", "paper", "--theta", "0.2", "--taus", "1/2,1/4", *SMALL],
+         "--theta"),
+        (["weights", "--alpha", "0.5", "--kind", "fbdf2", "--theta", "0.9", "--n", "4"],
+         "--theta"),
+    ],
+)
+def test_flags_a_sweep_or_kind_ignores_are_refused_before_any_run(
+    tmp_path, capsys, monkeypatch, argv, flag
+):
+    calls = []
+    for name in ("run_decay_experiment", "convergence_table", "fbdf2_weights"):
+        monkeypatch.setattr(f"colecole.cli.{name}", lambda *a, **k: calls.append(a))
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and flag in json.loads(err[0])["message"]
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_energy_single_run_defaults(tmp_path, capsys):
+    assert main(["energy", "--tau", "0.05", "--steps", "2", *SMALL,
+                 "--out", str(tmp_path / "e.csv")]) == 0
+    assert "energy sftr alpha=0.5 theta=0.5 " in capsys.readouterr().out
+
+
 def test_converge_first_order_band_small_alpha(tmp_path):
     # floor-safe first-order configuration reaches its band on a modest grid
     out = tmp_path / "c48.csv"
