@@ -30,7 +30,7 @@ from .manufactured import (
     error_norms,
     run_case,
 )
-from .mesh import CurlCurlBasis, GridSpec, ScalarField, VecField, norm_sq
+from .mesh import CurlCurlBasis, GridSpec, VecField, norm_sq
 from .stepper import (
     MaterialParams,
     Quadrature,
@@ -69,7 +69,6 @@ __all__ = [
     "MaterialParams",
     "Quadrature",
     "SampledCase",
-    "ScalarField",
     "SchemeConfig",
     "SchemeParams",
     "SimState",

@@ -200,7 +200,7 @@ def cmd_converge(args: argparse.Namespace) -> None:
 def _dump_fields(state, prefix: Path) -> None:
     """Debug snapshot of the final fields on the dofs, one i,j,value CSV per component."""
     e, p, h = state.fields()
-    for tag, arr in (("ex", e.ex), ("ey", e.ey), ("h", h.h), ("px", p.ex), ("py", p.ey)):
+    for tag, arr in (("ex", e.ex), ("ey", e.ey), ("h", h), ("px", p.ex), ("py", p.ey)):
         path = prefix.with_name(f"{prefix.name}_{tag}.csv")
         rows = (
             f"{i},{j},{_fmt(arr[i, j])}"

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stepper
-from .mesh import CurlCurlBasis, GridSpec, ScalarField, VecField, norm_sq, sample_scalar, sample_vec
+from .mesh import CurlCurlBasis, GridSpec, VecField, norm_sq, sample_scalar, sample_vec
 from .stepper import (
     MaterialParams, Quadrature, SchemeConfig, SimState, _initial_state, preflight, step
 )
@@ -130,7 +130,7 @@ class ManufacturedCase:
                 raise ValueError(f"{name} is not zero on the tangential boundary of {grid}")
         basis = CurlCurlBasis(grid)
         e, p, curl_h = (basis.forward(f.ex, f.ey) for f in (e, p, curl_h))
-        h, curl_e = (basis.forward_cell(f.h) for f in (h, curl_e))
+        h, curl_e = (basis.forward_cell(f) for f in (h, curl_e))
         return SampledCase(material, grid, e, p, h, curl_h, curl_e)
 
 
@@ -224,8 +224,9 @@ def convergence_table(
     return rows
 
 
-def decay_initial_data(grid: GridSpec) -> tuple[VecField, ScalarField]:
-    """Source-free experiment initial data: the manufactured E and H at t = 0.
+def decay_initial_data(grid: GridSpec) -> tuple[VecField, np.ndarray]:
+    """Source-free experiment initial data: the manufactured E and H at t = 0,
+    E as an edge pair and H as an (nx, ny) cell array.
 
     Sampled through :mod:`colecole.mesh`, outside the benchmark's
     ``manufactured.sample`` spans, which time the forced harness only."""

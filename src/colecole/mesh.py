@@ -17,20 +17,29 @@ orthonormal basis of the tangential-zero edge fields and of the cell fields in
 which both curls are diagonal: on mode (k, l), ``curl_e`` maps the edge
 coefficients (a, b) to the cell coefficient -|v| b, and ``curl_h`` maps the
 cell coefficient c to the edge coefficients (0, -|v| c).  A run keeps E, P and
-H as these coefficients (see :mod:`colecole.stepper`); :class:`VecField` and
-:class:`ScalarField` are the dof arrays that go in and come out.  The stencils
-themselves live in the test suite, as the independent physical-space check.
+H as these coefficients (see :mod:`colecole.stepper`); a :class:`VecField`
+(E, P) and an (nx, ny) array (H) are the dof arrays that go in and come out.
+The stencils themselves live in the test suite, as the independent
+physical-space check.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 Profile = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def as_count(name: str, value) -> int:
+    """value as an int by ``operator.index``; ValueError for a float or a bool."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,8 @@ class GridSpec:
     ly: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nx", as_count("nx", self.nx))
+        object.__setattr__(self, "ny", as_count("ny", self.ny))
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid must be at least 2x2, got {self.nx}x{self.ny}")
         for name in ("lx", "ly"):
@@ -98,35 +109,12 @@ class VecField:
 
     def enforce_pec(self) -> "VecField":
         """Zero the tangential boundary dofs in place."""
-        self.ex[:, 0] = 0.0
-        self.ex[:, -1] = 0.0
-        self.ey[0, :] = 0.0
-        self.ey[-1, :] = 0.0
+        self.ex[:, [0, -1]] = 0.0
+        self.ey[[0, -1], :] = 0.0
         return self
 
     def is_pec_compliant(self) -> bool:
-        return (
-            not np.any(self.ex[:, 0])
-            and not np.any(self.ex[:, -1])
-            and not np.any(self.ey[0, :])
-            and not np.any(self.ey[-1, :])
-        )
-
-
-@dataclass
-class ScalarField:
-    """Cell-center values."""
-
-    h: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.h = np.asarray(self.h, dtype=float)
-        if self.h.ndim != 2:
-            raise ValueError("h must be a 2-D array")
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "ScalarField":
-        return cls(np.zeros((grid.nx, grid.ny)))
+        return not (np.any(self.ex[:, [0, -1]]) or np.any(self.ey[[0, -1], :]))
 
 
 def sample_vec(f: tuple[Profile, Profile], grid: GridSpec) -> VecField:
@@ -134,9 +122,12 @@ def sample_vec(f: tuple[Profile, Profile], grid: GridSpec) -> VecField:
     return VecField(f[0](*grid.ex_coords()), f[1](*grid.ey_coords()))
 
 
-def sample_scalar(f: Profile, grid: GridSpec) -> ScalarField:
-    """f at the cell centres."""
-    return ScalarField(f(*grid.h_coords()))
+def sample_scalar(f: Profile, grid: GridSpec) -> np.ndarray:
+    """f at the cell centres, an (nx, ny) float array."""
+    h = np.asarray(f(*grid.h_coords()), dtype=float)
+    if h.shape != (grid.nx, grid.ny):
+        raise ValueError(f"cell field of shape {h.shape} on a {grid.nx}x{grid.ny} grid")
+    return h
 
 
 def _along(axis: int, start: int, stop: int) -> tuple[slice, slice]:

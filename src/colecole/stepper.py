@@ -82,7 +82,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import CurlCurlBasis, GridSpec, ScalarField, VecField, norm_sq
+from .mesh import CurlCurlBasis, GridSpec, VecField, as_count, norm_sq
 # Not used here: perfbench's manufactured.sample spans wrap these two names
 # in this module, and ManufacturedCase.sample calls them through it.
 from .mesh import sample_scalar, sample_vec  # noqa: F401
@@ -144,6 +144,7 @@ class SchemeConfig:
     quadrature: Quadrature = Quadrature.SFTR
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_steps", as_count("n_steps", self.n_steps))
         if not 0.0 < self.theta <= 0.5:
             raise ValueError(f"theta={self.theta} outside (0, 1/2]")
         if not (math.isfinite(self.tau) and self.tau > 0.0):
@@ -234,13 +235,14 @@ class SimState:
     def time(self) -> float:
         return self.n * self.config.tau
 
-    def fields(self) -> tuple[VecField, VecField, ScalarField]:
-        """(E^n, P^n, H^n) on the dofs, transformed back from the coefficients."""
+    def fields(self) -> tuple[VecField, VecField, np.ndarray]:
+        """(E^n, P^n, H^n) on the dofs, transformed back from the coefficients:
+        E and P as edge pairs, H as an (nx, ny) cell array."""
         basis = CurlCurlBasis(self.grid)
         return (
             VecField(*basis.inverse(self.e.copy())),
             VecField(*basis.inverse(self.p.copy())),
-            ScalarField(basis.inverse_cell(self.h)),
+            basis.inverse_cell(self.h),
         )
 
 
@@ -304,28 +306,31 @@ def init_state(
     material: MaterialParams,
     config: SchemeConfig,
     e0: VecField,
-    h0: ScalarField,
+    h0: np.ndarray,
 ) -> SimState:
     """State at n = 0 with P^0 = 0, and the kernel, energy weights and step
     constants of the whole run.
 
-    e0 must be zero on the tangential boundary; it is transformed to
-    coefficients once.  Allocates a P window of min(n_steps, n0 + 32) + 1
-    rows of 2 nx ny * 8 bytes (n0 as in :class:`PHistory`) and, if the run
-    folds, a tail of M such rows.  Before it builds anything it raises
-    :class:`MemoryError` if the run would not fit in physical memory.
+    e0 is the edge pair of E^0 and h0 the (nx, ny) cell array of H^0, taken
+    as floats.  Both must be finite, and e0 zero on the tangential boundary,
+    or :class:`ValueError` is raised before anything is transformed; each is
+    then transformed to coefficients once.  Allocates a P window of
+    min(n_steps, n0 + 32) + 1 rows of 2 nx ny * 8 bytes (n0 as in
+    :class:`PHistory`) and, if the run folds, a tail of M such rows.  Before
+    it builds anything it raises :class:`MemoryError` if the run would not
+    fit in physical memory.
     """
-    if (
-        e0.ex.shape != (grid.nx, grid.ny + 1)
-        or e0.ey.shape != (grid.nx + 1, grid.ny)
-        or h0.h.shape != (grid.nx, grid.ny)
-    ):
+    nx, ny, h0 = grid.nx, grid.ny, np.asarray(h0, dtype=float)
+    if (e0.ex.shape, e0.ey.shape, h0.shape) != ((nx, ny + 1), (nx + 1, ny), (nx, ny)):
         raise ValueError("initial data shapes do not match the grid")
+    for name, arrays in (("E0", (e0.ex, e0.ey)), ("H0", (h0,))):
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError(f"initial data {name} has a NaN or infinite entry")
     if not e0.is_pec_compliant():
         raise ValueError("initial electric field violates the tangential-zero boundary")
     basis = CurlCurlBasis(grid)
     return _initial_state(
-        grid, material, config, basis.forward(e0.ex, e0.ey), basis.forward_cell(h0.h)
+        grid, material, config, basis.forward(e0.ex, e0.ey), basis.forward_cell(h0)
     )
 
 

@@ -161,7 +161,7 @@ def cumulative_weights(params: SchemeParams, n: int) -> np.ndarray:
     d0, d1 = _denominator_coeffs(params)
     # The product of the two series by real FFTs, O(n log n), zero-padded to a
     # power of two past 2n + 1 so that the circular convolution is the linear one.
-    size = 1 << (2 * n + 1).bit_length()
+    size = 1 << int(2 * n + 1).bit_length()  # n may be a numpy integer
     spectrum = np.fft.rfft(binomial_series(-a, -1.0, n), size)
     spectrum *= np.fft.rfft(binomial_series(a, d1 / d0, n), size)
     direct = d0**a * np.fft.irfft(spectrum, size)[: n + 1]

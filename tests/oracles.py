@@ -38,12 +38,13 @@ from typing import Callable
 import numpy as np
 
 from colecole.manufactured import PROFILES, ManufacturedCase, _sin_pi, caputo_cubic_factor
-from colecole.mesh import CurlCurlBasis, GridSpec, ScalarField, VecField, sample_scalar, sample_vec
+from colecole.mesh import CurlCurlBasis, GridSpec, VecField, sample_scalar, sample_vec
 from colecole.stepper import Quadrature, SimState, SolverError, Sources, frac_deriv_current, step
 from colecole.weights import SchemeParams, binomial_series
 
-# sources(t) -> (f1, f2, f3) on the dofs: the physical form of ``Sources``.
-DofSources = Callable[[float], tuple[VecField, ScalarField, VecField]]
+# sources(t) -> (f1, f2, f3) on the dofs, f2 an (nx, ny) cell array: the
+# physical form of ``Sources``.
+DofSources = Callable[[float], tuple[VecField, np.ndarray, VecField]]
 
 
 def _check_vec(e: VecField, grid: GridSpec) -> None:
@@ -54,9 +55,9 @@ def _check_vec(e: VecField, grid: GridSpec) -> None:
         )
 
 
-def _check_scalar(s: ScalarField, grid: GridSpec) -> None:
-    if s.h.shape != (grid.nx, grid.ny):
-        raise ValueError(f"scalar field shape {s.h.shape} does not match {grid.nx}x{grid.ny} grid")
+def _check_scalar(s: np.ndarray, grid: GridSpec) -> None:
+    if s.shape != (grid.nx, grid.ny):
+        raise ValueError(f"scalar field shape {s.shape} does not match {grid.nx}x{grid.ny} grid")
 
 
 def _curl_h_into(h: np.ndarray, dx: float, dy: float, ex: np.ndarray, ey: np.ndarray) -> None:
@@ -97,20 +98,21 @@ def _inner_into(u: tuple, v: tuple, cell_area: float, prod: tuple) -> float:
     )
 
 
-def curl_h(s: ScalarField, grid: GridSpec) -> VecField:
-    """Discrete (dH/dy, -dH/dx) on edge dofs; boundary rows/columns are zero."""
+def curl_h(s: np.ndarray, grid: GridSpec) -> VecField:
+    """Discrete (dH/dy, -dH/dx) of the cell array s on edge dofs; boundary
+    rows/columns are zero."""
     _check_scalar(s, grid)
     out = VecField(np.empty((grid.nx, grid.ny + 1)), np.empty((grid.nx + 1, grid.ny)))
-    _curl_h_into(s.h, grid.dx, grid.dy, out.ex, out.ey)
+    _curl_h_into(s, grid.dx, grid.dy, out.ex, out.ey)
     return out
 
 
-def curl_e(e: VecField, grid: GridSpec) -> ScalarField:
-    """Discrete dE2/dx - dE1/dy at cell centers."""
+def curl_e(e: VecField, grid: GridSpec) -> np.ndarray:
+    """Discrete dE2/dx - dE1/dy at cell centers, an (nx, ny) array."""
     _check_vec(e, grid)
     out = np.empty((grid.nx, grid.ny))
     _curl_e_into(e.ex, e.ey, grid.dx, grid.dy, out, np.empty_like(out))
-    return ScalarField(out)
+    return out
 
 
 def inner_e(u: VecField, v: VecField, grid: GridSpec) -> float:
@@ -121,27 +123,26 @@ def inner_e(u: VecField, v: VecField, grid: GridSpec) -> float:
     return _inner_into((u.ex, u.ey), (v.ex, v.ey), grid.dx * grid.dy, prod)
 
 
-def inner_h(p: ScalarField, q: ScalarField, grid: GridSpec) -> float:
+def inner_h(p: np.ndarray, q: np.ndarray, grid: GridSpec) -> float:
     _check_scalar(p, grid)
     _check_scalar(q, grid)
-    return grid.dx * grid.dy * float(np.sum(p.h * q.h))
+    return grid.dx * grid.dy * float(np.sum(p * q))
 
 
 def norm_e(u: VecField, grid: GridSpec) -> float:
     return np.sqrt(inner_e(u, u, grid))
 
 
-def norm_h(p: ScalarField, grid: GridSpec) -> float:
+def norm_h(p: np.ndarray, grid: GridSpec) -> float:
     return np.sqrt(inner_h(p, p, grid))
 
 
 def fmap(f: Callable[..., np.ndarray], *fields):
     """f applied to the components of like fields: the VecField of f over
-    their ex arrays and over their ey arrays, or the ScalarField of f over
-    their h arrays."""
+    their ex arrays and over their ey arrays, or f of cell arrays."""
     if isinstance(fields[0], VecField):
         return VecField(f(*(u.ex for u in fields)), f(*(u.ey for u in fields)))
-    return ScalarField(f(*(u.h for u in fields)))
+    return f(*fields)
 
 
 def combine_theta(u_new, u_old, theta: float):
@@ -160,7 +161,7 @@ def in_modes(sources: DofSources, grid: GridSpec) -> Sources:
 
     def modal(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         f1, f2, f3 = sources(t)
-        return basis.forward(f1.ex, f1.ey), basis.forward_cell(f2.h), basis.forward(f3.ex, f3.ey)
+        return basis.forward(f1.ex, f1.ey), basis.forward_cell(f2), basis.forward(f3.ex, f3.ey)
 
     return modal
 
@@ -307,10 +308,10 @@ def poly_sources(grid: GridSpec) -> DofSources:
     xn, yn = grid.ey_coords()
     xc, yc = grid.h_coords()
 
-    def sources(t: float) -> tuple[VecField, ScalarField, VecField]:
+    def sources(t: float) -> tuple[VecField, np.ndarray, VecField]:
         return (
             VecField(np.sin(t) * (1.0 + xe * ye), math.cos(t) * (xn - yn)),
-            ScalarField(np.cos(2 * t) * (xc + 0.3 * yc * yc)),
+            np.cos(2 * t) * (xc + 0.3 * yc * yc),
             VecField(t * xe * xe * ye * (1.0 - ye), (1.0 - t) * yn * xn * (1.0 - xn)),
         )
 
@@ -322,10 +323,10 @@ def closed_form_sources(alpha: float, grid: GridSpec) -> DofSources:
     form = ClosedForm(alpha)
     ex, ey, cells = grid.ex_coords(), grid.ey_coords(), grid.h_coords()
 
-    def sources(t: float) -> tuple[VecField, ScalarField, VecField]:
+    def sources(t: float) -> tuple[VecField, np.ndarray, VecField]:
         return (
             VecField(form.f1(*ex, t)[0], form.f1(*ey, t)[1]),
-            ScalarField(form.f2(*cells, t)),
+            form.f2(*cells, t),
             VecField(form.f3(*ex, t)[0], form.f3(*ey, t)[1]),
         )
 
@@ -356,15 +357,15 @@ class SemiDiscreteCase(ManufacturedCase):
         return replace(
             super().sample(grid),
             curl_h=basis.forward(ch.ex, ch.ey),
-            curl_e=basis.forward_cell(ce.h),
+            curl_e=basis.forward_cell(ce),
         )
 
 
-def _flatten(e: VecField, h: ScalarField, p: VecField) -> np.ndarray:
-    return np.concatenate([e.ex.ravel(), e.ey.ravel(), h.h.ravel(), p.ex.ravel(), p.ey.ravel()])
+def _flatten(e: VecField, h: np.ndarray, p: VecField) -> np.ndarray:
+    return np.concatenate([e.ex.ravel(), e.ey.ravel(), h.ravel(), p.ex.ravel(), p.ey.ravel()])
 
 
-def _unflatten(x: np.ndarray, grid: GridSpec) -> tuple[VecField, ScalarField, VecField]:
+def _unflatten(x: np.ndarray, grid: GridSpec) -> tuple[VecField, np.ndarray, VecField]:
     nex = grid.nx * (grid.ny + 1)
     ney = (grid.nx + 1) * grid.ny
     nh = grid.nx * grid.ny
@@ -373,7 +374,7 @@ def _unflatten(x: np.ndarray, grid: GridSpec) -> tuple[VecField, ScalarField, Ve
     h = x[nex + ney : nex + ney + nh].reshape(grid.nx, grid.ny)
     px = x[nex + ney + nh : 2 * nex + ney + nh].reshape(grid.nx, grid.ny + 1)
     py = x[2 * nex + ney + nh :].reshape(grid.nx + 1, grid.ny)
-    return VecField(ex, ey), ScalarField(h), VecField(px, py)
+    return VecField(ex, ey), h, VecField(px, py)
 
 
 def _pec_mask(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -386,13 +387,13 @@ def _pec_mask(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _dof_sources(sources: DofSources | None, grid: GridSpec, t: float):
     if sources is None:
-        return VecField.zeros(grid), ScalarField.zeros(grid), VecField.zeros(grid)
+        return VecField.zeros(grid), np.zeros((grid.nx, grid.ny)), VecField.zeros(grid)
     return sources(t)
 
 
 def dense_step_solution(
     state: SimState, sources: DofSources | None = None
-) -> tuple[VecField, ScalarField, VecField]:
+) -> tuple[VecField, np.ndarray, VecField]:
     """One step of the coupled scheme by direct dense solve of the raw equations.
 
     Unknowns are (E^n, H^n, P^n) on the dofs, stacked; the matrix is probed
@@ -445,7 +446,7 @@ def dense_step_solution(
         )
         row_e.ex[mask_ex] = e.ex[mask_ex]  # boundary rows carry E = 0
         row_e.ey[mask_ey] = e.ey[mask_ey]
-        row_h = ScalarField((mat.c_m / tau) * h.h + one_m * curl_e(e, grid).h)
+        row_h = (mat.c_m / tau) * h + one_m * curl_e(e, grid)
         row_p = VecField(
             (kappa + one_m) * p.ex - mat.c_p * one_m * e.ex,
             (kappa + one_m) * p.ey - mat.c_p * one_m * e.ey,
@@ -459,9 +460,7 @@ def dense_step_solution(
     )
     rhs_e.ex[mask_ex] = 0.0
     rhs_e.ey[mask_ey] = 0.0
-    rhs_h = ScalarField(
-        (mat.c_m / tau) * h_prev.h - theta * curl_e(e_prev, grid).h + f2.h
-    )
+    rhs_h = (mat.c_m / tau) * h_prev - theta * curl_e(e_prev, grid) + f2
     rhs_p = VecField(
         -(mat.tau0**mat.alpha) * hist.ex - theta * p_prev.ex + mat.c_p * theta * e_prev.ex + f3.ex,
         -(mat.tau0**mat.alpha) * hist.ey - theta * p_prev.ey + mat.c_p * theta * e_prev.ey + f3.ey,

@@ -136,6 +136,22 @@ def test_run_failures_on_json_channel(tmp_path, capsys, monkeypatch, exc, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tau", ["1e300", "1e-300"])
+def test_overflowing_step_exits_3_without_csv(tmp_path, capsys, tau):
+    # tau^-alpha or c_e/tau overflows: the solve meets a non-finite right-hand
+    # side and the CLI reports it, with no RuntimeWarning on the way
+    out = tmp_path / "e.csv"
+    argv = ["energy", "--tau", tau, "--nx", "4", "--ny", "4", "--steps", "2", "--out", str(out)]
+    assert main(argv) == 3
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    err = json.loads(line)
+    assert err["status"] == "error" and err["command"] == "energy"
+    head, value = err["message"].rsplit(" ", 1)
+    assert head == "conjugate gradients: right-hand side norm is"
+    assert not math.isfinite(float(value))
+    assert not out.exists()
+
+
 def test_converge_single_row_empty_rates(tmp_path):
     out = tmp_path / "c.csv"
     code = main([
@@ -359,7 +375,7 @@ def test_energy_dump_fields(tmp_path):
     # the snapshot is the run's final state, transformed back to the dofs
     state, _, _ = run_decay_experiment(0.5, 0.5, GridSpec(6, 6), 0.05, 2)
     e, p, h = state.fields()
-    for tag, arr in (("ex", e.ex), ("ey", e.ey), ("h", h.h), ("px", p.ex), ("py", p.ey)):
+    for tag, arr in (("ex", e.ex), ("ey", e.ey), ("h", h), ("px", p.ex), ("py", p.ey)):
         _, rows = read_csv(tmp_path / f"snap_{tag}.csv")
         assert [float(r[2]) for r in rows] == arr.ravel().tolist()
 

@@ -14,7 +14,7 @@ from colecole.energy import (
     run_decay_experiment,
 )
 from colecole.manufactured import decay_initial_data
-from colecole.mesh import CurlCurlBasis, GridSpec, ScalarField, VecField
+from colecole.mesh import CurlCurlBasis, GridSpec, VecField
 from colecole.stepper import (
     MaterialParams,
     Quadrature,
@@ -32,7 +32,7 @@ def fresh_state(grid, alpha=0.5, theta=0.5, tau=0.05, n_steps=8, quadrature=Quad
     material = MaterialParams(alpha=alpha)
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
     e0 = e0 if e0 is not None else VecField.zeros(grid)
-    h0 = h0 if h0 is not None else ScalarField.zeros(grid)
+    h0 = h0 if h0 is not None else np.zeros((grid.nx, grid.ny))
     return init_state(grid, material, config, e0, h0)
 
 
@@ -40,7 +40,7 @@ def test_energy_at_step_zero_is_field_energy():
     grid = GridSpec(8, 8)
     rng = np.random.default_rng(0)
     e0 = VecField(rng.standard_normal((8, 9)), rng.standard_normal((9, 8))).enforce_pec()
-    h0 = ScalarField(rng.standard_normal((8, 8)))
+    h0 = rng.standard_normal((8, 8))
     state = fresh_state(grid, e0=e0, h0=h0)
     mat = state.material
     expected = mat.c_p * (
@@ -115,7 +115,7 @@ def test_energy_decays_mode_by_mode(alpha, theta):
     n_steps, tau = 200, 0.01
     rng = np.random.default_rng(12)
     e0 = VecField(rng.standard_normal((12, 11)), rng.standard_normal((13, 10))).enforce_pec()
-    h0 = ScalarField(rng.standard_normal((12, 10)))
+    h0 = rng.standard_normal((12, 10))
     state = fresh_state(grid, alpha=alpha, theta=theta, tau=tau, n_steps=n_steps, e0=e0, h0=h0)
     # (E, P, H) of every step and the energy of each; step rebinds the arrays
     fields, totals = [(state.e, state.p, state.h)], [discrete_energy(state)]

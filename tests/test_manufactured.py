@@ -228,4 +228,4 @@ def test_decay_initial_data_profile():
     assert e0.is_pec_compliant()
     case = ManufacturedCase(alpha=0.5)
     xs, ys = grid.h_coords()
-    np.testing.assert_allclose(h0.h, (xs**3 + 1) * (ys**3 + 1), rtol=1e-15)
+    np.testing.assert_allclose(h0, (xs**3 + 1) * (ys**3 + 1), rtol=1e-15)

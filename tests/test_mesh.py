@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from colecole.mesh import CurlCurlBasis, GridSpec, ScalarField, VecField, norm_sq
+from colecole.mesh import CurlCurlBasis, GridSpec, VecField, norm_sq, sample_scalar
 
 from oracles import combine_theta, curl_e, curl_h, fmap, inner_e, inner_h, norm_e
 
@@ -19,7 +19,7 @@ def random_fields(grid, rng, pec=True):
     )
     if pec:
         e.enforce_pec()
-    h = ScalarField(rng.standard_normal((grid.nx, grid.ny)))
+    h = rng.standard_normal((grid.nx, grid.ny))
     return e, h
 
 
@@ -34,6 +34,24 @@ def test_grid_validation():
                 GridSpec(4, 4, **{name: bad})
     g = GridSpec(8, 10, 2.0, 1.0)
     assert g.dx == 0.25 and g.dy == 0.1
+    # the cell counts are integers: floats and bools are refused, numpy integers kept as int
+    for bad in (4.0, 4.5, True, np.float64(4.0), np.bool_(True)):
+        for name, args in (("nx", (bad, 4)), ("ny", (4, bad))):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                GridSpec(*args)
+    g = GridSpec(np.int64(4), np.int32(6))
+    assert type(g.nx) is int and type(g.ny) is int and g == GridSpec(4, 6)
+
+
+def test_sample_scalar_gives_a_float_cell_array():
+    g = GridSpec(3, 5)
+    h = sample_scalar(lambda x, y: (10 * x).astype(int) + 0 * y, g)
+    assert h.dtype == float and h.shape == (3, 5)
+    assert np.array_equal(h, np.floor(10 * g.h_coords()[0]))
+    # a profile that does not give one value per cell is refused
+    for f in (lambda x, y: 1.0, lambda x, y: x.ravel(), lambda x, y: x[:, :, None]):
+        with pytest.raises(ValueError, match="cell field"):
+            sample_scalar(f, g)
 
 
 def test_coords_shapes_and_boundaries():
@@ -50,7 +68,7 @@ def test_coords_shapes_and_boundaries():
 
 def test_curl_h_of_constant_is_zero():
     g = GridSpec(5, 7)
-    out = curl_h(ScalarField(3.14 * np.ones((5, 7))), g)
+    out = curl_h(3.14 * np.ones((5, 7)), g)
     assert not np.any(out.ex) and not np.any(out.ey)
     assert out.is_pec_compliant()
 
@@ -59,21 +77,21 @@ def test_curl_h_linear_fields_exact():
     # dyadic spacing makes the centered differences of linear data exact
     g = GridSpec(8, 8)
     xs, ys = g.h_coords()
-    out = curl_h(ScalarField(ys.copy()), g)  # H = y -> (1, 0)
+    out = curl_h(ys.copy(), g)  # H = y -> (1, 0)
     assert np.all(out.ex[:, 1:-1] == 1.0)
     assert not np.any(out.ey)
-    out = curl_h(ScalarField(xs.copy()), g)  # H = x -> (0, -1)
+    out = curl_h(xs.copy(), g)  # H = x -> (0, -1)
     assert np.all(out.ey[1:-1, :] == -1.0)
     assert not np.any(out.ex)
 
 
 def test_curl_e_examples():
     g = GridSpec(8, 8)
-    assert not np.any(curl_e(VecField.zeros(g), g).h)
+    assert not np.any(curl_e(VecField.zeros(g), g))
     # E = (y, 0) -> curl = -1 exactly on dyadic spacing
     _, ys = g.ex_coords()
     e = VecField(ys.copy(), np.zeros((9, 8)))
-    assert np.all(curl_e(e, g).h == -1.0)
+    assert np.all(curl_e(e, g) == -1.0)
 
 
 def test_shape_mismatch_errors():
@@ -81,7 +99,7 @@ def test_shape_mismatch_errors():
     with pytest.raises(ValueError):
         curl_e(VecField.zeros(GridSpec(5, 4)), g)
     with pytest.raises(ValueError):
-        curl_h(ScalarField.zeros(GridSpec(4, 5)), g)
+        curl_h(np.zeros((4, 5)), g)
     with pytest.raises(ValueError):
         inner_e(VecField.zeros(g), VecField.zeros(GridSpec(5, 5)), g)
 
@@ -106,13 +124,13 @@ def test_kernels_give_the_bits_of_the_expression_forms():
     e, h = random_fields(grid, rng, pec=False)
     u, _ = random_fields(grid, rng, pec=False)
     want_ex = np.zeros((64, 49))
-    want_ex[:, 1:-1] = (h.h[:, 1:] - h.h[:, :-1]) / grid.dy
+    want_ex[:, 1:-1] = (h[:, 1:] - h[:, :-1]) / grid.dy
     want_ey = np.zeros((65, 48))
-    want_ey[1:-1, :] = -(h.h[1:, :] - h.h[:-1, :]) / grid.dx
+    want_ey[1:-1, :] = -(h[1:, :] - h[:-1, :]) / grid.dx
     got = curl_h(h, grid)
     assert np.array_equal(got.ex, want_ex) and np.array_equal(got.ey, want_ey)
     want = (e.ey[1:, :] - e.ey[:-1, :]) / grid.dx - (e.ex[:, 1:] - e.ex[:, :-1]) / grid.dy
-    assert np.array_equal(curl_e(e, grid).h, want)
+    assert np.array_equal(curl_e(e, grid), want)
     want = grid.dx * grid.dy * (float(np.sum(e.ex * u.ex)) + float(np.sum(e.ey * u.ey)))
     assert inner_e(e, u, grid) == want
 
@@ -155,8 +173,7 @@ def test_cell_basis_round_trip_and_parseval(grid):
     h = np.random.default_rng(grid.nx).standard_normal((grid.nx, grid.ny))
     coef = basis.forward_cell(h)
     assert coef.shape == (grid.nx, grid.ny)
-    assert norm_sq(coef, grid) == pytest.approx(inner_h(ScalarField(h), ScalarField(h), grid),
-                                                rel=1e-14)
+    assert norm_sq(coef, grid) == pytest.approx(inner_h(h, h, grid), rel=1e-14)
     back = basis.inverse_cell(coef)
     assert np.abs(back - h).max() <= 1e-14 * np.abs(h).max()
     # the constant field is mode (0, 0) alone
@@ -175,8 +192,8 @@ def test_curls_are_diagonal_in_the_basis(grid):
     rng = np.random.default_rng(grid.nx * 31 + grid.ny)
     for _ in range(3):
         e, h = random_fields(grid, rng)
-        coef, cell = basis.forward(e.ex, e.ey), basis.forward_cell(h.h)
-        got = basis.forward_cell(curl_e(e, grid).h)
+        coef, cell = basis.forward(e.ex, e.ey), basis.forward_cell(h)
+        got = basis.forward_cell(curl_e(e, grid))
         assert np.abs(got + v * coef[1]).max() <= 1e-13 * np.abs(got).max()
         ch = curl_h(h, grid)
         got = basis.forward(ch.ex, ch.ey)
@@ -189,8 +206,8 @@ def test_curl_composition_spsd():
     g = GridSpec(10, 6)
     rng = np.random.default_rng(7)
     for _ in range(10):
-        p = ScalarField(rng.standard_normal((10, 6)))
-        q = ScalarField(rng.standard_normal((10, 6)))
+        p = rng.standard_normal((10, 6))
+        q = rng.standard_normal((10, 6))
         op = lambda s: curl_e(curl_h(s, g), g)
         sym = inner_h(op(p), q, g) - inner_h(p, op(q), g)
         assert abs(sym) <= 1e-12 * (abs(inner_h(op(p), q, g)) + 1e-30)
@@ -200,7 +217,7 @@ def test_curl_composition_spsd():
 def test_pec_preservation():
     g = GridSpec(9, 5)
     rng = np.random.default_rng(1)
-    out = curl_h(ScalarField(rng.standard_normal((9, 5))), g)
+    out = curl_h(rng.standard_normal((9, 5)), g)
     assert out.is_pec_compliant()
     e, _ = random_fields(g, rng)
     assert fmap(lambda a: 2.0 * a, e).is_pec_compliant() and fmap(np.add, e, e).is_pec_compliant()
@@ -213,7 +230,7 @@ def test_pec_preservation():
 
 def test_inner_products():
     g = GridSpec(2, 2)
-    ones = ScalarField(np.ones((2, 2)))
+    ones = np.ones((2, 2))
     assert inner_h(ones, ones, g) == pytest.approx(1.0, rel=1e-15)
     assert inner_e(VecField.zeros(g), VecField.zeros(g), g) == 0.0
     rng = np.random.default_rng(3)
@@ -238,6 +255,6 @@ def test_field_algebra():
     assert w.is_pec_compliant()
     d = fmap(np.subtract, u, v)
     np.testing.assert_allclose(d.ey, u.ey - v.ey, atol=0)
-    s = ScalarField(np.ones((6, 6)))
-    s3 = ScalarField(3.0 * s.h)
-    np.testing.assert_allclose(combine_theta(s, s3, 0.25).h, 1.5 * np.ones((6, 6)), rtol=1e-15)
+    s = np.ones((6, 6))
+    s3 = 3.0 * s
+    np.testing.assert_allclose(combine_theta(s, s3, 0.25), 1.5 * np.ones((6, 6)), rtol=1e-15)

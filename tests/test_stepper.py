@@ -11,7 +11,7 @@ import pytest
 import oracles
 from colecole import energy, stepper
 from colecole.manufactured import ManufacturedCase, convergence_table
-from colecole.mesh import CurlCurlBasis, GridSpec, ScalarField, VecField
+from colecole.mesh import CurlCurlBasis, GridSpec, VecField
 from colecole.stepper import (
     CG_MAXIT_PER_SIDE,
     CG_TOL,
@@ -30,6 +30,7 @@ from colecole.stepper import (
 from colecole.weights import (
     TAIL_MAX_POLES,
     SchemeParams,
+    cumulative_weights,
     fbdf2_weights,
     sftr_weights,
     shift_combine,
@@ -59,7 +60,7 @@ def zero_state(grid=None, alpha=0.5, theta=0.5, tau=0.1, n_steps=4, quadrature=Q
     grid = grid or GridSpec(4, 4)
     material = MaterialParams(alpha=alpha)
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
-    return init_state(grid, material, config, VecField.zeros(grid), ScalarField.zeros(grid))
+    return init_state(grid, material, config, VecField.zeros(grid), np.zeros((grid.nx, grid.ny)))
 
 
 def test_material_and_config_validation():
@@ -77,6 +78,15 @@ def test_material_and_config_validation():
                 MaterialParams(**{name: bad})
         with pytest.raises(ValueError, match="tau"):
             SchemeConfig(theta=0.5, tau=bad, n_steps=4)
+    # a count is an integer: floats and bools are refused, numpy integers kept as int
+    for bad in (2.5, 4.0, True, np.float64(3.0), np.bool_(True)):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            SchemeConfig(theta=0.5, tau=0.1, n_steps=bad)
+    config = SchemeConfig(theta=0.5, tau=0.1, n_steps=np.int64(3))
+    assert type(config.n_steps) is int and config.n_steps == 3
+    params = SchemeParams(0.5, 0.5)
+    assert np.array_equal(cumulative_weights(params, np.int64(3)), cumulative_weights(params, 3))
+    assert run(zero_state(n_steps=np.int64(3))).n == 3
 
 
 def random_modes(grid, rng):
@@ -100,10 +110,33 @@ def test_init_state():
     fb = zero_state(quadrature=Quadrature.FBDF2, theta=0.4)
     assert len(fb.kernel) == fb.config.n_steps
     assert fb.kernel[0] == pytest.approx(0.6 * fbdf2_weights(0.5, 0)[0], rel=1e-15)
-    grid = GridSpec(4, 4)
+    grid, config = GridSpec(4, 4), SchemeConfig(0.5, 0.1, 4)
     bad = VecField(np.ones((4, 5)), np.zeros((5, 4)))
     with pytest.raises(ValueError):
-        init_state(grid, MaterialParams(), SchemeConfig(0.5, 0.1, 4), bad, ScalarField.zeros(grid))
+        init_state(grid, MaterialParams(), config, bad, np.zeros((4, 4)))
+    # H0 is any (nx, ny) array-like, taken as floats; other shapes are refused
+    cells = [[1, 2, 3, 4]] * 4
+    state = init_state(grid, MaterialParams(), config, VecField.zeros(grid), cells)
+    assert np.array_equal(state.h, CurlCurlBasis(grid).forward_cell(np.array(cells, dtype=float)))
+    for shape in ((16,), (4, 4, 1), (4, 5)):
+        with pytest.raises(ValueError, match="shapes"):
+            init_state(grid, MaterialParams(), config, VecField.zeros(grid), np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["ex", "ey", "h"])
+def test_init_state_refuses_non_finite_initial_data(monkeypatch, where, bad):
+    grid = GridSpec(4, 4)
+    e0, h0 = VecField.zeros(grid), np.zeros((4, 4))
+    (h0 if where == "h" else getattr(e0, where))[1, 2] = bad
+
+    def no_transform(*args):
+        raise AssertionError("initial data was transformed before it was checked")
+
+    monkeypatch.setattr(CurlCurlBasis, "forward", no_transform)
+    monkeypatch.setattr(CurlCurlBasis, "forward_cell", no_transform)
+    with pytest.raises(ValueError, match="H0" if where == "h" else "E0"):
+        init_state(grid, MaterialParams(), SchemeConfig(0.5, 0.1, 4), e0, h0)
 
 
 def test_frac_deriv_zero_and_single_term():
@@ -266,7 +299,7 @@ def test_step_matches_dense_solve(quadrature, case):
     rng = np.random.default_rng(42)
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
     e0 = VecField(rng.standard_normal((2, 3)), rng.standard_normal((3, 2))).enforce_pec()
-    h0 = ScalarField(rng.standard_normal((2, 2)))
+    h0 = rng.standard_normal((2, 2))
     state = init_state(grid, material, config, e0, h0)
     sources = poly_sources(grid)
     for _ in range(n_steps):
@@ -275,7 +308,7 @@ def test_step_matches_dense_solve(quadrature, case):
         e, p, h = state.fields()
         np.testing.assert_allclose(e.ex, e_ref.ex, atol=1e-12)
         np.testing.assert_allclose(e.ey, e_ref.ey, atol=1e-12)
-        np.testing.assert_allclose(h.h, h_ref.h, atol=1e-12)
+        np.testing.assert_allclose(h, h_ref, atol=1e-12)
         np.testing.assert_allclose(p.ex, p_ref.ex, atol=1e-12)
         np.testing.assert_allclose(p.ey, p_ref.ey, atol=1e-12)
 
@@ -492,7 +525,7 @@ def test_step_runs_without_transforms_or_stencils(monkeypatch):
     grid = GridSpec(8, 6, lx=1.3)
     e0 = VecField(*CurlCurlBasis(grid).inverse(random_modes(grid, np.random.default_rng(3))))
     config = SchemeConfig(theta=0.45, tau=0.05, n_steps=3, quadrature=Quadrature.FBDF2)
-    state = init_state(grid, MaterialParams(alpha=0.9), config, e0, ScalarField.zeros(grid))
+    state = init_state(grid, MaterialParams(alpha=0.9), config, e0, np.zeros((grid.nx, grid.ny)))
     sources = in_modes(poly_sources(grid), grid)
     forcing = [sources(t) for t in (0.55 * 0.05, 1.55 * 0.05, 2.55 * 0.05)]
 
@@ -523,7 +556,9 @@ def test_memory_preflight_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: window_bytes)
     monkeypatch.setattr(stepper, "build_kernel", no_kernel)
     with pytest.raises(MemoryError, match="physical memory"):
-        init_state(grid, MaterialParams(), config, VecField.zeros(grid), ScalarField.zeros(grid))
+        init_state(
+            grid, MaterialParams(), config, VecField.zeros(grid), np.zeros((grid.nx, grid.ny))
+        )
     monkeypatch.undo()
     assert stepper.physical_memory_bytes() > 100 * window_bytes
 
@@ -552,7 +587,8 @@ def test_memory_preflight_counts_a_bounded_history(monkeypatch):
     dofs = 2 * 8 * 8
     every_row = 8 * ((config.n_steps + 1) * (dofs + 4) + 32 * dofs)
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: every_row - 1)
-    state = init_state(grid, MaterialParams(), config, VecField.zeros(grid), ScalarField.zeros(grid))
+    zero = VecField.zeros(grid), np.zeros((grid.nx, grid.ny))
+    state = init_state(grid, MaterialParams(), config, *zero)
     history = state.history
     held = history.window.nbytes + history.tail.nbytes
     assert held == (53 + len(history.poles)) * dofs * 8
@@ -574,7 +610,7 @@ def test_memory_preflight_counts_the_window_of_an_alternating_kernel(monkeypatch
         stepper, "_require_memory", lambda *args: checks.append(args[2:]) or preflight(*args)
     )
     config = SchemeConfig(theta=0.01, tau=0.002, n_steps=5000)
-    zero = VecField.zeros(grid), ScalarField.zeros(grid)
+    zero = VecField.zeros(grid), np.zeros((grid.nx, grid.ny))
     history = init_state(grid, MaterialParams(alpha=0.9), config, *zero).history
     rows = 842 + 2 * stepper.HISTORY_FOLD + 1
     assert history.exact == 842 and checks == [(rows, TAIL_MAX_POLES)]
@@ -659,7 +695,7 @@ def solve_case(monkeypatch, grid, quadrature, tau):
     """The state of a 3-step FBDF2/SFTR run and the solves of its first two steps."""
     config = SchemeConfig(theta=0.45, tau=tau, n_steps=3, quadrature=quadrature)
     state = init_state(
-        grid, MaterialParams(alpha=0.9), config, VecField.zeros(grid), ScalarField.zeros(grid)
+        grid, MaterialParams(alpha=0.9), config, VecField.zeros(grid), np.zeros((grid.nx, grid.ny))
     )
     return state, recorded_solves(monkeypatch, state, in_modes(poly_sources(grid), grid), 2)
 
@@ -777,7 +813,7 @@ def test_step_linear_in_sources():
     def s2(t):
         return (
             VecField(np.cos(t) * ye, 0.2 * xn * t),
-            ScalarField(np.sin(t) * xc * yc),
+            np.sin(t) * xc * yc,
             VecField(0.5 * t * t * ye * (1.0 - ye), xn * (1.0 - xn) * np.exp(-t)),
         )
 
