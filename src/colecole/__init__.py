@@ -10,6 +10,9 @@ which steps in that basis, and a fractional BDF-2 variant
 the discrete energy functional and decay diagnostics (:mod:`colecole.energy`),
 a manufactured-solution convergence harness (:mod:`colecole.manufactured`),
 and a CSV-emitting experiment CLI (:mod:`colecole.cli`).
+
+The package root exports what a run's callers use; the pieces inside a step
+or a weight build are imported from their modules.
 """
 
 from .energy import (
@@ -38,25 +41,16 @@ from .stepper import (
     SimState,
     SolverError,
     Sources,
-    Spectrum,
-    frac_deriv_current,
     init_state,
     run,
-    solve_spd,
     step,
 )
 from .weights import (
     SchemeParams,
-    SymbolKind,
-    binomial_series,
     cumulative_weights,
-    exponential_tail,
     fbdf2_weights,
     min_theta_gap_grid,
     sftr_weights,
-    shift_combine,
-    symbol_residual,
-    theta_gap,
     varpi_weights,
 )
 
@@ -74,11 +68,8 @@ __all__ = [
     "SimState",
     "SolverError",
     "Sources",
-    "Spectrum",
-    "SymbolKind",
     "TRACE",
     "VecField",
-    "binomial_series",
     "convergence_table",
     "cumulative_weights",
     "decay_initial_data",
@@ -87,9 +78,7 @@ __all__ = [
     "dissipation_residual",
     "energy_tolerance",
     "error_norms",
-    "exponential_tail",
     "fbdf2_weights",
-    "frac_deriv_current",
     "init_state",
     "min_theta_gap_grid",
     "norm_sq",
@@ -97,11 +86,7 @@ __all__ = [
     "run_case",
     "run_decay_experiment",
     "sftr_weights",
-    "shift_combine",
-    "solve_spd",
     "step",
-    "symbol_residual",
-    "theta_gap",
     "varpi_weights",
 ]
 

@@ -103,10 +103,6 @@ class VecField:
         if self.ex.ndim != 2 or self.ey.ndim != 2:
             raise ValueError("ex and ey must be 2-D arrays")
 
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "VecField":
-        return cls(np.zeros((grid.nx, grid.ny + 1)), np.zeros((grid.nx + 1, grid.ny)))
-
     def enforce_pec(self) -> "VecField":
         """Zero the tangential boundary dofs in place."""
         self.ex[:, [0, -1]] = 0.0
@@ -118,8 +114,14 @@ class VecField:
 
 
 def sample_vec(f: tuple[Profile, Profile], grid: GridSpec) -> VecField:
-    """The x component of f at the ex dofs and the y component at the ey dofs."""
-    return VecField(f[0](*grid.ex_coords()), f[1](*grid.ey_coords()))
+    """The x component of f at the ex dofs and the y component at the ey dofs,
+    of shapes (nx, ny+1) and (nx+1, ny)."""
+    e = VecField(f[0](*grid.ex_coords()), f[1](*grid.ey_coords()))
+    if e.ex.shape != (grid.nx, grid.ny + 1) or e.ey.shape != (grid.nx + 1, grid.ny):
+        raise ValueError(
+            f"edge fields of shapes {e.ex.shape}, {e.ey.shape} on a {grid.nx}x{grid.ny} grid"
+        )
+    return e
 
 
 def sample_scalar(f: Profile, grid: GridSpec) -> np.ndarray:

@@ -29,13 +29,15 @@ bounds, and a run's n0 lies past it.
 For theta in [alpha/2, 1/2] the companion sequence has a sign pattern
 (varpi_0 > 0, varpi_k <= 0 for k >= 1) that makes a_j positive and
 non-increasing; that structure is what the energy-decay argument of the
-integrator rests on.  ``theta_gap`` and ``min_theta_gap_grid`` evaluate the
-scan that certifies the sign pattern numerically.
+integrator rests on.  ``min_theta_gap_grid`` evaluates the scan that
+certifies the sign pattern numerically: the minimum over theta of the gap
+rho_tilde - rho.  The scalar gap at one (x, alpha, theta) and the
+second-order symbol identity of varpi and a are test oracles
+(``theta_gap``, ``symbol_residual`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -279,48 +281,6 @@ def exponential_tail(kernel: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarra
     )
 
 
-class SymbolKind(enum.Enum):
-    VARPI_SYMBOL = "varpi"
-    A_SYMBOL = "a"
-
-
-def symbol_residual(
-    kind: SymbolKind, params: SchemeParams, tau: float, K: int | None = None
-) -> float:
-    """Defect of the second-order symbol identity at step size tau.
-
-    For VARPI_SYMBOL the identity is
-        tau^(alpha-1) e^((1/2-theta) tau) varpi(e^-tau) = 1 + O(tau^2),
-    for A_SYMBOL it is
-        tau^alpha e^(-theta tau) a(e^-tau) = 1 + O(tau^2);
-    the returned value is |symbol - 1| with the series truncated after K
-    terms (default ceil(60/tau), which pushes the tail far below tau^2).
-    """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    if K is None:
-        K = math.ceil(60.0 / tau)
-    if kind is SymbolKind.VARPI_SYMBOL:
-        seq = varpi_weights(params, K - 1)
-        prefactor = tau ** (params.alpha - 1.0) * math.exp((0.5 - params.theta) * tau)
-    elif kind is SymbolKind.A_SYMBOL:
-        seq = cumulative_weights(params, K - 1)
-        prefactor = tau**params.alpha * math.exp(-params.theta * tau)
-    else:
-        raise ValueError(f"unknown symbol kind {kind!r}")
-
-    damping = np.exp(-tau * np.arange(K))
-    # Geometric tail bound from the last retained term; |seq| is eventually
-    # decreasing for both families, so this dominates the dropped remainder.
-    tail = prefactor * abs(seq[-1]) * damping[-1] * math.exp(-tau) / (1.0 - math.exp(-tau))
-    if tail > 1e-3 * tau * tau:
-        raise ValueError(
-            f"K={K} too small: truncation tail bound {tail:.3e} exceeds "
-            f"1e-3*tau^2 = {1e-3 * tau * tau:.3e}"
-        )
-    return abs(prefactor * float(np.einsum("i,i->", seq, damping)) - 1.0)
-
-
 def _rho(alpha: float, theta: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:
     r = theta / alpha
     return (
@@ -341,27 +301,12 @@ def _rho_tilde(alpha: float, theta: float | np.ndarray, m: float | np.ndarray) -
     )
 
 
-def theta_gap(x: float, alpha: float, theta: float) -> float:
-    """Gap rho_tilde - rho at m = 4/x, the quantity whose positivity closes
-    the induction behind the companion-weight sign pattern.
-
-    m = 4/x is used as a real number; the admissible region is x in (0, 1],
-    alpha in (0, 1), theta in [alpha/2, 1/2].
-    """
-    if not 0.0 < x <= 1.0:
-        raise ValueError(f"x={x} outside (0, 1]")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha={alpha} outside (0, 1)")
-    if not 0.5 * alpha <= theta <= 0.5:
-        raise ValueError(f"theta={theta} outside [alpha/2, 1/2] for alpha={alpha}")
-    m = 4.0 / x
-    return _rho_tilde(alpha, theta, m) - _rho(alpha, theta, m)
-
-
 def min_theta_gap_grid(
     x_points: int, alpha_points: int, theta_samples: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """min over theta of the gap, scanned over a uniform (x, alpha) grid.
+    """min over theta of the gap rho_tilde - rho at the real m = 4/x, scanned
+    over a uniform (x, alpha) grid.  The gap's positivity closes the induction
+    behind the companion-weight sign pattern.
 
     x_i = i/x_points for i = 1..x_points covers (0, 1]; alpha_j =
     j/(alpha_points+1) for j = 1..alpha_points covers the interior of (0, 1).

@@ -26,11 +26,19 @@ the dofs into the coefficient sources that ``colecole.stepper.step`` takes.
 copy of the state from before it and the history part of the step's
 fractional derivative, which :func:`caputo_after` and :func:`scheme_residual`
 read.
+
+Three checks of the library's weights and helpers live here because only
+the tests call them: :func:`symbol_residual` (with :class:`SymbolKind`), the
+second-order symbol identity of varpi and a; :func:`theta_gap`, the scalar
+gap rho_tilde - rho that ``colecole.weights.min_theta_gap_grid`` scans,
+written out from the paper's formulas rather than through the library's;
+and :func:`zero_edges`, the zero edge field.
 """
 
 from __future__ import annotations
 
 import copy
+import enum
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -40,7 +48,7 @@ import numpy as np
 from colecole.manufactured import PROFILES, ManufacturedCase, _sin_pi, caputo_cubic_factor
 from colecole.mesh import CurlCurlBasis, GridSpec, VecField, sample_scalar, sample_vec
 from colecole.stepper import Quadrature, SimState, SolverError, Sources, frac_deriv_current, step
-from colecole.weights import SchemeParams, binomial_series
+from colecole.weights import SchemeParams, binomial_series, cumulative_weights, varpi_weights
 
 # sources(t) -> (f1, f2, f3) on the dofs, f2 an (nx, ny) cell array: the
 # physical form of ``Sources``.
@@ -58,6 +66,11 @@ def _check_vec(e: VecField, grid: GridSpec) -> None:
 def _check_scalar(s: np.ndarray, grid: GridSpec) -> None:
     if s.shape != (grid.nx, grid.ny):
         raise ValueError(f"scalar field shape {s.shape} does not match {grid.nx}x{grid.ny} grid")
+
+
+def zero_edges(grid: GridSpec) -> VecField:
+    """The zero edge field on ``grid``."""
+    return VecField(np.zeros((grid.nx, grid.ny + 1)), np.zeros((grid.nx + 1, grid.ny)))
 
 
 def _curl_h_into(h: np.ndarray, dx: float, dy: float, ex: np.ndarray, ey: np.ndarray) -> None:
@@ -255,6 +268,84 @@ def fbdf2_weights_by_series(alpha: float, n: int) -> np.ndarray:
     return 1.5**alpha * np.convolve(num, den)[: n + 1]
 
 
+class SymbolKind(enum.Enum):
+    VARPI_SYMBOL = "varpi"
+    A_SYMBOL = "a"
+
+
+def symbol_residual(
+    kind: SymbolKind, params: SchemeParams, tau: float, K: int | None = None
+) -> float:
+    """Defect of the second-order symbol identity at step size tau.
+
+    For VARPI_SYMBOL the identity is
+        tau^(alpha-1) e^((1/2-theta) tau) varpi(e^-tau) = 1 + O(tau^2),
+    for A_SYMBOL it is
+        tau^alpha e^(-theta tau) a(e^-tau) = 1 + O(tau^2);
+    the returned value is |symbol - 1| with the series truncated after K
+    terms (default ceil(60/tau), which pushes the tail far below tau^2).
+    """
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
+    if K is None:
+        K = math.ceil(60.0 / tau)
+    if kind is SymbolKind.VARPI_SYMBOL:
+        seq = varpi_weights(params, K - 1)
+        prefactor = tau ** (params.alpha - 1.0) * math.exp((0.5 - params.theta) * tau)
+    elif kind is SymbolKind.A_SYMBOL:
+        seq = cumulative_weights(params, K - 1)
+        prefactor = tau**params.alpha * math.exp(-params.theta * tau)
+    else:
+        raise ValueError(f"unknown symbol kind {kind!r}")
+
+    damping = np.exp(-tau * np.arange(K))
+    # Geometric tail bound from the last retained term; |seq| is eventually
+    # decreasing for both families, so this dominates the dropped remainder.
+    tail = prefactor * abs(seq[-1]) * damping[-1] * math.exp(-tau) / (1.0 - math.exp(-tau))
+    if tail > 1e-3 * tau * tau:
+        raise ValueError(
+            f"K={K} too small: truncation tail bound {tail:.3e} exceeds "
+            f"1e-3*tau^2 = {1e-3 * tau * tau:.3e}"
+        )
+    return abs(prefactor * float(np.einsum("i,i->", seq, damping)) - 1.0)
+
+
+def theta_gap(x: float, alpha: float, theta: float) -> float:
+    """Gap rho_tilde(m) - rho(m) at the real m = 4/x, the quantity whose
+    positivity closes the induction behind the companion-weight sign pattern,
+    written out here from the paper's rho and rho_tilde (r = theta/alpha):
+
+        rho(k)       = (r - 1/2)(k - 2) / (r(2k - 1) + alpha - 1/2)
+                       * 4 theta / (2 theta + alpha) * (1 + 1/k),
+        rho_tilde(m) = (r(2m - 3) + alpha - 1/2) / ((r + 1/2) m)
+                       * (1 + (2 theta + alpha) / (4 theta) * (m - 1)/m).
+
+    The admissible region is x in (0, 1], alpha in (0, 1), theta in
+    [alpha/2, 1/2]; ValueError outside it.
+    """
+    if not 0.0 < x <= 1.0:
+        raise ValueError(f"x={x} outside (0, 1]")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha={alpha} outside (0, 1)")
+    if not 0.5 * alpha <= theta <= 0.5:
+        raise ValueError(f"theta={theta} outside [alpha/2, 1/2] for alpha={alpha}")
+    m = 4.0 / x
+    r = theta / alpha
+    rho = (
+        (r - 0.5)
+        * (m - 2.0)
+        / (r * (2.0 * m - 1.0) + alpha - 0.5)
+        * (4.0 * theta / (2.0 * theta + alpha))
+        * (1.0 + 1.0 / m)
+    )
+    rho_tilde = (
+        (r * (2.0 * m - 3.0) + alpha - 0.5)
+        / ((r + 0.5) * m)
+        * (1.0 + (2.0 * theta + alpha) / (4.0 * theta) * (m - 1.0) / m)
+    )
+    return rho_tilde - rho
+
+
 @dataclass(frozen=True)
 class ClosedForm:
     """The manufactured fields and sources of ``ManufacturedCase(alpha)`` as
@@ -387,7 +478,7 @@ def _pec_mask(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _dof_sources(sources: DofSources | None, grid: GridSpec, t: float):
     if sources is None:
-        return VecField.zeros(grid), np.zeros((grid.nx, grid.ny)), VecField.zeros(grid)
+        return zero_edges(grid), np.zeros((grid.nx, grid.ny)), zero_edges(grid)
     return sources(t)
 
 
@@ -417,7 +508,7 @@ def dense_step_solution(
 
     # History part of the fractional quadrature, straight from its definition.
     kern = state.kernel
-    hist = VecField.zeros(grid)
+    hist = zero_edges(grid)
     if cfg.quadrature is Quadrature.SFTR:
         p0 = p_history[0]
         for k in range(1, n):
@@ -493,8 +584,8 @@ def textbook_cg(
     """
     rhs_norm = norm_e(rhs, grid)
     if rhs_norm == 0.0:
-        return VecField.zeros(grid), 0
-    x = VecField.zeros(grid) if x0 is None else fmap(np.copy, x0)
+        return zero_edges(grid), 0
+    x = zero_edges(grid) if x0 is None else fmap(np.copy, x0)
     r = fmap(np.subtract, rhs, apply_op(x))
     d = fmap(np.copy, r)
     rho = inner_e(r, r, grid)

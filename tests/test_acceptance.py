@@ -40,17 +40,15 @@ from colecole.stepper import (
 )
 from colecole.weights import (
     SchemeParams,
-    SymbolKind,
     cumulative_weights,
     min_theta_gap_grid,
     sftr_weights,
-    symbol_residual,
-    theta_gap,
     varpi_weights,
 )
 
 from oracles import (
     SemiDiscreteCase,
+    SymbolKind,
     curl_e,
     curl_h,
     dense_step_solution,
@@ -58,6 +56,8 @@ from oracles import (
     inner_e,
     inner_h,
     poly_sources,
+    symbol_residual,
+    theta_gap,
 )
 
 PARAM_GRID = [

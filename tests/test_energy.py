@@ -24,14 +24,14 @@ from colecole.stepper import (
 )
 from colecole.weights import SchemeParams
 
-from oracles import inner_e, inner_h, varpi_weights_by_series, with_p_history
+from oracles import inner_e, inner_h, varpi_weights_by_series, with_p_history, zero_edges
 
 
 def fresh_state(grid, alpha=0.5, theta=0.5, tau=0.05, n_steps=8, quadrature=Quadrature.SFTR,
                 e0=None, h0=None):
     material = MaterialParams(alpha=alpha)
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
-    e0 = e0 if e0 is not None else VecField.zeros(grid)
+    e0 = e0 if e0 is not None else zero_edges(grid)
     h0 = h0 if h0 is not None else np.zeros((grid.nx, grid.ny))
     return init_state(grid, material, config, e0, h0)
 

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from colecole.mesh import CurlCurlBasis, GridSpec, VecField, norm_sq, sample_scalar
+from colecole.mesh import CurlCurlBasis, GridSpec, VecField, norm_sq, sample_scalar, sample_vec
 
-from oracles import combine_theta, curl_e, curl_h, fmap, inner_e, inner_h, norm_e
+from oracles import combine_theta, curl_e, curl_h, fmap, inner_e, inner_h, norm_e, zero_edges
 
 
 def random_fields(grid, rng, pec=True):
@@ -54,6 +54,20 @@ def test_sample_scalar_gives_a_float_cell_array():
             sample_scalar(f, g)
 
 
+def test_sample_vec_checks_its_component_shapes():
+    g = GridSpec(4, 4)
+    e = sample_vec((lambda x, y: x, lambda x, y: y), g)
+    assert e.ex.shape == (4, 5) and e.ey.shape == (5, 4)
+    # a component sampled off its own dofs is refused, either one
+    for f in (
+        (lambda x, y: x[:, :-1], lambda x, y: y),
+        (lambda x, y: x, lambda x, y: y[:-1, :]),
+        (lambda x, y: x, lambda x, y: y.T),
+    ):
+        with pytest.raises(ValueError, match="edge fields"):
+            sample_vec(f, g)
+
+
 def test_coords_shapes_and_boundaries():
     g = GridSpec(6, 4)
     xs, ys = g.ex_coords()
@@ -87,7 +101,7 @@ def test_curl_h_linear_fields_exact():
 
 def test_curl_e_examples():
     g = GridSpec(8, 8)
-    assert not np.any(curl_e(VecField.zeros(g), g))
+    assert not np.any(curl_e(zero_edges(g), g))
     # E = (y, 0) -> curl = -1 exactly on dyadic spacing
     _, ys = g.ex_coords()
     e = VecField(ys.copy(), np.zeros((9, 8)))
@@ -97,11 +111,11 @@ def test_curl_e_examples():
 def test_shape_mismatch_errors():
     g = GridSpec(4, 4)
     with pytest.raises(ValueError):
-        curl_e(VecField.zeros(GridSpec(5, 4)), g)
+        curl_e(zero_edges(GridSpec(5, 4)), g)
     with pytest.raises(ValueError):
         curl_h(np.zeros((4, 5)), g)
     with pytest.raises(ValueError):
-        inner_e(VecField.zeros(g), VecField.zeros(GridSpec(5, 5)), g)
+        inner_e(zero_edges(g), zero_edges(GridSpec(5, 5)), g)
 
 
 @pytest.mark.parametrize("nx,ny", [(8, 8), (16, 24), (60, 60)])
@@ -232,7 +246,7 @@ def test_inner_products():
     g = GridSpec(2, 2)
     ones = np.ones((2, 2))
     assert inner_h(ones, ones, g) == pytest.approx(1.0, rel=1e-15)
-    assert inner_e(VecField.zeros(g), VecField.zeros(g), g) == 0.0
+    assert inner_e(zero_edges(g), zero_edges(g), g) == 0.0
     rng = np.random.default_rng(3)
     g = GridSpec(12, 9)
     for _ in range(20):

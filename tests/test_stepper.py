@@ -53,6 +53,7 @@ from oracles import (
     scheme_residual,
     textbook_cg,
     with_p_history,
+    zero_edges,
 )
 
 
@@ -60,7 +61,7 @@ def zero_state(grid=None, alpha=0.5, theta=0.5, tau=0.1, n_steps=4, quadrature=Q
     grid = grid or GridSpec(4, 4)
     material = MaterialParams(alpha=alpha)
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
-    return init_state(grid, material, config, VecField.zeros(grid), np.zeros((grid.nx, grid.ny)))
+    return init_state(grid, material, config, zero_edges(grid), np.zeros((grid.nx, grid.ny)))
 
 
 def test_material_and_config_validation():
@@ -116,18 +117,18 @@ def test_init_state():
         init_state(grid, MaterialParams(), config, bad, np.zeros((4, 4)))
     # H0 is any (nx, ny) array-like, taken as floats; other shapes are refused
     cells = [[1, 2, 3, 4]] * 4
-    state = init_state(grid, MaterialParams(), config, VecField.zeros(grid), cells)
+    state = init_state(grid, MaterialParams(), config, zero_edges(grid), cells)
     assert np.array_equal(state.h, CurlCurlBasis(grid).forward_cell(np.array(cells, dtype=float)))
     for shape in ((16,), (4, 4, 1), (4, 5)):
         with pytest.raises(ValueError, match="shapes"):
-            init_state(grid, MaterialParams(), config, VecField.zeros(grid), np.zeros(shape))
+            init_state(grid, MaterialParams(), config, zero_edges(grid), np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", ["ex", "ey", "h"])
 def test_init_state_refuses_non_finite_initial_data(monkeypatch, where, bad):
     grid = GridSpec(4, 4)
-    e0, h0 = VecField.zeros(grid), np.zeros((4, 4))
+    e0, h0 = zero_edges(grid), np.zeros((4, 4))
     (h0 if where == "h" else getattr(e0, where))[1, 2] = bad
 
     def no_transform(*args):
@@ -557,7 +558,7 @@ def test_memory_preflight_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(stepper, "build_kernel", no_kernel)
     with pytest.raises(MemoryError, match="physical memory"):
         init_state(
-            grid, MaterialParams(), config, VecField.zeros(grid), np.zeros((grid.nx, grid.ny))
+            grid, MaterialParams(), config, zero_edges(grid), np.zeros((grid.nx, grid.ny))
         )
     monkeypatch.undo()
     assert stepper.physical_memory_bytes() > 100 * window_bytes
@@ -587,7 +588,7 @@ def test_memory_preflight_counts_a_bounded_history(monkeypatch):
     dofs = 2 * 8 * 8
     every_row = 8 * ((config.n_steps + 1) * (dofs + 4) + 32 * dofs)
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: every_row - 1)
-    zero = VecField.zeros(grid), np.zeros((grid.nx, grid.ny))
+    zero = zero_edges(grid), np.zeros((grid.nx, grid.ny))
     state = init_state(grid, MaterialParams(), config, *zero)
     history = state.history
     held = history.window.nbytes + history.tail.nbytes
@@ -610,7 +611,7 @@ def test_memory_preflight_counts_the_window_of_an_alternating_kernel(monkeypatch
         stepper, "_require_memory", lambda *args: checks.append(args[2:]) or preflight(*args)
     )
     config = SchemeConfig(theta=0.01, tau=0.002, n_steps=5000)
-    zero = VecField.zeros(grid), np.zeros((grid.nx, grid.ny))
+    zero = zero_edges(grid), np.zeros((grid.nx, grid.ny))
     history = init_state(grid, MaterialParams(alpha=0.9), config, *zero).history
     rows = 842 + 2 * stepper.HISTORY_FOLD + 1
     assert history.exact == 842 and checks == [(rows, TAIL_MAX_POLES)]
@@ -695,7 +696,7 @@ def solve_case(monkeypatch, grid, quadrature, tau):
     """The state of a 3-step FBDF2/SFTR run and the solves of its first two steps."""
     config = SchemeConfig(theta=0.45, tau=tau, n_steps=3, quadrature=quadrature)
     state = init_state(
-        grid, MaterialParams(alpha=0.9), config, VecField.zeros(grid), np.zeros((grid.nx, grid.ny))
+        grid, MaterialParams(alpha=0.9), config, zero_edges(grid), np.zeros((grid.nx, grid.ny))
     )
     return state, recorded_solves(monkeypatch, state, in_modes(poly_sources(grid), grid), 2)
 

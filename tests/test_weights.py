@@ -10,7 +10,6 @@ from colecole import weights
 from colecole.weights import (
     TAIL_MAX_POLES,
     SchemeParams,
-    SymbolKind,
     alternating_lags,
     binomial_series,
     cumulative_weights,
@@ -19,15 +18,16 @@ from colecole.weights import (
     min_theta_gap_grid,
     sftr_weights,
     shift_combine,
-    symbol_residual,
-    theta_gap,
     varpi_weights,
 )
 
 from oracles import (
+    SymbolKind,
     fbdf2_weights_by_series,
     series_power,
     sftr_weights_by_series,
+    symbol_residual,
+    theta_gap,
     varpi_weights_by_series,
 )
 
