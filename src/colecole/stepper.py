@@ -49,9 +49,12 @@ E = 0; f3 must vanish on the tangential boundary, as
 The P history of a run takes bounded memory (:class:`PHistory`).  The
 quadrature sums the last n0 lags exactly, from a window of n0 + 2B + 1
 recent P^k (B = HISTORY_FOLD = 16), and :func:`step` folds the B oldest rows
-of a full window into M accumulators, one per real pole r_m of an
+of a full window into M accumulators, one pole at a time, so a fold's
+temporary is one row.  The accumulators serve the lags from n0 + B + 3 on,
+the first a step reads from them.  There is one per real pole r_m of an
 exponential fit to the kernel's lags from n0 on
-(:func:`colecole.weights.exponential_tail`, within 1e-15 |K_0|).  n0 is
+(:func:`colecole.weights.exponential_tail`, within 1e-15 |K_0|), less the
+poles whose terms on those lags sum to at most 1e-18 |K_0|.  n0 is
 HISTORY_EXACT = 20, or for SFTR with theta < alpha/2 the lag from which the
 kernel's alternating part is below 1e-16 |K_0|
 (:func:`colecole.weights.alternating_lags`) if later.  Runs of at most
@@ -89,6 +92,7 @@ from .mesh import sample_scalar, sample_vec  # noqa: F401
 from .weights import (
     TAIL_FIT_ROWS,
     TAIL_MAX_POLES,
+    TAIL_TOLERANCE,
     SchemeParams,
     alternating_lags,
     cumulative_weights,
@@ -162,8 +166,11 @@ class PHistory:
     P^(folded + i).  P^0 .. P^(folded-1) are folded into the (M, 2 nx ny)
     ``tail``: tail_m = sum_{k < folded} r_m^(folded-1-k) P^k, with the
     ``poles`` r and ``weights`` c of :func:`colecole.weights.exponential_tail`,
-    fitted from lag ``exact`` = n0 (at most N) on; the three are None in a
-    run of at most n0 + 2B steps, which never folds.  P^0 = 0 and s_0 = 0.
+    fitted from lag ``exact`` = n0 (at most N) on.  A fold leaves n0 + B + 1
+    rows in the window, so the tail is read from lag n0 + B + 3 on, and M
+    counts the poles kept for those lags (see :func:`_read_poles`).  The
+    three are None in a run of at most n0 + 2B steps, which never folds.
+    P^0 = 0 and s_0 = 0.
     The state of a run owns its history, and :func:`step` writes P^n and s_n
     into it as it advances that state to step n.
     """
@@ -284,15 +291,16 @@ def _require_memory(grid: GridSpec, config: SchemeConfig, rows: int, poles: int)
     """Raise :class:`MemoryError` unless a run with a P window of ``rows``
     rows and a tail of ``poles`` poles fits in physical memory."""
     steps, dofs = config.n_steps, 2 * grid.nx * grid.ny
-    # The window; for a run that folds, its tail and a fold's temporary (M
-    # rows each) and the fit's workspace (three arrays of its row blocks).
+    # The window; for a run that folds, its tail (M rows) and the fit's
+    # workspace (three arrays of its row blocks); a fold's temporary is one
+    # row, counted with a step's temporaries below.
     # Twenty-five values per step: s, the kernel, the energy weights, the
     # fit's lags and targets, the weights' FFT check (three arrays of up to
     # 4 (N+1)) and the five columns of the energy trace.
     # Under 32 coefficient arrays: the step constants (three), their build
     # (five), a step's temporaries and the states it holds.
     fit = 3 * (TAIL_FIT_ROWS + poles) * (poles + 1) if poles else 0
-    need = 8 * (rows * dofs + 2 * poles * dofs + fit + 25 * (steps + 1) + 32 * dofs)
+    need = 8 * (rows * dofs + poles * dofs + fit + 25 * (steps + 1) + 32 * dofs)
     have = physical_memory_bytes()
     if need > have:
         raise MemoryError(
@@ -316,9 +324,10 @@ def init_state(
     or :class:`ValueError` is raised before anything is transformed; each is
     then transformed to coefficients once.  Allocates a P window of
     min(n_steps, n0 + 32) + 1 rows of 2 nx ny * 8 bytes (n0 as in
-    :class:`PHistory`) and, if the run folds, a tail of M such rows.  Before
-    it builds anything it raises :class:`MemoryError` if the run would not
-    fit in physical memory.
+    :class:`PHistory`) and, if the run folds, a tail of M such rows, at most
+    TAIL_MAX_POLES; a fold adds a temporary of one row.  Before it builds
+    anything it raises :class:`MemoryError` if the run would not fit in
+    physical memory.
     """
     nx, ny, h0 = grid.nx, grid.ny, np.asarray(h0, dtype=float)
     if (e0.ex.shape, e0.ey.shape, h0.shape) != ((nx, ny + 1), (nx + 1, ny), (nx, ny)):
@@ -345,7 +354,11 @@ def _initial_state(
     poles = weights = tail = None
     dofs = 2 * grid.nx * grid.ny
     if rows <= steps:
-        poles, weights = exponential_tail(kernel, exact)
+        # A fold leaves n0 + B + 1 of the n0 + 2B + 1 window rows, so the tail
+        # is first read at lag n0 + B + 3: from pole exponent rows - n0 - B + 2.
+        poles, weights = _read_poles(
+            *exponential_tail(kernel, exact), abs(kernel[0]), rows - exact - HISTORY_FOLD + 2
+        )
         tail = np.zeros((len(poles), dofs))
     history = PHistory(np.zeros((rows, dofs)), np.zeros(steps + 1), exact, poles, weights, tail)
     tau, theta = config.tau, config.theta
@@ -368,6 +381,21 @@ def _initial_state(
         curl_modulus=curl_modulus,
         spectrum=Spectrum(lam),
     )
+
+
+def _read_poles(
+    poles: np.ndarray, weights: np.ndarray, scale: float, first: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The poles and weights of an exponential tail that a run reads from
+    exponent ``first`` on, in their order.  Drops the poles of smallest
+    |c_m| r_m^first while those sum to at most 1e-3 * TAIL_TOLERANCE * scale:
+    each |c_m| r_m^j falls with j, so no read lag moves by more than that."""
+    size = np.abs(weights) * poles**first
+    order = np.argsort(size, kind="stable")
+    dropped = np.searchsorted(np.cumsum(size[order]), 1e-3 * TAIL_TOLERANCE * scale, side="right")
+    keep = np.ones(len(poles), dtype=bool)
+    keep[order[:dropped]] = False
+    return poles[keep], weights[keep]
 
 
 def frac_deriv_current(state: SimState) -> np.ndarray:
@@ -401,11 +429,13 @@ def frac_deriv_current(state: SimState) -> np.ndarray:
 
 def _fold(history: PHistory) -> None:
     """Fold the HISTORY_FOLD oldest window rows into the tail, shift the rest
-    of the window down by as many slots and advance ``folded``."""
+    of the window down by as many slots and advance ``folded``.  The tail is
+    folded one pole at a time, so the fold's temporary is one row."""
     fold, window = HISTORY_FOLD, history.window
     powers = np.power.outer(history.poles, np.arange(fold, -1, -1.0))  # r^B .. r^0
-    history.tail *= powers[:, :1]
-    history.tail += np.einsum("mb,bj->mj", powers[:, 1:], window[:fold])
+    for row, power in zip(history.tail, powers):
+        row *= power[0]
+        row += np.einsum("b,bj->j", power[1:], window[:fold])
     for start in range(0, len(window) - fold, fold):  # chunks that do not overlap
         end = min(start + 2 * fold, len(window))
         window[start : end - fold] = window[start + fold : end]

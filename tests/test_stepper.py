@@ -3,6 +3,7 @@ residual contracts, the conjugate-gradient solver, the memory preflight, and
 run invariants."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,9 +29,11 @@ from colecole.stepper import (
     step,
 )
 from colecole.weights import (
+    TAIL_FIT_ROWS,
     TAIL_MAX_POLES,
     SchemeParams,
     cumulative_weights,
+    exponential_tail,
     fbdf2_weights,
     sftr_weights,
     shift_combine,
@@ -617,6 +620,99 @@ def test_memory_preflight_counts_the_window_of_an_alternating_kernel(monkeypatch
     assert history.exact == 842 and checks == [(rows, TAIL_MAX_POLES)]
     assert history.window.shape == (rows, dofs)
     assert history.tail.shape == (len(history.poles), dofs)
+
+
+def test_memory_preflight_counts_the_tail_alone(monkeypatch):
+    # a folding run holds its window and at most TAIL_MAX_POLES tail rows; a
+    # fold's temporary is one row, among the 32 coefficient arrays.  The
+    # estimate that also counted a fold's temporary of M rows refused this
+    # run in memory halfway between the two estimates
+    grid, dofs = GridSpec(8, 8), 2 * 8 * 8
+    config = SchemeConfig(theta=0.5, tau=0.001, n_steps=1000)
+    poles = TAIL_MAX_POLES
+    fit = 3 * (TAIL_FIT_ROWS + poles) * (poles + 1)
+    need = 8 * ((53 + poles + 32) * dofs + fit + 25 * (config.n_steps + 1))
+    zero = zero_edges(grid), np.zeros((grid.nx, grid.ny))
+    monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(MemoryError, match="physical memory"):
+        init_state(grid, MaterialParams(), config, *zero)
+    monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: need + 4 * poles * dofs)
+    history = init_state(grid, MaterialParams(), config, *zero).history
+    assert history.window.shape == (53, dofs) and history.tail is not None
+
+
+def test_fold_allocates_one_row():
+    # the tail is folded one pole at a time: numpy's buffers traced during a
+    # fold peak at one row (M rows when the poles were folded together), and
+    # the tail is bit for bit the all-poles update
+    grid, dofs, fold = GridSpec(32, 32), 2 * 32 * 32, stepper.HISTORY_FOLD
+    history = zero_state(grid, tau=1.0 / 400, n_steps=400).history
+    rng = np.random.default_rng(0)
+    history.window[:] = rng.standard_normal(history.window.shape)
+    history.tail[:] = rng.standard_normal(history.tail.shape)
+    powers = np.power.outer(history.poles, np.arange(fold, -1, -1.0))
+    tail = history.tail * powers[:, :1] + np.einsum("mb,bj->mj", powers[:, 1:], history.window[:fold])
+    window = history.window[fold:].copy()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stepper._fold(history)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(history.poles) > 2 and peak <= 2 * dofs * 8
+    assert np.array_equal(history.tail, tail) and history.folded == fold
+    assert np.array_equal(history.window[: len(window)], window)
+
+
+# decay_long's six pairs at N = 400, (0.9, 0.2) at N = 1000, FBDF2 at 0.8, N = 2000
+KEPT_POLE_CASES = [
+    (alpha, theta, 400, Quadrature.SFTR)
+    for alpha, theta in ((0.5, 0.5), (0.6, 0.5), (0.7, 0.5), (0.8, 0.5), (0.9, 0.5), (0.4, 0.45))
+] + [(0.9, 0.2, 1000, Quadrature.SFTR), (0.8, 0.5, 2000, Quadrature.FBDF2)]
+
+
+@pytest.mark.parametrize("alpha, theta, n_steps, quadrature", KEPT_POLE_CASES)
+def test_kept_poles_serve_every_read_lag(alpha, theta, n_steps, quadrature):
+    # the tail is read from lag n0 + B + 3 on; the poles whose terms there sum
+    # to at most 1e-18 |K_0| are dropped, the smallest first, and the kept
+    # tail, read in the rounded poles as a run reads them, misses every such
+    # lag by no more than that beyond the full fit
+    state = zero_state(GridSpec(4, 4), alpha, theta, 1.0 / n_steps, n_steps, quadrature)
+    history, kernel = state.history, state.kernel
+    poles, weights = exponential_tail(kernel, history.exact)
+    kept = np.isin(poles, history.poles)
+    assert np.array_equal(poles[kept], history.poles)
+    assert np.array_equal(weights[kept], history.weights)
+    first = stepper.HISTORY_FOLD + 3
+    size = np.abs(weights) * poles**first
+    assert kept.sum() < len(poles) and size[kept].min() > size[~kept].max()
+
+    def misfit(r, c):
+        exponents = np.arange(first, n_steps - history.exact)
+        return np.einsum("jm,m->j", r ** exponents[:, None], c) - kernel[history.exact + first :]
+
+    moved = np.abs(misfit(history.poles, history.weights) - misfit(poles, weights))
+    assert moved.max() <= 1e-18 * abs(kernel[0])
+    if (alpha, theta, n_steps) == (0.5, 0.5, 400):
+        assert len(history.poles) < 32
+
+
+@pytest.mark.parametrize("alpha, theta, n_steps", [(0.5, 0.5, 400), (0.9, 0.2, 300)])
+def test_tail_is_read_from_exponent_b_plus_3(alpha, theta, n_steps):
+    # a fold leaves n0 + B + 1 window rows, so a step reads its tail at pole
+    # exponents B + 3 and up, the range the kept poles serve
+    class RecordedPowers(np.ndarray):
+        def __pow__(self, exponent):
+            exponents.append(exponent)
+            return np.asarray(self) ** exponent
+
+    exponents = []
+    state = zero_state(GridSpec(8, 8), alpha, theta, 1.0 / n_steps, n_steps)
+    state.history.poles = state.history.poles.view(RecordedPowers)
+    run(state)
+    assert state.history.folded > 0
+    assert min(exponents) == stepper.HISTORY_FOLD + 3
 
 
 def test_history_bytes_do_not_grow_with_the_run():
