@@ -9,8 +9,9 @@ energy      source-free energy-decay runs with per-step dissipation records
 theta-scan  positivity scan of the companion-sign gap function
 
 Every run is deterministic: identical flags produce byte-identical CSVs
-(fixed 17-significant-digit formatting, fixed summation order).  Each entry of
-a sweep is written and its state released before the next entry starts, so a
+(fixed summation order; one formatter, :func:`_write_csv`, writes every cell
+to 17 significant digits; a blank cell is an undefined rate).  Each entry of a
+sweep is written and its state released before the next entry starts, so a
 failure in entry k leaves the complete CSVs of entries 1..k-1.  Exit codes:
 
 0  every hard assertion of the subcommand held
@@ -28,13 +29,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .energy import TRACE, run_decay_experiment
-from .manufactured import ConvergenceRow, ManufacturedCase, convergence_table
+from .manufactured import ManufacturedCase, convergence_table
 from .mesh import GridSpec
 from .stepper import Quadrature, SolverError
 from .weights import (
@@ -65,16 +67,19 @@ ENERGY_SWEEPS = {
 }
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def _fmt(v: float | None) -> str:
+    """One CSV cell: 17 significant digits, so a float reads back exactly, an
+    index is plain and a NaN is ``nan``; None, an undefined value, is blank."""
+    return "" if v is None else f"{v:.17g}"
 
 
-def _write_csv(path: Path, header: str, rows: Iterable[str]) -> None:
+def _write_csv(path: Path, header: str, rows: Iterable[Iterable[float | None]]) -> None:
+    """Write the header, then each row of numbers, one cell per :func:`_fmt` call."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(row + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _sweep_path(base: Path, alpha: float, theta: float, scheme: str) -> Path:
@@ -117,7 +122,7 @@ def cmd_weights(args: argparse.Namespace) -> None:
                 values = varpi_weights(params, n)
             else:
                 values = cumulative_weights(params, n)
-        _write_csv(out, "k,value", (f"{k},{_fmt(values[k])}" for k in range(n + 1)))
+        _write_csv(out, "k,value", enumerate(values))
         print(f"weights kind={args.kind} alpha={args.alpha:g} n={n} -> {out}")
         return
 
@@ -132,11 +137,7 @@ def cmd_weights(args: argparse.Namespace) -> None:
         expected[1] = -1.0
     check = conv - expected
 
-    rows = (
-        f"{k},{_fmt(omega[k])},{_fmt(varpi[k])},{_fmt(a[k])},{_fmt(check[k])}"
-        for k in range(n + 1)
-    )
-    _write_csv(out, "k,omega,varpi,a,conv_check", rows)
+    _write_csv(out, "k,omega,varpi,a,conv_check", zip(range(n + 1), omega, varpi, a, check))
     worst = float(np.max(np.abs(check)))
     print(f"weights alpha={args.alpha:g} theta={args.theta:g} n={n}: "
           f"max |conv_check| = {worst:.3e} -> {out}")
@@ -161,17 +162,6 @@ def _parse_taus(spec: str) -> list[float]:
     return taus
 
 
-def _converge_rows_csv(rows: list[ConvergenceRow]) -> list[str]:
-    def rate(v: float | None) -> str:
-        return "" if v is None else _fmt(v)
-
-    return [
-        f"{_fmt(r.tau)},{_fmt(r.err_e)},{rate(r.rate_e)},"
-        f"{_fmt(r.err_h)},{rate(r.rate_h)},{_fmt(r.err_p)},{rate(r.rate_p)}"
-        for r in rows
-    ]
-
-
 def cmd_converge(args: argparse.Namespace) -> None:
     quadrature = Quadrature(args.scheme)
     grid = GridSpec(args.nx, args.ny)
@@ -190,7 +180,7 @@ def cmd_converge(args: argparse.Namespace) -> None:
     for alpha, theta in combos:
         rows = convergence_table(ManufacturedCase(alpha), theta, taus, grid, quadrature)
         path = base if len(combos) == 1 else _sweep_path(base, alpha, theta, args.scheme)
-        _write_csv(path, "tau,errE,rateE,errH,rateH,errP,rateP", _converge_rows_csv(rows))
+        _write_csv(path, "tau,errE,rateE,errH,rateH,errP,rateP", map(astuple, rows))
         last = rows[-1]
         rate_txt = "n/a" if last.rate_e is None else f"{last.rate_e:.3f}"
         print(f"converge {args.scheme} alpha={alpha:g} theta={theta:g} "
@@ -202,12 +192,7 @@ def _dump_fields(state, prefix: Path) -> None:
     e, p, h = state.fields()
     for tag, arr in (("ex", e.ex), ("ey", e.ey), ("h", h), ("px", p.ex), ("py", p.ey)):
         path = prefix.with_name(f"{prefix.name}_{tag}.csv")
-        rows = (
-            f"{i},{j},{_fmt(arr[i, j])}"
-            for i in range(arr.shape[0])
-            for j in range(arr.shape[1])
-        )
-        _write_csv(path, "i,j,value", rows)
+        _write_csv(path, "i,j,value", zip(*np.indices(arr.shape).reshape(2, -1), arr.ravel()))
 
 
 def cmd_energy(args: argparse.Namespace) -> None:
@@ -233,8 +218,7 @@ def cmd_energy(args: argparse.Namespace) -> None:
             _dump_fields(state, Path(args.dump_fields))
         del state  # release the run's P history before the next run starts
         path = base if len(runs) == 1 else _sweep_path(base, alpha, theta, scheme)
-        rows = (",".join(map(_fmt, record.item())) for record in trace)
-        _write_csv(path, ",".join(TRACE.names), rows)
+        _write_csv(path, ",".join(TRACE.names), (row.item() for row in trace))
         first = "-" if report.first_violation_step is None else str(report.first_violation_step)
         print(
             f"energy {scheme} alpha={alpha:g} theta={theta:g} tau={args.tau:g} "
@@ -260,13 +244,9 @@ def cmd_energy(args: argparse.Namespace) -> None:
 
 def cmd_theta_scan(args: argparse.Namespace) -> None:
     xs, alphas, grid = min_theta_gap_grid(args.x_points, args.alpha_points, args.theta_samples)
-    rows = (
-        f"{_fmt(xs[i])},{_fmt(alphas[j])},{_fmt(grid[i, j])}"
-        for i in range(len(xs))
-        for j in range(len(alphas))
-    )
+    x, alpha = np.meshgrid(xs, alphas, indexing="ij")
     out = Path(args.out)
-    _write_csv(out, "x,alpha,min_theta_gap", rows)
+    _write_csv(out, "x,alpha,min_theta_gap", zip(x.ravel(), alpha.ravel(), grid.ravel()))
     gmin = float(grid.min())
     print(
         f"theta-scan {args.x_points}x{args.alpha_points}x{args.theta_samples}: "

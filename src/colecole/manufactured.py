@@ -148,13 +148,16 @@ def error_norms(state: SimState, case: SampledCase) -> tuple[float, float, float
 
 @dataclass(frozen=True)
 class ConvergenceRow:
+    """One row of a convergence table, its fields in the CSV's column order;
+    the rates are None in the first row."""
+
     tau: float
     err_e: float
+    rate_e: float | None
     err_h: float
+    rate_h: float | None
     err_p: float
-    rate_e: float | None = None
-    rate_h: float | None = None
-    rate_p: float | None = None
+    rate_p: float | None
 
 
 def _step_count(tau: float) -> int:
@@ -202,25 +205,16 @@ def convergence_table(
         preflight(grid, material, SchemeConfig(theta, tau, n_steps, quadrature))
     sampled = case.sample(grid)
     rows: list[ConvergenceRow] = []
-    prev: ConvergenceRow | None = None
+    prev = None  # (tau, errors) of the previous run
     for tau in taus:
-        err_e, err_h, err_p = run_case(sampled, theta, tau, quadrature)
-        if prev is None:
-            rows.append(ConvergenceRow(tau, err_e, err_h, err_p))
-        else:
-            ratio = math.log2(prev.tau / tau)
-            rows.append(
-                ConvergenceRow(
-                    tau,
-                    err_e,
-                    err_h,
-                    err_p,
-                    rate_e=math.log2(prev.err_e / err_e) / ratio,
-                    rate_h=math.log2(prev.err_h / err_h) / ratio,
-                    rate_p=math.log2(prev.err_p / err_p) / ratio,
-                )
-            )
-        prev = rows[-1]
+        errs = run_case(sampled, theta, tau, quadrature)
+        rates = (None, None, None)
+        if prev is not None:
+            ratio = math.log2(prev[0] / tau)
+            rates = tuple(math.log2(p / e) / ratio for p, e in zip(prev[1], errs))
+        (err_e, err_h, err_p), (rate_e, rate_h, rate_p) = errs, rates
+        rows.append(ConvergenceRow(tau, err_e, rate_e, err_h, rate_h, err_p, rate_p))
+        prev = tau, errs
     return rows
 
 

@@ -10,10 +10,12 @@ import weakref
 import numpy as np
 import pytest
 
-from colecole.cli import main
+import colecole.weights
+from colecole.cli import _fmt, _write_csv, main
 from colecole.energy import run_decay_experiment
 from colecole.mesh import GridSpec
 from colecole.stepper import SolverError
+from colecole.weights import SchemeParams, sftr_weights
 
 
 def read_csv(path):
@@ -21,6 +23,25 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def test_write_csv_formats_every_cell_kind(tmp_path):
+    # one formatter writes every cell: ints plain, floats to 17 significant
+    # digits, None blank; a NaN is written, never blanked
+    out = tmp_path / "sub" / "t.csv"
+    _write_csv(out, "a,b,c", [(7, 0.1, None), (np.int64(12), np.float64(1 / 3), math.nan),
+                              (0, math.inf, -math.inf)])
+    assert out.read_bytes() == (
+        b"a,b,c\n7,0.10000000000000001,\n12,0.33333333333333331,nan\n0,inf,-inf\n"
+    )
+    # the first row of a convergence table has no rates, the second has all three
+    out = tmp_path / "c.csv"
+    assert main(["converge", "--alpha", "0.5", "--theta", "0.5", "--taus", "1/5,1/10",
+                 "--nx", "8", "--ny", "8", "--out", str(out)]) == 0
+    header, (first, second) = read_csv(out)
+    rates = [header.index(name) for name in ("rateE", "rateH", "rateP")]
+    assert [first[i] for i in rates] == ["", "", ""]
+    assert all(math.isfinite(float(second[i])) for i in rates)
 
 
 def test_weights_csv_content(tmp_path):
@@ -58,6 +79,10 @@ def test_invalid_parameters_exit_code(tmp_path, capsys):
                  "--steps", "2", "--out", str(tmp_path / "y.csv")])
     assert code == 2
     capsys.readouterr()
+    out = tmp_path / "s.csv"
+    assert main(["energy", "--steps", "0", "--nx", "8", "--ny", "8", "--out", str(out)]) == 2
+    assert "n_steps must be >= 1" in json.loads(capsys.readouterr().err.strip())["message"]
+    assert not out.exists()
     # non-finite values are rejected before any work starts and no CSV is written
     for flags in (["energy", "--tau", "nan"], ["energy", "--tau", "inf"],
                   ["converge", "--alpha", "0.5", "--theta", "0.5", "--taus", "nan"]):
@@ -180,6 +205,54 @@ def test_converge_rates_populated(tmp_path):
 def test_converge_requires_pair_or_sweep(tmp_path, capsys):
     assert main(["converge", "--out", str(tmp_path / "x.csv")]) == 2
     assert "sweep" in json.loads(capsys.readouterr().err.strip())["message"]
+
+
+def test_weights_cross_check_failure_exits_2_without_csv(tmp_path, capsys, monkeypatch):
+    real = colecole.weights.binomial_series
+    monkeypatch.setattr(colecole.weights, "binomial_series",
+                        lambda *a: real(*a) + 1e-9)  # the check's series disagree
+    out = tmp_path / "a.csv"
+    assert main(["weights", "--alpha", "0.5", "--theta", "0.5", "--kind", "a", "--n", "16",
+                 "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    err = json.loads(line)
+    assert err["status"] == "error" and "cross-check failed" in err["message"]
+    assert not out.exists()
+
+
+def _perturbed_varpi(params, n):
+    values = colecole.weights.varpi_weights(params, n).copy()
+    values[3] += 1e-9
+    return values
+
+
+def _gap_grid_with_a_negative_cell(*args):
+    xs, alphas, grid = colecole.weights.min_theta_gap_grid(*args)
+    grid = grid.copy()
+    grid[2, 1] = -1e-3
+    return xs, alphas, grid
+
+
+@pytest.mark.parametrize("argv, patch, failure", [
+    (["weights", "--alpha", "0.5", "--theta", "0.5", "--n", "8"],
+     ("varpi_weights", _perturbed_varpi), {"check": "convolution_identity"}),
+    (["theta-scan", "--x-points", "4", "--alpha-points", "3", "--theta-samples", "5"],
+     ("min_theta_gap_grid", _gap_grid_with_a_negative_cell),
+     {"check": "theta_gap_positive", "min": -1e-3, "x": 0.75, "alpha": 0.5}),
+])
+def test_hard_assertion_failure_exits_1_after_writing_csv(
+    tmp_path, capsys, monkeypatch, argv, patch, failure
+):
+    monkeypatch.setattr(f"colecole.cli.{patch[0]}", patch[1])
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    record = json.loads(line)
+    assert record["status"] == "fail" and record["command"] == argv[0]
+    (got,) = record["failures"]
+    assert {key: got[key] for key in failure} == failure
+    _, rows = read_csv(out)
+    assert len(rows) == (9 if argv[0] == "weights" else 12)
 
 
 def test_energy_run_and_trace(tmp_path):
@@ -354,6 +427,13 @@ def test_weights_single_kind_dump(tmp_path):
     # omega/varpi/a dumps need the shift parameter
     assert main(["weights", "--alpha", "0.5", "--n", "2", "--kind", "omega",
                  "--out", str(tmp_path / "x.csv")]) == 2
+    # the omega column is the SFTR weights, each written by the formatter
+    out = tmp_path / "omega.csv"
+    assert main(["weights", "--alpha", "0.7", "--theta", "0.4", "--n", "16",
+                 "--kind", "omega", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    omega = sftr_weights(SchemeParams(0.7, 0.4), 16)
+    assert rows == [[str(k), _fmt(w)] for k, w in enumerate(omega)]
 
 
 def test_energy_dump_fields(tmp_path):

@@ -116,6 +116,8 @@ def test_shape_mismatch_errors():
         curl_h(np.zeros((4, 5)), g)
     with pytest.raises(ValueError):
         inner_e(zero_edges(g), zero_edges(GridSpec(5, 5)), g)
+    with pytest.raises(ValueError, match="2-D"):
+        VecField(np.zeros(4), np.zeros((5, 4)))
 
 
 @pytest.mark.parametrize("nx,ny", [(8, 8), (16, 24), (60, 60)])

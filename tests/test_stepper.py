@@ -76,6 +76,8 @@ def test_material_and_config_validation():
         SchemeConfig(theta=0.6, tau=0.1, n_steps=4)
     with pytest.raises(ValueError):
         SchemeConfig(theta=0.5, tau=0.0, n_steps=4)
+    with pytest.raises(ValueError, match="n_steps must be >= 1"):
+        SchemeConfig(theta=0.5, tau=0.1, n_steps=0)
     for bad in (math.nan, math.inf, -math.inf):
         for name in ("c_e", "c_m", "c_p", "tau0"):
             with pytest.raises(ValueError, match=name):

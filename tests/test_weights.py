@@ -55,6 +55,8 @@ def test_binomial_series_examples():
     np.testing.assert_allclose(binomial_series(2.0, 1.0, 3), [1.0, 2.0, 1.0, 0.0], atol=0)
     # closed-form binomial coefficients binom(1/2, k) (-1)^k
     np.testing.assert_allclose(binomial_series(0.5, -1.0, 2), [1.0, -0.5, -0.125], rtol=1e-15)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        binomial_series(0.5, 1.0, -1)
 
 
 def test_sftr_reduces_to_grunwald_letnikov_at_half_alpha():
@@ -142,6 +144,14 @@ def test_cumulative_check_is_an_fft_convolution(monkeypatch):
         cumulative_weights(params, 300), np.cumsum(varpi_weights_by_series(params, 300)),
         rtol=0, atol=1e-13,
     )
+
+
+def test_cumulative_cross_check_failure_raises(monkeypatch):
+    # the partial sums do not read binomial_series, the check's series do
+    real = weights.binomial_series
+    monkeypatch.setattr(weights, "binomial_series", lambda *a: real(*a) + 1e-9)
+    with pytest.raises(ArithmeticError, match="cross-check failed"):
+        cumulative_weights(SchemeParams(0.5, 0.5), 16)
 
 
 KERNELS = {
