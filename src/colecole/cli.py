@@ -12,10 +12,12 @@ Every run is deterministic: identical flags produce byte-identical CSVs
 (fixed summation order; one formatter, :func:`_write_csv`, writes every cell
 to 17 significant digits; a blank cell is an undefined rate).  Each entry of a
 sweep is written and its state released before the next entry starts, so a
-failure in entry k leaves the complete CSVs of entries 1..k-1.  Exit codes:
+failure in entry k leaves the complete CSVs of entries 1..k-1.  Each
+subcommand returns its failed checks, an empty list when all held.  Exit codes:
 
 0  every hard assertion of the subcommand held
-1  a hard assertion failed (JSON failure records on stderr)
+1  a hard assertion or an internal cross-check failed (JSON failure records
+   on stderr)
 2  invalid input or an unwritable output path (JSON error on stderr)
 3  the conjugate-gradient E-solve did not converge, or its right-hand side
    or residual was not finite (JSON error on stderr)
@@ -94,57 +96,40 @@ def _reject_fixed_by_sweep(args: argparse.Namespace, flags: tuple[str, ...]) -> 
             raise ValueError(f"--sweep {args.sweep} fixes --{flag}; drop it")
 
 
-class HardAssertionError(Exception):
-    """A subcommand's hard contract was violated; carries the failure records."""
-
-    def __init__(self, failures: list[dict]):
-        super().__init__(f"{len(failures)} hard assertion(s) failed")
-        self.failures = failures
-
-
-def cmd_weights(args: argparse.Namespace) -> None:
+def cmd_weights(args: argparse.Namespace) -> list[dict]:
     n = args.n
     out = Path(args.out)
-    if args.kind != "fbdf2" and args.theta is None:
+    if args.kind == "fbdf2":
+        if args.theta is not None:
+            raise ValueError("--theta is not read by kind 'fbdf2', whose weights do not depend on it")
+        values = fbdf2_weights(args.alpha, n)
+    elif args.theta is None:
         raise ValueError(f"--theta is required for kind {args.kind!r}")
-    if args.kind == "fbdf2" and args.theta is not None:
-        raise ValueError("--theta is not read by kind 'fbdf2', whose weights do not depend on it")
-
+    elif args.kind != "all":
+        family = {"omega": sftr_weights, "varpi": varpi_weights, "a": cumulative_weights}
+        values = family[args.kind](SchemeParams(args.alpha, args.theta), n)
     if args.kind != "all":
         # single-family dump: one value column
-        if args.kind == "fbdf2":
-            values = fbdf2_weights(args.alpha, n)
-        else:
-            params = SchemeParams(args.alpha, args.theta)
-            if args.kind == "omega":
-                values = sftr_weights(params, n)
-            elif args.kind == "varpi":
-                values = varpi_weights(params, n)
-            else:
-                values = cumulative_weights(params, n)
         _write_csv(out, "k,value", enumerate(values))
         print(f"weights kind={args.kind} alpha={args.alpha:g} n={n} -> {out}")
-        return
+        return []
 
     params = SchemeParams(args.alpha, args.theta)
     omega = sftr_weights(params, n)
     varpi = varpi_weights(params, n)
     a = cumulative_weights(params, n)
-    conv = np.convolve(omega, varpi)[: n + 1]
-    expected = np.zeros(n + 1)
-    expected[0] = 1.0
-    if n >= 1:
-        expected[1] = -1.0
-    check = conv - expected
+    # the coefficients of omega(z) varpi(z) - (1 - z)
+    check = np.convolve(omega, varpi)[: n + 1]
+    check[0] -= 1.0
+    check[1:2] -= -1.0  # empty when n = 0
 
     _write_csv(out, "k,omega,varpi,a,conv_check", zip(range(n + 1), omega, varpi, a, check))
     worst = float(np.max(np.abs(check)))
     print(f"weights alpha={args.alpha:g} theta={args.theta:g} n={n}: "
           f"max |conv_check| = {worst:.3e} -> {out}")
     if worst > 1e-12:
-        raise HardAssertionError(
-            [{"check": "convolution_identity", "max_defect": worst, "limit": 1e-12}]
-        )
+        return [{"check": "convolution_identity", "max_defect": worst, "limit": 1e-12}]
+    return []
 
 
 def _parse_taus(spec: str) -> list[float]:
@@ -162,7 +147,7 @@ def _parse_taus(spec: str) -> list[float]:
     return taus
 
 
-def cmd_converge(args: argparse.Namespace) -> None:
+def cmd_converge(args: argparse.Namespace) -> list[dict]:
     quadrature = Quadrature(args.scheme)
     grid = GridSpec(args.nx, args.ny)
     taus = _parse_taus(args.taus)
@@ -173,8 +158,6 @@ def cmd_converge(args: argparse.Namespace) -> None:
         combos = ((args.alpha, args.theta),)
     else:
         raise ValueError("converge needs either --alpha and --theta, or --sweep paper")
-    for alpha, theta in combos:
-        SchemeParams(alpha, theta)  # reject invalid pairs before running
 
     base = Path(args.out)
     for alpha, theta in combos:
@@ -185,6 +168,7 @@ def cmd_converge(args: argparse.Namespace) -> None:
         rate_txt = "n/a" if last.rate_e is None else f"{last.rate_e:.3f}"
         print(f"converge {args.scheme} alpha={alpha:g} theta={theta:g} "
               f"grid={args.nx}x{args.ny}: finest E-rate {rate_txt} -> {path}")
+    return []
 
 
 def _dump_fields(state, prefix: Path) -> None:
@@ -195,7 +179,7 @@ def _dump_fields(state, prefix: Path) -> None:
         _write_csv(path, "i,j,value", zip(*np.indices(arr.shape).reshape(2, -1), arr.ravel()))
 
 
-def cmd_energy(args: argparse.Namespace) -> None:
+def cmd_energy(args: argparse.Namespace) -> list[dict]:
     grid = GridSpec(args.nx, args.ny)
     if args.sweep is not None:
         _reject_fixed_by_sweep(args, ("alpha", "theta", "scheme"))
@@ -206,11 +190,10 @@ def cmd_energy(args: argparse.Namespace) -> None:
         runs = ((alpha, theta, args.scheme or "sftr"),)
     if args.dump_fields is not None and len(runs) != 1:
         raise ValueError("--dump-fields is only available for single runs, not sweeps")
-    checked = [SchemeParams(alpha, theta) for alpha, theta, _ in runs]
 
     base = Path(args.out)
     failures = []
-    for params, (alpha, theta, scheme) in zip(checked, runs):
+    for alpha, theta, scheme in runs:
         state, trace, report = run_decay_experiment(
             alpha, theta, grid, args.tau, args.steps, Quadrature(scheme)
         )
@@ -227,7 +210,7 @@ def cmd_energy(args: argparse.Namespace) -> None:
         )
         # Monotone decay is a hard contract for the shifted-trapezoidal scheme
         # (theta >= alpha/2); the BDF-2 comparison is report-only.
-        if scheme == "sftr" and params.decay_guaranteed and report.violation_count > 0:
+        if scheme == "sftr" and report.violation_count > 0 and SchemeParams(alpha, theta).decay_guaranteed:
             failures.append(
                 {
                     "check": "energy_decay",
@@ -238,11 +221,10 @@ def cmd_energy(args: argparse.Namespace) -> None:
                     "max_violation": report.max_violation,
                 }
             )
-    if failures:
-        raise HardAssertionError(failures)
+    return failures
 
 
-def cmd_theta_scan(args: argparse.Namespace) -> None:
+def cmd_theta_scan(args: argparse.Namespace) -> list[dict]:
     xs, alphas, grid = min_theta_gap_grid(args.x_points, args.alpha_points, args.theta_samples)
     x, alpha = np.meshgrid(xs, alphas, indexing="ij")
     out = Path(args.out)
@@ -254,9 +236,8 @@ def cmd_theta_scan(args: argparse.Namespace) -> None:
     )
     if gmin <= 0.0:
         i, j = np.unravel_index(int(np.argmin(grid)), grid.shape)
-        raise HardAssertionError(
-            [{"check": "theta_gap_positive", "min": gmin, "x": float(xs[i]), "alpha": float(alphas[j])}]
-        )
+        return [{"check": "theta_gap_positive", "min": gmin, "x": float(xs[i]), "alpha": float(alphas[j])}]
+    return []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,19 +302,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
-    except HardAssertionError as exc:
-        print(
-            json.dumps({"status": "fail", "command": args.command, "failures": exc.failures}),
-            file=sys.stderr,
-        )
-        return 1
+        failures = args.func(args)
+    except FloatingPointError as exc:
+        # the only FloatingPointError raised: cumulative_weights' cross-check; the flags were valid
+        failures = [{"check": "cumulative_weights_cross_check", "message": str(exc)}]
     except (ValueError, ArithmeticError, OSError) as exc:
         return _report_error(args.command, exc, 2)
     except SolverError as exc:
         return _report_error(args.command, exc, 3)
     except MemoryError as exc:
         return _report_error(args.command, exc, 4)
+    if failures:
+        print(
+            json.dumps({"status": "fail", "command": args.command, "failures": failures}),
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -95,9 +95,13 @@ def dissipation_residual(state: SimState, p_prev: np.ndarray, e_prev: float, e_n
 
 def decay_report(trace: np.ndarray) -> DecayReport:
     """Count energy increases beyond :func:`energy_tolerance` of E~^0 in a
-    :data:`TRACE` record array."""
+    :data:`TRACE` record array; :class:`ValueError` at the first step whose
+    energy or violation is not finite, which no count could describe."""
     if len(trace) == 0:
         raise ValueError("empty trace")
+    bad = np.flatnonzero(~(np.isfinite(trace["energy"]) & np.isfinite(trace["violation"])))
+    if len(bad):
+        raise ValueError(f"non-finite energy record at step {int(trace['n'][bad[0]])}")
     tol = energy_tolerance(float(trace["energy"][0]))
     violation = trace["violation"]
     over = np.flatnonzero(violation > tol)

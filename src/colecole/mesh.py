@@ -269,8 +269,9 @@ class CurlCurlBasis:
 
     def inverse(self, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Edge arrays (ex, ey) with coefficients ``coef`` and zero boundary rows
-        and columns; ``coef`` is overwritten."""
+        and columns; ``coef`` is left as it is."""
         nx, ny = self.shape
+        coef = coef.copy()
         self._reflect(coef)
         ex = np.zeros((nx, ny + 1))
         _dst(_idct(coef[0, :, 1:], 0, self._idct_x), 1, self._dst_y, out=ex[:, 1:-1])

@@ -247,8 +247,8 @@ class SimState:
         E and P as edge pairs, H as an (nx, ny) cell array."""
         basis = CurlCurlBasis(self.grid)
         return (
-            VecField(*basis.inverse(self.e.copy())),
-            VecField(*basis.inverse(self.p.copy())),
+            VecField(*basis.inverse(self.e)),
+            VecField(*basis.inverse(self.p)),
             basis.inverse_cell(self.h),
         )
 

@@ -155,8 +155,9 @@ def cumulative_weights(params: SchemeParams, n: int) -> np.ndarray:
 
     The same numbers are the Taylor coefficients of
     (1-z)^(-alpha) (d0 + d1 z)^alpha = varpi(z)/(1-z); both evaluations are
-    computed and must agree to 1e-12, which guards the recurrence path.  The
-    series product is an FFT convolution, so the check costs O(n log n).
+    computed and must agree to 1e-12, which guards the recurrence path;
+    :class:`FloatingPointError` (an :class:`ArithmeticError`) if they do not.
+    The series product is an FFT convolution, so the check costs O(n log n).
     """
     vals = np.cumsum(varpi_weights(params, n))
     a = params.alpha
@@ -169,7 +170,7 @@ def cumulative_weights(params: SchemeParams, n: int) -> np.ndarray:
     direct = d0**a * np.fft.irfft(spectrum, size)[: n + 1]
     defect = float(np.max(np.abs(vals - direct)))
     if defect > 1e-12:
-        raise ArithmeticError(
+        raise FloatingPointError(
             f"cumulative-weight cross-check failed: partial sums and series "
             f"expansion disagree by {defect:.3e}"
         )

@@ -165,7 +165,7 @@ def combine_theta(u_new, u_old, theta: float):
 
 def edge_field(coef: np.ndarray, grid: GridSpec) -> VecField:
     """The edge field on the dofs with coefficients ``coef`` (left unchanged)."""
-    return VecField(*CurlCurlBasis(grid).inverse(coef.copy()))
+    return VecField(*CurlCurlBasis(grid).inverse(coef))
 
 
 def in_modes(sources: DofSources, grid: GridSpec) -> Sources:

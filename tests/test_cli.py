@@ -101,6 +101,28 @@ def test_invalid_parameters_exit_code(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["converge", "--alpha", "1.5", "--theta", "0.5"], "alpha=1.5 outside (0, 1)"),
+    (["converge", "--alpha", "0.5", "--theta", "0.9"], "theta=0.9 outside (0, 1/2]"),
+    (["energy", "--alpha", "nan"], "alpha=nan outside (0, 1)"),
+    (["energy", "--theta", "0"], "theta=0.0 outside (0, 1/2]"),
+])
+def test_invalid_pair_is_refused_by_the_run_before_sampling(tmp_path, capsys, monkeypatch,
+                                                            argv, bad):
+    # the run's own MaterialParams and SchemeConfig check alpha and theta
+    from colecole.manufactured import ManufacturedCase
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the parameters were checked")
+
+    monkeypatch.setattr("colecole.energy.decay_initial_data", no_sampling)
+    monkeypatch.setattr(ManufacturedCase, "sample", no_sampling)
+    assert main(argv + ["--nx", "8", "--ny", "8", "--out", str(tmp_path / "x.csv")]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line) == {"status": "error", "command": argv[0], "message": bad}
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("taus, bad", [
     ("1/5,1/10,1/20,1/40,1/40", "tau=0.025 (entry 5)"),
     ("1/5,0.3", "tau=0.3 does not divide"),
@@ -207,16 +229,20 @@ def test_converge_requires_pair_or_sweep(tmp_path, capsys):
     assert "sweep" in json.loads(capsys.readouterr().err.strip())["message"]
 
 
-def test_weights_cross_check_failure_exits_2_without_csv(tmp_path, capsys, monkeypatch):
+def test_weights_cross_check_failure_exits_1_without_csv(tmp_path, capsys, monkeypatch):
+    # valid flags whose weights fail their cross-check: a failed check, not bad input
     real = colecole.weights.binomial_series
     monkeypatch.setattr(colecole.weights, "binomial_series",
                         lambda *a: real(*a) + 1e-9)  # the check's series disagree
     out = tmp_path / "a.csv"
     assert main(["weights", "--alpha", "0.5", "--theta", "0.5", "--kind", "a", "--n", "16",
-                 "--out", str(out)]) == 2
+                 "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
-    err = json.loads(line)
-    assert err["status"] == "error" and "cross-check failed" in err["message"]
+    record = json.loads(line)
+    assert record["status"] == "fail" and record["command"] == "weights"
+    (failure,) = record["failures"]
+    assert failure["check"] == "cumulative_weights_cross_check"
+    assert "cross-check failed" in failure["message"]
     assert not out.exists()
 
 

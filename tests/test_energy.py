@@ -24,7 +24,9 @@ from colecole.stepper import (
 )
 from colecole.weights import SchemeParams
 
-from oracles import inner_e, inner_h, varpi_weights_by_series, with_p_history, zero_edges
+from oracles import (
+    curl_e, inner_e, inner_h, varpi_weights_by_series, with_p_history, zero_edges,
+)
 
 
 def fresh_state(grid, alpha=0.5, theta=0.5, tau=0.05, n_steps=8, quadrature=Quadrature.SFTR,
@@ -198,6 +200,38 @@ def test_trace_and_decay_report():
     assert rep == DecayReport(0, 1e-11, None, 2e-10)
     with pytest.raises(ValueError, match="empty"):
         decay_report(np.zeros(0, TRACE))
+
+
+@pytest.mark.parametrize("energies, violations, at", [
+    ([1.0, 0.9, np.nan, 0.8], [0.0, 0.0, np.nan, 0.0], 2),
+    ([1.0, 0.9, 0.8, 0.7], [0.0, 0.0, 0.0, np.inf], 3),
+])
+def test_decay_report_refuses_a_non_finite_record(energies, violations, at):
+    # a NaN never counts as 0 violations: the report names the first bad step
+    with pytest.raises(ValueError, match=f"non-finite energy record at step {at}"):
+        decay_report(make_trace(energies, violations))
+
+
+def test_theta_below_half_alpha_can_rise():
+    # Report-only: the theorem's theta >= alpha/2 is needed on some data.  E^0
+    # is one curl-free mode, so H and the curls stay zero and the energy is
+    # that of a scalar fractional relaxation, which at theta = 0.2 < alpha/2
+    # rises once, at step 2; at theta = alpha/2 it never rises.
+    grid = GridSpec(16, 16)
+    coef = np.zeros((2, 16, 16))
+    coef[0, 3, 5] = 1.0
+    e0 = VecField(*CurlCurlBasis(grid).inverse(coef))
+    assert np.abs(curl_e(e0, grid)).max() <= 1e-12
+    for theta, rises in ((0.2, [2]), (0.45, [])):
+        state = fresh_state(grid, alpha=0.9, theta=theta, tau=5.0, n_steps=50, e0=e0)
+        energies = [discrete_energy(state)]
+        while state.n < 50:
+            energies.append(discrete_energy(step(state)))
+        assert energies[0] == pytest.approx(3.906e-3, rel=1e-3)
+        rise = np.diff(energies)
+        assert (np.flatnonzero(rise > energy_tolerance(energies[0])) + 1).tolist() == rises
+        if rises:
+            assert rise[1] == pytest.approx(1.03e-4, rel=1e-2)
 
 
 def test_run_decay_experiment_records_each_step():

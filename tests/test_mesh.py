@@ -170,6 +170,19 @@ def test_curl_curl_basis_round_trip_and_parseval(grid):
 
 
 @pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_curl_curl_inverse_leaves_its_argument(grid):
+    # a caller may pass a run's own coefficients, such as state.e
+    basis = CurlCurlBasis(grid)
+    coef = np.random.default_rng(grid.nx).standard_normal((2, grid.nx, grid.ny))
+    before = coef.tobytes()
+    ex, ey = basis.inverse(coef)
+    assert coef.tobytes() == before
+    # so a second call on the same array gives the same fields
+    again = basis.inverse(coef)
+    assert np.array_equal(again[0], ex) and np.array_equal(again[1], ey)
+
+
+@pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
 def test_curl_curl_basis_diagonalises_the_step_operator(grid):
     basis = CurlCurlBasis(grid)
     diag, curl_scale = 3.7, 0.02

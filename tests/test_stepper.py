@@ -643,6 +643,27 @@ def test_memory_preflight_counts_the_tail_alone(monkeypatch):
     assert history.window.shape == (53, dofs) and history.tail is not None
 
 
+@pytest.mark.parametrize("size, steps, quadrature", [
+    (64, 400, Quadrature.SFTR),  # folds
+    (256, 20, Quadrature.SFTR),
+    (48, 40, Quadrature.FBDF2),
+])
+def test_memory_preflight_covers_a_traced_run(monkeypatch, size, steps, quadrature):
+    # the estimate is at least what a whole decay run allocates: numpy's
+    # buffers traced over the run peak no higher than the preflight's need
+    grid = GridSpec(size, size)
+    tracemalloc.start()
+    try:
+        energy.run_decay_experiment(0.5, 0.5, grid, 0.002, steps, quadrature)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: peak - 1)
+    with pytest.raises(MemoryError, match="physical memory"):
+        stepper.preflight(grid, MaterialParams(alpha=0.5),
+                          SchemeConfig(theta=0.5, tau=0.002, n_steps=steps, quadrature=quadrature))
+
+
 def test_fold_allocates_one_row():
     # the tail is folded one pole at a time: numpy's buffers traced during a
     # fold peak at one row (M rows when the poles were folded together), and
