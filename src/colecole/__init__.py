@@ -46,7 +46,6 @@ from .stepper import (
     step,
 )
 from .weights import (
-    SchemeParams,
     cumulative_weights,
     fbdf2_weights,
     min_theta_gap_grid,
@@ -64,7 +63,6 @@ __all__ = [
     "Quadrature",
     "SampledCase",
     "SchemeConfig",
-    "SchemeParams",
     "SimState",
     "SolverError",
     "Sources",

@@ -42,8 +42,8 @@ from .manufactured import ManufacturedCase, convergence_table
 from .mesh import GridSpec
 from .stepper import Quadrature, SolverError
 from .weights import (
-    SchemeParams,
     cumulative_weights,
+    decay_guaranteed,
     fbdf2_weights,
     min_theta_gap_grid,
     sftr_weights,
@@ -107,17 +107,16 @@ def cmd_weights(args: argparse.Namespace) -> list[dict]:
         raise ValueError(f"--theta is required for kind {args.kind!r}")
     elif args.kind != "all":
         family = {"omega": sftr_weights, "varpi": varpi_weights, "a": cumulative_weights}
-        values = family[args.kind](SchemeParams(args.alpha, args.theta), n)
+        values = family[args.kind](args.alpha, args.theta, n)
     if args.kind != "all":
         # single-family dump: one value column
         _write_csv(out, "k,value", enumerate(values))
         print(f"weights kind={args.kind} alpha={args.alpha:g} n={n} -> {out}")
         return []
 
-    params = SchemeParams(args.alpha, args.theta)
-    omega = sftr_weights(params, n)
-    varpi = varpi_weights(params, n)
-    a = cumulative_weights(params, n)
+    omega = sftr_weights(args.alpha, args.theta, n)
+    varpi = varpi_weights(args.alpha, args.theta, n)
+    a = cumulative_weights(args.alpha, args.theta, n)
     # the coefficients of omega(z) varpi(z) - (1 - z)
     check = np.convolve(omega, varpi)[: n + 1]
     check[0] -= 1.0
@@ -210,7 +209,7 @@ def cmd_energy(args: argparse.Namespace) -> list[dict]:
         )
         # Monotone decay is a hard contract for the shifted-trapezoidal scheme
         # (theta >= alpha/2); the BDF-2 comparison is report-only.
-        if scheme == "sftr" and report.violation_count > 0 and SchemeParams(alpha, theta).decay_guaranteed:
+        if scheme == "sftr" and report.violation_count > 0 and decay_guaranteed(alpha, theta):
             failures.append(
                 {
                     "check": "energy_decay",

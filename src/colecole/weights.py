@@ -19,6 +19,12 @@ Discretized fractional calculus, SIAM J. Math. Anal. 1986).  The a_j are
 the cumulative sum of varpi, cross-checked against the product of two
 ``binomial_series`` by an FFT convolution.
 
+The SFTR families take (alpha, theta) as plain floats.  ``check_alpha`` and
+``check_theta`` write the rules alpha in (0, 1) and theta in (0, 1/2] once,
+with one message each; the families, :class:`colecole.stepper.MaterialParams`
+and :class:`colecole.stepper.SchemeConfig` call them.  ``decay_guaranteed``
+tells whether theta >= alpha/2, the hypothesis of the energy-decay theorem.
+
 ``exponential_tail`` fits a run's kernel from lag n0 on by a sum of real
 geometric sequences, c_m r_m^(j - n0), within 1e-15 |K_0| on every lag, so
 that :mod:`colecole.stepper` can fold old history rows into one accumulator
@@ -39,38 +45,31 @@ second-order symbol identity of varpi and a are test oracles
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    """Fractional order alpha in (0,1) and shift theta in (0, 1/2]."""
+def check_alpha(alpha: float) -> None:
+    """Raise :class:`ValueError` unless the fractional order alpha lies in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(
+            f"alpha={alpha} outside (0, 1); the fractional order of the "
+            "Cole-Cole relaxation must be a proper fraction"
+        )
 
-    alpha: float
-    theta: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(
-                f"alpha={self.alpha} outside (0, 1); the fractional order of the "
-                "Cole-Cole relaxation must be a proper fraction"
-            )
-        if not 0.0 < self.theta <= 0.5:
-            raise ValueError(
-                f"theta={self.theta} outside (0, 1/2]; the shifted trapezoidal "
-                "generating function is defined only for 0 < theta <= 1/2"
-            )
+def check_theta(theta: float) -> None:
+    """Raise :class:`ValueError` unless the shift theta lies in (0, 1/2]."""
+    if not 0.0 < theta <= 0.5:
+        raise ValueError(
+            f"theta={theta} outside (0, 1/2]; the shifted trapezoidal "
+            "generating function is defined only for 0 < theta <= 1/2"
+        )
 
-    @property
-    def decay_guaranteed(self) -> bool:
-        """True iff theta >= alpha/2, the hypothesis of the energy-decay theorem."""
-        return self.theta >= 0.5 * self.alpha
 
-    @property
-    def shift_ratio(self) -> float:
-        return self.theta / self.alpha
+def decay_guaranteed(alpha: float, theta: float) -> bool:
+    """True iff theta >= alpha/2, the hypothesis of the energy-decay theorem."""
+    return theta >= 0.5 * alpha
 
 
 def binomial_series(gamma: float, scale: float, n: int) -> np.ndarray:
@@ -111,13 +110,16 @@ def _series(scale: float, p: float, q: float, r: float, n: int) -> np.ndarray:
     return _read_only(vals)
 
 
-def _denominator_coeffs(params: SchemeParams) -> tuple[float, float]:
-    # 1/2 (1+z) + (theta/alpha)(1-z) = d0 + d1 z, with d0 > 0 always.
-    r = params.shift_ratio
+def _denominator_coeffs(alpha: float, theta: float) -> tuple[float, float]:
+    # 1/2 (1+z) + (theta/alpha)(1-z) = d0 + d1 z, with d0 > 0 always; every
+    # SFTR-family function checks its (alpha, theta) here.
+    check_alpha(alpha)
+    check_theta(theta)
+    r = theta / alpha
     return 0.5 + r, 0.5 - r
 
 
-def alternating_lags(params: SchemeParams) -> int | float:
+def alternating_lags(alpha: float, theta: float) -> int | float:
     """First lag j with (1+1/q)^alpha q^j / Gamma(alpha) <= 1e-16, q = d1/d0:
     0 if q <= 0 (theta >= alpha/2), math.inf if q rounds to 1.
 
@@ -125,32 +127,29 @@ def alternating_lags(params: SchemeParams) -> int | float:
     part of about (1+1/q)^alpha (-q)^j j^(alpha-1) / Gamma(alpha) |K_0|
     (Lubich 1986); dropping j^(alpha-1) <= 1 keeps the bound.
     """
-    d0, d1 = _denominator_coeffs(params)
+    d0, d1 = _denominator_coeffs(alpha, theta)
     q = d1 / d0
     if not 0.0 < q < 1.0:
         return 0 if q <= 0.0 else math.inf
-    a = params.alpha
-    excess = a * (math.log1p(q) - math.log(q)) - math.lgamma(a) - math.log(1e-16)
+    excess = alpha * (math.log1p(q) - math.log(q)) - math.lgamma(alpha) - math.log(1e-16)
     return max(0, math.ceil(excess / -math.log(q)))
 
 
-def sftr_weights(params: SchemeParams, n: int) -> np.ndarray:
+def sftr_weights(alpha: float, theta: float, n: int) -> np.ndarray:
     """Shifted-fractional-trapezoidal weights omega_0..omega_n:
     omega(z) = d0^(-alpha) (1-z)^alpha (1 + (d1/d0) z)^(-alpha)."""
-    a = params.alpha
-    d0, d1 = _denominator_coeffs(params)
-    return _series(d0 ** (-a), a, d1 / d0, -a, n)
+    d0, d1 = _denominator_coeffs(alpha, theta)
+    return _series(d0 ** (-alpha), alpha, d1 / d0, -alpha, n)
 
 
-def varpi_weights(params: SchemeParams, n: int) -> np.ndarray:
+def varpi_weights(alpha: float, theta: float, n: int) -> np.ndarray:
     """Companion weights varpi_0..varpi_n with varpi(z) * omega(z) = 1 - z:
     varpi(z) = d0^alpha (1-z)^(1-alpha) (1 + (d1/d0) z)^alpha."""
-    a = params.alpha
-    d0, d1 = _denominator_coeffs(params)
-    return _series(d0**a, 1.0 - a, d1 / d0, a, n)
+    d0, d1 = _denominator_coeffs(alpha, theta)
+    return _series(d0**alpha, 1.0 - alpha, d1 / d0, alpha, n)
 
 
-def cumulative_weights(params: SchemeParams, n: int) -> np.ndarray:
+def cumulative_weights(alpha: float, theta: float, n: int) -> np.ndarray:
     """Cumulative sums a_j = sum_{k<=j} varpi_k for j = 0..n.
 
     The same numbers are the Taylor coefficients of
@@ -159,15 +158,14 @@ def cumulative_weights(params: SchemeParams, n: int) -> np.ndarray:
     :class:`FloatingPointError` (an :class:`ArithmeticError`) if they do not.
     The series product is an FFT convolution, so the check costs O(n log n).
     """
-    vals = np.cumsum(varpi_weights(params, n))
-    a = params.alpha
-    d0, d1 = _denominator_coeffs(params)
+    vals = np.cumsum(varpi_weights(alpha, theta, n))
+    d0, d1 = _denominator_coeffs(alpha, theta)
     # The product of the two series by real FFTs, O(n log n), zero-padded to a
     # power of two past 2n + 1 so that the circular convolution is the linear one.
     size = 1 << int(2 * n + 1).bit_length()  # n may be a numpy integer
-    spectrum = np.fft.rfft(binomial_series(-a, -1.0, n), size)
-    spectrum *= np.fft.rfft(binomial_series(a, d1 / d0, n), size)
-    direct = d0**a * np.fft.irfft(spectrum, size)[: n + 1]
+    spectrum = np.fft.rfft(binomial_series(-alpha, -1.0, n), size)
+    spectrum *= np.fft.rfft(binomial_series(alpha, d1 / d0, n), size)
+    direct = d0**alpha * np.fft.irfft(spectrum, size)[: n + 1]
     defect = float(np.max(np.abs(vals - direct)))
     if defect > 1e-12:
         raise FloatingPointError(
@@ -180,8 +178,7 @@ def cumulative_weights(params: SchemeParams, n: int) -> np.ndarray:
 def fbdf2_weights(alpha: float, n: int) -> np.ndarray:
     """Fractional BDF-2 weights: coefficients of (3/2 - 2z + z^2/2)^alpha
     = (3/2)^alpha (1-z)^alpha (1 - z/3)^alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha={alpha} outside (0, 1)")
+    check_alpha(alpha)
     return _series(1.5**alpha, alpha, -1.0 / 3.0, alpha, n)
 
 

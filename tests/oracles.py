@@ -48,7 +48,7 @@ import numpy as np
 from colecole.manufactured import PROFILES, ManufacturedCase, _sin_pi, caputo_cubic_factor
 from colecole.mesh import CurlCurlBasis, GridSpec, VecField, sample_scalar, sample_vec
 from colecole.stepper import Quadrature, SimState, SolverError, Sources, frac_deriv_current, step
-from colecole.weights import SchemeParams, binomial_series, cumulative_weights, varpi_weights
+from colecole.weights import binomial_series, cumulative_weights, varpi_weights
 
 # sources(t) -> (f1, f2, f3) on the dofs, f2 an (nx, ny) cell array: the
 # physical form of ``Sources``.
@@ -239,25 +239,23 @@ def series_power(f: np.ndarray, alpha: float, n: int) -> np.ndarray:
     return g
 
 
-def varpi_weights_by_series(params: SchemeParams, n: int) -> np.ndarray:
+def varpi_weights_by_series(alpha: float, theta: float, n: int) -> np.ndarray:
     """varpi_0..varpi_n as the coefficients of (1-z)^(1-alpha) (d0 + d1 z)^alpha,
     d0 = 1/2 + theta/alpha, d1 = 1/2 - theta/alpha, by binomial-series convolution."""
-    a = params.alpha
-    d0, d1 = 0.5 + params.shift_ratio, 0.5 - params.shift_ratio
-    num = binomial_series(1.0 - a, -1.0, n)
-    den = binomial_series(a, d1 / d0, n)
-    return d0**a * np.convolve(num, den)[: n + 1]
+    d0, d1 = 0.5 + theta / alpha, 0.5 - theta / alpha
+    num = binomial_series(1.0 - alpha, -1.0, n)
+    den = binomial_series(alpha, d1 / d0, n)
+    return d0**alpha * np.convolve(num, den)[: n + 1]
 
 
-def sftr_weights_by_series(params: SchemeParams, n: int) -> np.ndarray:
+def sftr_weights_by_series(alpha: float, theta: float, n: int) -> np.ndarray:
     """omega_0..omega_n as the coefficients of [(1-z)/(d0 + d1 z)]^alpha,
     d0 = 1/2 + theta/alpha, d1 = 1/2 - theta/alpha: d0^(-alpha) times the
     convolution of the binomial series of (1-z)^alpha and (1 + (d1/d0) z)^(-alpha)."""
-    a = params.alpha
-    d0, d1 = 0.5 + params.shift_ratio, 0.5 - params.shift_ratio
-    num = binomial_series(a, -1.0, n)
-    den = binomial_series(-a, d1 / d0, n)
-    return d0 ** (-a) * np.convolve(num, den)[: n + 1]
+    d0, d1 = 0.5 + theta / alpha, 0.5 - theta / alpha
+    num = binomial_series(alpha, -1.0, n)
+    den = binomial_series(-alpha, d1 / d0, n)
+    return d0 ** (-alpha) * np.convolve(num, den)[: n + 1]
 
 
 def fbdf2_weights_by_series(alpha: float, n: int) -> np.ndarray:
@@ -274,7 +272,7 @@ class SymbolKind(enum.Enum):
 
 
 def symbol_residual(
-    kind: SymbolKind, params: SchemeParams, tau: float, K: int | None = None
+    kind: SymbolKind, alpha: float, theta: float, tau: float, K: int | None = None
 ) -> float:
     """Defect of the second-order symbol identity at step size tau.
 
@@ -290,11 +288,11 @@ def symbol_residual(
     if K is None:
         K = math.ceil(60.0 / tau)
     if kind is SymbolKind.VARPI_SYMBOL:
-        seq = varpi_weights(params, K - 1)
-        prefactor = tau ** (params.alpha - 1.0) * math.exp((0.5 - params.theta) * tau)
+        seq = varpi_weights(alpha, theta, K - 1)
+        prefactor = tau ** (alpha - 1.0) * math.exp((0.5 - theta) * tau)
     elif kind is SymbolKind.A_SYMBOL:
-        seq = cumulative_weights(params, K - 1)
-        prefactor = tau**params.alpha * math.exp(-params.theta * tau)
+        seq = cumulative_weights(alpha, theta, K - 1)
+        prefactor = tau**alpha * math.exp(-theta * tau)
     else:
         raise ValueError(f"unknown symbol kind {kind!r}")
 

@@ -39,7 +39,6 @@ from colecole.stepper import (
     step,
 )
 from colecole.weights import (
-    SchemeParams,
     cumulative_weights,
     min_theta_gap_grid,
     sftr_weights,
@@ -76,8 +75,7 @@ def test_c01_weight_convolution_identity():
     t0 = time.perf_counter()
     worst = 0.0
     for alpha, theta in PARAM_GRID:
-        params = SchemeParams(alpha, theta)
-        conv = np.convolve(sftr_weights(params, 512), varpi_weights(params, 512))
+        conv = np.convolve(sftr_weights(alpha, theta, 512), varpi_weights(alpha, theta, 512))
         expected = np.zeros(513)
         expected[0], expected[1] = 1.0, -1.0
         worst = max(worst, float(np.max(np.abs(conv[:513] - expected))))
@@ -91,11 +89,10 @@ def test_c01_weight_convolution_identity():
 def test_c02_sign_pattern_and_monotonicity():
     t0 = time.perf_counter()
     for alpha, theta in PARAM_GRID:
-        params = SchemeParams(alpha, theta)
-        varpi = varpi_weights(params, 2000)
+        varpi = varpi_weights(alpha, theta, 2000)
         assert varpi[0] > 0.0, (alpha, theta)
         assert np.all(varpi[1:] <= 0.0), (alpha, theta)
-        a = cumulative_weights(params, 2000)
+        a = cumulative_weights(alpha, theta, 2000)
         assert np.all(a > 0.0), (alpha, theta)
         assert np.all(np.diff(a) <= 0.0), (alpha, theta)
     elapsed = time.perf_counter() - t0
@@ -107,10 +104,10 @@ def test_c03_symbol_second_order():
     t0 = time.perf_counter()
     orders = []
     for alpha, theta in PARAM_GRID:
-        params = SchemeParams(alpha, theta)
         for kind in (SymbolKind.VARPI_SYMBOL, SymbolKind.A_SYMBOL):
             order = math.log2(
-                symbol_residual(kind, params, 0.05) / symbol_residual(kind, params, 0.025)
+                symbol_residual(kind, alpha, theta, 0.05)
+                / symbol_residual(kind, alpha, theta, 0.025)
             )
             orders.append(order)
             assert 1.7 <= order <= 2.3, (alpha, theta, kind, order)
@@ -143,8 +140,7 @@ def test_c05_sequence_inequality():
         alpha = rng.uniform(0.05, 0.95)
         theta = rng.uniform(0.5 * alpha, 0.5)
         n = int(rng.integers(1, 65))
-        params = SchemeParams(alpha, theta)
-        varpi = varpi_weights(params, n)
+        varpi = varpi_weights(alpha, theta, n)
         a = np.cumsum(varpi)
         v = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, n)])
         s = float(np.dot(varpi[:n][::-1], v[1:]))

@@ -14,8 +14,13 @@ import colecole.weights
 from colecole.cli import _fmt, _write_csv, main
 from colecole.energy import run_decay_experiment
 from colecole.mesh import GridSpec
-from colecole.stepper import SolverError
-from colecole.weights import SchemeParams, sftr_weights
+from colecole.stepper import MaterialParams, SchemeConfig, SolverError
+from colecole.weights import (
+    alternating_lags,
+    cumulative_weights,
+    fbdf2_weights,
+    sftr_weights,
+)
 
 
 def read_csv(path):
@@ -101,6 +106,14 @@ def test_invalid_parameters_exit_code(tmp_path, capsys):
         assert not out.exists()
 
 
+# the reason each range rule gives after "alpha=... outside (0, 1)" or
+# "theta=... outside (0, 1/2]", whichever entry point refuses the value
+REASON = {
+    "alpha": "; the fractional order of the Cole-Cole relaxation must be a proper fraction",
+    "theta": "; the shifted trapezoidal generating function is defined only for 0 < theta <= 1/2",
+}
+
+
 @pytest.mark.parametrize("argv, bad", [
     (["converge", "--alpha", "1.5", "--theta", "0.5"], "alpha=1.5 outside (0, 1)"),
     (["converge", "--alpha", "0.5", "--theta", "0.9"], "theta=0.9 outside (0, 1/2]"),
@@ -119,8 +132,45 @@ def test_invalid_pair_is_refused_by_the_run_before_sampling(tmp_path, capsys, mo
     monkeypatch.setattr(ManufacturedCase, "sample", no_sampling)
     assert main(argv + ["--nx", "8", "--ny", "8", "--out", str(tmp_path / "x.csv")]) == 2
     (line,) = capsys.readouterr().err.strip().splitlines()
-    assert json.loads(line) == {"status": "error", "command": argv[0], "message": bad}
+    message = bad + REASON[bad.split("=")[0]]
+    assert json.loads(line) == {"status": "error", "command": argv[0], "message": message}
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, value", [
+    ("alpha", 1.5), ("alpha", math.nan), ("theta", 0.9), ("theta", 0.0),
+])
+def test_a_bad_value_gets_one_message_from_every_entry_point(tmp_path, capsys, name, value):
+    # one range check per parameter: the library and the CLI refuse the same
+    # bad alpha or theta with the same text
+    alpha, theta = (value, 0.25) if name == "alpha" else (0.5, value)
+    expected = f"{name}={value} outside " + ("(0, 1)" if name == "alpha" else "(0, 1/2]")
+    expected += REASON[name]
+    library = {
+        "sftr_weights": lambda: sftr_weights(alpha, theta, 4),
+        "cumulative_weights": lambda: cumulative_weights(alpha, theta, 4),
+        "alternating_lags": lambda: alternating_lags(alpha, theta),
+    }
+    if name == "alpha":
+        library["fbdf2_weights"] = lambda: fbdf2_weights(alpha, 4)
+        library["MaterialParams"] = lambda: MaterialParams(alpha=alpha)
+    else:
+        library["SchemeConfig"] = lambda: SchemeConfig(theta=theta, tau=0.1, n_steps=4)
+    for entry, call in library.items():
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == expected, entry
+    pair = ["--alpha", str(alpha), "--theta", str(theta)]
+    grid = ["--nx", "8", "--ny", "8"]
+    commands = [["weights"] + pair, ["energy"] + pair + grid, ["converge"] + pair + grid]
+    if name == "alpha":
+        commands.append(["weights", "--kind", "fbdf2", "--alpha", str(alpha)])
+    for argv in commands:
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line) == {"status": "error", "command": argv[0], "message": expected}
+        assert list(tmp_path.iterdir()) == [], argv
 
 
 @pytest.mark.parametrize("taus, bad", [
@@ -246,8 +296,8 @@ def test_weights_cross_check_failure_exits_1_without_csv(tmp_path, capsys, monke
     assert not out.exists()
 
 
-def _perturbed_varpi(params, n):
-    values = colecole.weights.varpi_weights(params, n).copy()
+def _perturbed_varpi(alpha, theta, n):
+    values = colecole.weights.varpi_weights(alpha, theta, n).copy()
     values[3] += 1e-9
     return values
 
@@ -458,7 +508,7 @@ def test_weights_single_kind_dump(tmp_path):
     assert main(["weights", "--alpha", "0.7", "--theta", "0.4", "--n", "16",
                  "--kind", "omega", "--out", str(out)]) == 0
     _, rows = read_csv(out)
-    omega = sftr_weights(SchemeParams(0.7, 0.4), 16)
+    omega = sftr_weights(0.7, 0.4, 16)
     assert rows == [[str(k), _fmt(w)] for k, w in enumerate(omega)]
 
 
@@ -587,8 +637,8 @@ def test_console_entry_point():
 # those functions return or raise.
 EXPORTS = [
     "ConvergenceRow", "CurlCurlBasis", "DecayReport", "GridSpec", "ManufacturedCase",
-    "MaterialParams", "Quadrature", "SampledCase", "SchemeConfig", "SchemeParams",
-    "SimState", "SolverError", "Sources", "TRACE", "VecField", "convergence_table",
+    "MaterialParams", "Quadrature", "SampledCase", "SchemeConfig", "SimState",
+    "SolverError", "Sources", "TRACE", "VecField", "convergence_table",
     "cumulative_weights", "decay_initial_data", "decay_report", "discrete_energy",
     "dissipation_residual", "energy_tolerance", "error_norms", "fbdf2_weights",
     "init_state", "min_theta_gap_grid", "norm_sq", "run", "run_case",

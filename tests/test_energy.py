@@ -22,7 +22,6 @@ from colecole.stepper import (
     init_state,
     step,
 )
-from colecole.weights import SchemeParams
 
 from oracles import (
     curl_e, inner_e, inner_h, varpi_weights_by_series, with_p_history, zero_edges,
@@ -64,7 +63,7 @@ def test_state_carries_cumulative_companion_weights(quadrature, alpha, theta, n_
     state = fresh_state(GridSpec(4, 4), alpha=alpha, theta=theta, tau=1.0 / n_steps,
                         n_steps=n_steps, quadrature=quadrature)
     assert len(state.a_weights) == n_steps + 1
-    expected = np.cumsum(varpi_weights_by_series(SchemeParams(alpha, theta), n_steps))
+    expected = np.cumsum(varpi_weights_by_series(alpha, theta, n_steps))
     np.testing.assert_allclose(state.a_weights, expected, rtol=1e-13, atol=0)
     assert step(state).a_weights is state.a_weights
 

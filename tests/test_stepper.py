@@ -31,7 +31,6 @@ from colecole.stepper import (
 from colecole.weights import (
     TAIL_FIT_ROWS,
     TAIL_MAX_POLES,
-    SchemeParams,
     cumulative_weights,
     exponential_tail,
     fbdf2_weights,
@@ -90,8 +89,8 @@ def test_material_and_config_validation():
             SchemeConfig(theta=0.5, tau=0.1, n_steps=bad)
     config = SchemeConfig(theta=0.5, tau=0.1, n_steps=np.int64(3))
     assert type(config.n_steps) is int and config.n_steps == 3
-    params = SchemeParams(0.5, 0.5)
-    assert np.array_equal(cumulative_weights(params, np.int64(3)), cumulative_weights(params, 3))
+    a = cumulative_weights(0.5, 0.5, 3)
+    assert np.array_equal(cumulative_weights(0.5, 0.5, np.int64(3)), a)
     assert run(zero_state(n_steps=np.int64(3))).n == 3
 
 
@@ -112,7 +111,7 @@ def test_init_state():
     assert state.history.tail is None and state.history.folded == 0  # 4 steps never fold
     # kernel covers the whole run and starts at the generating sequence
     assert len(state.kernel) == state.config.n_steps
-    assert state.kernel[0] == sftr_weights(SchemeParams(0.5, 0.5), 0)[0]
+    assert state.kernel[0] == sftr_weights(0.5, 0.5, 0)[0]
     fb = zero_state(quadrature=Quadrature.FBDF2, theta=0.4)
     assert len(fb.kernel) == fb.config.n_steps
     assert fb.kernel[0] == pytest.approx(0.6 * fbdf2_weights(0.5, 0)[0], rel=1e-15)
@@ -891,7 +890,7 @@ def test_difference_identity_from_companion_weights():
         hist.append(step(state, case.sources).p)
     tau, alpha = config.tau, 0.6
     omega = state.kernel
-    varpi = varpi_weights(SchemeParams(alpha, config.theta), config.n_steps)
+    varpi = varpi_weights(alpha, config.theta, config.n_steps)
 
     def quadrature_at(k):
         acc = np.zeros_like(hist[0])

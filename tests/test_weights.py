@@ -9,10 +9,12 @@ from scipy.integrate import quad
 from colecole import weights
 from colecole.weights import (
     TAIL_MAX_POLES,
-    SchemeParams,
     alternating_lags,
     binomial_series,
+    check_alpha,
+    check_theta,
     cumulative_weights,
+    decay_guaranteed,
     exponential_tail,
     fbdf2_weights,
     min_theta_gap_grid,
@@ -39,15 +41,21 @@ PARAM_GRID = [
 ]
 
 
-def test_scheme_params_validation():
-    with pytest.raises(ValueError):
-        SchemeParams(1.2, 0.4)
-    with pytest.raises(ValueError):
-        SchemeParams(0.5, 0.0)
-    with pytest.raises(ValueError):
-        SchemeParams(0.5, 0.6)
-    assert SchemeParams(0.5, 0.25).decay_guaranteed
-    assert not SchemeParams(0.5, 0.2).decay_guaranteed
+def test_range_checks_and_decay_hypothesis():
+    # alpha in (0, 1) and theta in (0, 1/2]; the SFTR families check the pair
+    for alpha in (1.2, 1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match=rf"^alpha={alpha} outside \(0, 1\); "):
+            check_alpha(alpha)
+    for theta in (0.6, 0.0, math.nan):
+        with pytest.raises(ValueError, match=rf"^theta={theta} outside \(0, 1/2\]; "):
+            check_theta(theta)
+    check_alpha(0.999)
+    check_theta(0.5)
+    for alpha, theta in ((1.2, 0.4), (0.5, 0.0), (0.5, 0.6)):
+        with pytest.raises(ValueError, match="outside"):
+            sftr_weights(alpha, theta, 4)
+    assert decay_guaranteed(0.5, 0.25)
+    assert not decay_guaranteed(0.5, 0.2)
 
 
 def test_binomial_series_examples():
@@ -61,10 +69,10 @@ def test_binomial_series_examples():
 
 def test_sftr_reduces_to_grunwald_letnikov_at_half_alpha():
     # theta = alpha/2 collapses the denominator to 1, so omega(z) = (1-z)^alpha
-    w = sftr_weights(SchemeParams(0.5, 0.25), 1)
+    w = sftr_weights(0.5, 0.25, 1)
     np.testing.assert_allclose(w, [1.0, -0.5], atol=0)
     for alpha in (0.1, 0.3, 0.7, 0.9):
-        w = sftr_weights(SchemeParams(alpha, 0.5 * alpha), 256)
+        w = sftr_weights(alpha, 0.5 * alpha, 256)
         gl = binomial_series(alpha, -1.0, 256)
         assert w[0] == 1.0
         np.testing.assert_allclose(w, gl, atol=1e-14)
@@ -77,20 +85,19 @@ def test_sftr_reduces_to_grunwald_letnikov_at_half_alpha():
     + [(0.1, 0.05), (0.99, 0.495)],
 )
 def test_sftr_recurrence_matches_series_convolution(alpha, theta):
-    params = SchemeParams(alpha, theta)
-    rec = sftr_weights(params, 10_000)
-    ser = sftr_weights_by_series(params, 10_000)
+    rec = sftr_weights(alpha, theta, 10_000)
+    ser = sftr_weights_by_series(alpha, theta, 10_000)
     assert len(rec) == 10_001
     np.testing.assert_allclose(rec, ser, rtol=0, atol=1e-15)
 
 
 def test_sftr_leading_weight_at_half_shift():
-    w = sftr_weights(SchemeParams(0.5, 0.5), 0)
+    w = sftr_weights(0.5, 0.5, 0)
     np.testing.assert_allclose(w[0], 1.5**-0.5, rtol=1e-15)
 
 
 def test_varpi_first_values():
-    w = varpi_weights(SchemeParams(0.5, 0.25), 2)
+    w = varpi_weights(0.5, 0.25, 2)
     assert w[0] == 1.0
     # (alpha - theta/alpha - 1/2) / (theta/alpha + 1/2) * varpi_0
     assert w[1] == pytest.approx(-0.5, rel=1e-15)
@@ -100,23 +107,21 @@ def test_varpi_first_values():
 
 def test_varpi_leading_value_formula():
     for alpha, theta in PARAM_GRID:
-        w = varpi_weights(SchemeParams(alpha, theta), 0)
+        w = varpi_weights(alpha, theta, 0)
         assert w[0] == pytest.approx((0.5 + theta / alpha) ** alpha, rel=1e-15)
 
 
 def test_varpi_recursion_matches_series_expansion():
     for alpha, theta in PARAM_GRID:
-        params = SchemeParams(alpha, theta)
-        rec = varpi_weights(params, 512)
-        ser = varpi_weights_by_series(params, 512)
+        rec = varpi_weights(alpha, theta, 512)
+        ser = varpi_weights_by_series(alpha, theta, 512)
         np.testing.assert_allclose(rec, ser, atol=1e-13)
 
 
 def test_convolution_identity():
     # varpi(z) * omega(z) = 1 - z
     for alpha, theta in PARAM_GRID:
-        params = SchemeParams(alpha, theta)
-        conv = np.convolve(sftr_weights(params, 512), varpi_weights(params, 512))
+        conv = np.convolve(sftr_weights(alpha, theta, 512), varpi_weights(alpha, theta, 512))
         assert abs(conv[0] - 1.0) <= 1e-12
         assert abs(conv[1] + 1.0) <= 1e-12
         assert np.max(np.abs(conv[2:513])) <= 1e-12
@@ -133,15 +138,13 @@ def test_cumulative_check_is_an_fft_convolution(monkeypatch):
     # alpha near 1 needs a drift-free binomial series for its reference
     pairs = ((0.5, 0.5), (0.1, 0.05), (0.9, 0.45), (0.95, 0.5), (0.99, 0.495), (0.99, 0.01))
     for alpha, theta in pairs:
-        params = SchemeParams(alpha, theta)
-        a = cumulative_weights(params, 10**5)
+        a = cumulative_weights(alpha, theta, 10**5)
         assert len(a) == 10**5 + 1
-        assert np.all(np.diff(a) <= 0.0) or not params.decay_guaranteed
+        assert np.all(np.diff(a) <= 0.0) or not decay_guaranteed(alpha, theta)
     assert len(fbdf2_weights(0.5, 10**5)) == 10**5 + 1
     monkeypatch.undo()
-    params = SchemeParams(0.7, 0.5)
     np.testing.assert_allclose(
-        cumulative_weights(params, 300), np.cumsum(varpi_weights_by_series(params, 300)),
+        cumulative_weights(0.7, 0.5, 300), np.cumsum(varpi_weights_by_series(0.7, 0.5, 300)),
         rtol=0, atol=1e-13,
     )
 
@@ -151,13 +154,13 @@ def test_cumulative_cross_check_failure_raises(monkeypatch):
     real = weights.binomial_series
     monkeypatch.setattr(weights, "binomial_series", lambda *a: real(*a) + 1e-9)
     with pytest.raises(ArithmeticError, match="cross-check failed"):
-        cumulative_weights(SchemeParams(0.5, 0.5), 16)
+        cumulative_weights(0.5, 0.5, 16)
 
 
 KERNELS = {
-    "sftr-0.1-0.05": lambda n: sftr_weights(SchemeParams(0.1, 0.05), n - 1),
-    "sftr-0.5-0.5": lambda n: sftr_weights(SchemeParams(0.5, 0.5), n - 1),
-    "sftr-0.99-0.495": lambda n: sftr_weights(SchemeParams(0.99, 0.495), n - 1),
+    "sftr-0.1-0.05": lambda n: sftr_weights(0.1, 0.05, n - 1),
+    "sftr-0.5-0.5": lambda n: sftr_weights(0.5, 0.5, n - 1),
+    "sftr-0.99-0.495": lambda n: sftr_weights(0.99, 0.495, n - 1),
     "fbdf2-0.5-0.5": lambda n: shift_combine(fbdf2_weights(0.5, n - 1), 0.5),
 }
 
@@ -191,7 +194,7 @@ def test_exponential_tail_refuses_what_it_cannot_fit(monkeypatch):
     block = weights._fit_block
     monkeypatch.setattr(weights, "_fit_block", lambda r, *a: tried.add(len(r)) or block(r, *a))
     with pytest.raises(ValueError, match="no exponential tail"):
-        exponential_tail(sftr_weights(SchemeParams(0.9, 0.01), 399), 20)
+        exponential_tail(sftr_weights(0.9, 0.01, 399), 20)
     assert 32 in tried and max(tried) < TAIL_MAX_POLES
     for n0 in (0, 300):
         with pytest.raises(ValueError, match="n0"):
@@ -204,7 +207,7 @@ ALTERNATING = [
     (a, th)
     for a in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
     for th in (0.001, 0.01, 0.3, 0.45)
-    if th < 0.5 * a and alternating_lags(SchemeParams(a, th)) + 33 <= 4000
+    if th < 0.5 * a and alternating_lags(a, th) + 33 <= 4000
 ]
 
 
@@ -213,19 +216,18 @@ def test_exponential_tail_fits_from_where_the_kernel_stops_alternating(alpha, th
     # the fit holds within 1e-15 |K_0| at its unrounded rates s_m; read from
     # the poles r_m = e^(-s_m) rounded to doubles, as a run reads it, the
     # tail is up to 7.1e-15 |K_0| off at (0.05, 0.001), whose weights cancel
-    k = sftr_weights(SchemeParams(alpha, theta), 3999)
-    n0 = max(20, alternating_lags(SchemeParams(alpha, theta)))
+    k = sftr_weights(alpha, theta, 3999)
+    n0 = max(20, alternating_lags(alpha, theta))
     poles, weights = exponential_tail(k, n0)
     fit = (weights * poles ** np.arange(4000 - n0)[:, None]).sum(axis=1)
     assert np.max(np.abs(fit - k[n0:])) <= 1e-14 * abs(k[0])
 
 
-def _alternating_part(params, j):
+def _alternating_part(a, theta, j):
     """|part in (-q)^j| / |K_0| of omega_j, q = d1/d0 > 0, from the cut
     x >= 1/q of (1 + qz)^(-alpha): sin(pi a)/pi times the integral of
     (1+x)^a (qx-1)^(-a) x^(-j-1), with x = (1+u)/q."""
-    a = params.alpha
-    d0, d1 = weights._denominator_coeffs(params)
+    d0, d1 = weights._denominator_coeffs(a, theta)
     q = d1 / d0
     g = lambda u: (1.0 + (1.0 + u) / q) ** a * (1.0 + u) ** (-j - 1.0)
     near = quad(g, 0.0, 1.0, weight="alg", wvar=(-a, 0.0), limit=200)[0]
@@ -234,43 +236,40 @@ def _alternating_part(params, j):
 
 
 def test_alternating_lags_bound_the_alternating_part():
-    assert alternating_lags(SchemeParams(0.9, 0.45)) == 0
-    assert alternating_lags(SchemeParams(0.5, 1e-18)) == math.inf  # d1/d0 rounds to 1
+    assert alternating_lags(0.9, 0.45) == 0
+    assert alternating_lags(0.5, 1e-18) == math.inf  # d1/d0 rounds to 1
     for (alpha, theta), lag in {(0.9, 0.2): 40, (0.9, 0.01): 842, (0.5, 0.01): 458}.items():
-        params = SchemeParams(alpha, theta)
-        assert alternating_lags(params) == lag
-        assert _alternating_part(params, lag) <= 1e-16
+        assert alternating_lags(alpha, theta) == lag
+        assert _alternating_part(alpha, theta, lag) <= 1e-16
         # the oracle: omega_j / K_0 = (-1)^j part - the cut x >= 1 of (1-z)^alpha
         c = math.sin(math.pi * alpha) / math.pi
-        d0, d1 = weights._denominator_coeffs(params)
+        d0, d1 = weights._denominator_coeffs(alpha, theta)
         f = lambda u: (1.0 + d1 / d0 * (1.0 + u)) ** (-alpha) * (1.0 + u) ** -6.0
         smooth = quad(f, 0.0, 1.0, weight="alg", wvar=(alpha, 0.0))[0]
         smooth += quad(lambda u: u**alpha * f(u), 1.0, np.inf)[0]
-        k = sftr_weights(params, 5) * d0**alpha
-        assert -_alternating_part(params, 5) - c * smooth == pytest.approx(k[5], rel=1e-12)
+        k = sftr_weights(alpha, theta, 5) * d0**alpha
+        assert -_alternating_part(alpha, theta, 5) - c * smooth == pytest.approx(k[5], rel=1e-12)
 
 
 def test_cumulative_examples_and_kind_check():
-    params = SchemeParams(0.5, 0.25)
-    varpi = varpi_weights(params, 2)
-    a = cumulative_weights(params, 2)
+    varpi = varpi_weights(0.5, 0.25, 2)
+    a = cumulative_weights(0.5, 0.25, 2)
     assert a[0] == varpi[0]
     assert a[1] == pytest.approx(0.5, rel=1e-15)
     assert a[2] == pytest.approx(0.375, rel=1e-15)
     # a plain array carries no family tag; what is left to reject is a bad length
     for family in (varpi_weights, cumulative_weights):
         with pytest.raises(ValueError, match="n must be >= 0"):
-            family(params, -1)
+            family(0.5, 0.25, -1)
 
 
 def test_sign_pattern_and_monotone_cumulative():
     # varpi_0 > 0 and varpi_k <= 0 for k >= 1; partial sums positive non-increasing
     for alpha, theta in PARAM_GRID:
-        params = SchemeParams(alpha, theta)
-        varpi = varpi_weights(params, 2000)
+        varpi = varpi_weights(alpha, theta, 2000)
         assert varpi[0] > 0.0
         assert np.all(varpi[1:] <= 0.0)
-        a = cumulative_weights(params, 2000)
+        a = cumulative_weights(alpha, theta, 2000)
         assert np.all(a > 0.0)
         assert np.all(np.diff(a) <= 0.0)
 
@@ -279,9 +278,8 @@ def test_tail_decay_rates_slowly_varying():
     # |varpi_k| k^(2-alpha) and a_k k^(1-alpha) flatten out over dyadic k
     ks = np.array([500, 1000, 2000])
     for alpha, theta in PARAM_GRID:
-        params = SchemeParams(alpha, theta)
-        varpi = varpi_weights(params, 2000)
-        a = cumulative_weights(params, 2000)
+        varpi = varpi_weights(alpha, theta, 2000)
+        a = cumulative_weights(alpha, theta, 2000)
         scaled_v = np.abs(varpi[ks]) * ks ** (2.0 - alpha)
         scaled_a = a[ks] * ks ** (1.0 - alpha)
         for scaled in (scaled_v, scaled_a):
@@ -337,9 +335,11 @@ def test_shift_combine():
 def test_symbol_residual_second_order():
     for alpha in (0.3, 0.5, 0.7):
         for theta in (0.5 * alpha, 0.5):
-            params = SchemeParams(alpha, theta)
             for kind in (SymbolKind.VARPI_SYMBOL, SymbolKind.A_SYMBOL):
-                ratio = symbol_residual(kind, params, 0.05) / symbol_residual(kind, params, 0.025)
+                ratio = (
+                    symbol_residual(kind, alpha, theta, 0.05)
+                    / symbol_residual(kind, alpha, theta, 0.025)
+                )
                 assert 3.4 <= ratio <= 4.6, (alpha, theta, kind, ratio)
 
 
@@ -354,15 +354,15 @@ def test_symbol_residual_closed_form_at_half_alpha():
             * (1.0 - math.exp(-tau)) ** (1.0 - alpha)
             - 1.0
         )
-        got = symbol_residual(SymbolKind.VARPI_SYMBOL, SchemeParams(alpha, theta), tau)
+        got = symbol_residual(SymbolKind.VARPI_SYMBOL, alpha, theta, tau)
         assert got == pytest.approx(exact, abs=1e-10)
 
 
 def test_symbol_residual_well_posed_and_tail_guard():
-    r = symbol_residual(SymbolKind.VARPI_SYMBOL, SchemeParams(0.5, 0.5), 0.5)
+    r = symbol_residual(SymbolKind.VARPI_SYMBOL, 0.5, 0.5, 0.5)
     assert np.isfinite(r) and r > 0.0
     with pytest.raises(ValueError, match="too small"):
-        symbol_residual(SymbolKind.A_SYMBOL, SchemeParams(0.5, 0.5), 0.05, K=5)
+        symbol_residual(SymbolKind.A_SYMBOL, 0.5, 0.5, 0.05, K=5)
 
 
 def test_theta_gap_values():
@@ -412,9 +412,8 @@ def test_seq_inequality_random_sequences():
         alpha = rng.uniform(0.05, 0.95)
         theta = rng.uniform(0.5 * alpha, 0.5)
         n = int(rng.integers(1, 65))
-        params = SchemeParams(alpha, theta)
-        varpi = varpi_weights(params, n)
-        a = cumulative_weights(params, n)
+        varpi = varpi_weights(alpha, theta, n)
+        a = cumulative_weights(alpha, theta, n)
         v = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, n)])
         s = float(np.dot(varpi[:n][::-1], v[1:]))
         lhs = v[n] * s
@@ -424,11 +423,10 @@ def test_seq_inequality_random_sequences():
 
 def test_weight_sequence_invariants():
     # every family comes back as read-only float64 storage of n+1 entries
-    params = SchemeParams(0.5, 0.25)
     for w in (
-        sftr_weights(params, 4),
-        varpi_weights(params, 4),
-        cumulative_weights(params, 4),
+        sftr_weights(0.5, 0.25, 4),
+        varpi_weights(0.5, 0.25, 4),
+        cumulative_weights(0.5, 0.25, 4),
         fbdf2_weights(0.5, 4),
     ):
         assert w.dtype == np.float64 and w.shape == (5,)
