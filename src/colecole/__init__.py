@@ -13,7 +13,28 @@ and a CSV-emitting experiment CLI (:mod:`colecole.cli`).
 
 The package root exports what a run's callers use; the pieces inside a step
 or a weight build are imported from their modules.
+
+The package calls no BLAS routine: every contraction is an ``einsum`` or a
+ufunc.  OpenBLAS would still start a worker pool when numpy loads it, and
+the idle workers spin for about 0.1 s of CPU per process.  So if numpy is not
+loaded yet and ``OPENBLAS_NUM_THREADS`` is not set, importing the package
+loads numpy with ``OPENBLAS_NUM_THREADS=1`` and then removes the variable
+again: the process keeps one BLAS thread for its life, and the environment
+that subprocesses inherit is unchanged.  To keep a pool, set
+``OPENBLAS_NUM_THREADS`` yourself or import numpy before the package.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"  # OpenBLAS reads it once, as numpy loads it
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+    del _numpy
+del _os, _sys
 
 from .energy import (
     TRACE,

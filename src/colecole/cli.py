@@ -18,7 +18,8 @@ subcommand returns its failed checks, an empty list when all held.  Exit codes:
 0  every hard assertion of the subcommand held
 1  a hard assertion or an internal cross-check failed (JSON failure records
    on stderr)
-2  invalid input or an unwritable output path (JSON error on stderr)
+2  invalid input or an unwritable output path, both refused before any run
+   (JSON error on stderr)
 3  the conjugate-gradient E-solve did not converge, or its right-hand side
    or residual was not finite (JSON error on stderr)
 4  out of memory, or a run that would not fit in physical memory, refused
@@ -28,8 +29,10 @@ subcommand returns its failed checks, an empty list when all held.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import astuple
 from pathlib import Path
@@ -84,6 +87,26 @@ def _write_csv(path: Path, header: str, rows: Iterable[Iterable[float | None]]) 
             fh.write(",".join(map(_fmt, row)) + "\n")
 
 
+def _check_outputs(paths: Iterable[Path]) -> None:
+    """Raise :class:`OSError` for the first path a CSV could not be written
+    to: an existing directory, a file that is not writable, or a parent that
+    cannot be created or written.  Creates nothing, so a refused run leaves
+    no trace."""
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if path.exists() and not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        # the nearest ancestor on disk must be a directory that takes new entries
+        parent = path.parent
+        while not parent.exists() and parent != parent.parent:
+            parent = parent.parent
+        if not parent.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(parent))
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(parent))
+
+
 def _sweep_path(base: Path, alpha: float, theta: float, scheme: str) -> Path:
     return base.with_name(f"{base.stem}_a{alpha:g}_t{theta:g}_{scheme}{base.suffix}")
 
@@ -99,6 +122,7 @@ def _reject_fixed_by_sweep(args: argparse.Namespace, flags: tuple[str, ...]) -> 
 def cmd_weights(args: argparse.Namespace) -> list[dict]:
     n = args.n
     out = Path(args.out)
+    _check_outputs([out])
     if args.kind == "fbdf2":
         if args.theta is not None:
             raise ValueError("--theta is not read by kind 'fbdf2', whose weights do not depend on it")
@@ -159,9 +183,10 @@ def cmd_converge(args: argparse.Namespace) -> list[dict]:
         raise ValueError("converge needs either --alpha and --theta, or --sweep paper")
 
     base = Path(args.out)
-    for alpha, theta in combos:
+    paths = [base] if len(combos) == 1 else [_sweep_path(base, *pair, args.scheme) for pair in combos]
+    _check_outputs(paths)
+    for (alpha, theta), path in zip(combos, paths):
         rows = convergence_table(ManufacturedCase(alpha), theta, taus, grid, quadrature)
-        path = base if len(combos) == 1 else _sweep_path(base, alpha, theta, args.scheme)
         _write_csv(path, "tau,errE,rateE,errH,rateH,errP,rateP", map(astuple, rows))
         last = rows[-1]
         rate_txt = "n/a" if last.rate_e is None else f"{last.rate_e:.3f}"
@@ -170,11 +195,15 @@ def cmd_converge(args: argparse.Namespace) -> list[dict]:
     return []
 
 
+def _field_paths(prefix: Path) -> list[Path]:
+    """The snapshot files of ``--dump-fields PREFIX``: ex, ey, h, px, py."""
+    return [prefix.with_name(f"{prefix.name}_{tag}.csv") for tag in ("ex", "ey", "h", "px", "py")]
+
+
 def _dump_fields(state, prefix: Path) -> None:
     """Debug snapshot of the final fields on the dofs, one i,j,value CSV per component."""
     e, p, h = state.fields()
-    for tag, arr in (("ex", e.ex), ("ey", e.ey), ("h", h), ("px", p.ex), ("py", p.ey)):
-        path = prefix.with_name(f"{prefix.name}_{tag}.csv")
+    for path, arr in zip(_field_paths(prefix), (e.ex, e.ey, h, p.ex, p.ey)):
         _write_csv(path, "i,j,value", zip(*np.indices(arr.shape).reshape(2, -1), arr.ravel()))
 
 
@@ -191,15 +220,17 @@ def cmd_energy(args: argparse.Namespace) -> list[dict]:
         raise ValueError("--dump-fields is only available for single runs, not sweeps")
 
     base = Path(args.out)
+    paths = [base] if len(runs) == 1 else [_sweep_path(base, *entry) for entry in runs]
+    snapshots = [] if args.dump_fields is None else _field_paths(Path(args.dump_fields))
+    _check_outputs(paths + snapshots)
     failures = []
-    for alpha, theta, scheme in runs:
+    for (alpha, theta, scheme), path in zip(runs, paths):
         state, trace, report = run_decay_experiment(
             alpha, theta, grid, args.tau, args.steps, Quadrature(scheme)
         )
         if args.dump_fields is not None:
             _dump_fields(state, Path(args.dump_fields))
         del state  # release the run's P history before the next run starts
-        path = base if len(runs) == 1 else _sweep_path(base, alpha, theta, scheme)
         _write_csv(path, ",".join(TRACE.names), (row.item() for row in trace))
         first = "-" if report.first_violation_step is None else str(report.first_violation_step)
         print(
@@ -224,9 +255,10 @@ def cmd_energy(args: argparse.Namespace) -> list[dict]:
 
 
 def cmd_theta_scan(args: argparse.Namespace) -> list[dict]:
+    out = Path(args.out)
+    _check_outputs([out])
     xs, alphas, grid = min_theta_gap_grid(args.x_points, args.alpha_points, args.theta_samples)
     x, alpha = np.meshgrid(xs, alphas, indexing="ij")
-    out = Path(args.out)
     _write_csv(out, "x,alpha,min_theta_gap", zip(x.ravel(), alpha.ravel(), grid.ravel()))
     gmin = float(grid.min())
     print(

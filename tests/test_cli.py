@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,7 +475,7 @@ def test_unwritable_out_on_json_channel(tmp_path, capsys):
     (line,) = capsys.readouterr().err.strip().splitlines()
     err = json.loads(line)
     assert err["status"] == "error" and str(out) in err["message"]
-    # in a sweep the entries before the unwritable one are already on disk
+    # in a sweep an unwritable second entry is refused before the first runs
     base = tmp_path / "sweep.csv"
     blocked = tmp_path / "sweep_a0.5_t0.4_sftr.csv"
     blocked.mkdir()
@@ -483,9 +484,77 @@ def test_unwritable_out_on_json_channel(tmp_path, capsys):
     (line,) = capsys.readouterr().err.strip().splitlines()
     err = json.loads(line)
     assert err["status"] == "error" and str(blocked) in err["message"]
-    _, rows = read_csv(tmp_path / "sweep_a0.5_t0.3_sftr.csv")
-    assert len(rows) == 5
-    assert not (tmp_path / "sweep_a0.5_t0.5_sftr.csv").exists()
+    assert sorted(tmp_path.iterdir()) == [blocked, out]
+
+
+@pytest.mark.parametrize("argv, blocked, reason", [
+    pytest.param(["energy", "--steps", "2", "--out", "{d}/e.csv"], "e.csv", "Is a directory",
+                 id="energy"),
+    pytest.param(["energy", "--sweep", "alpha", "--steps", "2", "--out", "{d}/e.csv"],
+                 "e_a0.9_t0.5_sftr.csv", "Is a directory", id="energy-sweep-entry"),
+    pytest.param(["energy", "--steps", "2", "--out", "{d}/e.csv", "--dump-fields", "{d}/snap"],
+                 "snap_h.csv", "Is a directory", id="energy-dump-fields"),
+    pytest.param(["energy", "--steps", "2", "--out", "{d}/f/sub/e.csv"], "f", "Not a directory",
+                 id="energy-parent-is-a-file"),
+    pytest.param(["converge", "--alpha", "0.5", "--theta", "0.5", "--out", "{d}/c.csv"],
+                 "c.csv", "Is a directory", id="converge"),
+    pytest.param(["converge", "--sweep", "paper", "--out", "{d}/c.csv"],
+                 "c_a0.9_t0.45_sftr.csv", "Is a directory", id="converge-sweep-entry"),
+    pytest.param(["converge", "--sweep", "paper", "--out", "{d}/f/c.csv"], "f", "Not a directory",
+                 id="converge-parent-is-a-file"),
+    pytest.param(["weights", "--alpha", "0.5", "--theta", "0.5", "--out", "{d}/w.csv"],
+                 "w.csv", "Is a directory", id="weights"),
+    pytest.param(["theta-scan", "--out", "{d}/t.csv"], "t.csv", "Is a directory",
+                 id="theta-scan"),
+])
+def test_unwritable_output_is_refused_before_any_run(
+    tmp_path, capsys, monkeypatch, argv, blocked, reason
+):
+    # every output path, each sweep entry's and each snapshot's included, is
+    # checked before the first run; a directory in the way, or a file where a
+    # parent directory should be, exits 2 with nothing computed or written
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run started before its output paths were checked")
+
+    for name in ("run_decay_experiment", "convergence_table", "sftr_weights",
+                 "min_theta_gap_grid"):
+        monkeypatch.setattr(f"colecole.cli.{name}", forbidden)
+    (tmp_path / "f").write_text("a file\n")
+    if not (tmp_path / blocked).exists():
+        (tmp_path / blocked).mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main([a.format(d=tmp_path) for a in argv]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    err = json.loads(line)
+    assert err["status"] == "error" and reason in err["message"]
+    assert str(tmp_path / blocked) in err["message"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("out, locked", [("locked/new/e.csv", "locked"), ("e.csv", "e.csv")],
+                         ids=["parent", "existing-file"])
+def test_unwritable_path_is_refused_before_any_run(tmp_path, capsys, monkeypatch, out, locked):
+    # os.access is faked for the locked path: a superuser writes through any mode bits
+    import colecole.cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run started before its output paths were checked")
+
+    monkeypatch.setattr(colecole.cli, "run_decay_experiment", forbidden)
+    locked = tmp_path / locked
+    if locked.suffix:
+        locked.write_text("kept\n")
+    else:
+        locked.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    real_access = colecole.cli.os.access
+    monkeypatch.setattr(colecole.cli.os, "access",
+                        lambda path, mode: Path(path) != locked and real_access(path, mode))
+    assert main(["energy", "--steps", "2", "--out", str(tmp_path / out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert "Permission denied" in err["message"] and str(locked) in err["message"]
+    assert sorted(tmp_path.rglob("*")) == before
+    assert not locked.is_file() or locked.read_text() == "kept\n"
 
 
 def test_weights_single_kind_dump(tmp_path):
@@ -648,7 +717,6 @@ EXPORTS = [
 
 def test_exported_names_resolve():
     import ast, re
-    from pathlib import Path
 
     import colecole
     import colecole.stepper

@@ -3,8 +3,10 @@ residual contracts, the conjugate-gradient solver, the memory preflight, and
 run invariants."""
 
 import math
+import os
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,16 +478,18 @@ def test_spectrum_rejects_a_component_0_of_several_values():
 
 
 # Contractions that numpy hands to BLAS, whose threads keep spinning through
-# the rest of a step; the step path uses einsum or ufuncs instead.
+# the rest of a step; the package uses einsum or ufuncs instead.  Every module
+# is scanned, because the package root starts numpy with a single BLAS thread
+# on the premise that nothing in the package calls BLAS.
 BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "vecdot", "matvec", "tensordot"}
+PACKAGE_SOURCES = sorted(Path(energy.__file__).parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("module", ["stepper", "energy", "mesh", "manufactured", "weights"])
-def test_step_path_calls_no_blas(module):
-    import ast, importlib
+@pytest.mark.parametrize("path", PACKAGE_SOURCES, ids=lambda p: p.stem)
+def test_step_path_calls_no_blas(path):
+    import ast
 
-    path = importlib.import_module(f"colecole.{module}").__file__
-    tree = ast.parse(open(path, encoding="utf-8").read(), path)
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
@@ -496,7 +500,7 @@ def test_step_path_calls_no_blas(module):
                 found.append(f"line {node.lineno}: {name}()")
             elif name == "einsum" and any(k.arg == "optimize" for k in node.keywords):
                 found.append(f"line {node.lineno}: einsum(..., optimize=...)")
-    assert not found, f"{module}.py: {found}"
+    assert not found, f"{path.name}: {found}"
 
 
 def test_runs_import_numpy_only():
@@ -521,6 +525,52 @@ def test_runs_import_numpy_only():
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+IMPORT_CASES = {
+    # no variable set: one thread, even after a product numpy hands to BLAS,
+    # and the environment subprocesses inherit is unchanged
+    "unset": (
+        None,
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import colecole\n"
+        "assert len(os.listdir('/proc/self/task')) == 1\n"
+        "assert 'OPENBLAS_NUM_THREADS' not in os.environ and dict(os.environ) == before\n"
+        "import numpy as np\n"
+        "a = np.ones((512, 512))\n"
+        "a @ a\n"
+        "assert len(os.listdir('/proc/self/task')) == 1\n",
+    ),
+    # the caller's own value wins
+    "caller_sets_2": (
+        "2",
+        "import os, colecole\n"
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n",
+    ),
+    # a process that loaded numpy first is left alone
+    "numpy_first": (
+        None,
+        "import os, numpy\n"
+        "before = dict(os.environ)\n"
+        "import colecole\n"
+        "assert dict(os.environ) == before\n",
+    ),
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("case", IMPORT_CASES)
+def test_import_starts_one_blas_thread(case):
+    import subprocess, sys
+
+    value, code = IMPORT_CASES[case]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    env["PYTHONPATH"] = str(Path(energy.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 
 
