@@ -47,21 +47,21 @@ E = 0; f3 must vanish on the tangential boundary, as
 :meth:`colecole.manufactured.ManufacturedCase.sample` checks.
 
 The P history of a run takes bounded memory (:class:`PHistory`).  The
-quadrature sums the last n0 lags exactly, from a window of n0 + 2B + 1
-recent P^k (B = HISTORY_FOLD = 16), and :func:`step` folds the B oldest rows
-of a full window into M accumulators, one pole at a time, so a fold's
-temporary is one row.  The accumulators serve the lags from n0 + B + 3 on,
-the first a step reads from them.  There is one per real pole r_m of an
-exponential fit to the kernel's lags from n0 on
-(:func:`colecole.weights.exponential_tail`, within 1e-15 |K_0|), less the
-poles whose terms on those lags sum to at most 1e-18 |K_0|.  n0 is
-HISTORY_EXACT = 20, or for SFTR with theta < alpha/2 the lag from which the
-kernel's alternating part is below 1e-16 |K_0|
-(:func:`colecole.weights.alternating_lags`) if later.  Runs of at most
-n0 + 2B steps never fold and sum every P^k exactly.  A step's history part
-is two single-threaded contractions (:func:`frac_deriv_current`).  s_0..s_N
-sit beside the window.  :func:`preflight` raises :class:`MemoryError` if
-the run would not fit in physical memory; :func:`init_state` calls it before
+quadrature sums the last n0 lags exactly, from a window of the
+W = min(N, n0 + 2B + 1) latest P^k (B = HISTORY_FOLD = 16; P^0 = 0 is not
+stored).  A run of N > W steps folds the B oldest rows of a full window into
+M accumulators, one pole at a time, so a fold's temporary is one row.  The
+accumulators serve the lags from n0 + B + 3 on, the first a step reads from
+them.  There is one per real pole r_m of an exponential fit to the kernel's
+lags from n0 on (:func:`colecole.weights.exponential_tail`, within
+1e-15 |K_0|), less the poles whose terms on those lags sum to at most
+1e-18 |K_0|.  n0 is HISTORY_EXACT = 20, or for SFTR with theta < alpha/2
+the lag from which the kernel's alternating part is below 1e-16 |K_0|
+(:func:`colecole.weights.alternating_lags`) if later.  Accumulators and
+window are one array, and a step's history part is one single-threaded
+contraction of it (:func:`frac_deriv_current`).  s_0..s_N sit beside it.
+:func:`preflight` refuses a run that would not fit in physical memory, or
+whose tau the E-solve cannot represent; :func:`init_state` calls it before
 it allocates, and so do the experiment loops before they sample initial data.
 
 A run has one state: :func:`step` advances it in place.  The state owns its
@@ -159,27 +159,25 @@ class SchemeConfig:
 @dataclass(eq=False)
 class PHistory:
     """The P history of one run in bounded memory, and s_0..s_N (see
-    :func:`step`) in an (N+1,) array beside it.
+    :func:`step`) in an (N+1,) array beside it; s_0 = 0.
 
-    ``window`` holds recent P^k as raveled coefficients: slot i holds
-    P^(folded + i).  P^0 .. P^(folded-1) are folded into the (M, 2 nx ny)
-    ``tail``: tail_m = sum_{k < folded} r_m^(folded-1-k) P^k, with the
+    ``rows`` holds raveled coefficients: M tail rows, then a window of
+    W = min(N, n0 + 2B + 1) rows whose slot i is P^(folded + 1 + i); P^0 = 0
+    is not stored.  tail_m = sum_{k <= folded} r_m^(folded-k) P^k, with the
     ``poles`` r and ``weights`` c of :func:`colecole.weights.exponential_tail`,
-    fitted from lag ``exact`` = n0 (at most N) on.  A fold leaves n0 + B + 1
-    rows in the window, so the tail is read from lag n0 + B + 3 on, and M
-    counts the poles kept for those lags (see :func:`_read_poles`).  The
-    three are None in a run of at most n0 + 2B steps, which never folds.
-    P^0 = 0 and s_0 = 0.
+    fitted from lag ``exact`` = n0 (at most N) on.  A run folds only when
+    N > W; one that does not has M = 0.  A fold leaves n0 + B + 1 rows in the
+    window, so the tail is read from lag n0 + B + 3 on, and M counts the
+    poles kept for those lags (see :func:`_read_poles`).
     The state of a run owns its history, and :func:`step` writes P^n and s_n
     into it as it advances that state to step n.
     """
 
-    window: np.ndarray
+    rows: np.ndarray
     s: np.ndarray
     exact: int
-    poles: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    tail: np.ndarray | None = None
+    poles: np.ndarray
+    weights: np.ndarray
     folded: int = 0
 
 
@@ -273,34 +271,42 @@ def physical_memory_bytes() -> int:
 
 
 def preflight(grid: GridSpec, material: MaterialParams, config: SchemeConfig) -> tuple[int, int]:
-    """(n0, rows) of a run's P history (see :class:`PHistory`): the lags it
-    sums exactly and its window rows.  Raises :class:`MemoryError` unless
-    the run fits in physical memory; it allocates nothing grid-sized, so a
-    run calls it before its initial data.  The estimate is an upper bound:
-    it counts the tail at M = TAIL_MAX_POLES (128) before the fit has run,
-    and it is 2.47 times the traced peak of a 64^2 x 400-step decay run,
-    1.62 times at 256^2 x 20 and 1.35 times for FBDF2 at 48^2 x 40."""
-    steps = config.n_steps
+    """(n0, W) of a run's P history (see :class:`PHistory`): the lags it
+    sums exactly and its window rows; the run folds if W < n_steps.  It
+    allocates nothing grid-sized, so a run calls it before its initial data.
+    :class:`ValueError` unless the E-solve's smallest eigenvalue, (c_e + a)/tau,
+    is a normal float and the square of its largest, that plus
+    (1-theta)^2 tau max|v|^2/c_m, is finite, checked on bounds: 0 < a < c_p
+    and |v|^2 < 4/dx^2 + 4/dy^2.  :class:`MemoryError` unless the run fits in
+    physical memory, by an upper bound: it counts the tail at M = 128 before
+    the fit has run, and is 2.46 times the traced peak of a 64^2 x 400-step
+    decay run, 1.64 times at 256^2 x 20 and 1.36 times for FBDF2 at 48^2 x 40."""
+    mat, tau, one_m, sx, sy = material, config.tau, 1.0 - config.theta, 2 / grid.dx, 2 / grid.dy
+    low = mat.c_e / tau
+    high = (mat.c_e + mat.c_p) / tau + one_m * one_m * tau * (sx * sx + sy * sy) / mat.c_m
+    if not (low >= np.finfo(float).tiny and high * high < math.inf):
+        raise ValueError(
+            f"tau={tau} puts the E-solve's eigenvalues in [{low:.3g}, {high:.3g}]: "
+            "the smallest must be a normal float and the square of the largest finite"
+        )
     sftr = config.quadrature is Quadrature.SFTR
     lags = alternating_lags(material.alpha, config.theta) if sftr else 0
-    exact = min(steps, max(HISTORY_EXACT, lags))  # every lag if lags is math.inf
-    rows = min(steps, exact + 2 * HISTORY_FOLD) + 1
-    _require_memory(grid, config, rows, TAIL_MAX_POLES if rows <= steps else 0)
-    return exact, rows
+    exact = min(config.n_steps, max(HISTORY_EXACT, lags))  # every lag if lags is math.inf
+    window = min(config.n_steps, exact + 2 * HISTORY_FOLD + 1)
+    _require_memory(grid, config, window, TAIL_MAX_POLES if window < config.n_steps else 0)
+    return exact, window
 
 
 def _require_memory(grid: GridSpec, config: SchemeConfig, rows: int, poles: int) -> None:
-    """Raise :class:`MemoryError` unless a run with a P window of ``rows``
-    rows and a tail of ``poles`` poles fits in physical memory."""
+    """Raise :class:`MemoryError` unless a run whose P history holds ``rows``
+    window rows and a tail of ``poles`` rows fits in physical memory."""
     steps, dofs = config.n_steps, 2 * grid.nx * grid.ny
-    # The window; for a run that folds, its tail (M rows) and the fit's
-    # workspace (three arrays of its row blocks); a fold's temporary is one
-    # row, counted with a step's temporaries below.
-    # Twenty-five values per step: s, the kernel, the energy weights, the
-    # fit's lags and targets, the weights' FFT check (three arrays of up to
-    # 4 (N+1)) and the five columns of the energy trace.
+    # The history's rows and, for a run that folds, the fit's workspace (three
+    # arrays of its row blocks).  Twenty-five values per step: s, the kernel,
+    # the energy weights, the fit's lags and targets, the weights' FFT check
+    # (three arrays of up to 4 (N+1)) and the five columns of the energy trace.
     # Under 32 coefficient arrays: the step constants (three), their build
-    # (five), a step's temporaries and the states it holds.
+    # (five), a step's temporaries, a fold's one row and the states it holds.
     fit = 3 * (TAIL_FIT_ROWS + poles) * (poles + 1) if poles else 0
     need = 8 * (rows * dofs + poles * dofs + fit + 25 * (steps + 1) + 32 * dofs)
     have = physical_memory_bytes()
@@ -324,12 +330,10 @@ def init_state(
     e0 is the edge pair of E^0 and h0 the (nx, ny) cell array of H^0, taken
     as floats.  Both must be finite, and e0 zero on the tangential boundary,
     or :class:`ValueError` is raised before anything is transformed; each is
-    then transformed to coefficients once.  Allocates a P window of
-    min(n_steps, n0 + 32) + 1 rows of 2 nx ny * 8 bytes (n0 as in
-    :class:`PHistory`) and, if the run folds, a tail of M such rows, at most
-    TAIL_MAX_POLES; a fold adds a temporary of one row.  Before it builds
-    anything it raises :class:`MemoryError` if the run would not fit in
-    physical memory.
+    then transformed to coefficients once.  Allocates the M + W rows of
+    2 nx ny * 8 bytes of :class:`PHistory`, M at most TAIL_MAX_POLES; a fold
+    adds a temporary of one row.  Before it builds anything it raises what
+    :func:`preflight` raises.
     """
     nx, ny, h0 = grid.nx, grid.ny, np.asarray(h0, dtype=float)
     if (e0.ex.shape, e0.ey.shape, h0.shape) != ((nx, ny + 1), (nx + 1, ny), (nx, ny)):
@@ -351,18 +355,17 @@ def _initial_state(
     """:func:`init_state` for initial data given as coefficients, which the
     state takes over."""
     steps = config.n_steps
-    exact, rows = preflight(grid, material, config)
+    exact, window = preflight(grid, material, config)
     kernel = build_kernel(material, config)
-    poles = weights = tail = None
-    dofs = 2 * grid.nx * grid.ny
-    if rows <= steps:
+    poles = weights = np.empty(0)
+    if window < steps:
         # A fold leaves n0 + B + 1 of the n0 + 2B + 1 window rows, so the tail
         # is first read at lag n0 + B + 3: from pole exponent B + 3.
         poles, weights = _read_poles(
             *exponential_tail(kernel, exact), abs(kernel[0]), HISTORY_FOLD + 3
         )
-        tail = np.zeros((len(poles), dofs))
-    history = PHistory(np.zeros((rows, dofs)), np.zeros(steps + 1), exact, poles, weights, tail)
+    rows = np.zeros((len(poles) + window, 2 * grid.nx * grid.ny))
+    history = PHistory(rows, np.zeros(steps + 1), exact, poles, weights)
     tau, theta = config.tau, config.theta
     one_m = 1.0 - theta
     _, a_coef = elimination_coefficients(material, theta, tau, kernel[0])
@@ -407,24 +410,19 @@ def frac_deriv_current(state: SimState) -> np.ndarray:
     the step adds the part of P^n, tau^-alpha K_0 P^n.
 
     Precondition: P^0 is zero (as :func:`init_state` fixes it), so it is
-    skipped and one sum serves both kernels.  The history part, P^1..P^{n-1},
-    is one contraction of the window's rows P^k with their lags K_{n-k}, a
-    backward view of the kernel, plus, once rows are folded, one of the
-    weights c_m r_m^(n + 1 - folded - n0) with the tail, both einsums on the
-    calling thread: through BLAS (``@``) they would start threads that spin
-    through the rest of the step and cost more CPU than they save.
+    not stored and one sum serves both kernels.  The history part is one
+    contraction of the history's live rows, the M tail rows and the window's
+    P^(folded+1)..P^(n-1), with one coefficient vector: the weights
+    c_m r_m^(n - folded - n0), then the lags K_{n-1-folded}..K_1.  It is an
+    einsum on the calling thread: through BLAS (``@``) it would start threads
+    that spin through the rest of the step and cost more CPU than they save.
     """
-    n = state.n + 1
-    history = state.history
-    folded = history.folded
-    first = 0 if folded else 1  # slot of P^1 or of P^folded, the first row summed
-    lags = state.kernel[n - folded - first : 0 : -1]  # K_{n-folded-first} .. K_1
-    hist = np.einsum("i,ij->j", lags, history.window[first : n - folded])
-    if folded:
-        lead = history.poles ** (n + 1 - folded - history.exact)
-        lead *= history.weights
-        hist += np.einsum("m,mj->j", lead, history.tail)
-    hist = hist.reshape(state.p.shape)
+    n, history = state.n + 1, state.history
+    live = n - 1 - history.folded  # window rows summed
+    # the tail rows are zero until the first fold; max(0, .) keeps r^-j from overflowing
+    lead = history.poles ** max(0, n - history.folded - history.exact) * history.weights
+    coef = np.concatenate((lead, state.kernel[live:0:-1]))
+    hist = np.einsum("i,ij->j", coef, history.rows[: len(coef)]).reshape(state.p.shape)
     hist *= state.config.tau ** (-state.material.alpha)
     return hist
 
@@ -433,9 +431,10 @@ def _fold(history: PHistory) -> None:
     """Fold the HISTORY_FOLD oldest window rows into the tail, shift the rest
     of the window down by as many slots and advance ``folded``.  The tail is
     folded one pole at a time, so the fold's temporary is one row."""
-    fold, window = HISTORY_FOLD, history.window
+    fold, m = HISTORY_FOLD, len(history.poles)
+    tail, window = history.rows[:m], history.rows[m:]
     powers = np.power.outer(history.poles, np.arange(fold, -1, -1.0))  # r^B .. r^0
-    for row, power in zip(history.tail, powers):
+    for row, power in zip(tail, powers):
         row *= power[0]
         row += np.einsum("b,bj->j", power[1:], window[:fold])
     for start in range(0, len(window) - fold, fold):  # chunks that do not overlap
@@ -587,11 +586,11 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     d_new = hist_d + (tau ** (-mat.alpha) * state.kernel[0]) * p_new
     s_new = norm_sq(d_new, grid)
 
-    slot = n - history.folded
-    if slot == len(history.window):
+    slot = len(history.poles) + n - 1 - history.folded  # row of P^n
+    if slot == len(history.rows):
         _fold(history)
         slot -= HISTORY_FOLD
-    history.window[slot] = p_new.reshape(-1)
+    history.rows[slot] = p_new.reshape(-1)
     history.s[n] = s_new
     state.n, state.e, state.p, state.h = n, e_new, p_new, h_new
     return state

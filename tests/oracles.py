@@ -47,7 +47,9 @@ import numpy as np
 
 from colecole.manufactured import PROFILES, ManufacturedCase, _sin_pi, caputo_cubic_factor
 from colecole.mesh import CurlCurlBasis, GridSpec, VecField, sample_scalar, sample_vec
-from colecole.stepper import Quadrature, SimState, SolverError, Sources, frac_deriv_current, step
+from colecole.stepper import (
+    PHistory, Quadrature, SimState, SolverError, Sources, frac_deriv_current, step,
+)
 from colecole.weights import binomial_series, cumulative_weights, varpi_weights
 
 # sources(t) -> (f1, f2, f3) on the dofs, f2 an (nx, ny) cell array: the
@@ -179,13 +181,20 @@ def in_modes(sources: DofSources, grid: GridSpec) -> Sources:
     return modal
 
 
+def split_rows(history: PHistory) -> tuple[np.ndarray, np.ndarray]:
+    """The M tail rows and the window of the one array ``history.rows``."""
+    m = len(history.poles)
+    return history.rows[:m], history.rows[m:]
+
+
 def with_p_history(state: SimState, history: tuple[np.ndarray, ...], s=None, **changes) -> SimState:
     """A state fresh from ``init_state`` moved to n = len(history) - 1, with
-    P^k = history[k] (coefficients) written into its history window (history[0]
-    must be zero, and history must fit in the window unfolded), and s_k = s[k]
-    beside them if given."""
-    for k, q in enumerate(history):
-        state.history.window[k] = q.reshape(-1)
+    P^k = history[k] (coefficients) written into its history rows (history[0]
+    must be zero, and is not stored; the rest must fit in the window of a
+    run that has not folded), and s_k = s[k] beside them if given."""
+    assert not np.any(history[0]) and not state.history.folded
+    for k, q in enumerate(history[1:]):
+        state.history.rows[len(state.history.poles) + k] = q.reshape(-1)
     if s is not None:
         state.history.s[: len(s)] = s
     return replace(state, n=len(history) - 1, **changes)
@@ -500,9 +509,10 @@ def dense_step_solution(
     e_prev, p_prev, h_prev = state.fields()
     if state.history.folded:
         raise ValueError("the dense step reads every P^k, and this run has folded some")
-    p_history = [
-        edge_field(state.history.window[k].reshape(state.p.shape), grid) for k in range(n)
-    ]
+    # P^0 = 0 is not stored: window slot k - 1 holds P^k
+    window = split_rows(state.history)[1][: n - 1]
+    rows = [np.zeros_like(state.p), *window.reshape(-1, *state.p.shape)]
+    p_history = [edge_field(q, grid) for q in rows]
 
     # History part of the fractional quadrature, straight from its definition.
     kern = state.kernel

@@ -235,18 +235,22 @@ def test_run_failures_on_json_channel(tmp_path, capsys, monkeypatch, exc, code):
 
 
 @pytest.mark.parametrize("tau", ["1e300", "1e-300"])
-def test_overflowing_step_exits_3_without_csv(tmp_path, capsys, tau):
-    # tau^-alpha or c_e/tau overflows: the solve meets a non-finite right-hand
-    # side and the CLI reports it, with no RuntimeWarning on the way
+def test_unrepresentable_tau_exits_2_before_any_work(tmp_path, capsys, monkeypatch, tau):
+    # the E-solve's largest eigenvalue squared overflows (c_e/tau at 1e-300,
+    # tau |v|^2 at 1e300): the preflight refuses tau before the kernel is built
+    import colecole.stepper
+
+    def no_kernel(*args):
+        raise AssertionError("the run was built")
+
+    monkeypatch.setattr(colecole.stepper, "build_kernel", no_kernel)
     out = tmp_path / "e.csv"
     argv = ["energy", "--tau", tau, "--nx", "4", "--ny", "4", "--steps", "2", "--out", str(out)]
-    assert main(argv) == 3
+    assert main(argv) == 2
     (line,) = capsys.readouterr().err.strip().splitlines()
     err = json.loads(line)
     assert err["status"] == "error" and err["command"] == "energy"
-    head, value = err["message"].rsplit(" ", 1)
-    assert head == "conjugate gradients: right-hand side norm is"
-    assert not math.isfinite(float(value))
+    assert err["message"].startswith(f"tau={float(tau):g} puts the E-solve's eigenvalues in")
     assert not out.exists()
 
 
@@ -400,7 +404,7 @@ def test_energy_sweep_streams_each_run(tmp_path, monkeypatch, capsys):
             assert (tmp_path / names[len(histories) - 1]).exists()
             assert histories[-1]() is None
         result = real(*args, **kwargs)
-        histories.append(weakref.ref(result[0].history.window))
+        histories.append(weakref.ref(result[0].history.rows))
         return result
 
     monkeypatch.setattr(colecole.cli, "run_decay_experiment", checked_run)

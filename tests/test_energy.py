@@ -22,6 +22,7 @@ from colecole.stepper import (
     init_state,
     step,
 )
+from colecole.weights import fbdf2_weights, sftr_weights, shift_combine
 
 from oracles import (
     curl_e, inner_e, inner_h, varpi_weights_by_series, with_p_history, zero_edges,
@@ -231,6 +232,22 @@ def test_theta_below_half_alpha_can_rise():
         assert (np.flatnonzero(rise > energy_tolerance(energies[0])) + 1).tolist() == rises
         if rises:
             assert rise[1] == pytest.approx(1.03e-4, rel=1e-2)
+
+
+def test_fbdf2_at_theta_half_does_not_damp_the_sawtooth():
+    # Report-only: the mechanism behind the FBDF2 rises.  At theta = 1/2 the
+    # combined symbol (1/2 + z/2) (3/2 - 2z + z^2/2)^alpha vanishes at z = -1,
+    # so the kernel's alternating sum is near 0 and nothing damps the mode
+    # (-1)^n; the SFTR kernel's is near 1.  An FBDF2 (0.5, 1/2) decay run
+    # then rises in about half its steps, and FBDF2 (0.5, 0.3) in none
+    signs = (-1.0) ** np.arange(40)
+    assert abs(signs @ shift_combine(fbdf2_weights(0.5, 39), 0.5)) < 1e-3  # 5.8e-4
+    assert signs @ sftr_weights(0.5, 0.5, 39) > 0.99  # 1.0006
+    grid, n_steps = GridSpec(16, 16), 2000
+    _, _, half = run_decay_experiment(0.5, 0.5, grid, 0.01, n_steps, Quadrature.FBDF2)
+    _, _, damped = run_decay_experiment(0.5, 0.3, grid, 0.01, n_steps, Quadrature.FBDF2)
+    assert half.violation_count >= 0.4 * n_steps  # 994
+    assert damped.violation_count == 0
 
 
 def test_run_decay_experiment_records_each_step():

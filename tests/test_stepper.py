@@ -54,6 +54,7 @@ from oracles import (
     norm_e,
     observed_step,
     poly_sources,
+    split_rows,
     scheme_residual,
     textbook_cg,
     with_p_history,
@@ -108,9 +109,11 @@ def test_init_state():
     assert state.n == 0
     assert state.e.shape == state.p.shape == (2, 4, 4) and state.h.shape == (4, 4)
     assert not np.any(state.p)
-    assert state.history.window.shape == (5, 32) and state.history.s.shape == (5,)
-    assert not np.any(state.history.window) and not np.any(state.history.s)
-    assert state.history.tail is None and state.history.folded == 0  # 4 steps never fold
+    # 4 steps never fold: no tail, and a window of P^1..P^4 (P^0 = 0 is not stored)
+    assert state.history.rows.shape == (4, 32) and state.history.s.shape == (5,)
+    assert not np.any(state.history.rows) and not np.any(state.history.s)
+    assert len(state.history.poles) == len(state.history.weights) == 0
+    assert split_rows(state.history)[0].shape == (0, 32) and state.history.folded == 0
     # kernel covers the whole run and starts at the generating sequence
     assert len(state.kernel) == state.config.n_steps
     assert state.kernel[0] == sftr_weights(0.5, 0.5, 0)[0]
@@ -242,13 +245,47 @@ def test_straight_run_fills_one_buffer(quadrature):
     exact, worst = exact_sums_until_folded(final, case.sources)
     assert final.history is history and final.n == n_steps
     assert history.exact == stepper.HISTORY_EXACT
-    unfolded = history.exact + 2 * stepper.HISTORY_FOLD
-    # steps 1..53 read an unfolded history: step 53 sums before it folds
-    assert exact == unfolded + 1
+    window = history.exact + 2 * stepper.HISTORY_FOLD + 1
+    # steps 1..54 read an unfolded history: step 54 sums before it folds
+    assert exact == window + 1
     assert 0.0 < worst <= 1e-12
-    assert history.window.shape == (unfolded + 1, 2 * 8 * 8)
+    assert history.rows.shape == (len(history.poles) + window, 2 * 8 * 8)
     assert history.s.shape == (n_steps + 1,)
-    assert np.array_equal(history.window[n_steps - history.folded], final.p.reshape(-1))
+    last = split_rows(history)[1][n_steps - 1 - history.folded]
+    assert np.array_equal(last, final.p.reshape(-1))
+
+
+@pytest.mark.parametrize("quadrature", [Quadrature.SFTR, Quadrature.FBDF2])
+def test_a_run_folds_only_past_its_window(quadrature, monkeypatch):
+    # the window holds P^1..P^W, W = n0 + 2B + 1 = 53 (P^0 = 0 is not
+    # stored): a 53-step run never fits a tail, and a 54-step run folds once,
+    # on its last step, after that step's sum.  Every step of both sums its
+    # history exactly, bit for bit
+    grid, dofs = GridSpec(8, 8), 2 * 8 * 8
+    case = ManufacturedCase(alpha=0.7).sample(grid)
+    window = stepper.HISTORY_EXACT + 2 * stepper.HISTORY_FOLD + 1
+    assert window == 53
+    folds, fold = [], stepper._fold
+    monkeypatch.setattr(stepper, "_fold", lambda history: folds.append(history.folded) or fold(history))
+
+    def no_tail(*args):
+        raise AssertionError("a run that never folds fitted a tail")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(stepper, "exponential_tail", no_tail)
+        short = case.initial_state(SchemeConfig(0.4, 1.0 / window, window, quadrature))
+        assert exact_sums_until_folded(short, case.sources) == (window, 0.0)
+    assert folds == [] and short.history.folded == 0
+    assert short.history.rows.shape == (window, dofs) and len(short.history.poles) == 0
+    assert np.array_equal(short.history.rows[-1], short.p.reshape(-1))
+
+    long = case.initial_state(SchemeConfig(0.4, 1.0 / (window + 1), window + 1, quadrature))
+    tail = len(long.history.poles)
+    assert tail > 0 and long.history.rows.shape == (tail + window, dofs)
+    assert exact_sums_until_folded(long, case.sources) == (window + 1, 0.0)
+    assert folds == [0] and long.history.folded == stepper.HISTORY_FOLD
+    # P^17..P^54 are left in the window, P^54 in its slot 37
+    assert np.array_equal(split_rows(long.history)[1][37], long.p.reshape(-1))
 
 
 @pytest.mark.parametrize(
@@ -269,15 +306,15 @@ def test_theta_below_half_alpha_runs_long(alpha, theta, folds):
     exact, worst = exact_sums_until_folded(final, case.sources)
     history = final.history
     assert final.n == n_steps and np.all(np.isfinite(final.e))
-    unfolded = n0 + 2 * stepper.HISTORY_FOLD
+    window = n0 + 2 * stepper.HISTORY_FOLD + 1
     assert history.exact == min(n0, n_steps)
-    assert (history.poles is not None) == folds
+    assert (len(history.poles) > 0) == folds
     if folds:
-        assert exact == unfolded + 1 and 0.0 < worst <= 1e-12
-        assert history.window.shape == (unfolded + 1, 2 * 8 * 8)
+        assert exact == window + 1 and 0.0 < worst <= 1e-12
+        assert history.rows.shape == (len(history.poles) + window, 2 * 8 * 8)
     else:
         assert exact == n_steps and history.folded == 0
-        assert history.window.shape == (n_steps + 1, 2 * 8 * 8)
+        assert history.rows.shape == (n_steps, 2 * 8 * 8)
 
 
 def test_step_zero_state_stays_zero():
@@ -618,6 +655,21 @@ def test_memory_preflight_refuses_before_allocating(monkeypatch):
     assert stepper.physical_memory_bytes() > 100 * window_bytes
 
 
+@pytest.mark.parametrize("c_e, tau, ok", [
+    (1.0, 1e-150, True), (1.0, 1e-160, False),  # c_e/tau squared overflows
+    (1.0, 1e150, True), (1.0, 1e160, False),  # tau |v|^2 squared overflows
+    (1e-300, 1e10, False),  # c_e/tau is subnormal
+])
+def test_preflight_refuses_a_tau_the_solve_cannot_represent(c_e, tau, ok):
+    grid, config = GridSpec(8, 8), SchemeConfig(theta=0.5, tau=tau, n_steps=10)
+    material = MaterialParams(c_e=c_e)
+    if ok:
+        assert stepper.preflight(grid, material, config) == (10, 10)
+    else:
+        with pytest.raises(ValueError, match="E-solve's eigenvalues"):
+            stepper.preflight(grid, material, config)
+
+
 def test_experiments_refuse_before_sampling_initial_data(monkeypatch):
     # the preflight comes first, so a grid whose initial data alone exceed
     # memory is refused before they are allocated
@@ -645,7 +697,7 @@ def test_memory_preflight_counts_a_bounded_history(monkeypatch):
     zero = zero_edges(grid), np.zeros((grid.nx, grid.ny))
     state = init_state(grid, MaterialParams(), config, *zero)
     history = state.history
-    held = history.window.nbytes + history.tail.nbytes
+    held = history.rows.nbytes
     assert held == (53 + len(history.poles)) * dofs * 8
     assert held < every_row / 10
 
@@ -669,8 +721,7 @@ def test_memory_preflight_counts_the_window_of_an_alternating_kernel(monkeypatch
     history = init_state(grid, MaterialParams(alpha=0.9), config, *zero).history
     rows = 842 + 2 * stepper.HISTORY_FOLD + 1
     assert history.exact == 842 and checks == [(rows, TAIL_MAX_POLES)]
-    assert history.window.shape == (rows, dofs)
-    assert history.tail.shape == (len(history.poles), dofs)
+    assert history.rows.shape == (len(history.poles) + rows, dofs)
 
 
 def test_memory_preflight_counts_the_tail_alone(monkeypatch):
@@ -689,7 +740,7 @@ def test_memory_preflight_counts_the_tail_alone(monkeypatch):
         init_state(grid, MaterialParams(), config, *zero)
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: need + 4 * poles * dofs)
     history = init_state(grid, MaterialParams(), config, *zero).history
-    assert history.window.shape == (53, dofs) and history.tail is not None
+    assert history.rows.shape == (len(history.poles) + 53, dofs) and len(history.poles) > 0
 
 
 @pytest.mark.parametrize("size, steps, quadrature", [
@@ -720,11 +771,11 @@ def test_fold_allocates_one_row():
     grid, dofs, fold = GridSpec(32, 32), 2 * 32 * 32, stepper.HISTORY_FOLD
     history = zero_state(grid, tau=1.0 / 400, n_steps=400).history
     rng = np.random.default_rng(0)
-    history.window[:] = rng.standard_normal(history.window.shape)
-    history.tail[:] = rng.standard_normal(history.tail.shape)
+    history.rows[:] = rng.standard_normal(history.rows.shape)
     powers = np.power.outer(history.poles, np.arange(fold, -1, -1.0))
-    tail = history.tail * powers[:, :1] + np.einsum("mb,bj->mj", powers[:, 1:], history.window[:fold])
-    window = history.window[fold:].copy()
+    tail, window = split_rows(history)
+    tail = tail * powers[:, :1] + np.einsum("mb,bj->mj", powers[:, 1:], window[:fold])
+    window = window[fold:].copy()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -733,8 +784,8 @@ def test_fold_allocates_one_row():
     finally:
         tracemalloc.stop()
     assert len(history.poles) > 2 and peak <= 2 * dofs * 8
-    assert np.array_equal(history.tail, tail) and history.folded == fold
-    assert np.array_equal(history.window[: len(window)], window)
+    assert np.array_equal(split_rows(history)[0], tail) and history.folded == fold
+    assert np.array_equal(split_rows(history)[1][: len(window)], window)
 
 
 # decay_long's six pairs at N = 400, (0.9, 0.2) at N = 1000, FBDF2 at 0.8, N = 2000
@@ -774,9 +825,11 @@ def test_kept_poles_serve_every_read_lag(alpha, theta, n_steps, quadrature):
 def test_tail_is_read_from_exponent_b_plus_3(alpha, theta, n_steps):
     # a fold leaves n0 + B + 1 window rows, so a step reads its tail at pole
     # exponents B + 3 and up, the range the kept poles serve
+    # (the tail rows are zero until the first fold, and their weights unread)
     class RecordedPowers(np.ndarray):
         def __pow__(self, exponent):
-            exponents.append(exponent)
+            if state.history.folded:
+                exponents.append(exponent)
             return np.asarray(self) ** exponent
 
     exponents = []
@@ -794,9 +847,8 @@ def test_history_bytes_do_not_grow_with_the_run():
     held = {}
     for n_steps in (200, 2000):
         history = zero_state(grid, tau=1.0 / n_steps, n_steps=n_steps).history
-        assert history.window.shape == (53, dofs)
-        assert history.tail.shape == (len(history.poles), dofs)
-        held[n_steps] = history.window.nbytes + history.tail.nbytes
+        assert history.rows.shape == (len(history.poles) + 53, dofs)
+        held[n_steps] = history.rows.nbytes
         assert held[n_steps] <= (53 + TAIL_MAX_POLES) * dofs * 8
     assert held[2000] < 2 * held[200] and held[2000] < (200 + 1) * dofs * 8
 
