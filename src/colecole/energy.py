@@ -132,8 +132,8 @@ def run_decay_experiment(
     material = MaterialParams(alpha=alpha)
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
     preflight(grid, material, config)
-    e0, h0 = decay_initial_data(grid)
-    state = init_state(grid, material, config, e0, h0)
+    # straight in: the dof-space initial data are freed once transformed
+    state = init_state(grid, material, config, *decay_initial_data(grid))
     trace = np.zeros(n_steps + 1, TRACE)
     energy = previous = discrete_energy(state)
     dissipation = 0.0

@@ -66,7 +66,10 @@ it allocates, and so do the experiment loops before they sample initial data.
 
 A run has one state: :func:`step` advances it in place.  The state owns its
 run's history; copies of it share the history, and only the stepped state
-matches it.
+matches it.  A step holds only what its next part reads: P^n is built in
+g's buffer, E^n in the right-hand side's (:func:`solve_spd`) and D^alpha P^n
+in the history part's, and one scratch array, dropped for the solve, takes
+the products.  A source-free step allocates at most five coefficient arrays.
 
 The state also carries the energy weights a_0..a_N of the run's (alpha,
 theta), ``SimState.a_weights``; FBDF2 runs carry the trapezoidal ones too.
@@ -279,8 +282,9 @@ def preflight(grid: GridSpec, material: MaterialParams, config: SchemeConfig) ->
     (1-theta)^2 tau max|v|^2/c_m, is finite, checked on bounds: 0 < a < c_p
     and |v|^2 < 4/dx^2 + 4/dy^2.  :class:`MemoryError` unless the run fits in
     physical memory, by an upper bound: it counts the tail at M = 128 before
-    the fit has run, and is 2.46 times the traced peak of a 64^2 x 400-step
-    decay run, 1.64 times at 256^2 x 20 and 1.36 times for FBDF2 at 48^2 x 40."""
+    the fit has run, and is 2.45 times the traced peak of a 64^2 x 400-step
+    decay run, 1.28 times at 256^2 x 20, 1.29 times for FBDF2 at 48^2 x 40 and
+    1.15 times for a forced FBDF2 run at 48^2 x 40."""
     mat, tau, one_m, sx, sy = material, config.tau, 1.0 - config.theta, 2 / grid.dx, 2 / grid.dy
     low = mat.c_e / tau
     high = (mat.c_e + mat.c_p) / tau + one_m * one_m * tau * (sx * sx + sy * sy) / mat.c_m
@@ -305,10 +309,12 @@ def _require_memory(grid: GridSpec, config: SchemeConfig, rows: int, poles: int)
     # arrays of its row blocks).  Twenty-five values per step: s, the kernel,
     # the energy weights, the fit's lags and targets, the weights' FFT check
     # (three arrays of up to 4 (N+1)) and the five columns of the energy trace.
-    # Under 32 coefficient arrays: the step constants (three), their build
-    # (five), a step's temporaries, a fold's one row and the states it holds.
+    # Sixteen coefficient arrays, one to spare: a step holds the state (2.5),
+    # |v| and the spectrum's index (1), its temporaries and the solve's (5)
+    # and, forced, the sources (2.5) and the case's profiles (4).  256 KiB for
+    # what a process allocates once (numpy.fft's import takes about 120 KiB).
     fit = 3 * (TAIL_FIT_ROWS + poles) * (poles + 1) if poles else 0
-    need = 8 * (rows * dofs + poles * dofs + fit + 25 * (steps + 1) + 32 * dofs)
+    need = 8 * (rows * dofs + poles * dofs + fit + 25 * (steps + 1) + 16 * dofs) + 2**18
     have = physical_memory_bytes()
     if need > have:
         raise MemoryError(
@@ -470,9 +476,11 @@ def solve_spd(
     spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray, tol: float, maxit: int
 ) -> tuple[np.ndarray, int]:
     """Conjugate gradients for the diagonal operator with eigenvalues
-    ``spectrum``, started from x0 (which is not modified).  The basis is
-    orthonormal, so the iterates and iteration counts are, up to round-off,
-    those of CG on the step's operator with the curl stencils on the dofs.
+    ``spectrum``, started from x0 (which is not modified).  ``rhs`` is
+    overwritten: the residual is formed in its buffer and the solution
+    returned in it.  The basis is orthonormal, so the iterates and iteration
+    counts are, up to round-off, those of CG on the step's operator with the
+    curl stencils on the dofs.
 
     On a diagonal operator, CG's k-th residual is R_k(lam) r0, r0 = rhs -
     lam x0, and its iterate x0 + (1 - R_k(lam))/lam r0, for a polynomial R_k
@@ -504,27 +512,28 @@ def solve_spd(
             iterations=0,
         )
     if rhs_norm == 0.0:
-        return np.zeros_like(rhs), 0
+        rhs.fill(0.0)
+        return rhs, 0
     # Component 0 is one group: summed apart, it keeps bincount off one bin.
     lam, group, index = spectrum.values, spectrum.group, spectrum.index
-    r0 = np.empty_like(rhs)
-    r0[0] = lam[group]
-    np.take(lam, index, out=r0[1])
-    r0 *= x0
-    np.subtract(rhs, r0, out=r0)
-    w = np.bincount(index.reshape(-1), weights=np.square(r0[1]).reshape(-1))
+    r0, cell = rhs, np.take(lam, index)  # r0 = rhs - lam x0, one component at a time
+    cell *= x0[1]
+    r0[1] -= cell
+    np.multiply(x0[0], lam[group], out=cell)
+    r0[0] -= cell
+    w = np.bincount(index.reshape(-1), weights=np.square(r0[1], out=cell).reshape(-1))
     w[group] += np.einsum("ij,ij->", r0[0], r0[0])
     rho, threshold = w.sum(), (tol * rhs_norm) ** 2
-    sqrt_w = np.sqrt(w)
+    sqrt_w = np.sqrt(w, out=w)
     r, d = sqrt_w.copy(), sqrt_w.copy()  # sqrt(w) R and sqrt(w) D
     work = np.empty_like(lam)
     for it in range(maxit + 1):
         if rho <= threshold:
             # X = (1 - R)/lam; where w = 0, r0 is 0 in the whole group and r stays 0
             np.subtract(sqrt_w, r, out=r)
-            np.divide(r, sqrt_w * lam, out=r, where=sqrt_w > 0.0)
+            np.divide(r, np.multiply(sqrt_w, lam, out=work), out=r, where=sqrt_w > 0.0)
             r0[0] *= r[group]
-            r0[1] *= np.take(r, index)
+            r0[1] *= np.take(r, index, out=cell, mode="clip")  # unbuffered; index is in range
             r0 += x0
             return r0, it
         if it == maxit or not math.isfinite(rho):
@@ -567,24 +576,44 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     hist_d = frac_deriv_current(state)
     denom, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
 
-    # Elimination of P^n from the dof-local polarization equation.
-    g = (1.0 / denom) * ((mat.c_p * theta) * e - theta * p - (mat.tau0**mat.alpha) * hist_d + f3)
+    # Products go to one scratch array, dropped for the solve; sums are taken in
+    # place in each formula's order.  Elimination of P^n = a E^n + g from the
+    # polarization equation: g = (1/denom) ((c_p theta) E - theta P - tau0^alpha hist_d + f3)
+    g = np.multiply(e, mat.c_p * theta)
+    work = np.multiply(p, theta)
+    g -= work
+    g -= np.multiply(hist_d, mat.tau0**mat.alpha, out=work)
+    g += f3
+    g *= 1.0 / denom
 
     # rhs = (c_e/tau) E + (P - g)/tau + curl_h(H + (1-theta) tau/c_m f2)
     #       - (1-theta) theta tau/c_m curl_h curl_e E + f1,
     # where curl_e E = -|v| b and curl_h c = (0, -|v| c) on each mode.
     v = state.curl_modulus
-    rhs = (mat.c_e / tau) * e + (1.0 / tau) * (p - g) + f1
-    rhs[1] -= v * (h + (one_m * tau / mat.c_m) * f2 + (one_m * theta * tau / mat.c_m) * v * e[1])
+    rhs = np.multiply(e, mat.c_e / tau)
+    rhs += np.multiply(np.subtract(p, g, out=work), 1.0 / tau, out=work)
+    rhs += f1
+    np.add(h, np.multiply(f2, one_m * tau / mat.c_m, out=work[1]), out=work[1])
+    np.multiply(np.multiply(v, one_m * theta * tau / mat.c_m, out=work[0]), e[1], out=work[0])
+    work[1] += work[0]
+    rhs[1] -= np.multiply(work[1], v, out=work[1])
+    del work
 
     maxit = CG_MAXIT_PER_SIDE * (grid.nx + grid.ny)
-    e_new, _ = solve_spd(state.spectrum, rhs, e, CG_TOL, maxit)
-    p_new = a_coef * e_new + g
-    # H^n = H^{n-1} - tau/c_m curl_e(theta average of E) + tau/c_m f2
-    h_new = h + (tau / mat.c_m) * (v * (one_m * e_new[1] + theta * e[1]) + f2)
+    e_new, _ = solve_spd(state.spectrum, rhs, e, CG_TOL, maxit)  # in rhs's buffer
+    work = np.multiply(e_new, a_coef)
+    p_new = np.add(g, work, out=g)
+    # H^n = H^{n-1} + tau/c_m (|v| ((1-theta) E^n[1] + theta E^{n-1}[1]) + f2)
+    h_part = np.multiply(e_new[1], one_m, out=work[0])
+    h_part += np.multiply(e[1], theta, out=work[1])
+    h_part *= v
+    h_part += f2
+    h_part *= tau / mat.c_m
+    h_new = h + h_part
     # D(P^n) = history part + tau^-alpha K_0 P^n, so the history sum is not run again.
-    d_new = hist_d + (tau ** (-mat.alpha) * state.kernel[0]) * p_new
-    s_new = norm_sq(d_new, grid)
+    hist_d += np.multiply(p_new, tau ** (-mat.alpha) * state.kernel[0], out=work)
+    s_new = norm_sq(hist_d, grid)
+    del hist_d, work, h_part  # a fold's one row then sits beside E^n, P^n and H^n alone
 
     slot = len(history.poles) + n - 1 - history.folded  # row of P^n
     if slot == len(history.rows):

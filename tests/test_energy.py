@@ -1,5 +1,7 @@
 """Discrete energy functional, dissipation bound, decay reporting."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,27 @@ def test_run_decay_experiment_records_each_step():
     rises = np.maximum(0.0, np.diff(trace["energy"]))
     assert trace["violation"].tolist() == [0.0, *rises.tolist()]
     assert rep == decay_report(trace)
+
+
+def test_run_decay_experiment_holds_no_initial_data(monkeypatch):
+    # the dof-space initial data go straight to init_state, so they are
+    # freed once transformed, before the first step
+    refs, alive = [], []
+    real_data, real_step = energy.decay_initial_data, energy.step
+
+    def sampled(grid):
+        e0, h0 = real_data(grid)
+        refs.extend(weakref.ref(a) for a in (e0.ex, e0.ey, h0))
+        return e0, h0
+
+    def step(state, *args):
+        alive.append([ref() is not None for ref in refs])
+        return real_step(state, *args)
+
+    monkeypatch.setattr(energy, "decay_initial_data", sampled)
+    monkeypatch.setattr(energy, "step", step)
+    energy.run_decay_experiment(0.5, 0.5, GridSpec(8, 8), 0.01, 2)
+    assert len(refs) == 3 and alive == [[False] * 3] * 2
 
 
 @pytest.mark.parametrize("name,bad,message,at", [

@@ -13,7 +13,9 @@ import pytest
 
 import oracles
 from colecole import energy, stepper
-from colecole.manufactured import ManufacturedCase, convergence_table
+from colecole.manufactured import (
+    ManufacturedCase, convergence_table, decay_initial_data, run_case
+)
 from colecole.mesh import CurlCurlBasis, GridSpec, VecField
 from colecole.stepper import (
     CG_MAXIT_PER_SIDE,
@@ -407,16 +409,35 @@ def test_solve_spd_basics():
     zero = np.zeros_like(rhs)
     ones = Spectrum(np.ones_like(rhs))
     # all eigenvalues equal: one group, solved in one iteration
-    x, its = solve_spd(ones, rhs, zero, 1e-12, 50)
+    # (a solve overwrites its rhs, so each gets a copy)
+    x, its = solve_spd(ones, rhs.copy(), zero, 1e-12, 50)
     np.testing.assert_allclose(x, rhs, atol=1e-13)
     assert its == 1 and len(ones.values) == 1
-    x, its = solve_spd(Spectrum(np.full_like(rhs, 2.0)), rhs, zero, 1e-12, 50)
+    x, its = solve_spd(Spectrum(np.full_like(rhs, 2.0)), rhs.copy(), zero, 1e-12, 50)
     np.testing.assert_allclose(x, 0.5 * rhs, atol=1e-13)
     assert its == 1
-    x, its = solve_spd(ones, zero, rhs, 1e-12, 50)
+    x, its = solve_spd(ones, zero.copy(), rhs, 1e-12, 50)
     assert its == 0 and not np.any(x)
     with pytest.raises(ValueError, match="shapes"):
         solve_spd(ones, rhs, np.zeros((2, 4, 5)), 1e-12, 50)
+
+
+def test_solve_spd_solves_in_the_rhs_buffer():
+    # the residual is formed in rhs and the solution comes back in its
+    # buffer, the same solution as from a copy; x0 is only read
+    grid = GridSpec(16, 16)
+    state = zero_state(grid, theta=0.5, tau=0.05, n_steps=1)
+    spectrum = Spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)))
+    rng = np.random.default_rng(7)
+    rhs, x0 = random_modes(grid, rng), random_modes(grid, rng)
+    start = x0.copy()
+    want, want_its = solve_spd(spectrum, rhs.copy(), x0, CG_TOL, 320)
+    x, its = solve_spd(spectrum, rhs, x0, CG_TOL, 320)
+    assert np.shares_memory(x, rhs) and its == want_its > 1
+    assert np.array_equal(x, want) and np.array_equal(x0, start)
+    zero = np.zeros_like(rhs)
+    x, its = solve_spd(spectrum, zero, x0, CG_TOL, 320)
+    assert x is zero and its == 0 and not np.any(x) and np.array_equal(x0, start)
 
 
 def test_solve_spd_against_dense_factorization():
@@ -692,7 +713,7 @@ def test_memory_preflight_counts_a_bounded_history(monkeypatch):
     grid = GridSpec(8, 8)
     config = SchemeConfig(theta=0.5, tau=0.002, n_steps=5000)
     dofs = 2 * 8 * 8
-    every_row = 8 * ((config.n_steps + 1) * (dofs + 4) + 32 * dofs)
+    every_row = 8 * ((config.n_steps + 1) * (dofs + 4) + 16 * dofs) + 2**18
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: every_row - 1)
     zero = zero_edges(grid), np.zeros((grid.nx, grid.ny))
     state = init_state(grid, MaterialParams(), config, *zero)
@@ -709,7 +730,7 @@ def test_memory_preflight_counts_the_window_of_an_alternating_kernel(monkeypatch
     # its 5001 rows
     grid = GridSpec(8, 8)
     dofs = 2 * 8 * 8
-    every_row = 8 * ((5000 + 1) * (dofs + 4) + 32 * dofs)
+    every_row = 8 * ((5000 + 1) * (dofs + 4) + 16 * dofs) + 2**18
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: every_row - 1)
     checks = []
     preflight = stepper._require_memory
@@ -726,14 +747,14 @@ def test_memory_preflight_counts_the_window_of_an_alternating_kernel(monkeypatch
 
 def test_memory_preflight_counts_the_tail_alone(monkeypatch):
     # a folding run holds its window and at most TAIL_MAX_POLES tail rows; a
-    # fold's temporary is one row, among the 32 coefficient arrays.  The
+    # fold's temporary is one row, within the 16 coefficient arrays.  The
     # estimate that also counted a fold's temporary of M rows refused this
     # run in memory halfway between the two estimates
     grid, dofs = GridSpec(8, 8), 2 * 8 * 8
     config = SchemeConfig(theta=0.5, tau=0.001, n_steps=1000)
     poles = TAIL_MAX_POLES
     fit = 3 * (TAIL_FIT_ROWS + poles) * (poles + 1)
-    need = 8 * ((53 + poles + 32) * dofs + fit + 25 * (config.n_steps + 1))
+    need = 8 * ((53 + poles + 16) * dofs + fit + 25 * (config.n_steps + 1)) + 2**18
     zero = zero_edges(grid), np.zeros((grid.nx, grid.ny))
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: need - 1)
     with pytest.raises(MemoryError, match="physical memory"):
@@ -743,25 +764,31 @@ def test_memory_preflight_counts_the_tail_alone(monkeypatch):
     assert history.rows.shape == (len(history.poles) + 53, dofs) and len(history.poles) > 0
 
 
-@pytest.mark.parametrize("size, steps, quadrature", [
-    (64, 400, Quadrature.SFTR),  # folds
-    (256, 20, Quadrature.SFTR),
-    (48, 40, Quadrature.FBDF2),
+@pytest.mark.parametrize("size, steps, quadrature, forced", [
+    pytest.param(64, 400, Quadrature.SFTR, False, id="64-400-Quadrature.SFTR"),  # folds
+    pytest.param(256, 20, Quadrature.SFTR, False, id="256-20-Quadrature.SFTR"),
+    pytest.param(48, 40, Quadrature.FBDF2, False, id="48-40-Quadrature.FBDF2"),
+    # holds the case's profiles and a step's sources besides
+    pytest.param(48, 40, Quadrature.FBDF2, True, id="48-40-Quadrature.FBDF2-forced"),
 ])
-def test_memory_preflight_covers_a_traced_run(monkeypatch, size, steps, quadrature):
-    # the estimate is at least what a whole decay run allocates: numpy's
-    # buffers traced over the run peak no higher than the preflight's need
-    grid = GridSpec(size, size)
+def test_memory_preflight_covers_a_traced_run(monkeypatch, size, steps, quadrature, forced):
+    # the estimate is at least what a whole run allocates: numpy's buffers
+    # traced over a decay run, or over sampling a manufactured case and
+    # running it with its sources, peak no higher than the preflight's need
+    grid, tau = GridSpec(size, size), 1.0 / steps if forced else 0.002
     tracemalloc.start()
     try:
-        energy.run_decay_experiment(0.5, 0.5, grid, 0.002, steps, quadrature)
+        if forced:
+            run_case(ManufacturedCase(alpha=0.5).sample(grid), 0.5, tau, quadrature)
+        else:
+            energy.run_decay_experiment(0.5, 0.5, grid, tau, steps, quadrature)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: peak - 1)
     with pytest.raises(MemoryError, match="physical memory"):
         stepper.preflight(grid, MaterialParams(alpha=0.5),
-                          SchemeConfig(theta=0.5, tau=0.002, n_steps=steps, quadrature=quadrature))
+                          SchemeConfig(theta=0.5, tau=tau, n_steps=steps, quadrature=quadrature))
 
 
 def test_fold_allocates_one_row():
@@ -786,6 +813,28 @@ def test_fold_allocates_one_row():
     assert len(history.poles) > 2 and peak <= 2 * dofs * 8
     assert np.array_equal(split_rows(history)[0], tail) and history.folded == fold
     assert np.array_equal(split_rows(history)[1][: len(window)], window)
+
+
+@pytest.mark.parametrize("quadrature", [Quadrature.SFTR, Quadrature.FBDF2])
+def test_a_step_allocates_at_most_five_arrays(quadrature):
+    # a source-free step builds P^n, E^n and D^alpha P^n in place in its temporaries,
+    # drops its scratch for the solve and the rest before a fold: numpy's
+    # buffers traced over any step of a folding run peak at most five
+    # coefficient arrays above those live before it
+    grid, dofs = GridSpec(64, 64), 2 * 64 * 64
+    config = SchemeConfig(theta=0.5, tau=0.002, n_steps=60, quadrature=quadrature)
+    state = init_state(grid, MaterialParams(), config, *decay_initial_data(grid))
+    peaks = []
+    while state.n < config.n_steps:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step(state)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert state.history.folded > 0
+    assert max(peaks) <= 5 * dofs * 8, max(peaks) / (dofs * 8)
 
 
 # decay_long's six pairs at N = 400, (0.9, 0.2) at N = 1000, FBDF2 at 0.8, N = 2000
@@ -946,7 +995,7 @@ def test_solve_spd_matches_cg_over_every_coefficient(
     for spectrum, rhs, x0 in calls:
         for start in (np.zeros_like(x0), x0):
             want, want_its = diagonal_cg(lam, rhs, start, CG_TOL, maxit)
-            got, got_its = solve_spd(spectrum, rhs, start, CG_TOL, maxit)
+            got, got_its = solve_spd(spectrum, rhs.copy(), start, CG_TOL, maxit)
             assert got_its == want_its
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
             most = max(most, got_its)
@@ -973,7 +1022,7 @@ def test_solve_spd_bitwise_matches_textbook_cg(monkeypatch, grid, quadrature, ta
             want, want_its = textbook_cg(
                 op, edge_field(rhs, grid), grid, CG_TOL, maxit, x0=edge_field(start, grid)
             )
-            got, got_its = solve_spd(spectrum, rhs, start, CG_TOL, maxit)
+            got, got_its = solve_spd(spectrum, rhs.copy(), start, CG_TOL, maxit)
             assert got_its == want_its
             diff = fmap(np.subtract, edge_field(got, grid), want)
             assert norm_e(diff, grid) <= 1e-13 * norm_e(want, grid)
