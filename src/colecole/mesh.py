@@ -202,9 +202,9 @@ class CurlCurlBasis:
     Each mode is then reflected onto its component along the normal
     (s_x, s_y) / |v| and its component along -v / |v|, stacked as a
     (2, nx, ny) array: ``diag I + curl_scale curl_h curl_e`` multiplies the
-    first by diag and the second by diag + curl_scale |v|^2
-    (:meth:`eigenvalues`).  Mode (0, 0) and the normal component of the modes
-    with k = 0 or l = 0 are always zero.
+    first by diag and the second by diag + curl_scale |v|^2, the (nx, ny)
+    array of :meth:`eigenvalues`.  Mode (0, 0) and the normal component of
+    the modes with k = 0 or l = 0 are always zero.
 
     Cell fields are expanded in DCT-II modes in both directions
     (:meth:`forward_cell`).  With c the cell coefficients, ``curl_e`` of the
@@ -225,14 +225,13 @@ class CurlCurlBasis:
         self.s_y, self._dct_y, self._idct_y, self._dst_y = (f[None, :] for f in fy)
 
     def eigenvalues(self, diag: float, curl_scale: float) -> np.ndarray:
-        """The (2, nx, ny) eigenvalues of ``diag I + curl_scale curl_h curl_e``
-        on the coefficients: diag, and diag + curl_scale |v|^2, with |v|^2
-        summed first so that mirrored modes (k, l) and (l, k) of a square grid
-        get bit-identical eigenvalues."""
-        lam = np.empty((2,) + self.shape)
-        lam[0] = diag
-        lam[1] = diag + curl_scale * (self.s_x**2 + self.s_y**2)
-        return lam
+        """The (nx, ny) eigenvalues diag + curl_scale |v|^2 of
+        ``diag I + curl_scale curl_h curl_e`` on the tangential component of
+        the coefficients, with |v|^2 summed first so that mirrored modes
+        (k, l) and (l, k) of a square grid get bit-identical eigenvalues.  On
+        the normal component the eigenvalue is diag on every mode: exactly
+        this array's entry at mode (0, 0), where |v| = 0."""
+        return diag + curl_scale * (self.s_x**2 + self.s_y**2)
 
     def curl_modulus(self) -> np.ndarray:
         """|v| of every mode, an (nx, ny) array: the factor by which the curls

@@ -26,9 +26,11 @@ and computes no transform.  :func:`init_state` transforms the initial data
 once, and :meth:`SimState.fields` transforms a state back to dof arrays.
 
 The operator above is diagonal in that basis, with the same eigenvalues on
-every step of a run.  :func:`init_state` groups them by exact value once
-(:class:`Spectrum`), and :func:`solve_spd` runs conjugate gradients once per
-group, warm-started from E^{n-1}: the iterates are CG's, and an iteration
+every step of a run: an (nx, ny) array on the tangential component, whose
+(0, 0) entry is the normal component's on every mode.  :func:`init_state`
+groups that array by exact value once (:class:`Spectrum`), and
+:func:`solve_spd` runs conjugate gradients once per group, warm-started from
+E^{n-1}, to relative residual CG_TOL: the iterates are CG's, and an iteration
 costs the number of groups, not of coefficients.  One division per mode
 would solve exactly; CG is kept so that every solution stays, to round-off,
 the one the same CG gives on the curl stencils, where the benchmark's
@@ -185,17 +187,15 @@ class PHistory:
 
 
 class Spectrum:
-    """The (2, nx, ny) eigenvalues ``lam`` of a step's E-solve
-    (``CurlCurlBasis.eigenvalues``) grouped by exact value: ``values`` holds
-    the distinct ones in ascending order, ``values[index]`` is lam[1] and
-    ``values[group]`` every entry of lam[0], bit for bit.  Only component 1
-    is sorted, into the (nx, ny) ``index``: component 0 is diag on every
-    mode, the value of component 1 at mode (0, 0), so all of it is the one
-    group ``group``.
+    """The (nx, ny) eigenvalues ``lam`` of a step's E-solve on the tangential
+    component (``CurlCurlBasis.eigenvalues``) grouped by exact value:
+    ``values`` holds the distinct ones in ascending order, and
+    ``values[index]`` is lam, bit for bit.  The normal component's
+    eigenvalue is diag on every mode, lam's entry at mode (0, 0), so all of
+    that component is the one group ``group = index[0, 0]``.
 
     Raises :class:`ValueError` unless every eigenvalue is finite and positive,
-    so that a :func:`solve_spd` on it is well posed, or if component 0 is not
-    one value of component 1.
+    so that a :func:`solve_spd` on it is well posed.
     """
 
     def __init__(self, lam: np.ndarray) -> None:
@@ -205,11 +205,9 @@ class Spectrum:
                 "the E-solve needs finite, positive eigenvalues (diag > 0, curl_scale >= 0), "
                 f"got entries in [{low}, {high}]"
             )
-        self.values, inverse = np.unique(lam[1], return_inverse=True)
-        self.group = int(min(np.searchsorted(self.values, lam[0, 0, 0]), len(self.values) - 1))
-        if np.any(lam[0] != self.values[self.group]):
-            raise ValueError("component 0 of the eigenvalues must be one value of component 1")
-        self.index = inverse.reshape(lam.shape[1:])
+        self.values, inverse = np.unique(lam, return_inverse=True)
+        self.index = inverse.reshape(lam.shape)
+        self.group = int(self.index[0, 0])
 
 
 @dataclass
@@ -220,9 +218,10 @@ class SimState:
     ``h`` the (nx, ny) cell coefficients of H^n (see
     :class:`~colecole.mesh.CurlCurlBasis`); :meth:`fields` gives the dof arrays.
     ``kernel`` (K_0..K_{N-1} of :func:`build_kernel`, read-only), ``a_weights``,
-    ``curl_modulus`` (|v| of every mode) and ``spectrum`` (the eigenvalues of
-    the E-solve's operator) are constant over the run.  The state owns its
-    run's ``history``; copies share it, and only the stepped state matches it.
+    ``curl_modulus`` (|v| of every mode) and ``spectrum`` (the E-solve's
+    (nx, ny) eigenvalues, grouped) are constant over the run.  The state owns
+    its run's ``history``; copies share it, and only the stepped state
+    matches it.
     """
 
     n: int
@@ -282,8 +281,8 @@ def preflight(grid: GridSpec, material: MaterialParams, config: SchemeConfig) ->
     (1-theta)^2 tau max|v|^2/c_m, is finite, checked on bounds: 0 < a < c_p
     and |v|^2 < 4/dx^2 + 4/dy^2.  :class:`MemoryError` unless the run fits in
     physical memory, by an upper bound: it counts the tail at M = 128 before
-    the fit has run, and is 2.45 times the traced peak of a 64^2 x 400-step
-    decay run, 1.28 times at 256^2 x 20, 1.29 times for FBDF2 at 48^2 x 40 and
+    the fit has run, and is 2.46 times the traced peak of a 64^2 x 400-step
+    decay run, 1.28 times at 256^2 x 20, 1.31 times for FBDF2 at 48^2 x 40 and
     1.15 times for a forced FBDF2 run at 48^2 x 40."""
     mat, tau, one_m, sx, sy = material, config.tau, 1.0 - config.theta, 2 / grid.dx, 2 / grid.dy
     low = mat.c_e / tau
@@ -472,9 +471,7 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
-def solve_spd(
-    spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray, tol: float, maxit: int
-) -> tuple[np.ndarray, int]:
+def solve_spd(spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, int]:
     """Conjugate gradients for the diagonal operator with eigenvalues
     ``spectrum``, started from x0 (which is not modified).  ``rhs`` is
     overwritten: the residual is formed in its buffer and the solution
@@ -487,23 +484,25 @@ def solve_spd(
     fixed by the scalars alpha and beta.  Those depend on lam and r0 only
     through the weights w_g = sum of r0_i^2 over the coefficients with lam_i
     = values[g] (Gauss quadrature with the spectral measure of r0): a
-    bincount over ``spectrum.index`` for component 1, plus the sum of
-    component 0 added to the one group ``spectrum.group``.  So the
-    recurrence runs on sqrt(w) R and sqrt(w) D, D the search direction, at
-    the distinct eigenvalues, where ||r||^2 and d.Ad are einsum dot products
-    (on the calling thread; BLAS would start threads), and x is assembled
-    once, at convergence.  An iteration costs the number of distinct
-    eigenvalues.
+    bincount over ``spectrum.index`` for the tangential component 1, plus
+    the sum of the normal component 0 added to its one group
+    ``spectrum.group``.  So the recurrence runs on sqrt(w) R and sqrt(w) D,
+    D the search direction, at the distinct eigenvalues, where ||r||^2 and
+    d.Ad are einsum dot products (on the calling thread; BLAS would start
+    threads), and x is assembled once, at convergence.  An iteration costs
+    the number of distinct eigenvalues.
 
     Returns (solution, iterations).  Raises :class:`ValueError` unless rhs
-    and x0 have the (2, nx, ny) shape of the spectrum's eigenvalues, and
-    :class:`SolverError` if the relative residual does not fall below tol
-    within maxit iterations, or as soon as the norm of rhs or a squared
-    residual norm is not finite.
+    and x0 have the (2, nx, ny) shape of the edge coefficients on the
+    spectrum's (nx, ny) grid, and :class:`SolverError` if the relative
+    residual does not fall below CG_TOL within CG_MAXIT_PER_SIDE * (nx + ny)
+    iterations, or as soon as the norm of rhs or a squared residual norm is
+    not finite.
     """
-    shape = (2, *spectrum.index.shape)
-    if rhs.shape != shape or x0.shape != shape:
-        raise ValueError(f"solve_spd: shapes {shape}, {rhs.shape}, {x0.shape} differ")
+    nx, ny = spectrum.index.shape
+    if rhs.shape != (2, nx, ny) or x0.shape != (2, nx, ny):
+        raise ValueError(f"solve_spd: shapes {(2, nx, ny)}, {rhs.shape}, {x0.shape} differ")
+    tol, maxit = CG_TOL, CG_MAXIT_PER_SIDE * (nx + ny)
     rhs_norm = math.sqrt(np.einsum("ijk,ijk->", rhs, rhs))
     if not math.isfinite(rhs_norm):
         raise SolverError(
@@ -599,8 +598,7 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     rhs[1] -= np.multiply(work[1], v, out=work[1])
     del work
 
-    maxit = CG_MAXIT_PER_SIDE * (grid.nx + grid.ny)
-    e_new, _ = solve_spd(state.spectrum, rhs, e, CG_TOL, maxit)  # in rhs's buffer
+    e_new, _ = solve_spd(state.spectrum, rhs, e)  # in rhs's buffer
     work = np.multiply(e_new, a_coef)
     p_new = np.add(g, work, out=g)
     # H^n = H^{n-1} + tau/c_m (|v| ((1-theta) E^n[1] + theta E^{n-1}[1]) + f2)

@@ -619,6 +619,14 @@ def textbook_cg(
     )
 
 
+def operator_diagonal(lam: np.ndarray) -> np.ndarray:
+    """The (2, nx, ny) diagonal of ``diag I + curl_scale curl_h curl_e`` on the
+    edge coefficients, from its (nx, ny) eigenvalues ``lam`` on the tangential
+    component (``CurlCurlBasis.eigenvalues``): the normal component's is diag,
+    lam's entry at mode (0, 0), on every mode."""
+    return np.stack((np.full_like(lam, lam[0, 0]), lam))
+
+
 def diagonal_cg(
     lam: np.ndarray, rhs: np.ndarray, x0: np.ndarray, tol: float, maxit: int
 ) -> tuple[np.ndarray, int]:
