@@ -74,8 +74,9 @@ PROFILES = {
 class SampledCase:
     """A manufactured case on one grid: the five spatial profiles (see the
     module docstring), each sampled once and held as coefficients, e, p and
-    curl_h as (2, nx, ny) edge coefficients, h and curl_e as (nx, ny) cell
-    coefficients."""
+    curl_h as edge coefficients in the layout of the identity
+    :class:`~colecole.mesh.Span` (the (2, nx, ny) array raveled), h and
+    curl_e as (nx, ny) cell coefficients.  Its runs keep the identity span."""
 
     material: MaterialParams
     grid: GridSpec
@@ -129,7 +130,7 @@ class ManufacturedCase:
             if not field.is_pec_compliant():
                 raise ValueError(f"{name} is not zero on the tangential boundary of {grid}")
         basis = CurlCurlBasis(grid)
-        e, p, curl_h = (basis.forward(f.ex, f.ey) for f in (e, p, curl_h))
+        e, p, curl_h = (basis.forward(f.ex, f.ey).reshape(-1) for f in (e, p, curl_h))
         h, curl_e = (basis.forward_cell(f) for f in (h, curl_e))
         return SampledCase(material, grid, e, p, h, curl_h, curl_e)
 

@@ -21,6 +21,10 @@ H as these coefficients (see :mod:`colecole.stepper`); a :class:`VecField`
 (E, P) and an (nx, ny) array (H) are the dof arrays that go in and come out.
 The stencils themselves live in the test suite, as the independent
 physical-space check.
+
+Component 0 of the edge coefficients, the curl-free half, has |v| = 0 on
+every mode.  A run may hold it as coordinates in an orthonormal basis of a
+subspace that it never leaves (:class:`Span`, :func:`curl_free_span`).
 """
 
 from __future__ import annotations
@@ -290,6 +294,77 @@ class CurlCurlBasis:
     def inverse_cell(self, coef: np.ndarray) -> np.ndarray:
         """The cell array with coefficients ``coef``; inverse of :meth:`forward_cell`."""
         return np.ascontiguousarray(_idct(_idct(coef, 0, self._idct_x), 1, self._idct_y))
+
+
+# A generator of a span that is this far, relative to its norm, from the
+# generators before it adds no basis vector (see curl_free_span).
+SPAN_DEPENDENT = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class Span:
+    """Where a run keeps component 0, the curl-free half, of its edge
+    coefficients (see :class:`CurlCurlBasis`), and the layout of its E, P and
+    history rows: k coordinates of component 0, then the nx ny tangential
+    coefficients.
+
+    ``basis`` is None for the identity span, k = nx ny, whose layout is the
+    (2, nx, ny) coefficient array raveled; otherwise it is a (k, nx ny) array
+    of orthonormal rows (:func:`curl_free_span`), and the coordinates are
+    component 0's inner products with them.  ``shape`` is (nx, ny).
+    """
+
+    shape: tuple[int, int]
+    basis: np.ndarray | None = None
+
+    @property
+    def k(self) -> int:
+        return self.shape[0] * self.shape[1] if self.basis is None else len(self.basis)
+
+    def pack(self, coef: np.ndarray) -> np.ndarray:
+        """The layout of (2, nx, ny) edge coefficients: a view of them for the
+        identity span, else component 0 projected onto the span, then
+        component 1."""
+        if self.basis is None:
+            return coef.reshape(-1)
+        lead = np.einsum("ij,j->i", self.basis, coef[0].reshape(-1))
+        return np.concatenate((lead, coef[1].reshape(-1)))
+
+    def unpack(self, x: np.ndarray) -> np.ndarray:
+        """The (2, nx, ny) edge coefficients of a vector in the layout (a view
+        of it for the identity span); inverse of :meth:`pack` on the span."""
+        if self.basis is None:
+            return x.reshape(2, *self.shape)
+        coef = np.empty((2, *self.shape))
+        np.einsum("i,ij->j", x[: self.k], self.basis, out=coef[0].reshape(-1))
+        coef[1] = x[self.k :].reshape(self.shape)
+        return coef
+
+
+def curl_free_span(shape: tuple[int, int], generators) -> Span:
+    """The :class:`Span` of the sequence ``generators`` of (nx, ny)
+    component-0 coefficient arrays, or the identity span if it is None.  Its
+    basis comes from modified Gram-Schmidt in einsums, run twice against the
+    vectors before each generator; a generator left with at most
+    SPAN_DEPENDENT of its norm adds none, so zero generators give k = 0.
+    :class:`ValueError` for a generator with a NaN or infinite entry."""
+    if generators is None:
+        return Span(shape)
+    basis, k = np.empty((len(generators), shape[0] * shape[1])), 0
+    for gen in generators:
+        v = basis[k]
+        v[:] = np.reshape(gen, -1)
+        size = math.sqrt(np.einsum("i,i->", v, v))
+        if not math.isfinite(size):
+            raise ValueError("a span generator has a NaN or infinite entry")
+        for _ in range(2):
+            for q in basis[:k]:
+                v -= np.einsum("i,i->", q, v) * q
+        norm = math.sqrt(np.einsum("i,i->", v, v))
+        if norm > SPAN_DEPENDENT * size:
+            v *= 1.0 / norm
+            k += 1
+    return Span(shape, basis[:k])
 
 
 def norm_sq(coef: np.ndarray, grid: GridSpec) -> float:

@@ -18,12 +18,21 @@ symmetric positive definite system
 on the tangential-zero edge fields.
 
 A run keeps its fields as coefficients in the eigenbasis of
-:class:`~colecole.mesh.CurlCurlBasis`: E and P as (2, nx, ny) edge
-coefficients and H as (nx, ny) cell coefficients.  Both curls multiply each
-mode by |v| there, the elimination is dof-local, and the energies are sums of
-squares (Parseval), so a step is per-mode arithmetic: it applies no stencil
-and computes no transform.  :func:`init_state` transforms the initial data
-once, and :meth:`SimState.fields` transforms a state back to dof arrays.
+:class:`~colecole.mesh.CurlCurlBasis`: H as (nx, ny) cell coefficients, E
+and P each as one vector in the run's :class:`~colecole.mesh.Span` layout,
+k coordinates of component 0 (the curl-free half), then the nx ny
+tangential coefficients.  Both curls multiply each mode by |v| there, the
+elimination is dof-local, and the energies are sums of squares (Parseval),
+so a step is per-mode arithmetic: it applies no stencil and computes no
+transform.  :func:`init_state` transforms the initial data once, and
+:meth:`SimState.fields` transforms a state back to dof arrays.
+
+On component 0, |v| = 0: every mode follows one scalar recurrence,
+uncoupled from H, so the component stays in the span of its initial values
+and of the sources' component 0, and the coordinates in an orthonormal
+basis of that span hold it exactly.  A source-free run (``span=()``) keeps
+the span of E^0's component 0, k = 1 (0 if it is zero); the default
+identity span, k = nx ny, is the (2, nx, ny) array raveled.
 
 The operator above is diagonal in that basis, with the same eigenvalues on
 every step of a run: an (nx, ny) array on the tangential component, whose
@@ -41,7 +50,8 @@ is the linear-solver residual alone.
 
 Sources are passed as a callable ``sources(t) -> (f1, f2, f3)``
 (:data:`Sources`) that returns the right-hand sides as coefficients: f1 and
-f3 as edge coefficients (``CurlCurlBasis.forward``), f2 as cell coefficients
+f3 in the run's layout (``Span.pack`` of ``CurlCurlBasis.forward``; their
+component 0 must lie in the span), f2 as cell coefficients
 (``CurlCurlBasis.forward_cell``).  :func:`step` calls it once per step, at
 t = t_{n-theta}; ``None`` means no sources.  Coefficients hold no boundary
 values.  Those of f1 are not used by the scheme, whose boundary rows carry
@@ -52,7 +62,8 @@ The P history of a run takes bounded memory (:class:`PHistory`).  The
 quadrature sums the last n0 lags exactly, from a window of the
 W = min(N, n0 + 2B + 1) latest P^k (B = HISTORY_FOLD = 16; P^0 = 0 is not
 stored).  A run of N > W steps folds the B oldest rows of a full window into
-M accumulators, one pole at a time, so a fold's temporary is one row.  The
+M accumulators, in column blocks of about one row / M columns with every
+pole of a block in one contraction, so a fold's temporary is one row.  The
 accumulators serve the lags from n0 + B + 3 on, the first a step reads from
 them.  There is one per real pole r_m of an exponential fit to the kernel's
 lags from n0 on (:func:`colecole.weights.exponential_tail`, within
@@ -68,16 +79,18 @@ it allocates, and so do the experiment loops before they sample initial data.
 
 A run has one state: :func:`step` advances it in place.  The state owns its
 run's history; copies of it share the history, and only the stepped state
-matches it.  A step holds only what its next part reads: P^n is built in
-g's buffer, E^n in the right-hand side's (:func:`solve_spd`) and D^alpha P^n
-in the history part's, and one scratch array, dropped for the solve, takes
-the products.  A source-free step allocates at most five coefficient arrays.
+matches it.  A step holds only what its next part reads: it folds a full
+window as soon as its history sum has read it, builds g in the history row
+that P^n then takes, E^n in the right-hand side's buffer (:func:`solve_spd`)
+and D^alpha P^n in the history part's, and one scratch vector and one
+(nx, ny) scratch array, dropped for the solve, take the products.  A
+source-free step allocates at most five vectors of the run's layout.
 
 The state also carries the energy weights a_0..a_N of the run's (alpha,
 theta), ``SimState.a_weights``; FBDF2 runs carry the trapezoidal ones too.
 It carries the constants of the run's steps as well, which :func:`init_state`
-builds once: |v| of every mode and the grouped :class:`Spectrum` of the
-E-solve.
+builds once: |v| of every mode, the grouped :class:`Spectrum` of the
+E-solve and the span of component 0.
 """
 
 from __future__ import annotations
@@ -90,7 +103,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import CurlCurlBasis, GridSpec, VecField, as_count, norm_sq
+from .mesh import CurlCurlBasis, GridSpec, Span, VecField, as_count, curl_free_span, norm_sq
 # Not used here: perfbench's manufactured.sample spans wrap these two names
 # in this module, and ManufacturedCase.sample calls them through it.
 from .mesh import sample_scalar, sample_vec  # noqa: F401
@@ -166,11 +179,12 @@ class PHistory:
     """The P history of one run in bounded memory, and s_0..s_N (see
     :func:`step`) in an (N+1,) array beside it; s_0 = 0.
 
-    ``rows`` holds raveled coefficients: M tail rows, then a window of
-    W = min(N, n0 + 2B + 1) rows whose slot i is P^(folded + 1 + i); P^0 = 0
-    is not stored.  tail_m = sum_{k <= folded} r_m^(folded-k) P^k, with the
-    ``poles`` r and ``weights`` c of :func:`colecole.weights.exponential_tail`,
-    fitted from lag ``exact`` = n0 (at most N) on.  A run folds only when
+    ``rows`` holds vectors of the run's span layout, k + nx ny values each:
+    M tail rows, then a window of W = min(N, n0 + 2B + 1) rows whose slot i
+    is P^(folded + 1 + i); P^0 = 0 is not stored.
+    tail_m = sum_{k <= folded} r_m^(folded-k) P^k, with the ``poles`` r and
+    ``weights`` c of :func:`colecole.weights.exponential_tail`, fitted from
+    lag ``exact`` = n0 (at most N) on.  A run folds only when
     N > W; one that does not has M = 0.  A fold leaves n0 + B + 1 rows in the
     window, so the tail is read from lag n0 + B + 3 on, and M counts the
     poles kept for those lags (see :func:`_read_poles`).
@@ -214,12 +228,13 @@ class Spectrum:
 class SimState:
     """Integrator state after step n; advanced in place by :func:`step`.
 
-    ``e`` and ``p`` are the (2, nx, ny) edge coefficients of E^n and P^n,
-    ``h`` the (nx, ny) cell coefficients of H^n (see
-    :class:`~colecole.mesh.CurlCurlBasis`); :meth:`fields` gives the dof arrays.
-    ``kernel`` (K_0..K_{N-1} of :func:`build_kernel`, read-only), ``a_weights``,
-    ``curl_modulus`` (|v| of every mode) and ``spectrum`` (the E-solve's
-    (nx, ny) eigenvalues, grouped) are constant over the run.  The state owns
+    ``e`` and ``p`` are the edge coefficients of E^n and P^n as vectors in
+    the layout of ``span`` (k + nx ny values), ``h`` the (nx, ny) cell
+    coefficients of H^n (see :class:`~colecole.mesh.CurlCurlBasis`);
+    :meth:`fields` gives the dof arrays.  ``kernel`` (K_0..K_{N-1} of
+    :func:`build_kernel`, read-only), ``a_weights``, ``curl_modulus`` (|v| of
+    every mode), ``spectrum`` (the E-solve's (nx, ny) eigenvalues, grouped)
+    and ``span`` are constant over the run.  The state owns
     its run's ``history``; copies share it, and only the stepped state
     matches it.
     """
@@ -236,18 +251,20 @@ class SimState:
     config: SchemeConfig
     curl_modulus: np.ndarray
     spectrum: Spectrum
+    span: Span
 
     @property
     def time(self) -> float:
         return self.n * self.config.tau
 
     def fields(self) -> tuple[VecField, VecField, np.ndarray]:
-        """(E^n, P^n, H^n) on the dofs, transformed back from the coefficients:
-        E and P as edge pairs, H as an (nx, ny) cell array."""
+        """(E^n, P^n, H^n) on the dofs, transformed back from the coefficients
+        (component 0 mapped back from the span): E and P as edge pairs, H as
+        an (nx, ny) cell array."""
         basis = CurlCurlBasis(self.grid)
         return (
-            VecField(*basis.inverse(self.e)),
-            VecField(*basis.inverse(self.p)),
+            VecField(*basis.inverse(self.span.unpack(self.e))),
+            VecField(*basis.inverse(self.span.unpack(self.p))),
             basis.inverse_cell(self.h),
         )
 
@@ -281,9 +298,10 @@ def preflight(grid: GridSpec, material: MaterialParams, config: SchemeConfig) ->
     (1-theta)^2 tau max|v|^2/c_m, is finite, checked on bounds: 0 < a < c_p
     and |v|^2 < 4/dx^2 + 4/dy^2.  :class:`MemoryError` unless the run fits in
     physical memory, by an upper bound: it counts the tail at M = 128 before
-    the fit has run, and is 2.46 times the traced peak of a 64^2 x 400-step
-    decay run, 1.28 times at 256^2 x 20, 1.31 times for FBDF2 at 48^2 x 40 and
-    1.15 times for a forced FBDF2 run at 48^2 x 40."""
+    the fit has run, and rows of 2 nx ny values, twice a decay run's, and is
+    4.61 times the traced peak of a 64^2 x 400-step decay run, 2.33 times at
+    256^2 x 20, 2.40 times for FBDF2 at 48^2 x 40 and 1.17 times for a forced
+    FBDF2 run at 48^2 x 40."""
     mat, tau, one_m, sx, sy = material, config.tau, 1.0 - config.theta, 2 / grid.dx, 2 / grid.dy
     low = mat.c_e / tau
     high = (mat.c_e + mat.c_p) / tau + one_m * one_m * tau * (sx * sx + sy * sy) / mat.c_m
@@ -328,6 +346,7 @@ def init_state(
     config: SchemeConfig,
     e0: VecField,
     h0: np.ndarray,
+    span=None,
 ) -> SimState:
     """State at n = 0 with P^0 = 0, and the kernel, energy weights and step
     constants of the whole run.
@@ -335,9 +354,13 @@ def init_state(
     e0 is the edge pair of E^0 and h0 the (nx, ny) cell array of H^0, taken
     as floats.  Both must be finite, and e0 zero on the tangential boundary,
     or :class:`ValueError` is raised before anything is transformed; each is
-    then transformed to coefficients once.  Allocates the M + W rows of
-    2 nx ny * 8 bytes of :class:`PHistory`, M at most TAIL_MAX_POLES; a fold
-    adds a temporary of one row.  Before it builds anything it raises what
+    then transformed to coefficients once.  ``span`` says where the run
+    keeps component 0 (:class:`~colecole.mesh.Span`): None for the identity
+    span, or (nx, ny) component-0 coefficient arrays whose span with E^0's
+    component 0 holds the sources' component 0 (``()`` for a source-free
+    run).  Allocates the M + W rows of (k + nx ny) * 8 bytes of
+    :class:`PHistory`, M at most TAIL_MAX_POLES; a fold adds a temporary of
+    one row.  Before it builds anything it raises what
     :func:`preflight` raises.
     """
     nx, ny, h0 = grid.nx, grid.ny, np.asarray(h0, dtype=float)
@@ -349,16 +372,24 @@ def init_state(
     if not e0.is_pec_compliant():
         raise ValueError("initial electric field violates the tangential-zero boundary")
     basis = CurlCurlBasis(grid)
-    return _initial_state(
-        grid, material, config, basis.forward(e0.ex, e0.ey), basis.forward_cell(h0)
-    )
+    coef = basis.forward(e0.ex, e0.ey)
+    layout = curl_free_span((nx, ny), None if span is None else (coef[0], *span))
+    e = layout.pack(coef)
+    del coef  # a reduced layout packs into a new vector: the (2, nx, ny) array goes
+    return _initial_state(grid, material, config, e, basis.forward_cell(h0), layout)
 
 
 def _initial_state(
-    grid: GridSpec, material: MaterialParams, config: SchemeConfig, e: np.ndarray, h: np.ndarray
+    grid: GridSpec,
+    material: MaterialParams,
+    config: SchemeConfig,
+    e: np.ndarray,
+    h: np.ndarray,
+    layout: Span | None = None,
 ) -> SimState:
     """:func:`init_state` for initial data given as coefficients, which the
-    state takes over."""
+    state takes over: e as a vector in ``layout`` (None for the identity
+    span)."""
     steps = config.n_steps
     exact, window = preflight(grid, material, config)
     kernel = build_kernel(material, config)
@@ -369,27 +400,30 @@ def _initial_state(
         poles, weights = _read_poles(
             *exponential_tail(kernel, exact), abs(kernel[0]), HISTORY_FOLD + 3
         )
-    rows = np.zeros((len(poles) + window, 2 * grid.nx * grid.ny))
-    history = PHistory(rows, np.zeros(steps + 1), exact, poles, weights)
     tau, theta = config.tau, config.theta
     one_m = 1.0 - theta
     _, a_coef = elimination_coefficients(material, theta, tau, kernel[0])
     basis = CurlCurlBasis(grid)
-    lam = basis.eigenvalues((material.c_e + a_coef) / tau, one_m * one_m * tau / material.c_m)
-    curl_modulus = basis.curl_modulus()
+    # grouped before the history is allocated, so the sort's temporaries do not
+    # sit on top of it
+    spectrum = Spectrum(
+        basis.eigenvalues((material.c_e + a_coef) / tau, one_m * one_m * tau / material.c_m)
+    )
+    rows = np.zeros((len(poles) + window, len(e)))
     return SimState(
         n=0,
         e=e,
         p=np.zeros_like(e),
         h=h,
-        history=history,
+        history=PHistory(rows, np.zeros(steps + 1), exact, poles, weights),
         kernel=kernel,
         a_weights=cumulative_weights(material.alpha, config.theta, config.n_steps),
         grid=grid,
         material=material,
         config=config,
-        curl_modulus=curl_modulus,
-        spectrum=Spectrum(lam),
+        curl_modulus=basis.curl_modulus(),
+        spectrum=spectrum,
+        span=layout or Span((grid.nx, grid.ny)),
     )
 
 
@@ -427,21 +461,34 @@ def frac_deriv_current(state: SimState) -> np.ndarray:
     # the tail rows are zero until the first fold; max(0, .) keeps r^-j from overflowing
     lead = history.poles ** max(0, n - history.folded - history.exact) * history.weights
     coef = np.concatenate((lead, state.kernel[live:0:-1]))
-    hist = np.einsum("i,ij->j", coef, history.rows[: len(coef)]).reshape(state.p.shape)
+    hist = np.einsum("i,ij->j", coef, history.rows[: len(coef)])
     hist *= state.config.tau ** (-state.material.alpha)
     return hist
 
 
 def _fold(history: PHistory) -> None:
     """Fold the HISTORY_FOLD oldest window rows into the tail, shift the rest
-    of the window down by as many slots and advance ``folded``.  The tail is
-    folded one pole at a time, so the fold's temporary is one row."""
+    of the window down by as many slots and advance ``folded``.  The window's
+    part is added in column blocks of about one row / M columns, all poles
+    of a block in one contraction, so each window block is read once and the
+    fold's temporary is one row.  Each tail row takes its block as its own
+    contiguous slice: a ufunc on a strided 2-D block buffers up to 8192
+    values per operand."""
     fold, m = HISTORY_FOLD, len(history.poles)
     tail, window = history.rows[:m], history.rows[m:]
     powers = np.power.outer(history.poles, np.arange(fold, -1, -1.0))  # r^B .. r^0
     for row, power in zip(tail, powers):
         row *= power[0]
-        row += np.einsum("b,bj->j", power[1:], window[:fold])
+    cols = tail.shape[1]
+    width = -(-cols // max(m, 1))
+    buffer = np.empty((m, width))
+    for start in range(0, cols, width):
+        end = min(start + width, cols)
+        part = np.einsum(
+            "mb,bj->mj", powers[:, 1:], window[:fold, start:end], out=buffer[:, : end - start]
+        )
+        for row, add in zip(tail[:, start:end], part):
+            row += add
     for start in range(0, len(window) - fold, fold):  # chunks that do not overlap
         end = min(start + 2 * fold, len(window))
         window[start : end - fold] = window[start + fold : end]
@@ -479,31 +526,37 @@ def solve_spd(spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray) -> tuple[np.n
     counts are, up to round-off, those of CG on the step's operator with the
     curl stencils on the dofs.
 
+    rhs and x0 are vectors of a span layout on the spectrum's (nx, ny)
+    modes, so k, the coordinates of component 0 ahead of the tangential
+    coefficients, is their length less nx ny; the operator is diag on all k.
+
     On a diagonal operator, CG's k-th residual is R_k(lam) r0, r0 = rhs -
     lam x0, and its iterate x0 + (1 - R_k(lam))/lam r0, for a polynomial R_k
     fixed by the scalars alpha and beta.  Those depend on lam and r0 only
     through the weights w_g = sum of r0_i^2 over the coefficients with lam_i
     = values[g] (Gauss quadrature with the spectral measure of r0): a
-    bincount over ``spectrum.index`` for the tangential component 1, plus
-    the sum of the normal component 0 added to its one group
-    ``spectrum.group``.  So the recurrence runs on sqrt(w) R and sqrt(w) D,
-    D the search direction, at the distinct eigenvalues, where ||r||^2 and
-    d.Ad are einsum dot products (on the calling thread; BLAS would start
-    threads), and x is assembled once, at convergence.  An iteration costs
+    bincount over ``spectrum.index`` for the tangential coefficients, plus
+    the k coordinates' sum added to their one group ``spectrum.group``.  So
+    the recurrence runs on sqrt(w) R and sqrt(w) D, D the search direction,
+    at the distinct eigenvalues, where ||r||^2 and d.Ad are einsum dot
+    products (on the calling thread; BLAS would start threads), and x is
+    assembled once, at convergence.  An iteration costs
     the number of distinct eigenvalues.
 
     Returns (solution, iterations).  Raises :class:`ValueError` unless rhs
-    and x0 have the (2, nx, ny) shape of the edge coefficients on the
-    spectrum's (nx, ny) grid, and :class:`SolverError` if the relative
-    residual does not fall below CG_TOL within CG_MAXIT_PER_SIDE * (nx + ny)
-    iterations, or as soon as the norm of rhs or a squared residual norm is
-    not finite.
+    and x0 are vectors of one length from nx ny to 2 nx ny, and
+    :class:`SolverError` if the relative residual does not fall below CG_TOL
+    within CG_MAXIT_PER_SIDE * (nx + ny) iterations, or as soon as the norm
+    of rhs or a squared residual norm is not finite.
     """
     nx, ny = spectrum.index.shape
-    if rhs.shape != (2, nx, ny) or x0.shape != (2, nx, ny):
-        raise ValueError(f"solve_spd: shapes {(2, nx, ny)}, {rhs.shape}, {x0.shape} differ")
+    k = rhs.size - nx * ny  # coordinates of component 0
+    if rhs.ndim != 1 or x0.shape != rhs.shape or not 0 <= k <= nx * ny:
+        raise ValueError(
+            f"solve_spd: shapes {rhs.shape}, {x0.shape} are not one layout of {nx}x{ny} modes"
+        )
     tol, maxit = CG_TOL, CG_MAXIT_PER_SIDE * (nx + ny)
-    rhs_norm = math.sqrt(np.einsum("ijk,ijk->", rhs, rhs))
+    rhs_norm = math.sqrt(np.einsum("i,i->", rhs, rhs))
     if not math.isfinite(rhs_norm):
         raise SolverError(
             f"conjugate gradients: right-hand side norm is {rhs_norm}",
@@ -513,26 +566,28 @@ def solve_spd(spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray) -> tuple[np.n
     if rhs_norm == 0.0:
         rhs.fill(0.0)
         return rhs, 0
-    # Component 0 is one group: summed apart, it keeps bincount off one bin.
+    # The k coordinates are one group: summed apart, they keep bincount off one bin.
     lam, group, index = spectrum.values, spectrum.group, spectrum.index
     r0, cell = rhs, np.take(lam, index)  # r0 = rhs - lam x0, one component at a time
-    cell *= x0[1]
-    r0[1] -= cell
-    np.multiply(x0[0], lam[group], out=cell)
-    r0[0] -= cell
-    w = np.bincount(index.reshape(-1), weights=np.square(r0[1], out=cell).reshape(-1))
-    w[group] += np.einsum("ij,ij->", r0[0], r0[0])
+    r0_t = r0[k:].reshape(nx, ny)
+    cell *= x0[k:].reshape(nx, ny)
+    r0_t -= cell
+    lead = cell.reshape(-1)[:k]
+    np.multiply(x0[:k], lam[group], out=lead)
+    r0[:k] -= lead
+    w = np.bincount(index.reshape(-1), weights=np.square(r0_t, out=cell).reshape(-1))
+    w[group] += np.einsum("i,i->", r0[:k], r0[:k])
     rho, threshold = w.sum(), (tol * rhs_norm) ** 2
     sqrt_w = np.sqrt(w, out=w)
     r, d = sqrt_w.copy(), sqrt_w.copy()  # sqrt(w) R and sqrt(w) D
-    work = np.empty_like(lam)
+    work = cell.reshape(-1)[: len(lam)]  # cell is free until the solution is scattered
     for it in range(maxit + 1):
         if rho <= threshold:
             # X = (1 - R)/lam; where w = 0, r0 is 0 in the whole group and r stays 0
             np.subtract(sqrt_w, r, out=r)
             np.divide(r, np.multiply(sqrt_w, lam, out=work), out=r, where=sqrt_w > 0.0)
-            r0[0] *= r[group]
-            r0[1] *= np.take(r, index, out=cell, mode="clip")  # unbuffered; index is in range
+            r0[:k] *= r[group]
+            r0_t *= np.take(r, index, out=cell, mode="clip")  # unbuffered; index is in range
             r0 += x0
             return r0, it
         if it == maxit or not math.isfinite(rho):
@@ -560,7 +615,8 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     It advances ``n`` and rebinds ``e``, ``p`` and ``h`` to new arrays,
     never writing into the old ones, so arrays read from the state before
     the step keep E^{n-1}, P^{n-1} and H^{n-1}.  Raises :class:`ValueError`
-    past the configured run.
+    past the configured run.  A step that raises :class:`SolverError` may
+    have folded the history and written P^n's row, so the run cannot go on.
     """
     cfg, mat, grid = state.config, state.material, state.grid
     n = state.n + 1
@@ -571,14 +627,26 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     one_m = 1.0 - theta
     f1, f2, f3 = (0.0, 0.0, 0.0) if sources is None else sources((n - theta) * tau)
     e, p, h = state.e, state.p, state.h
+    v = state.curl_modulus
+    k = state.span.k
+
+    def tangential(x: np.ndarray) -> np.ndarray:
+        """The (nx, ny) tangential part of a vector in the run's layout, a view."""
+        return x[k:].reshape(v.shape)
 
     hist_d = frac_deriv_current(state)
+    slot = len(history.poles) + n - 1 - history.folded  # row of P^n
+    if slot == len(history.rows):  # a full window, whose rows the sum has read
+        _fold(history)
+        slot -= HISTORY_FOLD
+    row = history.rows[slot]  # free until P^n is written to it: g's buffer, then scratch
     denom, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
 
-    # Products go to one scratch array, dropped for the solve; sums are taken in
-    # place in each formula's order.  Elimination of P^n = a E^n + g from the
-    # polarization equation: g = (1/denom) ((c_p theta) E - theta P - tau0^alpha hist_d + f3)
-    g = np.multiply(e, mat.c_p * theta)
+    # Products go to one scratch vector and one scratch cell array, dropped for
+    # the solve; sums are taken in place in each formula's order.  Elimination
+    # of P^n = a E^n + g from the polarization equation:
+    # g = (1/denom) ((c_p theta) E - theta P - tau0^alpha hist_d + f3)
+    g = np.multiply(e, mat.c_p * theta, out=row)
     work = np.multiply(p, theta)
     g -= work
     g -= np.multiply(hist_d, mat.tau0**mat.alpha, out=work)
@@ -587,38 +655,33 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
 
     # rhs = (c_e/tau) E + (P - g)/tau + curl_h(H + (1-theta) tau/c_m f2)
     #       - (1-theta) theta tau/c_m curl_h curl_e E + f1,
-    # where curl_e E = -|v| b and curl_h c = (0, -|v| c) on each mode.
-    v = state.curl_modulus
+    # where curl_e E = -|v| b and curl_h c = (0, -|v| c) on each mode: on the
+    # tangential part alone, since |v| = 0 on component 0.
     rhs = np.multiply(e, mat.c_e / tau)
     rhs += np.multiply(np.subtract(p, g, out=work), 1.0 / tau, out=work)
     rhs += f1
-    np.add(h, np.multiply(f2, one_m * tau / mat.c_m, out=work[1]), out=work[1])
-    np.multiply(np.multiply(v, one_m * theta * tau / mat.c_m, out=work[0]), e[1], out=work[0])
-    work[1] += work[0]
-    rhs[1] -= np.multiply(work[1], v, out=work[1])
-    del work
+    curl, cell, rhs_t = tangential(work), np.empty_like(v), tangential(rhs)
+    np.add(h, np.multiply(f2, one_m * tau / mat.c_m, out=curl), out=curl)
+    np.multiply(np.multiply(v, one_m * theta * tau / mat.c_m, out=cell), tangential(e), out=cell)
+    curl += cell
+    rhs_t -= np.multiply(curl, v, out=curl)
+    del work, curl, cell, rhs_t
 
     e_new, _ = solve_spd(state.spectrum, rhs, e)  # in rhs's buffer
-    work = np.multiply(e_new, a_coef)
-    p_new = np.add(g, work, out=g)
-    # H^n = H^{n-1} + tau/c_m (|v| ((1-theta) E^n[1] + theta E^{n-1}[1]) + f2)
-    h_part = np.multiply(e_new[1], one_m, out=work[0])
-    h_part += np.multiply(e[1], theta, out=work[1])
-    h_part *= v
-    h_part += f2
-    h_part *= tau / mat.c_m
-    h_new = h + h_part
+    p_new = np.multiply(e_new, a_coef)
+    p_new += g  # g + a E^n; g's row is scratch from here on
+    # H^n = H^{n-1} + tau/c_m (|v| ((1-theta) E^n[1] + theta E^{n-1}[1]) + f2),
+    # the increment built in H^n's buffer and H^{n-1} added last
+    h_new = np.multiply(tangential(e_new), one_m)
+    h_new += np.multiply(tangential(e), theta, out=tangential(row))
+    h_new *= v
+    h_new += f2
+    h_new *= tau / mat.c_m
+    h_new += h
     # D(P^n) = history part + tau^-alpha K_0 P^n, so the history sum is not run again.
-    hist_d += np.multiply(p_new, tau ** (-mat.alpha) * state.kernel[0], out=work)
-    s_new = norm_sq(hist_d, grid)
-    del hist_d, work, h_part  # a fold's one row then sits beside E^n, P^n and H^n alone
-
-    slot = len(history.poles) + n - 1 - history.folded  # row of P^n
-    if slot == len(history.rows):
-        _fold(history)
-        slot -= HISTORY_FOLD
-    history.rows[slot] = p_new.reshape(-1)
-    history.s[n] = s_new
+    hist_d += np.multiply(p_new, tau ** (-mat.alpha) * state.kernel[0], out=row)
+    row[:] = p_new
+    history.s[n] = norm_sq(hist_d, grid)
     state.n, state.e, state.p, state.h = n, e_new, p_new, h_new
     return state
 

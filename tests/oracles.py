@@ -166,17 +166,24 @@ def combine_theta(u_new, u_old, theta: float):
 
 
 def edge_field(coef: np.ndarray, grid: GridSpec) -> VecField:
-    """The edge field on the dofs with coefficients ``coef`` (left unchanged)."""
-    return VecField(*CurlCurlBasis(grid).inverse(coef))
+    """The edge field on the dofs with coefficients ``coef`` (left unchanged):
+    a (2, nx, ny) array, or a vector in the layout of a run that keeps the
+    identity span, which is that array raveled."""
+    return VecField(*CurlCurlBasis(grid).inverse(np.reshape(coef, (2, grid.nx, grid.ny))))
 
 
 def in_modes(sources: DofSources, grid: GridSpec) -> Sources:
-    """The sources of ``step``: sources on the dofs, transformed each call."""
+    """The sources of ``step`` for a run that keeps the identity span: sources
+    on the dofs, transformed each call, f1 and f3 raveled."""
     basis = CurlCurlBasis(grid)
 
     def modal(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         f1, f2, f3 = sources(t)
-        return basis.forward(f1.ex, f1.ey), basis.forward_cell(f2), basis.forward(f3.ex, f3.ey)
+        return (
+            basis.forward(f1.ex, f1.ey).reshape(-1),
+            basis.forward_cell(f2),
+            basis.forward(f3.ex, f3.ey).reshape(-1),
+        )
 
     return modal
 
@@ -454,7 +461,7 @@ class SemiDiscreteCase(ManufacturedCase):
         ce = curl_e(sample_vec(PROFILES["e"], grid), grid)
         return replace(
             super().sample(grid),
-            curl_h=basis.forward(ch.ex, ch.ey),
+            curl_h=basis.forward(ch.ex, ch.ey).reshape(-1),
             curl_e=basis.forward_cell(ce),
         )
 

@@ -79,7 +79,7 @@ def test_energy_synthetic_history_direct_formula():
     state = fresh_state(grid, alpha=alpha, theta=theta, tau=tau, n_steps=4)
     rng = np.random.default_rng(9)
     p2 = VecField(rng.standard_normal((4, 5)), rng.standard_normal((5, 4))).enforce_pec()
-    p2_modes = CurlCurlBasis(grid).forward(p2.ex, p2.ey)
+    p2_modes = CurlCurlBasis(grid).forward(p2.ex, p2.ey).reshape(-1)
     s_vals = (0.0, 0.7, 1.3)
     zero = np.zeros_like(p2_modes)
     state = with_p_history(state, (zero, zero, p2_modes), s=s_vals, p=p2_modes)
@@ -121,11 +121,13 @@ def test_energy_decays_mode_by_mode(alpha, theta):
     e0 = VecField(rng.standard_normal((12, 11)), rng.standard_normal((13, 10))).enforce_pec()
     h0 = rng.standard_normal((12, 10))
     state = fresh_state(grid, alpha=alpha, theta=theta, tau=tau, n_steps=n_steps, e0=e0, h0=h0)
-    # (E, P, H) of every step and the energy of each; step rebinds the arrays
-    fields, totals = [(state.e, state.p, state.h)], [discrete_energy(state)]
+    # (E, P, H) of every step, E and P as (2, nx, ny) coefficients, and the
+    # energy of each; step rebinds the arrays
+    unpack = state.span.unpack
+    fields, totals = [(unpack(state.e), unpack(state.p), state.h)], [discrete_energy(state)]
     while state.n < n_steps:
         step(state)
-        fields.append((state.e, state.p, state.h))
+        fields.append((unpack(state.e), unpack(state.p), state.h))
         totals.append(discrete_energy(state))
     mat, area = state.material, grid.dx * grid.dy
     # s_j per mode: D^alpha P at t_{j-theta} = tau^-alpha sum_k K_{j-k} P^k

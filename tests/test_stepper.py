@@ -16,7 +16,7 @@ from colecole import energy, stepper
 from colecole.manufactured import (
     ManufacturedCase, convergence_table, decay_initial_data, run_case
 )
-from colecole.mesh import CurlCurlBasis, GridSpec, VecField
+from colecole.mesh import CurlCurlBasis, GridSpec, Span, VecField, curl_free_span
 from colecole.stepper import (
     CG_MAXIT_PER_SIDE,
     CG_TOL,
@@ -101,16 +101,19 @@ def test_material_and_config_validation():
 
 
 def random_modes(grid, rng):
-    """Coefficients of a random tangential-zero edge field."""
+    """Coefficients of a random tangential-zero edge field, in the layout of a
+    run that keeps the identity span."""
     e = VecField(rng.standard_normal((grid.nx, grid.ny + 1)),
                  rng.standard_normal((grid.nx + 1, grid.ny))).enforce_pec()
-    return CurlCurlBasis(grid).forward(e.ex, e.ey)
+    return CurlCurlBasis(grid).forward(e.ex, e.ey).reshape(-1)
 
 
 def test_init_state():
     state = zero_state()
     assert state.n == 0
-    assert state.e.shape == state.p.shape == (2, 4, 4) and state.h.shape == (4, 4)
+    # the identity span: the (2, 4, 4) coefficients raveled
+    assert state.e.shape == state.p.shape == (32,) and state.h.shape == (4, 4)
+    assert state.span.k == 16 and state.span.basis is None
     assert not np.any(state.p)
     # 4 steps never fold: no tail, and a window of P^1..P^4 (P^0 = 0 is not stored)
     assert state.history.rows.shape == (4, 32) and state.history.s.shape == (5,)
@@ -157,10 +160,10 @@ def test_frac_deriv_zero_and_single_term():
     # the first step has no history: only P^1 enters its quadrature
     assert not np.any(frac_deriv_current(state))
     c = 1.7
-    d = caputo_after(replace(state, p=np.full((2, 4, 4), c)), frac_deriv_current(state))
+    d = caputo_after(replace(state, p=np.full(32, c)), frac_deriv_current(state))
     np.testing.assert_allclose(d, 0.2 ** (-0.3) * state.kernel[0] * c, rtol=1e-14)
     # the second step's history is P^1 alone
-    state = with_p_history(state, (np.zeros((2, 4, 4)), np.full((2, 4, 4), c)))
+    state = with_p_history(state, (np.zeros(32), np.full(32, c)))
     expected = 0.2 ** (-0.3) * state.kernel[1] * c
     np.testing.assert_allclose(frac_deriv_current(state), expected, rtol=1e-14)
 
@@ -171,9 +174,9 @@ def test_frac_deriv_cubic_history_brute_force(quadrature):
     tau, alpha, theta, n_steps = 0.125, 0.6, 0.35, 8
     state = zero_state(alpha=alpha, theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
     vals = [(k * tau) ** 3 for k in range(n_steps + 1)]
-    hist = tuple(np.full((2, 4, 4), v) for v in vals[:n_steps])
+    hist = tuple(np.full(32, v) for v in vals[:n_steps])
     state = with_p_history(state, hist)
-    d = caputo_after(replace(state, p=np.full((2, 4, 4), vals[-1])), frac_deriv_current(state))
+    d = caputo_after(replace(state, p=np.full(32, vals[-1])), frac_deriv_current(state))
     kern = state.kernel
     n = n_steps
     if quadrature is Quadrature.SFTR:
@@ -396,7 +399,7 @@ def test_scheme_residual_linearity_in_perturbation():
     delta = VecField(
         1e-3 * rng.standard_normal((8, 9)), 1e-3 * rng.standard_normal((9, 8))
     ).enforce_pec()
-    delta_modes = CurlCurlBasis(grid).forward(delta.ex, delta.ey)
+    delta_modes = CurlCurlBasis(grid).forward(delta.ex, delta.ey).reshape(-1)
     perturbed = replace(state, e=state.e + delta_modes, p=state.p + a_coef * delta_modes)
     r1, _, r3 = scheme_residual(before, perturbed, history_part, closed_form_sources(0.5, grid))
     expected = (mat.c_e + a_coef) / config.tau * norm_e(delta, grid)
@@ -463,7 +466,7 @@ def test_solve_spd_against_dense_factorization():
         basis[j] = 0.0
     ref = np.linalg.solve(mat, flatten(rhs))
     basis = CurlCurlBasis(grid)
-    coef = basis.forward(rhs.ex, rhs.ey)
+    coef = basis.forward(rhs.ex, rhs.ey).reshape(-1)
     x, _ = solve_spd(Spectrum(basis.eigenvalues(1.0, 1.0)), coef, np.zeros_like(coef))
     np.testing.assert_allclose(flatten(edge_field(x, grid)), ref, atol=1e-11)
 
@@ -628,7 +631,7 @@ def test_step_runs_without_transforms_or_stencils(monkeypatch):
     # a step is per-mode arithmetic: after init_state it needs no FFT and no
     # curl stencil, and it builds none of the run's constants again
     grid = GridSpec(8, 6, lx=1.3)
-    e0 = VecField(*CurlCurlBasis(grid).inverse(random_modes(grid, np.random.default_rng(3))))
+    e0 = edge_field(random_modes(grid, np.random.default_rng(3)), grid)
     config = SchemeConfig(theta=0.45, tau=0.05, n_steps=3, quadrature=Quadrature.FBDF2)
     state = init_state(grid, MaterialParams(alpha=0.9), config, e0, np.zeros((grid.nx, grid.ny)))
     sources = in_modes(poly_sources(grid), grid)
@@ -807,15 +810,23 @@ def test_fold_allocates_one_row():
     assert np.array_equal(split_rows(history)[1][: len(window)], window)
 
 
-@pytest.mark.parametrize("quadrature", [Quadrature.SFTR, Quadrature.FBDF2])
-def test_a_step_allocates_at_most_five_arrays(quadrature):
+@pytest.mark.parametrize("quadrature, span", [
+    pytest.param(Quadrature.SFTR, None, id="Quadrature.SFTR"),
+    pytest.param(Quadrature.FBDF2, None, id="Quadrature.FBDF2"),
+    pytest.param(Quadrature.SFTR, (), id="Quadrature.SFTR-reduced"),
+    pytest.param(Quadrature.FBDF2, (), id="Quadrature.FBDF2-reduced"),
+])
+def test_a_step_allocates_at_most_five_arrays(quadrature, span):
     # a source-free step builds P^n, E^n and D^alpha P^n in place in its temporaries,
     # drops its scratch for the solve and the rest before a fold: numpy's
     # buffers traced over any step of a folding run peak at most five
-    # coefficient arrays above those live before it
-    grid, dofs = GridSpec(64, 64), 2 * 64 * 64
+    # vectors of the run's layout above those live before it: 2 * 64 * 64
+    # values with the identity span, 1 + 64 * 64 in a reduced run
+    grid = GridSpec(64, 64)
     config = SchemeConfig(theta=0.5, tau=0.002, n_steps=60, quadrature=quadrature)
-    state = init_state(grid, MaterialParams(), config, *decay_initial_data(grid))
+    state = init_state(grid, MaterialParams(), config, *decay_initial_data(grid), span=span)
+    dofs = state.e.size
+    assert dofs == (2 * 64 * 64 if span is None else 1 + 64 * 64)
     peaks = []
     while state.n < config.n_steps:
         tracemalloc.start()
@@ -830,27 +841,37 @@ def test_a_step_allocates_at_most_five_arrays(quadrature):
 
 
 def test_set_up_peaks_no_higher_than_a_step():
-    # init_state groups the E-solve's eigenvalues from one (nx, ny) array:
-    # numpy's buffers traced over a 256^2 x 20 decay run, the dof-space
-    # initial data held through init_state as run_decay_experiment holds
-    # them, peak no higher in set-up than in the highest step
+    # init_state groups the E-solve's eigenvalues from one (nx, ny) array,
+    # before it allocates the history: numpy's buffers traced over a 256^2 x
+    # 20 decay run peak no higher in set-up than in the highest step.  Twice:
+    # with the identity span, the dof-space initial data held through
+    # init_state, and reduced, built as run_decay_experiment builds it, the
+    # initial data passed straight in
     grid = GridSpec(256, 256)
     config = SchemeConfig(theta=0.5, tau=0.01, n_steps=20)
-    tracemalloc.start()
-    try:
-        data = decay_initial_data(grid)
-        tracemalloc.reset_peak()
-        state = init_state(grid, MaterialParams(), config, *data)
-        set_up = tracemalloc.get_traced_memory()[1]
-        del data
-        peaks = []
-        while state.n < config.n_steps:
-            tracemalloc.reset_peak()
-            step(state)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
-    assert set_up <= max(peaks), (set_up / 2**20, max(peaks) / 2**20)
+    for span in (None, ()):
+        tracemalloc.start()
+        try:
+            if span is None:
+                data = decay_initial_data(grid)
+                tracemalloc.reset_peak()
+                state = init_state(grid, MaterialParams(), config, *data)
+                del data
+            else:
+                tracemalloc.reset_peak()
+                state = init_state(
+                    grid, MaterialParams(), config, *decay_initial_data(grid), span=span
+                )
+            set_up = tracemalloc.get_traced_memory()[1]
+            peaks = []
+            while state.n < config.n_steps:
+                tracemalloc.reset_peak()
+                step(state)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert state.span.k == (256 * 256 if span is None else 1)
+        assert set_up <= max(peaks), (span, set_up / 2**20, max(peaks) / 2**20)
 
 
 # decay_long's six pairs at N = 400, (0.9, 0.2) at N = 1000, FBDF2 at 0.8, N = 2000
@@ -940,7 +961,7 @@ def test_solve_spd_non_finite_fails_before_iterating(where, bad):
     lam = Spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)))
     rng = np.random.default_rng(6)
     fields = {name: random_modes(grid, rng) for name in ("rhs", "x0")}
-    fields[where][1, 10, 20] = bad
+    fields[where].reshape(2, 64, 64)[1, 10, 20] = bad
     with pytest.raises(SolverError) as err:
         solve_spd(lam, fields["rhs"], fields["x0"])
     assert err.value.iterations == 0
@@ -1006,7 +1027,7 @@ def test_solve_spd_matches_cg_over_every_coefficient(
     # the recurrence once per distinct eigenvalue against the same recurrence
     # over every coefficient: only the summation order differs
     state, calls = solve_case(monkeypatch, grid, quadrature, tau)
-    lam = operator_diagonal(CurlCurlBasis(grid).eigenvalues(*step_operator(state)))
+    lam = operator_diagonal(CurlCurlBasis(grid).eigenvalues(*step_operator(state))).reshape(-1)
     maxit = CG_MAXIT_PER_SIDE * (grid.nx + grid.ny)
     most = 0
     for spectrum, rhs, x0 in calls:
@@ -1121,3 +1142,87 @@ def test_step_beyond_configured_run_fails():
     state = run(zero_state(n_steps=2))
     with pytest.raises(ValueError):
         step(state)
+
+
+def curl_free_mode(grid):
+    """E^0 in the single curl-free mode (3, 5), H^0 = 0."""
+    coef = np.zeros((2, grid.nx, grid.ny))
+    coef[0, 3, 5] = 1.0
+    return edge_field(coef, grid), np.zeros((grid.nx, grid.ny))
+
+
+def tangential_only(grid):
+    """E^0 = 0, with no curl-free part at all, and a random H^0."""
+    return zero_edges(grid), np.random.default_rng(8).standard_normal((grid.nx, grid.ny))
+
+
+# initial data -> k, the coordinates of component 0 a source-free run keeps
+REDUCED_CASES = {"decay": (decay_initial_data, 1), "mode-3-5": (curl_free_mode, 1),
+                 "no-curl-free-part": (tangential_only, 0)}
+
+
+@pytest.mark.parametrize("case", REDUCED_CASES)
+@pytest.mark.parametrize("quadrature", [Quadrature.SFTR, Quadrature.FBDF2])
+def test_a_reduced_run_matches_the_identity_span(quadrature, case):
+    # a source-free run keeps component 0 as k coordinates in the span of
+    # E^0's (k = 1, or 0 with no curl-free part), and steps as a run that
+    # keeps the whole component: E, P and H on the dofs and the energy of
+    # every step agree to 1e-13 relative, past several folds.  The decay
+    # case is run_decay_experiment's own run
+    grid, n_steps = GridSpec(24, 16), 120
+    material = MaterialParams(alpha=0.7)
+    config = SchemeConfig(theta=0.4, tau=0.01, n_steps=n_steps, quadrature=quadrature)
+    make, k = REDUCED_CASES[case]
+    full = init_state(grid, material, config, *make(grid))
+    energies = [energy.discrete_energy(full)]
+    while full.n < n_steps:
+        energies.append(energy.discrete_energy(step(full)))
+    if case == "decay":
+        reduced, trace, report = energy.run_decay_experiment(0.7, 0.4, grid, 0.01, n_steps, quadrature)
+        reduced_energies = trace["energy"]
+    else:
+        reduced = init_state(grid, material, config, *make(grid), span=())
+        reduced_energies = [energy.discrete_energy(reduced)]
+        while reduced.n < n_steps:
+            reduced_energies.append(energy.discrete_energy(step(reduced)))
+    rows = len(reduced.history.rows)
+    assert reduced.span.k == k and reduced.history.rows.shape == (rows, k + 24 * 16)
+    assert reduced.e.shape == reduced.p.shape == (k + 24 * 16,)
+    assert reduced.history.folded >= 3 * stepper.HISTORY_FOLD
+    np.testing.assert_allclose(reduced_energies, energies, rtol=1e-13, atol=0)
+    assert energies[-1] > 0.0
+    for want, got in zip(full.fields(), reduced.fields()):
+        pairs = ((want.ex, got.ex), (want.ey, got.ey)) if isinstance(want, VecField) else ((want, got),)
+        for a, b in pairs:
+            assert np.linalg.norm(b - a) <= 1e-13 * np.linalg.norm(a)
+
+
+def test_curl_free_span_is_orthonormal_and_packs_back():
+    # generators (nx, ny): modified Gram-Schmidt twice, in einsums; a generator
+    # in the span of those before it, or zero, adds no basis vector
+    grid = GridSpec(12, 8)
+    rng = np.random.default_rng(3)
+    c1, c2, c3 = (random_modes(grid, rng).reshape(2, 12, 8) for _ in range(3))
+    a, b = c1[0], c2[0]
+    span = curl_free_span((12, 8), (a, b, 2.0 * a - 0.5 * b, np.zeros((12, 8))))
+    assert span.k == 2 and span.basis.shape == (2, 96)
+    gram = np.einsum("ij,kj->ik", span.basis, span.basis)
+    np.testing.assert_allclose(gram, np.eye(2), rtol=0, atol=1e-15)
+    assert curl_free_span((12, 8), ()).k == 0
+    assert curl_free_span((12, 8), None).basis is None
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        curl_free_span((12, 8), (a, np.full((12, 8), np.inf)))
+    # pack and unpack: exact for coefficients whose component 0 is in the span
+    coef = np.stack((0.3 * a - 1.5 * b, c3[1]))
+    x = span.pack(coef)
+    assert x.shape == (2 + 96,) and np.array_equal(x[2:], coef[1].reshape(-1))
+    np.testing.assert_allclose(span.unpack(x), coef, rtol=0, atol=1e-14)
+    identity = Span((12, 8))
+    assert identity.k == 96 and np.shares_memory(identity.pack(coef), coef)
+    assert np.array_equal(identity.unpack(identity.pack(coef)), coef)
+    # a source-free run of E^0 in the span keeps its coordinates
+    e0 = edge_field(coef, grid)
+    config = SchemeConfig(theta=0.5, tau=0.1, n_steps=2)
+    state = init_state(grid, MaterialParams(), config, e0, np.zeros((12, 8)), span=(b,))
+    assert state.span.k == 2 and state.e.shape == (2 + 96,) and state.history.rows.shape[1] == 98
+    np.testing.assert_allclose(state.span.unpack(state.e), coef, rtol=0, atol=1e-13)
