@@ -670,8 +670,8 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     e_new, _ = solve_spd(state.spectrum, rhs, e)  # in rhs's buffer
     p_new = np.multiply(e_new, a_coef)
     p_new += g  # g + a E^n; g's row is scratch from here on
-    # H^n = H^{n-1} + tau/c_m (|v| ((1-theta) E^n[1] + theta E^{n-1}[1]) + f2),
-    # the increment built in H^n's buffer and H^{n-1} added last
+    # H^n = H^{n-1} + tau/c_m (|v| ((1-theta) E^n + theta E^{n-1}) + f2) on the
+    # tangential parts, the increment built in H^n's buffer and H^{n-1} added last
     h_new = np.multiply(tangential(e_new), one_m)
     h_new += np.multiply(tangential(e), theta, out=tangential(row))
     h_new *= v
