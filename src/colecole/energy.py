@@ -132,8 +132,8 @@ def run_decay_experiment(
     material = MaterialParams(alpha=alpha)
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
     preflight(grid, material, config)
-    # source-free: component 0 stays in the span of E^0's, one coordinate
-    state = init_state(grid, material, config, *decay_initial_data(grid), span=())
+    # straight in: the dof-space initial data are freed once transformed
+    state = init_state(grid, material, config, *decay_initial_data(grid), source_free=True)
     trace = np.zeros(n_steps + 1, TRACE)
     energy = previous = discrete_energy(state)
     dissipation = 0.0

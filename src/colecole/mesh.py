@@ -24,7 +24,8 @@ physical-space check.
 
 Component 0 of the edge coefficients, the curl-free half, has |v| = 0 on
 every mode.  A run may hold it as coordinates in an orthonormal basis of a
-subspace that it never leaves (:class:`Span`, :func:`curl_free_span`).
+subspace that it never leaves (:class:`Span`, :func:`curl_free_span`): a
+source-free run's stays in the span of its initial values.
 """
 
 from __future__ import annotations
@@ -296,11 +297,6 @@ class CurlCurlBasis:
         return np.ascontiguousarray(_idct(_idct(coef, 0, self._idct_x), 1, self._idct_y))
 
 
-# A generator of a span that is this far, relative to its norm, from the
-# generators before it adds no basis vector (see curl_free_span).
-SPAN_DEPENDENT = 1e-12
-
-
 @dataclass(frozen=True, eq=False)
 class Span:
     """Where a run keeps component 0, the curl-free half, of its edge
@@ -310,8 +306,9 @@ class Span:
 
     ``basis`` is None for the identity span, k = nx ny, whose layout is the
     (2, nx, ny) coefficient array raveled; otherwise it is a (k, nx ny) array
-    of orthonormal rows (:func:`curl_free_span`), and the coordinates are
-    component 0's inner products with them.  ``shape`` is (nx, ny).
+    of orthonormal rows, k at most 1 (:func:`curl_free_span`), and the
+    coordinates are component 0's inner products with them.  ``shape`` is
+    (nx, ny).
     """
 
     shape: tuple[int, int]
@@ -341,30 +338,16 @@ class Span:
         return coef
 
 
-def curl_free_span(shape: tuple[int, int], generators) -> Span:
-    """The :class:`Span` of the sequence ``generators`` of (nx, ny)
-    component-0 coefficient arrays, or the identity span if it is None.  Its
-    basis comes from modified Gram-Schmidt in einsums, run twice against the
-    vectors before each generator; a generator left with at most
-    SPAN_DEPENDENT of its norm adds none, so zero generators give k = 0.
-    :class:`ValueError` for a generator with a NaN or infinite entry."""
-    if generators is None:
-        return Span(shape)
-    basis, k = np.empty((len(generators), shape[0] * shape[1])), 0
-    for gen in generators:
-        v = basis[k]
-        v[:] = np.reshape(gen, -1)
-        size = math.sqrt(np.einsum("i,i->", v, v))
-        if not math.isfinite(size):
-            raise ValueError("a span generator has a NaN or infinite entry")
-        for _ in range(2):
-            for q in basis[:k]:
-                v -= np.einsum("i,i->", q, v) * q
-        norm = math.sqrt(np.einsum("i,i->", v, v))
-        if norm > SPAN_DEPENDENT * size:
-            v *= 1.0 / norm
-            k += 1
-    return Span(shape, basis[:k])
+def curl_free_span(lead: np.ndarray) -> Span:
+    """The :class:`Span` of one finite (nx, ny) array of component-0
+    coefficients: its basis is the array over its norm, k = 1, or empty,
+    k = 0, if the array is zero."""
+    basis = np.array(lead, dtype=float).reshape(1, -1)
+    norm = math.sqrt(np.einsum("i,i->", basis[0], basis[0]))
+    if norm == 0.0:
+        return Span(lead.shape, basis[:0])
+    basis *= 1.0 / norm
+    return Span(lead.shape, basis)
 
 
 def norm_sq(coef: np.ndarray, grid: GridSpec) -> float:

@@ -28,11 +28,11 @@ transform.  :func:`init_state` transforms the initial data once, and
 :meth:`SimState.fields` transforms a state back to dof arrays.
 
 On component 0, |v| = 0: every mode follows one scalar recurrence,
-uncoupled from H, so the component stays in the span of its initial values
-and of the sources' component 0, and the coordinates in an orthonormal
-basis of that span hold it exactly.  A source-free run (``span=()``) keeps
-the span of E^0's component 0, k = 1 (0 if it is zero); the default
-identity span, k = nx ny, is the (2, nx, ny) array raveled.
+uncoupled from H, so without sources the component stays a multiple of
+E^0's, and one coordinate along it holds it exactly.  A source-free run
+(``init_state(..., source_free=True)``) keeps that span, k = 1 (0 if E^0's
+component 0 is zero); other runs keep the identity span, k = nx ny, the
+(2, nx, ny) array raveled.
 
 The operator above is diagonal in that basis, with the same eigenvalues on
 every step of a run: an (nx, ny) array on the tangential component, whose
@@ -50,8 +50,8 @@ is the linear-solver residual alone.
 
 Sources are passed as a callable ``sources(t) -> (f1, f2, f3)``
 (:data:`Sources`) that returns the right-hand sides as coefficients: f1 and
-f3 in the run's layout (``Span.pack`` of ``CurlCurlBasis.forward``; their
-component 0 must lie in the span), f2 as cell coefficients
+f3 as edge coefficients raveled (``CurlCurlBasis.forward``, the identity
+span's layout), f2 as cell coefficients
 (``CurlCurlBasis.forward_cell``).  :func:`step` calls it once per step, at
 t = t_{n-theta}; ``None`` means no sources.  Coefficients hold no boundary
 values.  Those of f1 are not used by the scheme, whose boundary rows carry
@@ -62,8 +62,7 @@ The P history of a run takes bounded memory (:class:`PHistory`).  The
 quadrature sums the last n0 lags exactly, from a window of the
 W = min(N, n0 + 2B + 1) latest P^k (B = HISTORY_FOLD = 16; P^0 = 0 is not
 stored).  A run of N > W steps folds the B oldest rows of a full window into
-M accumulators, in column blocks of about one row / M columns with every
-pole of a block in one contraction, so a fold's temporary is one row.  The
+M accumulators, one pole at a time, so a fold's temporary is one row.  The
 accumulators serve the lags from n0 + B + 3 on, the first a step reads from
 them.  There is one per real pole r_m of an exponential fit to the kernel's
 lags from n0 on (:func:`colecole.weights.exponential_tail`, within
@@ -84,7 +83,9 @@ window as soon as its history sum has read it, builds g in the history row
 that P^n then takes, E^n in the right-hand side's buffer (:func:`solve_spd`)
 and D^alpha P^n in the history part's, and one scratch vector and one
 (nx, ny) scratch array, dropped for the solve, take the products.  A
-source-free step allocates at most five vectors of the run's layout.
+source-free step allocates at most five vectors of the run's layout.  As the
+history moves before the solve, a step that raises leaves the state
+``stepping``, and :func:`step` refuses it from then on.
 
 The state also carries the energy weights a_0..a_N of the run's (alpha,
 theta), ``SimState.a_weights``; FBDF2 runs carry the trapezoidal ones too.
@@ -236,7 +237,8 @@ class SimState:
     every mode), ``spectrum`` (the E-solve's (nx, ny) eigenvalues, grouped)
     and ``span`` are constant over the run.  The state owns
     its run's ``history``; copies share it, and only the stepped state
-    matches it.
+    matches it.  ``stepping`` is True while a step changes the history, and
+    stays True once a step has raised part-way.
     """
 
     n: int
@@ -252,6 +254,7 @@ class SimState:
     curl_modulus: np.ndarray
     spectrum: Spectrum
     span: Span
+    stepping: bool = False
 
     @property
     def time(self) -> float:
@@ -346,7 +349,7 @@ def init_state(
     config: SchemeConfig,
     e0: VecField,
     h0: np.ndarray,
-    span=None,
+    source_free: bool = False,
 ) -> SimState:
     """State at n = 0 with P^0 = 0, and the kernel, energy weights and step
     constants of the whole run.
@@ -354,11 +357,10 @@ def init_state(
     e0 is the edge pair of E^0 and h0 the (nx, ny) cell array of H^0, taken
     as floats.  Both must be finite, and e0 zero on the tangential boundary,
     or :class:`ValueError` is raised before anything is transformed; each is
-    then transformed to coefficients once.  ``span`` says where the run
-    keeps component 0 (:class:`~colecole.mesh.Span`): None for the identity
-    span, or (nx, ny) component-0 coefficient arrays whose span with E^0's
-    component 0 holds the sources' component 0 (``()`` for a source-free
-    run).  Allocates the M + W rows of (k + nx ny) * 8 bytes of
+    then transformed to coefficients once.  A ``source_free`` run keeps
+    component 0 in the span of E^0's (:class:`~colecole.mesh.Span`, k at
+    most 1), and :func:`step` refuses it sources; other runs keep the
+    identity span.  Allocates the M + W rows of (k + nx ny) * 8 bytes of
     :class:`PHistory`, M at most TAIL_MAX_POLES; a fold adds a temporary of
     one row.  Before it builds anything it raises what
     :func:`preflight` raises.
@@ -373,7 +375,7 @@ def init_state(
         raise ValueError("initial electric field violates the tangential-zero boundary")
     basis = CurlCurlBasis(grid)
     coef = basis.forward(e0.ex, e0.ey)
-    layout = curl_free_span((nx, ny), None if span is None else (coef[0], *span))
+    layout = curl_free_span(coef[0]) if source_free else Span((nx, ny))
     e = layout.pack(coef)
     del coef  # a reduced layout packs into a new vector: the (2, nx, ny) array goes
     return _initial_state(grid, material, config, e, basis.forward_cell(h0), layout)
@@ -468,27 +470,14 @@ def frac_deriv_current(state: SimState) -> np.ndarray:
 
 def _fold(history: PHistory) -> None:
     """Fold the HISTORY_FOLD oldest window rows into the tail, shift the rest
-    of the window down by as many slots and advance ``folded``.  The window's
-    part is added in column blocks of about one row / M columns, all poles
-    of a block in one contraction, so each window block is read once and the
-    fold's temporary is one row.  Each tail row takes its block as its own
-    contiguous slice: a ufunc on a strided 2-D block buffers up to 8192
-    values per operand."""
+    of the window down by as many slots and advance ``folded``.  The tail is
+    folded one pole at a time, so the fold's temporary is one row."""
     fold, m = HISTORY_FOLD, len(history.poles)
     tail, window = history.rows[:m], history.rows[m:]
     powers = np.power.outer(history.poles, np.arange(fold, -1, -1.0))  # r^B .. r^0
     for row, power in zip(tail, powers):
         row *= power[0]
-    cols = tail.shape[1]
-    width = -(-cols // max(m, 1))
-    buffer = np.empty((m, width))
-    for start in range(0, cols, width):
-        end = min(start + width, cols)
-        part = np.einsum(
-            "mb,bj->mj", powers[:, 1:], window[:fold, start:end], out=buffer[:, : end - start]
-        )
-        for row, add in zip(tail[:, start:end], part):
-            row += add
+        row += np.einsum("b,bj->j", power[1:], window[:fold])
     for start in range(0, len(window) - fold, fold):  # chunks that do not overlap
         end = min(start + 2 * fold, len(window))
         window[start : end - fold] = window[start + fold : end]
@@ -510,7 +499,8 @@ def elimination_coefficients(
 
 class SolverError(RuntimeError):
     """Conjugate gradients failed to reach the requested tolerance, or met a
-    non-finite right-hand side or residual."""
+    non-finite right-hand side or residual.  A :func:`step` that raises it
+    leaves a state that cannot step on."""
 
     def __init__(self, message: str, residual: float, iterations: int) -> None:
         super().__init__(message)
@@ -615,13 +605,19 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     It advances ``n`` and rebinds ``e``, ``p`` and ``h`` to new arrays,
     never writing into the old ones, so arrays read from the state before
     the step keep E^{n-1}, P^{n-1} and H^{n-1}.  Raises :class:`ValueError`
-    past the configured run.  A step that raises :class:`SolverError` may
-    have folded the history and written P^n's row, so the run cannot go on.
+    past the configured run, for sources of a source-free run, and for a
+    state whose last step raised part-way (``SimState.stepping``): that step
+    may have folded the history and written P^n's row, so the run cannot go
+    on.
     """
     cfg, mat, grid = state.config, state.material, state.grid
     n = state.n + 1
     if n > cfg.n_steps:
         raise ValueError(f"run is configured for {cfg.n_steps} steps, cannot advance to {n}")
+    if state.stepping:
+        raise ValueError(f"step {n} of this run raised part-way; the run cannot go on")
+    if sources is not None and state.span.basis is not None:
+        raise ValueError("a source-free run takes no sources")
     history = state.history
     tau, theta = cfg.tau, cfg.theta
     one_m = 1.0 - theta
@@ -635,6 +631,7 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
         return x[k:].reshape(v.shape)
 
     hist_d = frac_deriv_current(state)
+    state.stepping = True  # until the step ends: the history moves from here on
     slot = len(history.poles) + n - 1 - history.folded  # row of P^n
     if slot == len(history.rows):  # a full window, whose rows the sum has read
         _fold(history)
@@ -682,7 +679,7 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     hist_d += np.multiply(p_new, tau ** (-mat.alpha) * state.kernel[0], out=row)
     row[:] = p_new
     history.s[n] = norm_sq(hist_d, grid)
-    state.n, state.e, state.p, state.h = n, e_new, p_new, h_new
+    state.n, state.e, state.p, state.h, state.stepping = n, e_new, p_new, h_new, False
     return state
 
 

@@ -810,13 +810,13 @@ def test_fold_allocates_one_row():
     assert np.array_equal(split_rows(history)[1][: len(window)], window)
 
 
-@pytest.mark.parametrize("quadrature, span", [
-    pytest.param(Quadrature.SFTR, None, id="Quadrature.SFTR"),
-    pytest.param(Quadrature.FBDF2, None, id="Quadrature.FBDF2"),
-    pytest.param(Quadrature.SFTR, (), id="Quadrature.SFTR-reduced"),
-    pytest.param(Quadrature.FBDF2, (), id="Quadrature.FBDF2-reduced"),
+@pytest.mark.parametrize("quadrature, source_free", [
+    pytest.param(Quadrature.SFTR, False, id="Quadrature.SFTR"),
+    pytest.param(Quadrature.FBDF2, False, id="Quadrature.FBDF2"),
+    pytest.param(Quadrature.SFTR, True, id="Quadrature.SFTR-reduced"),
+    pytest.param(Quadrature.FBDF2, True, id="Quadrature.FBDF2-reduced"),
 ])
-def test_a_step_allocates_at_most_five_arrays(quadrature, span):
+def test_a_step_allocates_at_most_five_arrays(quadrature, source_free):
     # a source-free step builds P^n, E^n and D^alpha P^n in place in its temporaries,
     # drops its scratch for the solve and the rest before a fold: numpy's
     # buffers traced over any step of a folding run peak at most five
@@ -824,9 +824,11 @@ def test_a_step_allocates_at_most_five_arrays(quadrature, span):
     # values with the identity span, 1 + 64 * 64 in a reduced run
     grid = GridSpec(64, 64)
     config = SchemeConfig(theta=0.5, tau=0.002, n_steps=60, quadrature=quadrature)
-    state = init_state(grid, MaterialParams(), config, *decay_initial_data(grid), span=span)
+    state = init_state(
+        grid, MaterialParams(), config, *decay_initial_data(grid), source_free=source_free
+    )
     dofs = state.e.size
-    assert dofs == (2 * 64 * 64 if span is None else 1 + 64 * 64)
+    assert dofs == (1 + 64 * 64 if source_free else 2 * 64 * 64)
     peaks = []
     while state.n < config.n_steps:
         tracemalloc.start()
@@ -849,10 +851,10 @@ def test_set_up_peaks_no_higher_than_a_step():
     # initial data passed straight in
     grid = GridSpec(256, 256)
     config = SchemeConfig(theta=0.5, tau=0.01, n_steps=20)
-    for span in (None, ()):
+    for source_free in (False, True):
         tracemalloc.start()
         try:
-            if span is None:
+            if not source_free:
                 data = decay_initial_data(grid)
                 tracemalloc.reset_peak()
                 state = init_state(grid, MaterialParams(), config, *data)
@@ -860,7 +862,7 @@ def test_set_up_peaks_no_higher_than_a_step():
             else:
                 tracemalloc.reset_peak()
                 state = init_state(
-                    grid, MaterialParams(), config, *decay_initial_data(grid), span=span
+                    grid, MaterialParams(), config, *decay_initial_data(grid), source_free=True
                 )
             set_up = tracemalloc.get_traced_memory()[1]
             peaks = []
@@ -870,8 +872,8 @@ def test_set_up_peaks_no_higher_than_a_step():
                 peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert state.span.k == (256 * 256 if span is None else 1)
-        assert set_up <= max(peaks), (span, set_up / 2**20, max(peaks) / 2**20)
+        assert state.span.k == (1 if source_free else 256 * 256)
+        assert set_up <= max(peaks), (source_free, set_up / 2**20, max(peaks) / 2**20)
 
 
 # decay_long's six pairs at N = 400, (0.9, 0.2) at N = 1000, FBDF2 at 0.8, N = 2000
@@ -1181,7 +1183,7 @@ def test_a_reduced_run_matches_the_identity_span(quadrature, case):
         reduced, trace, report = energy.run_decay_experiment(0.7, 0.4, grid, 0.01, n_steps, quadrature)
         reduced_energies = trace["energy"]
     else:
-        reduced = init_state(grid, material, config, *make(grid), span=())
+        reduced = init_state(grid, material, config, *make(grid), source_free=True)
         reduced_energies = [energy.discrete_energy(reduced)]
         while reduced.n < n_steps:
             reduced_energies.append(energy.discrete_energy(step(reduced)))
@@ -1197,32 +1199,58 @@ def test_a_reduced_run_matches_the_identity_span(quadrature, case):
             assert np.linalg.norm(b - a) <= 1e-13 * np.linalg.norm(a)
 
 
-def test_curl_free_span_is_orthonormal_and_packs_back():
-    # generators (nx, ny): modified Gram-Schmidt twice, in einsums; a generator
-    # in the span of those before it, or zero, adds no basis vector
+def test_curl_free_span_is_a_unit_vector_and_packs_back():
+    # the span of one (nx, ny) array: the array over its norm, k = 1, or
+    # k = 0 for the zero array; identity span, k = nx ny, when not reduced
     grid = GridSpec(12, 8)
     rng = np.random.default_rng(3)
-    c1, c2, c3 = (random_modes(grid, rng).reshape(2, 12, 8) for _ in range(3))
-    a, b = c1[0], c2[0]
-    span = curl_free_span((12, 8), (a, b, 2.0 * a - 0.5 * b, np.zeros((12, 8))))
-    assert span.k == 2 and span.basis.shape == (2, 96)
-    gram = np.einsum("ij,kj->ik", span.basis, span.basis)
-    np.testing.assert_allclose(gram, np.eye(2), rtol=0, atol=1e-15)
-    assert curl_free_span((12, 8), ()).k == 0
-    assert curl_free_span((12, 8), None).basis is None
-    with pytest.raises(ValueError, match="NaN or infinite"):
-        curl_free_span((12, 8), (a, np.full((12, 8), np.inf)))
+    c1, c2 = (random_modes(grid, rng).reshape(2, 12, 8) for _ in range(2))
+    a = c1[0]
+    span = curl_free_span(a)
+    assert span.k == 1 and span.basis.shape == (1, 96) and span.shape == (12, 8)
+    assert math.isclose(np.einsum("i,i->", span.basis[0], span.basis[0]), 1.0, abs_tol=1e-15)
+    np.testing.assert_allclose(span.basis[0] * np.linalg.norm(a), a.reshape(-1), rtol=1e-15, atol=0)
+    empty = curl_free_span(np.zeros((12, 8)))
+    assert empty.k == 0 and empty.basis.shape == (0, 96)
     # pack and unpack: exact for coefficients whose component 0 is in the span
-    coef = np.stack((0.3 * a - 1.5 * b, c3[1]))
-    x = span.pack(coef)
-    assert x.shape == (2 + 96,) and np.array_equal(x[2:], coef[1].reshape(-1))
-    np.testing.assert_allclose(span.unpack(x), coef, rtol=0, atol=1e-14)
+    for layout, scale in ((span, -2.5), (empty, 0.0)):
+        coef = np.stack((scale * a, c2[1]))
+        x = layout.pack(coef)
+        k = layout.k
+        assert x.shape == (k + 96,) and np.array_equal(x[k:], coef[1].reshape(-1))
+        np.testing.assert_allclose(layout.unpack(x), coef, rtol=0, atol=1e-14)
     identity = Span((12, 8))
     assert identity.k == 96 and np.shares_memory(identity.pack(coef), coef)
     assert np.array_equal(identity.unpack(identity.pack(coef)), coef)
-    # a source-free run of E^0 in the span keeps its coordinates
-    e0 = edge_field(coef, grid)
+    # a source-free run of E^0 keeps its component 0 as one coordinate
+    e0 = edge_field(np.stack((a, c2[1])), grid)
     config = SchemeConfig(theta=0.5, tau=0.1, n_steps=2)
-    state = init_state(grid, MaterialParams(), config, e0, np.zeros((12, 8)), span=(b,))
-    assert state.span.k == 2 and state.e.shape == (2 + 96,) and state.history.rows.shape[1] == 98
-    np.testing.assert_allclose(state.span.unpack(state.e), coef, rtol=0, atol=1e-13)
+    state = init_state(grid, MaterialParams(), config, e0, np.zeros((12, 8)), source_free=True)
+    assert state.span.k == 1 and state.e.shape == (1 + 96,) and state.history.rows.shape[1] == 97
+    np.testing.assert_allclose(
+        state.span.unpack(state.e), np.stack((a, c2[1])), rtol=0, atol=1e-13
+    )
+
+
+def test_a_step_that_raised_leaves_a_state_that_refuses_to_step(monkeypatch):
+    # the step's solve fails after the history has moved (a full window folded,
+    # g written to P^n's row), so the state refuses any further step; a
+    # source-free run refuses sources before it moves anything
+    grid = GridSpec(12, 8)
+    config = SchemeConfig(theta=0.5, tau=0.01, n_steps=60)
+    state = init_state(grid, MaterialParams(), config, *decay_initial_data(grid), source_free=True)
+    with pytest.raises(ValueError, match="source-free"):
+        step(state, lambda t: (0.0, 0.0, 0.0))
+    assert not state.stepping
+    while len(state.history.poles) + state.n - state.history.folded < len(state.history.rows):
+        step(state)
+    n, folded = state.n, state.history.folded
+    monkeypatch.setattr(stepper, "CG_TOL", 0.0)
+    monkeypatch.setattr(stepper, "CG_MAXIT_PER_SIDE", 1)
+    with pytest.raises(SolverError):
+        step(state)
+    assert state.stepping and state.n == n and state.history.folded == folded + stepper.HISTORY_FOLD
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="raised part-way"):
+        step(state)
+    assert state.n == n and state.history.folded == folded + stepper.HISTORY_FOLD
