@@ -133,7 +133,7 @@ def run_decay_experiment(
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
     preflight(grid, material, config)
     # straight in: the dof-space initial data are freed once transformed
-    state = init_state(grid, material, config, *decay_initial_data(grid), source_free=True)
+    state = init_state(grid, material, config, *decay_initial_data(grid))
     trace = np.zeros(n_steps + 1, TRACE)
     energy = previous = discrete_energy(state)
     dissipation = 0.0

@@ -25,8 +25,9 @@ phi_cE = curl phi_E (at the cell centres):
 grid, each vector component on its own dof set, and transforms them once to
 the coefficients of :class:`~colecole.mesh.CurlCurlBasis`, in which a run
 keeps its fields.  The :class:`SampledCase` it returns gives the exact fields
-and the sources at any t as time factors times those arrays, so a run
-evaluates no formula of the coordinates and computes no transform per step.
+and the sources at any t as time factors times those arrays, and its
+``initial_state`` gives a run those sources at set-up, so a run evaluates
+no formula of the coordinates and computes no transform per step.
 Coefficients hold no boundary values: phi_E and phi_P must vanish on the
 tangential boundary, as they do, and phi_cH's boundary values only enter f1,
 whose boundary values the scheme does not use.
@@ -76,7 +77,7 @@ class SampledCase:
     module docstring), each sampled once and held as coefficients, e, p and
     curl_h as edge coefficients in the layout of the identity
     :class:`~colecole.mesh.Span` (the (2, nx, ny) array raveled), h and
-    curl_e as (nx, ny) cell coefficients.  Its runs keep the identity span."""
+    curl_e as (nx, ny) cell coefficients.  Its runs are forced: identity span."""
 
     material: MaterialParams
     grid: GridSpec
@@ -92,8 +93,8 @@ class SampledCase:
         return decay * self.e, t**3 * self.p, decay * self.h
 
     def sources(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(f1, f2, f3) at time t, as coefficients: the ``sources`` callable
-        of :func:`colecole.stepper.step`."""
+        """(f1, f2, f3) at time t, as coefficients: the
+        :data:`~colecole.stepper.Sources` of the case's runs."""
         decay = math.exp(-t)
         frac = caputo_cubic_factor(t, self.material.alpha)
         return (
@@ -103,8 +104,9 @@ class SampledCase:
         )
 
     def initial_state(self, config: SchemeConfig) -> SimState:
+        """The state at t = 0 of a run forced by :meth:`sources`."""
         e0, _, h0 = self.exact(0.0)
-        return _initial_state(self.grid, self.material, config, e0, h0)
+        return _initial_state(self.grid, self.material, config, e0, h0, self.sources)
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,7 @@ def run_case(
     state = case.initial_state(config)
     err_e = err_h = err_p = 0.0
     while state.n < n_steps:
-        step(state, case.sources)
+        step(state)
         ee, eh, ep = error_norms(state, case)
         err_e, err_h, err_p = max(err_e, ee), max(err_h, eh), max(err_p, ep)
     return err_e, err_h, err_p

@@ -24,8 +24,8 @@ physical-space check.
 
 Component 0 of the edge coefficients, the curl-free half, has |v| = 0 on
 every mode.  A run may hold it as coordinates in an orthonormal basis of a
-subspace that it never leaves (:class:`Span`, :func:`curl_free_span`): a
-source-free run's stays in the span of its initial values.
+subspace that it never leaves (:class:`Span`): a run without sources keeps
+it in the span of its initial values (:func:`curl_free_span`).
 """
 
 from __future__ import annotations
@@ -341,12 +341,15 @@ class Span:
 def curl_free_span(lead: np.ndarray) -> Span:
     """The :class:`Span` of one finite (nx, ny) array of component-0
     coefficients: its basis is the array over its norm, k = 1, or empty,
-    k = 0, if the array is zero."""
+    k = 0, if every entry is zero.  The norm is taken with the largest entry
+    scaled exactly into [1/2, 1) by a power of two: it cannot underflow or
+    overflow, and where unscaled it would not, the basis is the same bits."""
     basis = np.array(lead, dtype=float).reshape(1, -1)
-    norm = math.sqrt(np.einsum("i,i->", basis[0], basis[0]))
-    if norm == 0.0:
+    top = max(basis.max(), -basis.min())
+    if top == 0.0:
         return Span(lead.shape, basis[:0])
-    basis *= 1.0 / norm
+    np.ldexp(basis, -np.frexp(top)[1], out=basis)
+    basis *= 1.0 / math.sqrt(np.einsum("i,i->", basis[0], basis[0]))
     return Span(lead.shape, basis)
 
 

@@ -29,10 +29,9 @@ transform.  :func:`init_state` transforms the initial data once, and
 
 On component 0, |v| = 0: every mode follows one scalar recurrence,
 uncoupled from H, so without sources the component stays a multiple of
-E^0's, and one coordinate along it holds it exactly.  A source-free run
-(``init_state(..., source_free=True)``) keeps that span, k = 1 (0 if E^0's
-component 0 is zero); other runs keep the identity span, k = nx ny, the
-(2, nx, ny) array raveled.
+E^0's, and one coordinate along it holds it exactly.  A run without
+sources keeps that span, k = 1 (0 if E^0's component 0 is zero); a forced
+run keeps the identity span, k = nx ny, the (2, nx, ny) array raveled.
 
 The operator above is diagonal in that basis, with the same eigenvalues on
 every step of a run: an (nx, ny) array on the tangential component, whose
@@ -48,12 +47,11 @@ by up to 2.7e-9 relative, past their 1e-11 tolerance).  H^n and P^n are
 recovered exactly afterwards, so the per-step defect of the three equations
 is the linear-solver residual alone.
 
-Sources are passed as a callable ``sources(t) -> (f1, f2, f3)``
-(:data:`Sources`) that returns the right-hand sides as coefficients: f1 and
-f3 as edge coefficients raveled (``CurlCurlBasis.forward``, the identity
-span's layout), f2 as cell coefficients
-(``CurlCurlBasis.forward_cell``).  :func:`step` calls it once per step, at
-t = t_{n-theta}; ``None`` means no sources.  Coefficients hold no boundary
+A run's sources, given to :func:`init_state`, are a callable ``sources(t)
+-> (f1, f2, f3)`` (:data:`Sources`) that returns the right-hand sides as
+coefficients: f1 and f3 as edge coefficients raveled (the identity span's
+layout), f2 as cell coefficients.  The state keeps it, and :func:`step`
+calls it once per step, at t = t_{n-theta}.  Coefficients hold no boundary
 values.  Those of f1 are not used by the scheme, whose boundary rows carry
 E = 0; f3 must vanish on the tangential boundary, as
 :meth:`colecole.manufactured.ManufacturedCase.sample` checks.
@@ -82,16 +80,16 @@ matches it.  A step holds only what its next part reads: it folds a full
 window as soon as its history sum has read it, builds g in the history row
 that P^n then takes, E^n in the right-hand side's buffer (:func:`solve_spd`)
 and D^alpha P^n in the history part's, and one scratch vector and one
-(nx, ny) scratch array, dropped for the solve, take the products.  A
-source-free step allocates at most five vectors of the run's layout.  As the
-history moves before the solve, a step that raises leaves the state
+(nx, ny) scratch array, dropped for the solve, take the products.  Beside
+what its sources return, a step allocates at most five vectors of the
+run's layout.  As the history moves before the solve, a step that raises leaves the state
 ``stepping``, and :func:`step` refuses it from then on.
 
 The state also carries the energy weights a_0..a_N of the run's (alpha,
 theta), ``SimState.a_weights``; FBDF2 runs carry the trapezoidal ones too.
 It carries the constants of the run's steps as well, which :func:`init_state`
 builds once: |v| of every mode, the grouped :class:`Spectrum` of the
-E-solve and the span of component 0.
+E-solve, the span of component 0 and the sources.
 """
 
 from __future__ import annotations
@@ -234,9 +232,9 @@ class SimState:
     coefficients of H^n (see :class:`~colecole.mesh.CurlCurlBasis`);
     :meth:`fields` gives the dof arrays.  ``kernel`` (K_0..K_{N-1} of
     :func:`build_kernel`, read-only), ``a_weights``, ``curl_modulus`` (|v| of
-    every mode), ``spectrum`` (the E-solve's (nx, ny) eigenvalues, grouped)
-    and ``span`` are constant over the run.  The state owns
-    its run's ``history``; copies share it, and only the stepped state
+    every mode), ``spectrum`` (the E-solve's (nx, ny) eigenvalues, grouped),
+    ``span`` and ``sources`` (None for none) are constant over the run.  The
+    state owns its run's ``history``; copies share it, and only the stepped state
     matches it.  ``stepping`` is True while a step changes the history, and
     stays True once a step has raised part-way.
     """
@@ -254,6 +252,7 @@ class SimState:
     curl_modulus: np.ndarray
     spectrum: Spectrum
     span: Span
+    sources: Sources | None
     stepping: bool = False
 
     @property
@@ -300,11 +299,8 @@ def preflight(grid: GridSpec, material: MaterialParams, config: SchemeConfig) ->
     is a normal float and the square of its largest, that plus
     (1-theta)^2 tau max|v|^2/c_m, is finite, checked on bounds: 0 < a < c_p
     and |v|^2 < 4/dx^2 + 4/dy^2.  :class:`MemoryError` unless the run fits in
-    physical memory, by an upper bound: it counts the tail at M = 128 before
-    the fit has run, and rows of 2 nx ny values, twice a decay run's, and is
-    4.61 times the traced peak of a 64^2 x 400-step decay run, 2.33 times at
-    256^2 x 20, 2.40 times for FBDF2 at 48^2 x 40 and 1.17 times for a forced
-    FBDF2 run at 48^2 x 40."""
+    physical memory, by an upper bound (:func:`_require_memory`) that counts
+    every row at 2 nx ny values and the tail at TAIL_MAX_POLES rows."""
     mat, tau, one_m, sx, sy = material, config.tau, 1.0 - config.theta, 2 / grid.dx, 2 / grid.dy
     low = mat.c_e / tau
     high = (mat.c_e + mat.c_p) / tau + one_m * one_m * tau * (sx * sx + sy * sy) / mat.c_m
@@ -349,20 +345,19 @@ def init_state(
     config: SchemeConfig,
     e0: VecField,
     h0: np.ndarray,
-    source_free: bool = False,
+    sources: Sources | None = None,
 ) -> SimState:
     """State at n = 0 with P^0 = 0, and the kernel, energy weights and step
-    constants of the whole run.
+    constants of the whole run, forced by ``sources`` (:data:`Sources`, None
+    for none), which the state keeps.
 
     e0 is the edge pair of E^0 and h0 the (nx, ny) cell array of H^0, taken
     as floats.  Both must be finite, and e0 zero on the tangential boundary,
     or :class:`ValueError` is raised before anything is transformed; each is
-    then transformed to coefficients once.  A ``source_free`` run keeps
-    component 0 in the span of E^0's (:class:`~colecole.mesh.Span`, k at
-    most 1), and :func:`step` refuses it sources; other runs keep the
-    identity span.  Allocates the M + W rows of (k + nx ny) * 8 bytes of
-    :class:`PHistory`, M at most TAIL_MAX_POLES; a fold adds a temporary of
-    one row.  Before it builds anything it raises what
+    then transformed to coefficients once.  The sources fix the layout (see
+    :func:`_initial_state`).  Allocates the M + W rows of (k + nx ny) * 8
+    bytes of :class:`PHistory`, M at most TAIL_MAX_POLES; a fold adds a
+    temporary of one row.  Before it builds anything it raises what
     :func:`preflight` raises.
     """
     nx, ny, h0 = grid.nx, grid.ny, np.asarray(h0, dtype=float)
@@ -374,11 +369,8 @@ def init_state(
     if not e0.is_pec_compliant():
         raise ValueError("initial electric field violates the tangential-zero boundary")
     basis = CurlCurlBasis(grid)
-    coef = basis.forward(e0.ex, e0.ey)
-    layout = curl_free_span(coef[0]) if source_free else Span((nx, ny))
-    e = layout.pack(coef)
-    del coef  # a reduced layout packs into a new vector: the (2, nx, ny) array goes
-    return _initial_state(grid, material, config, e, basis.forward_cell(h0), layout)
+    h = basis.forward_cell(h0)  # first: E^0's (2, nx, ny) coefficients are not live beside it
+    return _initial_state(grid, material, config, basis.forward(e0.ex, e0.ey), h, sources)
 
 
 def _initial_state(
@@ -387,13 +379,18 @@ def _initial_state(
     config: SchemeConfig,
     e: np.ndarray,
     h: np.ndarray,
-    layout: Span | None = None,
+    sources: Sources | None,
 ) -> SimState:
     """:func:`init_state` for initial data given as coefficients, which the
-    state takes over: e as a vector in ``layout`` (None for the identity
-    span)."""
+    state takes over, e as (2, nx, ny) edge coefficients or raveled.  The
+    sources pick the layout: without them the span of E^0's component 0
+    (:func:`curl_free_span`, k at most 1), with them the identity span."""
     steps = config.n_steps
     exact, window = preflight(grid, material, config)
+    coef = e.reshape(2, grid.nx, grid.ny)
+    span = curl_free_span(coef[0]) if sources is None else Span((grid.nx, grid.ny))
+    e = span.pack(coef)
+    del coef  # a reduced layout packs into a new vector: the (2, nx, ny) array goes
     kernel = build_kernel(material, config)
     poles = weights = np.empty(0)
     if window < steps:
@@ -425,7 +422,8 @@ def _initial_state(
         config=config,
         curl_modulus=basis.curl_modulus(),
         spectrum=spectrum,
-        span=layout or Span((grid.nx, grid.ny)),
+        span=span,
+        sources=sources,
     )
 
 
@@ -598,17 +596,16 @@ def solve_spd(spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray) -> tuple[np.n
     )
 
 
-def step(state: SimState, sources: Sources | None = None) -> SimState:
-    """Advance ``state`` one step in place, forced by ``sources`` (see
+def step(state: SimState) -> SimState:
+    """Advance ``state`` one step in place, forced by its sources (see
     :data:`Sources`) at t_{n-theta}, and return it.
 
     It advances ``n`` and rebinds ``e``, ``p`` and ``h`` to new arrays,
     never writing into the old ones, so arrays read from the state before
     the step keep E^{n-1}, P^{n-1} and H^{n-1}.  Raises :class:`ValueError`
-    past the configured run, for sources of a source-free run, and for a
-    state whose last step raised part-way (``SimState.stepping``): that step
-    may have folded the history and written P^n's row, so the run cannot go
-    on.
+    past the configured run, and for a state whose last step raised part-way
+    (``SimState.stepping``): that step may have folded the history and
+    written P^n's row, so the run cannot go on.
     """
     cfg, mat, grid = state.config, state.material, state.grid
     n = state.n + 1
@@ -616,9 +613,7 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
         raise ValueError(f"run is configured for {cfg.n_steps} steps, cannot advance to {n}")
     if state.stepping:
         raise ValueError(f"step {n} of this run raised part-way; the run cannot go on")
-    if sources is not None and state.span.basis is not None:
-        raise ValueError("a source-free run takes no sources")
-    history = state.history
+    history, sources = state.history, state.sources
     tau, theta = cfg.tau, cfg.theta
     one_m = 1.0 - theta
     f1, f2, f3 = (0.0, 0.0, 0.0) if sources is None else sources((n - theta) * tau)
@@ -683,8 +678,8 @@ def step(state: SimState, sources: Sources | None = None) -> SimState:
     return state
 
 
-def run(state: SimState, sources: Sources | None = None) -> SimState:
+def run(state: SimState) -> SimState:
     """Advance ``state`` in place to the configured final step and return it."""
     while state.n < state.config.n_steps:
-        step(state, sources)
+        step(state)
     return state

@@ -20,10 +20,12 @@ The semi-discrete manufactured case uses them on purpose: it forces the
 space-discrete system so that its exact solution is the sampled closed form,
 leaving only the time-discretization error to measure.
 
-The oracles take and return dof fields.  :func:`in_modes` turns sources on
-the dofs into the coefficient sources that ``colecole.stepper.step`` takes.
-``step`` advances a run's one state in place; :func:`observed_step` keeps a
-copy of the state from before it and the history part of the step's
+The oracles take and return dof fields, and read a state in either layout
+through its ``span``.  :func:`in_modes` turns sources on the dofs into the
+coefficient sources that ``colecole.stepper.init_state`` gives a run, and
+:func:`no_forcing` is the zero forcing of a run that must keep the identity
+span.  ``step`` advances a run's one state in place; :func:`observed_step`
+keeps a copy of the state from before it and the history part of the step's
 fractional derivative, which :func:`caputo_after` and :func:`scheme_residual`
 read.
 
@@ -173,8 +175,9 @@ def edge_field(coef: np.ndarray, grid: GridSpec) -> VecField:
 
 
 def in_modes(sources: DofSources, grid: GridSpec) -> Sources:
-    """The sources of ``step`` for a run that keeps the identity span: sources
-    on the dofs, transformed each call, f1 and f3 raveled."""
+    """The sources that ``init_state`` gives a forced run, which keeps the
+    identity span: sources on the dofs, transformed each call, f1 and f3
+    raveled."""
     basis = CurlCurlBasis(grid)
 
     def modal(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,6 +189,13 @@ def in_modes(sources: DofSources, grid: GridSpec) -> Sources:
         )
 
     return modal
+
+
+def no_forcing(t: float) -> tuple[float, float, float]:
+    """Zero sources: a run given them keeps the identity span, as a forced
+    run does.  For tests that write arbitrary P histories, or that compare
+    the two layouts."""
+    return 0.0, 0.0, 0.0
 
 
 def split_rows(history: PHistory) -> tuple[np.ndarray, np.ndarray]:
@@ -207,12 +217,13 @@ def with_p_history(state: SimState, history: tuple[np.ndarray, ...], s=None, **c
     return replace(state, n=len(history) - 1, **changes)
 
 
-def observed_step(state: SimState, sources: Sources | None = None) -> tuple[SimState, np.ndarray]:
+def observed_step(state: SimState) -> tuple[SimState, np.ndarray]:
     """Step ``state`` in place; return a copy of it from before the step
-    (its n, E, P and H; the history is shared) and the history part of the
-    step's D^alpha P, ``frac_deriv_current(state)`` taken before it."""
+    (its n, E, P and H; the history and the sources are shared) and the
+    history part of the step's D^alpha P, ``frac_deriv_current(state)`` taken
+    before it."""
     before, history_part = copy.copy(state), frac_deriv_current(state)
-    step(state, sources)
+    step(state)
     return before, history_part
 
 
@@ -519,7 +530,7 @@ def dense_step_solution(
     # P^0 = 0 is not stored: window slot k - 1 holds P^k
     window = split_rows(state.history)[1][: n - 1]
     rows = [np.zeros_like(state.p), *window.reshape(-1, *state.p.shape)]
-    p_history = [edge_field(q, grid) for q in rows]
+    p_history = [edge_field(state.span.unpack(q), grid) for q in rows]
 
     # History part of the fractional quadrature, straight from its definition.
     kern = state.kernel
@@ -701,7 +712,7 @@ def scheme_residual(
     e_bar = combine_theta(e_new, e_old, theta)
     h_bar = combine_theta(h_new, h_old, theta)
     p_bar = combine_theta(p_new, p_old, theta)
-    d_alpha = edge_field(caputo_after(state_new, history_part), grid)
+    d_alpha = edge_field(state_new.span.unpack(caputo_after(state_new, history_part)), grid)
 
     r1 = fmap(
         lambda en, eo, pn, po, ch, f: (mat.c_e / tau) * (en - eo) + (pn - po) / tau - ch - f,

@@ -27,7 +27,7 @@ from colecole.stepper import (
 from colecole.weights import fbdf2_weights, sftr_weights, shift_combine
 
 from oracles import (
-    curl_e, inner_e, inner_h, varpi_weights_by_series, with_p_history, zero_edges,
+    curl_e, edge_field, inner_e, inner_h, varpi_weights_by_series, with_p_history, zero_edges,
 )
 
 
@@ -37,7 +37,9 @@ def fresh_state(grid, alpha=0.5, theta=0.5, tau=0.05, n_steps=8, quadrature=Quad
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
     e0 = e0 if e0 is not None else zero_edges(grid)
     h0 = h0 if h0 is not None else np.zeros((grid.nx, grid.ny))
-    return init_state(grid, material, config, e0, h0)
+    state = init_state(grid, material, config, e0, h0)
+    assert state.span.k <= 1  # no sources: component 0 in the span of E^0's
+    return state
 
 
 def test_energy_at_step_zero_is_field_energy():
@@ -73,13 +75,17 @@ def test_state_carries_cumulative_companion_weights(quadrature, alpha, theta, n_
 
 def test_energy_synthetic_history_direct_formula():
     # fabricate a short history and s-values; compare against the formula
-    # tau0^a tau^a sum a_k s_{n-k} + ||P||^2 + c_p(c_e ||E||^2 + c_m ||H||^2)
+    # tau0^a tau^a sum a_k s_{n-k} + ||P||^2 + c_p(c_e ||E||^2 + c_m ||H||^2).
+    # E^0 = 0 keeps no curl-free coordinate (k = 0), so P^2 is tangential
     grid = GridSpec(4, 4)
     tau, alpha, theta = 0.25, 0.4, 0.3
     state = fresh_state(grid, alpha=alpha, theta=theta, tau=tau, n_steps=4)
+    assert state.span.k == 0
     rng = np.random.default_rng(9)
     p2 = VecField(rng.standard_normal((4, 5)), rng.standard_normal((5, 4))).enforce_pec()
-    p2_modes = CurlCurlBasis(grid).forward(p2.ex, p2.ey).reshape(-1)
+    coef = CurlCurlBasis(grid).forward(p2.ex, p2.ey)
+    coef[0] = 0.0
+    p2, p2_modes = edge_field(coef, grid), state.span.pack(coef)
     s_vals = (0.0, 0.7, 1.3)
     zero = np.zeros_like(p2_modes)
     state = with_p_history(state, (zero, zero, p2_modes), s=s_vals, p=p2_modes)

@@ -2,6 +2,7 @@
 residual contracts, the conjugate-gradient solver, the memory preflight, and
 run invariants."""
 
+import copy
 import math
 import os
 import tracemalloc
@@ -53,6 +54,7 @@ from oracles import (
     edge_field,
     fmap,
     in_modes,
+    no_forcing,
     norm_e,
     observed_step,
     operator_diagonal,
@@ -65,11 +67,16 @@ from oracles import (
 )
 
 
-def zero_state(grid=None, alpha=0.5, theta=0.5, tau=0.1, n_steps=4, quadrature=Quadrature.SFTR):
+def zero_state(grid=None, alpha=0.5, theta=0.5, tau=0.1, n_steps=4, quadrature=Quadrature.SFTR,
+               sources=None):
+    """A run from E^0 = 0, H^0 = 0: without sources its layout keeps no
+    curl-free coordinate (k = 0), rows of nx ny values."""
     grid = grid or GridSpec(4, 4)
     material = MaterialParams(alpha=alpha)
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
-    return init_state(grid, material, config, zero_edges(grid), np.zeros((grid.nx, grid.ny)))
+    return init_state(
+        grid, material, config, zero_edges(grid), np.zeros((grid.nx, grid.ny)), sources
+    )
 
 
 def test_material_and_config_validation():
@@ -110,16 +117,21 @@ def random_modes(grid, rng):
 
 def test_init_state():
     state = zero_state()
-    assert state.n == 0
-    # the identity span: the (2, 4, 4) coefficients raveled
-    assert state.e.shape == state.p.shape == (32,) and state.h.shape == (4, 4)
-    assert state.span.k == 16 and state.span.basis is None
+    assert state.n == 0 and state.sources is None
+    # no sources and no curl-free part in E^0: k = 0, the 16 tangential coefficients
+    assert state.e.shape == state.p.shape == (16,) and state.h.shape == (4, 4)
+    assert state.span.k == 0 and state.span.basis.shape == (0, 16)
     assert not np.any(state.p)
     # 4 steps never fold: no tail, and a window of P^1..P^4 (P^0 = 0 is not stored)
-    assert state.history.rows.shape == (4, 32) and state.history.s.shape == (5,)
+    assert state.history.rows.shape == (4, 16) and state.history.s.shape == (5,)
     assert not np.any(state.history.rows) and not np.any(state.history.s)
     assert len(state.history.poles) == len(state.history.weights) == 0
-    assert split_rows(state.history)[0].shape == (0, 32) and state.history.folded == 0
+    assert split_rows(state.history)[0].shape == (0, 16) and state.history.folded == 0
+    # a forced run keeps its sources and the identity span: the (2, 4, 4) coefficients raveled
+    forced = zero_state(sources=no_forcing)
+    assert forced.sources is no_forcing and forced.e.shape == forced.p.shape == (32,)
+    assert forced.span.k == 16 and forced.span.basis is None
+    assert forced.history.rows.shape == (4, 32)
     # kernel covers the whole run and starts at the generating sequence
     assert len(state.kernel) == state.config.n_steps
     assert state.kernel[0] == sftr_weights(0.5, 0.5, 0)[0]
@@ -159,11 +171,11 @@ def test_frac_deriv_zero_and_single_term():
     state = zero_state(alpha=0.3, theta=0.4, tau=0.2)
     # the first step has no history: only P^1 enters its quadrature
     assert not np.any(frac_deriv_current(state))
-    c = 1.7
-    d = caputo_after(replace(state, p=np.full(32, c)), frac_deriv_current(state))
+    c, size = 1.7, state.p.size
+    d = caputo_after(replace(state, p=np.full(size, c)), frac_deriv_current(state))
     np.testing.assert_allclose(d, 0.2 ** (-0.3) * state.kernel[0] * c, rtol=1e-14)
     # the second step's history is P^1 alone
-    state = with_p_history(state, (np.zeros(32), np.full(32, c)))
+    state = with_p_history(state, (np.zeros(size), np.full(size, c)))
     expected = 0.2 ** (-0.3) * state.kernel[1] * c
     np.testing.assert_allclose(frac_deriv_current(state), expected, rtol=1e-14)
 
@@ -174,9 +186,9 @@ def test_frac_deriv_cubic_history_brute_force(quadrature):
     tau, alpha, theta, n_steps = 0.125, 0.6, 0.35, 8
     state = zero_state(alpha=alpha, theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
     vals = [(k * tau) ** 3 for k in range(n_steps + 1)]
-    hist = tuple(np.full(32, v) for v in vals[:n_steps])
+    hist = tuple(np.full(state.p.size, v) for v in vals[:n_steps])
     state = with_p_history(state, hist)
-    d = caputo_after(replace(state, p=np.full(32, vals[-1])), frac_deriv_current(state))
+    d = caputo_after(replace(state, p=np.full(state.p.size, vals[-1])), frac_deriv_current(state))
     kern = state.kernel
     n = n_steps
     if quadrature is Quadrature.SFTR:
@@ -206,13 +218,13 @@ def test_one_history_sum_per_step(quadrature, monkeypatch):
     while state.n < config.n_steps:
         # the recorded s^n = ||D^alpha P||^2 equals the full quadrature at P^n,
         # its norm taken on the dofs
-        _, history_part = observed_step(state, case.sources)
+        _, history_part = observed_step(state)
         d = edge_field(caputo_after(state, history_part), grid)
         assert state.history.s[state.n] == pytest.approx(norm_e(d, grid) ** 2, rel=1e-13)
     assert calls == [0, 1, 2, 3, 4]
 
 
-def exact_sums_until_folded(state, sources):
+def exact_sums_until_folded(state):
     """Run ``state`` to its last step, checking each step's D^alpha P against
     the exact O(n) sum: bit for bit while the step reads an unfolded history
     (returns the count of such steps), then at every seventh step, which
@@ -223,7 +235,7 @@ def exact_sums_until_folded(state, sources):
     exact, worst = 0, 0.0
     while state.n < n_steps:
         folded = state.history.folded
-        _, history_part = observed_step(state, sources)
+        _, history_part = observed_step(state)
         p_history.append(state.p)
         if folded and state.n % 7 and state.n != n_steps:
             continue
@@ -248,7 +260,7 @@ def test_straight_run_fills_one_buffer(quadrature):
     config = SchemeConfig(theta=0.4, tau=1.0 / n_steps, n_steps=n_steps, quadrature=quadrature)
     final = case.initial_state(config)
     history = final.history
-    exact, worst = exact_sums_until_folded(final, case.sources)
+    exact, worst = exact_sums_until_folded(final)
     assert final.history is history and final.n == n_steps
     assert history.exact == stepper.HISTORY_EXACT
     window = history.exact + 2 * stepper.HISTORY_FOLD + 1
@@ -280,7 +292,7 @@ def test_a_run_folds_only_past_its_window(quadrature, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(stepper, "exponential_tail", no_tail)
         short = case.initial_state(SchemeConfig(0.4, 1.0 / window, window, quadrature))
-        assert exact_sums_until_folded(short, case.sources) == (window, 0.0)
+        assert exact_sums_until_folded(short) == (window, 0.0)
     assert folds == [] and short.history.folded == 0
     assert short.history.rows.shape == (window, dofs) and len(short.history.poles) == 0
     assert np.array_equal(short.history.rows[-1], short.p.reshape(-1))
@@ -288,7 +300,7 @@ def test_a_run_folds_only_past_its_window(quadrature, monkeypatch):
     long = case.initial_state(SchemeConfig(0.4, 1.0 / (window + 1), window + 1, quadrature))
     tail = len(long.history.poles)
     assert tail > 0 and long.history.rows.shape == (tail + window, dofs)
-    assert exact_sums_until_folded(long, case.sources) == (window + 1, 0.0)
+    assert exact_sums_until_folded(long) == (window + 1, 0.0)
     assert folds == [0] and long.history.folded == stepper.HISTORY_FOLD
     # P^17..P^54 are left in the window, P^54 in its slot 37
     assert np.array_equal(split_rows(long.history)[1][37], long.p.reshape(-1))
@@ -309,7 +321,7 @@ def test_theta_below_half_alpha_runs_long(alpha, theta, folds):
     case = ManufacturedCase(alpha=alpha).sample(grid)
     config = SchemeConfig(theta=theta, tau=1.0 / n_steps, n_steps=n_steps)
     final = case.initial_state(config)
-    exact, worst = exact_sums_until_folded(final, case.sources)
+    exact, worst = exact_sums_until_folded(final)
     history = final.history
     assert final.n == n_steps and np.all(np.isfinite(final.e))
     window = n0 + 2 * stepper.HISTORY_FOLD + 1
@@ -343,65 +355,73 @@ DENSE_CASES = {
     [pytest.param(q, c, id=f"{q}{c}") for c in DENSE_CASES for q in Quadrature],
 )
 def test_step_matches_dense_solve(quadrature, case):
-    # consecutive steps on a 2x2 grid against the raw coupled system on the dofs
+    # consecutive steps on a 2x2 grid against the raw coupled system on the
+    # dofs: a run without sources, which keeps one curl-free coordinate, and
+    # the same data forced, on the identity span
     material, theta, tau, n_steps = DENSE_CASES[case]
     grid = GridSpec(2, 2)
     rng = np.random.default_rng(42)
     config = SchemeConfig(theta=theta, tau=tau, n_steps=n_steps, quadrature=quadrature)
     e0 = VecField(rng.standard_normal((2, 3)), rng.standard_normal((3, 2))).enforce_pec()
     h0 = rng.standard_normal((2, 2))
-    state = init_state(grid, material, config, e0, h0)
-    sources = poly_sources(grid)
-    for _ in range(n_steps):
-        e_ref, h_ref, p_ref = dense_step_solution(state, sources)
-        state = step(state, in_modes(sources, grid))
-        e, p, h = state.fields()
-        np.testing.assert_allclose(e.ex, e_ref.ex, atol=1e-12)
-        np.testing.assert_allclose(e.ey, e_ref.ey, atol=1e-12)
-        np.testing.assert_allclose(h, h_ref, atol=1e-12)
-        np.testing.assert_allclose(p.ex, p_ref.ex, atol=1e-12)
-        np.testing.assert_allclose(p.ey, p_ref.ey, atol=1e-12)
+    forcing = poly_sources(grid)
+    for on_dofs, sources, k in ((None, None, 1), (forcing, in_modes(forcing, grid), 4)):
+        state = init_state(grid, material, config, e0, h0, sources)
+        assert state.span.k == k
+        for _ in range(n_steps):
+            e_ref, h_ref, p_ref = dense_step_solution(state, on_dofs)
+            e, p, h = step(state).fields()
+            np.testing.assert_allclose(e.ex, e_ref.ex, atol=1e-12)
+            np.testing.assert_allclose(e.ey, e_ref.ey, atol=1e-12)
+            np.testing.assert_allclose(h, h_ref, atol=1e-12)
+            np.testing.assert_allclose(p.ex, p_ref.ex, atol=1e-12)
+            np.testing.assert_allclose(p.ey, p_ref.ey, atol=1e-12)
 
 
 def test_scheme_residual_zero_dynamics():
     state = zero_state()
+    assert state.span.k == 0
     before, history_part = observed_step(state)
     assert scheme_residual(before, state, history_part) == (0.0, 0.0, 0.0)
 
 
 def test_scheme_residual_below_solver_tolerance():
+    # a run without sources from the decay data (one curl-free coordinate)
+    # and the manufactured case's forced run (the identity span)
     grid = GridSpec(12, 12)
     case = ManufacturedCase(alpha=0.5).sample(grid)
     config = SchemeConfig(theta=0.5, tau=0.05, n_steps=4)
-    state = case.initial_state(config)
-    on_dofs = closed_form_sources(0.5, grid)
-    _, a_coef = elimination_coefficients(
-        state.material, config.theta, config.tau, state.kernel[0]
-    )
-    for _ in range(4):
-        before, history_part = observed_step(state, case.sources)
-        r1, r2, r3 = scheme_residual(before, state, history_part, on_dofs)
-        scale = (state.material.c_e + a_coef) / config.tau * max(1.0, norm_e(state.fields()[0], grid))
-        assert max(r1, r2, r3) <= 10.0 * CG_TOL * scale
+    decay = init_state(grid, case.material, config, *decay_initial_data(grid))
+    forced = case.initial_state(config)
+    for state, on_dofs in ((decay, None), (forced, closed_form_sources(0.5, grid))):
+        assert state.span.k == (1 if on_dofs is None else 144)
+        _, a_coef = elimination_coefficients(
+            state.material, config.theta, config.tau, state.kernel[0]
+        )
+        for _ in range(4):
+            before, history_part = observed_step(state)
+            r1, r2, r3 = scheme_residual(before, state, history_part, on_dofs)
+            size = max(1.0, norm_e(state.fields()[0], grid))
+            assert max(r1, r2, r3) <= 10.0 * CG_TOL * (state.material.c_e + a_coef) / config.tau * size
 
 
 def test_scheme_residual_linearity_in_perturbation():
     # a consistent (E, P) perturbation moves only the first equation's defect,
-    # by ((c_e + a)/tau) per unit of field
+    # by ((c_e + a)/tau) per unit of field.  A run without sources from the
+    # decay data: the perturbation's curl-free part lies in the run's span
     grid = GridSpec(8, 8)
-    case = ManufacturedCase(alpha=0.5).sample(grid)
     config = SchemeConfig(theta=0.4, tau=0.1, n_steps=1)
-    state = case.initial_state(config)
-    before, history_part = observed_step(state, case.sources)
+    state = init_state(grid, MaterialParams(alpha=0.5), config, *decay_initial_data(grid))
+    assert state.span.k == 1
+    before, history_part = observed_step(state)
     mat = state.material
     _, a_coef = elimination_coefficients(mat, config.theta, config.tau, state.kernel[0])
     rng = np.random.default_rng(11)
-    delta = VecField(
-        1e-3 * rng.standard_normal((8, 9)), 1e-3 * rng.standard_normal((9, 8))
-    ).enforce_pec()
-    delta_modes = CurlCurlBasis(grid).forward(delta.ex, delta.ey).reshape(-1)
+    coef = 1e-3 * random_modes(grid, rng).reshape(2, 8, 8)
+    coef[0] = 2e-3 * state.span.basis.reshape(8, 8)
+    delta, delta_modes = edge_field(coef, grid), state.span.pack(coef)
     perturbed = replace(state, e=state.e + delta_modes, p=state.p + a_coef * delta_modes)
-    r1, _, r3 = scheme_residual(before, perturbed, history_part, closed_form_sources(0.5, grid))
+    r1, _, r3 = scheme_residual(before, perturbed, history_part)
     expected = (mat.c_e + a_coef) / config.tau * norm_e(delta, grid)
     assert r1 == pytest.approx(expected, rel=1e-3)
     assert r3 <= 1e-12  # the polarization equation is immune by construction
@@ -633,9 +653,11 @@ def test_step_runs_without_transforms_or_stencils(monkeypatch):
     grid = GridSpec(8, 6, lx=1.3)
     e0 = edge_field(random_modes(grid, np.random.default_rng(3)), grid)
     config = SchemeConfig(theta=0.45, tau=0.05, n_steps=3, quadrature=Quadrature.FBDF2)
-    state = init_state(grid, MaterialParams(alpha=0.9), config, e0, np.zeros((grid.nx, grid.ny)))
     sources = in_modes(poly_sources(grid), grid)
-    forcing = [sources(t) for t in (0.55 * 0.05, 1.55 * 0.05, 2.55 * 0.05)]
+    forcing = {t: sources(t) for t in ((n - 0.45) * 0.05 for n in (1, 2, 3))}
+    state = init_state(
+        grid, MaterialParams(alpha=0.9), config, e0, np.zeros((grid.nx, grid.ny)), forcing.pop
+    )
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a step called a transform or a stencil")
@@ -648,9 +670,8 @@ def test_step_runs_without_transforms_or_stencils(monkeypatch):
     for name in ("eigenvalues", "curl_modulus"):
         monkeypatch.setattr(CurlCurlBasis, name, forbidden)
     monkeypatch.setattr(np, "unique", forbidden)
-    for f in forcing:
-        state = step(state, lambda t, f=f: f)
-    assert state.n == 3 and np.all(np.isfinite(state.e)) and np.any(state.e)
+    state = run(state)
+    assert state.n == 3 and np.all(np.isfinite(state.e)) and np.any(state.e) and not forcing
 
 
 def test_memory_preflight_refuses_before_allocating(monkeypatch):
@@ -714,7 +735,8 @@ def test_memory_preflight_counts_a_bounded_history(monkeypatch):
     state = init_state(grid, MaterialParams(), config, *zero)
     history = state.history
     held = history.rows.nbytes
-    assert held == (53 + len(history.poles)) * dofs * 8
+    # E^0 = 0 and no sources: a row is the 64 tangential coefficients
+    assert held == (53 + len(history.poles)) * 8 * 8 * 8
     assert held < every_row / 10
 
 
@@ -737,7 +759,7 @@ def test_memory_preflight_counts_the_window_of_an_alternating_kernel(monkeypatch
     history = init_state(grid, MaterialParams(alpha=0.9), config, *zero).history
     rows = 842 + 2 * stepper.HISTORY_FOLD + 1
     assert history.exact == 842 and checks == [(rows, TAIL_MAX_POLES)]
-    assert history.rows.shape == (len(history.poles) + rows, dofs)
+    assert history.rows.shape == (len(history.poles) + rows, 8 * 8)  # k = 0
 
 
 def test_memory_preflight_counts_the_tail_alone(monkeypatch):
@@ -756,7 +778,7 @@ def test_memory_preflight_counts_the_tail_alone(monkeypatch):
         init_state(grid, MaterialParams(), config, *zero)
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: need + 4 * poles * dofs)
     history = init_state(grid, MaterialParams(), config, *zero).history
-    assert history.rows.shape == (len(history.poles) + 53, dofs) and len(history.poles) > 0
+    assert history.rows.shape == (len(history.poles) + 53, 8 * 8) and len(history.poles) > 0
 
 
 @pytest.mark.parametrize("size, steps, quadrature, forced", [
@@ -810,25 +832,24 @@ def test_fold_allocates_one_row():
     assert np.array_equal(split_rows(history)[1][: len(window)], window)
 
 
-@pytest.mark.parametrize("quadrature, source_free", [
-    pytest.param(Quadrature.SFTR, False, id="Quadrature.SFTR"),
-    pytest.param(Quadrature.FBDF2, False, id="Quadrature.FBDF2"),
-    pytest.param(Quadrature.SFTR, True, id="Quadrature.SFTR-reduced"),
-    pytest.param(Quadrature.FBDF2, True, id="Quadrature.FBDF2-reduced"),
+@pytest.mark.parametrize("quadrature, sources", [
+    pytest.param(Quadrature.SFTR, no_forcing, id="Quadrature.SFTR"),
+    pytest.param(Quadrature.FBDF2, no_forcing, id="Quadrature.FBDF2"),
+    pytest.param(Quadrature.SFTR, None, id="Quadrature.SFTR-reduced"),
+    pytest.param(Quadrature.FBDF2, None, id="Quadrature.FBDF2-reduced"),
 ])
-def test_a_step_allocates_at_most_five_arrays(quadrature, source_free):
-    # a source-free step builds P^n, E^n and D^alpha P^n in place in its temporaries,
+def test_a_step_allocates_at_most_five_arrays(quadrature, sources):
+    # a step builds P^n, E^n and D^alpha P^n in place in its temporaries,
     # drops its scratch for the solve and the rest before a fold: numpy's
     # buffers traced over any step of a folding run peak at most five
     # vectors of the run's layout above those live before it: 2 * 64 * 64
-    # values with the identity span, 1 + 64 * 64 in a reduced run
+    # values with the identity span (zero forcing, which allocates nothing),
+    # 1 + 64 * 64 in a run without sources
     grid = GridSpec(64, 64)
     config = SchemeConfig(theta=0.5, tau=0.002, n_steps=60, quadrature=quadrature)
-    state = init_state(
-        grid, MaterialParams(), config, *decay_initial_data(grid), source_free=source_free
-    )
+    state = init_state(grid, MaterialParams(), config, *decay_initial_data(grid), sources)
     dofs = state.e.size
-    assert dofs == (1 + 64 * 64 if source_free else 2 * 64 * 64)
+    assert dofs == (1 + 64 * 64 if sources is None else 2 * 64 * 64)
     peaks = []
     while state.n < config.n_steps:
         tracemalloc.start()
@@ -846,24 +867,22 @@ def test_set_up_peaks_no_higher_than_a_step():
     # init_state groups the E-solve's eigenvalues from one (nx, ny) array,
     # before it allocates the history: numpy's buffers traced over a 256^2 x
     # 20 decay run peak no higher in set-up than in the highest step.  Twice:
-    # with the identity span, the dof-space initial data held through
-    # init_state, and reduced, built as run_decay_experiment builds it, the
-    # initial data passed straight in
+    # with the identity span (zero forcing), the dof-space initial data held
+    # through init_state, and without sources, built as run_decay_experiment
+    # builds it, the initial data passed straight in
     grid = GridSpec(256, 256)
     config = SchemeConfig(theta=0.5, tau=0.01, n_steps=20)
-    for source_free in (False, True):
+    for reduced in (False, True):
         tracemalloc.start()
         try:
-            if not source_free:
+            if not reduced:
                 data = decay_initial_data(grid)
                 tracemalloc.reset_peak()
-                state = init_state(grid, MaterialParams(), config, *data)
+                state = init_state(grid, MaterialParams(), config, *data, no_forcing)
                 del data
             else:
                 tracemalloc.reset_peak()
-                state = init_state(
-                    grid, MaterialParams(), config, *decay_initial_data(grid), source_free=True
-                )
+                state = init_state(grid, MaterialParams(), config, *decay_initial_data(grid))
             set_up = tracemalloc.get_traced_memory()[1]
             peaks = []
             while state.n < config.n_steps:
@@ -872,8 +891,8 @@ def test_set_up_peaks_no_higher_than_a_step():
                 peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert state.span.k == (1 if source_free else 256 * 256)
-        assert set_up <= max(peaks), (source_free, set_up / 2**20, max(peaks) / 2**20)
+        assert state.span.k == (1 if reduced else 256 * 256)
+        assert set_up <= max(peaks), (reduced, set_up / 2**20, max(peaks) / 2**20)
 
 
 # decay_long's six pairs at N = 400, (0.9, 0.2) at N = 1000, FBDF2 at 0.8, N = 2000
@@ -930,8 +949,8 @@ def test_tail_is_read_from_exponent_b_plus_3(alpha, theta, n_steps):
 
 def test_history_bytes_do_not_grow_with_the_run():
     # the holder of a 2000-step run is the window and M rows, as for 200
-    # steps; only the fitted M may differ
-    grid, dofs = GridSpec(8, 8), 2 * 8 * 8
+    # steps; only the fitted M may differ.  E^0 = 0: rows of 64 values (k = 0)
+    grid, dofs = GridSpec(8, 8), 8 * 8
     held = {}
     for n_steps in (200, 2000):
         history = zero_state(grid, tau=1.0 / n_steps, n_steps=n_steps).history
@@ -945,10 +964,10 @@ def test_step_advances_its_argument_and_keeps_the_arrays_held_before():
     grid = GridSpec(8, 8)
     case = ManufacturedCase(alpha=0.6).sample(grid)
     state = case.initial_state(SchemeConfig(theta=0.4, tau=0.01, n_steps=3))
-    step(state, case.sources)
+    step(state)
     held = state.e, state.p, state.h
     copies = [a.copy() for a in held]
-    assert step(state, case.sources) is state and state.n == 2
+    assert step(state) is state and state.n == 2
     for new, old, copy in zip((state.e, state.p, state.h), held, copies):
         assert new is not old and np.array_equal(old, copy)
         assert not np.array_equal(new, old)
@@ -970,7 +989,7 @@ def test_solve_spd_non_finite_fails_before_iterating(where, bad):
     assert not math.isfinite(err.value.residual)
 
 
-def recorded_solves(monkeypatch, state, sources, n_steps):
+def recorded_solves(monkeypatch, state, n_steps):
     """(spectrum, rhs, x0) of every solve that n_steps real steps from state
     make, rhs and x0 copied."""
     calls = []
@@ -982,7 +1001,7 @@ def recorded_solves(monkeypatch, state, sources, n_steps):
 
     monkeypatch.setattr(stepper, "solve_spd", record)
     for _ in range(n_steps):
-        state = step(state, sources)
+        state = step(state)
     monkeypatch.undo()
     return calls
 
@@ -1003,10 +1022,10 @@ SOLVE_CASES = pytest.mark.parametrize(
 def solve_case(monkeypatch, grid, quadrature, tau):
     """The state of a 3-step FBDF2/SFTR run and the solves of its first two steps."""
     config = SchemeConfig(theta=0.45, tau=tau, n_steps=3, quadrature=quadrature)
-    state = init_state(
-        grid, MaterialParams(alpha=0.9), config, zero_edges(grid), np.zeros((grid.nx, grid.ny))
-    )
-    return state, recorded_solves(monkeypatch, state, in_modes(poly_sources(grid), grid), 2)
+    zero = zero_edges(grid), np.zeros((grid.nx, grid.ny))
+    sources = in_modes(poly_sources(grid), grid)
+    state = init_state(grid, MaterialParams(alpha=0.9), config, *zero, sources)
+    return state, recorded_solves(monkeypatch, state, 2)
 
 
 @SOLVE_CASES
@@ -1079,7 +1098,7 @@ def test_difference_identity_from_companion_weights():
     state = case.initial_state(config)
     hist = [state.p]
     while state.n < config.n_steps:
-        hist.append(step(state, case.sources).p)
+        hist.append(step(state).p)
     tau, alpha = config.tau, 0.6
     omega = state.kernel
     varpi = varpi_weights(alpha, config.theta, config.n_steps)
@@ -1106,8 +1125,8 @@ def test_difference_identity_from_companion_weights():
 def test_determinism_bitwise():
     case = ManufacturedCase(alpha=0.5).sample(GridSpec(10, 10))
     config = SchemeConfig(theta=0.5, tau=0.1, n_steps=5)
-    a = run(case.initial_state(config), case.sources)
-    b = run(case.initial_state(config), case.sources)
+    a = run(case.initial_state(config))
+    b = run(case.initial_state(config))
     assert np.array_equal(a.e, b.e)
     assert np.array_equal(a.h, b.h)
     assert np.array_equal(a.p, b.p)
@@ -1133,8 +1152,8 @@ def test_step_linear_in_sources():
 
     outs = []
     for src in (s1, s2, s_sum):
-        state = zero_state(grid=grid, theta=0.4, tau=0.1, n_steps=6)
-        outs.append(run(state, in_modes(src, grid)))
+        state = zero_state(grid=grid, theta=0.4, tau=0.1, n_steps=6, sources=in_modes(src, grid))
+        outs.append(run(state))
     np.testing.assert_allclose(outs[0].e + outs[1].e, outs[2].e, atol=1e-9)
     np.testing.assert_allclose(outs[0].h + outs[1].h, outs[2].h, atol=1e-9)
     np.testing.assert_allclose(outs[0].p + outs[1].p, outs[2].p, atol=1e-9)
@@ -1158,7 +1177,7 @@ def tangential_only(grid):
     return zero_edges(grid), np.random.default_rng(8).standard_normal((grid.nx, grid.ny))
 
 
-# initial data -> k, the coordinates of component 0 a source-free run keeps
+# initial data -> k, the coordinates of component 0 a run without sources keeps
 REDUCED_CASES = {"decay": (decay_initial_data, 1), "mode-3-5": (curl_free_mode, 1),
                  "no-curl-free-part": (tangential_only, 0)}
 
@@ -1166,16 +1185,17 @@ REDUCED_CASES = {"decay": (decay_initial_data, 1), "mode-3-5": (curl_free_mode, 
 @pytest.mark.parametrize("case", REDUCED_CASES)
 @pytest.mark.parametrize("quadrature", [Quadrature.SFTR, Quadrature.FBDF2])
 def test_a_reduced_run_matches_the_identity_span(quadrature, case):
-    # a source-free run keeps component 0 as k coordinates in the span of
-    # E^0's (k = 1, or 0 with no curl-free part), and steps as a run that
-    # keeps the whole component: E, P and H on the dofs and the energy of
-    # every step agree to 1e-13 relative, past several folds.  The decay
-    # case is run_decay_experiment's own run
+    # a run without sources keeps component 0 as k coordinates in the span
+    # of E^0's (k = 1, or 0 with no curl-free part), and steps as a run
+    # given zero forcing, which keeps the whole component: E, P and H on the
+    # dofs and the energy of every step agree to 1e-13 relative, past
+    # several folds.  The decay case is run_decay_experiment's own run
     grid, n_steps = GridSpec(24, 16), 120
     material = MaterialParams(alpha=0.7)
     config = SchemeConfig(theta=0.4, tau=0.01, n_steps=n_steps, quadrature=quadrature)
     make, k = REDUCED_CASES[case]
-    full = init_state(grid, material, config, *make(grid))
+    full = init_state(grid, material, config, *make(grid), no_forcing)
+    assert full.span.k == 24 * 16
     energies = [energy.discrete_energy(full)]
     while full.n < n_steps:
         energies.append(energy.discrete_energy(step(full)))
@@ -1183,7 +1203,7 @@ def test_a_reduced_run_matches_the_identity_span(quadrature, case):
         reduced, trace, report = energy.run_decay_experiment(0.7, 0.4, grid, 0.01, n_steps, quadrature)
         reduced_energies = trace["energy"]
     else:
-        reduced = init_state(grid, material, config, *make(grid), source_free=True)
+        reduced = init_state(grid, material, config, *make(grid))
         reduced_energies = [energy.discrete_energy(reduced)]
         while reduced.n < n_steps:
             reduced_energies.append(energy.discrete_energy(step(reduced)))
@@ -1201,7 +1221,7 @@ def test_a_reduced_run_matches_the_identity_span(quadrature, case):
 
 def test_curl_free_span_is_a_unit_vector_and_packs_back():
     # the span of one (nx, ny) array: the array over its norm, k = 1, or
-    # k = 0 for the zero array; identity span, k = nx ny, when not reduced
+    # k = 0 for the zero array; identity span, k = nx ny, for a forced run
     grid = GridSpec(12, 8)
     rng = np.random.default_rng(3)
     c1, c2 = (random_modes(grid, rng).reshape(2, 12, 8) for _ in range(2))
@@ -1222,10 +1242,10 @@ def test_curl_free_span_is_a_unit_vector_and_packs_back():
     identity = Span((12, 8))
     assert identity.k == 96 and np.shares_memory(identity.pack(coef), coef)
     assert np.array_equal(identity.unpack(identity.pack(coef)), coef)
-    # a source-free run of E^0 keeps its component 0 as one coordinate
+    # a run of E^0 without sources keeps its component 0 as one coordinate
     e0 = edge_field(np.stack((a, c2[1])), grid)
     config = SchemeConfig(theta=0.5, tau=0.1, n_steps=2)
-    state = init_state(grid, MaterialParams(), config, e0, np.zeros((12, 8)), source_free=True)
+    state = init_state(grid, MaterialParams(), config, e0, np.zeros((12, 8)))
     assert state.span.k == 1 and state.e.shape == (1 + 96,) and state.history.rows.shape[1] == 97
     np.testing.assert_allclose(
         state.span.unpack(state.e), np.stack((a, c2[1])), rtol=0, atol=1e-13
@@ -1234,14 +1254,10 @@ def test_curl_free_span_is_a_unit_vector_and_packs_back():
 
 def test_a_step_that_raised_leaves_a_state_that_refuses_to_step(monkeypatch):
     # the step's solve fails after the history has moved (a full window folded,
-    # g written to P^n's row), so the state refuses any further step; a
-    # source-free run refuses sources before it moves anything
+    # g written to P^n's row), so the state refuses any further step
     grid = GridSpec(12, 8)
     config = SchemeConfig(theta=0.5, tau=0.01, n_steps=60)
-    state = init_state(grid, MaterialParams(), config, *decay_initial_data(grid), source_free=True)
-    with pytest.raises(ValueError, match="source-free"):
-        step(state, lambda t: (0.0, 0.0, 0.0))
-    assert not state.stepping
+    state = init_state(grid, MaterialParams(), config, *decay_initial_data(grid))
     while len(state.history.poles) + state.n - state.history.folded < len(state.history.rows):
         step(state)
     n, folded = state.n, state.history.folded
@@ -1254,3 +1270,43 @@ def test_a_step_that_raised_leaves_a_state_that_refuses_to_step(monkeypatch):
     with pytest.raises(ValueError, match="raised part-way"):
         step(state)
     assert state.n == n and state.history.folded == folded + stepper.HISTORY_FOLD
+
+@pytest.mark.parametrize("scale", [1e-165, 1e160])
+def test_curl_free_span_keeps_component_0_at_any_scale(scale):
+    # squared, component 0 of E^0 underflows to 0 at 1e-165 (which gave k = 0)
+    # and overflows at 1e160 (which gave a zero basis): both lost 27 % of E.
+    # Scaled by a power of two first, the span holds it at any finite scale,
+    # and at scale 1 the basis is the unscaled one bit for bit
+    grid = GridSpec(8, 8)
+    e0, h0 = decay_initial_data(grid)
+    config = SchemeConfig(theta=0.5, tau=0.1, n_steps=2)
+    big = VecField(scale * e0.ex, scale * e0.ey)
+    state = init_state(grid, MaterialParams(), config, big, h0)
+    assert state.span.k == 1
+    e = state.fields()[0]
+    for got, want in ((e.ex, big.ex), (e.ey, big.ey)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    lead = CurlCurlBasis(grid).forward(e0.ex, e0.ey)[0]
+    flat = lead.reshape(-1)
+    unscaled = flat * (1.0 / math.sqrt(np.einsum("i,i->", flat, flat)))
+    assert curl_free_span(lead).basis[0].tobytes() == unscaled.tobytes()
+    assert curl_free_span(np.ldexp(lead, 7)).basis[0].tobytes() == unscaled.tobytes()
+
+
+@pytest.mark.parametrize("quadrature", [Quadrature.SFTR, Quadrature.FBDF2])
+def test_a_run_calls_its_sources_once_per_step(quadrature):
+    # the sources given to init_state are called once per step, at
+    # (n - theta) tau, and a copy of the state shares them
+    calls = []
+    case = ManufacturedCase(alpha=0.6).sample(GridSpec(6, 6))
+
+    def counting(t):
+        calls.append(t)
+        return case.sources(t)
+
+    config = SchemeConfig(theta=0.3, tau=0.1, n_steps=5, quadrature=quadrature)
+    grid = case.grid
+    state = init_state(grid, case.material, config, *decay_initial_data(grid), counting)
+    assert state.sources is counting and copy.copy(state).sources is counting and calls == []
+    run(state)
+    assert calls == [(n - 0.3) * 0.1 for n in range(1, 6)]
