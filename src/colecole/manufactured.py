@@ -43,7 +43,7 @@ import numpy as np
 from . import stepper
 from .mesh import CurlCurlBasis, GridSpec, VecField, norm_sq, sample_scalar, sample_vec
 from .stepper import (
-    MaterialParams, Quadrature, SchemeConfig, SimState, _initial_state, preflight, step
+    MaterialParams, Quadrature, SchemeConfig, SimState, _initial_state, _layout, preflight, step
 )
 
 
@@ -106,7 +106,8 @@ class SampledCase:
     def initial_state(self, config: SchemeConfig) -> SimState:
         """The state at t = 0 of a run forced by :meth:`sources`."""
         e0, _, h0 = self.exact(0.0)
-        return _initial_state(self.grid, self.material, config, e0, h0, self.sources)
+        span, e0 = _layout(self.grid, e0, self.sources)
+        return _initial_state(self.grid, self.material, config, span, e0, h0, self.sources)
 
 
 @dataclass(frozen=True)

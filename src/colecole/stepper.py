@@ -82,8 +82,8 @@ that P^n then takes, E^n in the right-hand side's buffer (:func:`solve_spd`)
 and D^alpha P^n in the history part's, and one scratch vector and one
 (nx, ny) scratch array, dropped for the solve, take the products.  Beside
 what its sources return, a step allocates at most five vectors of the
-run's layout.  As the history moves before the solve, a step that raises leaves the state
-``stepping``, and :func:`step` refuses it from then on.
+run's layout.  As the history moves before the solve, a step that raises
+leaves the state ``stepping``, and :func:`step` refuses it from then on.
 
 The state also carries the energy weights a_0..a_N of the run's (alpha,
 theta), ``SimState.a_weights``; FBDF2 runs carry the trapezoidal ones too.
@@ -234,9 +234,9 @@ class SimState:
     :func:`build_kernel`, read-only), ``a_weights``, ``curl_modulus`` (|v| of
     every mode), ``spectrum`` (the E-solve's (nx, ny) eigenvalues, grouped),
     ``span`` and ``sources`` (None for none) are constant over the run.  The
-    state owns its run's ``history``; copies share it, and only the stepped state
-    matches it.  ``stepping`` is True while a step changes the history, and
-    stays True once a step has raised part-way.
+    state owns its run's ``history``; copies share it, and only the stepped
+    state matches it.  ``stepping`` is True while a step changes the history,
+    and stays True once a step has raised part-way.
     """
 
     n: int
@@ -347,18 +347,16 @@ def init_state(
     h0: np.ndarray,
     sources: Sources | None = None,
 ) -> SimState:
-    """State at n = 0 with P^0 = 0, and the kernel, energy weights and step
-    constants of the whole run, forced by ``sources`` (:data:`Sources`, None
-    for none), which the state keeps.
+    """State at n = 0 with P^0 = 0, the kernel, energy weights and step constants
+    of the whole run, and its ``sources`` (:data:`Sources`, None for none).
 
     e0 is the edge pair of E^0 and h0 the (nx, ny) cell array of H^0, taken
     as floats.  Both must be finite, and e0 zero on the tangential boundary,
     or :class:`ValueError` is raised before anything is transformed; each is
-    then transformed to coefficients once.  The sources fix the layout (see
-    :func:`_initial_state`).  Allocates the M + W rows of (k + nx ny) * 8
-    bytes of :class:`PHistory`, M at most TAIL_MAX_POLES; a fold adds a
-    temporary of one row.  Before it builds anything it raises what
-    :func:`preflight` raises.
+    then transformed to coefficients once, E^0 into the layout the sources
+    fix (:func:`_layout`), and then it raises what :func:`preflight` raises.
+    Allocates the M + W rows of (k + nx ny) * 8 bytes of :class:`PHistory`,
+    M at most TAIL_MAX_POLES; a fold adds a temporary of one row.
     """
     nx, ny, h0 = grid.nx, grid.ny, np.asarray(h0, dtype=float)
     if (e0.ex.shape, e0.ey.shape, h0.shape) != ((nx, ny + 1), (nx + 1, ny), (nx, ny)):
@@ -370,30 +368,32 @@ def init_state(
         raise ValueError("initial electric field violates the tangential-zero boundary")
     basis = CurlCurlBasis(grid)
     h = basis.forward_cell(h0)  # first: E^0's (2, nx, ny) coefficients are not live beside it
-    return _initial_state(grid, material, config, basis.forward(e0.ex, e0.ey), h, sources)
+    span, e = _layout(grid, basis.forward(e0.ex, e0.ey), sources)  # they go as it returns
+    return _initial_state(grid, material, config, span, e, h, sources)
+
+
+def _layout(grid: GridSpec, e: np.ndarray, sources: Sources | None) -> tuple[Span, np.ndarray]:
+    """The span and E^0 packed into it, for E^0's (2, nx, ny) coefficients e or those
+    raveled: :func:`curl_free_span` of component 0 without ``sources``, else the identity."""
+    coef = e.reshape(2, grid.nx, grid.ny)
+    span = curl_free_span(coef[0]) if sources is None else Span((grid.nx, grid.ny))
+    return span, span.pack(coef)
 
 
 def _initial_state(
     grid: GridSpec,
     material: MaterialParams,
     config: SchemeConfig,
+    span: Span,
     e: np.ndarray,
     h: np.ndarray,
     sources: Sources | None,
 ) -> SimState:
-    """:func:`init_state` for initial data given as coefficients, which the
-    state takes over, e as (2, nx, ny) edge coefficients or raveled.  The
-    sources pick the layout: without them the span of E^0's component 0
-    (:func:`curl_free_span`, k at most 1), with them the identity span."""
-    steps = config.n_steps
+    """:func:`init_state` from :func:`_layout`'s pair and H^0's coefficients, taken over."""
     exact, window = preflight(grid, material, config)
-    coef = e.reshape(2, grid.nx, grid.ny)
-    span = curl_free_span(coef[0]) if sources is None else Span((grid.nx, grid.ny))
-    e = span.pack(coef)
-    del coef  # a reduced layout packs into a new vector: the (2, nx, ny) array goes
     kernel = build_kernel(material, config)
     poles = weights = np.empty(0)
-    if window < steps:
+    if window < config.n_steps:
         # A fold leaves n0 + B + 1 of the n0 + 2B + 1 window rows, so the tail
         # is first read at lag n0 + B + 3: from pole exponent B + 3.
         poles, weights = _read_poles(
@@ -403,8 +403,7 @@ def _initial_state(
     one_m = 1.0 - theta
     _, a_coef = elimination_coefficients(material, theta, tau, kernel[0])
     basis = CurlCurlBasis(grid)
-    # grouped before the history is allocated, so the sort's temporaries do not
-    # sit on top of it
+    # grouped before the history, so the sort's temporaries do not sit on top of it
     spectrum = Spectrum(
         basis.eigenvalues((material.c_e + a_coef) / tau, one_m * one_m * tau / material.c_m)
     )
@@ -414,7 +413,7 @@ def _initial_state(
         e=e,
         p=np.zeros_like(e),
         h=h,
-        history=PHistory(rows, np.zeros(steps + 1), exact, poles, weights),
+        history=PHistory(rows, np.zeros(config.n_steps + 1), exact, poles, weights),
         kernel=kernel,
         a_weights=cumulative_weights(material.alpha, config.theta, config.n_steps),
         grid=grid,

@@ -27,7 +27,7 @@ from colecole.stepper import (
 from colecole.weights import fbdf2_weights, sftr_weights, shift_combine
 
 from oracles import (
-    curl_e, edge_field, inner_e, inner_h, varpi_weights_by_series, with_p_history, zero_edges,
+    curl_e, inner_e, inner_h, varpi_weights_by_series, with_p_history, zero_edges,
 )
 
 
@@ -76,22 +76,21 @@ def test_state_carries_cumulative_companion_weights(quadrature, alpha, theta, n_
 def test_energy_synthetic_history_direct_formula():
     # fabricate a short history and s-values; compare against the formula
     # tau0^a tau^a sum a_k s_{n-k} + ||P||^2 + c_p(c_e ||E||^2 + c_m ||H||^2).
-    # E^0 = 0 keeps no curl-free coordinate (k = 0), so P^2 is tangential
+    # E^0 = P^2 puts P^2's curl-free component in the span (k = 1)
     grid = GridSpec(4, 4)
     tau, alpha, theta = 0.25, 0.4, 0.3
-    state = fresh_state(grid, alpha=alpha, theta=theta, tau=tau, n_steps=4)
-    assert state.span.k == 0
     rng = np.random.default_rng(9)
     p2 = VecField(rng.standard_normal((4, 5)), rng.standard_normal((5, 4))).enforce_pec()
-    coef = CurlCurlBasis(grid).forward(p2.ex, p2.ey)
-    coef[0] = 0.0
-    p2, p2_modes = edge_field(coef, grid), state.span.pack(coef)
+    state = fresh_state(grid, alpha=alpha, theta=theta, tau=tau, n_steps=4, e0=p2)
+    assert state.span.k == 1
+    p2_modes = state.span.pack(CurlCurlBasis(grid).forward(p2.ex, p2.ey))
     s_vals = (0.0, 0.7, 1.3)
     zero = np.zeros_like(p2_modes)
     state = with_p_history(state, (zero, zero, p2_modes), s=s_vals, p=p2_modes)
+    mat = state.material
     direct = sum(state.a_weights[k] * s_vals[2 - k] for k in range(3))
-    direct *= state.material.tau0**alpha * tau**alpha
-    direct += inner_e(p2, p2, grid)
+    direct *= mat.tau0**alpha * tau**alpha
+    direct += (1.0 + mat.c_p * mat.c_e) * inner_e(p2, p2, grid)  # P^2 and E = E^0 = P^2
     assert discrete_energy(state) == pytest.approx(direct, rel=1e-14)
 
 
