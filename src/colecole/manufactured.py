@@ -105,9 +105,10 @@ class SampledCase:
 
     def initial_state(self, config: SchemeConfig) -> SimState:
         """The state at t = 0 of a run forced by :meth:`sources`."""
+        history = preflight(self.grid, self.material, config)
         e0, _, h0 = self.exact(0.0)
         span, e0 = _layout(self.grid, e0, self.sources)
-        return _initial_state(self.grid, self.material, config, span, e0, h0, self.sources)
+        return _initial_state(self.grid, self.material, config, history, span, e0, h0, self.sources)
 
 
 @dataclass(frozen=True)

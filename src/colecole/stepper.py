@@ -72,7 +72,7 @@ window are one array, and a step's history part is one single-threaded
 contraction of it (:func:`frac_deriv_current`).  s_0..s_N sit beside it.
 :func:`preflight` refuses a run that would not fit in physical memory, or
 whose tau the E-solve cannot represent; :func:`init_state` calls it before
-it allocates, and so do the experiment loops before they sample initial data.
+it transforms initial data, and the experiment loops before they sample them.
 
 A run has one state: :func:`step` advances it in place.  The state owns its
 run's history; copies of it share the history, and only the stepped state
@@ -120,7 +120,6 @@ from .weights import (
     shift_combine,
 )
 
-# CG stops at relative residual CG_TOL; SolverError after CG_MAXIT_PER_SIDE * (nx + ny) iterations.
 CG_TOL = 1e-12
 CG_MAXIT_PER_SIDE = 10
 
@@ -352,9 +351,9 @@ def init_state(
 
     e0 is the edge pair of E^0 and h0 the (nx, ny) cell array of H^0, taken
     as floats.  Both must be finite, and e0 zero on the tangential boundary,
-    or :class:`ValueError` is raised before anything is transformed; each is
-    then transformed to coefficients once, E^0 into the layout the sources
-    fix (:func:`_layout`), and then it raises what :func:`preflight` raises.
+    or :class:`ValueError` is raised, then what :func:`preflight` raises,
+    before anything is transformed; each is then transformed to coefficients
+    once, E^0 into the layout the sources fix (:func:`_layout`).
     Allocates the M + W rows of (k + nx ny) * 8 bytes of :class:`PHistory`,
     M at most TAIL_MAX_POLES; a fold adds a temporary of one row.
     """
@@ -366,10 +365,11 @@ def init_state(
             raise ValueError(f"initial data {name} has a NaN or infinite entry")
     if not e0.is_pec_compliant():
         raise ValueError("initial electric field violates the tangential-zero boundary")
+    history = preflight(grid, material, config)
     basis = CurlCurlBasis(grid)
     h = basis.forward_cell(h0)  # first: E^0's (2, nx, ny) coefficients are not live beside it
     span, e = _layout(grid, basis.forward(e0.ex, e0.ey), sources)  # they go as it returns
-    return _initial_state(grid, material, config, span, e, h, sources)
+    return _initial_state(grid, material, config, history, span, e, h, sources)
 
 
 def _layout(grid: GridSpec, e: np.ndarray, sources: Sources | None) -> tuple[Span, np.ndarray]:
@@ -384,13 +384,14 @@ def _initial_state(
     grid: GridSpec,
     material: MaterialParams,
     config: SchemeConfig,
+    history: tuple[int, int],
     span: Span,
     e: np.ndarray,
     h: np.ndarray,
     sources: Sources | None,
 ) -> SimState:
-    """:func:`init_state` from :func:`_layout`'s pair and H^0's coefficients, taken over."""
-    exact, window = preflight(grid, material, config)
+    """:func:`init_state` given the pairs of :func:`preflight` and :func:`_layout`."""
+    exact, window = history
     kernel = build_kernel(material, config)
     poles = weights = np.empty(0)
     if window < config.n_steps:
@@ -545,11 +546,7 @@ def solve_spd(spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray) -> tuple[np.n
     tol, maxit = CG_TOL, CG_MAXIT_PER_SIDE * (nx + ny)
     rhs_norm = math.sqrt(np.einsum("i,i->", rhs, rhs))
     if not math.isfinite(rhs_norm):
-        raise SolverError(
-            f"conjugate gradients: right-hand side norm is {rhs_norm}",
-            residual=math.nan,
-            iterations=0,
-        )
+        raise SolverError(f"conjugate gradients: right-hand side norm is {rhs_norm}", math.nan, 0)
     if rhs_norm == 0.0:
         rhs.fill(0.0)
         return rhs, 0

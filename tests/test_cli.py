@@ -706,6 +706,78 @@ def test_console_entry_point():
     assert "theta-scan" in proc.stdout
 
 
+def test_imports_the_colecole_first_on_pythonpath():
+    # the suite tests the package that PYTHONPATH names first, the tier-1
+    # command's src or another tree's, and the installed one when it names none
+    import os
+
+    import colecole
+
+    for entry in filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep)):
+        package = Path(entry, "colecole")
+        if (package / "__init__.py").is_file():
+            assert Path(colecole.__file__).parent.resolve() == package.resolve()
+            break
+
+
+# CLI runs with the files each writes and their lines, header included: a
+# converge run, the FBDF2 kernel on the paper's (alpha, theta) grid, runs that
+# fold (16x16, 128x128, and 48x32 with its field snapshots, whose reduced
+# state is mapped back to the dofs), the fold boundary (53 steps fill the
+# 53-row window, 54 fold once) and a theta scan.
+IDENTICAL_RUNS = {
+    "converge": (
+        "converge --alpha 0.5 --theta 0.5 --nx 8 --ny 8 --taus 1/5,1/10 --out c.csv",
+        {"c.csv": 3},
+    ),
+    "fbdf2-paper-sweep": (
+        "converge --sweep paper --scheme fbdf2 --nx 8 --ny 8 --taus 1/5,1/10 --out c.csv",
+        {f"c_a{pair}_fbdf2.csv": 3 for pair in (
+            "0.1_t0.05", "0.1_t0.5", "0.5_t0.25", "0.5_t0.5", "0.9_t0.45", "0.9_t0.5"
+        )},
+    ),
+    "fold-16x16": (
+        "energy --alpha 0.5 --theta 0.5 --nx 16 --ny 16 --steps 120 --out e.csv",
+        {"e.csv": 122},
+    ),
+    "window-53": (
+        "energy --alpha 0.5 --theta 0.5 --nx 8 --ny 8 --steps 53 --out e.csv",
+        {"e.csv": 55},
+    ),
+    "fold-once-54": (
+        "energy --alpha 0.5 --theta 0.5 --nx 8 --ny 8 --steps 54 --out e.csv",
+        {"e.csv": 56},
+    ),
+    "fold-128x128": ("energy --nx 128 --ny 128 --steps 60 --out e.csv", {"e.csv": 62}),
+    "dump-48x32": (
+        "energy --nx 48 --ny 32 --steps 120 --out e.csv --dump-fields d",
+        # i,j,value rows of ex (48x33), ey (49x32), h (48x32), px and py
+        {"e.csv": 122, "d_ex.csv": 1585, "d_ey.csv": 1569, "d_h.csv": 1537,
+         "d_px.csv": 1585, "d_py.csv": 1569},
+    ),
+    "theta-scan": (
+        "theta-scan --x-points 4 --alpha-points 3 --theta-samples 5 --out t.csv",
+        {"t.csv": 13},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", IDENTICAL_RUNS)
+def test_identical_flags_write_identical_files(tmp_path, monkeypatch, case):
+    # each run twice, into two directories: it exits 0 and writes exactly its
+    # files with their line counts, and the same bytes both times
+    argv, lines = IDENTICAL_RUNS[case]
+    written = []
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        assert main(argv.split()) == 0
+        files = {path.name: path.read_bytes() for path in Path().iterdir()}
+        assert {name: data.count(b"\n") for name, data in files.items()} == lines
+        written.append(files)
+    assert written[0] == written[1]
+
+
 # The package root: every name README or the CLI uses, and the types that
 # those functions return or raise.
 EXPORTS = [

@@ -15,7 +15,7 @@ import pytest
 import oracles
 from colecole import energy, stepper
 from colecole.manufactured import (
-    ManufacturedCase, convergence_table, decay_initial_data, run_case
+    ManufacturedCase, SampledCase, convergence_table, decay_initial_data, run_case
 )
 from colecole.mesh import CurlCurlBasis, GridSpec, Span, VecField, curl_free_span
 from colecole.stepper import (
@@ -721,6 +721,25 @@ def test_experiments_refuse_before_sampling_initial_data(monkeypatch):
         energy.run_decay_experiment(0.5, 0.5, grid, 0.01, 10)
     with pytest.raises(MemoryError, match="physical memory"):
         convergence_table(ManufacturedCase(alpha=0.5), 0.5, [0.5, 0.25], grid)
+
+
+def test_set_up_refuses_before_transforming_initial_data(monkeypatch):
+    # each constructor preflights before its first grid-sized transform or
+    # product, so a run it refuses pays none of them
+    grid = GridSpec(8, 8)
+    case, config = ManufacturedCase(alpha=0.5).sample(grid), SchemeConfig(0.5, 0.1, 10)
+
+    def forbidden(*args):
+        raise AssertionError("initial data transformed or computed before the preflight")
+
+    for owner, name in ((CurlCurlBasis, "forward_cell"), (CurlCurlBasis, "forward"),
+                        (SampledCase, "exact")):
+        monkeypatch.setattr(owner, name, forbidden)
+    monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: 1)
+    with pytest.raises(MemoryError, match="physical memory"):
+        init_state(grid, MaterialParams(), config, zero_edges(grid), np.zeros((8, 8)))
+    with pytest.raises(MemoryError, match="physical memory"):
+        case.initial_state(config)
 
 
 def test_memory_preflight_counts_a_bounded_history(monkeypatch):
