@@ -90,9 +90,14 @@ def _write_csv(path: Path, header: str, rows: Iterable[Iterable[float | None]]) 
 def _check_outputs(paths: Iterable[Path]) -> None:
     """Raise :class:`OSError` for the first path a CSV could not be written
     to: an existing directory, a file that is not writable, or a parent that
-    cannot be created or written.  Creates nothing, so a refused run leaves
-    no trace."""
+    cannot be created or written, and :class:`ValueError` for a path given
+    twice (compared resolved), whose second write would replace the first.
+    Creates nothing, so a refused run leaves no trace."""
+    seen = set()
     for path in paths:
+        if path.resolve() in seen:
+            raise ValueError(f"{path} is given for two outputs of one run")
+        seen.add(path.resolve())
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         if path.exists() and not os.access(path, os.W_OK):

@@ -36,7 +36,8 @@ run keeps the identity span, k = nx ny, the (2, nx, ny) array raveled.
 The operator above is diagonal in that basis, with the same eigenvalues on
 every step of a run: an (nx, ny) array on the tangential component, whose
 (0, 0) entry is the normal component's on every mode.  :func:`init_state`
-groups that array by exact value once (:class:`Spectrum`), and
+groups them by exact value once, with one group index per coordinate of the
+run's layout (:class:`Spectrum`), and
 :func:`solve_spd` runs conjugate gradients once per group, warm-started from
 E^{n-1}, to relative residual CG_TOL: the iterates are CG's, and an iteration
 costs the number of groups, not of coefficients.  One division per mode
@@ -199,18 +200,19 @@ class PHistory:
 
 
 class Spectrum:
-    """The (nx, ny) eigenvalues ``lam`` of a step's E-solve on the tangential
-    component (``CurlCurlBasis.eigenvalues``) grouped by exact value:
-    ``values`` holds the distinct ones in ascending order, and
-    ``values[index]`` is lam, bit for bit.  The normal component's
-    eigenvalue is diag on every mode, lam's entry at mode (0, 0), so all of
-    that component is the one group ``group = index[0, 0]``.
+    """A step's E-solve on a span layout with k coordinates of component 0,
+    its eigenvalues grouped by exact value.  lam is their (nx, ny) array on
+    the tangential component (``CurlCurlBasis.eigenvalues``); on component 0
+    they are diag, lam's entry at mode (0, 0).  ``values`` holds the
+    distinct ones in ascending order and ``index`` the group of each of the
+    k + nx ny coordinates, so ``values[index]`` is diag k times, then lam
+    raveled, bit for bit; ``shape`` is (nx, ny).
 
     Raises :class:`ValueError` unless every eigenvalue is finite and positive,
     so that a :func:`solve_spd` on it is well posed.
     """
 
-    def __init__(self, lam: np.ndarray) -> None:
+    def __init__(self, lam: np.ndarray, k: int) -> None:
         low, high = lam.min(), lam.max()
         if not (low > 0.0 and high < math.inf):
             raise ValueError(
@@ -218,8 +220,8 @@ class Spectrum:
                 f"got entries in [{low}, {high}]"
             )
         self.values, inverse = np.unique(lam, return_inverse=True)
-        self.index = inverse.reshape(lam.shape)
-        self.group = int(self.index[0, 0])
+        self.index = np.concatenate((np.full(k, inverse.flat[0]), inverse.reshape(-1)))
+        self.shape = lam.shape
 
 
 @dataclass
@@ -231,7 +233,7 @@ class SimState:
     coefficients of H^n (see :class:`~colecole.mesh.CurlCurlBasis`);
     :meth:`fields` gives the dof arrays.  ``kernel`` (K_0..K_{N-1} of
     :func:`build_kernel`, read-only), ``a_weights``, ``curl_modulus`` (|v| of
-    every mode), ``spectrum`` (the E-solve's (nx, ny) eigenvalues, grouped),
+    every mode), ``spectrum`` (the E-solve's eigenvalues on the layout, grouped),
     ``span`` and ``sources`` (None for none) are constant over the run.  The
     state owns its run's ``history``; copies share it, and only the stepped
     state matches it.  ``stepping`` is True while a step changes the history,
@@ -324,8 +326,8 @@ def _require_memory(grid: GridSpec, config: SchemeConfig, rows: int, poles: int)
     # arrays of its row blocks).  Twenty-five values per step: s, the kernel,
     # the energy weights, the fit's lags and targets, the weights' FFT check
     # (three arrays of up to 4 (N+1)) and the five columns of the energy trace.
-    # Sixteen coefficient arrays, one to spare: a step holds the state (2.5),
-    # |v| and the spectrum's index (1), its temporaries and the solve's (5)
+    # Sixteen coefficient arrays, a half to spare: a step holds the state (2.5),
+    # |v| and the spectrum's index (1.5), its temporaries and the solve's (5)
     # and, forced, the sources (2.5) and the case's profiles (4).  256 KiB for
     # what a process allocates once (numpy.fft's import takes about 120 KiB).
     fit = 3 * (TAIL_FIT_ROWS + poles) * (poles + 1) if poles else 0
@@ -405,9 +407,8 @@ def _initial_state(
     _, a_coef = elimination_coefficients(material, theta, tau, kernel[0])
     basis = CurlCurlBasis(grid)
     # grouped before the history, so the sort's temporaries do not sit on top of it
-    spectrum = Spectrum(
-        basis.eigenvalues((material.c_e + a_coef) / tau, one_m * one_m * tau / material.c_m)
-    )
+    diag, curl_scale = (material.c_e + a_coef) / tau, one_m * one_m * tau / material.c_m
+    spectrum = Spectrum(basis.eigenvalues(diag, curl_scale), span.k)
     rows = np.zeros((len(poles) + window, len(e)))
     return SimState(
         n=0,
@@ -514,64 +515,51 @@ def solve_spd(spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray) -> tuple[np.n
     counts are, up to round-off, those of CG on the step's operator with the
     curl stencils on the dofs.
 
-    rhs and x0 are vectors of a span layout on the spectrum's (nx, ny)
-    modes, so k, the coordinates of component 0 ahead of the tangential
-    coefficients, is their length less nx ny; the operator is diag on all k.
+    rhs and x0 are vectors of the spectrum's layout, one value per entry
+    of ``spectrum.index``.
 
     On a diagonal operator, CG's k-th residual is R_k(lam) r0, r0 = rhs -
     lam x0, and its iterate x0 + (1 - R_k(lam))/lam r0, for a polynomial R_k
     fixed by the scalars alpha and beta.  Those depend on lam and r0 only
-    through the weights w_g = sum of r0_i^2 over the coefficients with lam_i
-    = values[g] (Gauss quadrature with the spectral measure of r0): a
-    bincount over ``spectrum.index`` for the tangential coefficients, plus
-    the k coordinates' sum added to their one group ``spectrum.group``.  So
-    the recurrence runs on sqrt(w) R and sqrt(w) D, D the search direction,
-    at the distinct eigenvalues, where ||r||^2 and d.Ad are einsum dot
-    products (on the calling thread; BLAS would start threads), and x is
-    assembled once, at convergence.  An iteration costs
-    the number of distinct eigenvalues.
+    through the weights w_g = sum of r0_i^2 over the coordinates with lam_i
+    = values[g] (Gauss quadrature with the spectral measure of r0), a
+    bincount over ``spectrum.index``.  So the recurrence runs on sqrt(w) R
+    and sqrt(w) D, D the search direction, at the distinct eigenvalues,
+    where ||r||^2 and d.Ad are einsum dot products (on the calling thread;
+    BLAS would start threads), and x is assembled once, at convergence.  An
+    iteration costs the number of distinct eigenvalues.
 
     Returns (solution, iterations).  Raises :class:`ValueError` unless rhs
-    and x0 are vectors of one length from nx ny to 2 nx ny, and
+    and x0 have the shape of ``spectrum.index``, and
     :class:`SolverError` if the relative residual does not fall below CG_TOL
     within CG_MAXIT_PER_SIDE * (nx + ny) iterations, or as soon as the norm
     of rhs or a squared residual norm is not finite.
     """
-    nx, ny = spectrum.index.shape
-    k = rhs.size - nx * ny  # coordinates of component 0
-    if rhs.ndim != 1 or x0.shape != rhs.shape or not 0 <= k <= nx * ny:
+    lam, index = spectrum.values, spectrum.index
+    if rhs.shape != index.shape or x0.shape != index.shape:
         raise ValueError(
-            f"solve_spd: shapes {rhs.shape}, {x0.shape} are not one layout of {nx}x{ny} modes"
+            f"solve_spd: shapes {rhs.shape}, {x0.shape} are not the layout's {index.shape}"
         )
-    tol, maxit = CG_TOL, CG_MAXIT_PER_SIDE * (nx + ny)
+    tol, maxit = CG_TOL, CG_MAXIT_PER_SIDE * sum(spectrum.shape)
     rhs_norm = math.sqrt(np.einsum("i,i->", rhs, rhs))
     if not math.isfinite(rhs_norm):
         raise SolverError(f"conjugate gradients: right-hand side norm is {rhs_norm}", math.nan, 0)
     if rhs_norm == 0.0:
         rhs.fill(0.0)
         return rhs, 0
-    # The k coordinates are one group: summed apart, they keep bincount off one bin.
-    lam, group, index = spectrum.values, spectrum.group, spectrum.index
-    r0, cell = rhs, np.take(lam, index)  # r0 = rhs - lam x0, one component at a time
-    r0_t = r0[k:].reshape(nx, ny)
-    cell *= x0[k:].reshape(nx, ny)
-    r0_t -= cell
-    lead = cell.reshape(-1)[:k]
-    np.multiply(x0[:k], lam[group], out=lead)
-    r0[:k] -= lead
-    w = np.bincount(index.reshape(-1), weights=np.square(r0_t, out=cell).reshape(-1))
-    w[group] += np.einsum("i,i->", r0[:k], r0[:k])
+    r0, scratch = rhs, np.take(lam, index)  # r0 = rhs - lam x0
+    r0 -= np.multiply(scratch, x0, out=scratch)
+    w = np.bincount(index, weights=np.square(r0, out=scratch))
     rho, threshold = w.sum(), (tol * rhs_norm) ** 2
     sqrt_w = np.sqrt(w, out=w)
     r, d = sqrt_w.copy(), sqrt_w.copy()  # sqrt(w) R and sqrt(w) D
-    work = cell.reshape(-1)[: len(lam)]  # cell is free until the solution is scattered
+    work = scratch[: len(lam)]  # scratch is free until the solution is scattered
     for it in range(maxit + 1):
         if rho <= threshold:
             # X = (1 - R)/lam; where w = 0, r0 is 0 in the whole group and r stays 0
             np.subtract(sqrt_w, r, out=r)
             np.divide(r, np.multiply(sqrt_w, lam, out=work), out=r, where=sqrt_w > 0.0)
-            r0[:k] *= r[group]
-            r0_t *= np.take(r, index, out=cell, mode="clip")  # unbuffered; index is in range
+            r0 *= np.take(r, index, out=scratch, mode="clip")  # unbuffered; index is in range
             r0 += x0
             return r0, it
         if it == maxit or not math.isfinite(rho):

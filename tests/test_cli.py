@@ -561,6 +561,26 @@ def test_unwritable_path_is_refused_before_any_run(tmp_path, capsys, monkeypatch
     assert not locked.is_file() or locked.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("out, prefix", [("{d}/d_ex.csv", "{d}/d"), ("d_ex.csv", "{d}/sub/../d")],
+                         ids=["same-text", "same-resolved"])
+def test_a_path_given_for_two_outputs_is_refused_before_any_run(
+    tmp_path, capsys, monkeypatch, out, prefix
+):
+    # --out on the ex snapshot of --dump-fields: the trace would replace the
+    # snapshot, so the command exits 2 with nothing computed or written
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run started before its output paths were checked")
+
+    monkeypatch.setattr("colecole.cli.run_decay_experiment", forbidden)
+    monkeypatch.chdir(tmp_path)
+    argv = ["energy", "--nx", "4", "--ny", "4", "--steps", "3", "--out", out.format(d=tmp_path),
+            "--dump-fields", prefix.format(d=tmp_path)]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["status"] == "error" and "two outputs" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_weights_single_kind_dump(tmp_path):
     out = tmp_path / "varpi.csv"
     assert main(["weights", "--alpha", "0.5", "--theta", "0.25", "--n", "4",

@@ -430,14 +430,14 @@ def test_scheme_residual_linearity_in_perturbation():
 def test_solve_spd_basics():
     grid = GridSpec(4, 4)
     rhs = random_modes(grid, np.random.default_rng(2))
-    zero = np.zeros_like(rhs)
-    ones = Spectrum(np.ones((grid.nx, grid.ny)))
+    zero, k = np.zeros_like(rhs), rhs.size - grid.nx * grid.ny
+    ones = Spectrum(np.ones((grid.nx, grid.ny)), k)
     # all eigenvalues equal: one group, solved in one iteration
     # (a solve overwrites its rhs, so each gets a copy)
     x, its = solve_spd(ones, rhs.copy(), zero)
     np.testing.assert_allclose(x, rhs, atol=1e-13)
     assert its == 1 and len(ones.values) == 1
-    x, its = solve_spd(Spectrum(np.full((grid.nx, grid.ny), 2.0)), rhs.copy(), zero)
+    x, its = solve_spd(Spectrum(np.full((grid.nx, grid.ny), 2.0), k), rhs.copy(), zero)
     np.testing.assert_allclose(x, 0.5 * rhs, atol=1e-13)
     assert its == 1
     x, its = solve_spd(ones, zero.copy(), rhs)
@@ -451,9 +451,9 @@ def test_solve_spd_solves_in_the_rhs_buffer():
     # buffer, the same solution as from a copy; x0 is only read
     grid = GridSpec(16, 16)
     state = zero_state(grid, theta=0.5, tau=0.05, n_steps=1)
-    spectrum = Spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)))
     rng = np.random.default_rng(7)
     rhs, x0 = random_modes(grid, rng), random_modes(grid, rng)
+    spectrum = Spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)), rhs.size - 16 * 16)
     start = x0.copy()
     want, want_its = solve_spd(spectrum, rhs.copy(), x0)
     x, its = solve_spd(spectrum, rhs, x0)
@@ -487,7 +487,7 @@ def test_solve_spd_against_dense_factorization():
     ref = np.linalg.solve(mat, flatten(rhs))
     basis = CurlCurlBasis(grid)
     coef = basis.forward(rhs.ex, rhs.ey).reshape(-1)
-    x, _ = solve_spd(Spectrum(basis.eigenvalues(1.0, 1.0)), coef, np.zeros_like(coef))
+    x, _ = solve_spd(Spectrum(basis.eigenvalues(1.0, 1.0), coef.size - 4 * 4), coef, np.zeros_like(coef))
     np.testing.assert_allclose(flatten(edge_field(x, grid)), ref, atol=1e-11)
 
 
@@ -505,8 +505,8 @@ def test_solve_spd_maxit_error(monkeypatch):
     # iterations, read from the constants and the spectrum's grid
     grid = GridSpec(16, 12)
     state = zero_state(grid, theta=0.5, tau=0.05, n_steps=1)
-    lam = Spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)))
     rhs = random_modes(grid, np.random.default_rng(5))
+    lam = Spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)), rhs.size - 16 * 12)
     monkeypatch.setattr(stepper, "CG_TOL", 0.0)
     monkeypatch.setattr(stepper, "CG_MAXIT_PER_SIDE", 1)
     with pytest.raises(SolverError) as err:
@@ -524,13 +524,14 @@ def test_solve_spd_rejects_an_impossible_operator(diag, curl_scale):
     with np.errstate(invalid="ignore"):  # inf * 0 on mode (0, 0)
         lam = CurlCurlBasis(grid).eigenvalues(diag, curl_scale)
     with pytest.raises(ValueError, match="eigenvalues"):
-        Spectrum(lam)
+        Spectrum(lam, 0)
 
 
 @pytest.mark.parametrize("n", [16, 64])
 def test_spectrum_merges_mirrored_modes_and_sorts_one_component(monkeypatch, n):
     grid = GridSpec(n, n)
-    lam = CurlCurlBasis(grid).eigenvalues(*step_operator(zero_state(grid)))
+    state = zero_state(grid)
+    lam = CurlCurlBasis(grid).eigenvalues(*step_operator(state))
     sorted_sizes = []
     real_unique = np.unique
 
@@ -539,14 +540,15 @@ def test_spectrum_merges_mirrored_modes_and_sorts_one_component(monkeypatch, n):
         return real_unique(values, *args, **kwargs)
 
     monkeypatch.setattr(np, "unique", spy)
-    spectrum = Spectrum(lam)
+    spectrum = Spectrum(lam, state.span.k)
     monkeypatch.undo()
-    assert sorted_sizes == [n * n]
+    assert sorted_sizes == [n * n] and state.span.k == 0
     # (k, l) and (l, k) share one group on a square grid
-    assert np.array_equal(spectrum.index, spectrum.index.T)
-    assert spectrum.index.shape == (n, n)
+    index = spectrum.index.reshape(n, n)
+    assert np.array_equal(index, index.T)
+    assert spectrum.index.shape == (n * n,) and spectrum.shape == (n, n)
     assert spectrum.values[spectrum.index].tobytes() == lam.tobytes()
-    assert spectrum.values[spectrum.group] == lam[0, 0]
+    assert spectrum.values[index[0, 0]] == lam[0, 0]
     assert len(spectrum.values) < 0.6 * n * n
 
 
@@ -998,9 +1000,10 @@ def test_solve_spd_non_finite_fails_before_iterating(where, bad):
     # rhs norm makes the threshold inf, so the warm start would pass as converged.
     grid = GridSpec(64, 64)
     state = zero_state(grid, theta=0.5, tau=0.05, n_steps=1)
-    lam = Spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)))
     rng = np.random.default_rng(6)
     fields = {name: random_modes(grid, rng) for name in ("rhs", "x0")}
+    k = fields["rhs"].size - 64 * 64
+    lam = Spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)), k)
     fields[where].reshape(2, 64, 64)[1, 10, 20] = bad
     with pytest.raises(SolverError) as err:
         solve_spd(lam, fields["rhs"], fields["x0"])
@@ -1049,15 +1052,22 @@ def solve_case(monkeypatch, grid, quadrature, tau):
 
 @SOLVE_CASES
 def test_spectrum_groups_the_eigenvalues_exactly(monkeypatch, grid, quadrature, tau, min_iterations):
+    # a forced run (the identity span) and a decay run (k = 1) of one operator
     state, calls = solve_case(monkeypatch, grid, quadrature, tau)
+    decay = init_state(grid, state.material, state.config, *decay_initial_data(grid))
+    assert (state.span.k, decay.span.k) == (grid.nx * grid.ny, 1)
     diag, curl_scale = step_operator(state)
+    assert step_operator(decay) == (diag, curl_scale)
     lam = CurlCurlBasis(grid).eigenvalues(diag, curl_scale)
-    for spectrum, _, _ in calls:
-        assert spectrum is state.spectrum
-        assert spectrum.values[spectrum.index].tobytes() == lam.tobytes()
-        assert np.all(np.diff(spectrum.values) > 0.0)
-        # the normal component is diag throughout: one group
-        assert spectrum.values[spectrum.group] == diag
+    for run_state, solves in ((state, calls), (decay, recorded_solves(monkeypatch, decay, 2))):
+        k = run_state.span.k
+        for spectrum, _, _ in solves:
+            assert spectrum is run_state.spectrum
+            values = spectrum.values[spectrum.index]
+            # component 0 is diag throughout, lam's group at mode (0, 0)
+            assert values[:k].tobytes() == np.full(k, diag).tobytes()
+            assert values[k:].tobytes() == lam.tobytes()
+            assert np.all(np.diff(spectrum.values) > 0.0)
 
 
 @SOLVE_CASES
@@ -1093,9 +1103,8 @@ def test_solve_spd_bitwise_matches_textbook_cg(monkeypatch, grid, quadrature, ta
     )
     most = 0
     for spectrum, rhs, x0 in calls:
-        groups = np.stack((np.full_like(spectrum.index, spectrum.group), spectrum.index))
-        lam = spectrum.values[groups]
-        want_lam = operator_diagonal(CurlCurlBasis(grid).eigenvalues(diag, curl_scale))
+        lam = spectrum.values[spectrum.index]
+        want_lam = operator_diagonal(CurlCurlBasis(grid).eigenvalues(diag, curl_scale)).reshape(-1)
         assert np.array_equal(lam, want_lam)
         for start in (np.zeros_like(x0), x0):
             want, want_its = textbook_cg(
