@@ -2,8 +2,8 @@
 
 Subcommands
 -----------
-weights     dump omega / varpi / cumulative weight columns with the
-            convolution-identity defect per index
+weights     the omega, varpi and cumulative weight columns with the
+            convolution-identity defect per index, or the FBDF2 weights
 converge    temporal convergence study of the manufactured case
 energy      source-free energy-decay runs with per-step dissipation records
 theta-scan  positivity scan of the companion-sign gap function
@@ -49,6 +49,7 @@ from .weights import (
     decay_guaranteed,
     fbdf2_weights,
     min_theta_gap_grid,
+    series_product,
     sftr_weights,
     varpi_weights,
 )
@@ -131,23 +132,17 @@ def cmd_weights(args: argparse.Namespace) -> list[dict]:
     if args.kind == "fbdf2":
         if args.theta is not None:
             raise ValueError("--theta is not read by kind 'fbdf2', whose weights do not depend on it")
-        values = fbdf2_weights(args.alpha, n)
-    elif args.theta is None:
-        raise ValueError(f"--theta is required for kind {args.kind!r}")
-    elif args.kind != "all":
-        family = {"omega": sftr_weights, "varpi": varpi_weights, "a": cumulative_weights}
-        values = family[args.kind](args.alpha, args.theta, n)
-    if args.kind != "all":
-        # single-family dump: one value column
-        _write_csv(out, "k,value", enumerate(values))
-        print(f"weights kind={args.kind} alpha={args.alpha:g} n={n} -> {out}")
+        _write_csv(out, "k,value", enumerate(fbdf2_weights(args.alpha, n)))
+        print(f"weights kind=fbdf2 alpha={args.alpha:g} n={n} -> {out}")
         return []
+    if args.theta is None:
+        raise ValueError("--theta is required for kind 'all'")
 
     omega = sftr_weights(args.alpha, args.theta, n)
     varpi = varpi_weights(args.alpha, args.theta, n)
     a = cumulative_weights(args.alpha, args.theta, n)
     # the coefficients of omega(z) varpi(z) - (1 - z)
-    check = np.convolve(omega, varpi)[: n + 1]
+    check = series_product(omega, varpi)
     check[0] -= 1.0
     check[1:2] -= -1.0  # empty when n = 0
 
@@ -287,12 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--alpha", type=float, required=True)
     w.add_argument("--theta", type=float, default=None)
     w.add_argument("--n", type=int, default=64, help="largest weight index (default 64)")
-    w.add_argument(
-        "--kind",
-        choices=("all", "omega", "varpi", "a", "fbdf2"),
-        default="all",
-        help="'all' writes the combined diagnostic table; a single kind writes k,value",
-    )
+    w.add_argument("--kind", choices=("all", "fbdf2"), default="all",
+                   help="'all' writes the SFTR table k,omega,varpi,a,conv_check; 'fbdf2' k,value")
     w.add_argument("--out", default="weights.csv")
     w.set_defaults(func=cmd_weights)
 
@@ -301,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--alpha", type=float, help="fixed by --sweep")
     c.add_argument("--theta", type=float, help="fixed by --sweep")
     c.add_argument("--sweep", choices=("paper",), help="run the published (alpha, theta) grid")
-    c.add_argument("--taus", default="1/5,1/10,1/20,1/40", help="comma list, fractions allowed")
+    c.add_argument("--taus", default="1/5,1/10,1/20,1/40",
+                   help="comma list, fractions allowed, each step finer than the one before")
     c.add_argument("--nx", type=int, default=100)
     c.add_argument("--ny", type=int, default=100)
     c.add_argument("--out", default="converge.csv")

@@ -198,13 +198,14 @@ def convergence_table(
     grid: GridSpec,
     quadrature: Quadrature = Quadrature.SFTR,
 ) -> list[ConvergenceRow]:
-    """Global errors and successive log2 rates over a halving tau sequence,
-    all of which is checked before the first run: :class:`MemoryError` if a
-    run would not fit in physical memory, before the case is sampled."""
+    """Global errors and successive log2 rates over a refining tau sequence,
+    all of which is checked before the first run: :class:`ValueError` unless
+    the step counts strictly increase, :class:`MemoryError` if a run would
+    not fit in physical memory, before the case is sampled."""
     counts = [_step_count(tau) for tau in taus]
     for k in range(1, len(taus)):
-        if counts[k] == counts[k - 1]:
-            raise ValueError(f"tau={taus[k]:g} (entry {k + 1}) repeats the step before it")
+        if counts[k] <= counts[k - 1]:
+            raise ValueError(f"tau={taus[k]:g} (entry {k + 1}) does not refine the step before it")
     material = MaterialParams(alpha=case.alpha)
     for tau, n_steps in zip(taus, counts):
         preflight(grid, material, SchemeConfig(theta, tau, n_steps, quadrature))

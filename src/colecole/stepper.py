@@ -199,6 +199,17 @@ class PHistory:
     folded: int = 0
 
 
+def check_eigenvalues(low: float, high: float, subject: str) -> None:
+    """:class:`ValueError`, led by ``subject``, unless the smallest E-solve eigenvalue
+    is a normal float and the square of the largest finite (as Python floats: no warning)."""
+    low, high = float(low), float(high)
+    if not (low >= np.finfo(float).tiny and high * high < math.inf):
+        raise ValueError(
+            f"{subject} the E-solve's eigenvalues in [{low:.3g}, {high:.3g}]: "
+            "the smallest must be a normal float and the square of the largest finite"
+        )
+
+
 class Spectrum:
     """A step's E-solve on a span layout with k coordinates of component 0,
     its eigenvalues grouped by exact value.  lam is their (nx, ny) array on
@@ -208,17 +219,12 @@ class Spectrum:
     k + nx ny coordinates, so ``values[index]`` is diag k times, then lam
     raveled, bit for bit; ``shape`` is (nx, ny).
 
-    Raises :class:`ValueError` unless every eigenvalue is finite and positive,
-    so that a :func:`solve_spd` on it is well posed.
+    Raises :class:`ValueError` unless the eigenvalues pass
+    :func:`check_eigenvalues`, so that a :func:`solve_spd` on it is well posed.
     """
 
     def __init__(self, lam: np.ndarray, k: int) -> None:
-        low, high = lam.min(), lam.max()
-        if not (low > 0.0 and high < math.inf):
-            raise ValueError(
-                "the E-solve needs finite, positive eigenvalues (diag > 0, curl_scale >= 0), "
-                f"got entries in [{low}, {high}]"
-            )
+        check_eigenvalues(lam.min(), lam.max(), "the spectrum puts")
         self.values, inverse = np.unique(lam, return_inverse=True)
         self.index = np.concatenate((np.full(k, inverse.flat[0]), inverse.reshape(-1)))
         self.shape = lam.shape
@@ -296,20 +302,15 @@ def preflight(grid: GridSpec, material: MaterialParams, config: SchemeConfig) ->
     """(n0, W) of a run's P history (see :class:`PHistory`): the lags it
     sums exactly and its window rows; the run folds if W < n_steps.  It
     allocates nothing grid-sized, so a run calls it before its initial data.
-    :class:`ValueError` unless the E-solve's smallest eigenvalue, (c_e + a)/tau,
-    is a normal float and the square of its largest, that plus
-    (1-theta)^2 tau max|v|^2/c_m, is finite, checked on bounds: 0 < a < c_p
-    and |v|^2 < 4/dx^2 + 4/dy^2.  :class:`MemoryError` unless the run fits in
-    physical memory, by an upper bound (:func:`_require_memory`) that counts
-    every row at 2 nx ny values and the tail at TAIL_MAX_POLES rows."""
+    :class:`ValueError` unless bounds of the E-solve's eigenvalues, from
+    (c_e + a)/tau to that plus (1-theta)^2 tau max|v|^2/c_m, pass
+    :func:`check_eigenvalues`, at 0 < a < c_p and |v|^2 < 4/dx^2 + 4/dy^2.
+    :class:`MemoryError` unless the run fits in physical memory, by an upper
+    bound (:func:`_require_memory`) that counts every row at 2 nx ny values
+    and the tail at TAIL_MAX_POLES rows."""
     mat, tau, one_m, sx, sy = material, config.tau, 1.0 - config.theta, 2 / grid.dx, 2 / grid.dy
-    low = mat.c_e / tau
     high = (mat.c_e + mat.c_p) / tau + one_m * one_m * tau * (sx * sx + sy * sy) / mat.c_m
-    if not (low >= np.finfo(float).tiny and high * high < math.inf):
-        raise ValueError(
-            f"tau={tau} puts the E-solve's eigenvalues in [{low:.3g}, {high:.3g}]: "
-            "the smallest must be a normal float and the square of the largest finite"
-        )
+    check_eigenvalues(mat.c_e / tau, high, f"tau={tau} puts")
     sftr = config.quadrature is Quadrature.SFTR
     lags = alternating_lags(material.alpha, config.theta) if sftr else 0
     exact = min(config.n_steps, max(HISTORY_EXACT, lags))  # every lag if lags is math.inf

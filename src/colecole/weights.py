@@ -17,7 +17,7 @@ omega, varpi and the FBDF2 weights are each c (1-z)^p (1+qz)^r with |q| < 1,
 and one three-term recurrence (``_series``) generates all three (Lubich,
 Discretized fractional calculus, SIAM J. Math. Anal. 1986).  The a_j are
 the cumulative sum of varpi, cross-checked against the product of two
-``binomial_series`` by an FFT convolution.
+``binomial_series`` by ``series_product``, an FFT convolution.
 
 The SFTR families take (alpha, theta) as plain floats.  ``check_alpha`` and
 ``check_theta`` write the rules alpha in (0, 1) and theta in (0, 1/2] once,
@@ -85,6 +85,15 @@ def binomial_series(gamma: float, scale: float, n: int) -> np.ndarray:
     k = np.arange(1, n + 1, dtype=float)
     ratios = scale * ((gamma + 1.0) / k - 1.0)
     return np.concatenate(([1.0], np.cumprod(ratios)))
+
+
+def series_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First n+1 Taylor coefficients of a(z) b(z) from the first n+1 of each, by
+    real FFTs zero-padded to a power of two past 2n + 1, O(n log n)."""
+    size = 1 << (2 * len(a) - 1).bit_length()
+    spectrum = np.fft.rfft(a, size)
+    spectrum *= np.fft.rfft(b, size)
+    return np.fft.irfft(spectrum, size)[: len(a)]
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -156,16 +165,12 @@ def cumulative_weights(alpha: float, theta: float, n: int) -> np.ndarray:
     (1-z)^(-alpha) (d0 + d1 z)^alpha = varpi(z)/(1-z); both evaluations are
     computed and must agree to 1e-12, which guards the recurrence path;
     :class:`FloatingPointError` (an :class:`ArithmeticError`) if they do not.
-    The series product is an FFT convolution, so the check costs O(n log n).
+    The series product (:func:`series_product`) makes the check O(n log n).
     """
     vals = np.cumsum(varpi_weights(alpha, theta, n))
     d0, d1 = _denominator_coeffs(alpha, theta)
-    # The product of the two series by real FFTs, O(n log n), zero-padded to a
-    # power of two past 2n + 1 so that the circular convolution is the linear one.
-    size = 1 << int(2 * n + 1).bit_length()  # n may be a numpy integer
-    spectrum = np.fft.rfft(binomial_series(-alpha, -1.0, n), size)
-    spectrum *= np.fft.rfft(binomial_series(alpha, d1 / d0, n), size)
-    direct = d0**alpha * np.fft.irfft(spectrum, size)[: n + 1]
+    series = binomial_series(-alpha, -1.0, n), binomial_series(alpha, d1 / d0, n)
+    direct = d0**alpha * series_product(*series)
     defect = float(np.max(np.abs(vals - direct)))
     if defect > 1e-12:
         raise FloatingPointError(

@@ -21,6 +21,7 @@ from colecole.weights import (
     cumulative_weights,
     fbdf2_weights,
     sftr_weights,
+    varpi_weights,
 )
 
 
@@ -97,11 +98,10 @@ def test_invalid_parameters_exit_code(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip())
         assert err["status"] == "error" and "finite" in err["message"]
         assert not out.exists()
-    # a negative largest index is bad input for every family, not a crash
-    for kind in ("varpi", "a"):
-        out = tmp_path / f"w_{kind}.csv"
-        assert main(["weights", "--kind", kind, "--alpha", "0.5", "--theta", "0.25",
-                     "--n", "-1", "--out", str(out)]) == 2
+    # a negative largest index is bad input for both kinds, not a crash
+    for kind in (["--theta", "0.25"], ["--kind", "fbdf2"]):
+        out = tmp_path / "w.csv"
+        assert main(["weights", *kind, "--alpha", "0.5", "--n", "-1", "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["status"] == "error" and "n must be >= 0" in err["message"]
         assert not out.exists()
@@ -176,6 +176,7 @@ def test_a_bad_value_gets_one_message_from_every_entry_point(tmp_path, capsys, n
 
 @pytest.mark.parametrize("taus, bad", [
     ("1/5,1/10,1/20,1/40,1/40", "tau=0.025 (entry 5)"),
+    ("1/10,1/5", "tau=0.2 (entry 2)"),  # a coarser step: its "finest" rate was the coarsest's
     ("1/5,0.3", "tau=0.3 does not divide"),
     # malformed entries are named with the flag, not with Python internals
     ("1/0", "--taus entry '1/0'"),
@@ -290,7 +291,7 @@ def test_weights_cross_check_failure_exits_1_without_csv(tmp_path, capsys, monke
     monkeypatch.setattr(colecole.weights, "binomial_series",
                         lambda *a: real(*a) + 1e-9)  # the check's series disagree
     out = tmp_path / "a.csv"
-    assert main(["weights", "--alpha", "0.5", "--theta", "0.5", "--kind", "a", "--n", "16",
+    assert main(["weights", "--alpha", "0.5", "--theta", "0.5", "--n", "16",
                  "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
     record = json.loads(line)
@@ -314,12 +315,21 @@ def _gap_grid_with_a_negative_cell(*args):
     return xs, alphas, grid
 
 
+def _run_with_a_violation(*args):
+    state, trace, report = run_decay_experiment(*args)
+    return state, trace, dataclasses.replace(report, violation_count=1, max_violation=1.0)
+
+
 @pytest.mark.parametrize("argv, patch, failure", [
     (["weights", "--alpha", "0.5", "--theta", "0.5", "--n", "8"],
      ("varpi_weights", _perturbed_varpi), {"check": "convolution_identity"}),
     (["theta-scan", "--x-points", "4", "--alpha-points", "3", "--theta-samples", "5"],
      ("min_theta_gap_grid", _gap_grid_with_a_negative_cell),
      {"check": "theta_gap_positive", "min": -1e-3, "x": 0.75, "alpha": 0.5}),
+    # a run that breaks the decay contract writes its trace, then fails
+    (["energy", "--nx", "4", "--ny", "4", "--steps", "11"],
+     ("run_decay_experiment", _run_with_a_violation),
+     {"check": "energy_decay", "violations": 1, "max_violation": 1.0}),
 ])
 def test_hard_assertion_failure_exits_1_after_writing_csv(
     tmp_path, capsys, monkeypatch, argv, patch, failure
@@ -582,27 +592,56 @@ def test_a_path_given_for_two_outputs_is_refused_before_any_run(
 
 
 def test_weights_single_kind_dump(tmp_path):
-    out = tmp_path / "varpi.csv"
+    out = tmp_path / "w.csv"
     assert main(["weights", "--alpha", "0.5", "--theta", "0.25", "--n", "4",
-                 "--kind", "varpi", "--out", str(out)]) == 0
-    header, rows = read_csv(out)
-    assert header == ["k", "value"]
-    assert float(rows[2][1]) == pytest.approx(-0.125, rel=1e-15)
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert float(rows[2][2]) == pytest.approx(-0.125, rel=1e-15)  # varpi_2
     out = tmp_path / "fb.csv"
     assert main(["weights", "--alpha", "0.5", "--n", "2", "--kind", "fbdf2",
                  "--out", str(out)]) == 0
-    _, rows = read_csv(out)
+    header, rows = read_csv(out)
+    assert header == ["k", "value"]
     assert float(rows[0][1]) == pytest.approx(1.5**0.5, rel=1e-15)
-    # omega/varpi/a dumps need the shift parameter
-    assert main(["weights", "--alpha", "0.5", "--n", "2", "--kind", "omega",
-                 "--out", str(tmp_path / "x.csv")]) == 2
+    # the SFTR table needs the shift parameter
+    assert main(["weights", "--alpha", "0.5", "--n", "2", "--out", str(tmp_path / "x.csv")]) == 2
+    # the kinds are the table and the FBDF2 column
+    with pytest.raises(SystemExit) as exit_:
+        main(["weights", "--alpha", "0.5", "--theta", "0.25", "--kind", "omega",
+              "--out", str(tmp_path / "x.csv")])
+    assert exit_.value.code == 2 and not (tmp_path / "x.csv").exists()
     # the omega column is the SFTR weights, each written by the formatter
     out = tmp_path / "omega.csv"
     assert main(["weights", "--alpha", "0.7", "--theta", "0.4", "--n", "16",
-                 "--kind", "omega", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     _, rows = read_csv(out)
     omega = sftr_weights(0.7, 0.4, 16)
-    assert rows == [[str(k), _fmt(w)] for k, w in enumerate(omega)]
+    assert [row[:2] for row in rows] == [[str(k), _fmt(w)] for k, w in enumerate(omega)]
+
+
+def test_weights_check_column_needs_no_quadratic_convolution(tmp_path, monkeypatch):
+    # conv_check is an FFT product, O(n log n), not the quadratic np.convolve
+    def quadratic(*args, **kwargs):
+        raise AssertionError("np.convolve called")
+
+    monkeypatch.setattr(np, "convolve", quadratic)
+    assert main(["weights", "--alpha", "0.5", "--theta", "0.25", "--n", "64",
+                 "--out", str(tmp_path / "w.csv")]) == 0
+
+
+@pytest.mark.parametrize("n", [0, 64])
+@pytest.mark.parametrize("alpha, theta", [(0.5, 0.5), (0.9, 0.45), (0.1, 0.05), (0.99, 0.2)])
+def test_weights_check_column_is_the_direct_product(tmp_path, alpha, theta, n):
+    # conv_check holds the coefficients of omega(z) varpi(z) - (1 - z); np.convolve is the oracle
+    out = tmp_path / "w.csv"
+    assert main(["weights", "--alpha", str(alpha), "--theta", str(theta), "--n", str(n),
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    direct = np.convolve(sftr_weights(alpha, theta, n), varpi_weights(alpha, theta, n))[: n + 1]
+    direct[0] -= 1.0
+    direct[1:2] += 1.0
+    check = np.array([float(row[4]) for row in rows])
+    assert len(check) == n + 1 and np.max(np.abs(check - direct)) <= 1e-15
 
 
 def test_energy_dump_fields(tmp_path):

@@ -515,11 +515,13 @@ def test_solve_spd_maxit_error(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "diag, curl_scale", [(0.0, 0.0), (0.0, 1.0), (math.nan, 1.0), (1.0, -1.0), (1.0, math.inf)]
+    "diag, curl_scale",
+    [(0.0, 0.0), (0.0, 1.0), (math.nan, 1.0), (1.0, -1.0), (1.0, math.inf), (1.0, 1e298)],
 )
 def test_solve_spd_rejects_an_impossible_operator(diag, curl_scale):
     # (0, 0) used to divide by zero and (0, 1) ran maxit iterations on a
-    # singular operator; the spectrum a solve needs refuses both
+    # singular operator; the spectrum a solve needs refuses both.  At (1, 1e298)
+    # the largest eigenvalue, 4.9e300, squares to inf: CG ran all its iterations
     grid = GridSpec(8, 8)
     with np.errstate(invalid="ignore"):  # inf * 0 on mode (0, 0)
         lam = CurlCurlBasis(grid).eigenvalues(diag, curl_scale)

@@ -18,6 +18,7 @@ from colecole.weights import (
     exponential_tail,
     fbdf2_weights,
     min_theta_gap_grid,
+    series_product,
     sftr_weights,
     shift_combine,
     varpi_weights,
@@ -147,6 +148,15 @@ def test_cumulative_check_is_an_fft_convolution(monkeypatch):
         cumulative_weights(0.7, 0.5, 300), np.cumsum(varpi_weights_by_series(0.7, 0.5, 300)),
         rtol=0, atol=1e-13,
     )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 1000])
+def test_series_product_is_the_truncated_convolution(n):
+    # zero-padded past 2n + 1, the circular product is the linear one
+    a, b = np.random.default_rng(n).standard_normal((2, n + 1))
+    product = series_product(a, b)
+    assert product.shape == (n + 1,)
+    np.testing.assert_allclose(product, np.convolve(a, b)[: n + 1], rtol=0, atol=1e-12)
 
 
 def test_cumulative_cross_check_failure_raises(monkeypatch):
