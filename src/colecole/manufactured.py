@@ -21,16 +21,13 @@ phi_cE = curl phi_E (at the cell centres):
     f2 = c_m dH/dt + curl E                  = e^-t (phi_cE - phi_H)
     f3 = tau0^alpha D^alpha P + P - c_p E    = (D^alpha t^3 + t^3) phi_P - e^-t phi_E
 
-:meth:`ManufacturedCase.sample` evaluates the profiles once on the dofs of a
-grid, each vector component on its own dof set, and transforms them once to
-the coefficients of :class:`~colecole.mesh.CurlCurlBasis`, in which a run
-keeps its fields.  The :class:`SampledCase` it returns gives the exact fields
-and the sources at any t as time factors times those arrays, and its
-``initial_state`` gives a run those sources at set-up, so a run evaluates
-no formula of the coordinates and computes no transform per step.
-Coefficients hold no boundary values: phi_E and phi_P must vanish on the
-tangential boundary, as they do, and phi_cH's boundary values only enter f1,
-whose boundary values the scheme does not use.
+:meth:`ManufacturedCase.sample` transforms the profiles, sampled once on the
+dofs of a grid, to the coefficients of :class:`~colecole.mesh.CurlCurlBasis`,
+the edge profiles in the layout of the span of component 0 of phi_E, phi_P
+and phi_cH (k = 3), so a run evaluates no formula of the coordinates and
+computes no transform per step.  Coefficients hold no boundary values: phi_E
+and phi_P must vanish on the tangential boundary, as they do, and phi_cH's
+only enter f1, whose boundary values are not used.
 """
 
 from __future__ import annotations
@@ -41,9 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stepper
-from .mesh import CurlCurlBasis, GridSpec, VecField, norm_sq, sample_scalar, sample_vec
+from .mesh import CurlCurlBasis, GridSpec, Span, VecField, curl_free_span, norm_sq
+from .mesh import sample_scalar, sample_vec
 from .stepper import (
-    MaterialParams, Quadrature, SchemeConfig, SimState, _initial_state, _layout, preflight, step
+    MaterialParams, Quadrature, SchemeConfig, SimState, Sources, _initial_state, preflight, step
 )
 
 
@@ -73,42 +71,30 @@ PROFILES = {
 
 @dataclass(frozen=True, eq=False)
 class SampledCase:
-    """A manufactured case on one grid: the five spatial profiles (see the
-    module docstring), each sampled once and held as coefficients, e, p and
-    curl_h as edge coefficients in the layout of the identity
-    :class:`~colecole.mesh.Span` (the (2, nx, ny) array raveled), h and
-    curl_e as (nx, ny) cell coefficients.  Its runs are forced: identity span."""
+    """A manufactured case on one grid: the span of component 0 of its edge
+    profiles, phi_E and phi_P in that layout, phi_H's cell coefficients and
+    the sources of its runs (see the module docstring)."""
 
     material: MaterialParams
     grid: GridSpec
+    span: Span
     e: np.ndarray
     p: np.ndarray
     h: np.ndarray
-    curl_h: np.ndarray
-    curl_e: np.ndarray
+    sources: Sources
 
     def exact(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(E, P, H) at time t, as coefficients."""
         decay = math.exp(-t)
         return decay * self.e, t**3 * self.p, decay * self.h
 
-    def sources(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(f1, f2, f3) at time t, as coefficients: the
-        :data:`~colecole.stepper.Sources` of the case's runs."""
-        decay = math.exp(-t)
-        frac = caputo_cubic_factor(t, self.material.alpha)
-        return (
-            (3.0 * t * t) * self.p - decay * (self.e + self.curl_h),
-            decay * (self.curl_e - self.h),
-            (frac + t**3) * self.p - decay * self.e,
-        )
-
     def initial_state(self, config: SchemeConfig) -> SimState:
-        """The state at t = 0 of a run forced by :meth:`sources`."""
+        """The state at t = 0 of a run forced by ``sources``, in the layout of ``span``."""
         history = preflight(self.grid, self.material, config)
         e0, h0 = self.exact(0.0)[::2]  # P^0 = 0 is not kept beside the history
-        span, e0 = _layout(self.grid, e0, self.sources)
-        return _initial_state(self.grid, self.material, config, history, span, e0, h0, self.sources)
+        return _initial_state(
+            self.grid, self.material, config, history, self.span, e0, h0, self.sources
+        )
 
 
 @dataclass(frozen=True)
@@ -117,26 +103,37 @@ class ManufacturedCase:
 
     alpha: float
 
-    def sample(self, grid: GridSpec) -> SampledCase:
-        """The case's profiles on the dofs of grid as coefficients, sampled
-        through :mod:`colecole.stepper`, where the benchmark's
-        ``manufactured.sample`` spans wrap the samplers.
-
-        Raises :class:`ValueError` if phi_E or phi_P, and so E, P and f3, are
-        not zero on the tangential boundary of grid: coefficients cannot
-        hold those values.
-        """
+    def coefficients(self, grid: GridSpec) -> tuple[np.ndarray, ...]:
+        """The coefficients of phi_E, phi_P, phi_H, phi_cH and phi_cE on grid,
+        sampled through :mod:`colecole.stepper`, where the benchmark's
+        ``manufactured.sample`` spans wrap the samplers.  :class:`ValueError`
+        if phi_E or phi_P, and so E, P and f3, are not zero on the tangential
+        boundary of grid: coefficients cannot hold those values."""
         vec, scalar = stepper.sample_vec, stepper.sample_scalar
-        material = MaterialParams(alpha=self.alpha)
         e, p, curl_h = (vec(PROFILES[k], grid) for k in ("e", "p", "curl_h"))
         h, curl_e = (scalar(PROFILES[k], grid) for k in ("h", "curl_e"))
         for name, field in (("phi_E", e), ("phi_P", p)):
             if not field.is_pec_compliant():
                 raise ValueError(f"{name} is not zero on the tangential boundary of {grid}")
         basis = CurlCurlBasis(grid)
-        e, p, curl_h = (basis.forward(f.ex, f.ey).reshape(-1) for f in (e, p, curl_h))
-        h, curl_e = (basis.forward_cell(f) for f in (h, curl_e))
-        return SampledCase(material, grid, e, p, h, curl_h, curl_e)
+        e, p, curl_h = (basis.forward(f.ex, f.ey) for f in (e, p, curl_h))
+        return e, p, basis.forward_cell(h), curl_h, basis.forward_cell(curl_e)
+
+    def sample(self, grid: GridSpec) -> SampledCase:
+        """The case on grid: :meth:`coefficients` and the sources, their edge
+        profiles in the layout of the span of component 0 of E, P and f1."""
+        material = MaterialParams(alpha=self.alpha)
+        e, p, h, curl_h, curl_e = self.coefficients(grid)
+        e_curl_h = np.add(e, curl_h, out=curl_h)
+        span = curl_free_span(e[0], p[0], e_curl_h[0])
+        e, p, e_curl_h = (span.pack(f) for f in (e, p, e_curl_h))
+        alpha = self.alpha
+        sources = Sources(
+            f1=((lambda t: 3.0 * t * t, p), (lambda t: -math.exp(-t), e_curl_h)),
+            f2=((lambda t: math.exp(-t), np.subtract(curl_e, h, out=curl_e)),),
+            f3=((lambda t: caputo_cubic_factor(t, alpha) + t**3, p), (lambda t: -math.exp(-t), e)),
+        )
+        return SampledCase(material, grid, span, e, p, h, sources)
 
 
 def error_norms(state: SimState, case: SampledCase) -> tuple[float, float, float]:

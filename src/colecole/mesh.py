@@ -23,9 +23,9 @@ The stencils themselves live in the test suite, as the independent
 physical-space check.
 
 Component 0 of the edge coefficients, the curl-free half, has |v| = 0 on
-every mode.  A run may hold it as coordinates in an orthonormal basis of a
-subspace that it never leaves (:class:`Span`): a run without sources keeps
-it in the span of its initial values (:func:`curl_free_span`).
+every mode.  A run holds it as coordinates in an orthonormal basis of the
+span of its initial values and its sources' profiles, which it never leaves
+(:class:`Span`, :func:`curl_free_span`).
 """
 
 from __future__ import annotations
@@ -299,58 +299,56 @@ class CurlCurlBasis:
 
 @dataclass(frozen=True, eq=False)
 class Span:
-    """Where a run keeps component 0, the curl-free half, of its edge
-    coefficients (see :class:`CurlCurlBasis`), and the layout of its E, P and
-    history rows: k coordinates of component 0, then the nx ny tangential
-    coefficients.
-
-    ``basis`` is None for the identity span, k = nx ny, whose layout is the
-    (2, nx, ny) coefficient array raveled; otherwise it is a (k, nx ny) array
-    of orthonormal rows, k at most 1 (:func:`curl_free_span`), and the
-    coordinates are component 0's inner products with them.  ``shape`` is
-    (nx, ny).
-    """
+    """The layout of a run's edge coefficients (see :class:`CurlCurlBasis`):
+    k coordinates of component 0, its inner products with the orthonormal
+    rows of the (k, nx ny) ``basis`` (:func:`curl_free_span`), then the nx ny
+    tangential coefficients.  ``shape`` is (nx, ny)."""
 
     shape: tuple[int, int]
-    basis: np.ndarray | None = None
+    basis: np.ndarray
 
     @property
     def k(self) -> int:
-        return self.shape[0] * self.shape[1] if self.basis is None else len(self.basis)
+        return len(self.basis)
 
     def pack(self, coef: np.ndarray) -> np.ndarray:
-        """The layout of (2, nx, ny) edge coefficients: a view of them for the
-        identity span, else component 0 projected onto the span, then
-        component 1."""
-        if self.basis is None:
-            return coef.reshape(-1)
+        """The layout vector of (2, nx, ny) edge coefficients."""
         lead = np.einsum("ij,j->i", self.basis, coef[0].reshape(-1))
         return np.concatenate((lead, coef[1].reshape(-1)))
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
-        """The (2, nx, ny) edge coefficients of a vector in the layout (a view
-        of it for the identity span); inverse of :meth:`pack` on the span."""
-        if self.basis is None:
-            return x.reshape(2, *self.shape)
+        """The (2, nx, ny) edge coefficients of a layout vector: :meth:`pack` inverted."""
         coef = np.empty((2, *self.shape))
         np.einsum("i,ij->j", x[: self.k], self.basis, out=coef[0].reshape(-1))
         coef[1] = x[self.k :].reshape(self.shape)
         return coef
 
 
-def curl_free_span(lead: np.ndarray) -> Span:
-    """The :class:`Span` of one finite (nx, ny) array of component-0
-    coefficients: its basis is the array over its norm, k = 1, or empty,
-    k = 0, if every entry is zero.  The norm is taken with the largest entry
-    scaled exactly into [1/2, 1) by a power of two: it cannot underflow or
-    overflow, and where unscaled it would not, the basis is the same bits."""
-    basis = np.array(lead, dtype=float).reshape(1, -1)
-    top = max(basis.max(), -basis.min())
-    if top == 0.0:
-        return Span(lead.shape, basis[:0])
-    np.ldexp(basis, -np.frexp(top)[1], out=basis)
-    basis *= 1.0 / math.sqrt(np.einsum("i,i->", basis[0], basis[0]))
-    return Span(lead.shape, basis)
+def curl_free_span(*leads: np.ndarray) -> Span:
+    """The :class:`Span` of finite (nx, ny) arrays of component-0
+    coefficients.  Each array in turn is scaled exactly by a power of two,
+    its largest entry into [1/2, 1), so that no square underflows or
+    overflows; modified Gram-Schmidt takes its projections on the rows so far
+    off it twice (Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005), and
+    the residual over its norm is the next row.  It adds none if the second
+    pass took more than half the residual's norm off: only round-off of an
+    array in the span loses that much ("twice is enough", Parlett 1980).  So
+    one array gives k = 1 (0 if it is zero), its row the array over its
+    unscaled norm bit for bit where that norm neither underflows nor overflows."""
+    basis = np.array(leads, dtype=float).reshape(len(leads), -1)
+    k = 0
+    for row in basis:
+        np.ldexp(row, -np.frexp(max(row.max(), -row.min()))[1], out=row)
+        squares = []
+        for _ in range(2):
+            for done in basis[:k]:
+                row -= np.einsum("i,i->", done, row) * done
+            squares.append(np.einsum("i,i->", row, row))
+        if squares[1] > 0.25 * squares[0]:
+            row *= 1.0 / math.sqrt(squares[1])
+            basis[k] = row
+            k += 1
+    return Span(leads[0].shape, basis if k == len(basis) else basis[:k].copy())
 
 
 def norm_sq(coef: np.ndarray, grid: GridSpec) -> float:

@@ -20,42 +20,35 @@ on the tangential-zero edge fields.
 A run keeps its fields as coefficients in the eigenbasis of
 :class:`~colecole.mesh.CurlCurlBasis`: H as (nx, ny) cell coefficients, E
 and P each as one vector in the run's :class:`~colecole.mesh.Span` layout,
-k coordinates of component 0 (the curl-free half), then the nx ny
-tangential coefficients.  Both curls multiply each mode by |v| there, the
-elimination is dof-local, and the energies are sums of squares (Parseval),
-so a step is per-mode arithmetic: it applies no stencil and computes no
-transform.  :func:`init_state` transforms the initial data once, and
+k coordinates of component 0 (the curl-free half, where |v| = 0), then the
+nx ny tangential coefficients.  On component 0 every mode follows one
+scalar recurrence, uncoupled from H, so the component stays in the span of
+E^0's and of the sources' profiles, which k orthonormal coordinates hold
+exactly: k = 1 without sources (0 if E^0 has no component 0), 3 for the
+manufactured case.  Both curls multiply each mode by |v|, the elimination is
+dof-local, and the energies are sums of squares (Parseval), so a step is
+per-mode arithmetic: it applies no stencil and computes no transform.
+:func:`init_state` transforms the initial data once, and
 :meth:`SimState.fields` transforms a state back to dof arrays.
-
-On component 0, |v| = 0: every mode follows one scalar recurrence,
-uncoupled from H, so without sources the component stays a multiple of
-E^0's, and one coordinate along it holds it exactly.  A run without
-sources keeps that span, k = 1 (0 if E^0's component 0 is zero); a forced
-run keeps the identity span, k = nx ny, the (2, nx, ny) array raveled.
 
 The operator above is diagonal in that basis, with the same eigenvalues on
 every step of a run: an (nx, ny) array on the tangential component, whose
 (0, 0) entry is the normal component's on every mode.  :func:`init_state`
 groups them by exact value once, with one group index per coordinate of the
-run's layout (:class:`Spectrum`), and
-:func:`solve_spd` runs conjugate gradients once per group, warm-started from
-E^{n-1}, to relative residual CG_TOL: the iterates are CG's, and an iteration
-costs the number of groups, not of coefficients.  One division per mode
-would solve exactly; CG is kept so that every solution stays, to round-off,
-the one the same CG gives on the curl stencils, where the benchmark's
-recorded values come from (the division moves the FBDF2 convergence errors
-by up to 2.7e-9 relative, past their 1e-11 tolerance).  H^n and P^n are
-recovered exactly afterwards, so the per-step defect of the three equations
-is the linear-solver residual alone.
+run's layout (:class:`Spectrum`), and :func:`solve_spd` runs conjugate
+gradients once per group, warm-started from E^{n-1}, to relative residual
+CG_TOL: the iterates are CG's, and an iteration costs the number of groups,
+not of coefficients.  One division per mode would solve exactly; CG is kept
+so that every solution stays, to round-off, the one the same CG gives on the
+curl stencils, where the benchmark's recorded values come from (the division
+moves the FBDF2 convergence errors by up to 2.7e-9 relative, past their
+1e-11 tolerance).  H^n and P^n are recovered exactly afterwards, so the
+per-step defect of the three equations is the linear-solver residual alone.
 
-A run's sources, given to :func:`init_state`, are a callable ``sources(t)
--> (f1, f2, f3)`` (:data:`Sources`) that returns the right-hand sides as
-coefficients: f1 and f3 as edge coefficients raveled (the identity span's
-layout), f2 as cell coefficients.  The state keeps it, and :func:`step`
-calls it once per step, at t = t_{n-theta}.  Coefficients hold no boundary
-values.  Those of f1 are not used by the scheme, whose boundary rows carry
-E = 0; f3 must vanish on the tangential boundary, as
-:meth:`colecole.manufactured.ManufacturedCase.sample` checks.
+A run's sources (:class:`Sources`) are time factors times coefficient
+profiles: :func:`step` adds each factor at t_{n-theta} times its profile in
+place.  Coefficients hold no boundary values: f1's are not used (the boundary
+rows carry E = 0), and f3 must vanish there, as ``ManufacturedCase`` checks.
 
 The P history of a run takes bounded memory (:class:`PHistory`).  The
 quadrature sums the last n0 lags exactly, from a window of the
@@ -81,8 +74,8 @@ matches it.  A step holds only what its next part reads: it folds a full
 window as soon as its history sum has read it, builds g in the history row
 that P^n then takes, E^n in the right-hand side's buffer (:func:`solve_spd`)
 and D^alpha P^n in the history part's, and one scratch vector and one
-(nx, ny) scratch array, dropped for the solve, take the products.  Beside
-what its sources return, a step allocates at most five vectors of the
+(nx, ny) scratch array, dropped for the solve, take the products, the
+sources' terms included.  A step allocates at most five vectors of the
 run's layout.  As the history moves before the solve, a step that raises
 leaves the state ``stepping``, and :func:`step` refuses it from then on.
 
@@ -90,7 +83,7 @@ The state also carries the energy weights a_0..a_N of the run's (alpha,
 theta), ``SimState.a_weights``; FBDF2 runs carry the trapezoidal ones too.
 It carries the constants of the run's steps as well, which :func:`init_state`
 builds once: |v| of every mode, the grouped :class:`Spectrum` of the
-E-solve, the span of component 0 and the sources.
+E-solve, the span of component 0 and the sources in its layout.
 """
 
 from __future__ import annotations
@@ -105,7 +98,7 @@ import numpy as np
 
 from .mesh import CurlCurlBasis, GridSpec, Span, VecField, as_count, curl_free_span, norm_sq
 # Not used here: perfbench's manufactured.sample spans wrap these two names
-# in this module, and ManufacturedCase.sample calls them through it.
+# in this module, and ManufacturedCase.coefficients calls them through it.
 from .mesh import sample_scalar, sample_vec  # noqa: F401
 from .weights import (
     TAIL_FIT_ROWS,
@@ -129,8 +122,16 @@ HISTORY_EXACT = 20
 HISTORY_FOLD = 16
 
 
-# sources(t) -> (f1, f2, f3) as coefficients at time t; see the module docstring.
-Sources = Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]]
+@dataclass(frozen=True, eq=False)
+class Sources:
+    """The right-hand sides f1, f2 and f3 of a run, each a tuple of (factor,
+    profile) terms, the side at time t the sum of factor(t) profile.  Profiles
+    are coefficients: (nx, ny) cell arrays for f2, and for f1 and f3 the
+    (2, nx, ny) arrays :func:`init_state` takes or, in a state, layout vectors."""
+
+    f1: tuple[tuple[Callable[[float], float], np.ndarray], ...]
+    f2: tuple[tuple[Callable[[float], float], np.ndarray], ...]
+    f3: tuple[tuple[Callable[[float], float], np.ndarray], ...]
 
 
 class Quadrature(enum.Enum):
@@ -240,9 +241,9 @@ class SimState:
     :meth:`fields` gives the dof arrays.  ``kernel`` (K_0..K_{N-1} of
     :func:`build_kernel`, read-only), ``a_weights``, ``curl_modulus`` (|v| of
     every mode), ``spectrum`` (the E-solve's eigenvalues on the layout, grouped),
-    ``span`` and ``sources`` (None for none) are constant over the run.  The
-    state owns its run's ``history``; copies share it, and only the stepped
-    state matches it.  ``stepping`` is True while a step changes the history,
+    ``span`` and ``sources`` (in its layout; no terms for none) are constant
+    over the run.  The state owns its run's ``history``; copies share it, and
+    only the stepped state matches it.  ``stepping`` is True while a step changes the history,
     and stays True once a step has raised part-way.
     """
 
@@ -259,7 +260,7 @@ class SimState:
     curl_modulus: np.ndarray
     spectrum: Spectrum
     span: Span
-    sources: Sources | None
+    sources: Sources
     stepping: bool = False
 
     @property
@@ -327,12 +328,13 @@ def _require_memory(grid: GridSpec, config: SchemeConfig, rows: int, poles: int)
     # arrays of its row blocks).  Twenty-five values per step: s, the kernel,
     # the energy weights, the fit's lags and targets, the weights' FFT check
     # (three arrays of up to 4 (N+1)) and the five columns of the energy trace.
-    # Sixteen coefficient arrays, a half to spare: a step holds the state (2.5),
-    # |v| and the spectrum's index (1.5), its temporaries and the solve's (5)
-    # and, forced, the sources (2.5) and the case's profiles (4).  256 KiB for
-    # what a process allocates once (numpy.fft's import takes about 120 KiB).
+    # Ten arrays of 2 nx ny values: a forced step holds the state (1.5), |v|
+    # and the spectrum's index (1), its temporaries and the solve's (2.5), the
+    # span's three rows (1.5) and the case's profiles (2.5); a one-step forced
+    # run peaks at 9.7, traced at 256^2.  256 KiB for what a process allocates
+    # once (numpy.fft's import takes about 120 KiB).
     fit = 3 * (TAIL_FIT_ROWS + poles) * (poles + 1) if poles else 0
-    need = 8 * (rows * dofs + poles * dofs + fit + 25 * (steps + 1) + 16 * dofs) + 2**18
+    need = 8 * (rows * dofs + poles * dofs + fit + 25 * (steps + 1) + 10 * dofs) + 2**18
     have = physical_memory_bytes()
     if need > have:
         raise MemoryError(
@@ -350,13 +352,14 @@ def init_state(
     sources: Sources | None = None,
 ) -> SimState:
     """State at n = 0 with P^0 = 0, the kernel, energy weights and step constants
-    of the whole run, and its ``sources`` (:data:`Sources`, None for none).
+    of the whole run, and its ``sources`` (:class:`Sources`, None for none).
 
     e0 is the edge pair of E^0 and h0 the (nx, ny) cell array of H^0, taken
     as floats.  Both must be finite, and e0 zero on the tangential boundary,
     or :class:`ValueError` is raised, then what :func:`preflight` raises,
-    before anything is transformed; each is then transformed to coefficients
-    once, E^0 into the layout the sources fix (:func:`_layout`).
+    before anything is transformed; each is then transformed once, and E^0
+    and the f1 and f3 profiles are packed into the layout of the span of their
+    component 0 (:func:`~colecole.mesh.curl_free_span`, in that order).
     Allocates the M + W rows of (k + nx ny) * 8 bytes of :class:`PHistory`,
     M at most TAIL_MAX_POLES; a fold adds a temporary of one row.
     """
@@ -371,16 +374,12 @@ def init_state(
     history = preflight(grid, material, config)
     basis = CurlCurlBasis(grid)
     h = basis.forward_cell(h0)  # first: E^0's (2, nx, ny) coefficients are not live beside it
-    span, e = _layout(grid, basis.forward(e0.ex, e0.ey), sources)  # they go as it returns
-    return _initial_state(grid, material, config, history, span, e, h, sources)
-
-
-def _layout(grid: GridSpec, e: np.ndarray, sources: Sources | None) -> tuple[Span, np.ndarray]:
-    """The span and E^0 packed into it, for E^0's (2, nx, ny) coefficients e or those
-    raveled: :func:`curl_free_span` of component 0 without ``sources``, else the identity."""
-    coef = e.reshape(2, grid.nx, grid.ny)
-    span = curl_free_span(coef[0]) if sources is None else Span((grid.nx, grid.ny))
-    return span, span.pack(coef)
+    e = basis.forward(e0.ex, e0.ey)
+    f1, f2, f3 = (sources.f1, sources.f2, sources.f3) if sources else ((), (), ())
+    span = curl_free_span(e[0], *(profile[0] for _, profile in f1 + f3))
+    f1, f3 = (tuple((f, span.pack(profile)) for f, profile in terms) for terms in (f1, f3))
+    e = span.pack(e)  # the coefficients go before the history is allocated
+    return _initial_state(grid, material, config, history, span, e, h, Sources(f1, f2, f3))
 
 
 def _initial_state(
@@ -391,9 +390,10 @@ def _initial_state(
     span: Span,
     e: np.ndarray,
     h: np.ndarray,
-    sources: Sources | None,
+    sources: Sources,
 ) -> SimState:
-    """:func:`init_state` given the pairs of :func:`preflight` and :func:`_layout`."""
+    """:func:`init_state` given :func:`preflight`'s pair, the span, and E^0, H^0
+    and the sources as a state holds them."""
     exact, window = history
     kernel = build_kernel(material, config)
     poles = weights = np.empty(0)
@@ -583,7 +583,7 @@ def solve_spd(spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray) -> tuple[np.n
 
 def step(state: SimState) -> SimState:
     """Advance ``state`` one step in place, forced by its sources (see
-    :data:`Sources`) at t_{n-theta}, and return it.
+    :class:`Sources`) at t_{n-theta}, and return it.
 
     It advances ``n`` and rebinds ``e``, ``p`` and ``h`` to new arrays,
     never writing into the old ones, so arrays read from the state before
@@ -600,8 +600,7 @@ def step(state: SimState) -> SimState:
         raise ValueError(f"step {n} of this run raised part-way; the run cannot go on")
     history, sources = state.history, state.sources
     tau, theta = cfg.tau, cfg.theta
-    one_m = 1.0 - theta
-    f1, f2, f3 = (0.0, 0.0, 0.0) if sources is None else sources((n - theta) * tau)
+    one_m, t = 1.0 - theta, (n - theta) * tau
     e, p, h = state.e, state.p, state.h
     v = state.curl_modulus
     k = state.span.k
@@ -620,14 +619,15 @@ def step(state: SimState) -> SimState:
     denom, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
 
     # Products go to one scratch vector and one scratch cell array, dropped for
-    # the solve; sums are taken in place in each formula's order.  Elimination
-    # of P^n = a E^n + g from the polarization equation:
-    # g = (1/denom) ((c_p theta) E - theta P - tau0^alpha hist_d + f3)
+    # the solve; sums are taken in place in each formula's order, a source's
+    # terms in theirs.  Elimination of P^n = a E^n + g from the polarization
+    # equation: g = (1/denom) ((c_p theta) E - theta P - tau0^alpha hist_d + f3)
     g = np.multiply(e, mat.c_p * theta, out=row)
     work = np.multiply(p, theta)
     g -= work
     g -= np.multiply(hist_d, mat.tau0**mat.alpha, out=work)
-    g += f3
+    for factor, profile in sources.f3:
+        g += np.multiply(profile, factor(t), out=work)
     g *= 1.0 / denom
 
     # rhs = (c_e/tau) E + (P - g)/tau + curl_h(H + (1-theta) tau/c_m f2)
@@ -636,11 +636,14 @@ def step(state: SimState) -> SimState:
     # tangential part alone, since |v| = 0 on component 0.
     rhs = np.multiply(e, mat.c_e / tau)
     rhs += np.multiply(np.subtract(p, g, out=work), 1.0 / tau, out=work)
-    rhs += f1
+    for factor, profile in sources.f1:
+        rhs += np.multiply(profile, factor(t), out=work)
+    f2 = [(factor(t), profile) for factor, profile in sources.f2]
     curl, cell, rhs_t = tangential(work), np.empty_like(v), tangential(rhs)
-    np.add(h, np.multiply(f2, one_m * tau / mat.c_m, out=curl), out=curl)
     np.multiply(np.multiply(v, one_m * theta * tau / mat.c_m, out=cell), tangential(e), out=cell)
-    curl += cell
+    np.add(h, cell, out=curl)
+    for value, profile in f2:
+        curl += np.multiply(profile, value * one_m * tau / mat.c_m, out=cell)
     rhs_t -= np.multiply(curl, v, out=curl)
     del work, curl, cell, rhs_t
 
@@ -652,7 +655,8 @@ def step(state: SimState) -> SimState:
     h_new = np.multiply(tangential(e_new), one_m)
     h_new += np.multiply(tangential(e), theta, out=tangential(row))
     h_new *= v
-    h_new += f2
+    for value, profile in f2:
+        h_new += np.multiply(profile, value, out=tangential(row))
     h_new *= tau / mat.c_m
     h_new += h
     # D(P^n) = history part + tau^-alpha K_0 P^n, so the history sum is not run again.

@@ -6,8 +6,8 @@ weights varpi through a binomial-series product instead of their two-term
 recurrence, the one-step solve assembles the raw coupled equations densely
 on the dofs instead of stepping the integrator's mode coefficients with its
 elimination and conjugate gradients, the manufactured fields and sources are
-written out as pointwise closed forms of (x, y, t) instead of time factors
-times sampled, transformed profiles, the conjugate gradients take any
+written out as pointwise closed forms of (x, y, t) on the dofs instead of
+sampled, transformed profiles, the conjugate gradients take any
 operator on ``VecField`` values and build a new field for every vector
 operation, and the diagonal conjugate gradients run over every coefficient
 instead of once per distinct eigenvalue.
@@ -20,11 +20,14 @@ The semi-discrete manufactured case uses them on purpose: it forces the
 space-discrete system so that its exact solution is the sampled closed form,
 leaving only the time-discretization error to measure.
 
-The oracles take and return dof fields, and read a state in either layout
-through its ``span``.  :func:`in_modes` turns sources on the dofs into the
-coefficient sources that ``colecole.stepper.init_state`` gives a run, and
-:func:`no_forcing` is the zero forcing of a run that must keep the identity
-span.  ``step`` advances a run's one state in place; :func:`observed_step`
+The oracles take and return dof fields, and read a state in its layout
+through its ``span``.  Their sources are ``colecole.stepper.Sources`` whose
+profiles are on the dofs (edge pairs for f1 and f3, cell arrays for f2):
+:func:`on_dofs` sums them at a time t, and :func:`in_coefficients`
+transforms each profile once into the sources that
+``colecole.stepper.init_state`` gives a run.  :func:`full_span` makes
+``init_state`` keep component 0 whole, for tests that compare a run with
+the reduced one or need every coordinate.  ``step`` advances a run's one state in place; :func:`observed_step`
 keeps a copy of the state from before it and the history part of the step's
 fractional derivative, which :func:`caputo_after` and :func:`scheme_residual`
 read.
@@ -47,16 +50,13 @@ from typing import Callable
 
 import numpy as np
 
+from colecole import stepper
 from colecole.manufactured import PROFILES, ManufacturedCase, _sin_pi, caputo_cubic_factor
-from colecole.mesh import CurlCurlBasis, GridSpec, VecField, sample_scalar, sample_vec
+from colecole.mesh import CurlCurlBasis, GridSpec, Span, VecField, sample_scalar, sample_vec
 from colecole.stepper import (
     PHistory, Quadrature, SimState, SolverError, Sources, frac_deriv_current, step,
 )
 from colecole.weights import binomial_series, cumulative_weights, varpi_weights
-
-# sources(t) -> (f1, f2, f3) on the dofs, f2 an (nx, ny) cell array: the
-# physical form of ``Sources``.
-DofSources = Callable[[float], tuple[VecField, np.ndarray, VecField]]
 
 
 def _check_vec(e: VecField, grid: GridSpec) -> None:
@@ -168,34 +168,42 @@ def combine_theta(u_new, u_old, theta: float):
 
 
 def edge_field(coef: np.ndarray, grid: GridSpec) -> VecField:
-    """The edge field on the dofs with coefficients ``coef`` (left unchanged):
-    a (2, nx, ny) array, or a vector in the layout of a run that keeps the
-    identity span, which is that array raveled."""
+    """The edge field on the dofs with the (2, nx, ny) coefficients ``coef``,
+    or those raveled (left unchanged)."""
     return VecField(*CurlCurlBasis(grid).inverse(np.reshape(coef, (2, grid.nx, grid.ny))))
 
 
-def in_modes(sources: DofSources, grid: GridSpec) -> Sources:
-    """The sources that ``init_state`` gives a forced run, which keeps the
-    identity span: sources on the dofs, transformed each call, f1 and f3
-    raveled."""
+def on_dofs(sources: Sources | None, grid: GridSpec, t: float):
+    """(f1, f2, f3) at time t of sources whose profiles are on the dofs: edge
+    pairs for f1 and f3, a cell array for f2; zero fields for None."""
+    f1, f2, f3 = zero_edges(grid), np.zeros((grid.nx, grid.ny)), zero_edges(grid)
+    if sources is not None:
+        for side, terms in ((f1, sources.f1), (f3, sources.f3)):
+            for factor, profile in terms:
+                side.ex += factor(t) * profile.ex
+                side.ey += factor(t) * profile.ey
+        for factor, profile in sources.f2:
+            f2 += factor(t) * profile
+    return f1, f2, f3
+
+
+def in_coefficients(sources: Sources, grid: GridSpec) -> Sources:
+    """Sources on the dofs with each profile transformed once: the sources
+    ``init_state`` takes, f1 and f3 as (2, nx, ny) edge coefficients, f2 as
+    cell coefficients."""
     basis = CurlCurlBasis(grid)
-
-    def modal(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        f1, f2, f3 = sources(t)
-        return (
-            basis.forward(f1.ex, f1.ey).reshape(-1),
-            basis.forward_cell(f2),
-            basis.forward(f3.ex, f3.ey).reshape(-1),
-        )
-
-    return modal
+    edges = lambda terms: tuple((f, basis.forward(e.ex, e.ey)) for f, e in terms)
+    cells = tuple((f, basis.forward_cell(c)) for f, c in sources.f2)
+    return Sources(edges(sources.f1), cells, edges(sources.f3))
 
 
-def no_forcing(t: float) -> tuple[float, float, float]:
-    """Zero sources: a run given them keeps the identity span, as a forced
-    run does.  For tests that write arbitrary P histories, or that compare
-    the two layouts."""
-    return 0.0, 0.0, 0.0
+def full_span(monkeypatch, grid: GridSpec) -> Span:
+    """Patch ``colecole.stepper`` so that ``init_state`` keeps component 0
+    whole, k = nx ny: the span of every (nx, ny) array,
+    ``Span((nx, ny), np.eye(nx ny))``, in place of the span of its data."""
+    span = Span((grid.nx, grid.ny), np.eye(grid.nx * grid.ny))
+    monkeypatch.setattr(stepper, "curl_free_span", lambda *leads: span)
+    return span
 
 
 def split_rows(history: PHistory) -> tuple[np.ndarray, np.ndarray]:
@@ -415,38 +423,42 @@ class ClosedForm:
         )
 
 
-def poly_sources(grid: GridSpec) -> DofSources:
-    """Smooth sources on the dofs of grid with distinct space and time
-    dependence in every component.  f3 vanishes on the tangential boundary,
-    as sources in coefficients must; f1 does not, and its boundary values are
-    not used."""
+def poly_sources(grid: GridSpec) -> Sources:
+    """Smooth separable sources on the dofs of grid, each vector component
+    with its own time factor and profile.  f3 vanishes on the tangential
+    boundary, as sources in coefficients must; f1 does not, and its boundary
+    values are not used."""
     xe, ye = grid.ex_coords()
     xn, yn = grid.ey_coords()
     xc, yc = grid.h_coords()
+    ex0, ey0 = np.zeros_like(xe), np.zeros_like(xn)
+    return Sources(
+        f1=((math.sin, VecField(1.0 + xe * ye, ey0)), (math.cos, VecField(ex0, xn - yn))),
+        f2=((lambda t: math.cos(2 * t), xc + 0.3 * yc * yc),),
+        f3=(
+            (lambda t: t, VecField(xe * xe * ye * (1.0 - ye), ey0)),
+            (lambda t: 1.0 - t, VecField(ex0, yn * xn * (1.0 - xn))),
+        ),
+    )
 
-    def sources(t: float) -> tuple[VecField, np.ndarray, VecField]:
-        return (
-            VecField(np.sin(t) * (1.0 + xe * ye), math.cos(t) * (xn - yn)),
-            np.cos(2 * t) * (xc + 0.3 * yc * yc),
-            VecField(t * xe * xe * ye * (1.0 - ye), (1.0 - t) * yn * xn * (1.0 - xn)),
-        )
 
-    return sources
-
-
-def closed_form_sources(alpha: float, grid: GridSpec) -> DofSources:
-    """The sources of ``ManufacturedCase(alpha)``, from the closed forms at the dofs."""
+def closed_form_sources(alpha: float, grid: GridSpec) -> Sources:
+    """The sources of ``ManufacturedCase(alpha)`` on the dofs: the closed forms
+    of f1, f2 and f3 at t = 0 and of P at t = 1 as the profiles, times the
+    time factors of E (e^-t) and of P (t^3, its derivative and its Caputo
+    derivative plus itself)."""
     form = ClosedForm(alpha)
     ex, ey, cells = grid.ex_coords(), grid.ey_coords(), grid.h_coords()
 
-    def sources(t: float) -> tuple[VecField, np.ndarray, VecField]:
-        return (
-            VecField(form.f1(*ex, t)[0], form.f1(*ey, t)[1]),
-            form.f2(*cells, t),
-            VecField(form.f3(*ex, t)[0], form.f3(*ey, t)[1]),
-        )
+    def edges(f, t):
+        return VecField(f(*ex, t)[0], f(*ey, t)[1])
 
-    return sources
+    decay, p = (lambda t: math.exp(-t)), edges(form.p, 1.0)
+    return Sources(
+        f1=((lambda t: 3.0 * t * t, p), (decay, edges(form.f1, 0.0))),
+        f2=((decay, form.f2(*cells, 0.0)),),
+        f3=((lambda t: caputo_cubic_factor(t, alpha) + t**3, p), (decay, edges(form.f3, 0.0))),
+    )
 
 
 @dataclass(frozen=True)
@@ -464,17 +476,14 @@ class SemiDiscreteCase(ManufacturedCase):
 
     grid: GridSpec
 
-    def sample(self, grid):
+    def coefficients(self, grid):
         if grid != self.grid:
             raise ValueError(f"case built for {self.grid}, sampled on {grid}")
+        e, p, h, _, _ = super().coefficients(grid)
         basis = CurlCurlBasis(grid)
         ch = curl_h(sample_scalar(PROFILES["h"], grid), grid)
         ce = curl_e(sample_vec(PROFILES["e"], grid), grid)
-        return replace(
-            super().sample(grid),
-            curl_h=basis.forward(ch.ex, ch.ey).reshape(-1),
-            curl_e=basis.forward_cell(ce),
-        )
+        return e, p, h, basis.forward(ch.ex, ch.ey), basis.forward_cell(ce)
 
 
 def _flatten(e: VecField, h: np.ndarray, p: VecField) -> np.ndarray:
@@ -501,14 +510,8 @@ def _pec_mask(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return mask_ex, mask_ey
 
 
-def _dof_sources(sources: DofSources | None, grid: GridSpec, t: float):
-    if sources is None:
-        return zero_edges(grid), np.zeros((grid.nx, grid.ny)), zero_edges(grid)
-    return sources(t)
-
-
 def dense_step_solution(
-    state: SimState, sources: DofSources | None = None
+    state: SimState, sources: Sources | None = None
 ) -> tuple[VecField, np.ndarray, VecField]:
     """One step of the coupled scheme by direct dense solve of the raw equations.
 
@@ -523,7 +526,7 @@ def dense_step_solution(
     tau, theta = cfg.tau, cfg.theta
     one_m = 1.0 - theta
     t_mid = (n - theta) * tau
-    f1, f2, f3 = _dof_sources(sources, grid, t_mid)
+    f1, f2, f3 = on_dofs(sources, grid, t_mid)
     e_prev, p_prev, h_prev = state.fields()
     if state.history.folded:
         raise ValueError("the dense step reads every P^k, and this run has folded some")
@@ -692,7 +695,7 @@ def scheme_residual(
     state_prev: SimState,
     state_new: SimState,
     history_part: np.ndarray,
-    sources: DofSources | None = None,
+    sources: Sources | None = None,
 ) -> tuple[float, float, float]:
     """Discrete L2 defects of the three scheme equations of one step, from
     the state before it to the state after it (see :func:`observed_step`),
@@ -705,7 +708,7 @@ def scheme_residual(
     """
     cfg, mat, grid = state_new.config, state_new.material, state_new.grid
     tau, theta = cfg.tau, cfg.theta
-    f1, f2, f3 = _dof_sources(sources, grid, (state_new.n - theta) * tau)
+    f1, f2, f3 = on_dofs(sources, grid, (state_new.n - theta) * tau)
     e_old, p_old, h_old = state_prev.fields()
     e_new, p_new, h_new = state_new.fields()
 

@@ -51,7 +51,7 @@ from oracles import (
     curl_e,
     curl_h,
     dense_step_solution,
-    in_modes,
+    in_coefficients,
     inner_e,
     inner_h,
     poly_sources,
@@ -250,7 +250,7 @@ def test_c09_oracle_equivalence():
     e0 = VecField(rng.standard_normal((2, 3)), rng.standard_normal((3, 2))).enforce_pec()
     h0 = rng.standard_normal((2, 2))
     sources = poly_sources(grid)
-    state = init_state(grid, material, config, e0, h0, in_modes(sources, grid))
+    state = init_state(grid, material, config, e0, h0, in_coefficients(sources, grid))
     ref = dense_step_solution(state, sources)
     dense_defect = _dense_defect(step(state), ref)
     assert dense_defect <= 1e-10
@@ -258,7 +258,7 @@ def test_c09_oracle_equivalence():
     # 20 steps of a long Caputo history, each vs the dense solve from the same state
     material = MaterialParams(c_e=1.3, c_m=0.7, c_p=2.1, tau0=1.4, alpha=0.45)
     config = SchemeConfig(theta=0.35, tau=0.1, n_steps=20)
-    state = init_state(grid, material, config, e0, h0, in_modes(sources, grid))
+    state = init_state(grid, material, config, e0, h0, in_coefficients(sources, grid))
     history_defect = 0.0
     for _ in range(20):
         ref = dense_step_solution(state, sources)

@@ -882,7 +882,7 @@ def test_exported_names_resolve():
     for name in ("SymbolKind", "symbol_residual", "theta_gap"):
         assert not hasattr(colecole.weights, name) and not hasattr(colecole, name), name
     assert not hasattr(colecole.VecField, "zeros")
-    # deleted: sources are a callable of t that returns dof fields
+    # deleted: sources are time factors times coefficient profiles (Sources)
     assert "SourceSet" not in colecole.__all__ and not hasattr(colecole, "SourceSet")
     # deleted: weight families are plain read-only arrays, the energy weights
     # live on the state

@@ -23,6 +23,14 @@ from colecole.stepper import Quadrature, SchemeConfig
 from oracles import ClosedForm, SemiDiscreteCase, edge_field
 
 
+def sources_at(sources, t):
+    """(f1, f2, f3) at time t of coefficient sources: each side's terms summed."""
+    return tuple(
+        sum(factor(t) * profile for factor, profile in terms)
+        for terms in (sources.f1, sources.f2, sources.f3)
+    )
+
+
 def caputo_cubic_numeric(t: float, alpha: float) -> float:
     """Riemann-Liouville integral of order 1-alpha applied to d/dt t^3,
     evaluated by adaptive quadrature with the algebraic endpoint weight."""
@@ -50,7 +58,7 @@ def test_caputo_factor_against_quadrature():
 
 @pytest.mark.parametrize("grid", [GridSpec(7, 11), GridSpec(16, 16)], ids=["7x11", "16x16"])
 def test_sampled_case_matches_closed_forms(grid):
-    # exact(t) and sources(t), time factors times sampled, transformed
+    # exact(t) and the sources at t, time factors times sampled, transformed
     # profiles, transformed back to the dofs against the pointwise closed
     # forms there; the atol covers round-off where a source crosses zero
     # (worst 1.5e-13 relative to the dof value there).  Coefficients hold no
@@ -60,8 +68,8 @@ def test_sampled_case_matches_closed_forms(grid):
     basis = CurlCurlBasis(grid)
 
     def check(coef, closed, t):
-        if coef.ndim == 1:  # edge coefficients, raveled
-            field = edge_field(coef, grid)
+        if coef.ndim == 1:  # edge coefficients in the case's layout
+            field = edge_field(sampled.span.unpack(coef), grid)
             want = VecField(closed(*coords["ex"], t)[0], closed(*coords["ey"], t)[1]).enforce_pec()
             pairs = ((field.ex, want.ex), (field.ey, want.ey))
         else:
@@ -74,13 +82,30 @@ def test_sampled_case_matches_closed_forms(grid):
         for t in (0.0, 0.3, 0.55, 1.0):
             for field, closed in zip(sampled.exact(t), (ref.e, ref.p, ref.h)):
                 check(field, closed, t)
-            for field, closed in zip(sampled.sources(t), (ref.f1, ref.f2, ref.f3)):
+            for field, closed in zip(sources_at(sampled.sources, t), (ref.f1, ref.f2, ref.f3)):
                 check(field, closed, t)
+
+
+def test_the_case_keeps_three_curl_free_coordinates():
+    # component 0 of E, P and every source lies in the span of phi_E, phi_P
+    # and phi_cH there: the case keeps k = 3 orthonormal rows, and its edge
+    # profiles unpack to their own coefficients
+    grid, case = GridSpec(48, 48), ManufacturedCase(0.5)
+    sampled = case.sample(grid)
+    assert sampled.span.k == 3 and sampled.e.shape == (3 + 48 * 48,)
+    basis = sampled.span.basis
+    np.testing.assert_allclose(np.einsum("ij,kj->ik", basis, basis), np.eye(3), rtol=0, atol=1e-14)
+    e, p, _, curl_h, _ = case.coefficients(grid)
+    (_, p_f1), (_, e_curl_h) = sampled.sources.f1
+    for packed, coef in ((sampled.e, e), (sampled.p, p), (p_f1, p), (e_curl_h, e + curl_h)):
+        np.testing.assert_allclose(
+            sampled.span.unpack(packed), coef, rtol=0, atol=1e-14 * np.abs(coef).max()
+        )
 
 
 def test_source_f3_at_time_zero_is_minus_field():
     sampled = ManufacturedCase(alpha=0.7).sample(GridSpec(6, 9))
-    _, _, f3 = sampled.sources(0.0)
+    _, _, f3 = sources_at(sampled.sources, 0.0)
     e, _, _ = sampled.exact(0.0)
     np.testing.assert_allclose(f3, -sampled.material.c_p * e, atol=0)
 
@@ -90,22 +115,24 @@ def test_source_f2_corner_value():
     # phi_cE - phi_H there times the time factor of f2
     profile = PROFILES["curl_e"](0.0, 0.0) - PROFILES["h"](0.0, 0.0)
     assert profile == pytest.approx(-(1.0 + 1.5 * math.pi), rel=1e-14)
-    sampled = ManufacturedCase(alpha=0.5).sample(GridSpec(4, 4))
+    case = ManufacturedCase(alpha=0.5)
+    _, _, h, _, curl_e = case.coefficients(GridSpec(4, 4))
+    sampled = case.sample(GridSpec(4, 4))
     for t in (0.0, 0.4, 1.0):
-        _, f2, _ = sampled.sources(t)
-        np.testing.assert_allclose(
-            f2, math.exp(-t) * (sampled.curl_e - sampled.h), rtol=1e-15, atol=0
-        )
+        _, f2, _ = sources_at(sampled.sources, t)
+        np.testing.assert_allclose(f2, math.exp(-t) * (curl_e - h), rtol=1e-15, atol=0)
 
 
 def test_source_f1_consistency_by_finite_differences():
     # f1 = c_e dE/dt + dP/dt - curl H with all pieces analytic; check the
     # time derivatives of exact(t) against central differences at every dof
-    sampled = ManufacturedCase(alpha=0.5).sample(GridSpec(5, 7))
+    case = ManufacturedCase(alpha=0.5)
+    sampled = case.sample(GridSpec(5, 7))
+    curl_h = sampled.span.pack(case.coefficients(GridSpec(5, 7))[3])
     t, eps = 0.53, 1e-6
-    f1, _, _ = sampled.sources(t)
+    f1, _, _ = sources_at(sampled.sources, t)
     (e_hi, p_hi, _), (e_lo, p_lo, _) = sampled.exact(t + eps), sampled.exact(t - eps)
-    expected = (1.0 / (2 * eps)) * (e_hi - e_lo + p_hi - p_lo) - math.exp(-t) * sampled.curl_h
+    expected = (1.0 / (2 * eps)) * (e_hi - e_lo + p_hi - p_lo) - math.exp(-t) * curl_h
     np.testing.assert_allclose(f1, expected, rtol=0, atol=1e-8)
 
 
@@ -153,7 +180,7 @@ def test_error_norm_homogeneity():
     sampled = ManufacturedCase(alpha=0.5).sample(GridSpec(8, 8))
     state = sampled.initial_state(SchemeConfig(theta=0.5, tau=0.1, n_steps=1))
     rng = np.random.default_rng(4)
-    delta = rng.standard_normal(2 * 8 * 8)
+    delta = rng.standard_normal(state.e.size)
     from dataclasses import replace
 
     e1 = error_norms(replace(state, e=state.e + delta), sampled)[0]

@@ -25,6 +25,7 @@ from colecole.stepper import (
     Quadrature,
     SchemeConfig,
     SolverError,
+    Sources,
     Spectrum,
     elimination_coefficients,
     frac_deriv_current,
@@ -53,8 +54,8 @@ from oracles import (
     diagonal_cg,
     edge_field,
     fmap,
-    in_modes,
-    no_forcing,
+    full_span,
+    in_coefficients,
     norm_e,
     observed_step,
     operator_diagonal,
@@ -108,8 +109,8 @@ def test_material_and_config_validation():
 
 
 def random_modes(grid, rng):
-    """Coefficients of a random tangential-zero edge field, in the layout of a
-    run that keeps the identity span."""
+    """The (2, nx, ny) coefficients of a random tangential-zero edge field,
+    raveled: a vector of the layout that keeps component 0 whole."""
     e = VecField(rng.standard_normal((grid.nx, grid.ny + 1)),
                  rng.standard_normal((grid.nx + 1, grid.ny))).enforce_pec()
     return CurlCurlBasis(grid).forward(e.ex, e.ey).reshape(-1)
@@ -117,7 +118,7 @@ def random_modes(grid, rng):
 
 def test_init_state():
     state = zero_state()
-    assert state.n == 0 and state.sources is None
+    assert state.n == 0 and state.sources.f1 == state.sources.f2 == state.sources.f3 == ()
     # no sources and no curl-free part in E^0: k = 0, the 16 tangential coefficients
     assert state.e.shape == state.p.shape == (16,) and state.h.shape == (4, 4)
     assert state.span.k == 0 and state.span.basis.shape == (0, 16)
@@ -127,11 +128,17 @@ def test_init_state():
     assert not np.any(state.history.rows) and not np.any(state.history.s)
     assert len(state.history.poles) == len(state.history.weights) == 0
     assert split_rows(state.history)[0].shape == (0, 16) and state.history.folded == 0
-    # a forced run keeps its sources and the identity span: the (2, 4, 4) coefficients raveled
-    forced = zero_state(sources=no_forcing)
-    assert forced.sources is no_forcing and forced.e.shape == forced.p.shape == (32,)
-    assert forced.span.k == 16 and forced.span.basis is None
-    assert forced.history.rows.shape == (4, 32)
+    # a forced run keeps the span of its four edge profiles' component 0 (E^0 = 0),
+    # and its sources with those profiles packed into that layout
+    sources = in_coefficients(poly_sources(GridSpec(4, 4)), GridSpec(4, 4))
+    forced = zero_state(sources=sources)
+    assert forced.span.k == 4 and forced.e.shape == forced.p.shape == (4 + 16,)
+    assert forced.history.rows.shape == (4, 20) and forced.sources.f2 is sources.f2
+    for (factor, packed), (given, profile) in zip(
+        forced.sources.f1 + forced.sources.f3, sources.f1 + sources.f3
+    ):
+        assert factor is given and packed.shape == (20,)
+        np.testing.assert_allclose(forced.span.unpack(packed), profile, rtol=0, atol=1e-15)
     # kernel covers the whole run and starts at the generating sequence
     assert len(state.kernel) == state.config.n_steps
     assert state.kernel[0] == sftr_weights(0.5, 0.5, 0)[0]
@@ -219,7 +226,7 @@ def test_one_history_sum_per_step(quadrature, monkeypatch):
         # the recorded s^n = ||D^alpha P||^2 equals the full quadrature at P^n,
         # its norm taken on the dofs
         _, history_part = observed_step(state)
-        d = edge_field(caputo_after(state, history_part), grid)
+        d = edge_field(state.span.unpack(caputo_after(state, history_part)), grid)
         assert state.history.s[state.n] == pytest.approx(norm_e(d, grid) ** 2, rel=1e-13)
     assert calls == [0, 1, 2, 3, 4]
 
@@ -267,7 +274,8 @@ def test_straight_run_fills_one_buffer(quadrature):
     # steps 1..54 read an unfolded history: step 54 sums before it folds
     assert exact == window + 1
     assert 0.0 < worst <= 1e-12
-    assert history.rows.shape == (len(history.poles) + window, 2 * 8 * 8)
+    assert final.span.k == 3
+    assert history.rows.shape == (len(history.poles) + window, 3 + 8 * 8)
     assert history.s.shape == (n_steps + 1,)
     last = split_rows(history)[1][n_steps - 1 - history.folded]
     assert np.array_equal(last, final.p.reshape(-1))
@@ -279,7 +287,7 @@ def test_a_run_folds_only_past_its_window(quadrature, monkeypatch):
     # stored): a 53-step run never fits a tail, and a 54-step run folds once,
     # on its last step, after that step's sum.  Every step of both sums its
     # history exactly, bit for bit
-    grid, dofs = GridSpec(8, 8), 2 * 8 * 8
+    grid, dofs = GridSpec(8, 8), 3 + 8 * 8  # k = 3
     case = ManufacturedCase(alpha=0.7).sample(grid)
     window = stepper.HISTORY_EXACT + 2 * stepper.HISTORY_FOLD + 1
     assert window == 53
@@ -329,10 +337,10 @@ def test_theta_below_half_alpha_runs_long(alpha, theta, folds):
     assert (len(history.poles) > 0) == folds
     if folds:
         assert exact == window + 1 and 0.0 < worst <= 1e-12
-        assert history.rows.shape == (len(history.poles) + window, 2 * 8 * 8)
+        assert history.rows.shape == (len(history.poles) + window, 3 + 8 * 8)
     else:
         assert exact == n_steps and history.folded == 0
-        assert history.rows.shape == (n_steps, 2 * 8 * 8)
+        assert history.rows.shape == (n_steps, 3 + 8 * 8)
 
 
 def test_step_zero_state_stays_zero():
@@ -356,8 +364,8 @@ DENSE_CASES = {
 )
 def test_step_matches_dense_solve(quadrature, case):
     # consecutive steps on a 2x2 grid against the raw coupled system on the
-    # dofs: a run without sources, which keeps one curl-free coordinate, and
-    # the same data forced, on the identity span
+    # dofs: a run without sources and the same data forced.  Component 0 has
+    # one mode on 2x2, so both keep one coordinate of it
     material, theta, tau, n_steps = DENSE_CASES[case]
     grid = GridSpec(2, 2)
     rng = np.random.default_rng(42)
@@ -365,9 +373,9 @@ def test_step_matches_dense_solve(quadrature, case):
     e0 = VecField(rng.standard_normal((2, 3)), rng.standard_normal((3, 2))).enforce_pec()
     h0 = rng.standard_normal((2, 2))
     forcing = poly_sources(grid)
-    for on_dofs, sources, k in ((None, None, 1), (forcing, in_modes(forcing, grid), 4)):
+    for on_dofs, sources in ((None, None), (forcing, in_coefficients(forcing, grid))):
         state = init_state(grid, material, config, e0, h0, sources)
-        assert state.span.k == k
+        assert state.span.k == 1
         for _ in range(n_steps):
             e_ref, h_ref, p_ref = dense_step_solution(state, on_dofs)
             e, p, h = step(state).fields()
@@ -387,14 +395,14 @@ def test_scheme_residual_zero_dynamics():
 
 def test_scheme_residual_below_solver_tolerance():
     # a run without sources from the decay data (one curl-free coordinate)
-    # and the manufactured case's forced run (the identity span)
+    # and the manufactured case's forced run (at most three)
     grid = GridSpec(12, 12)
     case = ManufacturedCase(alpha=0.5).sample(grid)
     config = SchemeConfig(theta=0.5, tau=0.05, n_steps=4)
     decay = init_state(grid, case.material, config, *decay_initial_data(grid))
     forced = case.initial_state(config)
     for state, on_dofs in ((decay, None), (forced, closed_form_sources(0.5, grid))):
-        assert state.span.k == (1 if on_dofs is None else 144)
+        assert state.span.k <= (1 if on_dofs is None else 3)
         _, a_coef = elimination_coefficients(
             state.material, config.theta, config.tau, state.kernel[0]
         )
@@ -657,11 +665,11 @@ def test_step_runs_without_transforms_or_stencils(monkeypatch):
     grid = GridSpec(8, 6, lx=1.3)
     e0 = edge_field(random_modes(grid, np.random.default_rng(3)), grid)
     config = SchemeConfig(theta=0.45, tau=0.05, n_steps=3, quadrature=Quadrature.FBDF2)
-    sources = in_modes(poly_sources(grid), grid)
-    forcing = {t: sources(t) for t in ((n - 0.45) * 0.05 for n in (1, 2, 3))}
+    sources = in_coefficients(poly_sources(grid), grid)
     state = init_state(
-        grid, MaterialParams(alpha=0.9), config, e0, np.zeros((grid.nx, grid.ny)), forcing.pop
+        grid, MaterialParams(alpha=0.9), config, e0, np.zeros((grid.nx, grid.ny)), sources
     )
+    assert state.span.k == 5
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a step called a transform or a stencil")
@@ -675,7 +683,7 @@ def test_step_runs_without_transforms_or_stencils(monkeypatch):
         monkeypatch.setattr(CurlCurlBasis, name, forbidden)
     monkeypatch.setattr(np, "unique", forbidden)
     state = run(state)
-    assert state.n == 3 and np.all(np.isfinite(state.e)) and np.any(state.e) and not forcing
+    assert state.n == 3 and np.all(np.isfinite(state.e)) and np.any(state.e)
 
 
 def test_memory_preflight_refuses_before_allocating(monkeypatch):
@@ -787,14 +795,14 @@ def test_memory_preflight_counts_the_window_of_an_alternating_kernel(monkeypatch
 
 def test_memory_preflight_counts_the_tail_alone(monkeypatch):
     # a folding run holds its window and at most TAIL_MAX_POLES tail rows; a
-    # fold's temporary is one row, within the 16 coefficient arrays.  The
+    # fold's temporary is one row, within the 10 coefficient arrays.  The
     # estimate that also counted a fold's temporary of M rows refused this
     # run in memory halfway between the two estimates
     grid, dofs = GridSpec(8, 8), 2 * 8 * 8
     config = SchemeConfig(theta=0.5, tau=0.001, n_steps=1000)
     poles = TAIL_MAX_POLES
     fit = 3 * (TAIL_FIT_ROWS + poles) * (poles + 1)
-    need = 8 * ((53 + poles + 16) * dofs + fit + 25 * (config.n_steps + 1)) + 2**18
+    need = 8 * ((53 + poles + 10) * dofs + fit + 25 * (config.n_steps + 1)) + 2**18
     zero = zero_edges(grid), np.zeros((grid.nx, grid.ny))
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: need - 1)
     with pytest.raises(MemoryError, match="physical memory"):
@@ -808,7 +816,7 @@ def test_memory_preflight_counts_the_tail_alone(monkeypatch):
     pytest.param(64, 400, Quadrature.SFTR, False, id="64-400-Quadrature.SFTR"),  # folds
     pytest.param(256, 20, Quadrature.SFTR, False, id="256-20-Quadrature.SFTR"),
     pytest.param(48, 40, Quadrature.FBDF2, False, id="48-40-Quadrature.FBDF2"),
-    # holds the case's profiles and a step's sources besides
+    # holds the case's profiles besides
     pytest.param(48, 40, Quadrature.FBDF2, True, id="48-40-Quadrature.FBDF2-forced"),
 ])
 def test_memory_preflight_covers_a_traced_run(monkeypatch, size, steps, quadrature, forced):
@@ -855,24 +863,27 @@ def test_fold_allocates_one_row():
     assert np.array_equal(split_rows(history)[1][: len(window)], window)
 
 
-@pytest.mark.parametrize("quadrature, sources", [
-    pytest.param(Quadrature.SFTR, no_forcing, id="Quadrature.SFTR"),
-    pytest.param(Quadrature.FBDF2, no_forcing, id="Quadrature.FBDF2"),
-    pytest.param(Quadrature.SFTR, None, id="Quadrature.SFTR-reduced"),
-    pytest.param(Quadrature.FBDF2, None, id="Quadrature.FBDF2-reduced"),
+@pytest.mark.parametrize("quadrature, forced", [
+    pytest.param(Quadrature.SFTR, True, id="Quadrature.SFTR"),
+    pytest.param(Quadrature.FBDF2, True, id="Quadrature.FBDF2"),
+    pytest.param(Quadrature.SFTR, False, id="Quadrature.SFTR-reduced"),
+    pytest.param(Quadrature.FBDF2, False, id="Quadrature.FBDF2-reduced"),
 ])
-def test_a_step_allocates_at_most_five_arrays(quadrature, sources):
+def test_a_step_allocates_at_most_five_arrays(quadrature, forced):
     # a step builds P^n, E^n and D^alpha P^n in place in its temporaries,
-    # drops its scratch for the solve and the rest before a fold: numpy's
-    # buffers traced over any step of a folding run peak at most five
-    # vectors of the run's layout above those live before it: 2 * 64 * 64
-    # values with the identity span (zero forcing, which allocates nothing),
-    # 1 + 64 * 64 in a run without sources
+    # adds its sources' terms there, and drops its scratch for the solve and
+    # the rest before a fold: numpy's buffers traced over any step of a
+    # folding run peak at most five vectors of the run's layout above those
+    # live before it: 3 + 64 * 64 values in the manufactured case's forced
+    # run, 1 + 64 * 64 in a run without sources
     grid = GridSpec(64, 64)
     config = SchemeConfig(theta=0.5, tau=0.002, n_steps=60, quadrature=quadrature)
-    state = init_state(grid, MaterialParams(), config, *decay_initial_data(grid), sources)
+    if forced:
+        state = ManufacturedCase(alpha=0.5).sample(grid).initial_state(config)
+    else:
+        state = init_state(grid, MaterialParams(), config, *decay_initial_data(grid))
     dofs = state.e.size
-    assert dofs == (1 + 64 * 64 if sources is None else 2 * 64 * 64)
+    assert dofs == (3 if forced else 1) + 64 * 64
     peaks = []
     while state.n < config.n_steps:
         tracemalloc.start()
@@ -887,25 +898,23 @@ def test_a_step_allocates_at_most_five_arrays(quadrature, sources):
 
 
 def test_set_up_peaks_no_higher_than_a_step():
-    # init_state groups the E-solve's eigenvalues from one (nx, ny) array,
-    # before it allocates the history: numpy's buffers traced over a 256^2 x
-    # 20 decay run peak no higher in set-up than in the highest step.  Twice:
-    # with the identity span (zero forcing), the dof-space initial data held
-    # through init_state, and without sources, built as run_decay_experiment
-    # builds it, the initial data passed straight in
+    # set-up groups the E-solve's eigenvalues from one (nx, ny) array, before
+    # it allocates the history: numpy's buffers traced over a 256^2 x 20 run
+    # peak no higher in set-up than in the highest step.  Twice: the
+    # manufactured case's forced run (k = 3), the case sampled before, and a
+    # run without sources, built as run_decay_experiment builds it, the
+    # initial data passed straight in
     grid = GridSpec(256, 256)
     config = SchemeConfig(theta=0.5, tau=0.01, n_steps=20)
+    case = ManufacturedCase(alpha=0.5).sample(grid)
     for reduced in (False, True):
         tracemalloc.start()
         try:
-            if not reduced:
-                data = decay_initial_data(grid)
-                tracemalloc.reset_peak()
-                state = init_state(grid, MaterialParams(), config, *data, no_forcing)
-                del data
-            else:
-                tracemalloc.reset_peak()
+            tracemalloc.reset_peak()
+            if reduced:
                 state = init_state(grid, MaterialParams(), config, *decay_initial_data(grid))
+            else:
+                state = case.initial_state(config)
             set_up = tracemalloc.get_traced_memory()[1]
             peaks = []
             while state.n < config.n_steps:
@@ -914,7 +923,7 @@ def test_set_up_peaks_no_higher_than_a_step():
                 peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert state.span.k == (1 if reduced else 256 * 256)
+        assert state.span.k == (1 if reduced else 3)
         assert set_up <= max(peaks), (reduced, set_up / 2**20, max(peaks) / 2**20)
 
 
@@ -968,6 +977,35 @@ def test_tail_is_read_from_exponent_b_plus_3(alpha, theta, n_steps):
     run(state)
     assert state.history.folded > 0
     assert min(exponents) == stepper.HISTORY_FOLD + 3
+
+
+# SFTR (0.5, 1/2), (0.9, 0.2), whose n0 is 40, and (0.1, 0.05); FBDF2 (0.5, 0.45)
+TAIL_CASES = [(0.5, 0.5, Quadrature.SFTR), (0.9, 0.2, Quadrature.SFTR),
+              (0.1, 0.05, Quadrature.SFTR), (0.5, 0.45, Quadrature.FBDF2)]
+
+
+@pytest.mark.parametrize("alpha, theta, quadrature", TAIL_CASES)
+def test_a_folding_run_ends_where_its_exact_history_does(monkeypatch, alpha, theta, quadrature):
+    # the tail's error end to end: a 2000-step decay run on 8x8 that folds
+    # its history, against the same run with every lag exact (HISTORY_EXACT
+    # patched to N, so the window holds every row and never folds).  Over
+    # the four cases the final E and P differ by at most 1.9e-13 of the
+    # larger field, H by 5.7e-16, and the energies by 2.4e-15 of the
+    # largest; each bound is ten times that
+    grid, n_steps = GridSpec(8, 8), 2000
+    fold, trace, _ = energy.run_decay_experiment(alpha, theta, grid, 0.01, n_steps, quadrature)
+    monkeypatch.setattr(stepper, "HISTORY_EXACT", n_steps)
+    exact, exact_trace, _ = energy.run_decay_experiment(
+        alpha, theta, grid, 0.01, n_steps, quadrature
+    )
+    assert fold.history.folded > 0 and len(exact.history.rows) == n_steps
+
+    def gap(a, b):
+        return np.abs(a - b).max() / max(np.abs(a).max(), np.abs(b).max())
+
+    assert gap(fold.e, exact.e) <= 2e-12 and gap(fold.p, exact.p) <= 2e-12
+    assert gap(fold.h, exact.h) <= 6e-15
+    assert gap(np.asarray(trace["energy"]), np.asarray(exact_trace["energy"])) <= 2.5e-14
 
 
 def test_history_bytes_do_not_grow_with_the_run():
@@ -1044,17 +1082,20 @@ SOLVE_CASES = pytest.mark.parametrize(
 
 
 def solve_case(monkeypatch, grid, quadrature, tau):
-    """The state of a 3-step FBDF2/SFTR run and the solves of its first two steps."""
+    """The state of a forced 3-step FBDF2/SFTR run that keeps component 0
+    whole (k = nx ny), and the solves of its first two steps."""
     config = SchemeConfig(theta=0.45, tau=tau, n_steps=3, quadrature=quadrature)
     zero = zero_edges(grid), np.zeros((grid.nx, grid.ny))
-    sources = in_modes(poly_sources(grid), grid)
+    sources = in_coefficients(poly_sources(grid), grid)
+    full_span(monkeypatch, grid)
     state = init_state(grid, MaterialParams(alpha=0.9), config, *zero, sources)
     return state, recorded_solves(monkeypatch, state, 2)
 
 
 @SOLVE_CASES
 def test_spectrum_groups_the_eigenvalues_exactly(monkeypatch, grid, quadrature, tau, min_iterations):
-    # a forced run (the identity span) and a decay run (k = 1) of one operator
+    # a forced run that keeps component 0 whole and a decay run (k = 1) of one
+    # operator
     state, calls = solve_case(monkeypatch, grid, quadrature, tau)
     decay = init_state(grid, state.material, state.config, *decay_initial_data(grid))
     assert (state.span.k, decay.span.k) == (grid.nx * grid.ny, 1)
@@ -1164,29 +1205,35 @@ def test_determinism_bitwise():
 
 
 def test_step_linear_in_sources():
+    # the three runs keep different spans (k = 4, 4 and 8), so their fields
+    # are compared on the dofs
     grid = GridSpec(8, 8)
     xe, ye = grid.ex_coords()
     xn, yn = grid.ey_coords()
     xc, yc = grid.h_coords()
+    ex0, ey0 = np.zeros_like(xe), np.zeros_like(xn)
     s1 = poly_sources(grid)
-
-    def s2(t):
-        return (
-            VecField(np.cos(t) * ye, 0.2 * xn * t),
-            np.sin(t) * xc * yc,
-            VecField(0.5 * t * t * ye * (1.0 - ye), xn * (1.0 - xn) * np.exp(-t)),
-        )
-
-    def s_sum(t):
-        return tuple(fmap(np.add, a, b) for a, b in zip(s1(t), s2(t)))
+    s2 = Sources(
+        f1=((math.cos, VecField(ye, ey0)), (lambda t: 0.2 * t, VecField(ex0, xn))),
+        f2=((math.sin, xc * yc),),
+        f3=(
+            (lambda t: 0.5 * t * t, VecField(ye * (1.0 - ye), ey0)),
+            (lambda t: math.exp(-t), VecField(ex0, xn * (1.0 - xn))),
+        ),
+    )
+    s_sum = Sources(s1.f1 + s2.f1, s1.f2 + s2.f2, s1.f3 + s2.f3)
 
     outs = []
     for src in (s1, s2, s_sum):
-        state = zero_state(grid=grid, theta=0.4, tau=0.1, n_steps=6, sources=in_modes(src, grid))
-        outs.append(run(state))
-    np.testing.assert_allclose(outs[0].e + outs[1].e, outs[2].e, atol=1e-9)
-    np.testing.assert_allclose(outs[0].h + outs[1].h, outs[2].h, atol=1e-9)
-    np.testing.assert_allclose(outs[0].p + outs[1].p, outs[2].p, atol=1e-9)
+        state = zero_state(
+            grid=grid, theta=0.4, tau=0.1, n_steps=6, sources=in_coefficients(src, grid)
+        )
+        outs.append(run(state).fields())
+    assert state.span.k == 8
+    for a, b, both in zip(*outs):
+        if isinstance(a, VecField):
+            a, b, both = (np.concatenate((f.ex.ravel(), f.ey.ravel())) for f in (a, b, both))
+        np.testing.assert_allclose(a + b, both, atol=1e-9)
 
 
 def test_step_beyond_configured_run_fails():
@@ -1214,17 +1261,19 @@ REDUCED_CASES = {"decay": (decay_initial_data, 1), "mode-3-5": (curl_free_mode, 
 
 @pytest.mark.parametrize("case", REDUCED_CASES)
 @pytest.mark.parametrize("quadrature", [Quadrature.SFTR, Quadrature.FBDF2])
-def test_a_reduced_run_matches_the_identity_span(quadrature, case):
+def test_a_reduced_run_matches_the_identity_span(monkeypatch, quadrature, case):
     # a run without sources keeps component 0 as k coordinates in the span
-    # of E^0's (k = 1, or 0 with no curl-free part), and steps as a run
-    # given zero forcing, which keeps the whole component: E, P and H on the
-    # dofs and the energy of every step agree to 1e-13 relative, past
-    # several folds.  The decay case is run_decay_experiment's own run
+    # of E^0's (k = 1, or 0 with no curl-free part), and steps as the run
+    # that keeps the whole component, in the span of the identity: E, P and
+    # H on the dofs and the energy of every step agree to 1e-13 relative,
+    # past several folds.  The decay case is run_decay_experiment's own run
     grid, n_steps = GridSpec(24, 16), 120
     material = MaterialParams(alpha=0.7)
     config = SchemeConfig(theta=0.4, tau=0.01, n_steps=n_steps, quadrature=quadrature)
     make, k = REDUCED_CASES[case]
-    full = init_state(grid, material, config, *make(grid), no_forcing)
+    with monkeypatch.context() as patch:
+        full_span(patch, grid)
+        full = init_state(grid, material, config, *make(grid))
     assert full.span.k == 24 * 16
     energies = [energy.discrete_energy(full)]
     while full.n < n_steps:
@@ -1251,7 +1300,7 @@ def test_a_reduced_run_matches_the_identity_span(quadrature, case):
 
 def test_curl_free_span_is_a_unit_vector_and_packs_back():
     # the span of one (nx, ny) array: the array over its norm, k = 1, or
-    # k = 0 for the zero array; identity span, k = nx ny, for a forced run
+    # k = 0 for the zero array
     grid = GridSpec(12, 8)
     rng = np.random.default_rng(3)
     c1, c2 = (random_modes(grid, rng).reshape(2, 12, 8) for _ in range(2))
@@ -1269,8 +1318,9 @@ def test_curl_free_span_is_a_unit_vector_and_packs_back():
         k = layout.k
         assert x.shape == (k + 96,) and np.array_equal(x[k:], coef[1].reshape(-1))
         np.testing.assert_allclose(layout.unpack(x), coef, rtol=0, atol=1e-14)
-    identity = Span((12, 8))
-    assert identity.k == 96 and np.shares_memory(identity.pack(coef), coef)
+    # the span of every (nx, ny) array: the layout is the coefficients raveled
+    identity = Span((12, 8), np.eye(96))
+    assert identity.k == 96 and np.array_equal(identity.pack(coef), coef.reshape(-1))
     assert np.array_equal(identity.unpack(identity.pack(coef)), coef)
     # a run of E^0 without sources keeps its component 0 as one coordinate
     e0 = edge_field(np.stack((a, c2[1])), grid)
@@ -1301,6 +1351,28 @@ def test_a_step_that_raised_leaves_a_state_that_refuses_to_step(monkeypatch):
         step(state)
     assert state.n == n and state.history.folded == folded + stepper.HISTORY_FOLD
 
+def test_curl_free_span_of_several_arrays():
+    # Gram-Schmidt twice: arrays not in the span of those before them give
+    # orthonormal rows, and the layout holds each array exactly.  An array
+    # already in the span adds no row, even where the span fills the space
+    # its entries can take, so that the residual is round-off of one row:
+    # on a 2x2 grid component 0 has the one mode (1, 1)
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, 12, 8))
+    span = curl_free_span(a, np.zeros((12, 8)), b)
+    assert span.k == 2
+    np.testing.assert_allclose(np.einsum("ij,kj->ik", span.basis, span.basis), np.eye(2),
+                               rtol=0, atol=1e-15)
+    for lead in (a, b, a - 3 * b):
+        coef = np.stack((lead, b))
+        np.testing.assert_allclose(span.unpack(span.pack(coef)), coef, rtol=0, atol=1e-14)
+    for x, y in rng.standard_normal((200, 2)):
+        lone = np.zeros((2, 2, 2))
+        lone[:, 1, 1] = x, y
+        one = curl_free_span(*lone)
+        assert one.k == 1 and abs(one.basis[0, 3]) == pytest.approx(1.0, rel=1e-15)
+
+
 @pytest.mark.parametrize("scale", [1e-165, 1e160])
 def test_curl_free_span_keeps_component_0_at_any_scale(scale):
     # squared, component 0 of E^0 underflows to 0 at 1e-165 (which gave k = 0)
@@ -1325,18 +1397,21 @@ def test_curl_free_span_keeps_component_0_at_any_scale(scale):
 
 @pytest.mark.parametrize("quadrature", [Quadrature.SFTR, Quadrature.FBDF2])
 def test_a_run_calls_its_sources_once_per_step(quadrature):
-    # the sources given to init_state are called once per step, at
-    # (n - theta) tau, and a copy of the state shares them
+    # each time factor of a run's sources is called once per step, at
+    # (n - theta) tau, and a copy of the state shares the sources
     calls = []
     case = ManufacturedCase(alpha=0.6).sample(GridSpec(6, 6))
 
-    def counting(t):
-        calls.append(t)
-        return case.sources(t)
+    def counting(factor):
+        return lambda t: calls.append((factor, t)) or factor(t)
 
+    sides = (case.sources.f1, case.sources.f2, case.sources.f3)
+    sources = Sources(*(tuple((counting(f), profile) for f, profile in terms) for terms in sides))
     config = SchemeConfig(theta=0.3, tau=0.1, n_steps=5, quadrature=quadrature)
-    grid = case.grid
-    state = init_state(grid, case.material, config, *decay_initial_data(grid), counting)
-    assert state.sources is counting and copy.copy(state).sources is counting and calls == []
+    state = replace(case, sources=sources).initial_state(config)
+    assert state.sources is sources and copy.copy(state).sources is sources and calls == []
     run(state)
-    assert calls == [(n - 0.3) * 0.1 for n in range(1, 6)]
+    factors = [factor for terms in sides for factor, _ in terms]
+    assert len(calls) == 5 * len(factors) == 25
+    for factor in factors:
+        assert [t for f, t in calls if f is factor] == [(n - 0.3) * 0.1 for n in range(1, 6)]
