@@ -121,7 +121,7 @@ class ManufacturedCase:
 
     def sample(self, grid: GridSpec) -> SampledCase:
         """The case on grid: :meth:`coefficients` and the sources, their edge
-        profiles in the layout of the span of component 0 of E, P and f1."""
+        profiles in the layout of the span of phi_E, phi_P and phi_E + phi_cH."""
         material = MaterialParams(alpha=self.alpha)
         e, p, h, curl_h, curl_e = self.coefficients(grid)
         e_curl_h = np.add(e, curl_h, out=curl_h)

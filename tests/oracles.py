@@ -27,10 +27,10 @@ profiles are on the dofs (edge pairs for f1 and f3, cell arrays for f2):
 transforms each profile once into the sources that
 ``colecole.stepper.init_state`` gives a run.  :func:`full_span` makes
 ``init_state`` keep component 0 whole, for tests that compare a run with
-the reduced one or need every coordinate.  ``step`` advances a run's one state in place; :func:`observed_step`
-keeps a copy of the state from before it and the history part of the step's
-fractional derivative, which :func:`caputo_after` and :func:`scheme_residual`
-read.
+the reduced one or need every coordinate.  ``step`` advances a run's one
+state in place; :func:`observed_step` keeps a copy of the state from before
+it and the history part of the step's fractional derivative, which
+:func:`caputo_after` and :func:`scheme_residual` read.
 
 Three checks of the library's weights and helpers live here because only
 the tests call them: :func:`symbol_residual` (with :class:`SymbolKind`), the
