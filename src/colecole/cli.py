@@ -10,9 +10,14 @@ theta-scan  positivity scan of the companion-sign gap function
 
 Every run is deterministic: identical flags produce byte-identical CSVs
 (fixed summation order; one formatter, :func:`_write_csv`, writes every cell
-to 17 significant digits; a blank cell is an undefined rate).  Each entry of a
-sweep is written and its state released before the next entry starts, so a
-failure in entry k leaves the complete CSVs of entries 1..k-1.  Each
+to 17 significant digits; a blank cell is an undefined rate).  The
+independent entries of a sweep run side by side in up to W processes
+(:func:`_in_order`): W is the smallest of the number of entries, the CPUs this
+process may use and how many of the sweep's largest run physical memory holds
+together, by :func:`colecole.stepper.memory_estimate` (:func:`_workers`), so
+``taskset -c 0`` runs one entry at a time and a single run never forks.  This
+process writes every CSV and prints every line, in entry order, and a failure
+in entry k leaves the complete CSVs of entries 1..k-1 and none after.  Each
 subcommand returns its failed checks, an empty list when all held.  Exit codes:
 
 0  every hard assertion of the subcommand held
@@ -22,8 +27,9 @@ subcommand returns its failed checks, an empty list when all held.  Exit codes:
    (JSON error on stderr)
 3  the conjugate-gradient E-solve did not converge, or its right-hand side
    or residual was not finite (JSON error on stderr)
-4  out of memory, or a run that would not fit in physical memory, refused
-   before it allocates (JSON error on stderr)
+4  out of memory, a run that would not fit in physical memory, refused
+   before it allocates, or a sweep worker that ended without its entry's
+   result, named with its wait status (JSON error on stderr)
 """
 
 from __future__ import annotations
@@ -33,17 +39,20 @@ import errno
 import json
 import math
 import os
+import pickle
 import sys
+from contextlib import closing
 from dataclasses import astuple
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
+from . import stepper
 from .energy import TRACE, run_decay_experiment
-from .manufactured import ManufacturedCase, convergence_table
+from .manufactured import CASE_SPAN_ROWS, ManufacturedCase, convergence_table
 from .mesh import GridSpec
-from .stepper import Quadrature, SolverError
+from .stepper import MaterialParams, Quadrature, SchemeConfig, SolverError, memory_estimate
 from .weights import (
     cumulative_weights,
     decay_guaranteed,
@@ -80,12 +89,18 @@ def _fmt(v: float | None) -> str:
 
 
 def _write_csv(path: Path, header: str, rows: Iterable[Iterable[float | None]]) -> None:
-    """Write the header, then each row of numbers, one cell per :func:`_fmt` call."""
+    """Write the header, then each row of numbers, every cell as :func:`_fmt`
+    writes it: one %-operation per row of the header's width, one
+    :func:`_fmt` call per cell in a row with a blank cell."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+            try:
+                fh.write(line % tuple(row))
+            except TypeError:  # None, or a row not of the header's width
+                fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _check_outputs(paths: Iterable[Path]) -> None:
@@ -111,6 +126,101 @@ def _check_outputs(paths: Iterable[Path]) -> None:
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(parent))
         if not os.access(parent, os.W_OK | os.X_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(parent))
+
+
+Entry = TypeVar("Entry")
+Result = TypeVar("Result")
+
+
+def _workers(entries: int, largest_run: Callable[[], int]) -> int:
+    """How many processes compute a sweep of ``entries`` independent entries:
+    at most one per entry and per CPU this process may use, and at most as
+    many as physical memory holds of the sweep's largest run, whose bytes
+    ``largest_run`` gives by the preflight's estimate.  One without
+    ``os.fork`` or ``os.sched_getaffinity``."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    workers = min(entries, len(os.sched_getaffinity(0)))
+    if workers > 1:
+        workers = min(workers, stepper.physical_memory_bytes() // largest_run())
+    return max(workers, 1)
+
+
+def _in_order(compute: Callable[[Entry], Result], entries: Sequence[Entry],
+              workers: int) -> Iterator[Result]:
+    """Yield ``compute(entry)`` for each of ``entries``, in their order,
+    computed in ``workers`` processes.  W - 1 workers are forked first;
+    worker w computes entries w, w + W, ... and writes each result, or the
+    exception that ended it, to its own pipe as soon as it is done, as a
+    length-prefixed pickle.  This process computes entries 0, W, 2W, ...,
+    and those of a worker that could not be forked.  An exception is raised
+    when its entry's turn comes, from either process; a worker that ends
+    without its result raises :class:`MemoryError` naming the entry and the
+    worker's wait status.  The workers are killed and reaped on every exit."""
+    forked: dict[int, tuple[int, BinaryIO]] = {}  # w -> (pid, reader of its pipe)
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()  # one thread: the package loads numpy with one BLAS thread
+            except OSError:
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:  # the worker: it never returns to the frames it was forked from
+                try:
+                    os.close(read)
+                    for _, reader in forked.values():
+                        reader.close()
+                    _serve(compute, entries[w::workers], write)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            forked[w] = pid, open(read, "rb")
+        for i, entry in enumerate(entries):
+            if i % workers not in forked:
+                yield compute(entry)
+                continue
+            pid, reader = forked[i % workers]
+            size = int.from_bytes(reader.read(8), "little")
+            data = reader.read(size)
+            if size == 0 or len(data) < size:
+                del forked[i % workers]
+                reader.close()
+                status = os.waitpid(pid, 0)[1]
+                raise MemoryError(
+                    f"sweep entry {i + 1} {entry} has no result: its worker process "
+                    f"ended with wait status {status}"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        if forked:
+            import signal  # loaded only where a sweep has forked
+
+            for pid, reader in forked.values():
+                reader.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _serve(compute: Callable[[Entry], Result], entries: Sequence[Entry], fd: int) -> None:
+    """The loop of a forked worker of :func:`_in_order`: write
+    ``compute(entry)`` of each of ``entries``, or the exception that ends
+    them, to ``fd`` as a length-prefixed pickle."""
+    with open(fd, "wb") as out:
+        for entry in entries:
+            try:
+                payload = True, compute(entry)
+            except Exception as exc:
+                payload = False, exc
+            data = pickle.dumps(payload)
+            out.write(len(data).to_bytes(8, "little") + data)
+            out.flush()
+            if not payload[0]:
+                break
 
 
 def _sweep_path(base: Path, alpha: float, theta: float, scheme: str) -> Path:
@@ -185,13 +295,27 @@ def cmd_converge(args: argparse.Namespace) -> list[dict]:
     base = Path(args.out)
     paths = [base] if len(combos) == 1 else [_sweep_path(base, *pair, args.scheme) for pair in combos]
     _check_outputs(paths)
-    for (alpha, theta), path in zip(combos, paths):
-        rows = convergence_table(ManufacturedCase(alpha), theta, taus, grid, quadrature)
-        _write_csv(path, "tau,errE,rateE,errH,rateH,errP,rateP", map(astuple, rows))
-        last = rows[-1]
-        rate_txt = "n/a" if last.rate_e is None else f"{last.rate_e:.3f}"
-        print(f"converge {args.scheme} alpha={alpha:g} theta={theta:g} "
-              f"grid={args.nx}x{args.ny}: finest E-rate {rate_txt} -> {path}")
+
+    def table(pair: tuple[float, float]) -> list:
+        return convergence_table(ManufacturedCase(pair[0]), pair[1], taus, grid, quadrature)
+
+    def largest_run() -> int:
+        # a table's runs come one after another, the finest step's the largest
+        # (a step that does not divide 1 is refused by the table)
+        tau = min(taus)
+        n_steps = max(1, round(1.0 / tau))
+        return max(memory_estimate(grid, MaterialParams(alpha=alpha),
+                                   SchemeConfig(theta, tau, n_steps, quadrature), CASE_SPAN_ROWS)
+                   for alpha, theta in combos)
+
+    workers = _workers(len(combos), largest_run)
+    with closing(_in_order(table, combos, workers)) as tables:
+        for (alpha, theta), path, rows in zip(combos, paths, tables):
+            _write_csv(path, "tau,errE,rateE,errH,rateH,errP,rateP", map(astuple, rows))
+            last = rows[-1]
+            rate_txt = "n/a" if last.rate_e is None else f"{last.rate_e:.3f}"
+            print(f"converge {args.scheme} alpha={alpha:g} theta={theta:g} "
+                  f"grid={args.nx}x{args.ny}: finest E-rate {rate_txt} -> {path}")
     return []
 
 
@@ -223,34 +347,46 @@ def cmd_energy(args: argparse.Namespace) -> list[dict]:
     paths = [base] if len(runs) == 1 else [_sweep_path(base, *entry) for entry in runs]
     snapshots = [] if args.dump_fields is None else _field_paths(Path(args.dump_fields))
     _check_outputs(paths + snapshots)
-    failures = []
-    for (alpha, theta, scheme), path in zip(runs, paths):
+
+    def decay(entry: tuple[float, float, str]) -> tuple:
+        # the run's state and P history are released when it returns
+        alpha, theta, scheme = entry
         state, trace, report = run_decay_experiment(
             alpha, theta, grid, args.tau, args.steps, Quadrature(scheme)
         )
         if args.dump_fields is not None:
             _dump_fields(state, Path(args.dump_fields))
-        del state  # release the run's P history before the next run starts
-        _write_csv(path, ",".join(TRACE.names), (row.item() for row in trace))
-        first = "-" if report.first_violation_step is None else str(report.first_violation_step)
-        print(
-            f"energy {scheme} alpha={alpha:g} theta={theta:g} tau={args.tau:g} "
-            f"steps={args.steps}: violations={report.violation_count} "
-            f"max_violation={report.max_violation:.3e} first={first} -> {path}"
-        )
-        # Monotone decay is a hard contract for the shifted-trapezoidal scheme
-        # (theta >= alpha/2); the BDF-2 comparison is report-only.
-        if scheme == "sftr" and report.violation_count > 0 and decay_guaranteed(alpha, theta):
-            failures.append(
-                {
-                    "check": "energy_decay",
-                    "alpha": alpha,
-                    "theta": theta,
-                    "scheme": scheme,
-                    "violations": report.violation_count,
-                    "max_violation": report.max_violation,
-                }
+        return trace, report
+
+    def largest_run() -> int:
+        return max(memory_estimate(grid, MaterialParams(alpha=alpha),
+                                   SchemeConfig(theta, args.tau, args.steps, Quadrature(scheme)))
+                   for alpha, theta, scheme in runs)
+
+    failures = []
+    workers = _workers(len(runs), largest_run)
+    with closing(_in_order(decay, runs, workers)) as results:
+        for (alpha, theta, scheme), path, (trace, report) in zip(runs, paths, results):
+            _write_csv(path, ",".join(TRACE.names), (row.item() for row in trace))
+            first = "-" if report.first_violation_step is None else str(report.first_violation_step)
+            print(
+                f"energy {scheme} alpha={alpha:g} theta={theta:g} tau={args.tau:g} "
+                f"steps={args.steps}: violations={report.violation_count} "
+                f"max_violation={report.max_violation:.3e} first={first} -> {path}"
             )
+            # Monotone decay is a hard contract for the shifted-trapezoidal scheme
+            # (theta >= alpha/2); the BDF-2 comparison is report-only.
+            if scheme == "sftr" and report.violation_count > 0 and decay_guaranteed(alpha, theta):
+                failures.append(
+                    {
+                        "check": "energy_decay",
+                        "alpha": alpha,
+                        "theta": theta,
+                        "scheme": scheme,
+                        "violations": report.violation_count,
+                        "max_violation": report.max_violation,
+                    }
+                )
     return failures
 
 

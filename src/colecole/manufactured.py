@@ -69,6 +69,11 @@ PROFILES = {
 }
 
 
+# The most rows the span of a sampled case has: phi_E, phi_P and phi_E + phi_cH
+# (ManufacturedCase.sample).  Preflights count them before the case is sampled.
+CASE_SPAN_ROWS = 3
+
+
 @dataclass(frozen=True, eq=False)
 class SampledCase:
     """A manufactured case on one grid: the span of component 0 of its edge
@@ -90,7 +95,7 @@ class SampledCase:
 
     def initial_state(self, config: SchemeConfig) -> SimState:
         """The state at t = 0 of a run forced by ``sources``, in the layout of ``span``."""
-        history = preflight(self.grid, self.material, config)
+        history = preflight(self.grid, self.material, config, self.span.k)
         e0, h0 = self.exact(0.0)[::2]  # P^0 = 0 is not kept beside the history
         return _initial_state(
             self.grid, self.material, config, history, self.span, e0, h0, self.sources
@@ -205,7 +210,7 @@ def convergence_table(
             raise ValueError(f"tau={taus[k]:g} (entry {k + 1}) does not refine the step before it")
     material = MaterialParams(alpha=case.alpha)
     for tau, n_steps in zip(taus, counts):
-        preflight(grid, material, SchemeConfig(theta, tau, n_steps, quadrature))
+        preflight(grid, material, SchemeConfig(theta, tau, n_steps, quadrature), CASE_SPAN_ROWS)
     sampled = case.sample(grid)
     rows: list[ConvergenceRow] = []
     prev = None  # (tau, errors) of the previous run

@@ -299,32 +299,47 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def preflight(grid: GridSpec, material: MaterialParams, config: SchemeConfig) -> tuple[int, int]:
+def preflight(
+    grid: GridSpec, material: MaterialParams, config: SchemeConfig, k: int = 1
+) -> tuple[int, int]:
     """(n0, W) of a run's P history (see :class:`PHistory`): the lags it
     sums exactly and its window rows; the run folds if W < n_steps.  It
     allocates nothing grid-sized, so a run calls it before its initial data.
     :class:`ValueError` unless bounds of the E-solve's eigenvalues, from
     (c_e + a)/tau to that plus (1-theta)^2 tau max|v|^2/c_m, pass
     :func:`check_eigenvalues`, at 0 < a < c_p and |v|^2 < 4/dx^2 + 4/dy^2.
-    :class:`MemoryError` unless the run fits in physical memory, by an upper
-    bound (:func:`_require_memory`) that counts every row at 2 nx ny values
-    and the tail at TAIL_MAX_POLES rows."""
+    :class:`MemoryError` unless the run, whose span has at most ``k`` rows,
+    fits in physical memory by :func:`memory_estimate`."""
     mat, tau, one_m, sx, sy = material, config.tau, 1.0 - config.theta, 2 / grid.dx, 2 / grid.dy
     high = (mat.c_e + mat.c_p) / tau + one_m * one_m * tau * (sx * sx + sy * sy) / mat.c_m
     check_eigenvalues(mat.c_e / tau, high, f"tau={tau} puts")
+    need, have = memory_estimate(grid, material, config, k), physical_memory_bytes()
+    if need > have:
+        raise MemoryError(
+            f"a run of {config.n_steps} steps on {grid.nx}x{grid.ny} needs about "
+            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+    return _history_rows(material, config)
+
+
+def _history_rows(material: MaterialParams, config: SchemeConfig) -> tuple[int, int]:
+    """(n0, W) of :func:`preflight`."""
     sftr = config.quadrature is Quadrature.SFTR
     lags = alternating_lags(material.alpha, config.theta) if sftr else 0
     exact = min(config.n_steps, max(HISTORY_EXACT, lags))  # every lag if lags is math.inf
-    window = min(config.n_steps, exact + 2 * HISTORY_FOLD + 1)
-    _require_memory(grid, config, window, TAIL_MAX_POLES if window < config.n_steps else 0)
-    return exact, window
+    return exact, min(config.n_steps, exact + 2 * HISTORY_FOLD + 1)
 
 
-def _require_memory(grid: GridSpec, config: SchemeConfig, rows: int, poles: int) -> None:
-    """Raise :class:`MemoryError` unless a run whose P history holds ``rows``
-    window rows and a tail of ``poles`` rows fits in physical memory."""
-    steps, dofs = config.n_steps, 2 * grid.nx * grid.ny
-    # The history's rows and, for a run that folds, the fit's workspace (three
+def memory_estimate(
+    grid: GridSpec, material: MaterialParams, config: SchemeConfig, k: int = 1
+) -> int:
+    """An upper bound, in bytes, of what a run allocates whose span has at
+    most ``k`` rows: its W window rows and, if it folds, TAIL_MAX_POLES tail
+    rows, each of k + nx ny values, since it is taken before the fit."""
+    _, window = _history_rows(material, config)
+    poles = TAIL_MAX_POLES if window < config.n_steps else 0
+    steps, row, dofs = config.n_steps, k + grid.nx * grid.ny, 2 * grid.nx * grid.ny
+    # Besides the rows, for a run that folds, the fit's workspace (three
     # arrays of its row blocks).  Twenty-five values per step: s, the kernel,
     # the energy weights, the fit's lags and targets, the weights' FFT check
     # (three arrays of up to 4 (N+1)) and the five columns of the energy trace.
@@ -334,13 +349,7 @@ def _require_memory(grid: GridSpec, config: SchemeConfig, rows: int, poles: int)
     # run peaks at 9.7, traced at 256^2.  256 KiB for what a process allocates
     # once (numpy.fft's import takes about 120 KiB).
     fit = 3 * (TAIL_FIT_ROWS + poles) * (poles + 1) if poles else 0
-    need = 8 * (rows * dofs + poles * dofs + fit + 25 * (steps + 1) + 10 * dofs) + 2**18
-    have = physical_memory_bytes()
-    if need > have:
-        raise MemoryError(
-            f"a run of {steps} steps on {grid.nx}x{grid.ny} needs about "
-            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
-        )
+    return 8 * ((window + poles) * row + fit + 25 * (steps + 1) + 10 * dofs) + 2**18
 
 
 def init_state(
@@ -355,27 +364,31 @@ def init_state(
     of the whole run, and its ``sources`` (:class:`Sources`, None for none).
 
     e0 is the edge pair of E^0 and h0 the (nx, ny) cell array of H^0, taken
-    as floats.  Both must be finite, and e0 zero on the tangential boundary,
-    or :class:`ValueError` is raised, then what :func:`preflight` raises,
-    before anything is transformed; each is then transformed once, and E^0
-    and the f1 and f3 profiles are packed into the layout of the span of their
-    component 0 (:func:`~colecole.mesh.curl_free_span`, in that order).
+    as floats.  Both must be finite, as must every source profile, and e0
+    zero on the tangential boundary, or :class:`ValueError` is raised, then
+    what :func:`preflight` raises, before anything is transformed; each is
+    then transformed once, and E^0 and the f1 and f3 profiles are packed into
+    the layout of the span of their component 0
+    (:func:`~colecole.mesh.curl_free_span`, in that order).
     Allocates the M + W rows of (k + nx ny) * 8 bytes of :class:`PHistory`,
     M at most TAIL_MAX_POLES; a fold adds a temporary of one row.
     """
     nx, ny, h0 = grid.nx, grid.ny, np.asarray(h0, dtype=float)
     if (e0.ex.shape, e0.ey.shape, h0.shape) != ((nx, ny + 1), (nx + 1, ny), (nx, ny)):
         raise ValueError("initial data shapes do not match the grid")
-    for name, arrays in (("E0", (e0.ex, e0.ey)), ("H0", (h0,))):
+    f1, f2, f3 = (sources.f1, sources.f2, sources.f3) if sources else ((), (), ())
+    checked = {"initial data E0": (e0.ex, e0.ey), "initial data H0": (h0,)}
+    for tag, terms in (("f1", f1), ("f2", f2), ("f3", f3)):
+        checked[f"source {tag}"] = [profile for _, profile in terms]
+    for name, arrays in checked.items():
         if not all(np.isfinite(a).all() for a in arrays):
-            raise ValueError(f"initial data {name} has a NaN or infinite entry")
+            raise ValueError(f"{name} has a NaN or infinite entry")
     if not e0.is_pec_compliant():
         raise ValueError("initial electric field violates the tangential-zero boundary")
-    history = preflight(grid, material, config)
+    history = preflight(grid, material, config, 1 + len(f1) + len(f3))
     basis = CurlCurlBasis(grid)
     h = basis.forward_cell(h0)  # first: E^0's (2, nx, ny) coefficients are not live beside it
     e = basis.forward(e0.ex, e0.ey)
-    f1, f2, f3 = (sources.f1, sources.f2, sources.f3) if sources else ((), (), ())
     span = curl_free_span(e[0], *(profile[0] for _, profile in f1 + f3))
     f1, f3 = (tuple((f, span.pack(profile)) for f, profile in terms) for terms in (f1, f3))
     e = span.pack(e)  # the coefficients go before the history is allocated
@@ -506,6 +519,10 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+    def __reduce__(self):
+        # pickled with all three arguments, so that it crosses a process boundary
+        return type(self), (self.args[0], self.residual, self.iterations)
 
 
 def solve_spd(spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, int]:

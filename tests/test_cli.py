@@ -5,6 +5,9 @@ import dataclasses
 import gc
 import json
 import math
+import os
+import pickle
+import signal
 import weakref
 from pathlib import Path
 
@@ -23,6 +26,17 @@ from colecole.weights import (
     sftr_weights,
     varpi_weights,
 )
+
+
+def cpus(monkeypatch, count):
+    """Let the CLI see ``count`` usable CPUs, so that a sweep runs in up to
+    ``count`` processes whatever this host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def one_cpu(monkeypatch):
+    """Run every sweep in this process, one entry at a time."""
+    cpus(monkeypatch, 1)
 
 
 def read_csv(path):
@@ -49,6 +63,24 @@ def test_write_csv_formats_every_cell_kind(tmp_path):
     rates = [header.index(name) for name in ("rateE", "rateH", "rateP")]
     assert [first[i] for i in rates] == ["", "", ""]
     assert all(math.isfinite(float(second[i])) for i in rates)
+
+
+def test_write_csv_writes_each_cell_as_fmt_does(tmp_path):
+    # a row is formatted by one %-operation, a row with a blank cell one cell
+    # at a time: either way the text is _fmt's, bit for bit
+    cells = [None, 0, 7, -12, np.int64(2**40), 2**60, 0.1, 1 / 3, -2.0 / 3e-300, 1e22, -0.0,
+             math.nan, math.inf, -math.inf, 5e-324, np.float64(2.2250738585072014e-308)]
+    rows = [tuple(cells[i : i + 4]) for i in range(0, len(cells), 4)] + [tuple(cells[1:5])]
+    out = tmp_path / "t.csv"
+    _write_csv(out, "a,b,c,d", rows)
+    expected = "a,b,c,d\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+    assert out.read_text(encoding="utf-8") == expected
+    assert expected.splitlines()[1:4] == [
+        ",0,7,-12",
+        "1099511627776,1.152921504606847e+18,0.10000000000000001,0.33333333333333331",
+        "-6.6666666666666663e+299,1e+22,-0,nan",
+    ]
+    assert expected.splitlines()[4] == "inf,-inf,4.9406564584124654e-324,2.2250738585072014e-308"
 
 
 def test_weights_csv_content(tmp_path):
@@ -402,6 +434,7 @@ def test_energy_fbdf2_report_only(tmp_path):
 def test_energy_sweep_streams_each_run(tmp_path, monkeypatch, capsys):
     import colecole.cli
 
+    one_cpu(monkeypatch)  # the checks below run in this process
     base = tmp_path / "sweep.csv"
     names = ["sweep_a0.5_t0.3_sftr.csv", "sweep_a0.5_t0.4_sftr.csv", "sweep_a0.5_t0.5_sftr.csv"]
     histories = []
@@ -447,6 +480,7 @@ def test_converge_sweep_streams_each_table(tmp_path, monkeypatch, capsys):
 
     from colecole.cli import PAPER_CONVERGENCE_GRID, _sweep_path
 
+    one_cpu(monkeypatch)  # the checks below run in this process
     base = tmp_path / "conv.csv"
     paths = [_sweep_path(base, a, t, "sftr") for a, t in PAPER_CONVERGENCE_GRID]
     calls = []
@@ -478,6 +512,172 @@ def test_converge_sweep_streams_each_table(tmp_path, monkeypatch, capsys):
         header, rows = read_csv(p)
         assert header[0] == "tau" and len(rows) == 2
     assert sorted(tmp_path.iterdir()) == sorted(paths[:2])
+
+
+THETA_SWEEP = ["energy", "--sweep", "theta", "--tau", "0.05", "--steps", "4",
+               "--nx", "8", "--ny", "8"]
+THETA_NAMES = ["sweep_a0.5_t0.3_sftr.csv", "sweep_a0.5_t0.4_sftr.csv", "sweep_a0.5_t0.5_sftr.csv"]
+
+
+def test_sweeps_write_the_same_bytes_in_any_number_of_processes(tmp_path, monkeypatch, capsys):
+    # every CSV and every line of a sweep is the same, in entry order, whether
+    # its entries run one at a time or side by side in 2 or 4 processes
+    argvs = [THETA_SWEEP + ["--out", "sweep.csv"],
+             ["energy", "--sweep", "compare", "--steps", "6", *SMALL, "--out", "e.csv"],
+             ["converge", "--sweep", "paper", "--scheme", "fbdf2", "--taus", "1/2,1/4",
+              *SMALL, "--out", "c.csv"]]
+    written = {}
+    for count in (1, 2, 4):
+        cpus(monkeypatch, count)
+        (tmp_path / str(count)).mkdir()
+        monkeypatch.chdir(tmp_path / str(count))
+        for argv in argvs:
+            assert main(argv) == 0
+        written[count] = (capsys.readouterr().out,
+                          {path.name: path.read_bytes() for path in Path().iterdir()})
+    assert len(written[1][1]) == 3 + 8 + 6
+    assert written[1] == written[2] == written[4]
+
+
+def sweep_with_a_failure(monkeypatch, theta, exc, in_worker):
+    """Make the run of ``theta`` in THETA_SWEEP raise ``exc`` in a worker
+    (``in_worker``) or in this process, on two CPUs: entries 1 and 3 are
+    this process's, entry 2 the worker's."""
+    import colecole.cli
+
+    cpus(monkeypatch, 2)
+    here, real = os.getpid(), colecole.cli.run_decay_experiment
+
+    def failing(*args, **kwargs):
+        if args[1] == theta:
+            assert (os.getpid() != here) == in_worker
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(colecole.cli, "run_decay_experiment", failing)
+
+
+@pytest.mark.parametrize("exc, code", [
+    (ValueError("bad entry"), 2),
+    (SolverError("conjugate gradients stalled", residual=1e-3, iterations=7), 3),
+    (MemoryError("cannot hold the history"), 4),
+])
+def test_a_failure_in_a_worker_surfaces_at_its_entry(tmp_path, monkeypatch, capsys, exc, code):
+    # entry 2 runs in the worker: its exception, pickled back with its class
+    # and message, gives the exit code it gives in one process, and leaves the
+    # CSV of entry 1 alone
+    sweep_with_a_failure(monkeypatch, 0.4, exc, in_worker=True)
+    assert main(THETA_SWEEP + ["--out", str(tmp_path / "sweep.csv")]) == code
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line) == {"status": "error", "command": "energy", "message": str(exc)}
+    assert [p.name for p in tmp_path.iterdir()] == THETA_NAMES[:1]
+
+
+def test_a_failure_in_this_process_leaves_the_workers_earlier_entries(tmp_path, monkeypatch,
+                                                                      capsys):
+    # entry 3 runs here, after the worker's entry 2: entries 1 and 2 are complete
+    sweep_with_a_failure(monkeypatch, 0.5, ValueError("bad entry"), in_worker=False)
+    assert main(THETA_SWEEP + ["--out", str(tmp_path / "sweep.csv")]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["message"] == "bad entry"
+    assert sorted(p.name for p in tmp_path.iterdir()) == THETA_NAMES[:2]
+    for name in THETA_NAMES[:2]:
+        assert len(read_csv(tmp_path / name)[1]) == 5
+
+
+def test_a_worker_that_ends_without_its_result_exits_4(tmp_path, monkeypatch, capsys):
+    # a worker killed part-way (as by the out-of-memory killer) is named, with
+    # its wait status, on the JSON channel; the entries before it are complete
+    import colecole.cli
+
+    cpus(monkeypatch, 2)
+    here, real = os.getpid(), colecole.cli.run_decay_experiment
+
+    def killed(*args, **kwargs):
+        if args[1] == 0.4 and os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(colecole.cli, "run_decay_experiment", killed)
+    assert main(THETA_SWEEP + ["--out", str(tmp_path / "sweep.csv")]) == 4
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    message = json.loads(line)["message"]
+    assert "entry 2 (0.5, 0.4, 'sftr')" in message
+    assert f"wait status {int(signal.SIGKILL)}" in message
+    assert [p.name for p in tmp_path.iterdir()] == THETA_NAMES[:1]
+    assert len(read_csv(tmp_path / THETA_NAMES[0])[1]) == 5
+
+
+def test_solver_error_survives_pickling():
+    exc = pickle.loads(pickle.dumps(SolverError("stalled", residual=1e-3, iterations=7)))
+    assert (type(exc), str(exc), exc.residual, exc.iterations) == (SolverError, "stalled", 1e-3, 7)
+
+
+def test_workers_are_reaped_on_every_exit(tmp_path, monkeypatch, capsys):
+    # after a sweep that completes, and after one whose CSV write fails in
+    # this process while the workers still run, no worker process is left
+    import colecole.cli
+
+    cpus(monkeypatch, 4)
+    pids, real_fork, real_write = [], os.fork, colecole.cli._write_csv
+
+    def recorded_fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    def failing_write(path, *args):
+        if path.name == "e_a0.5_t0.5_sftr.csv":
+            raise OSError("disk full")
+        real_write(path, *args)
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    argv = ["energy", "--sweep", "compare", "--steps", "4", *SMALL,
+            "--out", str(tmp_path / "e.csv")]
+    assert main(argv) == 0
+    monkeypatch.setattr(colecole.cli, "_write_csv", failing_write)
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err.strip())["message"] == "disk full"
+    assert len(pids) == 6 and all(pid > 0 for pid in pids)
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_one_entry_one_cpu_or_memory_for_one_run_never_forks(tmp_path, monkeypatch):
+    # a single run, a process allowed one CPU, and a sweep whose largest run
+    # fits in memory once but not twice all run in this process
+    import colecole.stepper
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cpus(monkeypatch, 2)
+    assert main(["energy", "--steps", "3", *SMALL, "--out", str(tmp_path / "e.csv")]) == 0
+    assert main(["converge", "--alpha", "0.5", "--theta", "0.5", "--taus", "1/2,1/4", *SMALL,
+                 "--out", str(tmp_path / "c.csv")]) == 0
+    one_cpu(monkeypatch)
+    assert main(THETA_SWEEP + ["--out", str(tmp_path / "a.csv")]) == 0
+    cpus(monkeypatch, 2)
+    need = colecole.stepper.memory_estimate(GridSpec(8, 8), MaterialParams(alpha=0.5),
+                                            SchemeConfig(0.3, 0.05, 4))
+    monkeypatch.setattr(colecole.stepper, "physical_memory_bytes", lambda: 2 * need - 1)
+    assert main(THETA_SWEEP + ["--out", str(tmp_path / "b.csv")]) == 0
+    assert len(list(tmp_path.iterdir())) == 2 + 3 + 3
+
+
+def test_a_sweep_that_cannot_fork_runs_every_entry_here(tmp_path, monkeypatch):
+    def failed_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    cpus(monkeypatch, 2)
+    assert main(THETA_SWEEP + ["--out", str(tmp_path / "a" / "s.csv")]) == 0
+    monkeypatch.setattr(os, "fork", failed_fork)
+    assert main(THETA_SWEEP + ["--out", str(tmp_path / "b" / "s.csv")]) == 0
+    for a in (tmp_path / "a").iterdir():
+        assert a.read_bytes() == (tmp_path / "b" / a.name).read_bytes()
+    assert len(list((tmp_path / "b").iterdir())) == 3
 
 
 def test_unwritable_out_on_json_channel(tmp_path, capsys):

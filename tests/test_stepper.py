@@ -174,6 +174,24 @@ def test_init_state_refuses_non_finite_initial_data(monkeypatch, where, bad):
         init_state(grid, MaterialParams(), SchemeConfig(0.5, 0.1, 4), e0, h0)
 
 
+def test_init_state_refuses_a_non_finite_source(monkeypatch):
+    # a NaN in one f2 profile is refused with the initial data, before any
+    # transform; it failed only in the first step's E-solve (SolverError)
+    grid = GridSpec(8, 8)
+    profile = np.ones((8, 8))
+    profile[3, 5] = math.nan
+    sources = Sources(f1=(), f2=((math.cos, np.ones((8, 8))), (math.sin, profile)), f3=())
+
+    def no_transform(*args):
+        raise AssertionError("initial data was transformed before the sources were checked")
+
+    monkeypatch.setattr(CurlCurlBasis, "forward", no_transform)
+    monkeypatch.setattr(CurlCurlBasis, "forward_cell", no_transform)
+    with pytest.raises(ValueError, match="source f2 has a NaN or infinite entry"):
+        init_state(grid, MaterialParams(), SchemeConfig(0.5, 0.1, 4), zero_edges(grid),
+                   np.zeros((8, 8)), sources)
+
+
 def test_frac_deriv_zero_and_single_term():
     state = zero_state(alpha=0.3, theta=0.4, tau=0.2)
     # the first step has no history: only P^1 enters its quadrature
@@ -756,11 +774,12 @@ def test_set_up_refuses_before_transforming_initial_data(monkeypatch):
 
 def test_memory_preflight_counts_a_bounded_history(monkeypatch):
     # a 5000-step run on 8x8 fits in less memory than its 5001 P rows take:
-    # the estimate that counted every row refused it
+    # the estimate that counted every row refused it.  A decay run's row
+    # holds k + nx ny values, k <= 1
     grid = GridSpec(8, 8)
     config = SchemeConfig(theta=0.5, tau=0.002, n_steps=5000)
-    dofs = 2 * 8 * 8
-    every_row = 8 * ((config.n_steps + 1) * (dofs + 4) + 16 * dofs) + 2**18
+    dofs, row = 2 * 8 * 8, 1 + 8 * 8
+    every_row = 8 * ((config.n_steps + 1) * (row + 4) + 16 * dofs) + 2**18
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: every_row - 1)
     zero = zero_edges(grid), np.zeros((grid.nx, grid.ny))
     state = init_state(grid, MaterialParams(), config, *zero)
@@ -777,37 +796,39 @@ def test_memory_preflight_counts_the_window_of_an_alternating_kernel(monkeypatch
     # n0 + 2B + 1 window rows plus M tail rows, in memory that cannot hold
     # its 5001 rows
     grid = GridSpec(8, 8)
-    dofs = 2 * 8 * 8
-    every_row = 8 * ((5000 + 1) * (dofs + 4) + 16 * dofs) + 2**18
+    dofs, row = 2 * 8 * 8, 1 + 8 * 8
+    every_row = 8 * ((5000 + 1) * (row + 4) + 16 * dofs) + 2**18
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: every_row - 1)
     checks = []
-    preflight = stepper._require_memory
+    estimate = stepper.memory_estimate
     monkeypatch.setattr(
-        stepper, "_require_memory", lambda *args: checks.append(args[2:]) or preflight(*args)
+        stepper, "memory_estimate", lambda *args: checks.append(estimate(*args)) or checks[-1]
     )
     config = SchemeConfig(theta=0.01, tau=0.002, n_steps=5000)
     zero = zero_edges(grid), np.zeros((grid.nx, grid.ny))
     history = init_state(grid, MaterialParams(alpha=0.9), config, *zero).history
     rows = 842 + 2 * stepper.HISTORY_FOLD + 1
-    assert history.exact == 842 and checks == [(rows, TAIL_MAX_POLES)]
+    fit = 3 * (TAIL_FIT_ROWS + TAIL_MAX_POLES) * (TAIL_MAX_POLES + 1)
+    need = 8 * ((rows + TAIL_MAX_POLES) * row + fit + 25 * 5001 + 10 * dofs) + 2**18
+    assert history.exact == 842 and checks == [need]
     assert history.rows.shape == (len(history.poles) + rows, 8 * 8)  # k = 0
 
 
 def test_memory_preflight_counts_the_tail_alone(monkeypatch):
-    # a folding run holds its window and at most TAIL_MAX_POLES tail rows; a
-    # fold's temporary is one row, within the 10 coefficient arrays.  The
-    # estimate that also counted a fold's temporary of M rows refused this
-    # run in memory halfway between the two estimates
-    grid, dofs = GridSpec(8, 8), 2 * 8 * 8
+    # a folding run holds its window and at most TAIL_MAX_POLES tail rows of
+    # k + nx ny values, k <= 1; a fold's temporary is one row, within the 10
+    # coefficient arrays.  The estimate that also counted a fold's temporary
+    # of M rows refused this run in memory halfway between the two estimates
+    grid, dofs, row = GridSpec(8, 8), 2 * 8 * 8, 1 + 8 * 8
     config = SchemeConfig(theta=0.5, tau=0.001, n_steps=1000)
     poles = TAIL_MAX_POLES
     fit = 3 * (TAIL_FIT_ROWS + poles) * (poles + 1)
-    need = 8 * ((53 + poles + 10) * dofs + fit + 25 * (config.n_steps + 1)) + 2**18
+    need = 8 * ((53 + poles) * row + 10 * dofs + fit + 25 * (config.n_steps + 1)) + 2**18
     zero = zero_edges(grid), np.zeros((grid.nx, grid.ny))
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: need - 1)
     with pytest.raises(MemoryError, match="physical memory"):
         init_state(grid, MaterialParams(), config, *zero)
-    monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: need + 4 * poles * dofs)
+    monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: need + 4 * poles * row)
     history = init_state(grid, MaterialParams(), config, *zero).history
     assert history.rows.shape == (len(history.poles) + 53, 8 * 8) and len(history.poles) > 0
 
@@ -836,7 +857,8 @@ def test_memory_preflight_covers_a_traced_run(monkeypatch, size, steps, quadratu
     monkeypatch.setattr(stepper, "physical_memory_bytes", lambda: peak - 1)
     with pytest.raises(MemoryError, match="physical memory"):
         stepper.preflight(grid, MaterialParams(alpha=0.5),
-                          SchemeConfig(theta=0.5, tau=tau, n_steps=steps, quadrature=quadrature))
+                          SchemeConfig(theta=0.5, tau=tau, n_steps=steps, quadrature=quadrature),
+                          3 if forced else 1)
 
 
 def test_fold_allocates_one_row():
