@@ -150,13 +150,13 @@ def _in_order(compute: Callable[[Entry], Result], entries: Sequence[Entry],
               workers: int) -> Iterator[Result]:
     """Yield ``compute(entry)`` for each of ``entries``, in their order,
     computed in ``workers`` processes.  W - 1 workers are forked first;
-    worker w computes entries w, w + W, ... and writes each result, or the
-    exception that ended it, to its own pipe as soon as it is done, as a
-    length-prefixed pickle.  This process computes entries 0, W, 2W, ...,
-    and those of a worker that could not be forked.  An exception is raised
-    when its entry's turn comes, from either process; a worker that ends
-    without its result raises :class:`MemoryError` naming the entry and the
-    worker's wait status.  The workers are killed and reaped on every exit."""
+    worker w computes entries w, w + W, ... and pickles each result, or the
+    exception that ended it, onto its own pipe as soon as it is done.  This
+    process computes entries 0, W, 2W, ..., and those of a worker that could
+    not be forked.  An exception is raised when its entry's turn comes, from
+    either process; a worker that ends without its result raises
+    :class:`MemoryError` naming the entry and the worker's wait status.  The
+    workers are killed and reaped on every exit."""
     forked: dict[int, tuple[int, BinaryIO]] = {}  # w -> (pid, reader of its pipe)
     try:
         for w in range(1, workers):
@@ -172,7 +172,14 @@ def _in_order(compute: Callable[[Entry], Result], entries: Sequence[Entry],
                     os.close(read)
                     for _, reader in forked.values():
                         reader.close()
-                    _serve(compute, entries[w::workers], write)
+                    with open(write, "wb") as out:
+                        for entry in entries[w::workers]:
+                            try:
+                                pickle.dump((True, compute(entry)), out)
+                            except Exception as exc:
+                                pickle.dump((False, exc), out)
+                                break
+                            out.flush()
                 finally:
                     os._exit(0)
             os.close(write)
@@ -182,17 +189,16 @@ def _in_order(compute: Callable[[Entry], Result], entries: Sequence[Entry],
                 yield compute(entry)
                 continue
             pid, reader = forked[i % workers]
-            size = int.from_bytes(reader.read(8), "little")
-            data = reader.read(size)
-            if size == 0 or len(data) < size:
+            try:
+                ok, value = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
                 del forked[i % workers]
                 reader.close()
                 status = os.waitpid(pid, 0)[1]
                 raise MemoryError(
                     f"sweep entry {i + 1} {entry} has no result: its worker process "
                     f"ended with wait status {status}"
-                )
-            ok, value = pickle.loads(data)
+                ) from None
             if not ok:
                 raise value
             yield value
@@ -204,23 +210,6 @@ def _in_order(compute: Callable[[Entry], Result], entries: Sequence[Entry],
                 reader.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-
-
-def _serve(compute: Callable[[Entry], Result], entries: Sequence[Entry], fd: int) -> None:
-    """The loop of a forked worker of :func:`_in_order`: write
-    ``compute(entry)`` of each of ``entries``, or the exception that ends
-    them, to ``fd`` as a length-prefixed pickle."""
-    with open(fd, "wb") as out:
-        for entry in entries:
-            try:
-                payload = True, compute(entry)
-            except Exception as exc:
-                payload = False, exc
-            data = pickle.dumps(payload)
-            out.write(len(data).to_bytes(8, "little") + data)
-            out.flush()
-            if not payload[0]:
-                break
 
 
 def _sweep_path(base: Path, alpha: float, theta: float, scheme: str) -> Path:

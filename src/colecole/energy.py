@@ -21,8 +21,10 @@ where varpi_0 = a_0.  ``dissipation_residual`` evaluates the left side
 from the state after a step and the P^{n-1} array held before it, which
 stays valid because :func:`colecole.stepper.step` advances the run's one
 state in place by rebinding its arrays.  ``run_decay_experiment`` records
-a run in one :data:`TRACE` record array, a row per step, and
-``decay_report`` summarizes its monotonicity violations.
+a run in one :data:`TRACE` record array, a row per step: each step's energy
+without its memory term, then, after the last step, every step's memory term
+at once, the first N+1 coefficients of a(z) s(z) (:func:`series_product`).
+``decay_report`` checks a trace and summarizes its monotonicity violations.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 from .manufactured import decay_initial_data
 from .mesh import GridSpec, norm_sq
 from .stepper import MaterialParams, Quadrature, SchemeConfig, SimState, init_state, preflight, step
+from .weights import series_product
 
 
 # A run's trace has one row per step, n = 0..N: the step, its time, the
@@ -63,15 +66,19 @@ def energy_tolerance(initial_energy: float) -> float:
 def discrete_energy(state: SimState) -> float:
     """Energy functional E~^n for the given state, with the state's own
     weights a_0..a_n."""
-    mat, cfg, grid, n = state.material, state.config, state.grid, state.n
+    mat, cfg, n = state.material, state.config, state.n
     # einsum, not np.dot: no BLAS threads on the step path.
     memory = mat.tau0**mat.alpha * cfg.tau**mat.alpha * float(
         np.einsum("i,i->", state.a_weights[: n + 1], state.history.s[n::-1])
     )
-    return (
-        memory
-        + norm_sq(state.p, grid)
-        + mat.c_p * (mat.c_e * norm_sq(state.e, grid) + mat.c_m * norm_sq(state.h, grid))
+    return memory + _instant_energy(state)
+
+
+def _instant_energy(state: SimState) -> float:
+    """E~^n without its memory term: ||P^n||^2 + c_p (c_e ||E^n||^2 + c_m ||H^n||^2)."""
+    mat, grid = state.material, state.grid
+    return norm_sq(state.p, grid) + mat.c_p * (
+        mat.c_e * norm_sq(state.e, grid) + mat.c_m * norm_sq(state.h, grid)
     )
 
 
@@ -85,8 +92,7 @@ def dissipation_residual(state: SimState, p_prev: np.ndarray, e_prev: float, e_n
     shifted-trapezoidal runs with theta in [alpha/2, 1/2]; recorded without a
     sign guarantee for the BDF-2 comparison kernel.
     """
-    mat, cfg, grid = state.material, state.config, state.grid
-    tau = cfg.tau
+    mat, grid, tau = state.material, state.grid, state.config.tau
     dp = (1.0 / tau) * (state.p - p_prev)
     return (e_new - e_prev) / tau + (
         mat.tau0**mat.alpha * tau ** (1.0 - mat.alpha) / state.a_weights[0]
@@ -95,15 +101,20 @@ def dissipation_residual(state: SimState, p_prev: np.ndarray, e_prev: float, e_n
 
 def decay_report(trace: np.ndarray) -> DecayReport:
     """Count energy increases beyond :func:`energy_tolerance` of E~^0 in a
-    :data:`TRACE` record array; :class:`ValueError` at the first step whose
-    energy or violation is not finite, which no count could describe."""
+    :data:`TRACE` record array.  :class:`ValueError` at the first step whose
+    energy is negative or not finite, or whose dissipation or violation is
+    not finite, which no count could describe."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    bad = np.flatnonzero(~(np.isfinite(trace["energy"]) & np.isfinite(trace["violation"])))
+    energy, dissipation, violation = trace["energy"], trace["dissipation"], trace["violation"]
+    finite = np.isfinite(energy) & np.isfinite(dissipation) & np.isfinite(violation)
+    bad = np.flatnonzero(~finite | (energy < 0.0))
     if len(bad):
-        raise ValueError(f"non-finite energy record at step {int(trace['n'][bad[0]])}")
-    tol = energy_tolerance(float(trace["energy"][0]))
-    violation = trace["violation"]
+        i, n = bad[0], trace["n"][bad[0]]
+        if not finite[i]:
+            raise ValueError(f"non-finite energy record at step {n}: {energy[i]}, {dissipation[i]}")
+        raise ValueError(f"discrete energy must be nonnegative, got {energy[i]} at step {n}")
+    tol = energy_tolerance(float(energy[0]))
     over = np.flatnonzero(violation > tol)
     first = int(trace["n"][over[0]]) if len(over) else None
     return DecayReport(len(over), float(violation.max()), first, tol)
@@ -122,8 +133,9 @@ def run_decay_experiment(
     Initial data is the standard experiment profile (polynomial-times-sine
     electric field, cubic-product magnetic field, zero polarization); the
     returned :data:`TRACE` array holds the energy and dissipation residual of
-    every step; :class:`ValueError` at the first step whose energy is
-    negative or not finite, or whose dissipation residual is not finite.
+    every step.  The trace is checked once, when the last step is done, by
+    :func:`decay_report`: :class:`ValueError` at the first step whose energy
+    is negative or not finite, or whose dissipation residual is not finite.
     The BDF-2 kernel is monitored with the same functional: its state
     carries the trapezoidal companion weights at the run's (alpha, theta).
     :class:`MemoryError` if the run would not fit in physical memory, before
@@ -135,18 +147,24 @@ def run_decay_experiment(
     # straight in: the dof-space initial data are freed once transformed
     state = init_state(grid, material, config, *decay_initial_data(grid))
     trace = np.zeros(n_steps + 1, TRACE)
-    energy = previous = discrete_energy(state)
-    dissipation = 0.0
-    while True:
-        n = state.n
-        if not (math.isfinite(energy) and math.isfinite(dissipation)):
-            raise ValueError(f"non-finite energy record at step {n}: {energy}, {dissipation}")
-        if energy < 0.0:
-            raise ValueError(f"discrete energy must be nonnegative, got {energy} at step {n}")
-        trace[n] = n, state.time, energy, dissipation, max(0.0, energy - previous)
-        if n == n_steps:
-            return state, trace, decay_report(trace)
-        p_prev, previous = state.p, energy
-        step(state)
-        energy = discrete_energy(state)
-        dissipation = dissipation_residual(state, p_prev, previous, energy)
+    instant, residual, n = discrete_energy(state), 0.0, 0  # E~^0 has no memory term: s_0 = 0
+    trace[0] = 0, state.time, instant, 0.0, 0.0
+    # a record that is not finite ends the run, which cannot go on from it
+    while n < n_steps and all(map(math.isfinite, (instant, residual, state.history.s[n]))):
+        p_prev, previous = state.p, instant
+        n = step(state).n
+        instant = _instant_energy(state)
+        residual = dissipation_residual(state, p_prev, previous, instant)
+        trace[n] = n, state.time, instant, residual, 0.0
+    # Every step's memory term at once.  Past a non-finite s_j none is
+    # defined, and the FFT would spread it to the steps before.
+    s = state.history.s
+    known = int(np.argmin(np.isfinite(s))) or len(s)  # s_0 = 0: 0 only if none is bad
+    memory = np.full(n_steps + 1, np.nan)
+    memory[:known] = series_product(state.a_weights[:known], s[:known])
+    memory[0] = 0.0  # s_0 = 0: E~^0 is discrete_energy's
+    memory *= material.tau0**alpha * tau**alpha
+    trace["energy"] += memory
+    trace["dissipation"][1:] += np.diff(memory) / tau
+    np.maximum(0.0, np.diff(trace["energy"]), out=trace["violation"][1:])
+    return state, trace, decay_report(trace)

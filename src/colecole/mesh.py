@@ -332,20 +332,24 @@ def curl_free_span(*leads: np.ndarray) -> Span:
     off it twice (Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005), and
     the residual over its norm is the next row.  It adds none if the second
     pass took more than half the residual's norm off: only round-off of an
-    array in the span loses that much ("twice is enough", Parlett 1980).  So
+    array in the span loses that much ("twice is enough", Parlett 1980).  Nor
+    does it if the twice-projected residual is itself within round-off of
+    the scaled array, 64 eps sqrt(n) of its norm for n entries, since a
+    first pass can leave round-off that the second takes little off.  So
     one array gives k = 1 (0 if it is zero), its row the array over its
     unscaled norm bit for bit where that norm neither underflows nor overflows."""
     basis = np.array(leads, dtype=float).reshape(len(leads), -1)
+    floor = (64.0 * np.finfo(float).eps) ** 2 * basis.shape[1]
     k = 0
     for row in basis:
         np.ldexp(row, -np.frexp(max(row.max(), -row.min()))[1], out=row)
-        squares = []
+        squares = [np.einsum("i,i->", row, row)]
         for _ in range(2):
             for done in basis[:k]:
                 row -= np.einsum("i,i->", done, row) * done
             squares.append(np.einsum("i,i->", row, row))
-        if squares[1] > 0.25 * squares[0]:
-            row *= 1.0 / math.sqrt(squares[1])
+        if squares[2] > 0.25 * squares[1] and squares[2] > floor * squares[0]:
+            row *= 1.0 / math.sqrt(squares[2])
             basis[k] = row
             k += 1
     return Span(leads[0].shape, basis if k == len(basis) else basis[:k].copy())

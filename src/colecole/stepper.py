@@ -341,8 +341,9 @@ def memory_estimate(
     steps, row, dofs = config.n_steps, k + grid.nx * grid.ny, 2 * grid.nx * grid.ny
     # Besides the rows, for a run that folds, the fit's workspace (three
     # arrays of its row blocks).  Twenty-five values per step: s, the kernel,
-    # the energy weights, the fit's lags and targets, the weights' FFT check
-    # (three arrays of up to 4 (N+1)) and the five columns of the energy trace.
+    # the energy weights, the fit's lags and targets, one FFT series product
+    # at a time (three arrays of up to 4 (N+1): the weights' check, then a decay
+    # run's memory terms) and the five columns of the energy trace.
     # Ten arrays of 2 nx ny values: a forced step holds the state (1.5), |v|
     # and the spectrum's index (1), its temporaries and the solve's (2.5), the
     # span's three rows (1.5) and the case's profiles (2.5); a one-step forced

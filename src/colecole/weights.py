@@ -89,7 +89,9 @@ def binomial_series(gamma: float, scale: float, n: int) -> np.ndarray:
 
 def series_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """First n+1 Taylor coefficients of a(z) b(z) from the first n+1 of each, by
-    real FFTs zero-padded to a power of two past 2n + 1, O(n log n)."""
+    real FFTs zero-padded to a power of two past 2n + 1, O(n log n).  It forms
+    :func:`cumulative_weights`' check, the ``weights`` table's ``conv_check``
+    column and the memory terms of a decay run's energy trace."""
     size = 1 << (2 * len(a) - 1).bit_length()
     spectrum = np.fft.rfft(a, size)
     spectrum *= np.fft.rfft(b, size)

@@ -292,16 +292,17 @@ def test_run_decay_experiment_holds_no_initial_data(monkeypatch):
 
 
 @pytest.mark.parametrize("name,bad,message,at", [
-    # discrete_energy runs from step 0, dissipation_residual from step 1
-    ("discrete_energy", np.nan, "non-finite", 2),
-    ("discrete_energy", np.inf, "non-finite", 2),
-    ("discrete_energy", -1.0, "nonnegative", 2),
+    # the energy without its memory term runs from step 0 (inside
+    # discrete_energy), dissipation_residual from step 1
+    ("_instant_energy", np.nan, "non-finite", 2),
+    ("_instant_energy", np.inf, "non-finite", 2),
+    ("_instant_energy", -1.0, "nonnegative", 2),
     ("dissipation_residual", np.nan, "non-finite", 3),
     ("dissipation_residual", -np.inf, "non-finite", 3),
 ])
 def test_run_decay_experiment_rejects_a_bad_record_at_its_step(monkeypatch, name, bad, message, at):
     # a NaN or infinite record is a hard failure, never "0 violations", and
-    # so is a negative energy; each is raised at the step that made it
+    # so is a negative energy; each is named by the step that made it
     real = getattr(energy, name)
     calls = []
 
@@ -312,6 +313,82 @@ def test_run_decay_experiment_rejects_a_bad_record_at_its_step(monkeypatch, name
     monkeypatch.setattr(energy, name, third_goes_bad)
     with pytest.raises(ValueError, match=f"{message}.* step {at}"):
         energy.run_decay_experiment(0.5, 0.5, GridSpec(8, 8), 0.01, 4)
+
+
+@pytest.mark.parametrize("bad,message", [
+    (np.nan, "non-finite"), (np.inf, "non-finite"), (-1e9, "nonnegative"),
+])
+def test_a_bad_memory_term_is_named_at_its_step(monkeypatch, bad, message):
+    # s_2 goes bad: the error names step 2, not the step 1 that one series
+    # product over every s_j would give, which spreads a NaN to all its terms
+    real_step = energy.step
+
+    def step(state):
+        real_step(state)
+        if state.n == 2:
+            state.history.s[2] = bad
+        return state
+
+    monkeypatch.setattr(energy, "step", step)
+    with pytest.raises(ValueError, match=f"{message}.* step 2"):
+        energy.run_decay_experiment(0.5, 0.5, GridSpec(8, 8), 0.01, 4)
+
+
+def test_a_run_whose_energy_overflows_stops_at_that_step(monkeypatch):
+    # E^0 scaled to 1e154: ||E^0||^2 overflows, so E~^0 is inf.  The run
+    # stops there with the energy's ValueError, where stepping on would
+    # raise the E-solve's SolverError (exit 3 for exit 2)
+    real_data = energy.decay_initial_data
+
+    def huge(grid):
+        e0, h0 = real_data(grid)
+        return VecField(1e154 * e0.ex, 1e154 * e0.ey), 1e154 * h0
+
+    monkeypatch.setattr(energy, "decay_initial_data", huge)
+    with pytest.raises(ValueError, match="non-finite energy record at step 0: inf"):
+        with np.errstate(over="ignore"):
+            energy.run_decay_experiment(0.5, 0.5, GridSpec(8, 8), 0.01, 4)
+
+
+def test_a_run_evaluates_the_functional_and_the_series_product_once(monkeypatch):
+    # every memory term comes from one series product after the last step,
+    # and discrete_energy gives E~^0 only
+    calls = []
+
+    def counted(name):
+        real = getattr(energy, name)
+        monkeypatch.setattr(energy, name, lambda *args: calls.append(name) or real(*args))
+
+    counted("discrete_energy")
+    counted("series_product")
+    energy.run_decay_experiment(0.5, 0.5, GridSpec(8, 8), 0.01, 50)
+    assert calls == ["discrete_energy", "series_product"]
+
+
+@pytest.mark.parametrize("alpha,theta,quadrature", [
+    (0.5, 0.5, Quadrature.SFTR), (0.9, 0.2, Quadrature.SFTR), (0.5, 0.45, Quadrature.FBDF2),
+])
+def test_the_trace_is_the_functional_of_each_state(alpha, theta, quadrature):
+    # the assembled trace against discrete_energy of every state of the same
+    # run stepped by hand, whose memory term is summed step by step
+    grid, tau, n_steps = GridSpec(8, 8), 0.01, 2000
+    _, trace, rep = run_decay_experiment(alpha, theta, grid, tau, n_steps, quadrature)
+    state = fresh_state(grid, alpha, theta, tau, n_steps, quadrature, *decay_initial_data(grid))
+    energies, residuals = [discrete_energy(state)], [0.0]
+    while state.n < n_steps:
+        p_prev = state.p
+        energies.append(discrete_energy(step(state)))
+        residuals.append(dissipation_residual(state, p_prev, energies[-2], energies[-1]))
+    assert state.history.folded > 1900
+    np.testing.assert_allclose(trace["energy"], energies, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(trace["dissipation"], residuals, rtol=0, atol=1e-13 * energies[0] / tau)
+    assert rep == decay_report(trace)
+
+
+@pytest.mark.parametrize("energies, at", [([1.0, 0.9, -1e-3, 0.8], 2), ([-0.0, -1.0], 1)])
+def test_decay_report_refuses_a_negative_energy(energies, at):
+    with pytest.raises(ValueError, match=f"nonnegative, got .* at step {at}"):
+        decay_report(make_trace(energies, np.zeros(len(energies))))
 
 
 def test_run_decay_experiment_sftr_monotone():
