@@ -9,7 +9,8 @@ which steps in that basis, and a fractional BDF-2 variant
 (:mod:`colecole.stepper`),
 the discrete energy functional and decay diagnostics (:mod:`colecole.energy`),
 a manufactured-solution convergence harness (:mod:`colecole.manufactured`),
-and a CSV-emitting experiment CLI (:mod:`colecole.cli`).
+and a CSV-emitting experiment CLI (:mod:`colecole.cli`), whose sweeps run
+their entries side by side in forked processes (:mod:`colecole.sweep`).
 
 The package root exports what a run's callers use; the pieces inside a step
 or a weight build are imported from their modules.

@@ -12,13 +12,16 @@ Every run is deterministic: identical flags produce byte-identical CSVs
 (fixed summation order; one formatter, :func:`_write_csv`, writes every cell
 to 17 significant digits; a blank cell is an undefined rate).  The
 independent entries of a sweep run side by side in up to W processes
-(:func:`_in_order`): W is the smallest of the number of entries, the CPUs this
-process may use and how many of the sweep's largest run physical memory holds
-together, by :func:`colecole.stepper.memory_estimate` (:func:`_workers`), so
+(:mod:`colecole.sweep`): W is the smallest of the number of entries, the
+CPUs this process may use and how many of the sweep's largest run physical
+memory holds together, by :func:`colecole.stepper.memory_estimate`, so
 ``taskset -c 0`` runs one entry at a time and a single run never forks.  This
-process writes every CSV and prints every line, in entry order, and a failure
-in entry k leaves the complete CSVs of entries 1..k-1 and none after.  Each
-subcommand returns its failed checks, an empty list when all held.  Exit codes:
+process computes the first entry, and each later one is taken by whichever
+process is free first, so that a sweep of unequal entries keeps both CPUs
+busy.  This process writes every CSV and prints every line, in entry order,
+and a failure in entry k leaves the complete CSVs of entries 1..k-1 and none
+after, whichever process computed it.  Each subcommand returns its failed
+checks, an empty list when all held.  Exit codes:
 
 0  every hard assertion of the subcommand held
 1  a hard assertion or an internal cross-check failed (JSON failure records
@@ -39,20 +42,19 @@ import errno
 import json
 import math
 import os
-import pickle
 import sys
 from contextlib import closing
 from dataclasses import astuple
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import stepper
 from .energy import TRACE, run_decay_experiment
 from .manufactured import CASE_SPAN_ROWS, ManufacturedCase, convergence_table
 from .mesh import GridSpec
 from .stepper import MaterialParams, Quadrature, SchemeConfig, SolverError, memory_estimate
+from .sweep import in_order, worker_count
 from .weights import (
     cumulative_weights,
     decay_guaranteed,
@@ -126,90 +128,6 @@ def _check_outputs(paths: Iterable[Path]) -> None:
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(parent))
         if not os.access(parent, os.W_OK | os.X_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(parent))
-
-
-Entry = TypeVar("Entry")
-Result = TypeVar("Result")
-
-
-def _workers(entries: int, largest_run: Callable[[], int]) -> int:
-    """How many processes compute a sweep of ``entries`` independent entries:
-    at most one per entry and per CPU this process may use, and at most as
-    many as physical memory holds of the sweep's largest run, whose bytes
-    ``largest_run`` gives by the preflight's estimate.  One without
-    ``os.fork`` or ``os.sched_getaffinity``."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    workers = min(entries, len(os.sched_getaffinity(0)))
-    if workers > 1:
-        workers = min(workers, stepper.physical_memory_bytes() // largest_run())
-    return max(workers, 1)
-
-
-def _in_order(compute: Callable[[Entry], Result], entries: Sequence[Entry],
-              workers: int) -> Iterator[Result]:
-    """Yield ``compute(entry)`` for each of ``entries``, in their order,
-    computed in ``workers`` processes.  W - 1 workers are forked first;
-    worker w computes entries w, w + W, ... and pickles each result, or the
-    exception that ended it, onto its own pipe as soon as it is done.  This
-    process computes entries 0, W, 2W, ..., and those of a worker that could
-    not be forked.  An exception is raised when its entry's turn comes, from
-    either process; a worker that ends without its result raises
-    :class:`MemoryError` naming the entry and the worker's wait status.  The
-    workers are killed and reaped on every exit."""
-    forked: dict[int, tuple[int, BinaryIO]] = {}  # w -> (pid, reader of its pipe)
-    try:
-        for w in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()  # one thread: the package loads numpy with one BLAS thread
-            except OSError:
-                os.close(read)
-                os.close(write)
-                break
-            if pid == 0:  # the worker: it never returns to the frames it was forked from
-                try:
-                    os.close(read)
-                    for _, reader in forked.values():
-                        reader.close()
-                    with open(write, "wb") as out:
-                        for entry in entries[w::workers]:
-                            try:
-                                pickle.dump((True, compute(entry)), out)
-                            except Exception as exc:
-                                pickle.dump((False, exc), out)
-                                break
-                            out.flush()
-                finally:
-                    os._exit(0)
-            os.close(write)
-            forked[w] = pid, open(read, "rb")
-        for i, entry in enumerate(entries):
-            if i % workers not in forked:
-                yield compute(entry)
-                continue
-            pid, reader = forked[i % workers]
-            try:
-                ok, value = pickle.load(reader)
-            except (EOFError, pickle.UnpicklingError):
-                del forked[i % workers]
-                reader.close()
-                status = os.waitpid(pid, 0)[1]
-                raise MemoryError(
-                    f"sweep entry {i + 1} {entry} has no result: its worker process "
-                    f"ended with wait status {status}"
-                ) from None
-            if not ok:
-                raise value
-            yield value
-    finally:
-        if forked:
-            import signal  # loaded only where a sweep has forked
-
-            for pid, reader in forked.values():
-                reader.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
 
 
 def _sweep_path(base: Path, alpha: float, theta: float, scheme: str) -> Path:
@@ -297,8 +215,8 @@ def cmd_converge(args: argparse.Namespace) -> list[dict]:
                                    SchemeConfig(theta, tau, n_steps, quadrature), CASE_SPAN_ROWS)
                    for alpha, theta in combos)
 
-    workers = _workers(len(combos), largest_run)
-    with closing(_in_order(table, combos, workers)) as tables:
+    workers = worker_count(len(combos), largest_run)
+    with closing(in_order(table, combos, workers)) as tables:
         for (alpha, theta), path, rows in zip(combos, paths, tables):
             _write_csv(path, "tau,errE,rateE,errH,rateH,errP,rateP", map(astuple, rows))
             last = rows[-1]
@@ -353,8 +271,8 @@ def cmd_energy(args: argparse.Namespace) -> list[dict]:
                    for alpha, theta, scheme in runs)
 
     failures = []
-    workers = _workers(len(runs), largest_run)
-    with closing(_in_order(decay, runs, workers)) as results:
+    workers = worker_count(len(runs), largest_run)
+    with closing(in_order(decay, runs, workers)) as results:
         for (alpha, theta, scheme), path, (trace, report) in zip(runs, paths, results):
             _write_csv(path, ",".join(TRACE.names), (row.item() for row in trace))
             first = "-" if report.first_violation_step is None else str(report.first_violation_step)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manufactured import decay_initial_data
-from .mesh import GridSpec, norm_sq
+from .mesh import GridSpec, einsum, norm_sq
 from .stepper import MaterialParams, Quadrature, SchemeConfig, SimState, init_state, preflight, step
 from .weights import series_product
 
@@ -69,7 +69,7 @@ def discrete_energy(state: SimState) -> float:
     mat, cfg, n = state.material, state.config, state.n
     # einsum, not np.dot: no BLAS threads on the step path.
     memory = mat.tau0**mat.alpha * cfg.tau**mat.alpha * float(
-        np.einsum("i,i->", state.a_weights[: n + 1], state.history.s[n::-1])
+        einsum("i,i->", state.a_weights[: n + 1], state.history.s[n::-1])
     )
     return memory + _instant_energy(state)
 

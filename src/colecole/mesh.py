@@ -26,6 +26,14 @@ Component 0 of the edge coefficients, the curl-free half, has |v| = 0 on
 every mode.  A run holds it as coordinates in an orthonormal basis of the
 span of its initial values and its sources' profiles, which it never leaves
 (:class:`Span`, :func:`curl_free_span`).
+
+Every contraction on a run's step path calls :data:`einsum`, numpy's C
+einsum bound once here: the function ``np.einsum`` forwards to when it is not
+asked to optimize, so its results are the same bit for bit, without the
+array-function dispatch and argument handling, about 0.9 us a call, that
+``np.einsum`` adds in front of it.  A conjugate-gradient iteration of the
+E-solve is two such dot products and five ufuncs over a few thousand values,
+so that overhead was about a quarter of its cost.
 """
 
 from __future__ import annotations
@@ -36,6 +44,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+try:
+    from numpy._core.multiarray import c_einsum as einsum
+except ImportError:  # numpy < 2: the same kernel behind its dispatch
+    einsum = np.einsum
 
 Profile = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -313,13 +326,13 @@ class Span:
 
     def pack(self, coef: np.ndarray) -> np.ndarray:
         """The layout vector of (2, nx, ny) edge coefficients."""
-        lead = np.einsum("ij,j->i", self.basis, coef[0].reshape(-1))
+        lead = einsum("ij,j->i", self.basis, coef[0].reshape(-1))
         return np.concatenate((lead, coef[1].reshape(-1)))
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
         """The (2, nx, ny) edge coefficients of a layout vector: :meth:`pack` inverted."""
         coef = np.empty((2, *self.shape))
-        np.einsum("i,ij->j", x[: self.k], self.basis, out=coef[0].reshape(-1))
+        einsum("i,ij->j", x[: self.k], self.basis, out=coef[0].reshape(-1))
         coef[1] = x[self.k :].reshape(self.shape)
         return coef
 
@@ -343,11 +356,11 @@ def curl_free_span(*leads: np.ndarray) -> Span:
     k = 0
     for row in basis:
         np.ldexp(row, -np.frexp(max(row.max(), -row.min()))[1], out=row)
-        squares = [np.einsum("i,i->", row, row)]
+        squares = [einsum("i,i->", row, row)]
         for _ in range(2):
             for done in basis[:k]:
-                row -= np.einsum("i,i->", done, row) * done
-            squares.append(np.einsum("i,i->", row, row))
+                row -= einsum("i,i->", done, row) * done
+            squares.append(einsum("i,i->", row, row))
         if squares[2] > 0.25 * squares[1] and squares[2] > floor * squares[0]:
             row *= 1.0 / math.sqrt(squares[2])
             basis[k] = row
@@ -361,4 +374,4 @@ def norm_sq(coef: np.ndarray, grid: GridSpec) -> float:
     calling thread; ``@`` or ``np.dot`` would start BLAS threads that keep
     spinning through the rest of the step."""
     flat = coef.reshape(-1)
-    return grid.dx * grid.dy * float(np.einsum("i,i->", flat, flat))
+    return grid.dx * grid.dy * float(einsum("i,i->", flat, flat))

@@ -96,7 +96,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import CurlCurlBasis, GridSpec, Span, VecField, as_count, curl_free_span, norm_sq
+from .mesh import CurlCurlBasis, GridSpec, Span, VecField, as_count, curl_free_span, einsum, norm_sq
 # Not used here: perfbench's manufactured.sample spans wrap these two names
 # in this module, and ManufacturedCase.coefficients calls them through it.
 from .mesh import sample_scalar, sample_vec  # noqa: F401
@@ -477,7 +477,7 @@ def frac_deriv_current(state: SimState) -> np.ndarray:
     # the tail rows are zero until the first fold; max(0, .) keeps r^-j from overflowing
     lead = history.poles ** max(0, n - history.folded - history.exact) * history.weights
     coef = np.concatenate((lead, state.kernel[live:0:-1]))
-    hist = np.einsum("i,ij->j", coef, history.rows[: len(coef)])
+    hist = einsum("i,ij->j", coef, history.rows[: len(coef)])
     hist *= state.config.tau ** (-state.material.alpha)
     return hist
 
@@ -491,7 +491,7 @@ def _fold(history: PHistory) -> None:
     powers = np.power.outer(history.poles, np.arange(fold, -1, -1.0))  # r^B .. r^0
     for row, power in zip(tail, powers):
         row *= power[0]
-        row += np.einsum("b,bj->j", power[1:], window[:fold])
+        row += einsum("b,bj->j", power[1:], window[:fold])
     for start in range(0, len(window) - fold, fold):  # chunks that do not overlap
         end = min(start + 2 * fold, len(window))
         window[start : end - fold] = window[start + fold : end]
@@ -560,7 +560,7 @@ def solve_spd(spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray) -> tuple[np.n
             f"solve_spd: shapes {rhs.shape}, {x0.shape} are not the layout's {index.shape}"
         )
     tol, maxit = CG_TOL, CG_MAXIT_PER_SIDE * sum(spectrum.shape)
-    rhs_norm = math.sqrt(np.einsum("i,i->", rhs, rhs))
+    rhs_norm = math.sqrt(einsum("i,i->", rhs, rhs))
     if not math.isfinite(rhs_norm):
         raise SolverError(f"conjugate gradients: right-hand side norm is {rhs_norm}", math.nan, 0)
     if rhs_norm == 0.0:
@@ -584,10 +584,10 @@ def solve_spd(spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray) -> tuple[np.n
         if it == maxit or not math.isfinite(rho):
             break
         np.multiply(lam, d, out=work)
-        alpha = rho / np.einsum("i,i->", d, work)
+        alpha = rho / einsum("i,i->", d, work)
         work *= alpha
         r -= work
-        rho_new = np.einsum("i,i->", r, r)
+        rho_new = einsum("i,i->", r, r)
         d *= rho_new / rho
         d += r
         rho = rho_new

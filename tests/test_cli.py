@@ -8,6 +8,7 @@ import math
 import os
 import pickle
 import signal
+import time
 import weakref
 from pathlib import Path
 
@@ -539,22 +540,97 @@ def test_sweeps_write_the_same_bytes_in_any_number_of_processes(tmp_path, monkey
     assert written[1] == written[2] == written[4]
 
 
-def sweep_with_a_failure(monkeypatch, theta, exc, in_worker):
-    """Make the run of ``theta`` in THETA_SWEEP raise ``exc`` in a worker
-    (``in_worker``) or in this process, on two CPUs: entries 1 and 3 are
-    this process's, entry 2 the worker's."""
+class Hung(BaseException):
+    """A sweep that did not end in time: not an Exception, so that ``main``
+    does not report it as a run's failure."""
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test whose sweep has not ended within 60 s."""
+    def expire(signum, frame):
+        raise Hung("the sweep did not end within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def wait_for(path):
+    """Wait until ``path`` exists, at most 30 s."""
+    end = time.monotonic() + 30.0
+    while not path.exists():
+        assert time.monotonic() < end, f"{path.name} never appeared"
+        time.sleep(0.001)
+
+
+def recorded_forks(monkeypatch):
+    """The pids of the workers the sweeps fork from here on."""
+    pids, real_fork = [], os.fork
+
+    def recorded_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    assert pids and all(pid > 0 for pid in pids)
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def theta_runs(monkeypatch, marks, waits, act=None):
+    """Run THETA_SWEEP's entries in a fixed split over two CPUs.  Each run of
+    theta leaves the file ``marks / str(theta)`` as it starts, then waits
+    for that of ``waits[theta]``, if any, and calls ``act(theta)``, if
+    given, before the real run.  Entry 1 is always this process's, so
+    waits = {0.3: 0.4} makes the worker take entry 2, and adding 0.4: 0.5
+    makes this process take entry 3."""
     import colecole.cli
 
     cpus(monkeypatch, 2)
-    here, real = os.getpid(), colecole.cli.run_decay_experiment
+    marks.mkdir()
+    real = colecole.cli.run_decay_experiment
 
-    def failing(*args, **kwargs):
-        if args[1] == theta:
-            assert (os.getpid() != here) == in_worker
-            raise exc
+    def run(*args, **kwargs):
+        theta = args[1]
+        (marks / str(theta)).touch()
+        if theta in waits:
+            wait_for(marks / str(waits[theta]))
+        if act is not None:
+            act(theta)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(colecole.cli, "run_decay_experiment", failing)
+    monkeypatch.setattr(colecole.cli, "run_decay_experiment", run)
+
+
+def sweep_with_a_failure(monkeypatch, tmp_path, theta, exc, in_worker):
+    """Make the run of ``theta`` in THETA_SWEEP raise ``exc``, on two CPUs,
+    in the worker (``in_worker``) or in this process; the worker takes entry
+    2, and this process entries 1 and 3 (see :func:`theta_runs`)."""
+    here = os.getpid()
+
+    def fail(run_theta):
+        if run_theta == theta:
+            assert (os.getpid() != here) == in_worker
+            raise exc
+
+    theta_runs(monkeypatch, tmp_path / "marks", {0.3: 0.4, 0.4: 0.5}, fail)
+
+
+def assert_complete_csvs(out, count):
+    """``out`` holds the complete CSVs of THETA_SWEEP's first ``count`` entries and no other."""
+    assert sorted(p.name for p in out.iterdir()) == THETA_NAMES[:count]
+    for name in THETA_NAMES[:count]:
+        assert len(read_csv(out / name)[1]) == 5
 
 
 @pytest.mark.parametrize("exc, code", [
@@ -562,50 +638,81 @@ def sweep_with_a_failure(monkeypatch, theta, exc, in_worker):
     (SolverError("conjugate gradients stalled", residual=1e-3, iterations=7), 3),
     (MemoryError("cannot hold the history"), 4),
 ])
-def test_a_failure_in_a_worker_surfaces_at_its_entry(tmp_path, monkeypatch, capsys, exc, code):
+def test_a_failure_in_a_worker_surfaces_at_its_entry(tmp_path, monkeypatch, capsys, deadline,
+                                                     exc, code):
     # entry 2 runs in the worker: its exception, pickled back with its class
     # and message, gives the exit code it gives in one process, and leaves the
     # CSV of entry 1 alone
-    sweep_with_a_failure(monkeypatch, 0.4, exc, in_worker=True)
-    assert main(THETA_SWEEP + ["--out", str(tmp_path / "sweep.csv")]) == code
+    pids = recorded_forks(monkeypatch)
+    sweep_with_a_failure(monkeypatch, tmp_path, 0.4, exc, in_worker=True)
+    assert main(THETA_SWEEP + ["--out", str(tmp_path / "out" / "sweep.csv")]) == code
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert json.loads(line) == {"status": "error", "command": "energy", "message": str(exc)}
-    assert [p.name for p in tmp_path.iterdir()] == THETA_NAMES[:1]
+    assert_complete_csvs(tmp_path / "out", 1)
+    assert_reaped(pids)
 
 
 def test_a_failure_in_this_process_leaves_the_workers_earlier_entries(tmp_path, monkeypatch,
-                                                                      capsys):
-    # entry 3 runs here, after the worker's entry 2: entries 1 and 2 are complete
-    sweep_with_a_failure(monkeypatch, 0.5, ValueError("bad entry"), in_worker=False)
-    assert main(THETA_SWEEP + ["--out", str(tmp_path / "sweep.csv")]) == 2
+                                                                      capsys, deadline):
+    # entry 3 runs here, before the worker's entry 2 is done: entries 1 and 2 are complete
+    pids = recorded_forks(monkeypatch)
+    sweep_with_a_failure(monkeypatch, tmp_path, 0.5, ValueError("bad entry"), in_worker=False)
+    assert main(THETA_SWEEP + ["--out", str(tmp_path / "out" / "sweep.csv")]) == 2
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert json.loads(line)["message"] == "bad entry"
-    assert sorted(p.name for p in tmp_path.iterdir()) == THETA_NAMES[:2]
-    for name in THETA_NAMES[:2]:
-        assert len(read_csv(tmp_path / name)[1]) == 5
+    assert_complete_csvs(tmp_path / "out", 2)
+    assert_reaped(pids)
 
 
-def test_a_worker_that_ends_without_its_result_exits_4(tmp_path, monkeypatch, capsys):
+def test_a_worker_that_ends_without_its_result_exits_4(tmp_path, monkeypatch, capsys, deadline):
     # a worker killed part-way (as by the out-of-memory killer) is named, with
-    # its wait status, on the JSON channel; the entries before it are complete
-    import colecole.cli
+    # the entry it held and its wait status, on the JSON channel; the entries
+    # before it are complete
+    here, pids = os.getpid(), recorded_forks(monkeypatch)
 
-    cpus(monkeypatch, 2)
-    here, real = os.getpid(), colecole.cli.run_decay_experiment
-
-    def killed(*args, **kwargs):
-        if args[1] == 0.4 and os.getpid() != here:
+    def killed(theta):
+        if theta == 0.4:
+            assert os.getpid() != here
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(colecole.cli, "run_decay_experiment", killed)
-    assert main(THETA_SWEEP + ["--out", str(tmp_path / "sweep.csv")]) == 4
+    theta_runs(monkeypatch, tmp_path / "marks", {0.3: 0.4}, killed)
+    assert main(THETA_SWEEP + ["--out", str(tmp_path / "out" / "sweep.csv")]) == 4
     (line,) = capsys.readouterr().err.strip().splitlines()
     message = json.loads(line)["message"]
     assert "entry 2 (0.5, 0.4, 'sftr')" in message
     assert f"wait status {int(signal.SIGKILL)}" in message
-    assert [p.name for p in tmp_path.iterdir()] == THETA_NAMES[:1]
-    assert len(read_csv(tmp_path / THETA_NAMES[0])[1]) == 5
+    assert_complete_csvs(tmp_path / "out", 1)
+    assert_reaped(pids)
+
+
+def test_a_free_worker_takes_every_entry_this_process_is_too_busy_for(tmp_path, monkeypatch,
+                                                                      capsys, deadline):
+    # this process's first entry lasts until the worker has taken every other
+    # one: each result comes back from the process that took it, in entry order
+    import colecole.sweep
+
+    here, marks = os.getpid(), tmp_path / "marks"
+    marks.mkdir()
+
+    def compute(entry):
+        (marks / str(entry)).touch()
+        if entry == 0:
+            for later in range(1, 6):
+                wait_for(marks / str(later))
+        return entry, os.getpid()
+
+    results = list(colecole.sweep.in_order(compute, range(6), 2))
+    (worker,) = {pid for _, pid in results[1:]}
+    assert worker != here and results == [(0, here)] + [(e, worker) for e in range(1, 6)]
+    # the same split through the CLI writes what one process writes
+    theta_runs(monkeypatch, tmp_path / "sweep_marks", {0.3: 0.4, 0.4: 0.5})
+    (tmp_path / "two").mkdir()
+    assert main(THETA_SWEEP + ["--out", str(tmp_path / "two" / "sweep.csv")]) == 0
+    one_cpu(monkeypatch)
+    assert main(THETA_SWEEP + ["--out", str(tmp_path / "one" / "sweep.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    for name in THETA_NAMES:
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def test_solver_error_survives_pickling():
@@ -613,35 +720,27 @@ def test_solver_error_survives_pickling():
     assert (type(exc), str(exc), exc.residual, exc.iterations) == (SolverError, "stalled", 1e-3, 7)
 
 
-def test_workers_are_reaped_on_every_exit(tmp_path, monkeypatch, capsys):
+def test_workers_are_reaped_on_every_exit(tmp_path, monkeypatch, capsys, deadline):
     # after a sweep that completes, and after one whose CSV write fails in
     # this process while the workers still run, no worker process is left
     import colecole.cli
 
     cpus(monkeypatch, 4)
-    pids, real_fork, real_write = [], os.fork, colecole.cli._write_csv
-
-    def recorded_fork():
-        pid = real_fork()
-        pids.append(pid)
-        return pid
+    pids, real_write = recorded_forks(monkeypatch), colecole.cli._write_csv
 
     def failing_write(path, *args):
         if path.name == "e_a0.5_t0.5_sftr.csv":
             raise OSError("disk full")
         real_write(path, *args)
 
-    monkeypatch.setattr(os, "fork", recorded_fork)
     argv = ["energy", "--sweep", "compare", "--steps", "4", *SMALL,
             "--out", str(tmp_path / "e.csv")]
     assert main(argv) == 0
     monkeypatch.setattr(colecole.cli, "_write_csv", failing_write)
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err.strip())["message"] == "disk full"
-    assert len(pids) == 6 and all(pid > 0 for pid in pids)
-    for pid in pids:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
+    assert len(pids) == 6
+    assert_reaped(pids)
 
 
 def test_one_entry_one_cpu_or_memory_for_one_run_never_forks(tmp_path, monkeypatch):

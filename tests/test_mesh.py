@@ -1,13 +1,15 @@
 """Staggered grid, the curl stencils of the test oracles (adjointness, inner
 products, field algebra), and the eigenbasis in which the library applies
-the curls."""
+the curls; the einsum binding the step path calls."""
 
 import math
 
 import numpy as np
 import pytest
 
-from colecole.mesh import CurlCurlBasis, GridSpec, VecField, norm_sq, sample_scalar, sample_vec
+from colecole.mesh import (
+    CurlCurlBasis, GridSpec, VecField, einsum, norm_sq, sample_scalar, sample_vec
+)
 
 from oracles import (
     combine_theta, curl_e, curl_h, fmap, inner_e, inner_h, norm_e, operator_diagonal, zero_edges
@@ -292,3 +294,30 @@ def test_field_algebra():
     s = np.ones((6, 6))
     s3 = 3.0 * s
     np.testing.assert_allclose(combine_theta(s, s3, 0.25), 1.5 * np.ones((6, 6)), rtol=1e-15)
+
+
+def test_einsum_binding_is_numpys_c_einsum():
+    # numpy 2 exposes the function np.einsum forwards to; older numpy gets np.einsum
+    if int(np.__version__.split(".")[0]) >= 2:
+        from numpy._core.multiarray import c_einsum
+
+        assert einsum is c_einsum
+
+
+@pytest.mark.parametrize("subscripts, shapes", [
+    ("i,i->", [(1143,), (1143,)]),  # the E-solve's dot products, norm_sq
+    ("i,ij->j", [(26 + 53,), (26 + 53, 1 + 64 * 64)]),  # the history sum
+    ("b,bj->j", [(16,), (16, 1 + 64 * 64)]),  # the fold
+    ("ij,j->i", [(3, 48 * 48), (48 * 48,)]),  # Span.pack
+    ("i,ij->j", [(3,), (3, 48 * 48)]),  # Span.unpack, into out=
+])
+def test_einsum_binding_gives_numpys_bits(subscripts, shapes):
+    # the same result as np.einsum, bit for bit, on every subscript the
+    # package contracts with, returned or written into out=
+    rng = np.random.default_rng(3)
+    a, b = (rng.standard_normal(shape) for shape in shapes)
+    expected = np.einsum(subscripts, a, b)
+    assert np.asarray(einsum(subscripts, a, b)).tobytes() == np.asarray(expected).tobytes()
+    out = np.empty_like(expected)
+    assert einsum(subscripts, a, b, out=out) is out
+    assert out.tobytes() == np.einsum(subscripts, a, b, out=np.empty_like(expected)).tobytes()
