@@ -17,8 +17,8 @@ CPUs this process may use and how many of the sweep's largest run physical
 memory holds together, by :func:`colecole.stepper.memory_estimate`, so
 ``taskset -c 0`` runs one entry at a time and a single run never forks.  This
 process computes the first entry, and each later one is taken by whichever
-process is free first, so that a sweep of unequal entries keeps both CPUs
-busy.  This process writes every CSV and prints every line, in entry order,
+process is free first, so that a sweep of unequal entries keeps every
+process busy.  This process writes every CSV and prints every line, in entry order,
 and a failure in entry k leaves the complete CSVs of entries 1..k-1 and none
 after, whichever process computed it.  Each subcommand returns its failed
 checks, an empty list when all held.  Exit codes:
