@@ -408,6 +408,16 @@ def test_long_sftr_run_with_a_folded_history_decays(alpha, theta):
     assert np.all(trace["dissipation"] <= rep.tolerance)
 
 
+@pytest.mark.parametrize("tau", [1e3, 1e6, 1e9])
+@pytest.mark.parametrize("alpha,theta", [(0.5, 0.5), (0.9, 0.45), (0.1, 0.05)])
+def test_decay_contract_holds_at_large_steps(alpha, theta, tau):
+    # the E-solve of a run without sources is exact, so no violation comes
+    # from a solver tolerance as the operator's condition (tau |v|)^2 grows.
+    # From tau = 1e10 on, round-off still gives violations (ROADMAP item 8)
+    _, _, rep = run_decay_experiment(alpha, theta, GridSpec(8, 8), tau, 20)
+    assert rep.violation_count == 0, (rep.violation_count, rep.max_violation)
+
+
 def test_smaller_alpha_decays_faster_initially():
     # drop over the first five steps shrinks monotonically with alpha
     grid = GridSpec(20, 20)

@@ -31,7 +31,7 @@ def test_readme_cli_examples_parse():
     # a renamed or dropped flag fails here, not only when CI runs the block
     lines = cli_examples().replace("\\\n", " ").splitlines()
     commands = [argv for argv in (shlex.split(line, comments=True) for line in lines) if argv]
-    assert len(commands) == 8 and all(argv[0] == "colecole" for argv in commands)
+    assert len(commands) == 9 and all(argv[0] == "colecole" for argv in commands)
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])

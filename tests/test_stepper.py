@@ -413,13 +413,17 @@ def test_scheme_residual_zero_dynamics():
 
 def test_scheme_residual_below_solver_tolerance():
     # a run without sources from the decay data (one curl-free coordinate)
-    # and the manufactured case's forced run (at most three)
+    # and the manufactured case's forced run (at most three).  The first
+    # solves by division, so its defect is round-off: the bound is ten times
+    # the largest measured, 4.6e-16 of the scale below; the second by CG
     grid = GridSpec(12, 12)
     case = ManufacturedCase(alpha=0.5).sample(grid)
     config = SchemeConfig(theta=0.5, tau=0.05, n_steps=4)
     decay = init_state(grid, case.material, config, *decay_initial_data(grid))
     forced = case.initial_state(config)
-    for state, on_dofs in ((decay, None), (forced, closed_form_sources(0.5, grid))):
+    for state, on_dofs, tol in (
+        (decay, None, 5e-15), (forced, closed_form_sources(0.5, grid), 10.0 * CG_TOL)
+    ):
         assert state.span.k <= (1 if on_dofs is None else 3)
         _, a_coef = elimination_coefficients(
             state.material, config.theta, config.tau, state.kernel[0]
@@ -428,7 +432,7 @@ def test_scheme_residual_below_solver_tolerance():
             before, history_part = observed_step(state)
             r1, r2, r3 = scheme_residual(before, state, history_part, on_dofs)
             size = max(1.0, norm_e(state.fields()[0], grid))
-            assert max(r1, r2, r3) <= 10.0 * CG_TOL * (state.material.c_e + a_coef) / config.tau * size
+            assert max(r1, r2, r3) <= tol * (state.material.c_e + a_coef) / config.tau * size
 
 
 def test_scheme_residual_linearity_in_perturbation():
@@ -1092,6 +1096,19 @@ def test_solve_spd_non_finite_fails_before_iterating(where, bad):
     assert not math.isfinite(err.value.residual)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_the_division_refuses_a_non_finite_right_hand_side(bad):
+    # a run without sources keeps the solve's check of the right-hand side's
+    # norm, and its SolverError (the CLI's exit 3)
+    grid = GridSpec(8, 8)
+    state = zero_state(grid, n_steps=1)
+    rhs = random_modes(grid, np.random.default_rng(6))
+    lam = CurlCurlBasis(grid).eigenvalues(*step_operator(state))
+    rhs[-1] = bad
+    with pytest.raises(SolverError, match="right-hand side norm"):
+        solve_spd(Spectrum(lam, rhs.size - 64, exact=True), rhs, np.zeros_like(rhs))
+
+
 def recorded_solves(monkeypatch, state, n_steps):
     """(spectrum, rhs, x0) of every solve that n_steps real steps from state
     make, rhs and x0 copied."""
@@ -1373,12 +1390,47 @@ def test_curl_free_span_is_a_unit_vector_and_packs_back():
     )
 
 
+def test_a_run_without_sources_divides_and_a_forced_run_iterates(monkeypatch):
+    # the solve is chosen once, at set-up: on an 8^2 run without sources every
+    # E^n is rhs / values[index] bit for bit, in 0 iterations; a forced run of
+    # the same operator keeps the CG
+    grid = GridSpec(8, 8)
+    config = SchemeConfig(theta=0.5, tau=0.01, n_steps=4)
+    real, solves = stepper.solve_spd, []
+
+    def record(spectrum, rhs, x0):
+        given = rhs.copy()
+        solution, iterations = real(spectrum, rhs, x0)
+        solves.append((spectrum, given, solution.copy(), iterations))
+        return solution, iterations
+
+    monkeypatch.setattr(stepper, "solve_spd", record)
+    sources = in_coefficients(poly_sources(grid), grid)
+    for forced in (False, True):
+        solves.clear()
+        state = init_state(
+            grid, MaterialParams(), config, *decay_initial_data(grid), sources if forced else None
+        )
+        run(state)
+        assert len(solves) == 4 and state.spectrum.exact is not forced
+        for spectrum, rhs, solution, iterations in solves:
+            assert spectrum is state.spectrum and np.any(solution != 0.0)
+            if forced:
+                assert iterations > 0
+            else:
+                assert iterations == 0
+                assert solution.tobytes() == (rhs / spectrum.values[spectrum.index]).tobytes()
+        assert state.e.tobytes() == solves[-1][2].tobytes()
+
+
 def test_a_step_that_raised_leaves_a_state_that_refuses_to_step(monkeypatch):
     # the step's solve fails after the history has moved (a full window folded,
-    # g written to P^n's row), so the state refuses any further step
+    # g written to P^n's row), so the state refuses any further step.  Forced,
+    # so that the solve is the CG, which the patched tolerance makes fail
     grid = GridSpec(12, 8)
     config = SchemeConfig(theta=0.5, tau=0.01, n_steps=60)
-    state = init_state(grid, MaterialParams(), config, *decay_initial_data(grid))
+    sources = in_coefficients(poly_sources(grid), grid)
+    state = init_state(grid, MaterialParams(), config, *decay_initial_data(grid), sources)
     while len(state.history.poles) + state.n - state.history.folded < len(state.history.rows):
         step(state)
     n, folded = state.n, state.history.folded
