@@ -23,8 +23,8 @@ phi_cE = curl phi_E (at the cell centres):
 
 :meth:`ManufacturedCase.sample` transforms the profiles, sampled once on the
 dofs of a grid, to the coefficients of :class:`~colecole.mesh.CurlCurlBasis`,
-the edge profiles in the layout of the span of component 0 of phi_E, phi_P
-and phi_cH (k = 3), so a run evaluates no formula of the coordinates and
+each a vector in the layout of the span of component 0 of phi_E, phi_P and
+phi_cH (k = 3), so a run evaluates no formula of the coordinates and
 computes no transform per step.  Coefficients hold no boundary values: phi_E
 and phi_P must vanish on the tangential boundary, as they do, and phi_cH's
 only enter f1, whose boundary values are not used.
@@ -77,8 +77,8 @@ CASE_SPAN_ROWS = 3
 @dataclass(frozen=True, eq=False)
 class SampledCase:
     """A manufactured case on one grid: the span of component 0 of its edge
-    profiles, phi_E and phi_P in that layout, phi_H's cell coefficients and
-    the sources of its runs (see the module docstring)."""
+    profiles, phi_E, phi_P and phi_H in that layout and the sources of its
+    runs (see the module docstring)."""
 
     material: MaterialParams
     grid: GridSpec
@@ -125,8 +125,8 @@ class ManufacturedCase:
         return e, p, basis.forward_cell(h), curl_h, basis.forward_cell(curl_e)
 
     def sample(self, grid: GridSpec) -> SampledCase:
-        """The case on grid: :meth:`coefficients` and the sources, their edge
-        profiles in the layout of the span of phi_E, phi_P and phi_E + phi_cH."""
+        """The case on grid: :meth:`coefficients` and the sources, all in the
+        layout of the span of phi_E, phi_P and phi_E + phi_cH."""
         material = MaterialParams(alpha=self.alpha)
         e, p, h, curl_h, curl_e = self.coefficients(grid)
         e_curl_h = np.add(e, curl_h, out=curl_h)
@@ -135,10 +135,10 @@ class ManufacturedCase:
         alpha = self.alpha
         sources = Sources(
             f1=((lambda t: 3.0 * t * t, p), (lambda t: -math.exp(-t), e_curl_h)),
-            f2=((lambda t: math.exp(-t), np.subtract(curl_e, h, out=curl_e)),),
+            f2=((lambda t: math.exp(-t), span.pad(np.subtract(curl_e, h, out=curl_e))),),
             f3=((lambda t: caputo_cubic_factor(t, alpha) + t**3, p), (lambda t: -math.exp(-t), e)),
         )
-        return SampledCase(material, grid, span, e, p, h, sources)
+        return SampledCase(material, grid, span, e, p, span.pad(h), sources)
 
 
 def error_norms(state: SimState, case: SampledCase) -> tuple[float, float, float]:

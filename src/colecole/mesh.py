@@ -17,8 +17,9 @@ orthonormal basis of the tangential-zero edge fields and of the cell fields in
 which both curls are diagonal: on mode (k, l), ``curl_e`` maps the edge
 coefficients (a, b) to the cell coefficient -|v| b, and ``curl_h`` maps the
 cell coefficient c to the edge coefficients (0, -|v| c).  A run keeps E, P and
-H as these coefficients (see :mod:`colecole.stepper`); a :class:`VecField`
-(E, P) and an (nx, ny) array (H) are the dof arrays that go in and come out.
+H as these coefficients, each one vector of its :class:`Span` layout (see
+:mod:`colecole.stepper`); a :class:`VecField` (E, P) and an (nx, ny) array
+(H) are the dof arrays that go in and come out.
 The stencils themselves live in the test suite, as the independent
 physical-space check.
 
@@ -312,10 +313,11 @@ class CurlCurlBasis:
 
 @dataclass(frozen=True, eq=False)
 class Span:
-    """The layout of a run's edge coefficients (see :class:`CurlCurlBasis`):
-    k coordinates of component 0, its inner products with the orthonormal
-    rows of the (k, nx ny) ``basis`` (:func:`curl_free_span`), then the nx ny
-    tangential coefficients.  ``shape`` is (nx, ny)."""
+    """The layout of every per-coordinate array of a run (see
+    :class:`CurlCurlBasis`): k coordinates of component 0, its inner products
+    with the orthonormal rows of the (k, nx ny) ``basis`` (:func:`curl_free_span`),
+    then the nx ny tangential coefficients, which cell arrays share.
+    ``shape`` is (nx, ny)."""
 
     shape: tuple[int, int]
     basis: np.ndarray
@@ -333,8 +335,16 @@ class Span:
         """The (2, nx, ny) edge coefficients of a layout vector: :meth:`pack` inverted."""
         coef = np.empty((2, *self.shape))
         einsum("i,ij->j", x[: self.k], self.basis, out=coef[0].reshape(-1))
-        coef[1] = x[self.k :].reshape(self.shape)
+        coef[1] = self.unpad(x)
         return coef
+
+    def pad(self, cells: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """The layout vector of ``fill`` k times, then the (nx, ny) array ``cells`` raveled."""
+        return np.concatenate((np.full(self.k, fill), cells.reshape(-1)))
+
+    def unpad(self, x: np.ndarray) -> np.ndarray:
+        """The (nx, ny) tangential part of a layout vector, a view: :meth:`pad` inverted."""
+        return x[self.k :].reshape(self.shape)
 
 
 def curl_free_span(*leads: np.ndarray) -> Span:

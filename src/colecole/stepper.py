@@ -18,29 +18,30 @@ symmetric positive definite system
 on the tangential-zero edge fields.
 
 A run keeps its fields as coefficients in the eigenbasis of
-:class:`~colecole.mesh.CurlCurlBasis`: H as (nx, ny) cell coefficients, E
-and P each as one vector in the run's :class:`~colecole.mesh.Span` layout,
-k coordinates of component 0 (the curl-free half, where |v| = 0), then the
-nx ny tangential coefficients.  On component 0 every mode follows one
-scalar recurrence, uncoupled from H, so the component stays in the span of
-E^0's and of the sources' profiles, which k orthonormal coordinates hold
-exactly: k = 1 without sources (0 if E^0 has no component 0), 3 for the
-manufactured case.  Both curls multiply each mode by |v|, the elimination is
-dof-local, and the energies are sums of squares (Parseval), so a step is
-per-mode arithmetic: it applies no stencil and computes no transform.
-:func:`init_state` transforms the initial data once, and
+:class:`~colecole.mesh.CurlCurlBasis`, and every per-coordinate array (E,
+P, H, the history rows, |v|, the E-solve's eigenvalues, the source
+profiles) as one vector of its :class:`~colecole.mesh.Span` layout: k
+coordinates of component 0 (the curl-free half, where |v| = 0 and the cell
+arrays H and f2 are 0), then the nx ny tangential coefficients.  On
+component 0 every mode follows one scalar recurrence, uncoupled from H, so
+the component stays in the span of E^0's and of the sources' profiles,
+which k orthonormal coordinates hold exactly: k = 1 without sources (0 if
+E^0 has no component 0), 3 for the manufactured case.  Both curls multiply
+each coordinate by |v|, the elimination is dof-local, and the energies are
+sums of squares (Parseval), so a step is per-coordinate arithmetic with no
+stencil, transform or shape: a slice of every vector steps as that slice of
+the run.  :func:`init_state` transforms the initial data once, and
 :meth:`SimState.fields` transforms a state back to dof arrays.
 
 The operator above is diagonal in that basis, with the same eigenvalues on
-every step of a run: an (nx, ny) array on the tangential component, whose
-(0, 0) entry is the normal component's on every mode.  :func:`init_state`
-groups them by exact value once, with one group index per coordinate of the
-run's layout (:class:`Spectrum`).  :func:`solve_spd` solves a run without
-sources exactly, one division per coordinate, and a forced one by conjugate
-gradients once per group, warm-started from E^{n-1}, to relative residual
-CG_TOL: the benchmark's recorded convergence errors are that CG's, and the
-division moves them by up to 2.7e-9 relative, past their 1e-11 tolerance.
-H^n and P^n are recovered exactly afterwards.
+every step of a run, which :func:`init_state` holds as one vector of the
+layout, the divisor (:class:`Spectrum`).  :func:`solve_spd` solves a run
+without sources exactly, one division per coordinate.  A forced run groups
+the divisor by exact value once, and solves by conjugate gradients once per
+group, warm-started from E^{n-1}, to relative residual CG_TOL: the
+benchmark's recorded convergence errors are that CG's, and the division
+moves them by up to 2.7e-9 relative, past their 1e-11 tolerance.  H^n and
+P^n are recovered exactly afterwards.
 
 A run's sources (:class:`Sources`) are time factors times coefficient
 profiles: :func:`step` adds each factor at t_{n-theta} times its profile in
@@ -70,17 +71,17 @@ run's history; copies of it share the history, and only the stepped state
 matches it.  A step holds only what its next part reads: it folds a full
 window as soon as its history sum has read it, builds g in the history row
 that P^n then takes, E^n in the right-hand side's buffer (:func:`solve_spd`)
-and D^alpha P^n in the history part's, and one scratch vector and one
-(nx, ny) scratch array, dropped for the solve, take the products, the
-sources' terms included.  A step allocates at most five vectors of the
-run's layout.  As the history moves before the solve, a step that raises
-leaves the state ``stepping``, and :func:`step` refuses it from then on.
+and D^alpha P^n in the history part's, and two scratch vectors, dropped
+for the solve, take the products, the sources' terms included.  A step
+allocates at most five vectors of the run's layout.  As the history moves
+before the solve, a step that raises leaves the state ``stepping``, and
+:func:`step` refuses it from then on.
 
 The state also carries the energy weights a_0..a_N of the run's (alpha,
 theta), ``SimState.a_weights``; FBDF2 runs carry the trapezoidal ones too.
 It carries the constants of the run's steps as well, which :func:`init_state`
-builds once: |v| of every mode, the grouped :class:`Spectrum` of the
-E-solve, the span of component 0 and the sources in its layout.
+builds once: |v| of every coordinate, the E-solve's :class:`Spectrum`,
+the span of component 0 and the sources in its layout.
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ HISTORY_FOLD = 16
 class Sources:
     """The right-hand sides f1, f2 and f3 of a run, each a tuple of (factor,
     profile) terms, the side at time t the sum of factor(t) profile.  Profiles
-    are coefficients: (nx, ny) cell arrays for f2, and for f1 and f3 the
-    (2, nx, ny) arrays :func:`init_state` takes or, in a state, layout vectors."""
+    are coefficients: (nx, ny) cell arrays for f2 and (2, nx, ny) edge arrays
+    for f1 and f3 as :func:`init_state` takes them or, in a state, layout vectors."""
 
     f1: tuple[tuple[Callable[[float], float], np.ndarray], ...]
     f2: tuple[tuple[Callable[[float], float], np.ndarray], ...]
@@ -209,40 +210,39 @@ def check_eigenvalues(low: float, high: float, subject: str) -> None:
 
 
 class Spectrum:
-    """A step's E-solve on a span layout with k coordinates of component 0,
-    its eigenvalues grouped by exact value.  lam is their (nx, ny) array on
-    the tangential component (``CurlCurlBasis.eigenvalues``); on component 0
-    they are diag, lam's entry at mode (0, 0).  ``values`` holds the
-    distinct ones in ascending order and ``index`` the group of each of the
-    k + nx ny coordinates, so ``values[index]`` is diag k times, then lam
-    raveled, bit for bit; ``shape`` is (nx, ny).  ``exact``, set for a run
-    without sources, makes :func:`solve_spd` divide by ``values[index]``.
+    """A run's E-solve eigenvalues on its layout, the ``divisor``: diag on
+    component 0, then ``CurlCurlBasis.eigenvalues`` raveled (``Span.pad``).
+    A run without sources keeps it, and :func:`solve_spd` divides by it.  A
+    ``grouped`` one, a forced run's, keeps ``values``, its distinct entries
+    ascending, and ``index``, the group of each coordinate (``values[index]``
+    is the divisor bit for bit), and not the divisor; what a spectrum does
+    not keep is None.  ``shape`` (nx, ny) bounds the CG's iterations.
 
     Raises :class:`ValueError` unless the eigenvalues pass
     :func:`check_eigenvalues`.
     """
 
-    def __init__(self, lam: np.ndarray, k: int, exact: bool = False) -> None:
-        check_eigenvalues(lam.min(), lam.max(), "the spectrum puts")
-        self.values, inverse = np.unique(lam, return_inverse=True)
-        self.index = np.concatenate((np.full(k, inverse.flat[0]), inverse.reshape(-1)))
-        self.shape, self.exact = lam.shape, exact
+    def __init__(self, divisor: np.ndarray, shape: tuple[int, int], grouped: bool) -> None:
+        check_eigenvalues(divisor.min(), divisor.max(), "the spectrum puts")
+        self.divisor, self.values, self.index, self.shape = divisor, None, None, shape
+        if grouped:
+            self.values, self.index = np.unique(divisor, return_inverse=True)
+            self.divisor = None
 
 
 @dataclass
 class SimState:
     """Integrator state after step n; advanced in place by :func:`step`.
 
-    ``e`` and ``p`` are the edge coefficients of E^n and P^n as vectors in
-    the layout of ``span`` (k + nx ny values), ``h`` the (nx, ny) cell
-    coefficients of H^n (see :class:`~colecole.mesh.CurlCurlBasis`);
-    :meth:`fields` gives the dof arrays.  ``kernel`` (K_0..K_{N-1} of
-    :func:`build_kernel`, read-only), ``a_weights``, ``curl_modulus`` (|v| of
-    every mode), ``spectrum`` (the E-solve's eigenvalues on the layout, grouped),
+    ``e``, ``p`` and ``h`` hold the coefficients of E^n, P^n and H^n (see
+    :class:`~colecole.mesh.CurlCurlBasis`) as vectors of the layout of ``span``,
+    H 0 on component 0; :meth:`fields` gives the dof arrays.  ``kernel``
+    (K_0..K_{N-1} of :func:`build_kernel`, read-only), ``a_weights``,
+    ``curl_modulus`` (|v| of every coordinate), ``spectrum`` (the E-solve's),
     ``span`` and ``sources`` (in its layout; no terms for none) are constant
     over the run.  The state owns its run's ``history``; copies share it, and
-    only the stepped state matches it.  ``stepping`` is True while a step changes the history,
-    and stays True once a step has raised part-way.
+    only the stepped state matches it.  ``stepping`` is True while a step
+    changes the history, and stays True once a step has raised part-way.
     """
 
     n: int
@@ -269,12 +269,9 @@ class SimState:
         """(E^n, P^n, H^n) on the dofs, transformed back from the coefficients
         (component 0 mapped back from the span): E and P as edge pairs, H as
         an (nx, ny) cell array."""
-        basis = CurlCurlBasis(self.grid)
-        return (
-            VecField(*basis.inverse(self.span.unpack(self.e))),
-            VecField(*basis.inverse(self.span.unpack(self.p))),
-            basis.inverse_cell(self.h),
-        )
+        basis, span = CurlCurlBasis(self.grid), self.span
+        e, p = (VecField(*basis.inverse(span.unpack(x))) for x in (self.e, self.p))
+        return e, p, basis.inverse_cell(span.unpad(self.h))
 
 
 def build_kernel(material: MaterialParams, config: SchemeConfig) -> np.ndarray:
@@ -342,11 +339,11 @@ def memory_estimate(
     # the energy weights, the fit's lags and targets, one FFT series product
     # at a time (three arrays of up to 4 (N+1): the weights' check, then a decay
     # run's memory terms) and the five columns of the energy trace.
-    # Ten arrays of 2 nx ny values: a forced step holds the state (1.5), |v|
-    # and the spectrum's index (1), its temporaries and the solve's (2.5), the
-    # span's three rows (1.5) and the case's profiles (2.5); a one-step forced
-    # run peaks at 9.7, traced at 256^2.  256 KiB for what a process allocates
-    # once (numpy.fft's import takes about 120 KiB).
+    # Ten arrays of 2 nx ny values, a layout vector a half: a forced step holds
+    # the state (1.5), |v| and the spectrum's index (1), its temporaries and the
+    # solve's (2.5), the span's three rows (1.5) and the case's profiles (2.5);
+    # a one-step forced run peaks at 9.7, traced at 256^2.  256 KiB for what a
+    # process allocates once (numpy.fft's import takes about 120 KiB).
     fit = 3 * (TAIL_FIT_ROWS + poles) * (poles + 1) if poles else 0
     return 8 * ((window + poles) * row + fit + 25 * (steps + 1) + 10 * dofs) + 2**18
 
@@ -366,9 +363,10 @@ def init_state(
     as floats.  Both must be finite, as must every source profile, and e0
     zero on the tangential boundary, or :class:`ValueError` is raised, then
     what :func:`preflight` raises, before anything is transformed; each is
-    then transformed once, and E^0 and the f1 and f3 profiles are packed into
+    then transformed once, E^0 and the f1 and f3 profiles are packed into
     the layout of the span of their component 0
-    (:func:`~colecole.mesh.curl_free_span`, in that order).
+    (:func:`~colecole.mesh.curl_free_span`, in that order), and H^0 and the
+    f2 profiles padded into it.
     Allocates the M + W rows of (k + nx ny) * 8 bytes of :class:`PHistory`,
     M at most TAIL_MAX_POLES; a fold adds a temporary of one row.
     """
@@ -386,11 +384,12 @@ def init_state(
         raise ValueError("initial electric field violates the tangential-zero boundary")
     history = preflight(grid, material, config, 1 + len(f1) + len(f3))
     basis = CurlCurlBasis(grid)
-    h = basis.forward_cell(h0)  # first: E^0's (2, nx, ny) coefficients are not live beside it
     e = basis.forward(e0.ex, e0.ey)
     span = curl_free_span(e[0], *(profile[0] for _, profile in f1 + f3))
     f1, f3 = (tuple((f, span.pack(profile)) for f, profile in terms) for terms in (f1, f3))
-    e = span.pack(e)  # the coefficients go before the history is allocated
+    f2 = tuple((f, span.pad(profile)) for f, profile in f2)
+    e = span.pack(e)  # E^0's (2, nx, ny) coefficients go before H^0's transform
+    h = span.pad(basis.forward_cell(h0))
     return _initial_state(grid, material, config, history, span, e, h, Sources(f1, f2, f3))
 
 
@@ -421,9 +420,9 @@ def _initial_state(
     basis = CurlCurlBasis(grid)
     # built before the history, so their temporaries do not sit on top of it
     diag, curl_scale = (material.c_e + a_coef) / tau, one_m * one_m * tau / material.c_m
-    unforced = not (sources.f1 or sources.f2 or sources.f3)
-    spectrum = Spectrum(basis.eigenvalues(diag, curl_scale), span.k, unforced)
-    curl_modulus = basis.curl_modulus()
+    forced = bool(sources.f1 or sources.f2 or sources.f3)
+    spectrum = Spectrum(span.pad(basis.eigenvalues(diag, curl_scale), diag), span.shape, forced)
+    curl_modulus = span.pad(basis.curl_modulus())
     rows = np.zeros((len(poles) + window, len(e)))
     return SimState(
         n=0,
@@ -528,10 +527,10 @@ class SolverError(RuntimeError):
 
 def solve_spd(spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, int]:
     """The E-solve with eigenvalues ``spectrum``, in the buffer of ``rhs``:
-    rhs / values[index] if ``spectrum.exact``, else conjugate gradients from
-    x0 (only read), whose iterates and counts are, up to round-off, CG's with
-    the curl stencils on the dofs (the basis is orthonormal).  rhs and x0 are
-    vectors of the layout, one value per entry of ``spectrum.index``.
+    rhs / divisor if the spectrum keeps its divisor, else conjugate
+    gradients from x0 (only read), whose iterates and counts are, up to
+    round-off, CG's with the curl stencils on the dofs (the basis is
+    orthonormal).  rhs and x0 are vectors of the spectrum's layout.
 
     On a diagonal operator, CG's k-th residual is R_k(lam) r0, r0 = rhs -
     lam x0, and its iterate x0 + (1 - R_k(lam))/lam r0, for a polynomial R_k
@@ -544,16 +543,15 @@ def solve_spd(spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray) -> tuple[np.n
     BLAS would start threads), and x is assembled once, at convergence.
 
     Returns (solution, iterations), 0 for the division.  Raises
-    :class:`ValueError` unless rhs and x0 have the shape of ``spectrum.index``,
+    :class:`ValueError` unless rhs and x0 have the shape of the layout,
     and :class:`SolverError` as soon as the norm of rhs or a squared residual
     norm is not finite, or if the relative residual is not below CG_TOL
     within CG_MAXIT_PER_SIDE * (nx + ny) iterations.
     """
-    lam, index = spectrum.values, spectrum.index
-    if rhs.shape != index.shape or x0.shape != index.shape:
-        raise ValueError(
-            f"solve_spd: shapes {rhs.shape}, {x0.shape} are not the layout's {index.shape}"
-        )
+    lam, index, divisor = spectrum.values, spectrum.index, spectrum.divisor
+    layout = (index if divisor is None else divisor).shape
+    if rhs.shape != layout or x0.shape != layout:
+        raise ValueError(f"solve_spd: shapes {rhs.shape}, {x0.shape} are not the layout's {layout}")
     tol, maxit = CG_TOL, CG_MAXIT_PER_SIDE * sum(spectrum.shape)
     rhs_norm = math.sqrt(einsum("i,i->", rhs, rhs))
     if not math.isfinite(rhs_norm):
@@ -561,10 +559,10 @@ def solve_spd(spectrum: Spectrum, rhs: np.ndarray, x0: np.ndarray) -> tuple[np.n
     if rhs_norm == 0.0:
         rhs.fill(0.0)
         return rhs, 0
-    if spectrum.exact:
+    if divisor is not None:
         # Forced runs keep the CG only as perfbench/references.json records its
         # iterates (converge_fbdf2); it goes when that file is recorded again.
-        return np.divide(rhs, np.take(lam, index), out=rhs), 0
+        return np.divide(rhs, divisor, out=rhs), 0
     r0, scratch = rhs, np.take(lam, index)  # r0 = rhs - lam x0
     r0 -= np.multiply(scratch, x0, out=scratch)
     w = np.bincount(index, weights=np.square(r0, out=scratch))
@@ -618,14 +616,7 @@ def step(state: SimState) -> SimState:
     history, sources = state.history, state.sources
     tau, theta = cfg.tau, cfg.theta
     one_m, t = 1.0 - theta, (n - theta) * tau
-    e, p, h = state.e, state.p, state.h
-    v = state.curl_modulus
-    k = state.span.k
-
-    def tangential(x: np.ndarray) -> np.ndarray:
-        """The (nx, ny) tangential part of a vector in the run's layout, a view."""
-        return x[k:].reshape(v.shape)
-
+    e, p, h, v = state.e, state.p, state.h, state.curl_modulus
     hist_d = frac_deriv_current(state)
     state.stepping = True  # until the step ends: the history moves from here on
     slot = len(history.poles) + n - 1 - history.folded  # row of P^n
@@ -635,10 +626,10 @@ def step(state: SimState) -> SimState:
     row = history.rows[slot]  # free until P^n is written to it: g's buffer, then scratch
     denom, a_coef = elimination_coefficients(mat, theta, tau, state.kernel[0])
 
-    # Products go to one scratch vector and one scratch cell array, dropped for
-    # the solve; sums are taken in place in each formula's order, a source's
-    # terms in theirs.  Elimination of P^n = a E^n + g from the polarization
-    # equation: g = (1/denom) ((c_p theta) E - theta P - tau0^alpha hist_d + f3)
+    # Products go to two scratch vectors, dropped for the solve; sums are
+    # taken in place in each formula's order, a source's terms in theirs.
+    # Elimination of P^n = a E^n + g from the polarization equation:
+    # g = (1/denom) ((c_p theta) E - theta P - tau0^alpha hist_d + f3)
     g = np.multiply(e, mat.c_p * theta, out=row)
     work = np.multiply(p, theta)
     g -= work
@@ -649,31 +640,30 @@ def step(state: SimState) -> SimState:
 
     # rhs = (c_e/tau) E + (P - g)/tau + curl_h(H + (1-theta) tau/c_m f2)
     #       - (1-theta) theta tau/c_m curl_h curl_e E + f1,
-    # where curl_e E = -|v| b and curl_h c = (0, -|v| c) on each mode: on the
-    # tangential part alone, since |v| = 0 on component 0.
+    # where curl_e E = -|v| b and curl_h c = (0, -|v| c) on each coordinate,
+    # |v| = 0 on component 0.
     rhs = np.multiply(e, mat.c_e / tau)
     rhs += np.multiply(np.subtract(p, g, out=work), 1.0 / tau, out=work)
     for factor, profile in sources.f1:
         rhs += np.multiply(profile, factor(t), out=work)
     f2 = [(factor(t), profile) for factor, profile in sources.f2]
-    curl, cell, rhs_t = tangential(work), np.empty_like(v), tangential(rhs)
-    np.multiply(np.multiply(v, one_m * theta * tau / mat.c_m, out=cell), tangential(e), out=cell)
-    np.add(h, cell, out=curl)
+    curl, cell = work, np.multiply(v, one_m * theta * tau / mat.c_m)
+    np.add(h, np.multiply(cell, e, out=cell), out=curl)
     for value, profile in f2:
         curl += np.multiply(profile, value * one_m * tau / mat.c_m, out=cell)
-    rhs_t -= np.multiply(curl, v, out=curl)
-    del work, curl, cell, rhs_t
+    rhs -= np.multiply(curl, v, out=curl)
+    del work, curl, cell
 
     e_new, _ = solve_spd(state.spectrum, rhs, e)  # in rhs's buffer
     p_new = np.multiply(e_new, a_coef)
     p_new += g  # g + a E^n; g's row is scratch from here on
-    # H^n = H^{n-1} + tau/c_m (|v| ((1-theta) E^n + theta E^{n-1}) + f2) on the
-    # tangential parts, the increment built in H^n's buffer and H^{n-1} added last
-    h_new = np.multiply(tangential(e_new), one_m)
-    h_new += np.multiply(tangential(e), theta, out=tangential(row))
+    # H^n = H^{n-1} + tau/c_m (|v| ((1-theta) E^n + theta E^{n-1}) + f2), 0 on
+    # component 0; the increment built in H^n's buffer and H^{n-1} added last
+    h_new = np.multiply(e_new, one_m)
+    h_new += np.multiply(e, theta, out=row)
     h_new *= v
     for value, profile in f2:
-        h_new += np.multiply(profile, value, out=tangential(row))
+        h_new += np.multiply(profile, value, out=row)
     h_new *= tau / mat.c_m
     h_new += h
     # D(P^n) = history part + tau^-alpha K_0 P^n, so the history sum is not run again.

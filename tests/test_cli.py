@@ -268,6 +268,22 @@ def test_run_failures_on_json_channel(tmp_path, capsys, monkeypatch, exc, code):
     assert not out.exists()
 
 
+def test_a_step_whose_right_hand_side_overflows_exits_3_without_csv(tmp_path, capsys, monkeypatch):
+    # only the time factor of the manufactured f3 is patched: the step, the
+    # E-solve's check of its right-hand side and the CLI's error mapping run
+    # as they are
+    monkeypatch.setattr("colecole.manufactured.caputo_cubic_factor", lambda t, alpha: 1e300)
+    out = tmp_path / "c.csv"
+    argv = ["converge", "--alpha", "0.5", "--theta", "0.5", "--nx", "8", "--ny", "8",
+            "--taus", "1/5,1/10", "--out", str(out)]
+    assert main(argv) == 3
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line) == {
+        "status": "error", "command": "converge", "message": "E-solve: right-hand side norm is inf"
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("tau", ["1e300", "1e-300"])
 def test_unrepresentable_tau_exits_2_before_any_work(tmp_path, capsys, monkeypatch, tau):
     # the E-solve's largest eigenvalue squared overflows (c_e/tau at 1e-300,

@@ -126,13 +126,13 @@ def test_energy_decays_mode_by_mode(alpha, theta):
     e0 = VecField(rng.standard_normal((12, 11)), rng.standard_normal((13, 10))).enforce_pec()
     h0 = rng.standard_normal((12, 10))
     state = fresh_state(grid, alpha=alpha, theta=theta, tau=tau, n_steps=n_steps, e0=e0, h0=h0)
-    # (E, P, H) of every step, E and P as (2, nx, ny) coefficients, and the
-    # energy of each; step rebinds the arrays
-    unpack = state.span.unpack
-    fields, totals = [(unpack(state.e), unpack(state.p), state.h)], [discrete_energy(state)]
+    # (E, P, H) of every step, E and P as (2, nx, ny) coefficients, H as
+    # (nx, ny) ones, and the energy of each; step rebinds the arrays
+    unpack, unpad = state.span.unpack, state.span.unpad
+    fields, totals = [(unpack(state.e), unpack(state.p), unpad(state.h))], [discrete_energy(state)]
     while state.n < n_steps:
         step(state)
-        fields.append((unpack(state.e), unpack(state.p), state.h))
+        fields.append((unpack(state.e), unpack(state.p), unpad(state.h)))
         totals.append(discrete_energy(state))
     mat, area = state.material, grid.dx * grid.dy
     # s_j per mode: D^alpha P at t_{j-theta} = tau^-alpha sum_k K_{j-k} P^k

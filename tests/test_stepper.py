@@ -120,7 +120,7 @@ def test_init_state():
     state = zero_state()
     assert state.n == 0 and state.sources.f1 == state.sources.f2 == state.sources.f3 == ()
     # no sources and no curl-free part in E^0: k = 0, the 16 tangential coefficients
-    assert state.e.shape == state.p.shape == (16,) and state.h.shape == (4, 4)
+    assert state.e.shape == state.p.shape == state.h.shape == (16,)
     assert state.span.k == 0 and state.span.basis.shape == (0, 16)
     assert not np.any(state.p)
     # 4 steps never fold: no tail, and a window of P^1..P^4 (P^0 = 0 is not stored)
@@ -129,16 +129,20 @@ def test_init_state():
     assert len(state.history.poles) == len(state.history.weights) == 0
     assert split_rows(state.history)[0].shape == (0, 16) and state.history.folded == 0
     # a forced run keeps the span of its four edge profiles' component 0 (E^0 = 0),
-    # and its sources with those profiles packed into that layout
+    # and its sources with those profiles packed into that layout, the f2
+    # profile padded into it
     sources = in_coefficients(poly_sources(GridSpec(4, 4)), GridSpec(4, 4))
     forced = zero_state(sources=sources)
     assert forced.span.k == 4 and forced.e.shape == forced.p.shape == (4 + 16,)
-    assert forced.history.rows.shape == (4, 20) and forced.sources.f2 is sources.f2
+    assert forced.history.rows.shape == (4, 20)
     for (factor, packed), (given, profile) in zip(
         forced.sources.f1 + forced.sources.f3, sources.f1 + sources.f3
     ):
         assert factor is given and packed.shape == (20,)
         np.testing.assert_allclose(forced.span.unpack(packed), profile, rtol=0, atol=1e-15)
+    for (factor, padded), (given, profile) in zip(forced.sources.f2, sources.f2):
+        assert factor is given and padded.shape == (20,)
+        assert np.array_equal(forced.span.unpad(padded), profile)
     # kernel covers the whole run and starts at the generating sequence
     assert len(state.kernel) == state.config.n_steps
     assert state.kernel[0] == sftr_weights(0.5, 0.5, 0)[0]
@@ -152,7 +156,8 @@ def test_init_state():
     # H0 is any (nx, ny) array-like, taken as floats; other shapes are refused
     cells = [[1, 2, 3, 4]] * 4
     state = init_state(grid, MaterialParams(), config, zero_edges(grid), cells)
-    assert np.array_equal(state.h, CurlCurlBasis(grid).forward_cell(np.array(cells, dtype=float)))
+    want = CurlCurlBasis(grid).forward_cell(np.array(cells, dtype=float))
+    assert np.array_equal(state.span.unpad(state.h), want)
     for shape in ((16,), (4, 4, 1), (4, 5)):
         with pytest.raises(ValueError, match="shapes"):
             init_state(grid, MaterialParams(), config, zero_edges(grid), np.zeros(shape))
@@ -457,17 +462,25 @@ def test_scheme_residual_linearity_in_perturbation():
     assert r3 <= 1e-12  # the polarization equation is immune by construction
 
 
+def whole_spectrum(lam, grouped=True):
+    """The :class:`Spectrum` of the operator whose (nx, ny) eigenvalues on the
+    tangential component are ``lam``, on the layout that keeps component 0
+    whole (k = nx ny, as :func:`random_modes` gives): its divisor is lam's
+    (0, 0) entry nx ny times, then lam raveled."""
+    return Spectrum(operator_diagonal(lam).reshape(-1), lam.shape, grouped)
+
+
 def test_solve_spd_basics():
     grid = GridSpec(4, 4)
     rhs = random_modes(grid, np.random.default_rng(2))
-    zero, k = np.zeros_like(rhs), rhs.size - grid.nx * grid.ny
-    ones = Spectrum(np.ones((grid.nx, grid.ny)), k)
+    zero = np.zeros_like(rhs)
+    ones = whole_spectrum(np.ones((grid.nx, grid.ny)))
     # all eigenvalues equal: one group, solved in one iteration
     # (a solve overwrites its rhs, so each gets a copy)
     x, its = solve_spd(ones, rhs.copy(), zero)
     np.testing.assert_allclose(x, rhs, atol=1e-13)
     assert its == 1 and len(ones.values) == 1
-    x, its = solve_spd(Spectrum(np.full((grid.nx, grid.ny), 2.0), k), rhs.copy(), zero)
+    x, its = solve_spd(whole_spectrum(np.full((grid.nx, grid.ny), 2.0)), rhs.copy(), zero)
     np.testing.assert_allclose(x, 0.5 * rhs, atol=1e-13)
     assert its == 1
     x, its = solve_spd(ones, zero.copy(), rhs)
@@ -483,7 +496,7 @@ def test_solve_spd_solves_in_the_rhs_buffer():
     state = zero_state(grid, theta=0.5, tau=0.05, n_steps=1)
     rng = np.random.default_rng(7)
     rhs, x0 = random_modes(grid, rng), random_modes(grid, rng)
-    spectrum = Spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)), rhs.size - 16 * 16)
+    spectrum = whole_spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)))
     start = x0.copy()
     want, want_its = solve_spd(spectrum, rhs.copy(), x0)
     x, its = solve_spd(spectrum, rhs, x0)
@@ -517,7 +530,7 @@ def test_solve_spd_against_dense_factorization():
     ref = np.linalg.solve(mat, flatten(rhs))
     basis = CurlCurlBasis(grid)
     coef = basis.forward(rhs.ex, rhs.ey).reshape(-1)
-    x, _ = solve_spd(Spectrum(basis.eigenvalues(1.0, 1.0), coef.size - 4 * 4), coef, np.zeros_like(coef))
+    x, _ = solve_spd(whole_spectrum(basis.eigenvalues(1.0, 1.0)), coef, np.zeros_like(coef))
     np.testing.assert_allclose(flatten(edge_field(x, grid)), ref, atol=1e-11)
 
 
@@ -536,7 +549,7 @@ def test_solve_spd_maxit_error(monkeypatch):
     grid = GridSpec(16, 12)
     state = zero_state(grid, theta=0.5, tau=0.05, n_steps=1)
     rhs = random_modes(grid, np.random.default_rng(5))
-    lam = Spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)), rhs.size - 16 * 12)
+    lam = whole_spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)))
     monkeypatch.setattr(stepper, "CG_TOL", 0.0)
     monkeypatch.setattr(stepper, "CG_MAXIT_PER_SIDE", 1)
     with pytest.raises(SolverError) as err:
@@ -556,7 +569,7 @@ def test_solve_spd_rejects_an_impossible_operator(diag, curl_scale):
     with np.errstate(invalid="ignore"):  # inf * 0 on mode (0, 0)
         lam = CurlCurlBasis(grid).eigenvalues(diag, curl_scale)
     with pytest.raises(ValueError, match="eigenvalues"):
-        Spectrum(lam, 0)
+        Spectrum(lam.reshape(-1), lam.shape, True)
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -572,7 +585,7 @@ def test_spectrum_merges_mirrored_modes_and_sorts_one_component(monkeypatch, n):
         return real_unique(values, *args, **kwargs)
 
     monkeypatch.setattr(np, "unique", spy)
-    spectrum = Spectrum(lam, state.span.k)
+    spectrum = Spectrum(lam.reshape(-1), lam.shape, True)  # k = 0: the divisor is lam raveled
     monkeypatch.undo()
     assert sorted_sizes == [n * n] and state.span.k == 0
     # (k, l) and (l, k) share one group on a square grid
@@ -1087,8 +1100,7 @@ def test_solve_spd_non_finite_fails_before_iterating(where, bad):
     state = zero_state(grid, theta=0.5, tau=0.05, n_steps=1)
     rng = np.random.default_rng(6)
     fields = {name: random_modes(grid, rng) for name in ("rhs", "x0")}
-    k = fields["rhs"].size - 64 * 64
-    lam = Spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)), k)
+    lam = whole_spectrum(CurlCurlBasis(grid).eigenvalues(*step_operator(state)))
     fields[where].reshape(2, 64, 64)[1, 10, 20] = bad
     with pytest.raises(SolverError) as err:
         solve_spd(lam, fields["rhs"], fields["x0"])
@@ -1106,7 +1118,7 @@ def test_the_division_refuses_a_non_finite_right_hand_side(bad):
     lam = CurlCurlBasis(grid).eigenvalues(*step_operator(state))
     rhs[-1] = bad
     with pytest.raises(SolverError, match="right-hand side norm"):
-        solve_spd(Spectrum(lam, rhs.size - 64, exact=True), rhs, np.zeros_like(rhs))
+        solve_spd(whole_spectrum(lam, grouped=False), rhs, np.zeros_like(rhs))
 
 
 def recorded_solves(monkeypatch, state, n_steps):
@@ -1152,23 +1164,28 @@ def solve_case(monkeypatch, grid, quadrature, tau):
 
 @SOLVE_CASES
 def test_spectrum_groups_the_eigenvalues_exactly(monkeypatch, grid, quadrature, tau, min_iterations):
-    # a forced run that keeps component 0 whole and a decay run (k = 1) of one
-    # operator
+    # a forced run that keeps component 0 whole groups its divisor, and a
+    # decay run (k = 1) of one operator divides by it and holds no group
+    # index; component 0 is diag throughout, lam's value at mode (0, 0)
     state, calls = solve_case(monkeypatch, grid, quadrature, tau)
     decay = init_state(grid, state.material, state.config, *decay_initial_data(grid))
     assert (state.span.k, decay.span.k) == (grid.nx * grid.ny, 1)
     diag, curl_scale = step_operator(state)
     assert step_operator(decay) == (diag, curl_scale)
     lam = CurlCurlBasis(grid).eigenvalues(diag, curl_scale)
-    for run_state, solves in ((state, calls), (decay, recorded_solves(monkeypatch, decay, 2))):
-        k = run_state.span.k
-        for spectrum, _, _ in solves:
-            assert spectrum is run_state.spectrum
-            values = spectrum.values[spectrum.index]
-            # component 0 is diag throughout, lam's group at mode (0, 0)
-            assert values[:k].tobytes() == np.full(k, diag).tobytes()
-            assert values[k:].tobytes() == lam.tobytes()
-            assert np.all(np.diff(spectrum.values) > 0.0)
+    k = state.span.k
+    for spectrum, _, _ in calls:
+        assert spectrum is state.spectrum and spectrum.divisor is None
+        values = spectrum.values[spectrum.index]
+        assert values[:k].tobytes() == np.full(k, diag).tobytes()
+        assert values[k:].tobytes() == lam.tobytes()
+        assert np.all(np.diff(spectrum.values) > 0.0)
+    for spectrum, _, _ in recorded_solves(monkeypatch, decay, 2):
+        assert spectrum is decay.spectrum and spectrum.values is spectrum.index is None
+        assert not any(isinstance(a, np.ndarray) and a.dtype.kind in "iu"
+                       for a in vars(spectrum).values())
+        assert spectrum.divisor[:1].tobytes() == np.full(1, diag).tobytes()
+        assert spectrum.divisor[1:].tobytes() == lam.tobytes()
 
 
 @SOLVE_CASES
@@ -1390,10 +1407,42 @@ def test_curl_free_span_is_a_unit_vector_and_packs_back():
     )
 
 
+def sliced(state, part):
+    """A state whose every per-coordinate vector is the slice ``part`` of
+    ``state``'s: E, P, H, |v|, the divisor and the history rows, with s_n
+    of its own; the kernel, poles, weights and a_weights are shared."""
+    history = replace(state.history, rows=state.history.rows[:, part].copy(),
+                      s=np.zeros_like(state.history.s))
+    spectrum = Spectrum(state.spectrum.divisor[part], state.spectrum.shape, False)
+    vectors = {name: getattr(state, name)[part].copy() for name in ("e", "p", "h", "curl_modulus")}
+    return replace(state, history=history, spectrum=spectrum, **vectors)
+
+
+@pytest.mark.parametrize("alpha, theta", [(0.5, 0.5), (0.9, 0.2)])
+def test_a_slice_of_every_vector_steps_as_that_slice_of_the_run(alpha, theta):
+    # a step is per coordinate: states built from contiguous slices of an 8^2
+    # decay run's vectors, component 0's one coordinate among them, step bit
+    # for bit as those slices of the whole run, past its folds
+    grid = GridSpec(8, 8)
+    config = SchemeConfig(theta=theta, tau=0.01, n_steps=120)
+    whole = init_state(grid, MaterialParams(alpha=alpha), config, *decay_initial_data(grid))
+    assert whole.span.k == 1 and whole.e.shape == (65,)
+    parts = [slice(0, 20), slice(20, 65), slice(1, 2)]
+    pieces = [sliced(whole, part) for part in parts]
+    while whole.n < config.n_steps:
+        step(whole)
+        for part, piece in zip(parts, pieces):
+            step(piece)
+            for name in ("e", "p", "h"):
+                assert getattr(piece, name).tobytes() == getattr(whole, name)[part].tobytes()
+    assert whole.history.folded > 0
+    assert all(piece.history.folded == whole.history.folded for piece in pieces)
+
+
 def test_a_run_without_sources_divides_and_a_forced_run_iterates(monkeypatch):
     # the solve is chosen once, at set-up: on an 8^2 run without sources every
-    # E^n is rhs / values[index] bit for bit, in 0 iterations; a forced run of
-    # the same operator keeps the CG
+    # E^n is rhs / divisor bit for bit, in 0 iterations; a forced run of the
+    # same operator keeps the CG, its groups values[index] that divisor
     grid = GridSpec(8, 8)
     config = SchemeConfig(theta=0.5, tau=0.01, n_steps=4)
     real, solves = stepper.solve_spd, []
@@ -1412,14 +1461,18 @@ def test_a_run_without_sources_divides_and_a_forced_run_iterates(monkeypatch):
             grid, MaterialParams(), config, *decay_initial_data(grid), sources if forced else None
         )
         run(state)
-        assert len(solves) == 4 and state.spectrum.exact is not forced
+        assert len(solves) == 4 and (state.spectrum.divisor is None) is forced
+        diag, curl_scale = step_operator(state)
+        lam, k = CurlCurlBasis(grid).eigenvalues(diag, curl_scale), state.span.k
+        divisor = np.concatenate((np.full(k, diag), lam.reshape(-1)))
         for spectrum, rhs, solution, iterations in solves:
             assert spectrum is state.spectrum and np.any(solution != 0.0)
             if forced:
                 assert iterations > 0
+                assert spectrum.values[spectrum.index].tobytes() == divisor.tobytes()
             else:
                 assert iterations == 0
-                assert solution.tobytes() == (rhs / spectrum.values[spectrum.index]).tobytes()
+                assert solution.tobytes() == (rhs / divisor).tobytes()
         assert state.e.tobytes() == solves[-1][2].tobytes()
 
 
